@@ -22,7 +22,9 @@ use std::collections::HashSet;
 
 use crate::domain::{log_region, PersistDomain, RegionId, CONTROL_REGION, DATA_REGION};
 use crate::protocol::{plan_replay, ScanEntry};
-use crate::record::{crc32_words, decode_slot, encode_slot, Record, RecordKind, TxTag, SLOT_MAX};
+use crate::record::{
+    crc32_words, decode_slot, encode_slot, pass_parity, Record, RecordKind, TxTag, SLOT_MAX,
+};
 use crate::txtable::TxTable;
 
 /// Geometry and protocol options of a log.
@@ -46,6 +48,19 @@ const CTRL_BLOCK: u64 = 32;
 
 /// Bytes of control state per slice: two alternating blocks.
 const CTRL_PER_SLICE: u64 = 2 * CTRL_BLOCK;
+
+/// Where the slot at monotonic offset `pos` of a `cap`-byte ring really
+/// starts: `pos` itself, or the start of the next pass when fewer than
+/// [`SLOT_MAX`] bytes remain before the wrap point (a slot never straddles
+/// the wrap). Appends, truncation and the recovery scan all step with it.
+fn slot_start(pos: u64, cap: u64) -> u64 {
+    let rem = cap - pos % cap;
+    if rem < SLOT_MAX {
+        pos + rem
+    } else {
+        pos
+    }
+}
 
 impl LogConfig {
     /// A small single-slice geometry for tests and examples: 4 KiB of log,
@@ -335,25 +350,16 @@ impl<D: PersistDomain> Log<D> {
         let slice = self.slice_of(thread);
         let cap = self.cfg.log_capacity;
         let slot = rec.kind.slot_bytes();
-        let mut tail = self.tails[slice];
-        let rem = cap - tail % cap;
-        if rem < SLOT_MAX {
-            tail += rem; // never straddle the wrap point
-        }
+        let mut tail = slot_start(self.tails[slice], cap);
         if tail + slot - self.heads[slice] > cap {
             // Try to reclaim dead prefix records before giving up.
             self.truncate_committed();
-            let mut t = self.tails[slice];
-            let r = cap - t % cap;
-            if r < SLOT_MAX {
-                t += r;
-            }
-            if t + slot - self.heads[slice] > cap {
+            tail = slot_start(self.tails[slice], cap);
+            if tail + slot - self.heads[slice] > cap {
                 return Err(LogError::LogFull);
             }
-            tail = t;
         }
-        let parity = (tail / cap) % 2 == 1;
+        let parity = pass_parity(tail, cap);
         let bytes = encode_slot(&rec, parity);
         let region = log_region(slice);
         self.domain.write(region, tail % cap, &bytes);
@@ -410,15 +416,13 @@ impl<D: PersistDomain> Log<D> {
             let tail = self.tails[slice];
             let mut reclaimed: HashSet<TxTag> = HashSet::new();
             while head < tail {
-                let rem = cap - head % cap;
-                if rem < SLOT_MAX {
-                    head += rem;
-                    continue;
+                head = slot_start(head, cap);
+                if head >= tail {
+                    break;
                 }
                 let mut bytes = vec![0u8; SLOT_MAX as usize];
                 self.domain.read(log_region(slice), head % cap, &mut bytes);
-                let parity = (head / cap) % 2 == 1;
-                let read = match decode_slot(&bytes, parity) {
+                let read = match decode_slot(&bytes, pass_parity(head, cap)) {
                     Ok(r) => r,
                     Err(_) => break,
                 };
@@ -543,15 +547,13 @@ impl<D: PersistDomain> Log<D> {
         let tail = self.tails[slice];
         let mut seq = 0u64;
         while pos < tail {
-            let rem = cap - pos % cap;
-            if rem < SLOT_MAX {
-                pos += rem;
-                continue;
+            pos = slot_start(pos, cap);
+            if pos >= tail {
+                break;
             }
             let mut bytes = vec![0u8; SLOT_MAX as usize];
             self.domain.read(region, pos % cap, &mut bytes);
-            let parity = (pos / cap) % 2 == 1;
-            match decode_slot(&bytes, parity) {
+            match decode_slot(&bytes, pass_parity(pos, cap)) {
                 Ok(read) => {
                     let rec = read.record;
                     if read.complete {

@@ -33,10 +33,11 @@
 //! * [`env`] — strict parsing for the `MORLOG_LOG_DIR` / `MORLOG_LOG_SYNC`
 //!   environment variables (malformed values are errors, never defaults).
 //!
-//! The simulator's NVMM model implements [`PersistDomain`] in the
-//! `morlog-nvm` crate (`SimDomain`), so the timing simulator, the fault
-//! injector and the crash/fuzz checker all drive the same protocol code
-//! that the mmap backend runs in production.
+//! The simulator shares this crate's record, kind and transaction-table
+//! types and its recovery planner, but not its ring: the cycle engine still
+//! appends through its own `morlog_nvm::log::LogRegion`. The simulator's
+//! NVMM fault model implements [`PersistDomain`] in the `morlog-nvm` crate
+//! (`SimDomain`); only tests drive [`Log`] over it.
 //!
 //! # Example
 //!

@@ -1,9 +1,10 @@
 //! The log-record wire format.
 //!
 //! This module is the single source of truth for the record layout the
-//! whole repository uses: the simulator's `morlog-nvm` crate delegates its
-//! metadata packing and CRC sealing here, and the byte backends serialise
-//! records into fixed-size slots built from the same words.
+//! whole repository uses: the simulator stores these [`Record`]s in its
+//! NVMM log ring and seals them with [`seal_words`], and the byte backends
+//! serialise the same records into fixed-size slots built from the same
+//! words.
 //!
 //! A record consists of two *metadata* words (Fig. 7: home address, and a
 //! packed kind/thread/txid/dirty/ulog word), a commit timestamp word, zero
@@ -13,9 +14,10 @@
 //! a previous pass over the ring from masquerading as current.
 
 /// A transaction tag: the `(thread, txid)` pair that identifies a
-/// transaction among those still present in the log region. Mirrors the
-/// simulator's `TxKey` (8-bit thread, 16-bit per-thread transaction id —
-/// the field widths of the Fig. 7 entry format).
+/// transaction among those still present in the log region (8-bit thread,
+/// 16-bit per-thread transaction id — the field widths of the Fig. 7 entry
+/// format). The simulator's typed `TxKey` converts to and from it
+/// losslessly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct TxTag {
     /// The hardware thread (or client shard) that ran the transaction.
@@ -50,6 +52,18 @@ pub enum RecordKind {
 }
 
 impl RecordKind {
+    /// Every kind, in histogram order (undo+redo, redo, commit).
+    pub const ALL: [RecordKind; 3] = [RecordKind::UndoRedo, RecordKind::Redo, RecordKind::Commit];
+
+    /// Stable lower-case label used in traces and results files.
+    pub fn label(self) -> &'static str {
+        match self {
+            RecordKind::UndoRedo => "undo_redo",
+            RecordKind::Redo => "redo",
+            RecordKind::Commit => "commit",
+        }
+    }
+
     /// Data words following the record's metadata header: `[undo, redo]`,
     /// `[redo]` or none.
     pub fn data_words(self) -> usize {
@@ -76,6 +90,23 @@ impl RecordKind {
 /// pass whenever fewer than this many bytes remain before the wrap point,
 /// so a slot never straddles the wrap.
 pub const SLOT_MAX: u64 = 48;
+
+/// The pass-parity (torn) bit of the slot at monotonic byte `offset` in a
+/// ring of `capacity` bytes: which pass over the ring wrote it. The bit
+/// flips on every wrap, so a stale slot from the previous pass never reads
+/// as current.
+///
+/// # Example
+///
+/// ```
+/// use morlog_log::record::pass_parity;
+/// assert!(!pass_parity(100, 128));
+/// assert!(pass_parity(128, 128));
+/// assert!(!pass_parity(256, 128));
+/// ```
+pub fn pass_parity(offset: u64, capacity: u64) -> bool {
+    (offset / capacity) % 2 == 1
+}
 
 /// One log record, as persisted in a log region.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -159,6 +190,19 @@ impl Record {
         match (self.kind, i) {
             (RecordKind::UndoRedo, 0) => self.undo.unwrap_or(0),
             (RecordKind::UndoRedo, 1) | (RecordKind::Redo, 0) => self.redo,
+            _ => panic!("{:?} has no data word {i}", self.kind),
+        }
+    }
+
+    /// Overwrites the record's `i`-th data word (fault injection).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= self.kind.data_words()`.
+    pub fn set_data_word(&mut self, i: usize, value: u64) {
+        match (self.kind, i) {
+            (RecordKind::UndoRedo, 0) => self.undo = Some(value),
+            (RecordKind::UndoRedo, 1) | (RecordKind::Redo, 0) => self.redo = value,
             _ => panic!("{:?} has no data word {i}", self.kind),
         }
     }
@@ -437,11 +481,64 @@ mod tests {
     }
 
     #[test]
-    fn crc_reference_vector_matches_simulator() {
-        // IEEE CRC-32 of ASCII "12345678" — the simulator's fault module
-        // pins the same vector (one little-endian word), so the two
-        // implementations can never drift apart silently.
-        assert_eq!(crc32_words(&[0x3837_3635_3433_3231]), 0x9AE0_DAAF);
+    fn meta_words_pin_the_fig7_bit_layout() {
+        let rec = Record::commit(tag(3, 515), Some(77));
+        let [w0, w1] = rec.meta_words();
+        assert_eq!(w0, 0);
+        assert_eq!(w1 & 0b11, 2); // kind commit
+        assert_eq!((w1 >> 2) & 0xFF, 3);
+        assert_eq!((w1 >> 10) & 0xFFFF, 515);
+        assert_eq!((w1 >> 34) & 0x3FF_FFFF, 77);
+        assert_eq!((w1 >> 62) & 1, 1);
+    }
+
+    #[test]
+    fn data_word_accessors_cover_each_kind() {
+        let mut u = Record::undo_redo(tag(0, 0), 0x40, 0xAA, 0xBB, 0x0F);
+        assert_eq!(u.kind.data_words(), 2);
+        assert_eq!(u.data_word(0), 0xAA);
+        assert_eq!(u.data_word(1), 0xBB);
+        u.set_data_word(0, 1);
+        u.set_data_word(1, 2);
+        assert_eq!((u.undo, u.redo), (Some(1), 2));
+        let mut r = Record::redo_only(tag(0, 0), 0x40, 7, 0xFF);
+        assert_eq!(r.kind.data_words(), 1);
+        assert_eq!(r.data_word(0), 7);
+        r.set_data_word(0, 9);
+        assert_eq!(r.redo, 9);
+        assert_eq!(Record::commit(tag(0, 0), None).kind.data_words(), 0);
+    }
+
+    #[test]
+    fn crc_known_vector() {
+        // CRC-32("12345678") — the ASCII bytes 0x31..0x38 packed LE into
+        // one word — against a table-driven reference of the same IEEE
+        // 802.3 polynomial, and against the published check value.
+        let table: Vec<u32> = (0..256u32)
+            .map(|mut c| {
+                for _ in 0..8 {
+                    c = if c & 1 != 0 {
+                        0xEDB8_8320 ^ (c >> 1)
+                    } else {
+                        c >> 1
+                    };
+                }
+                c
+            })
+            .collect();
+        let mut reference: u32 = !0;
+        for b in 0x31u8..=0x38 {
+            reference = table[((reference ^ b as u32) & 0xFF) as usize] ^ (reference >> 8);
+        }
+        reference = !reference;
+        assert_eq!(crc32_words(&[0x3837_3635_3433_3231]), reference);
+        assert_eq!(reference, 0x9AE0_DAAF);
+    }
+
+    #[test]
+    fn crc_sensitive_to_order_and_length() {
+        assert_ne!(crc32_words(&[1, 2]), crc32_words(&[2, 1]));
+        assert_ne!(crc32_words(&[0]), crc32_words(&[0, 0]));
     }
 
     #[test]

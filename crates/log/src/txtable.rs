@@ -8,8 +8,8 @@
 //! store dirtying a line (attribution) and a line's data entering the
 //! persist domain (release).
 //!
-//! This is the backend-neutral core; the simulator's `morlog-logging`
-//! crate wraps it with its own line/transaction id types.
+//! This is the one implementation: the byte-backend engine and the
+//! simulator's `System` both hold a [`TxTable`] directly.
 
 use std::collections::{HashMap, HashSet};
 

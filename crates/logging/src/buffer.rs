@@ -11,15 +11,20 @@
 
 use std::collections::VecDeque;
 
-use morlog_nvm::log::LogRecord;
+use morlog_log::record::{Record, TxTag};
 use morlog_sim_core::ids::TxKey;
 use morlog_sim_core::{Addr, Cycle};
+
+/// Index of the cache line holding a record's home word.
+pub(crate) fn home_line(record: &Record) -> u64 {
+    Addr::new(record.addr).line().index()
+}
 
 /// A buffered log entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Pending {
     /// The entry contents (coalescing mutates `redo` and `dirty_mask`).
-    pub record: LogRecord,
+    pub record: Record,
     /// Cycle the entry was created (age drives eager eviction).
     pub created: Cycle,
 }
@@ -29,14 +34,14 @@ pub struct Pending {
 /// # Example
 ///
 /// ```
+/// use morlog_log::record::Record;
 /// use morlog_logging::buffer::LogBuffer;
-/// use morlog_nvm::log::LogRecord;
 /// use morlog_sim_core::ids::TxKey;
 /// use morlog_sim_core::{Addr, ThreadId, TxId};
 ///
 /// let mut buf = LogBuffer::new(4);
 /// let key = TxKey::new(ThreadId::new(0), TxId::new(0));
-/// buf.push(LogRecord::undo_redo(key, Addr::new(0x40), 1, 2, 0xFF), 100).unwrap();
+/// buf.push(Record::undo_redo(key.into(), 0x40, 1, 2, 0xFF), 100).unwrap();
 /// assert!(buf.find_mut(key, Addr::new(0x40)).is_some());
 /// assert_eq!(buf.len(), 1);
 /// ```
@@ -86,7 +91,7 @@ impl LogBuffer {
     ///
     /// Returns [`BufferFull`] when at capacity (the caller decides whether
     /// to evict the head to NVMM or stall the store).
-    pub fn push(&mut self, record: LogRecord, now: Cycle) -> Result<(), BufferFull> {
+    pub fn push(&mut self, record: Record, now: Cycle) -> Result<(), BufferFull> {
         if self.is_full() {
             return Err(BufferFull);
         }
@@ -99,10 +104,10 @@ impl LogBuffer {
 
     /// Finds the buffered entry for `(key, word address)`, for coalescing.
     pub fn find_mut(&mut self, key: TxKey, addr: Addr) -> Option<&mut Pending> {
-        let addr = addr.word_base();
+        let (tag, addr) = (TxTag::from(key), addr.word_base().as_u64());
         self.entries
             .iter_mut()
-            .find(|p| p.record.key == key && p.record.addr == addr)
+            .find(|p| p.record.tag == tag && p.record.addr == addr)
     }
 
     /// The oldest entry, if any.
@@ -117,11 +122,11 @@ impl LogBuffer {
 
     /// Removes the entry for `(key, word address)` (redo-discard, §III-B).
     pub fn remove(&mut self, key: TxKey, addr: Addr) -> Option<Pending> {
-        let addr = addr.word_base();
+        let (tag, addr) = (TxTag::from(key), addr.word_base().as_u64());
         let pos = self
             .entries
             .iter()
-            .position(|p| p.record.key == key && p.record.addr == addr)?;
+            .position(|p| p.record.tag == tag && p.record.addr == addr)?;
         self.entries.remove(pos)
     }
 
@@ -129,18 +134,18 @@ impl LogBuffer {
     /// (LLC-eviction discard); returns how many were removed.
     pub fn remove_line(&mut self, line_index: u64) -> usize {
         let before = self.entries.len();
-        self.entries
-            .retain(|p| p.record.addr.line().index() != line_index);
+        self.entries.retain(|p| home_line(&p.record) != line_index);
         before - self.entries.len()
     }
 
     /// Removes every entry of transaction `key` matching `pred`, returning
     /// them in FIFO order (commit flush).
     pub fn drain_tx(&mut self, key: TxKey) -> Vec<Pending> {
+        let tag = TxTag::from(key);
         let mut taken = Vec::new();
         let mut kept = VecDeque::with_capacity(self.entries.len());
         for p in self.entries.drain(..) {
-            if p.record.key == key {
+            if p.record.tag == tag {
                 taken.push(p);
             } else {
                 kept.push_back(p);
@@ -152,21 +157,23 @@ impl LogBuffer {
 
     /// Whether any entry belongs to transaction `key`.
     pub fn has_tx(&self, key: TxKey) -> bool {
-        self.entries.iter().any(|p| p.record.key == key)
+        let tag = TxTag::from(key);
+        self.entries.iter().any(|p| p.record.tag == tag)
     }
 
     /// The oldest entry belonging to transaction `key` (commit flush pulls
     /// a transaction's entries in FIFO order, preserving per-word undo
     /// ordering, §III-C).
     pub fn find_tx_front(&self, key: TxKey) -> Option<Pending> {
-        self.entries.iter().find(|p| p.record.key == key).copied()
+        let tag = TxTag::from(key);
+        self.entries.iter().find(|p| p.record.tag == tag).copied()
     }
 
     /// The oldest entry whose word lies in cache line `line_index`.
     pub fn find_line_front(&self, line_index: u64) -> Option<Pending> {
         self.entries
             .iter()
-            .find(|p| p.record.addr.line().index() == line_index)
+            .find(|p| home_line(&p.record) == line_index)
             .copied()
     }
 
@@ -174,7 +181,7 @@ impl LogBuffer {
     pub fn has_line(&self, line_index: u64) -> bool {
         self.entries
             .iter()
-            .any(|p| p.record.addr.line().index() == line_index)
+            .any(|p| home_line(&p.record) == line_index)
     }
 
     /// Removes and returns all entries for line `line_index`, FIFO order
@@ -183,7 +190,7 @@ impl LogBuffer {
         let mut taken = Vec::new();
         let mut kept = VecDeque::with_capacity(self.entries.len());
         for p in self.entries.drain(..) {
-            if p.record.addr.line().index() == line_index {
+            if home_line(&p.record) == line_index {
                 taken.push(p);
             } else {
                 kept.push_back(p);
@@ -213,8 +220,8 @@ mod tests {
         TxKey::new(ThreadId::new(t), TxId::new(x))
     }
 
-    fn rec(k: TxKey, addr: u64) -> LogRecord {
-        LogRecord::undo_redo(k, Addr::new(addr), 0, 1, 0xFF)
+    fn rec(k: TxKey, addr: u64) -> Record {
+        Record::undo_redo(k.into(), addr, 0, 1, 0xFF)
     }
 
     #[test]
@@ -224,7 +231,7 @@ mod tests {
             b.push(rec(key(0, 0), i * 8), i).unwrap();
         }
         for i in 0..5u64 {
-            assert_eq!(b.pop_front().unwrap().record.addr, Addr::new(i * 8));
+            assert_eq!(b.pop_front().unwrap().record.addr, i * 8);
         }
         assert!(b.is_empty());
     }
@@ -281,8 +288,8 @@ mod tests {
         b.push(rec(key(0, 0), 0x10), 2).unwrap();
         let taken = b.drain_tx(key(0, 0));
         assert_eq!(taken.len(), 2);
-        assert_eq!(taken[0].record.addr, Addr::new(0x00));
-        assert_eq!(taken[1].record.addr, Addr::new(0x10));
+        assert_eq!(taken[0].record.addr, 0x00);
+        assert_eq!(taken[1].record.addr, 0x10);
         assert_eq!(b.len(), 1);
         assert!(b.has_tx(key(0, 1)));
     }
@@ -295,7 +302,7 @@ mod tests {
         b.push(rec(key(0, 0), 0x48), 2).unwrap();
         let taken = b.drain_line(1);
         assert_eq!(taken.len(), 2);
-        assert_eq!(b.front().unwrap().record.addr, Addr::new(0x100));
+        assert_eq!(b.front().unwrap().record.addr, 0x100);
     }
 
     #[test]

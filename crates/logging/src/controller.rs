@@ -32,8 +32,10 @@ use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 
 use morlog_cache::line::{CacheLine, L1Ext, WordLogState};
 use morlog_encoding::secure::SecureMode;
+use morlog_log::record::{Record, RecordKind, TxTag};
+use morlog_log::txtable::TxTable;
 use morlog_nvm::controller::{LogAppendError, MemoryController};
-use morlog_nvm::log::{LogRecord, LogRecordKind};
+use morlog_nvm::log::array_slot_bytes;
 use morlog_sim_core::hostprof::{self, HostPhase};
 use morlog_sim_core::ids::TxKey;
 use morlog_sim_core::metrics::CommitLatency;
@@ -42,7 +44,7 @@ use morlog_sim_core::trace::{CommitPhaseTag, TraceEvent, Tracer, WordStateTag};
 use morlog_sim_core::types::dirty_byte_mask;
 use morlog_sim_core::{Addr, CheckMutation, Cycle, DesignKind, LogConfig, ThreadId, TxId};
 
-use crate::buffer::LogBuffer;
+use crate::buffer::{home_line, LogBuffer};
 
 /// A store could not proceed this cycle, and what blocked it. The engine
 /// retries the store next cycle and charges the stalled cycle to the
@@ -70,6 +72,18 @@ pub struct PersistedUr {
     pub addr: Addr,
     /// The entry was discarded (all-clean log data) rather than written.
     pub silent: bool,
+}
+
+impl PersistedUr {
+    /// The notification for an undo+redo `record` that left the buffers
+    /// with `outcome` (never [`FlushOutcome::Blocked`]).
+    fn of(record: &Record, outcome: FlushOutcome) -> Self {
+        PersistedUr {
+            key: record.tag.into(),
+            addr: record.addr.into(),
+            silent: matches!(outcome, FlushOutcome::Discarded),
+        }
+    }
 }
 
 /// A `ULog` word reported by the engine's commit-time L1 walk.
@@ -131,12 +145,12 @@ pub struct LogController {
     /// Records forced out of the buffers by events that cannot stall
     /// (evictions, commits); drained ahead of everything else. While
     /// non-empty, new stores stall — this is the hardware backpressure.
-    overflow: VecDeque<LogRecord>,
+    overflow: VecDeque<Record>,
     next_txid: HashMap<ThreadId, TxId>,
     pending_commits: BTreeMap<ThreadId, PendingCommit>,
     /// Commit records awaiting a free write-queue slot (and, for gating,
     /// their transaction's undo+redo entries draining first).
-    pending_records: VecDeque<LogRecord>,
+    pending_records: VecDeque<Record>,
     /// Commit cycle of every transaction whose commit record persisted
     /// (drives log truncation).
     commit_cycle: HashMap<TxKey, Cycle>,
@@ -337,7 +351,10 @@ impl LogController {
                 }
                 let ext = line.ext.as_mut().expect("ext installed above");
                 self.ur_buf
-                    .push(LogRecord::undo_redo(key, addr, old, new, delta), now)
+                    .push(
+                        Record::undo_redo(key.into(), addr.as_u64(), old, new, delta),
+                        now,
+                    )
                     .expect("room ensured");
                 self.stats.undo_redo_created += 1;
                 ext.word_state[w] = WordLogState::Dirty;
@@ -370,7 +387,10 @@ impl LogController {
                         self.evict_ur_front(now, mc)?;
                     }
                     self.ur_buf
-                        .push(LogRecord::undo_redo(key, addr, old, new, delta), now)
+                        .push(
+                            Record::undo_redo(key.into(), addr.as_u64(), old, new, delta),
+                            now,
+                        )
                         .expect("room ensured");
                     self.stats.undo_redo_created += 1;
                     let ext = line.ext.as_mut().expect("ext installed above");
@@ -426,7 +446,13 @@ impl LogController {
         }
         self.ur_buf
             .push(
-                LogRecord::undo_redo(key, addr, old, new, dirty_byte_mask(old, new)),
+                Record::undo_redo(
+                    key.into(),
+                    addr.as_u64(),
+                    old,
+                    new,
+                    dirty_byte_mask(old, new),
+                ),
                 now,
             )
             .expect("room ensured");
@@ -447,9 +473,9 @@ impl LogController {
         for w in 0..morlog_sim_core::WORDS_PER_LINE {
             if ext.word_state[w] == WordLogState::ULog {
                 self.queue_redo_with_evict(
-                    LogRecord::redo_only(
-                        ext.owner,
-                        line.addr.word_addr(w),
+                    Record::redo_only(
+                        ext.owner.into(),
+                        line.addr.word_addr(w).as_u64(),
                         line.data.word(w),
                         ext.dirty_flags[w],
                     ),
@@ -462,7 +488,7 @@ impl LogController {
         }
     }
 
-    fn queue_redo(&mut self, mut record: LogRecord, now: Cycle) {
+    fn queue_redo(&mut self, mut record: Record, now: Cycle) {
         // Sabotage for the differential checker's spec-divergence test: the
         // logged redo value is off by one. The program observes correct
         // values all the way to the crash, but recovery rolls winners
@@ -472,9 +498,10 @@ impl LogController {
             record.redo = record.redo.wrapping_add(1);
         }
         self.stats.redo_created += 1;
-        if self.commit_cycle.contains_key(&record.key)
-            || self.pending_commits.values().any(|p| p.key == record.key)
-            || self.pending_records.iter().any(|r| r.key == record.key)
+        let key = TxKey::from(record.tag);
+        if self.commit_cycle.contains_key(&key)
+            || self.pending_commits.values().any(|p| p.key == key)
+            || self.pending_records.iter().any(|r| r.tag == record.tag)
         {
             self.stats.post_commit_redo += 1;
         }
@@ -486,7 +513,7 @@ impl LogController {
     /// Queues a redo record, making room by writing the oldest redo entry
     /// out if needed; falls back to the overflow queue (which stalls
     /// stores) only when the write queue is also full.
-    fn queue_redo_with_evict(&mut self, record: LogRecord, now: Cycle, mc: &mut MemoryController) {
+    fn queue_redo_with_evict(&mut self, record: Record, now: Cycle, mc: &mut MemoryController) {
         if self.redo_buf.is_full() {
             if let Some(front) = self.redo_buf.front() {
                 let oldest = front.record;
@@ -513,9 +540,9 @@ impl LogController {
             match ext.word_state[w] {
                 WordLogState::ULog => {
                     self.queue_redo(
-                        LogRecord::redo_only(
-                            ext.owner,
-                            line.addr.word_addr(w),
+                        Record::redo_only(
+                            ext.owner.into(),
+                            line.addr.word_addr(w).as_u64(),
                             line.data.word(w),
                             ext.dirty_flags[w],
                         ),
@@ -556,7 +583,7 @@ impl LogController {
             self.stats.redo_discarded += n as u64;
             let before = self.overflow.len();
             self.overflow
-                .retain(|r| r.kind != LogRecordKind::Redo || r.addr.line().index() != line_index);
+                .retain(|r| r.kind != RecordKind::Redo || home_line(r) != line_index);
             self.stats.redo_discarded += (before - self.overflow.len()) as u64;
         }
         // Sabotage for the mutation self-test: let the data line go durable
@@ -571,14 +598,15 @@ impl LogController {
             match self.flush_to_ring(p.record, now, mc) {
                 FlushOutcome::Blocked(_) => return false,
                 _ => {
-                    self.ur_buf.remove(p.record.key, p.record.addr);
+                    self.ur_buf
+                        .remove(p.record.tag.into(), p.record.addr.into());
                 }
             }
         }
         while let Some(pos) = self
             .overflow
             .iter()
-            .position(|r| r.addr.line().index() == line_index && r.kind == LogRecordKind::UndoRedo)
+            .position(|r| home_line(r) == line_index && r.kind == RecordKind::UndoRedo)
         {
             let record = self.overflow[pos];
             match self.flush_to_ring(record, now, mc) {
@@ -614,7 +642,7 @@ impl LogController {
             // have drained, preserving the §III-C recovery invariant.
             self.next_commit_ts += 1;
             self.pending_records.push_back(
-                LogRecord::commit(key, Some(ulog_count)).with_timestamp(self.next_commit_ts),
+                Record::commit(key.into(), Some(ulog_count)).with_timestamp(self.next_commit_ts),
             );
             self.tracer.emit(now, || TraceEvent::CommitPhase {
                 key,
@@ -625,7 +653,12 @@ impl LogController {
         }
         for wordinfo in ulog_words {
             self.queue_redo(
-                LogRecord::redo_only(key, wordinfo.addr, wordinfo.value, wordinfo.dirty_mask),
+                Record::redo_only(
+                    key.into(),
+                    wordinfo.addr.word_base().as_u64(),
+                    wordinfo.value,
+                    wordinfo.dirty_mask,
+                ),
                 now,
             );
         }
@@ -657,12 +690,8 @@ impl LogController {
                 FlushOutcome::Blocked(_) => break,
                 outcome => {
                     self.overflow.pop_front();
-                    if record.kind == LogRecordKind::UndoRedo {
-                        persisted.push(PersistedUr {
-                            key: record.key,
-                            addr: record.addr,
-                            silent: matches!(outcome, FlushOutcome::Discarded),
-                        });
+                    if record.kind == RecordKind::UndoRedo {
+                        persisted.push(PersistedUr::of(&record, outcome));
                     }
                 }
             }
@@ -678,11 +707,7 @@ impl LogController {
                 FlushOutcome::Blocked(_) => break,
                 outcome => {
                     self.ur_buf.pop_front();
-                    persisted.push(PersistedUr {
-                        key: record.key,
-                        addr: record.addr,
-                        silent: matches!(outcome, FlushOutcome::Discarded),
-                    });
+                    persisted.push(PersistedUr::of(&record, outcome));
                 }
             }
         }
@@ -700,14 +725,10 @@ impl LogController {
                     FlushOutcome::Blocked(_) => break,
                     outcome => {
                         if is_ur {
-                            self.ur_buf.remove(record.key, record.addr);
-                            persisted.push(PersistedUr {
-                                key: record.key,
-                                addr: record.addr,
-                                silent: matches!(outcome, FlushOutcome::Discarded),
-                            });
+                            self.ur_buf.remove(record.tag.into(), record.addr.into());
+                            persisted.push(PersistedUr::of(&record, outcome));
                         } else {
-                            self.redo_buf.remove(record.key, record.addr);
+                            self.redo_buf.remove(record.tag.into(), record.addr.into());
                         }
                     }
                 }
@@ -734,32 +755,30 @@ impl LogController {
         // The head record's entries are pulled out actively rather than
         // waiting for the aging timer.
         while let Some(record) = self.pending_records.front().copied() {
-            while let Some(p) = self.ur_buf.find_tx_front(record.key) {
+            let key = TxKey::from(record.tag);
+            while let Some(p) = self.ur_buf.find_tx_front(key) {
                 match self.flush_to_ring(p.record, now, mc) {
                     FlushOutcome::Blocked(_) => break,
                     outcome => {
-                        self.ur_buf.remove(p.record.key, p.record.addr);
-                        persisted.push(PersistedUr {
-                            key: p.record.key,
-                            addr: p.record.addr,
-                            silent: matches!(outcome, FlushOutcome::Discarded),
-                        });
+                        self.ur_buf
+                            .remove(p.record.tag.into(), p.record.addr.into());
+                        persisted.push(PersistedUr::of(&p.record, outcome));
                     }
                 }
             }
-            if self.tx_has_buffered_undo(record.key) {
+            if self.tx_has_buffered_undo(key) {
                 break;
             }
             match mc.try_append_log(record, now) {
                 Ok(_) => {
                     self.pending_records.pop_front();
                     self.stats.commit_records += 1;
-                    self.commit_cycle.insert(record.key, now);
+                    self.commit_cycle.insert(key, now);
                     self.tracer.emit(now, || TraceEvent::CommitPhase {
-                        key: record.key,
+                        key,
                         phase: CommitPhaseTag::RecordPersisted,
                     });
-                    self.track_phase(record.key, CommitPhaseTag::RecordPersisted, now);
+                    self.track_phase(key, CommitPhaseTag::RecordPersisted, now);
                 }
                 Err(LogAppendError::WqFull) => break,
                 Err(LogAppendError::RingFull(_)) => {
@@ -776,18 +795,22 @@ impl LogController {
             .filter(|(_, p)| {
                 !self.ur_buf.has_tx(p.key)
                     && !self.redo_buf.has_tx(p.key)
-                    && !self.overflow.iter().any(|r| r.key == p.key)
+                    && !self.overflow.iter().any(|r| r.tag == TxTag::from(p.key))
             })
             .map(|(&t, _)| t)
             .collect();
         for thread in done {
             let p = self.pending_commits.get(&thread).expect("present").clone();
             if !self.commit_cycle.contains_key(&p.key)
-                && !self.pending_records.iter().any(|r| r.key == p.key)
+                && !self
+                    .pending_records
+                    .iter()
+                    .any(|r| r.tag == TxTag::from(p.key))
             {
                 self.next_commit_ts += 1;
-                self.pending_records
-                    .push_back(LogRecord::commit(p.key, None).with_timestamp(self.next_commit_ts));
+                self.pending_records.push_back(
+                    Record::commit(p.key.into(), None).with_timestamp(self.next_commit_ts),
+                );
                 continue; // record appends on a later tick pass
             }
             if self.commit_cycle.contains_key(&p.key) {
@@ -811,11 +834,12 @@ impl LogController {
     }
 
     fn tx_has_buffered_undo(&self, key: TxKey) -> bool {
+        let tag = TxTag::from(key);
         self.ur_buf.has_tx(key)
             || self
                 .overflow
                 .iter()
-                .any(|r| r.key == key && r.kind == LogRecordKind::UndoRedo)
+                .any(|r| r.tag == tag && r.kind == RecordKind::UndoRedo)
     }
 
     fn evict_ur_front(
@@ -829,25 +853,20 @@ impl LogController {
             FlushOutcome::Blocked(why) => Err(why),
             outcome => {
                 self.ur_buf.pop_front();
-                Ok(PersistedUr {
-                    key: record.key,
-                    addr: record.addr,
-                    silent: matches!(outcome, FlushOutcome::Discarded),
-                })
+                Ok(PersistedUr::of(&record, outcome))
             }
         }
     }
 
     fn flush_to_ring(
         &mut self,
-        record: LogRecord,
+        record: Record,
         now: Cycle,
         mc: &mut MemoryController,
     ) -> FlushOutcome {
         // Silent log writes: with dirty-flag hardware, completely clean log
         // data are discarded instead of written (§IV-A).
-        if self.has_dirty_flags() && record.kind != LogRecordKind::Commit && record.dirty_mask == 0
-        {
+        if self.has_dirty_flags() && record.kind != RecordKind::Commit && record.dirty_mask == 0 {
             self.stats.silent_discarded += 1;
             return FlushOutcome::Discarded;
         }
@@ -879,15 +898,11 @@ impl LogController {
     /// committed transactions whose updated cache lines have all been
     /// persisted are deleted immediately, without waiting for the
     /// force-write-back horizon.
-    pub fn truncate_with_table(
-        &mut self,
-        table: &crate::txtable::TransactionTable,
-        mc: &mut MemoryController,
-    ) {
+    pub fn truncate_with_table(&mut self, table: &TxTable, mc: &mut MemoryController) {
         let commit_cycle = &self.commit_cycle;
         let held = self.held_completions();
         Self::truncate_by(commit_cycle, mc, |key, cc| {
-            !held.contains(key) && cc.contains_key(key) && table.is_deletable(*key)
+            !held.contains(key) && cc.contains_key(key) && table.is_deletable((*key).into())
         });
     }
 
@@ -920,8 +935,8 @@ impl LogController {
             let head = region.head();
             let mut new_head = head;
             for stored in region.records() {
-                if deletable(&stored.record.key, commit_cycle) {
-                    new_head = stored.offset + stored.record.kind.slot_bytes();
+                if deletable(&stored.record.tag.into(), commit_cycle) {
+                    new_head = stored.offset + array_slot_bytes(stored.record.kind);
                 } else {
                     break;
                 }
@@ -930,13 +945,13 @@ impl LogController {
                 let split_keys: std::collections::HashSet<_> = region
                     .records()
                     .filter(|r| r.offset >= new_head)
-                    .map(|r| r.record.key)
+                    .map(|r| r.record.tag)
                     .collect();
                 for stored in region.records() {
                     if stored.offset >= new_head {
                         break;
                     }
-                    if split_keys.contains(&stored.record.key) {
+                    if split_keys.contains(&stored.record.tag) {
                         new_head = new_head.min(stored.offset);
                     }
                 }
@@ -948,19 +963,19 @@ impl LogController {
         // and everything that committed after it; a later-committed
         // transaction must therefore never be deleted while an
         // earlier-committed one still has ring records — across all slices.
-        let mut removed: std::collections::HashSet<TxKey> = std::collections::HashSet::new();
+        let mut removed: std::collections::HashSet<TxTag> = std::collections::HashSet::new();
         for (slice, &head) in new_heads.iter().enumerate().take(n_slices) {
             for r in mc.log_regions()[slice].records() {
                 if r.offset < head {
-                    removed.insert(r.record.key);
+                    removed.insert(r.record.tag);
                 }
             }
         }
         let mut c_lim = Cycle::MAX;
         for slice in 0..n_slices {
             for r in mc.log_regions()[slice].records() {
-                if !removed.contains(&r.record.key) {
-                    if let Some(&c) = commit_cycle.get(&r.record.key) {
+                if !removed.contains(&r.record.tag) {
+                    if let Some(&c) = commit_cycle.get(&r.record.tag.into()) {
                         c_lim = c_lim.min(c);
                     }
                 }
@@ -975,7 +990,7 @@ impl LogController {
                     break;
                 }
                 let c = commit_cycle
-                    .get(&stored.record.key)
+                    .get(&stored.record.tag.into())
                     .copied()
                     .unwrap_or(Cycle::MAX);
                 if c > c_lim {
@@ -1023,7 +1038,6 @@ mod tests {
     use super::*;
     use morlog_encoding::cell::CellModel;
     use morlog_encoding::slde::SldeCodec;
-    use morlog_nvm::log::LogRecordKind;
     use morlog_sim_core::{Frequency, LineAddr, LineData, MemConfig};
 
     fn mc() -> MemoryController {
@@ -1156,10 +1170,7 @@ mod tests {
         let (_, redo_len, _) = lc.occupancy();
         assert_eq!(redo_len, 1);
         assert_eq!(lc.redo_buf.front().unwrap().record.redo, 99);
-        assert_eq!(
-            lc.redo_buf.front().unwrap().record.kind,
-            LogRecordKind::Redo
-        );
+        assert_eq!(lc.redo_buf.front().unwrap().record.kind, RecordKind::Redo);
     }
 
     #[test]
@@ -1226,10 +1237,10 @@ mod tests {
             now += 1;
             assert!(now < 10_000, "commit must complete");
         }
-        let kinds: Vec<LogRecordKind> = m.log_region().records().map(|r| r.record.kind).collect();
-        assert!(kinds.contains(&LogRecordKind::UndoRedo));
-        assert!(kinds.contains(&LogRecordKind::Redo));
-        assert_eq!(*kinds.last().unwrap(), LogRecordKind::Commit);
+        let kinds: Vec<RecordKind> = m.log_region().records().map(|r| r.record.kind).collect();
+        assert!(kinds.contains(&RecordKind::UndoRedo));
+        assert!(kinds.contains(&RecordKind::Redo));
+        assert_eq!(*kinds.last().unwrap(), RecordKind::Commit);
         assert!(lc.stats().commit_records == 1);
     }
 
@@ -1253,8 +1264,8 @@ mod tests {
         lc.tick(1, &mut m);
         let records: Vec<_> = m.log_region().records().collect();
         assert_eq!(records.len(), 2);
-        assert_eq!(records[0].record.kind, LogRecordKind::UndoRedo);
-        assert_eq!(records[1].record.kind, LogRecordKind::Commit);
+        assert_eq!(records[0].record.kind, RecordKind::UndoRedo);
+        assert_eq!(records[1].record.kind, RecordKind::Commit);
         assert_eq!(records[1].record.ulog_count, Some(3));
     }
 
@@ -1410,7 +1421,11 @@ mod tests {
         let before = m.log_region().records().count();
         assert_eq!(before, 3); // tx1 entry + commit, tx2 entry
         lc.truncate(now + 1000, &mut m);
-        let remaining: Vec<_> = m.log_region().records().map(|r| r.record.key).collect();
+        let remaining: Vec<_> = m
+            .log_region()
+            .records()
+            .map(|r| TxKey::from(r.record.tag))
+            .collect();
         assert_eq!(
             remaining,
             vec![key2],

@@ -12,7 +12,8 @@
 //!
 //! The simulation engine in `morlog-sim` wires a [`controller::LogController`]
 //! between the cache hierarchy (`morlog-cache`) and the memory controller
-//! (`morlog-nvm`).
+//! (`morlog-nvm`). Log records, their kinds and the §III-F transaction
+//! table are `morlog-log`'s types (`Record`, `RecordKind`, `TxTable`).
 
 #![deny(missing_docs)]
 
@@ -20,8 +21,6 @@ pub mod buffer;
 pub mod controller;
 pub mod overhead;
 pub mod recovery;
-pub mod txtable;
 
 pub use controller::{LogController, PersistedUr, StoreStall, UlogWord};
 pub use recovery::{recover, RecoveryReport};
-pub use txtable::TransactionTable;

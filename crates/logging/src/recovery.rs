@@ -36,13 +36,12 @@
 //! interleave in the ring.
 
 use morlog_log::protocol::{plan_replay, ScanEntry};
-use morlog_log::record::TxTag;
+use morlog_log::record::unpack_meta;
 use morlog_nvm::controller::{MemoryController, ScannedRecord};
-use morlog_nvm::log::LogRecord;
 use morlog_sim_core::hostprof::{self, HostPhase};
 use morlog_sim_core::ids::TxKey;
 use morlog_sim_core::trace::{RecoveryStepTag, TraceEvent};
-use morlog_sim_core::{Addr, ThreadId, TxId};
+use morlog_sim_core::Addr;
 
 /// What recovery did.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -86,24 +85,17 @@ fn scan_entry(s: &ScannedRecord) -> ScanEntry {
     ScanEntry {
         slice: s.slice,
         seq: s.stored.seq,
-        kind: r.kind.shared(),
-        tag: r.tag(),
-        addr: r.addr.as_u64(),
+        kind: r.kind,
+        tag: r.tag,
+        addr: r.addr,
         undo: r.undo,
         redo: r.redo,
         ulog_count: r.ulog_count,
         timestamp: r.timestamp,
         words_persisted: s.words_persisted,
-        meta_ok: LogRecord::decode_meta(r.meta_words()).is_ok(),
-        crc_ok: r.crc_ok(s.stored.torn),
+        meta_ok: unpack_meta(r.meta_words()).is_ok(),
+        crc_ok: s.stored.crc_ok(),
     }
-}
-
-/// Converts the planner's transaction tags back into simulator keys.
-fn keys(tags: &[TxTag]) -> Vec<TxKey> {
-    tags.iter()
-        .map(|t| TxKey::new(ThreadId::new(t.thread), TxId::new(t.txid)))
-        .collect()
 }
 
 /// Runs recovery over the controller's log region and applies the log data
@@ -191,8 +183,8 @@ fn recover_inner(
     // with the simulator's trace and double-crash machinery around it.
     let plan = plan_replay(&entries, delay_persistence);
     let mut report = RecoveryReport {
-        redone: keys(&plan.winners),
-        undone: keys(&plan.undone),
+        redone: plan.winners.iter().map(|&t| TxKey::from(t)).collect(),
+        undone: plan.undone.iter().map(|&t| TxKey::from(t)).collect(),
         records_scanned: plan.records_scanned,
         torn_records: plan.torn_records,
         corrupt_records: plan.corrupt_records,
@@ -266,7 +258,7 @@ mod tests {
     use super::*;
     use morlog_encoding::cell::CellModel;
     use morlog_encoding::slde::SldeCodec;
-    use morlog_nvm::log::LogRecord;
+    use morlog_log::record::Record;
     use morlog_sim_core::{Frequency, MemConfig, ThreadId, TxId};
 
     fn mc() -> MemoryController {
@@ -290,9 +282,9 @@ mod tests {
         let mut m = mc();
         let a = m.map().data_base(); // word 0 of the first data line
         let k = key(0, 0);
-        m.try_append_log(LogRecord::undo_redo(k, a, 0, 42, 0xFF), 0)
+        m.try_append_log(Record::undo_redo(k.into(), a.as_u64(), 0, 42, 0xFF), 0)
             .unwrap();
-        m.try_append_log(LogRecord::commit(k, None), 0).unwrap();
+        m.try_append_log(Record::commit(k.into(), None), 0).unwrap();
         let report = recover(&mut m, false);
         assert_eq!(report.redone, vec![k]);
         assert!(report.undone.is_empty());
@@ -308,7 +300,7 @@ mod tests {
         let k = key(0, 0);
         // Simulate: undo+redo persisted, then in-place data updated, crash
         // before commit.
-        m.try_append_log(LogRecord::undo_redo(k, a, 7, 42, 0xFF), 0)
+        m.try_append_log(Record::undo_redo(k.into(), a.as_u64(), 7, 42, 0xFF), 0)
             .unwrap();
         let mut line = m.read_line(a.line());
         line.set_word(0, 42);
@@ -323,13 +315,13 @@ mod tests {
         let mut m = mc();
         let a = m.map().data_base();
         let k = key(0, 0);
-        m.try_append_log(LogRecord::undo_redo(k, a, 0, 1, 0xFF), 0)
+        m.try_append_log(Record::undo_redo(k.into(), a.as_u64(), 0, 1, 0xFF), 0)
             .unwrap();
-        m.try_append_log(LogRecord::redo_only(k, a, 2, 0xFF), 0)
+        m.try_append_log(Record::redo_only(k.into(), a.as_u64(), 2, 0xFF), 0)
             .unwrap();
-        m.try_append_log(LogRecord::redo_only(k, a, 3, 0xFF), 0)
+        m.try_append_log(Record::redo_only(k.into(), a.as_u64(), 3, 0xFF), 0)
             .unwrap();
-        m.try_append_log(LogRecord::commit(k, None), 0).unwrap();
+        m.try_append_log(Record::commit(k.into(), None), 0).unwrap();
         recover(&mut m, false);
         assert_eq!(word_at(&m, a), 3);
     }
@@ -341,9 +333,9 @@ mod tests {
         let k = key(0, 0);
         // Two undo+redo entries for the same word (line was evicted and
         // re-fetched mid-transaction): the oldest anchors the rollback.
-        m.try_append_log(LogRecord::undo_redo(k, a, 10, 20, 0xFF), 0)
+        m.try_append_log(Record::undo_redo(k.into(), a.as_u64(), 10, 20, 0xFF), 0)
             .unwrap();
-        m.try_append_log(LogRecord::undo_redo(k, a, 20, 30, 0xFF), 0)
+        m.try_append_log(Record::undo_redo(k.into(), a.as_u64(), 20, 30, 0xFF), 0)
             .unwrap();
         recover(&mut m, false);
         assert_eq!(word_at(&m, a), 10);
@@ -356,12 +348,14 @@ mod tests {
         let k1 = key(0, 0);
         let k2 = key(1, 0);
         // tx1 writes 5, commits; tx2 writes 9 (undo = 5), commits.
-        m.try_append_log(LogRecord::undo_redo(k1, a, 0, 5, 0xFF), 0)
+        m.try_append_log(Record::undo_redo(k1.into(), a.as_u64(), 0, 5, 0xFF), 0)
             .unwrap();
-        m.try_append_log(LogRecord::commit(k1, None), 0).unwrap();
-        m.try_append_log(LogRecord::undo_redo(k2, a, 5, 9, 0xFF), 0)
+        m.try_append_log(Record::commit(k1.into(), None), 0)
             .unwrap();
-        m.try_append_log(LogRecord::commit(k2, None), 0).unwrap();
+        m.try_append_log(Record::undo_redo(k2.into(), a.as_u64(), 5, 9, 0xFF), 0)
+            .unwrap();
+        m.try_append_log(Record::commit(k2.into(), None), 0)
+            .unwrap();
         recover(&mut m, false);
         assert_eq!(word_at(&m, a), 9, "later commit replays later");
     }
@@ -372,10 +366,11 @@ mod tests {
         let a = m.map().data_base();
         let k1 = key(0, 0);
         let k2 = key(1, 0);
-        m.try_append_log(LogRecord::undo_redo(k1, a, 0, 5, 0xFF), 0)
+        m.try_append_log(Record::undo_redo(k1.into(), a.as_u64(), 0, 5, 0xFF), 0)
             .unwrap();
-        m.try_append_log(LogRecord::commit(k1, None), 0).unwrap();
-        m.try_append_log(LogRecord::undo_redo(k2, a, 5, 9, 0xFF), 0)
+        m.try_append_log(Record::commit(k1.into(), None), 0)
+            .unwrap();
+        m.try_append_log(Record::undo_redo(k2.into(), a.as_u64(), 5, 9, 0xFF), 0)
             .unwrap();
         // Crash before tx2 commits; in-place holds 9.
         let mut line = m.read_line(a.line());
@@ -399,21 +394,24 @@ mod tests {
         let a2 = Addr::new(a0.as_u64() + 16);
         let (k1, k2, k3) = (key(0, 0), key(0, 1), key(0, 2));
         // tx1: complete (ulog 1, one post-commit redo entry present).
-        m.try_append_log(LogRecord::undo_redo(k1, a0, 0, 1, 0xFF), 0)
+        m.try_append_log(Record::undo_redo(k1.into(), a0.as_u64(), 0, 1, 0xFF), 0)
             .unwrap();
-        m.try_append_log(LogRecord::commit(k1, Some(1)), 0).unwrap();
-        m.try_append_log(LogRecord::redo_only(k1, a0, 11, 0xFF), 0)
+        m.try_append_log(Record::commit(k1.into(), Some(1)), 0)
+            .unwrap();
+        m.try_append_log(Record::redo_only(k1.into(), a0.as_u64(), 11, 0xFF), 0)
             .unwrap();
         // tx2: claims 2 ULog words but only one redo entry made it.
-        m.try_append_log(LogRecord::undo_redo(k2, a1, 0, 2, 0xFF), 0)
+        m.try_append_log(Record::undo_redo(k2.into(), a1.as_u64(), 0, 2, 0xFF), 0)
             .unwrap();
-        m.try_append_log(LogRecord::commit(k2, Some(2)), 0).unwrap();
-        m.try_append_log(LogRecord::redo_only(k2, a1, 22, 0xFF), 0)
+        m.try_append_log(Record::commit(k2.into(), Some(2)), 0)
+            .unwrap();
+        m.try_append_log(Record::redo_only(k2.into(), a1.as_u64(), 22, 0xFF), 0)
             .unwrap();
         // tx3: complete, but commits after tx2 -> still a loser.
-        m.try_append_log(LogRecord::undo_redo(k3, a2, 0, 3, 0xFF), 0)
+        m.try_append_log(Record::undo_redo(k3.into(), a2.as_u64(), 0, 3, 0xFF), 0)
             .unwrap();
-        m.try_append_log(LogRecord::commit(k3, Some(0)), 0).unwrap();
+        m.try_append_log(Record::commit(k3.into(), Some(0)), 0)
+            .unwrap();
         let report = recover(&mut m, true);
         assert_eq!(report.redone, vec![k1]);
         assert_eq!(report.undone, vec![k2, k3]);
@@ -434,15 +432,18 @@ mod tests {
         let a0 = m.map().data_base();
         let a1 = Addr::new(a0.as_u64() + 8);
         let (k1, k2) = (key(0, 0), key(0, 1));
-        m.try_append_log(LogRecord::undo_redo(k1, a0, 5, 50, 0xFF), 0)
+        m.try_append_log(Record::undo_redo(k1.into(), a0.as_u64(), 5, 50, 0xFF), 0)
             .unwrap();
-        let commit = m.try_append_log(LogRecord::commit(k1, Some(1)), 0).unwrap();
-        m.try_append_log(LogRecord::redo_only(k1, a0, 51, 0xFF), 0)
+        let commit = m
+            .try_append_log(Record::commit(k1.into(), Some(1)), 0)
+            .unwrap();
+        m.try_append_log(Record::redo_only(k1.into(), a0.as_u64(), 51, 0xFF), 0)
             .unwrap();
         // tx2: complete with ulog 0, committing after the damaged record.
-        m.try_append_log(LogRecord::undo_redo(k2, a1, 6, 60, 0xFF), 0)
+        m.try_append_log(Record::undo_redo(k2.into(), a1.as_u64(), 6, 60, 0xFF), 0)
             .unwrap();
-        m.try_append_log(LogRecord::commit(k2, Some(0)), 0).unwrap();
+        m.try_append_log(Record::commit(k2.into(), Some(0)), 0)
+            .unwrap();
         // In-place data already carries tx1's update (DP wrote it back).
         let mut line = m.read_line(a0.line());
         line.set_word(a0.word_index(), 51);
@@ -471,9 +472,10 @@ mod tests {
         let mut m = mc();
         let a = m.map().data_base();
         let k = key(0, 0);
-        m.try_append_log(LogRecord::undo_redo(k, a, 0, 1, 0xFF), 0)
+        m.try_append_log(Record::undo_redo(k.into(), a.as_u64(), 0, 1, 0xFF), 0)
             .unwrap();
-        m.try_append_log(LogRecord::commit(k, Some(0)), 0).unwrap();
+        m.try_append_log(Record::commit(k.into(), Some(0)), 0)
+            .unwrap();
         let report = recover(&mut m, true);
         assert_eq!(report.redone, vec![k]);
         assert!(report.undone.is_empty());
@@ -483,9 +485,10 @@ mod tests {
         // entry should follow, none did — the commit is not persisted.
         let mut m = mc();
         let k = key(0, 0);
-        m.try_append_log(LogRecord::undo_redo(k, a, 7, 8, 0xFF), 0)
+        m.try_append_log(Record::undo_redo(k.into(), a.as_u64(), 7, 8, 0xFF), 0)
             .unwrap();
-        m.try_append_log(LogRecord::commit(k, Some(1)), 0).unwrap();
+        m.try_append_log(Record::commit(k.into(), Some(1)), 0)
+            .unwrap();
         let report = recover(&mut m, true);
         assert!(report.redone.is_empty());
         assert_eq!(report.undone, vec![k]);
@@ -497,9 +500,10 @@ mod tests {
         let mut m = mc();
         let a = m.map().data_base();
         let k = key(0, 0);
-        m.try_append_log(LogRecord::undo_redo(k, a, 0, 1, 0xFF), 0)
+        m.try_append_log(Record::undo_redo(k.into(), a.as_u64(), 0, 1, 0xFF), 0)
             .unwrap();
-        m.try_append_log(LogRecord::commit(k, Some(99)), 0).unwrap();
+        m.try_append_log(Record::commit(k.into(), Some(99)), 0)
+            .unwrap();
         let report = recover(&mut m, false);
         assert_eq!(report.redone, vec![k]);
         assert_eq!(word_at(&m, a), 1);
@@ -523,12 +527,13 @@ mod tests {
             let a1 = Addr::new(a0.as_u64() + 8);
             let (k1, k2) = (key(0, 0), key(1, 0));
             // Winner k1 writes both words; loser k2 overwrote a1 in place.
-            m.try_append_log(LogRecord::undo_redo(k1, a0, 0, 5, 0xFF), 0)
+            m.try_append_log(Record::undo_redo(k1.into(), a0.as_u64(), 0, 5, 0xFF), 0)
                 .unwrap();
-            m.try_append_log(LogRecord::undo_redo(k1, a1, 0, 6, 0xFF), 0)
+            m.try_append_log(Record::undo_redo(k1.into(), a1.as_u64(), 0, 6, 0xFF), 0)
                 .unwrap();
-            m.try_append_log(LogRecord::commit(k1, None), 0).unwrap();
-            m.try_append_log(LogRecord::undo_redo(k2, a1, 6, 9, 0xFF), 0)
+            m.try_append_log(Record::commit(k1.into(), None), 0)
+                .unwrap();
+            m.try_append_log(Record::undo_redo(k2.into(), a1.as_u64(), 6, 9, 0xFF), 0)
                 .unwrap();
             let mut line = m.read_line(a1.line());
             line.set_word(a1.word_index(), 9);
@@ -567,7 +572,7 @@ mod damage_tests {
     use super::*;
     use morlog_encoding::cell::CellModel;
     use morlog_encoding::slde::SldeCodec;
-    use morlog_nvm::log::LogRecord;
+    use morlog_log::record::Record;
     use morlog_sim_core::fault::FaultPlan;
     use morlog_sim_core::{Frequency, MemConfig, ThreadId, TxId};
 
@@ -603,7 +608,7 @@ mod damage_tests {
         let mut line = m.read_line(a.line());
         line.set_word(0, 7);
         m.write_line_functional(a.line(), line);
-        m.try_append_log(LogRecord::undo_redo(k, a, 7, 42, 0xFF), 0)
+        m.try_append_log(Record::undo_redo(k.into(), a.as_u64(), 7, 42, 0xFF), 0)
             .unwrap();
         m.crash_persist();
         let report = recover(&mut m, false);
@@ -626,12 +631,12 @@ mod damage_tests {
         let a1 = Addr::new(a0.as_u64() + 8);
         let k = key(0, 0);
         let first = m
-            .try_append_log(LogRecord::undo_redo(k, a0, 5, 50, 0xFF), 0)
+            .try_append_log(Record::undo_redo(k.into(), a0.as_u64(), 5, 50, 0xFF), 0)
             .unwrap();
         let second = m
-            .try_append_log(LogRecord::undo_redo(k, a1, 6, 60, 0xFF), 0)
+            .try_append_log(Record::undo_redo(k.into(), a1.as_u64(), 6, 60, 0xFF), 0)
             .unwrap();
-        m.try_append_log(LogRecord::commit(k, None), 0).unwrap();
+        m.try_append_log(Record::commit(k.into(), None), 0).unwrap();
         assert!(first.offset < second.offset);
         // In-place state: a0 already carries the tx's value; a1 stayed at
         // its pre-tx value because the write-ahead gate holds a line back
@@ -668,11 +673,12 @@ mod damage_tests {
         let a0 = m.map().data_base();
         let a1 = Addr::new(a0.as_u64() + 8);
         let (k0, k1) = (key(0, 0), key(1, 0));
-        m.try_append_log(LogRecord::undo_redo(k0, a0, 0, 5, 0xFF), 0)
+        m.try_append_log(Record::undo_redo(k0.into(), a0.as_u64(), 0, 5, 0xFF), 0)
             .unwrap();
-        m.try_append_log(LogRecord::commit(k0, None), 0).unwrap();
+        m.try_append_log(Record::commit(k0.into(), None), 0)
+            .unwrap();
         let victim = m
-            .try_append_log(LogRecord::undo_redo(k1, a1, 0, 9, 0xFF), 0)
+            .try_append_log(Record::undo_redo(k1.into(), a1.as_u64(), 0, 9, 0xFF), 0)
             .unwrap();
         assert!(m.corrupt_log_record(0, victim.offset, |r| {
             let w = r.data_word(0);
@@ -692,11 +698,12 @@ mod damage_tests {
         let mut m = mc();
         let a = m.map().data_base();
         let k = key(0, 0);
-        m.try_append_log(LogRecord::undo_redo(k, a, 3, 30, 0xFF), 0)
+        m.try_append_log(Record::undo_redo(k.into(), a.as_u64(), 3, 30, 0xFF), 0)
             .unwrap();
-        m.try_append_log(LogRecord::commit(k, Some(1)), 0).unwrap();
+        m.try_append_log(Record::commit(k.into(), Some(1)), 0)
+            .unwrap();
         let redo = m
-            .try_append_log(LogRecord::redo_only(k, a, 31, 0xFF), 0)
+            .try_append_log(Record::redo_only(k.into(), a.as_u64(), 31, 0xFF), 0)
             .unwrap();
         assert!(m.corrupt_log_record(0, redo.offset, |r| {
             let w = r.data_word(0);
@@ -719,8 +726,11 @@ mod damage_tests {
         plan.fault_budget = Some(4);
         m.set_fault_plan(plan);
         let a = m.map().data_base();
-        m.try_append_log(LogRecord::undo_redo(key(0, 0), a, 0, 1, 0xFF), 0)
-            .unwrap();
+        m.try_append_log(
+            Record::undo_redo(key(0, 0).into(), a.as_u64(), 0, 1, 0xFF),
+            0,
+        )
+        .unwrap();
         m.crash_persist();
         let first = recover(&mut m, false);
         assert!(first.saw_damage());
@@ -735,7 +745,7 @@ mod distributed_tests {
     use super::*;
     use morlog_encoding::cell::CellModel;
     use morlog_encoding::slde::SldeCodec;
-    use morlog_nvm::log::LogRecord;
+    use morlog_log::record::Record;
     use morlog_sim_core::{Addr, Frequency, MemConfig, ThreadId, TxId};
 
     fn mc_sliced(slices: usize) -> MemoryController {
@@ -763,8 +773,11 @@ mod distributed_tests {
         let mut m = mc_sliced(4);
         let a = m.map().data_base();
         for t in 0..4u8 {
-            m.try_append_log(LogRecord::undo_redo(key(t, 0), a, 0, t as u64, 0xFF), 0)
-                .unwrap();
+            m.try_append_log(
+                Record::undo_redo(key(t, 0).into(), a.as_u64(), 0, t as u64, 0xFF),
+                0,
+            )
+            .unwrap();
         }
         for slice in 0..4 {
             assert_eq!(m.log_regions()[slice].records().count(), 1, "slice {slice}");
@@ -781,13 +794,13 @@ mod distributed_tests {
         let (k0, k1) = (key(0, 0), key(1, 0));
         // Thread 1 commits FIRST (timestamp 1) but its records land in
         // slice 1; thread 0 commits second with an incomplete redo set.
-        m.try_append_log(LogRecord::undo_redo(k1, a1, 0, 11, 0xFF), 0)
+        m.try_append_log(Record::undo_redo(k1.into(), a1.as_u64(), 0, 11, 0xFF), 0)
             .unwrap();
-        m.try_append_log(LogRecord::commit(k1, Some(0)).with_timestamp(1), 0)
+        m.try_append_log(Record::commit(k1.into(), Some(0)).with_timestamp(1), 0)
             .unwrap();
-        m.try_append_log(LogRecord::undo_redo(k0, a0, 0, 7, 0xFF), 0)
+        m.try_append_log(Record::undo_redo(k0.into(), a0.as_u64(), 0, 7, 0xFF), 0)
             .unwrap();
-        m.try_append_log(LogRecord::commit(k0, Some(3)).with_timestamp(2), 0)
+        m.try_append_log(Record::commit(k0.into(), Some(3)).with_timestamp(2), 0)
             .unwrap();
         let report = recover(&mut m, true);
         // k1 (ts 1) persisted; k0 (ts 2) fails its ulog check and rolls back.
@@ -805,13 +818,13 @@ mod distributed_tests {
         let (k0, k1) = (key(0, 0), key(1, 0));
         // Thread 0 commits first but NON-persisted; thread 1 commits later
         // and is complete — the cutoff must still roll thread 1 back.
-        m.try_append_log(LogRecord::undo_redo(k0, a0, 0, 7, 0xFF), 0)
+        m.try_append_log(Record::undo_redo(k0.into(), a0.as_u64(), 0, 7, 0xFF), 0)
             .unwrap();
-        m.try_append_log(LogRecord::commit(k0, Some(5)).with_timestamp(1), 0)
+        m.try_append_log(Record::commit(k0.into(), Some(5)).with_timestamp(1), 0)
             .unwrap();
-        m.try_append_log(LogRecord::undo_redo(k1, a1, 0, 11, 0xFF), 0)
+        m.try_append_log(Record::undo_redo(k1.into(), a1.as_u64(), 0, 11, 0xFF), 0)
             .unwrap();
-        m.try_append_log(LogRecord::commit(k1, Some(0)).with_timestamp(2), 0)
+        m.try_append_log(Record::commit(k1.into(), Some(0)).with_timestamp(2), 0)
             .unwrap();
         let report = recover(&mut m, true);
         assert!(report.redone.is_empty());
@@ -829,8 +842,11 @@ mod distributed_tests {
         let mut m = mc_sliced(3);
         let a = m.map().data_base();
         for t in 0..3u8 {
-            m.try_append_log(LogRecord::undo_redo(key(t, 0), a, 0, 1, 0xFF), 0)
-                .unwrap();
+            m.try_append_log(
+                Record::undo_redo(key(t, 0).into(), a.as_u64(), 0, 1, 0xFF),
+                0,
+            )
+            .unwrap();
         }
         recover(&mut m, false);
         for r in m.log_regions() {

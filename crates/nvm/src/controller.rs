@@ -15,17 +15,18 @@
 use std::collections::{HashMap, VecDeque};
 
 use morlog_encoding::slde::{EncodingChoice, SldeCodec};
+use morlog_log::record::{Record, RecordKind};
 use morlog_sim_core::fault::FaultPlan;
 use morlog_sim_core::hostprof::{self, HostCounter, HostPhase};
 use morlog_sim_core::ids::TxKey;
 use morlog_sim_core::metrics::LogWriteMetrics;
 use morlog_sim_core::persist::{PersistEventKind, PersistEventMeta};
 use morlog_sim_core::stats::MemStats;
-use morlog_sim_core::trace::{LogKindTag, TraceEvent, Tracer};
+use morlog_sim_core::trace::{TraceEvent, Tracer};
 use morlog_sim_core::{Addr, Cycle, Frequency, LineAddr, LineData, MemConfig};
 
 use crate::layout::{line_to_channel_bank, MemoryMap, Region};
-use crate::log::{LogFullError, LogRecord, LogRecordKind, LogRegion, StoredRecord};
+use crate::log::{array_slot_bytes, LogFullError, LogRegion, StoredRecord};
 use crate::module::NvmmModule;
 
 /// Identifies an outstanding read.
@@ -542,7 +543,7 @@ impl MemoryController {
     /// [`LogAppendError::RingFull`] when the ring needs truncation first.
     pub fn try_append_log(
         &mut self,
-        record: LogRecord,
+        record: Record,
         now: Cycle,
     ) -> Result<StoredRecord, LogAppendError> {
         let _prof = hostprof::scope(HostPhase::MemController);
@@ -551,17 +552,12 @@ impl MemoryController {
             // the overflow pre-grow), surfacing ordinary backpressure.
             return Err(LogAppendError::WqFull);
         }
-        let slice = self.log_slice_of(record.key.thread);
-        let log = &self.logs[slice];
-        if record.kind != crate::log::LogRecordKind::Commit
-            && log.free_bytes() < COMMIT_RESERVE_BYTES + record.kind.slot_bytes()
+        let key = TxKey::from(record.tag);
+        let slice = self.log_slice_of(key.thread);
+        if record.kind != RecordKind::Commit
+            && self.logs[slice].free_bytes() < COMMIT_RESERVE_BYTES + array_slot_bytes(record.kind)
         {
-            // §III-A overflow prevention, option 2: extend the slice with a
-            // temporary region instead of wedging the commit/truncation
-            // pipeline behind a full ring.
-            let extra = self.logs[slice].capacity().max(4096);
-            self.logs[slice].grow(extra);
-            self.stats.log_overflow_growths += 1;
+            self.grow_log_slice(slice);
         }
         let log = &self.logs[slice];
         let offset = log.tail(); // close enough for placement (wrap skip shifts by <1 slot)
@@ -573,29 +569,26 @@ impl MemoryController {
         let stored = match self.logs[slice].append(record) {
             Ok(stored) => stored,
             Err(_) => {
-                // §III-A overflow prevention, option 2: extend the slice
-                // with a temporary region rather than wedging the
-                // commit/truncation pipeline.
-                let extra = self.logs[slice].capacity().max(4096);
-                self.logs[slice].grow(extra);
-                self.stats.log_overflow_growths += 1;
+                self.grow_log_slice(slice);
                 self.logs[slice]
                     .append(record)
                     .map_err(LogAppendError::RingFull)?
             }
         };
+        let kind = stored.record.kind;
+        let home = Addr::new(stored.record.addr);
         if let Some(ht) = &mut self.hash_trace {
             ht.state ^= hash_record(slice, &stored);
         }
         if let Some(mt) = &mut self.meta_trace {
             mt.push(PersistEventMeta::Log {
-                kind: match stored.record.kind {
-                    LogRecordKind::UndoRedo => PersistEventKind::UndoRedo,
-                    LogRecordKind::Redo => PersistEventKind::Redo,
-                    LogRecordKind::Commit => PersistEventKind::Commit,
+                kind: match kind {
+                    RecordKind::UndoRedo => PersistEventKind::UndoRedo,
+                    RecordKind::Redo => PersistEventKind::Redo,
+                    RecordKind::Commit => PersistEventKind::Commit,
                 },
-                key: stored.record.key,
-                addr: stored.record.addr,
+                key,
+                addr: home,
                 slice,
                 offset: stored.offset,
             });
@@ -605,12 +598,8 @@ impl MemoryController {
         let slot_key = ((slice as u64) << 40) | physical;
         let serviced = self.module.write_log_record(&stored, slot_key);
         self.account_write(&serviced.cost, true, &serviced.choices);
-        let kind_idx = match stored.record.kind {
-            LogRecordKind::UndoRedo => 0,
-            LogRecordKind::Redo => 1,
-            LogRecordKind::Commit => 2,
-        };
-        self.log_metrics.entry_bits[kind_idx].record(serviced.cost.bits_programmed);
+        self.log_metrics.entry_bits[LogWriteMetrics::kind_index(kind)]
+            .record(serviced.cost.bits_programmed);
         let service_cycles = self.write_service_cycles(&serviced.cost);
         let payload = if self.fault_plan.is_active() {
             let pw = stored.record.payload_words();
@@ -619,10 +608,10 @@ impl MemoryController {
             WritePayload::Log {
                 slice,
                 offset: stored.offset,
-                key: stored.record.key,
-                data_line: stored.record.addr.line(),
-                is_undo: stored.record.kind == LogRecordKind::UndoRedo,
-                data_words: stored.record.kind.data_words(),
+                key,
+                data_line: home.line(),
+                is_undo: kind == RecordKind::UndoRedo,
+                data_words: kind.data_words(),
                 slot_key,
                 words,
                 nwords: pw.len() as u8,
@@ -648,14 +637,19 @@ impl MemoryController {
         self.tracer.emit(now, || TraceEvent::LogAppend {
             slice: slice as u32,
             offset: stored.offset,
-            kind: match stored.record.kind {
-                LogRecordKind::UndoRedo => LogKindTag::UndoRedo,
-                LogRecordKind::Redo => LogKindTag::Redo,
-                LogRecordKind::Commit => LogKindTag::Commit,
-            },
-            key: stored.record.key,
+            kind,
+            key,
         });
         Ok(stored)
+    }
+
+    /// §III-A overflow prevention, option 2: extends `slice` with a
+    /// temporary region instead of wedging the commit/truncation pipeline
+    /// behind a full ring.
+    fn grow_log_slice(&mut self, slice: usize) {
+        let extra = self.logs[slice].capacity().max(4096);
+        self.logs[slice].grow(extra);
+        self.stats.log_overflow_growths += 1;
     }
 
     fn bump_accept_seq(&mut self) -> u64 {
@@ -814,7 +808,7 @@ impl MemoryController {
         &mut self,
         slice: usize,
         offset: u64,
-        f: impl FnOnce(&mut LogRecord),
+        f: impl FnOnce(&mut Record),
     ) -> bool {
         self.logs[slice].corrupt_record_at(offset, f)
     }
@@ -1135,6 +1129,7 @@ impl MemoryController {
 mod tests {
     use super::*;
     use morlog_encoding::cell::CellModel;
+    use morlog_log::record::TxTag;
     use morlog_sim_core::ids::TxKey;
     use morlog_sim_core::{ThreadId, TxId};
 
@@ -1148,6 +1143,10 @@ mod tests {
 
     fn key() -> TxKey {
         TxKey::new(ThreadId::new(0), TxId::new(0))
+    }
+
+    fn tag() -> TxTag {
+        key().into()
     }
 
     #[test]
@@ -1210,7 +1209,7 @@ mod tests {
     #[test]
     fn log_append_persists_and_costs() {
         let mut m = mc();
-        let rec = LogRecord::undo_redo(key(), Addr::new(0x40), 1, 2, 0xFF);
+        let rec = Record::undo_redo(tag(), 0x40, 1, 2, 0xFF);
         let stored = m.try_append_log(rec, 0).unwrap();
         assert_eq!(stored.offset, 0);
         assert_eq!(m.stats().log_writes, 1);
@@ -1234,7 +1233,7 @@ mod tests {
             map,
             SldeCodec::new(CellModel::table_iii()),
         );
-        let rec = LogRecord::undo_redo(key(), Addr::new(0x40), 1, 2, 0xFF);
+        let rec = Record::undo_redo(tag(), 0x40, 1, 2, 0xFF);
         for _ in 0..8 {
             m.try_append_log(rec, 0).unwrap();
         }
@@ -1302,7 +1301,7 @@ mod tests {
         let mut m = mc();
         m.set_fault_plan(inert_active_plan());
         let line = LineAddr::from_index(m.map().data_base().line().index() + 8);
-        let rec = LogRecord::undo_redo(key(), line.base(), 1, 2, 0xFF);
+        let rec = Record::undo_redo(tag(), line.base().as_u64(), 1, 2, 0xFF);
         m.try_append_log(rec, 0).unwrap();
         let mut d = LineData::zeroed();
         d.set_word(0, 2);
@@ -1327,9 +1326,9 @@ mod tests {
         plan.torn_drain_per_mille = 1000; // every in-flight slot tears
         plan.fault_budget = Some(1);
         m.set_fault_plan(plan);
-        let rec = LogRecord::undo_redo(key(), Addr::new(0x40), 0xAA, 0xBB, 0xFF);
+        let rec = Record::undo_redo(tag(), 0x40, 0xAA, 0xBB, 0xFF);
         let stored = m.try_append_log(rec, 0).unwrap();
-        let commit = m.try_append_log(LogRecord::commit(key(), None), 0).unwrap();
+        let commit = m.try_append_log(Record::commit(tag(), None), 0).unwrap();
         m.crash_persist();
         assert_eq!(m.stats().faults_torn_drains, 1);
         let scan = m.scan_log();
@@ -1338,10 +1337,7 @@ mod tests {
             .find(|s| s.stored.offset == stored.offset)
             .unwrap();
         assert!(torn.words_persisted < 2, "a tear keeps a strict prefix");
-        assert!(
-            !torn.stored.record.crc_ok(torn.stored.torn),
-            "truncated words break the CRC"
-        );
+        assert!(!torn.stored.crc_ok(), "truncated words break the CRC");
         let c = scan
             .iter()
             .find(|s| s.stored.offset == commit.offset)
@@ -1350,10 +1346,7 @@ mod tests {
             c.words_persisted, 0,
             "commit slots have no data words to tear"
         );
-        assert!(
-            c.stored.record.crc_ok(c.stored.torn),
-            "meta-only slots land atomically"
-        );
+        assert!(c.stored.crc_ok(), "meta-only slots land atomically");
     }
 
     #[test]
@@ -1363,25 +1356,25 @@ mod tests {
         plan.crash_flip_per_mille = 1000;
         plan.fault_budget = Some(1);
         m.set_fault_plan(plan);
-        let rec = LogRecord::undo_redo(key(), Addr::new(0x40), 0xAA, 0xBB, 0xFF);
+        let rec = Record::undo_redo(tag(), 0x40, 0xAA, 0xBB, 0xFF);
         m.try_append_log(rec, 0).unwrap();
         m.crash_persist();
         assert_eq!(m.stats().faults_bit_flips, 1);
         let scan = m.scan_log();
         assert_eq!(scan[0].words_persisted, 2, "a flip is not a tear");
-        assert!(!scan[0].stored.record.crc_ok(scan[0].stored.torn));
+        assert!(!scan[0].stored.crc_ok());
     }
 
     #[test]
     fn crash_persist_without_plan_changes_nothing() {
         let mut m = mc();
-        let rec = LogRecord::undo_redo(key(), Addr::new(0x40), 0xAA, 0xBB, 0xFF);
+        let rec = Record::undo_redo(tag(), 0x40, 0xAA, 0xBB, 0xFF);
         m.try_append_log(rec, 0).unwrap();
         m.crash_persist();
         assert_eq!(m.stats().faults_torn_drains, 0);
         let scan = m.scan_log();
         assert_eq!(scan[0].words_persisted, 2);
-        assert!(scan[0].stored.record.crc_ok(scan[0].stored.torn));
+        assert!(scan[0].stored.crc_ok());
         assert_eq!(
             m.write_queue_occupancy(),
             0,
@@ -1396,7 +1389,7 @@ mod tests {
         plan.drain_flip_per_mille = 1000;
         plan.fault_budget = Some(1);
         m.set_fault_plan(plan);
-        let rec = LogRecord::undo_redo(key(), Addr::new(0x40), 0xAA, 0xBB, 0xFF);
+        let rec = Record::undo_redo(tag(), 0x40, 0xAA, 0xBB, 0xFF);
         let stored = m.try_append_log(rec, 0).unwrap();
         for now in 0..200_000 {
             m.tick(now);
@@ -1405,7 +1398,7 @@ mod tests {
         assert_eq!(m.stats().write_verify_retries, 1);
         assert_eq!(m.stats().stuck_slots_remapped, 0);
         // The repaired slot is undamaged.
-        assert!(stored.record.crc_ok(stored.torn));
+        assert!(stored.crc_ok());
         assert_eq!(m.scan_log()[0].words_persisted, 2);
     }
 
@@ -1413,7 +1406,7 @@ mod tests {
     fn worn_slot_burns_the_retry_budget_and_remaps() {
         let mut m = mc();
         m.set_fault_plan(FaultPlan::worn_slots(0, 1)); // every program sticks
-        let rec = LogRecord::undo_redo(key(), Addr::new(0x40), 0xAA, 0xBB, 0xFF);
+        let rec = Record::undo_redo(tag(), 0x40, 0xAA, 0xBB, 0xFF);
         m.try_append_log(rec, 0).unwrap();
         for now in 0..200_000 {
             m.tick(now);
@@ -1435,7 +1428,7 @@ mod tests {
         m.arm_crash_at(2);
         assert!(!m.crash_point_reached());
         assert!(m.try_write_data(LineAddr::from_index(base), d, 0));
-        let rec = LogRecord::undo_redo(key(), Addr::new(0x40), 1, 2, 0xFF);
+        let rec = Record::undo_redo(tag(), 0x40, 1, 2, 0xFF);
         m.try_append_log(rec, 0).unwrap();
         assert_eq!(m.persist_events(), 2);
         assert!(m.crash_point_reached());
@@ -1478,7 +1471,7 @@ mod tests {
     fn persist_hash_sees_log_truncation() {
         let mut m = mc();
         m.enable_persist_hash();
-        let rec = LogRecord::undo_redo(key(), Addr::new(0x40), 1, 2, 0xFF);
+        let rec = Record::undo_redo(tag(), 0x40, 1, 2, 0xFF);
         m.try_append_log(rec, 0).unwrap();
         let after_append = *m.persist_hash_samples().last().unwrap();
         let cut = m.log_region().tail();
@@ -1506,7 +1499,7 @@ mod tests {
         let base = m.map().data_base().line().index();
         let mut d = LineData::zeroed();
         d.set_word(0, 7);
-        m.try_append_log(LogRecord::undo_redo(key(), Addr::new(0x40), 1, 2, 0xFF), 0)
+        m.try_append_log(Record::undo_redo(tag(), 0x40, 1, 2, 0xFF), 0)
             .unwrap();
         assert!(m.try_write_data(LineAddr::from_index(base), d, 0));
         // Control: a silent rewrite with no intervening truncation repeats
@@ -1537,10 +1530,9 @@ mod tests {
         assert!(m.try_write_data(LineAddr::from_index(base), d, 0));
         assert!(m.try_write_data(LineAddr::from_index(base), d, 0));
         let ur = m
-            .try_append_log(LogRecord::undo_redo(key(), Addr::new(0x40), 1, 2, 0xFF), 0)
+            .try_append_log(Record::undo_redo(tag(), 0x40, 1, 2, 0xFF), 0)
             .unwrap();
-        m.try_append_log(LogRecord::commit(key(), Some(1)), 0)
-            .unwrap();
+        m.try_append_log(Record::commit(tag(), Some(1)), 0).unwrap();
         m.truncate_log(m.log_region().tail());
         let meta = m.persist_event_meta().to_vec();
         assert_eq!(meta.len(), 5);

@@ -31,5 +31,5 @@ pub mod module;
 
 pub use controller::{MemoryController, ReadTicket, WriteRequest};
 pub use layout::{MemoryMap, Region};
-pub use log::{LogRecord, LogRecordKind, LogRegion};
+pub use log::LogRegion;
 pub use module::NvmmModule;

@@ -1,4 +1,6 @@
-//! The NVMM-resident log: record formats and the circular log region.
+//! The NVMM-resident log: the array slot geometry and the circular log
+//! region. Records are `morlog-log`'s [`Record`]s; this module decides only
+//! how much of the simulated array each one occupies.
 //!
 //! MorLog organises the log region as a single-consumer, single-producer
 //! Lamport circular structure so it can be appended and truncated without
@@ -9,311 +11,58 @@
 
 use std::collections::VecDeque;
 
-use morlog_log::record as shared;
-use morlog_log::record::TxTag;
-use morlog_sim_core::ids::TxKey;
-use morlog_sim_core::{Addr, ThreadId, TxId};
+use morlog_log::record::{pass_parity, Record, RecordKind};
+use morlog_sim_core::Addr;
 
-/// The kind of a log record.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum LogRecordKind {
-    /// Undo+redo entry: the first update to a word in a transaction
-    /// (Fig. 7, 202 bits).
-    UndoRedo,
-    /// Redo-only entry: a subsequent update, coalesced through the L1 and
-    /// redo buffer (Fig. 7, 138 bits).
-    Redo,
-    /// A transaction commit record (carries the ulog counter under the
-    /// delay-persistence protocol, §III-C).
-    Commit,
-}
-
-impl LogRecordKind {
-    /// Bytes one record of this kind occupies in the log region (raw entry
-    /// bits rounded up to a slot, leaving room for flags and tags).
-    pub fn slot_bytes(self) -> u64 {
-        match self {
-            LogRecordKind::UndoRedo => 32,
-            LogRecordKind::Redo => 24,
-            LogRecordKind::Commit => 16,
-        }
-    }
-
-    /// TLC cells backing one slot of this kind in the NVMM module: one
-    /// 24-cell word sub-region per metadata or data word (2 metadata words
-    /// plus 2, 1 or 0 data words).
-    pub fn slot_cells(self) -> usize {
-        match self {
-            LogRecordKind::UndoRedo => 96,
-            LogRecordKind::Redo => 72,
-            LogRecordKind::Commit => 48,
-        }
-    }
-
-    /// Data words following the slot's (atomically-programmed) metadata
-    /// header: `[undo, redo]`, `[redo]` or none. Only these words can be
-    /// truncated by a torn drain or hit by a crash-time bit flip; commit
-    /// records are therefore never torn.
-    pub fn data_words(self) -> usize {
-        self.shared().data_words()
-    }
-
-    /// The backend-neutral kind in the extracted `morlog-log` protocol
-    /// crate; the simulator's wire format is defined by delegation to it.
-    pub fn shared(self) -> shared::RecordKind {
-        match self {
-            LogRecordKind::UndoRedo => shared::RecordKind::UndoRedo,
-            LogRecordKind::Redo => shared::RecordKind::Redo,
-            LogRecordKind::Commit => shared::RecordKind::Commit,
-        }
-    }
-
-    /// Converts the backend-neutral kind back into the simulator's.
-    pub fn from_shared(kind: shared::RecordKind) -> Self {
-        match kind {
-            shared::RecordKind::UndoRedo => LogRecordKind::UndoRedo,
-            shared::RecordKind::Redo => LogRecordKind::Redo,
-            shared::RecordKind::Commit => LogRecordKind::Commit,
-        }
+/// Bytes one record of `kind` occupies in the simulated NVMM log region
+/// (the Fig. 7 entry bits rounded up to a slot, leaving room for flags and
+/// tags): 32, 24 or 16. The byte backends' slots are larger
+/// ([`RecordKind::slot_bytes`]) because they also store a CRC and a trailer.
+pub fn array_slot_bytes(kind: RecordKind) -> u64 {
+    match kind {
+        RecordKind::UndoRedo => 32,
+        RecordKind::Redo => 24,
+        RecordKind::Commit => 16,
     }
 }
 
-/// One log record, as persisted in the log region.
-///
-/// # Example
-///
-/// ```
-/// use morlog_nvm::log::LogRecord;
-/// use morlog_sim_core::ids::TxKey;
-/// use morlog_sim_core::{Addr, ThreadId, TxId};
-/// let key = TxKey::new(ThreadId::new(0), TxId::new(1));
-/// let rec = LogRecord::undo_redo(key, Addr::new(0x40), 0xAA, 0xBB, 0xFF);
-/// assert!(rec.undo.is_some());
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LogRecord {
-    /// Record kind.
-    pub kind: LogRecordKind,
-    /// The transaction the record belongs to.
-    pub key: TxKey,
-    /// Home address of the logged word (word-aligned; unused for commits).
-    pub addr: Addr,
-    /// Undo data (the old value), present only in undo+redo entries.
-    pub undo: Option<u64>,
-    /// Redo data (the new value); zero for commit records.
-    pub redo: u64,
-    /// Per-byte dirty flag of the logged word (§IV-A).
-    pub dirty_mask: u8,
-    /// The ulog counter snapshot stored in commit records when the
-    /// delay-persistence protocol is enabled (§III-C).
-    pub ulog_count: Option<u32>,
-    /// Commit timestamp: with distributed logs, commit records carry a
-    /// timestamp to define the global commit order (§III-F); with the
-    /// centralized log it is still stamped but the ring order suffices.
-    pub timestamp: u64,
-    /// Integrity footprint: CRC-32 over the record's metadata words,
-    /// timestamp, data words and torn bit, sealed by [`LogRegion::append`].
-    /// Recovery recomputes it to classify records as valid or corrupt.
-    pub crc: u32,
-}
-
-impl LogRecord {
-    /// Builds an undo+redo entry.
-    pub fn undo_redo(key: TxKey, addr: Addr, undo: u64, redo: u64, dirty_mask: u8) -> Self {
-        LogRecord {
-            kind: LogRecordKind::UndoRedo,
-            key,
-            addr: addr.word_base(),
-            undo: Some(undo),
-            redo,
-            dirty_mask,
-            ulog_count: None,
-            timestamp: 0,
-            crc: 0,
-        }
-    }
-
-    /// Builds a redo-only entry.
-    pub fn redo_only(key: TxKey, addr: Addr, redo: u64, dirty_mask: u8) -> Self {
-        LogRecord {
-            kind: LogRecordKind::Redo,
-            key,
-            addr: addr.word_base(),
-            undo: None,
-            redo,
-            dirty_mask,
-            ulog_count: None,
-            timestamp: 0,
-            crc: 0,
-        }
-    }
-
-    /// Builds a commit record. `ulog_count` is `Some` only under the
-    /// delay-persistence protocol.
-    pub fn commit(key: TxKey, ulog_count: Option<u32>) -> Self {
-        LogRecord {
-            kind: LogRecordKind::Commit,
-            key,
-            addr: Addr::new(0),
-            undo: None,
-            redo: 0,
-            dirty_mask: 0,
-            ulog_count,
-            timestamp: 0,
-            crc: 0,
-        }
-    }
-
-    /// Stamps the commit timestamp (distributed logs, §III-F).
-    pub fn with_timestamp(mut self, timestamp: u64) -> Self {
-        self.timestamp = timestamp;
-        self
-    }
-
-    /// The record's transaction tag in the backend-neutral form.
-    pub fn tag(&self) -> TxTag {
-        TxTag::new(self.key.thread.as_u8(), self.key.txid.as_u16())
-    }
-
-    /// Serialises the record's header into metadata words for the codec:
-    /// word 0 is the 48-bit home address, word 1 packs kind, thread,
-    /// transaction id, dirty flag and the optional ulog counter. The bit
-    /// layout is defined by `morlog-log`'s [`shared::pack_meta`] — the
-    /// simulator and the embeddable byte backends share one wire format.
-    pub fn meta_words(&self) -> [u64; 2] {
-        shared::pack_meta(
-            self.kind.shared(),
-            self.tag(),
-            self.addr.truncated48(),
-            self.dirty_mask,
-            self.ulog_count,
-        )
-    }
-
-    /// Decodes the metadata words produced by [`meta_words`], validating
-    /// the kind field.
-    ///
-    /// # Errors
-    ///
-    /// [`MetaDecodeError`] when the kind bits hold the reserved pattern —
-    /// the slot's header was corrupted in the array.
-    ///
-    /// [`meta_words`]: LogRecord::meta_words
-    pub fn decode_meta(meta: [u64; 2]) -> Result<DecodedMeta, MetaDecodeError> {
-        let f = shared::unpack_meta(meta).map_err(|e| MetaDecodeError {
-            kind_bits: e.kind_bits,
-        })?;
-        Ok(DecodedMeta {
-            kind: LogRecordKind::from_shared(f.kind),
-            key: TxKey::new(ThreadId::new(f.tag.thread), TxId::new(f.tag.txid)),
-            addr: Addr::new(f.addr),
-            dirty_mask: f.dirty_mask,
-            ulog_count: f.ulog_count,
-        })
-    }
-
-    /// The record's `i`-th data word (`[undo, redo]`, `[redo]` or none).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= self.kind.data_words()`.
-    pub fn data_word(&self, i: usize) -> u64 {
-        match (self.kind, i) {
-            (LogRecordKind::UndoRedo, 0) => self.undo.unwrap_or(0),
-            (LogRecordKind::UndoRedo, 1) | (LogRecordKind::Redo, 0) => self.redo,
-            _ => panic!("{:?} has no data word {i}", self.kind),
-        }
-    }
-
-    /// Overwrites the record's `i`-th data word (fault injection).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= self.kind.data_words()`.
-    pub fn set_data_word(&mut self, i: usize, value: u64) {
-        match (self.kind, i) {
-            (LogRecordKind::UndoRedo, 0) => self.undo = Some(value),
-            (LogRecordKind::UndoRedo, 1) | (LogRecordKind::Redo, 0) => self.redo = value,
-            _ => panic!("{:?} has no data word {i}", self.kind),
-        }
-    }
-
-    /// The words covered by the integrity footprint: metadata header,
-    /// timestamp and data words, in slot order.
-    pub fn payload_words(&self) -> Vec<u64> {
-        let [m0, m1] = self.meta_words();
-        let mut words = vec![m0, m1, self.timestamp];
-        for i in 0..self.kind.data_words() {
-            words.push(self.data_word(i));
-        }
-        words
-    }
-
-    /// The CRC-32 the record should carry when stored with `torn` as its
-    /// pass-parity bit. Binding the torn bit into the footprint keeps a
-    /// stale slot from a previous pass from masquerading as current. The
-    /// seal function is `morlog-log`'s [`shared::seal_words`], the same
-    /// one the byte backends store in their slots.
-    pub fn integrity_crc(&self, torn: bool) -> u32 {
-        shared::seal_words(&self.payload_words(), torn)
-    }
-
-    /// Seals the integrity footprint for a slot written with `torn`.
-    pub fn seal(&mut self, torn: bool) {
-        self.crc = self.integrity_crc(torn);
-    }
-
-    /// Whether the stored footprint matches the record's contents.
-    pub fn crc_ok(&self, torn: bool) -> bool {
-        self.crc == self.integrity_crc(torn)
+/// TLC cells backing one slot of `kind` in the NVMM module: one 24-cell
+/// word sub-region per metadata or data word (2 metadata words plus 2, 1
+/// or 0 data words), so 96, 72 or 48.
+pub fn array_slot_cells(kind: RecordKind) -> usize {
+    match kind {
+        RecordKind::UndoRedo => 96,
+        RecordKind::Redo => 72,
+        RecordKind::Commit => 48,
     }
 }
 
-/// The fields recovered from a slot's metadata header by
-/// [`LogRecord::decode_meta`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DecodedMeta {
-    /// Record kind.
-    pub kind: LogRecordKind,
-    /// Owning transaction.
-    pub key: TxKey,
-    /// Home address (48-bit truncated).
-    pub addr: Addr,
-    /// Per-byte dirty flag.
-    pub dirty_mask: u8,
-    /// The ulog counter, when the header carries one.
-    pub ulog_count: Option<u32>,
-}
-
-/// A slot's metadata header failed to decode (reserved kind bits).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MetaDecodeError {
-    /// The invalid kind field.
-    pub kind_bits: u8,
-}
-
-impl std::fmt::Display for MetaDecodeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "invalid log-record kind bits {:#b}", self.kind_bits)
-    }
-}
-
-impl std::error::Error for MetaDecodeError {}
-
-/// A record as stored in the ring: the payload plus its location, torn bit
-/// and append sequence number.
+/// A record as stored in the ring: the payload plus its location, torn bit,
+/// integrity footprint and append sequence number.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StoredRecord {
-    /// The record payload.
-    pub record: LogRecord,
+    /// The record payload (word-aligned home address).
+    pub record: Record,
     /// Monotonic byte offset of the slot (not wrapped; `offset %
     /// capacity` is the physical location).
     pub offset: u64,
     /// The pass-parity torn bit the record was written with (§III-B).
     pub torn: bool,
+    /// Integrity footprint: CRC-32 over the record's metadata words,
+    /// timestamp, data words and `torn`, sealed by [`LogRegion::append`].
+    /// Recovery recomputes it to classify records as valid or corrupt.
+    pub crc: u32,
     /// Global append sequence number (recovery applies undos in reverse
     /// sequence order and redos forward).
     pub seq: u64,
+}
+
+impl StoredRecord {
+    /// Whether the sealed footprint still matches the record's contents
+    /// and torn bit.
+    pub fn crc_ok(&self) -> bool {
+        self.crc == self.record.integrity_crc(self.torn)
+    }
 }
 
 /// Error returned when the log region cannot accept a record.
@@ -346,13 +95,12 @@ impl std::error::Error for LogFullError {}
 /// # Example
 ///
 /// ```
-/// use morlog_nvm::log::{LogRecord, LogRegion};
-/// use morlog_sim_core::ids::TxKey;
-/// use morlog_sim_core::{Addr, ThreadId, TxId};
+/// use morlog_log::record::{Record, TxTag};
+/// use morlog_nvm::log::LogRegion;
+/// use morlog_sim_core::Addr;
 ///
 /// let mut ring = LogRegion::new(Addr::new(0x1000), 4096);
-/// let key = TxKey::new(ThreadId::new(0), TxId::new(0));
-/// let rec = LogRecord::undo_redo(key, Addr::new(0x40), 1, 2, 0xFF);
+/// let rec = Record::undo_redo(TxTag::new(0, 0), 0x40, 1, 2, 0xFF);
 /// let stored = ring.append(rec).unwrap();
 /// assert_eq!(stored.offset, 0);
 /// assert_eq!(ring.records().count(), 1);
@@ -375,7 +123,7 @@ impl LogRegion {
     /// Panics if the capacity cannot hold even one undo+redo slot.
     pub fn new(base: Addr, capacity: u64) -> Self {
         assert!(
-            capacity >= LogRecordKind::UndoRedo.slot_bytes(),
+            capacity >= array_slot_bytes(RecordKind::UndoRedo),
             "log region of {capacity} bytes cannot hold a single entry"
         );
         LogRegion {
@@ -425,7 +173,7 @@ impl LogRegion {
 
     /// The torn bit the next append will carry.
     pub fn current_torn(&self) -> bool {
-        (self.tail / self.capacity) % 2 == 1
+        pass_parity(self.tail, self.capacity)
     }
 
     /// Appends a record, returning the stored form. The record's integrity
@@ -438,8 +186,8 @@ impl LogRegion {
     /// Returns [`LogFullError`] when the ring lacks space — the §III-A
     /// overflow case, which the producer handles by stalling until
     /// truncation frees space.
-    pub fn append(&mut self, mut record: LogRecord) -> Result<StoredRecord, LogFullError> {
-        let needed = record.kind.slot_bytes();
+    pub fn append(&mut self, record: Record) -> Result<StoredRecord, LogFullError> {
+        let needed = array_slot_bytes(record.kind);
         if self.free_bytes() < needed {
             return Err(LogFullError {
                 needed,
@@ -458,11 +206,12 @@ impl LogRegion {
             }
             self.tail += remain_in_pass;
         }
-        record.seal(self.current_torn());
+        let torn = self.current_torn();
         let stored = StoredRecord {
             record,
             offset: self.tail,
-            torn: self.current_torn(),
+            torn,
+            crc: record.integrity_crc(torn),
             seq: self.next_seq,
         };
         self.tail += needed;
@@ -524,7 +273,7 @@ impl LogRegion {
     /// the array contents. The sealed footprint is *not* updated, so any
     /// change the mutator makes is visible to recovery's CRC check.
     /// Returns `false` when no live record sits at `offset`.
-    pub fn corrupt_record_at(&mut self, offset: u64, f: impl FnOnce(&mut LogRecord)) -> bool {
+    pub fn corrupt_record_at(&mut self, offset: u64, f: impl FnOnce(&mut Record)) -> bool {
         match self.records.iter_mut().find(|r| r.offset == offset) {
             Some(stored) => {
                 f(&mut stored.record);
@@ -543,14 +292,14 @@ impl LogRegion {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use morlog_sim_core::{ThreadId, TxId};
+    use morlog_log::record::TxTag;
 
-    fn key(t: u8, x: u16) -> TxKey {
-        TxKey::new(ThreadId::new(t), TxId::new(x))
+    fn tag(t: u8, x: u16) -> TxTag {
+        TxTag::new(t, x)
     }
 
-    fn ur(t: u8, x: u16, addr: u64) -> LogRecord {
-        LogRecord::undo_redo(key(t, x), Addr::new(addr), 0xAA, 0xBB, 0x0F)
+    fn ur(t: u8, x: u16, addr: u64) -> Record {
+        Record::undo_redo(tag(t, x), addr, 0xAA, 0xBB, 0x0F)
     }
 
     #[test]
@@ -628,24 +377,12 @@ mod tests {
     fn mixed_kinds_pack_by_slot_size() {
         let mut ring = LogRegion::new(Addr::new(0), 4096);
         let a = ring
-            .append(LogRecord::redo_only(key(0, 0), Addr::new(0x40), 7, 0xFF))
+            .append(Record::redo_only(tag(0, 0), 0x40, 7, 0xFF))
             .unwrap();
-        let b = ring.append(LogRecord::commit(key(0, 0), Some(3))).unwrap();
+        let b = ring.append(Record::commit(tag(0, 0), Some(3))).unwrap();
         assert_eq!(a.offset, 0);
         assert_eq!(b.offset, 24);
         assert_eq!(ring.tail(), 40);
-    }
-
-    #[test]
-    fn meta_words_round_trip_key_fields() {
-        let rec = LogRecord::commit(key(3, 515), Some(77));
-        let [w0, w1] = rec.meta_words();
-        assert_eq!(w0, 0);
-        assert_eq!(w1 & 0b11, 2); // kind commit
-        assert_eq!((w1 >> 2) & 0xFF, 3);
-        assert_eq!((w1 >> 10) & 0xFFFF, 515);
-        assert_eq!((w1 >> 34) & 0x3FF_FFFF, 77);
-        assert_eq!((w1 >> 62) & 1, 1);
     }
 
     #[test]
@@ -670,17 +407,18 @@ mod tests {
     fn append_seals_a_verifiable_crc() {
         let mut ring = LogRegion::new(Addr::new(0), 4096);
         let stored = ring.append(ur(0, 0, 0x40)).unwrap();
-        assert_ne!(stored.record.crc, 0);
-        assert!(stored.record.crc_ok(stored.torn));
-        assert!(
-            !stored.record.crc_ok(!stored.torn),
-            "torn bit is bound into the footprint"
-        );
+        assert_ne!(stored.crc, 0);
+        assert!(stored.crc_ok());
+        let flipped = StoredRecord {
+            torn: !stored.torn,
+            ..stored
+        };
+        assert!(!flipped.crc_ok(), "torn bit is bound into the footprint");
         // The commit record's meta-only payload seals too.
         let c = ring
-            .append(LogRecord::commit(key(0, 0), Some(3)).with_timestamp(9))
+            .append(Record::commit(tag(0, 0), Some(3)).with_timestamp(9))
             .unwrap();
-        assert!(c.record.crc_ok(c.torn));
+        assert!(c.crc_ok());
     }
 
     #[test]
@@ -692,7 +430,7 @@ mod tests {
             r.set_data_word(1, w ^ 1);
         }));
         let damaged = ring.records().next().unwrap();
-        assert!(!damaged.record.crc_ok(damaged.torn));
+        assert!(!damaged.crc_ok());
         assert!(
             !ring.corrupt_record_at(9999, |_| {}),
             "no record at a bogus offset"
@@ -700,32 +438,13 @@ mod tests {
     }
 
     #[test]
-    fn data_word_accessors_cover_each_kind() {
-        let u = ur(0, 0, 0x40);
-        assert_eq!(u.kind.data_words(), 2);
-        assert_eq!(u.data_word(0), 0xAA);
-        assert_eq!(u.data_word(1), 0xBB);
-        let r = LogRecord::redo_only(key(0, 0), Addr::new(0x40), 7, 0xFF);
-        assert_eq!(r.kind.data_words(), 1);
-        assert_eq!(r.data_word(0), 7);
-        assert_eq!(LogRecord::commit(key(0, 0), None).kind.data_words(), 0);
-    }
-
-    #[test]
-    fn decode_meta_round_trips_and_rejects_reserved_kind() {
-        for rec in [
-            ur(3, 515, 0x1240),
-            LogRecord::redo_only(key(1, 2), Addr::new(0x80), 5, 0x0F),
-            LogRecord::commit(key(2, 9), Some(77)),
-        ] {
-            let d = LogRecord::decode_meta(rec.meta_words()).unwrap();
-            assert_eq!(d.kind, rec.kind);
-            assert_eq!(d.key, rec.key);
-            assert_eq!(d.dirty_mask, rec.dirty_mask);
-            assert_eq!(d.ulog_count, rec.ulog_count);
+    fn array_geometry_is_one_word_per_header_or_data_word() {
+        // Fig. 7: two metadata words plus 2, 1 or 0 data words, each a
+        // 64-bit word backed by one 24-cell TLC sub-region.
+        for kind in RecordKind::ALL {
+            let words = 2 + kind.data_words();
+            assert_eq!(array_slot_bytes(kind), 8 * words as u64);
+            assert_eq!(array_slot_cells(kind), 24 * words);
         }
-        let err = LogRecord::decode_meta([0, 0b11]).unwrap_err();
-        assert_eq!(err.kind_bits, 3);
-        assert!(err.to_string().contains("kind bits"));
     }
 }

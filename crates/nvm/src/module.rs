@@ -13,10 +13,11 @@ use morlog_encoding::cell::{CellModel, CellState};
 use morlog_encoding::dcw::{self, WriteCost};
 use morlog_encoding::secure::{transform_log_word, SecureMode};
 use morlog_encoding::slde::{EncodingChoice, LogWordRequest, SldeCodec, BLOCK_CELLS};
+use morlog_log::record::RecordKind;
 use morlog_sim_core::hostprof::{self, HostPhase};
 use morlog_sim_core::{LineAddr, LineData};
 
-use crate::log::{LogRecordKind, StoredRecord};
+use crate::log::{array_slot_cells, StoredRecord};
 
 /// Outcome of one serviced NVMM write.
 #[derive(Debug, Clone, PartialEq)]
@@ -136,7 +137,7 @@ impl NvmmModule {
                 key,
             ));
         }
-        if rec.kind != LogRecordKind::Commit {
+        if rec.kind != RecordKind::Commit {
             data.push(transform_log_word(
                 &LogWordRequest::with_mask(rec.redo, rec.dirty_mask),
                 self.secure,
@@ -145,11 +146,11 @@ impl NvmmModule {
         }
         let region = self
             .codec
-            .encode_log_entry(&meta, &data, 1, rec.kind.slot_cells());
+            .encode_log_entry(&meta, &data, 1, array_slot_cells(rec.kind));
         let states = self
             .log_states
             .entry(physical_offset)
-            .or_insert_with(|| vec![CellState::default(); rec.kind.slot_cells()]);
+            .or_insert_with(|| vec![CellState::default(); array_slot_cells(rec.kind)]);
         let cost = program(self.codec.model(), states, &region);
         if !cost.is_silent() {
             *self.log_wear.entry(physical_offset).or_insert(0) += 1;
@@ -203,17 +204,14 @@ fn program(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use morlog_sim_core::ids::TxKey;
-    use morlog_sim_core::{Addr, ThreadId, TxId};
-
-    use crate::log::LogRecord;
+    use morlog_log::record::{Record, TxTag};
 
     fn module() -> NvmmModule {
         NvmmModule::new(SldeCodec::new(CellModel::table_iii()))
     }
 
-    fn key() -> TxKey {
-        TxKey::new(ThreadId::new(1), TxId::new(2))
+    fn tag() -> TxTag {
+        TxTag::new(1, 2)
     }
 
     #[test]
@@ -256,11 +254,12 @@ mod tests {
     #[test]
     fn log_record_write_has_cost_and_choices() {
         let mut m = module();
-        let rec = LogRecord::undo_redo(key(), Addr::new(0x40), 0xAAAA, 0xAAAB, 0x01);
-        let stored = crate::log::StoredRecord {
+        let rec = Record::undo_redo(tag(), 0x40, 0xAAAA, 0xAAAB, 0x01);
+        let stored = StoredRecord {
             record: rec,
             offset: 0,
             torn: false,
+            crc: 0,
             seq: 0,
         };
         let s = m.write_log_record(&stored, 0);
@@ -278,20 +277,22 @@ mod tests {
     #[test]
     fn slot_reuse_compares_against_previous_pass() {
         let mut m = module();
-        let rec = LogRecord::undo_redo(key(), Addr::new(0x40), 0x1234, 0x5678, 0xFF);
-        let stored = crate::log::StoredRecord {
+        let rec = Record::undo_redo(tag(), 0x40, 0x1234, 0x5678, 0xFF);
+        let stored = StoredRecord {
             record: rec,
             offset: 0,
             torn: false,
+            crc: 0,
             seq: 0,
         };
         let first = m.write_log_record(&stored, 0);
         // Same record re-written into the same physical slot: almost
         // everything matches the stored states except the torn bit.
-        let stored2 = crate::log::StoredRecord {
+        let stored2 = StoredRecord {
             record: rec,
             offset: 4096,
             torn: true,
+            crc: 0,
             seq: 1,
         };
         let second = m.write_log_record(&stored2, 0);
@@ -301,11 +302,12 @@ mod tests {
     #[test]
     fn commit_record_encodes_without_data_words() {
         let mut m = module();
-        let rec = LogRecord::commit(key(), Some(5));
-        let stored = crate::log::StoredRecord {
+        let rec = Record::commit(tag(), Some(5));
+        let stored = StoredRecord {
             record: rec,
             offset: 64,
             torn: false,
+            crc: 0,
             seq: 3,
         };
         let s = m.write_log_record(&stored, 64);
@@ -326,10 +328,7 @@ mod tests {
 #[cfg(test)]
 mod wear_tests {
     use super::*;
-    use morlog_sim_core::ids::TxKey;
-    use morlog_sim_core::{Addr, ThreadId, TxId};
-
-    use crate::log::LogRecord;
+    use morlog_log::record::{Record, TxTag};
 
     #[test]
     fn wear_counts_programs_not_silent_writes() {
@@ -348,13 +347,13 @@ mod wear_tests {
     #[test]
     fn log_slot_reuse_accumulates_wear() {
         let mut m = NvmmModule::new(SldeCodec::new(CellModel::table_iii()));
-        let key = TxKey::new(ThreadId::new(0), TxId::new(0));
         for pass in 0..3u64 {
-            let rec = LogRecord::undo_redo(key, Addr::new(0x40), pass, pass + 1, 0xFF);
-            let stored = crate::log::StoredRecord {
+            let rec = Record::undo_redo(TxTag::new(0, 0), 0x40, pass, pass + 1, 0xFF);
+            let stored = StoredRecord {
                 record: rec,
                 offset: pass * 4096,
                 torn: pass % 2 == 1,
+                crc: 0,
                 seq: pass,
             };
             m.write_log_record(&stored, 0); // same physical slot each pass

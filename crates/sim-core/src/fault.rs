@@ -370,34 +370,6 @@ impl FaultVariantKind {
     }
 }
 
-/// CRC-32 (IEEE 802.3, reflected) over a slice of 64-bit words, taken
-/// little-endian byte order. This is the integrity footprint sealed into
-/// every log record; recovery recomputes it to classify records as valid
-/// or corrupt.
-///
-/// # Example
-///
-/// ```
-/// use morlog_sim_core::fault::crc32_words;
-/// let a = crc32_words(&[1, 2, 3]);
-/// assert_eq!(a, crc32_words(&[1, 2, 3]));
-/// assert_ne!(a, crc32_words(&[1, 2, 4]));
-/// assert_eq!(crc32_words(&[]), 0);
-/// ```
-pub fn crc32_words(words: &[u64]) -> u32 {
-    let mut crc: u32 = !0;
-    for &w in words {
-        for byte in w.to_le_bytes() {
-            crc ^= byte as u32;
-            for _ in 0..8 {
-                let mask = (crc & 1).wrapping_neg();
-                crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-            }
-        }
-    }
-    !crc
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -489,37 +461,6 @@ mod tests {
         assert!(p.slot_is_stuck(100));
         assert!(p.slot_is_stuck(101));
         assert!(p.is_active());
-    }
-
-    #[test]
-    fn crc_known_vector() {
-        // CRC-32("12345678") — the ASCII bytes 0x31..0x38 packed LE into
-        // one word — against a table-driven reference of the same IEEE
-        // 802.3 polynomial.
-        let table: Vec<u32> = (0..256u32)
-            .map(|mut c| {
-                for _ in 0..8 {
-                    c = if c & 1 != 0 {
-                        0xEDB8_8320 ^ (c >> 1)
-                    } else {
-                        c >> 1
-                    };
-                }
-                c
-            })
-            .collect();
-        let mut reference: u32 = !0;
-        for b in 0x31u8..=0x38 {
-            reference = table[((reference ^ b as u32) & 0xFF) as usize] ^ (reference >> 8);
-        }
-        reference = !reference;
-        assert_eq!(crc32_words(&[0x3837_3635_3433_3231]), reference);
-    }
-
-    #[test]
-    fn crc_sensitive_to_order_and_length() {
-        assert_ne!(crc32_words(&[1, 2]), crc32_words(&[2, 1]));
-        assert_ne!(crc32_words(&[0]), crc32_words(&[0, 0]));
     }
 
     #[test]

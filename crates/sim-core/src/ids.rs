@@ -7,6 +7,8 @@
 
 use std::fmt;
 
+use morlog_log::record::TxTag;
+
 /// An 8-bit hardware thread identifier, as stored in log entries (Fig. 7).
 ///
 /// # Example
@@ -115,6 +117,21 @@ impl fmt::Display for TxKey {
     }
 }
 
+/// The log records' backend-neutral transaction tag carries the same
+/// 8-bit thread and 16-bit transaction id, so both conversions are
+/// lossless.
+impl From<TxKey> for TxTag {
+    fn from(key: TxKey) -> TxTag {
+        TxTag::new(key.thread.as_u8(), key.txid.as_u16())
+    }
+}
+
+impl From<TxTag> for TxKey {
+    fn from(tag: TxTag) -> TxKey {
+        TxKey::new(ThreadId::new(tag.thread), TxId::new(tag.txid))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -128,6 +145,18 @@ mod tests {
     #[test]
     fn thread_index() {
         assert_eq!(ThreadId::new(255).index(), 255);
+    }
+
+    #[test]
+    fn tx_key_and_tag_round_trip_at_the_extremes() {
+        for thread in [0u8, 255] {
+            for txid in [0u16, u16::MAX] {
+                let key = TxKey::new(ThreadId::new(thread), TxId::new(txid));
+                let tag = TxTag::from(key);
+                assert_eq!((tag.thread, tag.txid), (thread, txid));
+                assert_eq!(TxKey::from(tag), key);
+            }
+        }
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! validator checks that invariant on every emitted record.
 
 use crate::timing::Cycle;
-use crate::trace::LogKindTag;
+use morlog_log::record::RecordKind;
 
 /// Number of log2 buckets: bucket 0 holds the value 0, bucket `b ≥ 1`
 /// holds values in `[2^(b-1), 2^b - 1]`, and bucket 64 holds
@@ -405,7 +405,7 @@ impl CommitLatency {
 }
 
 /// Display labels for the per-kind log-entry histograms, in
-/// `LogKindTag` order.
+/// [`RecordKind::ALL`] order (each is the kind's [`RecordKind::label`]).
 pub const LOG_KIND_LABELS: [&str; 3] = ["undo_redo", "redo", "commit"];
 
 /// Display labels for the SLDE encoder-choice counters.
@@ -417,7 +417,7 @@ pub const ENCODER_CHOICE_LABELS: [&str; 3] = ["fpc", "dldc", "dldc_raw"];
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LogWriteMetrics {
     /// Bits programmed per appended log entry, indexed by
-    /// [`LOG_KIND_LABELS`] (`LogKindTag` order).
+    /// [`LOG_KIND_LABELS`] ([`RecordKind::ALL`] order).
     pub entry_bits: [Histogram; 3],
     /// SLDE encoder choices per encoded log-data word, indexed by
     /// [`ENCODER_CHOICE_LABELS`].
@@ -426,11 +426,11 @@ pub struct LogWriteMetrics {
 
 impl LogWriteMetrics {
     /// Index into [`LogWriteMetrics::entry_bits`] for a record kind.
-    pub fn kind_index(kind: LogKindTag) -> usize {
+    pub fn kind_index(kind: RecordKind) -> usize {
         match kind {
-            LogKindTag::UndoRedo => 0,
-            LogKindTag::Redo => 1,
-            LogKindTag::Commit => 2,
+            RecordKind::UndoRedo => 0,
+            RecordKind::Redo => 1,
+            RecordKind::Commit => 2,
         }
     }
 
@@ -503,7 +503,29 @@ pub fn sample_cycles_from_env() -> Option<Cycle> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ids::{ThreadId, TxId, TxKey};
     use crate::rng::DetRng;
+    use crate::trace::{TraceEvent, Tracer};
+
+    #[test]
+    fn histogram_labels_match_trace_labels() {
+        let t = Tracer::with_capacity(RecordKind::ALL.len());
+        for (i, kind) in RecordKind::ALL.into_iter().enumerate() {
+            assert_eq!(LogWriteMetrics::kind_index(kind), i);
+            t.emit(0, || TraceEvent::LogAppend {
+                slice: 0,
+                offset: 0,
+                kind,
+                key: TxKey::new(ThreadId::new(0), TxId::new(0)),
+            });
+        }
+        let jsonl = t.to_jsonl();
+        for (kind, line) in RecordKind::ALL.into_iter().zip(jsonl.lines()) {
+            let label = LOG_KIND_LABELS[LogWriteMetrics::kind_index(kind)];
+            assert_eq!(label, kind.label());
+            assert!(line.contains(&format!("\"kind\":\"{label}\"")), "{line}");
+        }
+    }
 
     #[test]
     fn bucket_boundaries_cover_u64_extremes() {

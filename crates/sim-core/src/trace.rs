@@ -31,6 +31,8 @@
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 
+use morlog_log::record::RecordKind;
+
 use crate::ids::TxKey;
 use crate::timing::Cycle;
 
@@ -81,29 +83,6 @@ impl WordStateTag {
             WordStateTag::Dirty => "dirty",
             WordStateTag::URLog => "urlog",
             WordStateTag::ULog => "ulog",
-        }
-    }
-}
-
-/// The kind of log record an append carried (mirror of the nvm crate's
-/// `LogRecordKind`, kept dependency-free here).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LogKindTag {
-    /// An undo+redo entry.
-    UndoRedo,
-    /// A redo-only entry.
-    Redo,
-    /// A commit record.
-    Commit,
-}
-
-impl LogKindTag {
-    /// Stable lower-case label used in the JSONL stream.
-    pub fn label(self) -> &'static str {
-        match self {
-            LogKindTag::UndoRedo => "undo_redo",
-            LogKindTag::Redo => "redo",
-            LogKindTag::Commit => "commit",
         }
     }
 }
@@ -176,7 +155,7 @@ pub enum TraceEvent {
         /// Byte offset of the new slot in the ring.
         offset: u64,
         /// What the slot carries.
-        kind: LogKindTag,
+        kind: RecordKind,
         /// The owning transaction.
         key: TxKey,
     },
@@ -590,7 +569,7 @@ mod tests {
         t.emit(1, || TraceEvent::LogAppend {
             slice: 0,
             offset: 64,
-            kind: LogKindTag::UndoRedo,
+            kind: RecordKind::UndoRedo,
             key: key(),
         });
         t.emit(2, || TraceEvent::WordTransition {

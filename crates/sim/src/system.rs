@@ -8,9 +8,9 @@ use morlog_cache::hierarchy::{AccessOutcome, EvictionEvent, Hierarchy};
 use morlog_cache::line::WordLogState;
 use morlog_encoding::cell::CellModel;
 use morlog_encoding::slde::SldeCodec;
+use morlog_log::txtable::TxTable;
 use morlog_logging::controller::{LogController, StoreStall, UlogWord};
 use morlog_logging::recovery::{recover, RecoveryReport};
-use morlog_logging::txtable::TransactionTable;
 use morlog_nvm::controller::{MemoryController, ReadTicket};
 use morlog_nvm::layout::MemoryMap;
 use morlog_sim_core::fault::FaultPlan;
@@ -79,9 +79,9 @@ pub struct System {
     /// persist domain (log entries must outlive their updated data's path
     /// to NVMM).
     pending_truncation: Option<Cycle>,
-    /// The §III-F transaction table (populated only under
-    /// `TruncationPolicy::TransactionTable`).
-    tx_table: TransactionTable,
+    /// The §III-F transaction table, keyed by cache-line index (populated
+    /// only under `TruncationPolicy::TransactionTable`).
+    tx_table: TxTable,
     now: Cycle,
     committed: u64,
     tx_stores: u64,
@@ -211,7 +211,7 @@ impl System {
             trace: trace.clone(),
             pending_writebacks: VecDeque::new(),
             pending_truncation: None,
-            tx_table: TransactionTable::new(),
+            tx_table: TxTable::new(),
             now: 0,
             committed: 0,
             tx_stores: 0,
@@ -451,7 +451,7 @@ impl System {
             if self.cfg.log.truncation
                 == morlog_sim_core::config::TruncationPolicy::TransactionTable
             {
-                self.tx_table.on_line_persisted(addr);
+                self.tx_table.on_line_persisted(addr.index());
             }
             self.pending_writebacks.pop_front();
         }
@@ -613,7 +613,7 @@ impl System {
                 if self.cfg.log.truncation
                     == morlog_sim_core::config::TruncationPolicy::TransactionTable
                 {
-                    self.tx_table.on_store(key, line_addr);
+                    self.tx_table.on_store(key.into(), line_addr.index());
                 }
                 let line = self.hierarchy.l1_line_mut(i, line_addr).expect("resident");
                 line.data.set_word(w, value);
@@ -737,7 +737,7 @@ impl System {
             }
         }
         if self.cfg.log.truncation == morlog_sim_core::config::TruncationPolicy::TransactionTable {
-            self.tx_table.on_commit(key);
+            self.tx_table.on_commit(key.into());
         }
         self.oracle.mark_committed(key);
         self.committed += 1;

@@ -8,7 +8,7 @@
 //! fixed seed, so failures are exactly reproducible.
 
 use morlog_repro::core::types::dirty_byte_mask;
-use morlog_repro::core::{Addr, DetRng, LineData, ThreadId, TxId};
+use morlog_repro::core::{Addr, DetRng, LineData, TxId};
 use morlog_repro::encoding::bits::{BitReader, BitWriter};
 use morlog_repro::encoding::cell::{CellModel, CellState};
 use morlog_repro::encoding::dcw;
@@ -16,7 +16,8 @@ use morlog_repro::encoding::dldc;
 use morlog_repro::encoding::expansion::{map_payload, unmap_payload};
 use morlog_repro::encoding::fpc;
 use morlog_repro::encoding::slde::{LogWordRequest, SldeCodec};
-use morlog_repro::nvm::log::{LogRecord, LogRegion};
+use morlog_repro::log::record::{Record, TxTag};
+use morlog_repro::nvm::log::{array_slot_bytes, LogRegion};
 
 const CASES: usize = 2_000;
 
@@ -207,13 +208,13 @@ fn log_ring_preserves_fifo_and_capacity() {
     let mut rng = DetRng::new(0xF1F0);
     for _ in 0..100 {
         let mut ring = LogRegion::new(Addr::new(0), 1024);
-        let key = morlog_repro::core::ids::TxKey::new(ThreadId::new(0), TxId::new(0));
+        let tag = TxTag::new(0, 0);
         let mut live: u64 = 0;
         let mut appended: u64 = 0;
         let ops = 1 + rng.gen_range(199) as usize;
         for _ in 0..ops {
             if rng.gen_bool(0.5) {
-                let rec = LogRecord::undo_redo(key, Addr::new(appended * 8), 0, 1, 0xFF);
+                let rec = Record::undo_redo(tag, appended * 8, 0, 1, 0xFF);
                 if ring.append(rec).is_ok() {
                     live += 1;
                     appended += 1;
@@ -222,7 +223,7 @@ fn log_ring_preserves_fifo_and_capacity() {
                 let cut = ring
                     .records()
                     .next()
-                    .map(|f| f.offset + f.record.kind.slot_bytes());
+                    .map(|f| f.offset + array_slot_bytes(f.record.kind));
                 if let Some(cut) = cut {
                     ring.truncate_to(cut);
                     live -= 1;
