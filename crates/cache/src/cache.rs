@@ -71,6 +71,14 @@ impl Cache {
         Some(&mut set[0])
     }
 
+    /// The line if it is its set's MRU way, so that a
+    /// [`get_mut`](Cache::get_mut) would leave the LRU order as it is.
+    pub fn peek_mru(&self, addr: LineAddr) -> Option<&CacheLine> {
+        self.sets[self.set_index(addr)]
+            .first()
+            .filter(|l| l.addr == addr)
+    }
+
     /// Looks up a line without changing LRU order.
     pub fn peek(&self, addr: LineAddr) -> Option<&CacheLine> {
         self.sets[self.set_index(addr)]

@@ -51,6 +51,11 @@ impl FwbScheduler {
         now >= self.next_scan
     }
 
+    /// The cycle the next scan is due.
+    pub fn next_scan(&self) -> Cycle {
+        self.next_scan
+    }
+
     /// Records a completed scan at `now` and schedules the next one.
     pub fn record_scan(&mut self, now: Cycle) {
         self.scans_completed += 1;

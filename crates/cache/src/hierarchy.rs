@@ -214,6 +214,13 @@ impl Hierarchy {
         self.l1[core].get_mut(addr)
     }
 
+    /// A resident L1 line that is already its set's MRU way: the lookup
+    /// [`l1_line_mut`](Hierarchy::l1_line_mut) would make on it changes
+    /// nothing. `None` otherwise.
+    pub fn l1_mru_line(&self, core: usize, addr: LineAddr) -> Option<&CacheLine> {
+        self.l1[core].peek_mru(addr)
+    }
+
     /// Finds the L1 copy of `addr` across cores.
     pub fn find_l1(&mut self, addr: LineAddr) -> Option<(usize, &mut CacheLine)> {
         let core = (0..self.l1.len()).find(|&c| self.l1[c].contains(addr))?;

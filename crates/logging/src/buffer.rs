@@ -110,6 +110,14 @@ impl LogBuffer {
             .find(|p| p.record.tag == tag && p.record.addr == addr)
     }
 
+    /// Whether an entry for `(key, word address)` is buffered.
+    pub fn contains(&self, key: TxKey, addr: Addr) -> bool {
+        let (tag, addr) = (TxTag::from(key), addr.word_base().as_u64());
+        self.entries
+            .iter()
+            .any(|p| p.record.tag == tag && p.record.addr == addr)
+    }
+
     /// The oldest entry, if any.
     pub fn front(&self) -> Option<&Pending> {
         self.entries.front()

@@ -21,14 +21,22 @@
 //! * [`tick`] — per-cycle buffer aging: eager undo+redo eviction, lazy
 //!   redo eviction, commit-record appends, overflow drain.
 //!
+//! Between events the engine asks [`next_event`] for the earliest cycle a
+//! tick could change anything, and [`store_stall`] /
+//! [`writeback_blocked`] whether a stalled store or write-back would just
+//! stall again, so it can skip the cycles in between.
+//!
 //! [`tx_begin`]: LogController::tx_begin
 //! [`start_commit`]: LogController::start_commit
 //! [`on_store`]: LogController::on_store
 //! [`on_l1_evict`]: LogController::on_l1_evict
 //! [`on_llc_writeback`]: LogController::on_llc_writeback
 //! [`tick`]: LogController::tick
+//! [`next_event`]: LogController::next_event
+//! [`store_stall`]: LogController::store_stall
+//! [`writeback_blocked`]: LogController::writeback_blocked
 
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 
 use morlog_cache::line::{CacheLine, L1Ext, WordLogState};
 use morlog_encoding::secure::SecureMode;
@@ -97,7 +105,7 @@ pub struct UlogWord {
     pub dirty_mask: u8,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct PendingCommit {
     key: TxKey,
     started: Cycle,
@@ -175,6 +183,9 @@ pub struct LogController {
     /// Deliberate sabotage selector for the checker's mutation self-test
     /// (see [`CheckMutation`]); `None` in every real configuration.
     mutation: CheckMutation,
+    /// Reused by [`tick`](LogController::tick) for the pending-commit keys
+    /// it walks, so a tick allocates nothing.
+    commit_scratch: Vec<TxKey>,
 }
 
 impl LogController {
@@ -197,6 +208,7 @@ impl LogController {
             latency: CommitLatency::default(),
             tracer: Tracer::disabled(),
             mutation: CheckMutation::None,
+            commit_scratch: Vec::new(),
             cfg,
         }
     }
@@ -574,11 +586,7 @@ impl LogController {
         mc: &mut MemoryController,
     ) -> bool {
         let _prof = hostprof::scope(HostPhase::Logging);
-        // Under an active fault plan the discard is suppressed: recovery may
-        // need a committed winner's redo entries to re-apply words whose
-        // in-place data the crash left behind a gated (undrained-undo) write,
-        // and a damaged record must never be the only copy of a word.
-        if self.is_morlog() && self.cfg.discard_redo_on_llc_evict && !mc.fault_active() {
+        if self.discards_redo_on_writeback(mc) {
             let n = self.redo_buf.remove_line(line_index);
             self.stats.redo_discarded += n as u64;
             let before = self.overflow.len();
@@ -617,6 +625,15 @@ impl LogController {
             }
         }
         true
+    }
+
+    /// Whether an LLC write-back discards the line's buffered redo entries.
+    /// Under an active fault plan the discard is suppressed: recovery may
+    /// need a committed winner's redo entries to re-apply words whose
+    /// in-place data the crash left behind a gated (undrained-undo) write,
+    /// and a damaged record must never be the only copy of a word.
+    fn discards_redo_on_writeback(&self, mc: &MemoryController) -> bool {
+        self.is_morlog() && self.cfg.discard_redo_on_llc_evict && !mc.fault_active()
     }
 
     /// Begins committing `key`. For the synchronous protocols the engine
@@ -678,12 +695,17 @@ impl LogController {
         self.pending_records.len()
     }
 
-    /// Per-cycle maintenance. Returns the undo+redo entries that reached the
-    /// persist domain this cycle (the engine transitions their words
-    /// `Dirty → URLog`).
-    pub fn tick(&mut self, now: Cycle, mc: &mut MemoryController) -> Vec<PersistedUr> {
+    /// Per-cycle maintenance. Refills `persisted` with the undo+redo
+    /// entries that reached the persist domain this cycle (the engine
+    /// transitions their words `Dirty → URLog`).
+    pub fn tick(
+        &mut self,
+        now: Cycle,
+        mc: &mut MemoryController,
+        persisted: &mut Vec<PersistedUr>,
+    ) {
         let _prof = hostprof::scope(HostPhase::Logging);
-        let mut persisted = Vec::new();
+        persisted.clear();
         // 1. Overflow drains first (forced entries, eviction redo data).
         while let Some(&record) = self.overflow.front() {
             match self.flush_to_ring(record, now, mc) {
@@ -712,8 +734,10 @@ impl LogController {
             }
         }
         // 3. Synchronous commits pull their transaction's entries out.
-        let committing: Vec<TxKey> = self.pending_commits.values().map(|p| p.key).collect();
-        for key in committing {
+        let mut commits = std::mem::take(&mut self.commit_scratch);
+        commits.clear();
+        commits.extend(self.pending_commits.values().map(|p| p.key));
+        for &key in &commits {
             loop {
                 let next = self
                     .ur_buf
@@ -736,10 +760,8 @@ impl LogController {
         }
         // 4. Lazy redo eviction: only under pressure or old age (§III-B).
         while let Some(front) = self.redo_buf.front() {
-            let pressure = self.redo_buf.capacity() > 0
-                && self.redo_buf.len() * 4 >= self.redo_buf.capacity() * 3;
             let old = now >= front.created + self.redo_lazy_age;
-            if !(pressure || old) {
+            if !(self.redo_under_pressure() || old) {
                 break;
             }
             let record = front.record;
@@ -789,18 +811,16 @@ impl LogController {
         }
         // 6. Synchronous commits complete when nothing of theirs is left
         // and their commit record persisted.
-        let done: Vec<ThreadId> = self
-            .pending_commits
-            .iter()
-            .filter(|(_, p)| {
-                !self.ur_buf.has_tx(p.key)
-                    && !self.redo_buf.has_tx(p.key)
-                    && !self.overflow.iter().any(|r| r.tag == TxTag::from(p.key))
-            })
-            .map(|(&t, _)| t)
-            .collect();
-        for thread in done {
-            let p = self.pending_commits.get(&thread).expect("present").clone();
+        commits.clear();
+        commits.extend(
+            self.pending_commits
+                .values()
+                .filter(|p| !self.tx_has_buffered_entries(p.key))
+                .map(|p| p.key),
+        );
+        for &key in &commits {
+            let thread = key.thread;
+            let p = self.pending_commits[&thread];
             if !self.commit_cycle.contains_key(&p.key)
                 && !self
                     .pending_records
@@ -830,7 +850,21 @@ impl LogController {
                 self.track_phase(p.key, CommitPhaseTag::Complete, now);
             }
         }
-        persisted
+        self.commit_scratch = commits;
+    }
+
+    /// Whether any of `key`'s entries is still buffered or queued for the
+    /// overflow drain.
+    fn tx_has_buffered_entries(&self, key: TxKey) -> bool {
+        self.ur_buf.has_tx(key)
+            || self.redo_buf.has_tx(key)
+            || self.overflow.iter().any(|r| r.tag == TxTag::from(key))
+    }
+
+    /// Whether the redo buffer is at least three quarters full, which
+    /// evicts its head regardless of age (§III-B).
+    fn redo_under_pressure(&self) -> bool {
+        self.redo_buf.capacity() > 0 && self.redo_buf.len() * 4 >= self.redo_buf.capacity() * 3
     }
 
     fn tx_has_buffered_undo(&self, key: TxKey) -> bool {
@@ -864,9 +898,7 @@ impl LogController {
         now: Cycle,
         mc: &mut MemoryController,
     ) -> FlushOutcome {
-        // Silent log writes: with dirty-flag hardware, completely clean log
-        // data are discarded instead of written (§IV-A).
-        if self.has_dirty_flags() && record.kind != RecordKind::Commit && record.dirty_mask == 0 {
+        if self.is_silent(&record) {
             self.stats.silent_discarded += 1;
             return FlushOutcome::Discarded;
         }
@@ -883,14 +915,197 @@ impl LogController {
         }
     }
 
+    /// Silent log writes: with dirty-flag hardware, completely clean log
+    /// data are discarded instead of written (§IV-A).
+    fn is_silent(&self, record: &Record) -> bool {
+        self.has_dirty_flags() && record.kind != RecordKind::Commit && record.dirty_mask == 0
+    }
+
+    /// Whether [`flush_to_ring`](Self::flush_to_ring) on `record` would
+    /// be blocked with no side effect (see
+    /// [`MemoryController::log_append_blocked`]).
+    fn flush_blocked(&self, record: &Record, mc: &MemoryController) -> bool {
+        !self.is_silent(record) && mc.log_append_blocked(record)
+    }
+
+    /// The stall [`evict_ur_front`](Self::evict_ur_front) would return
+    /// without touching anything: the undo+redo buffer is full and its
+    /// head cannot leave it. `None` if the eviction could proceed.
+    fn ur_front_stall(&self, mc: &MemoryController) -> Option<StoreStall> {
+        if !self.ur_buf.is_full() {
+            return None;
+        }
+        match self.ur_buf.front() {
+            None => Some(StoreStall::Buffer),
+            Some(front) if self.flush_blocked(&front.record, mc) => Some(StoreStall::WriteQueue),
+            Some(_) => None,
+        }
+    }
+
+    /// The earliest cycle `>= now` at which [`tick`](LogController::tick)
+    /// could change anything, assuming no other component acts first:
+    /// an eager undo+redo or lazy redo age deadline, or `now` for work
+    /// that could proceed (or would bump a counter) right away. Work
+    /// blocked on a full write queue waits for the memory controller's
+    /// next issue, which the caller takes from
+    /// [`MemoryController::next_event`]. `Cycle::MAX` when nothing is
+    /// pending.
+    ///
+    /// This is a lower bound: waking early is harmless, waking late
+    /// would skip real work. `now` is the answer whenever unsure.
+    pub fn next_event(&self, now: Cycle, mc: &MemoryController) -> Cycle {
+        let mut next = Cycle::MAX;
+        // 1. Overflow drain.
+        if self
+            .overflow
+            .front()
+            .is_some_and(|r| !self.flush_blocked(r, mc))
+        {
+            return now;
+        }
+        // 2. Eager undo+redo aging.
+        if let Some(front) = self.ur_buf.front() {
+            let due = front.created + self.cfg.eager_evict_cycles;
+            if due > now {
+                next = next.min(due);
+            } else if !self.flush_blocked(&front.record, mc) {
+                return now;
+            }
+        }
+        // 3. Synchronous commits pulling their entries.
+        for p in self.pending_commits.values() {
+            let head = self
+                .ur_buf
+                .find_tx_front(p.key)
+                .or_else(|| self.redo_buf.find_tx_front(p.key));
+            if head.is_some_and(|h| !self.flush_blocked(&h.record, mc)) {
+                return now;
+            }
+        }
+        // 4. Lazy redo eviction.
+        if let Some(front) = self.redo_buf.front() {
+            let due = if self.redo_under_pressure() {
+                now
+            } else {
+                front.created + self.redo_lazy_age
+            };
+            if due > now {
+                next = next.min(due);
+            } else if !self.flush_blocked(&front.record, mc) {
+                return now;
+            }
+        }
+        // 5. The head commit record.
+        if let Some(record) = self.pending_records.front() {
+            let key = TxKey::from(record.tag);
+            match self.ur_buf.find_tx_front(key) {
+                Some(p) => {
+                    if !self.flush_blocked(&p.record, mc) {
+                        return now;
+                    }
+                }
+                None => {
+                    if !self.tx_has_buffered_undo(key) && !mc.log_append_blocked(record) {
+                        return now;
+                    }
+                }
+            }
+        }
+        // 6. Synchronous commit completion.
+        for p in self.pending_commits.values() {
+            if self.tx_has_buffered_entries(p.key) {
+                continue;
+            }
+            let ready = if self.commit_cycle.contains_key(&p.key) {
+                !(mc.fault_active() && mc.tx_has_undrained_records(p.key))
+            } else {
+                // Queues its commit record unless one is already pending.
+                !self
+                    .pending_records
+                    .iter()
+                    .any(|r| r.tag == TxTag::from(p.key))
+            };
+            if ready {
+                return now;
+            }
+        }
+        next
+    }
+
+    /// The [`StoreStall`] that [`on_store`](LogController::on_store) with
+    /// these arguments would return while changing nothing, as it keeps
+    /// doing until [`next_event`](LogController::next_event) or the memory
+    /// controller's next event. `None` if the store could proceed or
+    /// touch state, and whenever unsure.
+    pub fn store_stall(
+        &self,
+        key: TxKey,
+        addr: Addr,
+        old: u64,
+        new: u64,
+        line: &CacheLine,
+        mc: &MemoryController,
+    ) -> Option<StoreStall> {
+        if !self.overflow.is_empty() {
+            return Some(StoreStall::Buffer);
+        }
+        let addr = addr.word_base();
+        if !self.is_morlog() {
+            if self.ur_buf.contains(key, addr) {
+                return None;
+            }
+            return self.ur_front_stall(mc);
+        }
+        // A missing or foreign extension is (re)installed first.
+        let ext = line.ext.as_ref().filter(|e| e.owner == key)?;
+        let needs_entry = match ext.word_state[addr.word_index()] {
+            WordLogState::Clean => {
+                let silent = dirty_byte_mask(old, new) == 0 && self.has_dirty_flags();
+                !silent && !self.redo_buf.contains(key, addr)
+            }
+            WordLogState::Dirty => !self.ur_buf.contains(key, addr),
+            WordLogState::URLog | WordLogState::ULog => false,
+        };
+        if needs_entry {
+            self.ur_front_stall(mc)
+        } else {
+            None
+        }
+    }
+
+    /// Whether [`on_llc_writeback`](LogController::on_llc_writeback) for
+    /// `line_index` would return `false` and change nothing, and keep
+    /// doing so until the next controller or memory event. `false`
+    /// whenever unsure.
+    pub fn writeback_blocked(&self, line_index: u64, mc: &MemoryController) -> bool {
+        if self.discards_redo_on_writeback(mc)
+            && (self.redo_buf.has_line(line_index)
+                || self
+                    .overflow
+                    .iter()
+                    .any(|r| r.kind == RecordKind::Redo && home_line(r) == line_index))
+        {
+            return false;
+        }
+        if self.mutation == CheckMutation::DropUndoFence {
+            return false;
+        }
+        if let Some(p) = self.ur_buf.find_line_front(line_index) {
+            return self.flush_blocked(&p.record, mc);
+        }
+        self.overflow
+            .iter()
+            .find(|r| home_line(r) == line_index && r.kind == RecordKind::UndoRedo)
+            .is_some_and(|r| self.flush_blocked(r, mc))
+    }
+
     /// Log truncation (§III-F): drops ring records whose transactions
     /// committed at or before `horizon` (the force-write-back scheduler's
     /// safe commit horizon — their updated data have survived two scans).
     pub fn truncate(&mut self, horizon: Cycle, mc: &mut MemoryController) {
-        let commit_cycle = &self.commit_cycle;
-        let held = self.held_completions();
-        Self::truncate_by(commit_cycle, mc, |key, cc| {
-            !held.contains(key) && cc.get(key).map(|&c| c <= horizon).unwrap_or(false)
+        let held = &self.pending_commits;
+        Self::truncate_by(&self.commit_cycle, mc, |key, cc| {
+            !Self::is_held(held, key) && cc.get(key).map(|&c| c <= horizon).unwrap_or(false)
         });
     }
 
@@ -899,23 +1114,25 @@ impl LogController {
     /// persisted are deleted immediately, without waiting for the
     /// force-write-back horizon.
     pub fn truncate_with_table(&mut self, table: &TxTable, mc: &mut MemoryController) {
-        let commit_cycle = &self.commit_cycle;
-        let held = self.held_completions();
-        Self::truncate_by(commit_cycle, mc, |key, cc| {
-            !held.contains(key) && cc.contains_key(key) && table.is_deletable((*key).into())
+        let held = &self.pending_commits;
+        Self::truncate_by(&self.commit_cycle, mc, |key, cc| {
+            !Self::is_held(held, key) && cc.contains_key(key) && table.is_deletable((*key).into())
         });
     }
 
-    /// Transactions whose commit record persisted but whose program-visible
-    /// completion is still pending (the fault-plan drain gate holds it).
-    /// Their log entries must survive truncation: a crash inside the hold
-    /// window would otherwise find a transaction the program never saw
-    /// commit fully durable with no log evidence left for recovery to
-    /// classify it — an unrecoverable, checker-visible state. (Without an
-    /// active fault plan, completion lands the same tick the record
-    /// persists, before any truncation pass, so this set is empty.)
-    fn held_completions(&self) -> HashSet<TxKey> {
-        self.pending_commits.values().map(|p| p.key).collect()
+    /// Whether `key`'s commit record may have persisted while its
+    /// program-visible completion is still pending (the fault-plan drain
+    /// gate holds it). Such a transaction's log entries must survive
+    /// truncation: a crash inside the hold window would otherwise find a
+    /// transaction the program never saw commit fully durable with no log
+    /// evidence left for recovery to classify it — an unrecoverable,
+    /// checker-visible state. (Without an active fault plan, completion
+    /// lands the same tick the record persists, before any truncation
+    /// pass, so nothing is held.)
+    fn is_held(pending_commits: &BTreeMap<ThreadId, PendingCommit>, key: &TxKey) -> bool {
+        pending_commits
+            .get(&key.thread)
+            .is_some_and(|p| p.key == *key)
     }
 
     /// Shared truncation walk: deletes the ring prefix of records whose
@@ -1053,6 +1270,17 @@ mod tests {
         CacheLine::clean(line_addr, LineData::zeroed())
     }
 
+    /// One tick, returning the undo+redo entries it persisted.
+    pub(super) fn tick(
+        lc: &mut LogController,
+        now: Cycle,
+        mc: &mut MemoryController,
+    ) -> Vec<PersistedUr> {
+        let mut persisted = Vec::new();
+        lc.tick(now, mc, &mut persisted);
+        persisted
+    }
+
     /// Applies the engine's Dirty -> URLog transitions for persisted entries.
     fn apply_persisted(line: &mut CacheLine, persisted: &[PersistedUr]) {
         if let Some(ext) = line.ext.as_mut() {
@@ -1138,8 +1366,8 @@ mod tests {
         let key = lc.tx_begin(ThreadId::new(0), 0);
         lc.on_store(key, line.addr.word_addr(0), 0, 42, &mut line, 100, &mut m)
             .unwrap();
-        assert!(lc.tick(100 + cfg.eager_evict_cycles - 1, &mut m).is_empty());
-        let persisted = lc.tick(100 + cfg.eager_evict_cycles, &mut m);
+        assert!(tick(&mut lc, 100 + cfg.eager_evict_cycles - 1, &mut m).is_empty());
+        let persisted = tick(&mut lc, 100 + cfg.eager_evict_cycles, &mut m);
         assert_eq!(persisted.len(), 1);
         assert_eq!(m.log_region().records().count(), 1);
         apply_persisted(&mut line, &persisted);
@@ -1156,7 +1384,7 @@ mod tests {
         let addr = line.addr.word_addr(0);
         lc.on_store(key, addr, 0, 42, &mut line, 0, &mut m).unwrap();
         line.data.set_word(0, 42);
-        let persisted = lc.tick(cfg.eager_evict_cycles, &mut m);
+        let persisted = tick(&mut lc, cfg.eager_evict_cycles, &mut m);
         apply_persisted(&mut line, &persisted);
         // Store again: URLog -> ULog, redo buffered in the line itself.
         lc.on_store(key, addr, 42, 99, &mut line, 40, &mut m)
@@ -1184,7 +1412,7 @@ mod tests {
         // Build a ULog word, evict it so a redo entry is buffered.
         lc.on_store(key, addr, 0, 42, &mut line, 0, &mut m).unwrap();
         line.data.set_word(0, 42);
-        let persisted = lc.tick(cfg.eager_evict_cycles, &mut m);
+        let persisted = tick(&mut lc, cfg.eager_evict_cycles, &mut m);
         apply_persisted(&mut line, &persisted);
         lc.on_store(key, addr, 42, 99, &mut line, 40, &mut m)
             .unwrap();
@@ -1233,7 +1461,7 @@ mod tests {
         let mut now = 1;
         while lc.is_commit_pending(ThreadId::new(0)) {
             m.tick(now);
-            lc.tick(now, &mut m);
+            tick(&mut lc, now, &mut m);
             now += 1;
             assert!(now < 10_000, "commit must complete");
         }
@@ -1261,7 +1489,7 @@ mod tests {
         // The pending commit record pulls the transaction's undo+redo entry
         // into the log ahead of itself (write-ahead completeness: a commit
         // record in the ring implies every undo+redo entry is too).
-        lc.tick(1, &mut m);
+        tick(&mut lc, 1, &mut m);
         let records: Vec<_> = m.log_region().records().collect();
         assert_eq!(records.len(), 2);
         assert_eq!(records[0].record.kind, RecordKind::UndoRedo);
@@ -1286,7 +1514,7 @@ mod tests {
             line.data.set_word(0, 42);
             lc.on_store(key, addr, 42, 0, &mut line, 1, &mut m).unwrap();
             line.data.set_word(0, 0);
-            lc.tick(cfg.eager_evict_cycles + 1, &mut m);
+            tick(&mut lc, cfg.eager_evict_cycles + 1, &mut m);
             assert_eq!(lc.stats().silent_discarded, expect_silent, "{design}");
             let written = m.log_region().records().count();
             assert_eq!(written, if expect_silent == 1 { 0 } else { 1 }, "{design}");
@@ -1303,7 +1531,7 @@ mod tests {
         let addr = line.addr.word_addr(0);
         lc.on_store(key, addr, 0, 42, &mut line, 0, &mut m).unwrap();
         line.data.set_word(0, 42);
-        let persisted = lc.tick(cfg.eager_evict_cycles, &mut m);
+        let persisted = tick(&mut lc, cfg.eager_evict_cycles, &mut m);
         apply_persisted(&mut line, &persisted);
         lc.on_store(key, addr, 42, 99, &mut line, 40, &mut m)
             .unwrap();
@@ -1333,7 +1561,7 @@ mod tests {
         lc.on_store(key1, addr, 0, 42, &mut line, 0, &mut m)
             .unwrap();
         line.data.set_word(0, 42);
-        let persisted = lc.tick(cfg.eager_evict_cycles, &mut m);
+        let persisted = tick(&mut lc, cfg.eager_evict_cycles, &mut m);
         apply_persisted(&mut line, &persisted);
         lc.on_store(key1, addr, 42, 99, &mut line, 40, &mut m)
             .unwrap();
@@ -1408,7 +1636,7 @@ mod tests {
         let mut now = 100;
         while lc.is_commit_pending(t) {
             m.tick(now);
-            lc.tick(now, &mut m);
+            tick(&mut lc, now, &mut m);
             now += 1;
         }
         // tx2 starts but does not commit.
@@ -1417,7 +1645,7 @@ mod tests {
         let mut line2 = CacheLine::clean(line2_addr, LineData::zeroed());
         lc.on_store(key2, line2_addr.word_addr(0), 0, 2, &mut line2, now, &mut m)
             .unwrap();
-        lc.tick(now + cfg.eager_evict_cycles, &mut m);
+        tick(&mut lc, now + cfg.eager_evict_cycles, &mut m);
         let before = m.log_region().records().count();
         assert_eq!(before, 3); // tx1 entry + commit, tx2 entry
         lc.truncate(now + 1000, &mut m);
@@ -1436,6 +1664,7 @@ mod tests {
 
 #[cfg(test)]
 mod silent_anchor_tests {
+    use super::tests::tick;
     use super::*;
     use morlog_encoding::cell::CellModel;
     use morlog_encoding::slde::SldeCodec;
@@ -1463,7 +1692,7 @@ mod silent_anchor_tests {
         line.data.set_word(0, 42);
         lc.on_store(key, addr, 42, 0, &mut line, 1, &mut m).unwrap();
         line.data.set_word(0, 0);
-        let persisted = lc.tick(cfg.eager_evict_cycles + 1, &mut m);
+        let persisted = tick(&mut lc, cfg.eager_evict_cycles + 1, &mut m);
         assert_eq!(persisted.len(), 1);
         assert!(
             persisted[0].silent,

@@ -449,6 +449,12 @@ impl MemoryController {
         ticket
     }
 
+    /// The cycle an issued read completes; `None` while it still waits in
+    /// a read queue (or once its ticket was consumed).
+    pub fn read_done_at(&self, ticket: ReadTicket) -> Option<Cycle> {
+        self.done_reads.get(&ticket).copied()
+    }
+
     /// Returns `true` (consuming the ticket) once the read has completed.
     pub fn take_if_done(&mut self, ticket: ReadTicket, now: Cycle) -> bool {
         match self.done_reads.get(&ticket) {
@@ -554,15 +560,10 @@ impl MemoryController {
         }
         let key = TxKey::from(record.tag);
         let slice = self.log_slice_of(key.thread);
-        if record.kind != RecordKind::Commit
-            && self.logs[slice].free_bytes() < COMMIT_RESERVE_BYTES + array_slot_bytes(record.kind)
-        {
+        if self.needs_pre_grow(slice, record.kind) {
             self.grow_log_slice(slice);
         }
-        let log = &self.logs[slice];
-        let offset = log.tail(); // close enough for placement (wrap skip shifts by <1 slot)
-        let slot_addr = Addr::new(log.base().as_u64() + offset % log.capacity());
-        let (ch, bank) = self.place(slot_addr.line());
+        let (ch, bank) = self.place_log_tail(slice);
         if self.channels[ch].write_q.len() >= self.cfg.write_queue_entries {
             return Err(LogAppendError::WqFull);
         }
@@ -641,6 +642,40 @@ impl MemoryController {
             key,
         });
         Ok(stored)
+    }
+
+    /// Whether [`try_append_log`](MemoryController::try_append_log) would
+    /// return [`LogAppendError::WqFull`] for `record` without touching any
+    /// state: the controller is frozen at a crash point, or the slot's
+    /// channel queue is full and no overflow pre-grow runs first. The
+    /// answer holds until the next event [`next_event`] predicts, because
+    /// only an issue frees queue space.
+    ///
+    /// [`next_event`]: MemoryController::next_event
+    pub fn log_append_blocked(&self, record: &Record) -> bool {
+        if self.crash_point_reached() {
+            return true;
+        }
+        let slice = self.log_slice_of(TxKey::from(record.tag).thread);
+        if self.needs_pre_grow(slice, record.kind) {
+            return false;
+        }
+        let (ch, _) = self.place_log_tail(slice);
+        self.channels[ch].write_q.len() >= self.cfg.write_queue_entries
+    }
+
+    /// Whether a `kind` record appended to `slice` first grows the slice:
+    /// data entries stop short of the commit-record reserve.
+    fn needs_pre_grow(&self, slice: usize, kind: RecordKind) -> bool {
+        kind != RecordKind::Commit
+            && self.logs[slice].free_bytes() < COMMIT_RESERVE_BYTES + array_slot_bytes(kind)
+    }
+
+    /// Channel and bank of the next slot appended to `slice`.
+    fn place_log_tail(&self, slice: usize) -> (usize, usize) {
+        let log = &self.logs[slice];
+        let offset = log.tail(); // close enough for placement (wrap skip shifts by <1 slot)
+        self.place(Addr::new(log.base().as_u64() + offset % log.capacity()).line())
     }
 
     /// §III-A overflow prevention, option 2: extends `slice` with a
@@ -929,6 +964,48 @@ impl MemoryController {
     /// Records one cycle of a core stalled on a full write queue.
     pub fn note_wq_stall(&mut self) {
         self.stats.wq_full_stall_cycles += 1;
+    }
+
+    /// The earliest cycle `>= now` at which [`tick`] could do more than
+    /// restamp [`last_tick`]: a channel's drain state flips, or a queued
+    /// read or write finds its bank free. `Cycle::MAX` when every queue is
+    /// empty.
+    ///
+    /// This is a lower bound, valid until something else enqueues work:
+    /// the tick at the returned cycle may still issue nothing (a read
+    /// issued first can pause the write that was due), but no earlier tick
+    /// changes anything.
+    ///
+    /// [`tick`]: MemoryController::tick
+    /// [`last_tick`]: MemoryController::last_tick
+    pub fn next_event(&self, now: Cycle) -> Cycle {
+        let mut next = Cycle::MAX;
+        for ch in &self.channels {
+            let occupancy = ch.write_q.len();
+            if (!ch.draining && occupancy >= self.high_mark)
+                || (ch.draining && occupancy <= self.low_mark)
+            {
+                return now;
+            }
+            for r in &ch.read_q {
+                next = next.min(ch.read_busy_until[r.bank]);
+            }
+            // Writes wait behind queued reads unless the channel drains.
+            if ch.draining || ch.read_q.is_empty() {
+                for w in &ch.write_q {
+                    next = next.min(ch.write_busy_until[w.bank].max(ch.read_busy_until[w.bank]));
+                }
+            }
+        }
+        next.max(now)
+    }
+
+    /// Accounts for ticks skipped up to and including `cycle`: by
+    /// [`next_event`](MemoryController::next_event) they would have
+    /// changed nothing but the [`last_tick`](MemoryController::last_tick)
+    /// stamp.
+    pub fn skip_idle_ticks(&mut self, cycle: Cycle) {
+        self.last_tick = cycle;
     }
 
     /// Advances the controller by one cycle: updates drain state and issues

@@ -133,7 +133,8 @@ impl HostPhase {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[repr(u8)]
 pub enum HostCounter {
-    /// System cycle-step events executed (one per core-visible cycle).
+    /// Cycles the engine stepped. Cycles that next-event skipping jumps
+    /// over are not counted, so this is at most the simulated cycle count.
     EventsSimulated = 0,
     /// Write-queue entries accepted by the memory controller (data + log).
     WqOps = 1,

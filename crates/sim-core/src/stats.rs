@@ -231,14 +231,19 @@ impl CycleAttribution {
 
     /// Charges one core-cycle to `kind`.
     pub fn add(&mut self, kind: StallKind) {
+        self.add_n(kind, 1);
+    }
+
+    /// Charges `n` core-cycles to `kind`.
+    pub fn add_n(&mut self, kind: StallKind, n: u64) {
         match kind {
-            StallKind::Busy => self.busy += 1,
-            StallKind::ReadWait => self.read_wait += 1,
-            StallKind::DrainWait => self.drain_wait += 1,
-            StallKind::LogBufferStall => self.log_buffer_stall += 1,
-            StallKind::WqStall => self.wq_stall += 1,
-            StallKind::CommitWait => self.commit_wait += 1,
-            StallKind::Idle => self.idle += 1,
+            StallKind::Busy => self.busy += n,
+            StallKind::ReadWait => self.read_wait += n,
+            StallKind::DrainWait => self.drain_wait += n,
+            StallKind::LogBufferStall => self.log_buffer_stall += n,
+            StallKind::WqStall => self.wq_stall += n,
+            StallKind::CommitWait => self.commit_wait += n,
+            StallKind::Idle => self.idle += n,
         }
     }
 

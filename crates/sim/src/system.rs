@@ -1,5 +1,12 @@
 //! The simulated system: cores + caches + log controller + memory
 //! controller, and the cycle engine that drives them.
+//!
+//! The engine steps a cycle, then jumps `now` to the next cycle at which
+//! any component could act (see `System::next_event`), charging the
+//! skipped cycles in bulk. Every skipped cycle is one in which stepping
+//! would only have charged each core's attribution account and retried a
+//! stalled store, so the simulated numbers equal those of stepping every
+//! cycle — which is what `run_for(1)` still does.
 
 use std::collections::VecDeque;
 
@@ -9,7 +16,7 @@ use morlog_cache::line::WordLogState;
 use morlog_encoding::cell::CellModel;
 use morlog_encoding::slde::SldeCodec;
 use morlog_log::txtable::TxTable;
-use morlog_logging::controller::{LogController, StoreStall, UlogWord};
+use morlog_logging::controller::{LogController, PersistedUr, StoreStall, UlogWord};
 use morlog_logging::recovery::{recover, RecoveryReport};
 use morlog_nvm::controller::{MemoryController, ReadTicket};
 use morlog_nvm::layout::MemoryMap;
@@ -107,6 +114,9 @@ pub struct System {
     /// Cycle-sampled occupancy series (write queue, log buffers, live
     /// log bytes, outstanding DP commits, pending writebacks).
     series: SeriesSet,
+    /// Reused buffer for the undo+redo entries the log controller
+    /// persisted this cycle.
+    persisted: Vec<PersistedUr>,
 }
 
 impl System {
@@ -223,6 +233,7 @@ impl System {
             attr: CycleAttribution::default(),
             sample_period,
             series: SeriesSet::with_period(sample_period),
+            persisted: Vec::new(),
             mc,
             cfg,
         }
@@ -267,11 +278,15 @@ impl System {
     /// Panics if the system stops making progress (an engine bug, surfaced
     /// loudly rather than hanging).
     pub fn run(&mut self) -> SimStats {
+        const WATCHDOG_PERIOD: Cycle = 4_000_000;
         let mut last_progress = (0u64, 0usize, self.now);
+        let mut next_check = self.now + WATCHDOG_PERIOD;
         while !self.finished() {
-            self.step_cycle();
+            // Skips stop at the check, so a stalled engine cannot jump
+            // past it.
+            self.advance(next_check, |s| !s.finished());
             // Watchdog: commits or retired ops must advance.
-            if self.now.is_multiple_of(4_000_000) {
+            if self.now >= next_check {
                 let ops: usize = self.cores.iter().map(|c| c.tx_idx * 1000 + c.op_idx).sum();
                 let progress = (self.committed, ops, self.now);
                 assert!(
@@ -282,6 +297,7 @@ impl System {
                     self.cores.iter().map(|c| c.phase).collect::<Vec<_>>()
                 );
                 last_progress = progress;
+                next_check += WATCHDOG_PERIOD;
             }
         }
         self.finish_cycle = Some(self.now);
@@ -295,28 +311,157 @@ impl System {
     }
 
     /// Runs at most `cycles` more cycles; returns `true` if the workload
-    /// finished within them.
+    /// finished within them. Unless it finished, [`now`](System::now) ends
+    /// exactly `cycles` later.
+    ///
+    /// Only cycles in which some component could act are stepped; the
+    /// rest are skipped and charged in bulk, with results identical to
+    /// stepping each one. `run_for(1)` steps exactly one cycle, so a loop
+    /// of `run_for(1)` calls is the reference engine the skipping is
+    /// tested against.
     pub fn run_for(&mut self, cycles: Cycle) -> bool {
         let deadline = self.now + cycles;
         while !self.finished() && self.now < deadline {
-            self.step_cycle();
+            self.advance(deadline, |s| !s.finished());
         }
         self.finished()
     }
 
     fn quiesce(&mut self) {
         let deadline = self.now + 50_000_000;
-        while !(self.lc.is_quiescent() && self.pending_writebacks.is_empty()) {
-            self.step_cycle();
+        while !self.log_quiescent() {
+            self.advance(deadline, |s| !s.log_quiescent());
             assert!(self.now < deadline, "log controller failed to quiesce");
         }
         // Let the write queues drain for the energy/traffic accounting.
-        for _ in 0..100_000 {
-            if self.mc.write_queue_occupancy() == 0 {
-                break;
-            }
+        let end = self.now + 100_000;
+        while self.now < end && self.mc.write_queue_occupancy() != 0 {
             self.mc.tick(self.now);
             self.now += 1;
+            if self.mc.write_queue_occupancy() != 0 {
+                let next = self.mc.next_event(self.now).min(end);
+                if next > self.now {
+                    self.mc.skip_idle_ticks(next - 1);
+                    self.now = next;
+                }
+            }
+        }
+    }
+
+    /// Whether no log data or write-back is left in flight.
+    fn log_quiescent(&self) -> bool {
+        self.lc.is_quiescent() && self.pending_writebacks.is_empty()
+    }
+
+    /// Steps the current cycle; then, if `more` says the caller would step
+    /// again, skips to the next cycle at which anything could happen,
+    /// never past `limit`.
+    fn advance(&mut self, limit: Cycle, more: impl Fn(&Self) -> bool) {
+        self.step_cycle();
+        if !more(self) {
+            return;
+        }
+        let next = self.next_event().min(limit);
+        if next <= self.now {
+            return;
+        }
+        // Each skipped cycle would have charged every core the account its
+        // waiting step returns, retried every stalled store, and done
+        // nothing else.
+        let span = next - self.now;
+        for i in 0..self.cores.len() {
+            let kind = match self.cores[i].phase {
+                Phase::Done => StallKind::Idle,
+                Phase::BusyUntil(_) => self.cores[i].busy_kind,
+                Phase::WaitRead(..) => self.read_wait_kind(),
+                Phase::WaitCommit => StallKind::CommitWait,
+                Phase::Ready => {
+                    self.store_stall_cycles += span;
+                    let why = self
+                        .store_retry_stall(i)
+                        .expect("skipped stores stay stalled");
+                    stall_kind(why)
+                }
+            };
+            if self.finish_cycle.is_none() {
+                self.attr.add_n(kind, span);
+            }
+        }
+        self.mc.skip_idle_ticks(next - 1);
+        self.now = next;
+    }
+
+    /// The earliest cycle `>= now` at which stepping could do more than
+    /// charge attribution and retry stalled stores. A lower bound: every
+    /// component answers `now` when unsure, and waking early only steps a
+    /// cycle that changes nothing.
+    fn next_event(&self) -> Cycle {
+        let now = self.now;
+        if self.pending_truncation.is_some() && self.pending_writebacks.is_empty() {
+            return now;
+        }
+        // A write-back that gets past the log controller either enters the
+        // write queue or counts a write-queue stall.
+        if let Some(&(addr, _)) = self.pending_writebacks.front() {
+            if !self.lc.writeback_blocked(addr.index(), &self.mc) {
+                return now;
+            }
+        }
+        let mut next = self.fwb.next_scan();
+        if self.sample_period != 0 && self.finish_cycle.is_none() {
+            next = next.min(now.next_multiple_of(self.sample_period));
+        }
+        if self.cfg.log.truncation == morlog_sim_core::config::TruncationPolicy::TransactionTable {
+            next = next.min(now.next_multiple_of(4096));
+        }
+        for (i, core) in self.cores.iter().enumerate() {
+            let ready = match core.phase {
+                Phase::Done => Cycle::MAX,
+                Phase::BusyUntil(t) => t,
+                // An unissued read completes only after a controller event.
+                Phase::WaitRead(ticket, _) => self.mc.read_done_at(ticket).unwrap_or(Cycle::MAX),
+                Phase::WaitCommit if self.lc.is_commit_pending(core.thread) => Cycle::MAX,
+                Phase::WaitCommit => now,
+                Phase::Ready if self.store_retry_stall(i).is_some() => Cycle::MAX,
+                Phase::Ready => now,
+            };
+            if ready <= now {
+                return now;
+            }
+            next = next.min(ready);
+        }
+        next.min(self.lc.next_event(now, &self.mc))
+            .min(self.mc.next_event(now))
+            .max(now)
+    }
+
+    /// The stall of core `i`'s store retry, if the core sits on a
+    /// stalled store whose retry would stall again without touching
+    /// anything, LRU order included.
+    fn store_retry_stall(&self, i: usize) -> Option<StoreStall> {
+        let core = &self.cores[i];
+        let key = core.key.filter(|_| core.tx_began)?;
+        let op = self.trace.threads[i]
+            .transactions
+            .get(core.tx_idx)?
+            .ops
+            .get(core.op_idx)?;
+        let &Op::Store(addr, value) = op else {
+            return None;
+        };
+        let line = self.hierarchy.l1_mru_line(i, addr.line())?;
+        let old = line.data.word(addr.word_index());
+        self.lc.store_stall(key, addr, old, value, line, &self.mc)
+    }
+
+    /// The account a core waiting on a read is charged to: a read held
+    /// behind a write-queue drain is charged to the drain, not to plain
+    /// read latency.
+    fn read_wait_kind(&self) -> StallKind {
+        if self.mc.any_channel_draining() {
+            StallKind::DrainWait
+        } else {
+            StallKind::ReadWait
         }
     }
 
@@ -367,8 +512,8 @@ impl System {
         }
         self.hierarchy.set_now(self.now);
         self.mc.tick(self.now);
-        let persisted = self.lc.tick(self.now, &mut self.mc);
-        for p in persisted {
+        self.lc.tick(self.now, &mut self.mc, &mut self.persisted);
+        for p in &self.persisted {
             if let Some((_, line)) = self.hierarchy.find_l1(p.addr.line()) {
                 if let Some(ext) = line.ext.as_mut() {
                     let w = p.addr.word_index();
@@ -490,13 +635,7 @@ impl System {
                     self.cores[i].busy_kind = StallKind::Busy;
                     self.cores[i].phase = Phase::BusyUntil(self.now + 1);
                 }
-                // A read held behind a write-queue drain is charged to the
-                // drain, not to plain read latency.
-                if self.mc.any_channel_draining() {
-                    StallKind::DrainWait
-                } else {
-                    StallKind::ReadWait
-                }
+                self.read_wait_kind()
             }
             Phase::WaitCommit => {
                 if !self.lc.is_commit_pending(self.cores[i].thread) {
@@ -604,10 +743,7 @@ impl System {
             Err(why) => {
                 // Buffer backpressure: retry next cycle.
                 self.store_stall_cycles += 1;
-                match why {
-                    StoreStall::Buffer => StallKind::LogBufferStall,
-                    StoreStall::WriteQueue => StallKind::WqStall,
-                }
+                stall_kind(why)
             }
             Ok(()) => {
                 if self.cfg.log.truncation
@@ -816,17 +952,19 @@ impl System {
             if self.mc.crash_point_reached() {
                 return true;
             }
-            self.step_cycle();
+            self.advance(deadline, |s| !s.finished() && !s.mc.crash_point_reached());
             assert!(
                 self.now < deadline,
                 "crash-point replay stalled without reaching its target"
             );
         }
-        while !(self.lc.is_quiescent() && self.pending_writebacks.is_empty()) {
+        while !self.log_quiescent() {
             if self.mc.crash_point_reached() {
                 return true;
             }
-            self.step_cycle();
+            self.advance(deadline, |s| {
+                !s.log_quiescent() && !s.mc.crash_point_reached()
+            });
             assert!(
                 self.now < deadline,
                 "crash-point replay failed to quiesce past the last event"
@@ -884,5 +1022,13 @@ impl System {
         let strict =
             !self.cfg.design.delay_persistence() && !self.mc.stats().crash_faults_injected();
         self.oracle.verify(&self.mc, report, strict)
+    }
+}
+
+/// The attribution account of a stalled store.
+fn stall_kind(why: StoreStall) -> StallKind {
+    match why {
+        StoreStall::Buffer => StallKind::LogBufferStall,
+        StoreStall::WriteQueue => StallKind::WqStall,
     }
 }
