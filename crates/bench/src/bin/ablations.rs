@@ -11,11 +11,11 @@
 use morlog_bench::results::ResultSink;
 use morlog_bench::{RunSpec, SweepRunner, TimedRun};
 use morlog_encoding::secure::SecureMode;
-use morlog_sim_core::DesignKind;
+use morlog_sim_core::{knobs, DesignKind};
 use morlog_workloads::WorkloadKind;
 
 fn txs() -> usize {
-    morlog_bench::scaled_txs(1_500)
+    knobs::txs(1_500)
 }
 
 fn main() {

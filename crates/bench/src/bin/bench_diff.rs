@@ -24,13 +24,14 @@
 //!
 //! Exit codes: 0 — no delta beyond the threshold; 1 — a regression
 //! tripped the threshold or the trees are structurally incomparable;
-//! 2 — usage or malformed-input error (matching `MORLOG_TXS` /
-//! `MORLOG_JOBS` strictness).
+//! 2 — usage or malformed-input error (flags and variables share the
+//! `morlog_sim_core::knobs` grammars).
 
 use std::path::{Path, PathBuf};
 
 use morlog_bench::diff::{self, DocumentDiff, MetricDelta};
 use morlog_bench::json;
+use morlog_sim_core::knobs;
 
 fn usage() -> ! {
     eprintln!("usage: bench_diff <baseline> <candidate> [--threshold <pct>] [--ratio <factor>]");
@@ -47,31 +48,15 @@ fn main() {
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "--threshold" => {
+            flag @ ("--threshold" | "--ratio") => {
                 let Some(raw) = args.get(i + 1) else {
-                    eprintln!("error: --threshold needs a value");
+                    eprintln!("error: {flag} needs a value");
                     std::process::exit(2);
                 };
-                match diff::parse_threshold(raw) {
-                    Ok(v) => threshold = Some(v),
-                    Err(e) => {
-                        eprintln!("error: {e}");
-                        std::process::exit(2);
-                    }
-                }
-                i += 2;
-            }
-            "--ratio" => {
-                let Some(raw) = args.get(i + 1) else {
-                    eprintln!("error: --ratio needs a value");
-                    std::process::exit(2);
-                };
-                match diff::parse_ratio(raw) {
-                    Ok(v) => ratio = Some(v),
-                    Err(e) => {
-                        eprintln!("error: {e}");
-                        std::process::exit(2);
-                    }
+                if flag == "--threshold" {
+                    threshold = Some(knobs::or_exit(flag, raw, knobs::threshold_pct));
+                } else {
+                    ratio = Some(knobs::or_exit(flag, raw, knobs::ratio_factor));
                 }
                 i += 2;
             }
@@ -88,12 +73,12 @@ fn main() {
     }
     // The env var is parsed (and a malformed value rejected) even when the
     // flag overrides it, keeping the strictness convention.
-    let env_ratio = diff::ratio_from_env();
+    let env_ratio = knobs::diff_ratio();
     let ratio = ratio.or(env_ratio);
     if paths.len() != 2 {
         usage();
     }
-    let threshold = threshold.unwrap_or_else(diff::threshold_from_env);
+    let threshold = threshold.unwrap_or_else(knobs::diff_threshold);
     let (base, cand) = (&paths[0], &paths[1]);
 
     let pairs = match (base.is_dir(), cand.is_dir()) {

@@ -30,11 +30,11 @@ use morlog_bench::json::Json;
 use morlog_bench::results::ResultSink;
 use morlog_bench::SweepRunner;
 use morlog_checker::{
-    assemble, check_max_points_from_env, check_shards_from_env, double_store_trace, plan,
-    run_point, torn_plan_for, CheckOptions, CheckPlan, CheckReport,
+    assemble, double_store_trace, plan, run_point, torn_plan_for, CheckOptions, CheckPlan,
+    CheckReport,
 };
 use morlog_sim::System;
-use morlog_sim_core::{CheckMutation, DesignKind, SystemConfig};
+use morlog_sim_core::{knobs, CheckMutation, DesignKind, SystemConfig};
 use morlog_workloads::{generate, WorkloadConfig, WorkloadKind, WorkloadTrace};
 
 /// The designs that guarantee atomic persistence (FWB-unsafe is excluded —
@@ -127,10 +127,9 @@ fn sink_counterexample(sink: &mut CxSink, name: &str, report: &CheckReport, p: &
 }
 
 fn main() {
-    let shards = check_shards_from_env();
-    let runner = shards.map_or_else(SweepRunner::from_env, SweepRunner::with_jobs);
+    let runner = SweepRunner::with_jobs(knobs::check_shards());
     let opts = CheckOptions {
-        max_points: check_max_points_from_env(),
+        max_points: knobs::check_max_points(),
         fault_variant: true,
         fault_seed: 0xC0FFEE,
         ..CheckOptions::default()

@@ -39,11 +39,10 @@ use morlog_bench::SweepRunner;
 use morlog_checker::differential::{assemble_diff, diff_plan, run_diff_pair};
 use morlog_checker::fuzz::{assemble_fuzz, fuzz_plan, run_fuzz_item};
 use morlog_checker::{
-    check_shards_from_env, double_store_trace, fuzz_budget_ms_from_env, fuzz_points_from_env,
-    DiffCulprit, DiffReport, FuzzCounterexample, FuzzOptions,
+    double_store_trace, DiffCulprit, DiffReport, FuzzCounterexample, FuzzOptions,
 };
 use morlog_sim::System;
-use morlog_sim_core::{CheckMutation, DesignKind, FuzzStats, SystemConfig};
+use morlog_sim_core::{knobs, CheckMutation, DesignKind, FuzzStats, SystemConfig};
 use morlog_workloads::{generate, WorkloadConfig, WorkloadKind, WorkloadTrace};
 use std::time::Instant;
 
@@ -75,11 +74,6 @@ const DIFF_TXS_PER_THREAD: usize = 6;
 
 /// Matched-fraction crash pairs per differential run.
 const DIFF_PAIRS: u64 = 8;
-
-/// Base draws per campaign when `MORLOG_FUZZ_POINTS` is unset: enough for
-/// the mutant campaigns to fail dense (the teeth test catches both
-/// sabotages at 6), cheap enough for the per-PR smoke job.
-const DEFAULT_POINTS: u64 = 8;
 
 /// Campaign count the wall-clock budget is split across (5 designs + 2
 /// mutants; the differential runs are not round-based).
@@ -276,10 +270,9 @@ fn sink_diff_cx(
 }
 
 fn main() {
-    let shards = check_shards_from_env();
-    let runner = shards.map_or_else(SweepRunner::from_env, SweepRunner::with_jobs);
-    let points = fuzz_points_from_env().unwrap_or(DEFAULT_POINTS);
-    let budget_ms = fuzz_budget_ms_from_env();
+    let runner = SweepRunner::with_jobs(knobs::check_shards());
+    let points = knobs::fuzz_points();
+    let budget_ms = knobs::fuzz_budget_ms();
     let per_campaign_ms = budget_ms.map(|ms| ms / CAMPAIGNS);
     let base = FuzzOptions {
         seed: 0x5EED_CAFE,

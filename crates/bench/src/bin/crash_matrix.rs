@@ -2,7 +2,8 @@
 //! workloads, fault plans and crash points. Each cell runs the workload
 //! under an injected-fault plan, crashes mid-flight, recovers and checks
 //! the oracle's prefix invariant — the whole sweep is deterministic in the
-//! base seed (`MORLOG_SEED` or first CLI argument).
+//! base seed (first CLI argument, else `MORLOG_SEED`, else 42; a malformed
+//! seed exits 2 before any cell runs).
 //!
 //! Cells are independent, so the matrix fans out across the `MORLOG_JOBS`
 //! worker pool; cell seeds are assigned by enumeration order before the
@@ -17,7 +18,7 @@ use morlog_bench::results::ResultSink;
 use morlog_bench::SweepRunner;
 use morlog_sim::System;
 use morlog_sim_core::fault::FaultPlan;
-use morlog_sim_core::{DesignKind, SystemConfig};
+use morlog_sim_core::{knobs, DesignKind, SystemConfig};
 use morlog_workloads::{generate, WorkloadConfig, WorkloadKind};
 
 /// The designs that guarantee atomic persistence (FWB-unsafe is excluded —
@@ -86,11 +87,7 @@ fn run_cell(spec: &CellSpec) -> Cell {
 }
 
 fn main() {
-    let base_seed: u64 = std::env::args()
-        .nth(1)
-        .or_else(|| std::env::var("MORLOG_SEED").ok())
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(42);
+    let base_seed = knobs::seed(std::env::args().nth(1).as_deref());
 
     println!(
         "crash matrix: {} designs x {} workloads x {} plans x {} crash points (seed {base_seed})",

@@ -4,7 +4,7 @@ use morlog_bench::json::Json;
 use morlog_bench::results::{stats_json, ResultSink};
 use morlog_bench::SweepRunner;
 use morlog_sim::System;
-use morlog_sim_core::{DesignKind, SimStats, SystemConfig};
+use morlog_sim_core::{knobs, DesignKind, SimStats, SystemConfig};
 use morlog_workloads::{cached_generate, WorkloadConfig, WorkloadKind};
 
 struct Row {
@@ -16,7 +16,7 @@ struct Row {
 }
 
 fn main() {
-    let txs = morlog_bench::scaled_txs(1_500);
+    let txs = knobs::txs(1_500);
     let runner = SweepRunner::from_env();
     let mut sink = ResultSink::new("endurance", runner.jobs());
     println!("Endurance — max per-location program counts (Queue, {txs} txs)");

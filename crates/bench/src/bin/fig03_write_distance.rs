@@ -2,13 +2,13 @@
 use morlog_analysis::write_distance::{DistanceBucket, WriteDistanceHistogram};
 use morlog_bench::json::Json;
 use morlog_bench::results::ResultSink;
-use morlog_bench::{scaled_txs, SweepRunner};
+use morlog_bench::SweepRunner;
 use morlog_sim::System;
-use morlog_sim_core::{DesignKind, SystemConfig};
+use morlog_sim_core::{knobs, DesignKind, SystemConfig};
 use morlog_workloads::{cached_generate, WorkloadConfig, WorkloadKind};
 
 fn main() {
-    let txs = scaled_txs(2_000);
+    let txs = knobs::txs(2_000);
     let runner = SweepRunner::from_env();
     let mut sink = ResultSink::new("fig03_write_distance", runner.jobs());
     println!("Fig. 3 — write-distance distribution ({txs} transactions per workload)");

@@ -1,18 +1,18 @@
 //! Fig. 12: transaction throughput on the micro-benchmarks, normalized to
 //! FWB-CRADE, for the small (a) and large (b) dataset sizes.
 use morlog_bench::results::ResultSink;
-use morlog_bench::{print_design_header, print_normalized_rows, scaled_txs, RunSpec, SweepRunner};
+use morlog_bench::{print_design_header, print_normalized_rows, RunSpec, SweepRunner};
 use morlog_sim::RunReport;
 use morlog_sim_core::stats::geometric_mean;
-use morlog_sim_core::DesignKind;
+use morlog_sim_core::{knobs, DesignKind};
 use morlog_workloads::WorkloadKind;
 
 fn main() {
     let runner = SweepRunner::from_env();
     let mut sink = ResultSink::new("fig12_micro_throughput", runner.jobs());
     for (label, large, txs) in [
-        ("(a) small dataset (64 B)", false, scaled_txs(2_000)),
-        ("(b) large dataset (4 KB)", true, scaled_txs(400)),
+        ("(a) small dataset (64 B)", false, knobs::txs(2_000)),
+        ("(b) large dataset (4 KB)", true, knobs::txs(400)),
     ] {
         println!("Fig. 12{label} — normalized transaction throughput ({txs} transactions)");
         print_design_header("workload");

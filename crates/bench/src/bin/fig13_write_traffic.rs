@@ -1,13 +1,13 @@
 //! Fig. 13: NVMM write traffic on the micro-benchmarks (small dataset),
 //! normalized to FWB-CRADE.
 use morlog_bench::results::ResultSink;
-use morlog_bench::{print_design_header, scaled_txs, RunSpec, SweepRunner};
+use morlog_bench::{print_design_header, RunSpec, SweepRunner};
 use morlog_sim_core::stats::geometric_mean;
-use morlog_sim_core::DesignKind;
+use morlog_sim_core::{knobs, DesignKind};
 use morlog_workloads::WorkloadKind;
 
 fn main() {
-    let txs = scaled_txs(2_000);
+    let txs = knobs::txs(2_000);
     let runner = SweepRunner::from_env();
     let mut sink = ResultSink::new("fig13_write_traffic", runner.jobs());
     println!("Fig. 13 — normalized NVMM write traffic, small dataset ({txs} transactions)");

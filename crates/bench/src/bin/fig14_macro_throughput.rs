@@ -1,14 +1,14 @@
 //! Fig. 14: transaction throughput on the macro-benchmarks, normalized to
 //! FWB-CRADE.
 use morlog_bench::results::ResultSink;
-use morlog_bench::{print_design_header, print_normalized_rows, scaled_txs, RunSpec, SweepRunner};
+use morlog_bench::{print_design_header, print_normalized_rows, RunSpec, SweepRunner};
 use morlog_sim::RunReport;
 use morlog_sim_core::stats::geometric_mean;
-use morlog_sim_core::DesignKind;
+use morlog_sim_core::{knobs, DesignKind};
 use morlog_workloads::{DatasetSize, WorkloadKind};
 
 fn main() {
-    let txs = scaled_txs(2_000);
+    let txs = knobs::txs(2_000);
     let runner = SweepRunner::from_env();
     let mut sink = ResultSink::new("fig14_macro_throughput", runner.jobs());
     println!("Fig. 14 — normalized macro-benchmark throughput ({txs} transactions)");
@@ -27,7 +27,7 @@ fn main() {
                 let mut spec = RunSpec::new(design, kind, txs);
                 if dataset == DatasetSize::Large {
                     spec = spec.large();
-                    spec.transactions = scaled_txs(600);
+                    spec.transactions = knobs::txs(600);
                 }
                 spec
             })

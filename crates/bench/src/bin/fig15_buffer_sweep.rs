@@ -1,12 +1,12 @@
 //! Fig. 15: transaction throughput and NVMM write traffic vs the undo+redo
 //! buffer size, for several redo-buffer sizes (Echo benchmark).
 use morlog_bench::results::ResultSink;
-use morlog_bench::{scaled_txs, RunSpec, SweepRunner};
-use morlog_sim_core::DesignKind;
+use morlog_bench::{RunSpec, SweepRunner};
+use morlog_sim_core::{knobs, DesignKind};
 use morlog_workloads::WorkloadKind;
 
 fn main() {
-    let txs = scaled_txs(1_500);
+    let txs = knobs::txs(1_500);
     let ur_sizes = [1usize, 2, 4, 8, 16, 32, 64, 128];
     let redo_sizes = [2usize, 8, 32, 128];
     let runner = SweepRunner::from_env();

@@ -1,9 +1,9 @@
 //! Fig. 16: normalized throughput vs thread count (micro-benchmark average,
 //! small and large datasets).
 use morlog_bench::results::ResultSink;
-use morlog_bench::{scaled_txs, RunSpec, SweepRunner};
+use morlog_bench::{RunSpec, SweepRunner};
 use morlog_sim_core::stats::geometric_mean;
-use morlog_sim_core::DesignKind;
+use morlog_sim_core::{knobs, DesignKind};
 use morlog_workloads::WorkloadKind;
 
 fn spec_for(
@@ -28,8 +28,8 @@ fn main() {
     let runner = SweepRunner::from_env();
     let mut sink = ResultSink::new("fig16_thread_sweep", runner.jobs());
     for (label, large, txs) in [
-        ("(a) small dataset", false, scaled_txs(1_200)),
-        ("(b) large dataset", true, scaled_txs(300)),
+        ("(a) small dataset", false, knobs::txs(1_200)),
+        ("(b) large dataset", true, knobs::txs(300)),
     ] {
         println!("Fig. 16{label} — normalized throughput vs thread count ({txs} transactions)");
         print!("{:<14}", "design");

@@ -23,8 +23,8 @@
 
 use std::time::Instant;
 
-use morlog_log::env::{log_dir_from_env, log_sync_from_env};
-use morlog_log::{Log, LogConfig, MmapDomain, SyncMode};
+use morlog_log::{Log, LogConfig, MmapDomain};
+use morlog_sim_core::knobs;
 
 /// The data word transaction `n` targets with store `k` (0..3). Three hot
 /// words shared by all transactions plus one private word, so recovery has
@@ -50,8 +50,8 @@ fn main() {
             std::process::exit(2);
         })
     });
-    let dir = log_dir_from_env().unwrap_or_else(std::env::temp_dir);
-    let sync = log_sync_from_env().unwrap_or(SyncMode::Always);
+    let dir = knobs::log_dir();
+    let sync = knobs::log_sync();
 
     let cfg = LogConfig {
         slices: 2,

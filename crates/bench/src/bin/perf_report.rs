@@ -33,9 +33,9 @@ use std::io::Write as _;
 
 use morlog_bench::json::Json;
 use morlog_bench::results::{git_describe, host_perf_record, ResultSink};
-use morlog_bench::{scaled_txs, RunSpec, SweepRunner, TimedRun};
+use morlog_bench::{RunSpec, SweepRunner, TimedRun};
 use morlog_sim_core::hostprof::{self, HostPhase};
-use morlog_sim_core::DesignKind;
+use morlog_sim_core::{knobs, DesignKind};
 use morlog_workloads::WorkloadKind;
 
 fn main() {
@@ -48,7 +48,7 @@ fn main() {
     let txs: usize = args
         .get(1)
         .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| scaled_txs(1000));
+        .unwrap_or_else(|| knobs::txs(1000));
 
     // One worker: each run's thread-local profile then covers exactly
     // that run, and wall-times are not perturbed by sibling runs.
@@ -99,12 +99,8 @@ fn print_row(run: &TimedRun) {
     );
 }
 
-fn results_dir() -> String {
-    std::env::var("MORLOG_RESULTS_DIR").unwrap_or_else(|_| "results".to_string())
-}
-
 fn write_folded(lines: &[String]) {
-    let dir = results_dir();
+    let dir = knobs::results_dir();
     let path = std::path::Path::new(&dir).join("perf_report.folded");
     let mut text = lines.join("\n");
     text.push('\n');
@@ -123,8 +119,7 @@ fn write_folded(lines: &[String]) {
 /// JSONL trajectory: the git stamp, a wall-clock timestamp, and one
 /// entry per design×workload point with its headline numbers.
 fn append_history(runs: &[TimedRun]) {
-    let path = std::env::var("MORLOG_PERF_HISTORY")
-        .unwrap_or_else(|_| format!("{}/perf_history.jsonl", results_dir()));
+    let path = knobs::perf_history();
     let unix_ms = std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
         .map(|d| d.as_millis() as u64)

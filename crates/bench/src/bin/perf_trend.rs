@@ -4,11 +4,12 @@
 //! perf_trend [history.jsonl]
 //! ```
 //!
-//! Reads the `perf_history.jsonl` file (default
-//! `<MORLOG_RESULTS_DIR>/perf_history.jsonl`, or an explicit path
-//! argument) and prints, per design×workload point, the sim-rate
-//! trajectory across recorded invocations: first and latest rate, the
-//! cumulative speedup factor, and the git stamps bracketing the series.
+//! Reads the `perf_history.jsonl` file (an explicit path argument, else
+//! `MORLOG_PERF_HISTORY`, else `<MORLOG_RESULTS_DIR>/perf_history.jsonl`
+//! — the file `perf_report` appends to) and prints, per design×workload
+//! point, the sim-rate trajectory across recorded invocations: first and
+//! latest rate, the cumulative speedup factor, and the git stamps
+//! bracketing the series.
 //! This is the scoreboard for ROADMAP item 1's 10× engine-speed
 //! campaign — run `perf_report` before and after an optimization and
 //! the factor column shows what it bought.
@@ -20,16 +21,14 @@
 use std::collections::BTreeMap;
 
 use morlog_bench::json::{self, Json};
+use morlog_sim_core::knobs;
 
 /// One point's trajectory: `(git, unix_ms, sim_rate_cps)` per record.
 type Series = Vec<(String, u64, f64)>;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let path = args.first().cloned().unwrap_or_else(|| {
-        let dir = std::env::var("MORLOG_RESULTS_DIR").unwrap_or_else(|_| "results".to_string());
-        format!("{dir}/perf_history.jsonl")
-    });
+    let path = args.first().cloned().unwrap_or_else(knobs::perf_history);
     let text = match std::fs::read_to_string(&path) {
         Ok(t) => t,
         Err(e) => {

@@ -1,13 +1,13 @@
 //! §VI-E NVMM-latency sensitivity: normalized throughput as the cell write
 //! latency scales x1..x32.
 use morlog_bench::results::ResultSink;
-use morlog_bench::{scaled_txs, RunSpec, SweepRunner};
+use morlog_bench::{RunSpec, SweepRunner};
 use morlog_sim_core::stats::geometric_mean;
-use morlog_sim_core::DesignKind;
+use morlog_sim_core::{knobs, DesignKind};
 use morlog_workloads::WorkloadKind;
 
 fn main() {
-    let txs = scaled_txs(1_200);
+    let txs = knobs::txs(1_200);
     let scales = [1u32, 2, 8, 32];
     let runner = SweepRunner::from_env();
     let mut sink = ResultSink::new("sweep_nvm_latency", runner.jobs());

@@ -2,14 +2,14 @@
 use morlog_analysis::patterns::PatternStats;
 use morlog_bench::json::Json;
 use morlog_bench::results::ResultSink;
-use morlog_bench::{scaled_txs, SweepRunner};
+use morlog_bench::SweepRunner;
 use morlog_encoding::dldc::DldcPattern;
 use morlog_sim::System;
-use morlog_sim_core::{DesignKind, SystemConfig};
+use morlog_sim_core::{knobs, DesignKind, SystemConfig};
 use morlog_workloads::{cached_generate, WorkloadConfig, WorkloadKind};
 
 fn main() {
-    let txs = scaled_txs(2_000);
+    let txs = knobs::txs(2_000);
     let runner = SweepRunner::from_env();
     let mut sink = ResultSink::new("tab02_dldc_patterns", runner.jobs());
     println!("Table II — DLDC data-pattern coverage of dirty log data");

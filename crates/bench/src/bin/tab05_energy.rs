@@ -1,8 +1,8 @@
 //! Table V: NVMM write-energy reduction vs FWB-CRADE (micro-benchmark
 //! average, small and large datasets).
 use morlog_bench::results::ResultSink;
-use morlog_bench::{scaled_txs, RunSpec, SweepRunner};
-use morlog_sim_core::DesignKind;
+use morlog_bench::{RunSpec, SweepRunner};
+use morlog_sim_core::{knobs, DesignKind};
 use morlog_workloads::WorkloadKind;
 
 fn main() {
@@ -14,8 +14,8 @@ fn main() {
         "dataset", "FWB-Unsafe", "FWB-SLDE", "MorLog-CRADE", "MorLog-SLDE", "MorLog-DP"
     );
     for (label, large, txs) in [
-        ("Small", false, scaled_txs(2_000)),
-        ("Large", true, scaled_txs(400)),
+        ("Small", false, knobs::txs(2_000)),
+        ("Large", true, knobs::txs(400)),
     ] {
         let specs: Vec<RunSpec> = WorkloadKind::MICRO
             .iter()

@@ -14,10 +14,11 @@
 //!   written.
 //! - **Cap**: `MORLOG_CX_MAX` bounds the files written per process (a
 //!   runaway mutant on a big campaign would otherwise flood the artifact
-//!   store). A malformed value aborts with exit code 2, matching the
-//!   `MORLOG_CHECK_SHARDS` convention; unset means unbounded.
+//!   store). Unset means unbounded.
 
 use std::collections::HashSet;
+
+use morlog_sim_core::knobs;
 
 /// The persist-domain signature of a crash point: the reference run's
 /// hash sample right after the point's last event (`0` for point 0 — the
@@ -27,36 +28,6 @@ pub fn persist_signature(samples: &[u64], point: u64) -> u64 {
         0
     } else {
         samples.get(point as usize - 1).copied().unwrap_or(0)
-    }
-}
-
-/// Parses a `MORLOG_CX_MAX` value: a cap on counterexample files written
-/// per process.
-///
-/// # Errors
-///
-/// Returns a message when the value is not a plain positive integer.
-pub fn parse_cx_max(raw: &str) -> Result<u64, String> {
-    match raw.trim().parse::<u64>() {
-        Ok(n) if n > 0 => Ok(n),
-        Ok(_) => Err(format!("MORLOG_CX_MAX={raw:?} must be at least 1")),
-        Err(_) => Err(format!(
-            "MORLOG_CX_MAX={raw:?} is not a plain positive integer \
-             (suffixes like \"10k\" are not supported)"
-        )),
-    }
-}
-
-/// The counterexample cap from `MORLOG_CX_MAX`. An unset variable means
-/// unbounded; a malformed one aborts with exit code 2, matching the
-/// `MORLOG_CHECK_SHARDS` convention.
-pub fn cx_max_from_env() -> Option<u64> {
-    match std::env::var("MORLOG_CX_MAX") {
-        Err(_) => None,
-        Ok(raw) => Some(parse_cx_max(&raw).unwrap_or_else(|e| {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        })),
     }
 }
 
@@ -85,8 +56,7 @@ impl CxSink {
 
     /// A sink configured from `MORLOG_CX_DIR` / `MORLOG_CX_MAX`.
     pub fn from_env() -> CxSink {
-        let dir = std::env::var("MORLOG_CX_DIR").unwrap_or_else(|_| "counterexamples".to_string());
-        CxSink::new(&dir, cx_max_from_env())
+        CxSink::new(&knobs::cx_dir(), knobs::cx_max())
     }
 
     /// Whether `signature` would be admitted (new and under the cap),
@@ -143,16 +113,6 @@ impl CxSink {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn cx_max_parsing_is_strict() {
-        assert_eq!(parse_cx_max("16"), Ok(16));
-        assert_eq!(parse_cx_max(" 1 "), Ok(1));
-        assert!(parse_cx_max("0").is_err());
-        assert!(parse_cx_max("10k").is_err());
-        assert!(parse_cx_max("-2").is_err());
-        assert!(parse_cx_max("").is_err());
-    }
 
     #[test]
     fn signature_indexes_hash_samples() {

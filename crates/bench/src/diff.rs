@@ -25,17 +25,6 @@
 
 use crate::json::Json;
 
-/// Environment variable overriding the regression threshold (percent).
-pub const DIFF_THRESHOLD_ENV: &str = "MORLOG_DIFF_THRESHOLD";
-
-/// Environment variable enabling ratio mode: timing fields are compared
-/// and must agree within this multiplicative factor (≥ 1).
-pub const DIFF_RATIO_ENV: &str = "MORLOG_DIFF_RATIO";
-
-/// Default regression threshold: any metric moving more than this many
-/// percent (in either direction) trips the gate.
-pub const DEFAULT_THRESHOLD_PCT: f64 = 2.0;
-
 /// Fields excluded from comparison wherever they appear: the git stamp
 /// and sweep parallelism are properties of the *run*, not of the
 /// simulated behaviour the gate protects. (Host timing fields are
@@ -51,71 +40,6 @@ pub fn is_timing_key(key: &str) -> bool {
         || key.ends_with("_ms")
         || key.ends_with("_cps")
         || key.starts_with("alloc")
-}
-
-/// Parses a regression threshold in percent: a finite, non-negative
-/// number.
-pub fn parse_threshold(raw: &str) -> Result<f64, String> {
-    let trimmed = raw.trim();
-    let parsed: f64 = trimmed
-        .parse()
-        .map_err(|_| format!("regression threshold must be a percentage, got {raw:?}"))?;
-    if !parsed.is_finite() || parsed < 0.0 {
-        return Err(format!(
-            "regression threshold must be finite and >= 0, got {raw:?}"
-        ));
-    }
-    Ok(parsed)
-}
-
-/// Reads the threshold from `MORLOG_DIFF_THRESHOLD`, falling back to
-/// [`DEFAULT_THRESHOLD_PCT`] when unset. Exits with code 2 on a
-/// malformed value, matching the `MORLOG_TXS` / `MORLOG_JOBS`
-/// convention.
-pub fn threshold_from_env() -> f64 {
-    match std::env::var(DIFF_THRESHOLD_ENV) {
-        Err(_) => DEFAULT_THRESHOLD_PCT,
-        Ok(raw) => match parse_threshold(&raw) {
-            Ok(v) => v,
-            Err(e) => {
-                eprintln!("error: {DIFF_THRESHOLD_ENV}: {e}");
-                std::process::exit(2);
-            }
-        },
-    }
-}
-
-/// Parses a ratio-mode tolerance factor: a finite number ≥ 1. A factor
-/// of `f` accepts timing values that differ by up to `f`× in either
-/// direction.
-pub fn parse_ratio(raw: &str) -> Result<f64, String> {
-    let trimmed = raw.trim();
-    let parsed: f64 = trimmed
-        .parse()
-        .map_err(|_| format!("ratio tolerance must be a number, got {raw:?}"))?;
-    if !parsed.is_finite() || parsed < 1.0 {
-        return Err(format!(
-            "ratio tolerance must be finite and >= 1, got {raw:?}"
-        ));
-    }
-    Ok(parsed)
-}
-
-/// Reads the ratio-mode factor from `MORLOG_DIFF_RATIO`. Unset means
-/// ratio mode is off (timing fields are skipped); a malformed value
-/// exits with code 2, matching the `MORLOG_TXS` / `MORLOG_JOBS`
-/// convention.
-pub fn ratio_from_env() -> Option<f64> {
-    match std::env::var(DIFF_RATIO_ENV) {
-        Err(_) => None,
-        Ok(raw) => match parse_ratio(&raw) {
-            Ok(v) => Some(v),
-            Err(e) => {
-                eprintln!("error: {DIFF_RATIO_ENV}: {e}");
-                std::process::exit(2);
-            }
-        },
-    }
 }
 
 /// One differing metric between baseline and candidate.
@@ -463,17 +387,6 @@ mod tests {
     }
 
     #[test]
-    fn threshold_parser_is_strict() {
-        assert_eq!(parse_threshold("2.5"), Ok(2.5));
-        assert_eq!(parse_threshold(" 0 "), Ok(0.0));
-        assert!(parse_threshold("").is_err());
-        assert!(parse_threshold("-1").is_err());
-        assert!(parse_threshold("inf").is_err());
-        assert!(parse_threshold("2%").is_err());
-        assert!(parse_threshold("nan").is_err());
-    }
-
-    #[test]
     fn ratio_mode_compares_timing_fields() {
         let a = doc(100, 5.0);
         let b = doc(100, 40.0);
@@ -526,18 +439,6 @@ mod tests {
             timing: true,
         };
         assert!(!structural.within_ratio(f64::MAX));
-    }
-
-    #[test]
-    fn ratio_parser_is_strict() {
-        assert_eq!(parse_ratio("1"), Ok(1.0));
-        assert_eq!(parse_ratio(" 50 "), Ok(50.0));
-        assert!(parse_ratio("0.5").is_err());
-        assert!(parse_ratio("0").is_err());
-        assert!(parse_ratio("").is_err());
-        assert!(parse_ratio("inf").is_err());
-        assert!(parse_ratio("nan").is_err());
-        assert!(parse_ratio("10x").is_err());
     }
 
     #[test]

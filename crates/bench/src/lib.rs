@@ -28,6 +28,7 @@ use std::time::Duration;
 use morlog_encoding::secure::SecureMode;
 use morlog_sim::{RunReport, System};
 use morlog_sim_core::hostprof::{self, HostProfile};
+use morlog_sim_core::knobs;
 use morlog_sim_core::stats::CycleAttribution;
 use morlog_sim_core::trace::Tracer;
 use morlog_sim_core::{DesignKind, SystemConfig};
@@ -46,66 +47,6 @@ pub mod results;
 /// branch per allocation.
 #[global_allocator]
 static GLOBAL_ALLOC: alloc::CountingAllocator = alloc::CountingAllocator;
-
-/// Parses a `MORLOG_TXS`-style transaction-count override.
-///
-/// # Errors
-///
-/// Returns a message when the value is not a positive integer (`100k`,
-/// `1e5` and friends are rejected rather than silently ignored).
-pub fn parse_txs(raw: &str) -> Result<usize, String> {
-    match raw.trim().parse::<usize>() {
-        Ok(n) if n > 0 => Ok(n),
-        Ok(_) => Err(format!("MORLOG_TXS={raw:?} must be at least 1")),
-        Err(_) => Err(format!(
-            "MORLOG_TXS={raw:?} is not a plain positive integer (suffixes like \"100k\" are not supported)"
-        )),
-    }
-}
-
-/// Scales a default transaction count by the `MORLOG_TXS` override.
-///
-/// An unset variable keeps the default; a *malformed* one aborts the
-/// binary with a loud stderr message instead of quietly running the wrong
-/// experiment.
-pub fn scaled_txs(default: usize) -> usize {
-    match std::env::var("MORLOG_TXS") {
-        Err(_) => default,
-        Ok(raw) => parse_txs(&raw).unwrap_or_else(|e| {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }),
-    }
-}
-
-/// Parses a `MORLOG_JOBS`-style worker-count override.
-///
-/// # Errors
-///
-/// Returns a message when the value is not a positive integer.
-pub fn parse_jobs(raw: &str) -> Result<usize, String> {
-    match raw.trim().parse::<usize>() {
-        Ok(n) if n > 0 => Ok(n),
-        _ => Err(format!(
-            "MORLOG_JOBS={raw:?} is not a positive integer worker count"
-        )),
-    }
-}
-
-/// Sweep parallelism from `MORLOG_JOBS`, defaulting to the machine's
-/// available parallelism. A malformed value aborts loudly, like
-/// [`scaled_txs`].
-pub fn jobs_from_env() -> usize {
-    match std::env::var("MORLOG_JOBS") {
-        Err(_) => std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
-        Ok(raw) => parse_jobs(&raw).unwrap_or_else(|e| {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }),
-    }
-}
 
 /// A configuration tweak applied after design defaults. `Arc<dyn Fn>`
 /// (rather than a bare `fn` pointer) so sweep points can capture their
@@ -344,7 +285,7 @@ pub struct SweepRunner {
 impl SweepRunner {
     /// A runner sized by `MORLOG_JOBS` (default: available parallelism).
     pub fn from_env() -> Self {
-        Self::with_jobs(jobs_from_env())
+        Self::with_jobs(knobs::jobs())
     }
 
     /// A runner with an explicit worker count (>= 1 enforced).
@@ -527,7 +468,7 @@ fn maybe_dump_trace(spec: &RunSpec, tracer: &Tracer) {
     if !tracer.is_enabled() {
         return;
     }
-    let Ok(dir) = std::env::var("MORLOG_TRACE_DIR") else {
+    let Some(dir) = knobs::trace_dir() else {
         return;
     };
     let name = format!(

@@ -142,7 +142,7 @@ impl ResultSink {
     /// default `results/`, created if missing). Reports the path on stderr
     /// so table output on stdout stays byte-identical across runs.
     pub fn finish(self) {
-        let dir = std::env::var("MORLOG_RESULTS_DIR").unwrap_or_else(|_| "results".to_string());
+        let dir = morlog_sim_core::knobs::results_dir();
         let path = std::path::Path::new(&dir).join(format!("{}.json", self.bench));
         let doc = self.document();
         debug_assert_eq!(validate_document(&doc), Ok(()));

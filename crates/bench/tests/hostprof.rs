@@ -1,8 +1,9 @@
 //! Host-profiler integration gates: the phase-sum ≤ wall invariant and
 //! counter determinism on real sweeps, shard-merge associativity, the
-//! disabled-path overhead budget at `quick_check 2000 hash` scale, and
-//! strict exit-2 parsing of `MORLOG_HOSTPROF` / `MORLOG_DIFF_RATIO` in
-//! the shipped binaries.
+//! disabled-path overhead budget at `quick_check 2000 hash` scale,
+//! strict exit-2 parsing of `MORLOG_HOSTPROF` / `MORLOG_DIFF_RATIO` /
+//! `MORLOG_SEED` in the shipped binaries, and `perf_trend` reading the
+//! `MORLOG_PERF_HISTORY` file `perf_report` appends to.
 //!
 //! The profiler's enable flag is process-global, so every in-process
 //! assertion that flips it lives in the single
@@ -212,6 +213,67 @@ fn malformed_hostprof_env_exits_2() {
     assert_eq!(out.status.code(), Some(2), "quick_check must exit 2");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("MORLOG_HOSTPROF"), "stderr: {stderr}");
+}
+
+#[test]
+fn malformed_crash_matrix_seed_exits_2() {
+    let tmp = std::env::temp_dir();
+    for (arg, env, label) in [
+        (None, Some("abc"), "MORLOG_SEED"),
+        (Some("abc"), None, "seed argument"),
+    ] {
+        let mut cmd = Command::new(env!("CARGO_BIN_EXE_crash_matrix"));
+        cmd.args(arg).env("MORLOG_RESULTS_DIR", &tmp);
+        match env {
+            Some(raw) => cmd.env("MORLOG_SEED", raw),
+            None => cmd.env_remove("MORLOG_SEED"),
+        };
+        let out = cmd.output().expect("spawn crash_matrix");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
+        assert!(stderr.contains(label), "stderr: {stderr}");
+        // The seed is parsed before the matrix header prints or any cell runs.
+        assert!(
+            out.stdout.is_empty(),
+            "stdout: {}",
+            String::from_utf8_lossy(&out.stdout)
+        );
+    }
+}
+
+#[test]
+fn perf_trend_reads_perf_history_env() {
+    let dir = std::env::temp_dir().join(format!("morlog-perf-trend-{}", std::process::id()));
+    let empty_results = dir.join("results");
+    std::fs::create_dir_all(&empty_results).expect("create temp dir");
+    let history = dir.join("history.jsonl");
+    std::fs::write(
+        &history,
+        "{\"kind\":\"perf_history\",\"git\":\"abc1234\",\"unix_ms\":1,\"entries\":\
+         [{\"design\":\"MorLog-SLDE\",\"workload\":\"hash\",\"sim_rate_cps\":2000000}]}\n",
+    )
+    .expect("write history");
+    // The results directory holds no history: only MORLOG_PERF_HISTORY
+    // leads to the file.
+    let out = Command::new(env!("CARGO_BIN_EXE_perf_trend"))
+        .env("MORLOG_PERF_HISTORY", &history)
+        .env("MORLOG_RESULTS_DIR", &empty_results)
+        .output()
+        .expect("spawn perf_trend");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(
+        stdout.contains(history.to_str().unwrap()),
+        "stdout: {stdout}"
+    );
+    assert!(stdout.contains("MorLog-SLDE"), "stdout: {stdout}");
+    assert!(stdout.contains("abc1234..abc1234"), "stdout: {stdout}");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

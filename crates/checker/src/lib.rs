@@ -368,153 +368,10 @@ pub fn double_store_trace(cfg: &SystemConfig, txs_per_thread: usize) -> Workload
     }
 }
 
-/// Parses a `MORLOG_CHECK_MAX_POINTS` value: a cap on explored crash
-/// points.
-///
-/// # Errors
-///
-/// Returns a message when the value is not a plain positive integer.
-pub fn parse_check_max_points(raw: &str) -> Result<u64, String> {
-    match raw.trim().parse::<u64>() {
-        Ok(n) if n > 0 => Ok(n),
-        Ok(_) => Err(format!(
-            "MORLOG_CHECK_MAX_POINTS={raw:?} must be at least 1"
-        )),
-        Err(_) => Err(format!(
-            "MORLOG_CHECK_MAX_POINTS={raw:?} is not a plain positive integer \
-             (suffixes like \"10k\" are not supported)"
-        )),
-    }
-}
-
-/// The crash-point cap from `MORLOG_CHECK_MAX_POINTS`. An unset variable
-/// means exhaustive exploration; a malformed one aborts with exit code 2,
-/// matching the `MORLOG_TXS`/`MORLOG_JOBS` convention.
-pub fn check_max_points_from_env() -> Option<u64> {
-    match std::env::var("MORLOG_CHECK_MAX_POINTS") {
-        Err(_) => None,
-        Ok(raw) => Some(parse_check_max_points(&raw).unwrap_or_else(|e| {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        })),
-    }
-}
-
-/// Parses a `MORLOG_CHECK_SHARDS` value: the replay worker count.
-///
-/// # Errors
-///
-/// Returns a message when the value is not a positive integer.
-pub fn parse_check_shards(raw: &str) -> Result<usize, String> {
-    match raw.trim().parse::<usize>() {
-        Ok(n) if n > 0 => Ok(n),
-        _ => Err(format!(
-            "MORLOG_CHECK_SHARDS={raw:?} is not a positive integer shard count"
-        )),
-    }
-}
-
-/// The shard count from `MORLOG_CHECK_SHARDS`. An unset variable lets the
-/// caller pick a default; a malformed one aborts with exit code 2,
-/// matching the `MORLOG_TXS`/`MORLOG_JOBS` convention.
-pub fn check_shards_from_env() -> Option<usize> {
-    match std::env::var("MORLOG_CHECK_SHARDS") {
-        Err(_) => None,
-        Ok(raw) => Some(parse_check_shards(&raw).unwrap_or_else(|e| {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        })),
-    }
-}
-
-/// Parses a `MORLOG_FUZZ_POINTS` value: base crash points per fuzz
-/// campaign (the deterministic size knob — two runs with equal seeds and
-/// points produce byte-identical reports).
-///
-/// # Errors
-///
-/// Returns a message when the value is not a plain positive integer.
-pub fn parse_fuzz_points(raw: &str) -> Result<u64, String> {
-    match raw.trim().parse::<u64>() {
-        Ok(n) if n > 0 => Ok(n),
-        Ok(_) => Err(format!("MORLOG_FUZZ_POINTS={raw:?} must be at least 1")),
-        Err(_) => Err(format!(
-            "MORLOG_FUZZ_POINTS={raw:?} is not a plain positive integer \
-             (suffixes like \"10k\" are not supported)"
-        )),
-    }
-}
-
-/// The campaign size from `MORLOG_FUZZ_POINTS`. An unset variable lets
-/// the caller pick a default; a malformed one aborts with exit code 2,
-/// matching the `MORLOG_TXS`/`MORLOG_JOBS` convention.
-pub fn fuzz_points_from_env() -> Option<u64> {
-    match std::env::var("MORLOG_FUZZ_POINTS") {
-        Err(_) => None,
-        Ok(raw) => Some(parse_fuzz_points(&raw).unwrap_or_else(|e| {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        })),
-    }
-}
-
-/// Parses a `MORLOG_FUZZ_BUDGET_MS` value: a wall-clock budget for the
-/// nightly deep campaign. Campaign *rounds* stop once the budget is
-/// spent, so the report depends on machine speed — use
-/// `MORLOG_FUZZ_POINTS` instead wherever determinism matters (shard
-/// diffing, per-PR smoke).
-///
-/// # Errors
-///
-/// Returns a message when the value is not a plain positive integer.
-pub fn parse_fuzz_budget_ms(raw: &str) -> Result<u64, String> {
-    match raw.trim().parse::<u64>() {
-        Ok(n) if n > 0 => Ok(n),
-        Ok(_) => Err(format!("MORLOG_FUZZ_BUDGET_MS={raw:?} must be at least 1")),
-        Err(_) => Err(format!(
-            "MORLOG_FUZZ_BUDGET_MS={raw:?} is not a plain positive integer \
-             millisecond count (suffixes like \"5s\" are not supported)"
-        )),
-    }
-}
-
-/// The wall-clock budget from `MORLOG_FUZZ_BUDGET_MS`. An unset variable
-/// means no budget (run the configured rounds to completion); a malformed
-/// one aborts with exit code 2, matching the `MORLOG_TXS`/`MORLOG_JOBS`
-/// convention.
-pub fn fuzz_budget_ms_from_env() -> Option<u64> {
-    match std::env::var("MORLOG_FUZZ_BUDGET_MS") {
-        Err(_) => None,
-        Ok(raw) => Some(parse_fuzz_budget_ms(&raw).unwrap_or_else(|e| {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        })),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use morlog_sim_core::DesignKind;
-
-    #[test]
-    fn max_points_parsing_is_strict() {
-        assert_eq!(parse_check_max_points("128"), Ok(128));
-        assert_eq!(parse_check_max_points(" 7 "), Ok(7));
-        assert!(parse_check_max_points("0").is_err());
-        assert!(parse_check_max_points("10k").is_err());
-        assert!(parse_check_max_points("-3").is_err());
-        assert!(parse_check_max_points("").is_err());
-    }
-
-    #[test]
-    fn shards_parsing_is_strict() {
-        assert_eq!(parse_check_shards("4"), Ok(4));
-        assert_eq!(parse_check_shards(" 1 "), Ok(1));
-        assert!(parse_check_shards("0").is_err());
-        assert!(parse_check_shards("four").is_err());
-        assert!(parse_check_shards("1.5").is_err());
-    }
 
     #[test]
     fn pruning_skips_silent_points_and_cap_records_drops() {

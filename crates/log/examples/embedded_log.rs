@@ -11,17 +11,36 @@
 //! cargo run --release -p morlog-log --example embedded_log
 //! ```
 //!
-//! The backing directory and fsync policy follow the crate's environment
-//! variables when set (`MORLOG_LOG_DIR`, `MORLOG_LOG_SYNC`); malformed
-//! values abort with exit code 2 like every other knob in this repository.
+//! The backing directory and fsync policy follow `MORLOG_LOG_DIR` and
+//! `MORLOG_LOG_SYNC` when set; malformed values abort with exit code 2
+//! like every other knob in this repository. The bench binaries read
+//! these through `morlog_sim_core::knobs`; this example parses them itself
+//! so that its dependency path stays simulator-free.
 
-use morlog_log::env::{log_dir_from_env, log_sync_from_env};
+use std::path::PathBuf;
+use std::str::FromStr;
+
 use morlog_log::{Log, LogConfig, MmapDomain, SyncMode};
+
+/// The variable's parsed value, `None` when unset; exits 2 when malformed.
+fn knob<T>(name: &str, parse: impl FnOnce(&str) -> Result<T, String>) -> Option<T> {
+    let raw = std::env::var(name).ok()?;
+    Some(parse(&raw).unwrap_or_else(|e| {
+        eprintln!("error: {name}={raw:?} {e}");
+        std::process::exit(2);
+    }))
+}
 
 fn main() {
     let cfg = LogConfig::small();
-    let dir = log_dir_from_env().unwrap_or_else(std::env::temp_dir);
-    let sync = log_sync_from_env().unwrap_or(SyncMode::Always);
+    let dir = knob("MORLOG_LOG_DIR", |raw| {
+        let dir = PathBuf::from(raw.trim());
+        dir.is_dir()
+            .then_some(dir)
+            .ok_or_else(|| "is not an existing directory".to_string())
+    })
+    .unwrap_or_else(std::env::temp_dir);
+    let sync = knob("MORLOG_LOG_SYNC", SyncMode::from_str).unwrap_or(SyncMode::Always);
     let path = dir.join(format!("morlog-embedded-log-{}", std::process::id()));
 
     // A fresh log over a fresh backing file.

@@ -30,8 +30,6 @@
 //! * [`engine`] — [`Log`], the transactional log engine: write-ahead
 //!   undo+redo append, commit records with cross-slice timestamps, log
 //!   truncation and full crash recovery over any [`PersistDomain`].
-//! * [`env`] — strict parsing for the `MORLOG_LOG_DIR` / `MORLOG_LOG_SYNC`
-//!   environment variables (malformed values are errors, never defaults).
 //!
 //! The simulator shares this crate's record, kind and transaction-table
 //! types and its recovery planner, but not its ring: the cycle engine still
@@ -60,7 +58,6 @@
 
 pub mod domain;
 pub mod engine;
-pub mod env;
 pub mod image;
 pub mod mem;
 pub mod mmap;

@@ -18,6 +18,7 @@ use std::fs::{File, OpenOptions};
 use std::io;
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
+use std::str::FromStr;
 
 use crate::domain::{PersistDomain, RegionId};
 use crate::engine::LogConfig;
@@ -32,6 +33,20 @@ pub enum SyncMode {
     /// Never `fsync`; drains only write through to the page cache. Fast,
     /// and still crash-consistent against process death (not power loss).
     Never,
+}
+
+impl FromStr for SyncMode {
+    type Err = String;
+
+    /// Parses `always` or `never` (case-sensitive, surrounding whitespace
+    /// ignored).
+    fn from_str(s: &str) -> Result<Self, String> {
+        match s.trim() {
+            "always" => Ok(SyncMode::Always),
+            "never" => Ok(SyncMode::Never),
+            _ => Err("must be \"always\" or \"never\"".into()),
+        }
+    }
 }
 
 /// File magic: identifies a morlog-log backing file ("MORLOGv1").

@@ -15,8 +15,8 @@
 //! # Gating
 //!
 //! Profiling is controlled by the `MORLOG_HOSTPROF` environment variable,
-//! parsed strictly on first use (malformed values terminate the process
-//! with exit code 2, like `MORLOG_TRACE` and the other knobs).  When
+//! read through [`crate::knobs`] on first use (malformed values terminate
+//! the process with exit code 2, like every other knob).  When
 //! disabled — the default — every instrumentation site costs a single
 //! relaxed atomic load and a branch, keeping the overhead within the same
 //! ≤2% budget the tracer obeys.  Benchmarks that always profile (the
@@ -42,13 +42,6 @@ use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::time::Instant;
-
-/// Environment variable that gates host profiling.
-///
-/// Accepted values: unset, empty, `0`, or `false` disable profiling;
-/// `1` or `true` enable it.  Anything else is a fatal configuration error
-/// (exit code 2).
-pub const HOSTPROF_ENV: &str = "MORLOG_HOSTPROF";
 
 /// Number of distinct [`HostPhase`] values.
 pub const HOST_PHASE_COUNT: usize = 8;
@@ -224,32 +217,9 @@ impl ScopeState {
     }
 }
 
-/// Parse a raw `MORLOG_HOSTPROF` value.
-///
-/// Empty, `0`, and `false` disable profiling; `1` and `true` enable it.
-/// Anything else is an error (callers exit with status 2).
-pub fn parse_hostprof_env(raw: &str) -> Result<bool, String> {
-    match raw.trim() {
-        "" | "0" | "false" => Ok(false),
-        "1" | "true" => Ok(true),
-        other => Err(format!(
-            "invalid {HOSTPROF_ENV} value {other:?}: expected 0/false/1/true"
-        )),
-    }
-}
-
 #[cold]
 fn init_from_env() -> bool {
-    let on = match std::env::var(HOSTPROF_ENV) {
-        Err(_) => false,
-        Ok(raw) => match parse_hostprof_env(&raw) {
-            Ok(on) => on,
-            Err(msg) => {
-                eprintln!("error: {msg}");
-                std::process::exit(2);
-            }
-        },
-    };
+    let on = crate::knobs::hostprof();
     STATE.store(if on { STATE_ON } else { STATE_OFF }, Ordering::Relaxed);
     on
 }
@@ -565,18 +535,6 @@ impl HostProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn parse_hostprof_values() {
-        assert_eq!(parse_hostprof_env(""), Ok(false));
-        assert_eq!(parse_hostprof_env("0"), Ok(false));
-        assert_eq!(parse_hostprof_env("false"), Ok(false));
-        assert_eq!(parse_hostprof_env("1"), Ok(true));
-        assert_eq!(parse_hostprof_env("true"), Ok(true));
-        assert!(parse_hostprof_env("yes").is_err());
-        assert!(parse_hostprof_env("2").is_err());
-        assert!(parse_hostprof_env("on").is_err());
-    }
 
     #[test]
     fn labels_are_stable_and_unique() {

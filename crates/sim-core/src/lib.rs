@@ -28,6 +28,7 @@ pub mod config;
 pub mod fault;
 pub mod hostprof;
 pub mod ids;
+pub mod knobs;
 pub mod metrics;
 pub mod persist;
 pub mod rng;

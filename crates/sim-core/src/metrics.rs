@@ -23,11 +23,6 @@ use morlog_log::record::RecordKind;
 /// `[2^63, u64::MAX]`.
 pub const HIST_BUCKETS: usize = 65;
 
-/// Environment variable selecting the time-series sample period in
-/// cycles. `0` disables sampling; malformed values abort with exit
-/// code 2 (same convention as `MORLOG_TXS` / `MORLOG_JOBS`).
-pub const SAMPLE_ENV: &str = "MORLOG_SAMPLE_CYCLES";
-
 /// Default sample period when `MORLOG_SAMPLE_CYCLES` is unset: one
 /// sample every 8192 cycles keeps series small (a 2000-transaction
 /// `quick_check` run yields a few hundred points per design) while
@@ -471,35 +466,6 @@ impl MetricsSet {
     }
 }
 
-/// Parse a `MORLOG_SAMPLE_CYCLES` value: a non-negative integer number
-/// of cycles, where 0 disables sampling.
-pub fn parse_sample_cycles(raw: &str) -> Result<Cycle, String> {
-    let trimmed = raw.trim();
-    if trimmed.is_empty() {
-        return Err(format!(
-            "{SAMPLE_ENV} must be a cycle count, got empty string"
-        ));
-    }
-    trimmed.parse::<Cycle>().map_err(|_| {
-        format!("{SAMPLE_ENV} must be a non-negative integer cycle count (0 disables sampling), got {raw:?}")
-    })
-}
-
-/// Read `MORLOG_SAMPLE_CYCLES` from the environment. Returns `None`
-/// when unset (caller falls back to its configured default); exits
-/// with code 2 on a malformed value, matching the `MORLOG_TXS` /
-/// `MORLOG_JOBS` convention.
-pub fn sample_cycles_from_env() -> Option<Cycle> {
-    let raw = std::env::var(SAMPLE_ENV).ok()?;
-    match parse_sample_cycles(&raw) {
-        Ok(v) => Some(v),
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -649,15 +615,5 @@ mod tests {
         c.record_commit(0, 5, 20, 21, false);
         assert_eq!(c.dp_persist_lag.count(), 1);
         assert_eq!(c.persist_to_complete.max(), 1);
-    }
-
-    #[test]
-    fn sample_cycles_parser_is_strict() {
-        assert_eq!(parse_sample_cycles("0"), Ok(0));
-        assert_eq!(parse_sample_cycles(" 8192 "), Ok(8192));
-        assert!(parse_sample_cycles("").is_err());
-        assert!(parse_sample_cycles("-1").is_err());
-        assert!(parse_sample_cycles("8k").is_err());
-        assert!(parse_sample_cycles("1.5").is_err());
     }
 }

@@ -39,27 +39,6 @@ use crate::timing::Cycle;
 /// Default ring capacity when tracing is enabled without an explicit size.
 pub const DEFAULT_TRACE_CAPACITY: usize = 65_536;
 
-/// The environment variable that force-enables tracing for every run.
-pub const TRACE_ENV: &str = "MORLOG_TRACE";
-
-/// Parses a `MORLOG_TRACE` value: `Ok(None)` disables tracing
-/// (empty/`0`/`false`), `Ok(Some(capacity))` enables it (`1`/`true` →
-/// [`DEFAULT_TRACE_CAPACITY`], any other non-negative integer → that
-/// ring capacity). Anything else is an error so a typo cannot silently
-/// drop a trace.
-pub fn parse_trace_env(raw: &str) -> Result<Option<usize>, String> {
-    match raw.trim() {
-        "" | "0" | "false" => Ok(None),
-        "1" | "true" => Ok(Some(DEFAULT_TRACE_CAPACITY)),
-        other => other.parse::<usize>().map(Some).map_err(|_| {
-            format!(
-                "{TRACE_ENV} must be 0/false, 1/true, or a ring capacity \
-                 in records, got {raw:?}"
-            )
-        }),
-    }
-}
-
 /// A word's position in the Fig. 8 logging state machine, as seen by the
 /// trace stream. Mirrors the cache crate's `WordLogState` without a
 /// dependency (sim-core is the leaf crate).
@@ -435,23 +414,11 @@ impl Tracer {
         }
     }
 
-    /// Builds a handle from the `MORLOG_TRACE` environment variable:
-    /// unset/empty/`0`/`false` → disabled; `1`/`true` → enabled with
-    /// [`DEFAULT_TRACE_CAPACITY`]; any other integer → enabled with that
-    /// capacity. A malformed value aborts with exit code 2, matching the
-    /// `MORLOG_TXS` / `MORLOG_JOBS` convention.
+    /// Builds a handle from the `MORLOG_TRACE` knob
+    /// ([`crate::knobs::trace`]): disabled when unset or off, else
+    /// enabled with the knob's ring capacity.
     pub fn from_env() -> Self {
-        match std::env::var(TRACE_ENV) {
-            Err(_) => Tracer::disabled(),
-            Ok(v) => match parse_trace_env(&v) {
-                Ok(None) => Tracer::disabled(),
-                Ok(Some(n)) => Tracer::with_capacity(n),
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    std::process::exit(2);
-                }
-            },
-        }
+        crate::knobs::trace().map_or_else(Tracer::disabled, Tracer::with_capacity)
     }
 
     /// Whether events are being collected.
@@ -619,8 +586,8 @@ mod tests {
 
     #[test]
     fn env_parsing() {
-        // Uses explicit constructors; from_env is exercised by the bench
-        // harness integration (environment mutation is racy in tests).
+        // Uses explicit constructors; the MORLOG_TRACE grammar is tested
+        // in knobs.rs (environment mutation is racy in tests).
         assert!(!Tracer::default().is_enabled());
         assert!(Tracer::with_capacity(1).is_enabled());
     }

@@ -182,7 +182,7 @@ impl System {
             Tracer::from_env()
         };
         let sample_period =
-            morlog_sim_core::metrics::sample_cycles_from_env().unwrap_or(cfg.metrics.sample_cycles);
+            morlog_sim_core::knobs::sample_cycles().unwrap_or(cfg.metrics.sample_cycles);
         let mut mc = MemoryController::new(cfg.mem, cfg.cores.frequency, map, codec);
         mc.set_secure_mode(secure);
         mc.set_tracer(tracer.clone());
