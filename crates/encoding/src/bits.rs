@@ -4,13 +4,14 @@
 //! words that [`crate::expansion::map_payload`] spreads over cells. The bit
 //! reader implements the decode path used during recovery.
 
-/// Packs variable-width fields into a little-endian bit stream.
+/// Packs variable-width fields into a little-endian bit stream of at most
+/// `WORDS` 64-bit words, stored inline (no heap allocation).
 ///
 /// # Example
 ///
 /// ```
 /// use morlog_encoding::bits::{BitReader, BitWriter};
-/// let mut w = BitWriter::new();
+/// let mut w = BitWriter::<1>::new();
 /// w.push(0b101, 3);
 /// w.push(0xFF, 8);
 /// let (words, bits) = w.finish();
@@ -19,13 +20,22 @@
 /// assert_eq!(r.pull(3), 0b101);
 /// assert_eq!(r.pull(8), 0xFF);
 /// ```
-#[derive(Debug, Clone, Default)]
-pub struct BitWriter {
-    words: Vec<u64>,
+#[derive(Debug, Clone)]
+pub struct BitWriter<const WORDS: usize> {
+    words: [u64; WORDS],
     bits: usize,
 }
 
-impl BitWriter {
+impl<const WORDS: usize> Default for BitWriter<WORDS> {
+    fn default() -> Self {
+        BitWriter {
+            words: [0; WORDS],
+            bits: 0,
+        }
+    }
+}
+
+impl<const WORDS: usize> BitWriter<WORDS> {
     /// Creates an empty stream.
     pub fn new() -> Self {
         BitWriter::default()
@@ -35,7 +45,8 @@ impl BitWriter {
     ///
     /// # Panics
     ///
-    /// Panics if `width > 64` or `value` has bits above `width`.
+    /// Panics if `width > 64`, `value` has bits above `width`, or the
+    /// stream would outgrow its `WORDS` words.
     pub fn push(&mut self, value: u64, width: u32) {
         assert!(width <= 64, "field width {width} too large");
         assert!(
@@ -45,15 +56,15 @@ impl BitWriter {
         if width == 0 {
             return;
         }
+        assert!(
+            self.bits + width as usize <= WORDS * 64,
+            "bit stream overflows {WORDS} words"
+        );
         let word_idx = self.bits / 64;
         let bit_idx = (self.bits % 64) as u32;
-        if self.words.len() <= word_idx {
-            self.words.push(0);
-        }
         self.words[word_idx] |= value << bit_idx;
-        let spill = bit_idx + width;
-        if spill > 64 {
-            self.words.push(value >> (64 - bit_idx));
+        if bit_idx + width > 64 {
+            self.words[word_idx + 1] = value >> (64 - bit_idx);
         }
         self.bits += width as usize;
     }
@@ -63,8 +74,9 @@ impl BitWriter {
         self.bits
     }
 
-    /// Finishes the stream, returning the packed words and the bit count.
-    pub fn finish(self) -> (Vec<u64>, usize) {
+    /// Finishes the stream, returning the packed words (unused words are
+    /// zero) and the bit count.
+    pub fn finish(self) -> ([u64; WORDS], usize) {
         (self.words, self.bits)
     }
 }
@@ -127,14 +139,14 @@ mod tests {
 
     #[test]
     fn empty_stream() {
-        let (words, bits) = BitWriter::new().finish();
-        assert!(words.is_empty());
+        let (words, bits) = BitWriter::<2>::new().finish();
+        assert_eq!(words, [0, 0]);
         assert_eq!(bits, 0);
     }
 
     #[test]
     fn cross_word_boundary() {
-        let mut w = BitWriter::new();
+        let mut w = BitWriter::<2>::new();
         w.push((1u64 << 60) - 1, 60);
         w.push(0b1011, 4);
         w.push(0xABCD, 16);
@@ -149,7 +161,7 @@ mod tests {
 
     #[test]
     fn full_width_fields() {
-        let mut w = BitWriter::new();
+        let mut w = BitWriter::<3>::new();
         w.push(0xDEAD_BEEF_CAFE_F00D, 64);
         w.push(1, 1);
         w.push(0x0123_4567_89AB_CDEF, 64);
@@ -162,7 +174,7 @@ mod tests {
 
     #[test]
     fn many_small_fields_round_trip() {
-        let mut w = BitWriter::new();
+        let mut w = BitWriter::<10>::new();
         for i in 0..200u64 {
             w.push(i % 8, 3);
         }
@@ -177,13 +189,21 @@ mod tests {
     #[test]
     #[should_panic(expected = "does not fit")]
     fn oversized_value_panics() {
-        BitWriter::new().push(0b100, 2);
+        BitWriter::<1>::new().push(0b100, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "overflows 1 words")]
+    fn overflowing_the_capacity_panics() {
+        let mut w = BitWriter::<1>::new();
+        w.push(0, 60);
+        w.push(0, 5);
     }
 
     #[test]
     #[should_panic(expected = "underrun")]
     fn underrun_panics() {
-        let mut w = BitWriter::new();
+        let mut w = BitWriter::<1>::new();
         w.push(3, 2);
         let (words, bits) = w.finish();
         BitReader::new(&words, bits).pull(3);
@@ -191,7 +211,7 @@ mod tests {
 
     #[test]
     fn zero_width_fields_are_noops() {
-        let mut w = BitWriter::new();
+        let mut w = BitWriter::<1>::new();
         w.push(0, 0);
         w.push(5, 3);
         let (words, bits) = w.finish();

@@ -105,6 +105,17 @@ impl CellModel {
         }
     }
 
+    /// The unscaled per-state program latencies (ns) and energies (pJ),
+    /// indexed by state bits.
+    pub(crate) fn write_tables(&self) -> (&[f64; 8], &[f64; 8]) {
+        (&self.latency_ns, &self.energy_pj)
+    }
+
+    /// The factor every program latency is scaled by.
+    pub(crate) fn write_latency_scale(&self) -> f64 {
+        self.write_latency_scale
+    }
+
     /// Program latency for writing `state` into a cell.
     pub fn write_latency(&self, state: CellState) -> NanoSeconds {
         NanoSeconds::new(self.latency_ns[state.bits() as usize] * self.write_latency_scale)

@@ -84,16 +84,25 @@ pub fn write_cost(
         (1..=BITS_PER_CELL).contains(&bits_per_cell),
         "bits_per_cell {bits_per_cell} out of range"
     );
-    let mut cost = WriteCost::silent();
+    // Raw per-state table lookups: scaling the maximum latency once equals
+    // taking the maximum of scaled latencies (scaling by a positive factor
+    // is monotone), and the energy is summed in cell order as before.
+    let (latency_ns, energy_pj) = model.write_tables();
+    let (mut latency, mut energy, mut programmed) = (0.0f64, 0.0f64, 0u64);
     for (&o, &n) in old.iter().zip(new.iter()) {
         if o != n {
-            cost.latency = cost.latency.max(model.write_latency(n));
-            cost.energy += model.write_energy(n);
-            cost.cells_programmed += 1;
+            let s = n.bits() as usize;
+            latency = latency.max(latency_ns[s]);
+            energy += energy_pj[s];
+            programmed += 1;
         }
     }
-    cost.bits_programmed = cost.cells_programmed * bits_per_cell as u64;
-    cost
+    WriteCost {
+        latency: NanoSeconds::new(latency * model.write_latency_scale()),
+        energy: PicoJoules::new(energy),
+        cells_programmed: programmed,
+        bits_programmed: programmed * bits_per_cell as u64,
+    }
 }
 
 /// Counts flipped *bits* between two equal-length state vectors (used by

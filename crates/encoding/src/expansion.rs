@@ -11,7 +11,10 @@
 //! The mode is chosen per write from the compression ratio: the widest
 //! expansion whose capacity still fits the payload.
 
+use morlog_sim_core::array_vec::ArrayVec;
+
 use crate::cell::{CellState, BITS_PER_CELL};
+use crate::slde::{SEGMENT_WORDS, WORD_REGION_CELLS};
 
 /// How payload bits are mapped onto cell states.
 ///
@@ -23,9 +26,10 @@ use crate::cell::{CellState, BITS_PER_CELL};
 /// assert_eq!(ExpansionMode::for_payload(300, 171), ExpansionMode::Idm2);
 /// assert_eq!(ExpansionMode::for_payload(500, 171), ExpansionMode::Tlc);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ExpansionMode {
     /// 1 bit per cell over the two cheapest states (`000`, `111`).
+    #[default]
     Idm1,
     /// 2 bits per cell over the four cheapest states
     /// (`111`, `000`, `001`, `110`).
@@ -121,8 +125,8 @@ impl ExpansionMode {
     }
 }
 
-/// A payload mapped onto a cell region: the target states DCW will compare
-/// against the stored states.
+/// A payload mapped onto a cell region of at most [`WORD_REGION_CELLS`]
+/// cells: the target states DCW will compare against the stored states.
 ///
 /// # Example
 ///
@@ -133,13 +137,13 @@ impl ExpansionMode {
 /// assert_eq!(w.mode.bits_per_cell(), 1);
 /// assert_eq!(w.states.len(), 4);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct MappedWrite {
     /// The expansion mode chosen for the region.
     pub mode: ExpansionMode,
     /// Target state per cell actually carrying payload. Cells beyond the
     /// payload are untouched (DCW never programs them).
-    pub states: Vec<CellState>,
+    pub states: ArrayVec<CellState, WORD_REGION_CELLS>,
 }
 
 /// Maps `payload_bits` bits (packed little-endian in `payload` words) onto a
@@ -149,7 +153,8 @@ pub struct MappedWrite {
 /// # Panics
 ///
 /// Panics if `payload_bits` exceeds the region's TLC capacity or the packed
-/// words provided.
+/// words provided, or the mapping needs more than [`WORD_REGION_CELLS`]
+/// cells.
 pub fn map_payload(payload: &[u64], payload_bits: usize, region_cells: usize) -> MappedWrite {
     let mode = ExpansionMode::for_payload(payload_bits, region_cells);
     map_payload_with_mode(payload, payload_bits, mode)
@@ -161,7 +166,8 @@ pub fn map_payload(payload: &[u64], payload_bits: usize, region_cells: usize) ->
 ///
 /// # Panics
 ///
-/// Panics if the packed words are shorter than `payload_bits`.
+/// Panics if the packed words are shorter than `payload_bits`, or the
+/// mapping needs more than [`WORD_REGION_CELLS`] cells.
 pub fn map_payload_with_mode(
     payload: &[u64],
     payload_bits: usize,
@@ -173,19 +179,17 @@ pub fn map_payload_with_mode(
     );
     let bpc = mode.bits_per_cell();
     let cells_used = payload_bits.div_ceil(bpc);
-    let mut states = Vec::with_capacity(cells_used);
+    let mut states = ArrayVec::new();
     for cell in 0..cells_used {
-        let mut chunk = 0u8;
-        for bit in 0..bpc {
-            let idx = cell * bpc + bit;
-            if idx < payload_bits {
-                let word = payload[idx / 64];
-                if (word >> (idx % 64)) & 1 == 1 {
-                    chunk |= 1 << bit;
-                }
-            }
+        // The cell's bits start at `idx`; past `payload_bits` they read 0.
+        let idx = cell * bpc;
+        let (word, shift) = (idx / 64, idx % 64);
+        let valid = bpc.min(payload_bits - idx);
+        let mut chunk = payload[word] >> shift;
+        if shift + valid > 64 {
+            chunk |= payload[word + 1] << (64 - shift);
         }
-        states.push(mode.map_chunk(chunk));
+        states.push(mode.map_chunk((chunk & ((1 << valid) - 1)) as u8));
     }
     MappedWrite { mode, states }
 }
@@ -193,9 +197,17 @@ pub fn map_payload_with_mode(
 /// Recovers the payload bits from a mapped region (the decode path).
 ///
 /// Returns the packed payload words.
-pub fn unmap_payload(write: &MappedWrite, payload_bits: usize) -> Vec<u64> {
+///
+/// # Panics
+///
+/// Panics if `payload_bits` exceeds `SEGMENT_WORDS` words.
+pub fn unmap_payload(write: &MappedWrite, payload_bits: usize) -> [u64; SEGMENT_WORDS] {
+    assert!(
+        payload_bits <= SEGMENT_WORDS * 64,
+        "payload of {payload_bits} bits exceeds one word region"
+    );
     let bpc = write.mode.bits_per_cell();
-    let mut words = vec![0u64; payload_bits.div_ceil(64).max(1)];
+    let mut words = [0u64; SEGMENT_WORDS];
     for (cell, &state) in write.states.iter().enumerate() {
         let chunk = write.mode.unmap_state(state);
         for bit in 0..bpc {
@@ -244,8 +256,8 @@ mod tests {
     #[test]
     fn map_unmap_round_trip() {
         let payload = [0xDEAD_BEEF_0123_4567u64, 0xFEED_FACE_CAFE_F00D];
-        for bits in [1usize, 7, 64, 65, 100, 128] {
-            for cells in [171usize, 80, 56] {
+        for bits in [1usize, 7, 24, 25, 48, 49, 64, 65, 72] {
+            for cells in [WORD_REGION_CELLS, 20, 16] {
                 if bits > 3 * cells {
                     continue;
                 }
@@ -271,16 +283,20 @@ mod tests {
 
     #[test]
     fn cells_used_matches_density() {
-        let payload = [u64::MAX; 8];
-        let w = map_payload(&payload, 171, 171); // exactly C bits -> IDM-1
+        let payload = [u64::MAX; 2];
+        let c = WORD_REGION_CELLS;
+        let w = map_payload(&payload, c, c); // exactly C bits -> IDM-1
         assert_eq!(w.mode, ExpansionMode::Idm1);
-        assert_eq!(w.states.len(), 171);
-        let w = map_payload(&payload, 342, 171);
+        assert_eq!(w.states.len(), 24);
+        let w = map_payload(&payload, 2 * c, c);
         assert_eq!(w.mode, ExpansionMode::Idm2);
-        assert_eq!(w.states.len(), 171);
-        let w = map_payload(&payload, 343, 171);
+        assert_eq!(w.states.len(), 24);
+        let w = map_payload(&payload, 2 * c + 1, c);
         assert_eq!(w.mode, ExpansionMode::Tlc);
-        assert_eq!(w.states.len(), 115); // ceil(343/3)
+        assert_eq!(w.states.len(), 17); // ceil(49/3)
+        let w = map_payload(&payload, 3 * c, c);
+        assert_eq!(w.mode, ExpansionMode::Tlc);
+        assert_eq!(w.states.len(), 24);
     }
 
     #[test]

@@ -21,10 +21,11 @@
 //! The same type also implements the CRADE baseline \[61\] (FPC + expansion
 //! coding with no DLDC path) by construction: see [`SldeCodec::crade`].
 
+use morlog_sim_core::array_vec::ArrayVec;
 use morlog_sim_core::{LineData, WORDS_PER_LINE};
 
 use crate::bits::{BitReader, BitWriter};
-use crate::cell::CellModel;
+use crate::cell::{CellModel, BITS_PER_CELL};
 use crate::dldc::{self, DldcEncoded, DldcPattern, DIRTY_FLAG_BITS, DLDC_TAG_BITS};
 use crate::expansion::{map_payload, map_payload_with_mode, ExpansionMode, MappedWrite};
 use crate::fpc::{self, FpcEncoded, FpcPattern, FPC_TAG_BITS};
@@ -34,6 +35,15 @@ use crate::fpc::{self, FpcEncoded, FpcPattern, FPC_TAG_BITS};
 /// plus a 2-bit encoding-type flag).
 pub const WORD_REGION_CELLS: usize = 24;
 
+/// Packed 64-bit words one word region's payload fits in (72 bits).
+pub const SEGMENT_WORDS: usize = (WORD_REGION_CELLS * BITS_PER_CELL).div_ceil(64);
+
+/// Most log-data words one log entry carries (`[undo, redo]`).
+pub const MAX_LOG_DATA_WORDS: usize = 2;
+
+/// The encoder choices of one log entry's data words.
+pub type Choices = ArrayVec<EncodingChoice, MAX_LOG_DATA_WORDS>;
+
 /// Cells backing one 64-byte block: eight word regions.
 pub const BLOCK_CELLS: usize = WORDS_PER_LINE * WORD_REGION_CELLS;
 
@@ -42,9 +52,10 @@ pub const BLOCK_CELLS: usize = WORDS_PER_LINE * WORD_REGION_CELLS;
 pub const CHOICE_FLAG_BITS: u32 = 2;
 
 /// How one log-data word ended up encoded.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum EncodingChoice {
     /// Whole word compressed by FPC (the CRADE path).
+    #[default]
     Fpc,
     /// Clean bytes discarded and dirty bytes pattern-compressed by DLDC.
     Dldc,
@@ -83,7 +94,7 @@ impl EncodingChoice {
 /// let m = LogWordRequest::metadata(42);
 /// assert!(!m.log_data);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct LogWordRequest {
     /// The value to store.
     pub new: u64,
@@ -136,15 +147,16 @@ pub struct EncodedLogWord {
 }
 
 /// A fully encoded write: one mapped sub-region per word, each starting at
-/// `index × WORD_REGION_CELLS` within the block or slot.
+/// `index × WORD_REGION_CELLS` within the block or slot. Stored inline: a
+/// block or a log entry has at most [`WORDS_PER_LINE`] words.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EncodedRegion {
     /// Per-word mapped payloads, in word order.
-    pub segments: Vec<MappedWrite>,
+    pub segments: ArrayVec<MappedWrite, WORDS_PER_LINE>,
     /// Total encoded payload bits across segments (pre-expansion).
     pub payload_bits: usize,
     /// Encoder choice per log-data word, in request order.
-    pub choices: Vec<EncodingChoice>,
+    pub choices: Choices,
 }
 
 impl EncodedRegion {
@@ -208,7 +220,7 @@ impl SldeCodec {
         &self.model
     }
 
-    fn map_segment(&self, writer: BitWriter) -> MappedWrite {
+    fn map_segment(&self, writer: BitWriter<SEGMENT_WORDS>) -> MappedWrite {
         let (words, bits) = writer.finish();
         if self.expansion {
             map_payload(&words, bits, WORD_REGION_CELLS)
@@ -222,7 +234,7 @@ impl SldeCodec {
     /// Fig. 11 "Write C1" path where the evicted cache line A is compressed
     /// by FPC "because they are not log data".
     pub fn encode_data_block(&self, line: &LineData) -> EncodedRegion {
-        let mut segments = Vec::with_capacity(WORDS_PER_LINE);
+        let mut segments = ArrayVec::new();
         let mut payload_bits = 0;
         for i in 0..WORDS_PER_LINE {
             let mut w = BitWriter::new();
@@ -233,7 +245,7 @@ impl SldeCodec {
         EncodedRegion {
             segments,
             payload_bits,
-            choices: Vec::new(),
+            choices: Choices::new(),
         }
     }
 
@@ -265,6 +277,11 @@ impl SldeCodec {
     /// the SLDE selector, each into its own sub-region. `dldc_budget` bounds
     /// how many data words may use DLDC (the paper never DLDC-compresses
     /// both the undo and the redo word of one entry, §IV-B).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the words do not fit `region_cells`, or `data` holds more
+    /// than [`MAX_LOG_DATA_WORDS`] words.
     pub fn encode_log_entry(
         &self,
         meta: &[u64],
@@ -277,33 +294,43 @@ impl SldeCodec {
             "entry of {} words exceeds slot of {region_cells} cells",
             meta.len() + data.len()
         );
-        // Decide choices first: rank DLDC-eligible words by savings.
-        let mut choices = vec![EncodingChoice::Fpc; data.len()];
-        if self.use_dldc && dldc_budget > 0 {
-            let mut candidates: Vec<(usize, u32, EncodingChoice)> = Vec::new();
-            for (i, req) in data.iter().enumerate() {
-                if !req.log_data {
-                    continue;
-                }
-                let fpc_bits = FPC_TAG_BITS + fpc::compress_word(req.new).pattern.payload_bits();
-                if let Some(enc) = dldc::compress_dirty(req.new, req.dirty_mask) {
-                    let dldc_bits = enc.total_bits_with_flag();
-                    if dldc_bits < fpc_bits {
-                        let choice = if enc.pattern == DldcPattern::Raw {
-                            EncodingChoice::DldcRaw
-                        } else {
-                            EncodingChoice::Dldc
-                        };
-                        candidates.push((i, fpc_bits - dldc_bits, choice));
-                    }
-                }
+        assert!(
+            data.len() <= MAX_LOG_DATA_WORDS,
+            "entry of {} data words exceeds {MAX_LOG_DATA_WORDS}",
+            data.len()
+        );
+        // Encode every data word once, then decide choices: rank the
+        // words DLDC shrinks by their savings.
+        let mut fpc_words = [None; MAX_LOG_DATA_WORDS];
+        let mut dldc_words = [None; MAX_LOG_DATA_WORDS];
+        let mut candidates: ArrayVec<(usize, u32), MAX_LOG_DATA_WORDS> = ArrayVec::new();
+        for (i, req) in data.iter().enumerate() {
+            let fpc = fpc::compress_word(req.new);
+            fpc_words[i] = Some(fpc);
+            if !(self.use_dldc && dldc_budget > 0 && req.log_data) {
+                continue;
             }
-            candidates.sort_by_key(|&(_, savings, _)| std::cmp::Reverse(savings));
-            for &(i, _, choice) in candidates.iter().take(dldc_budget) {
-                choices[i] = choice;
+            let fpc_bits = FPC_TAG_BITS + fpc.pattern.payload_bits();
+            if let Some(enc) = dldc::compress_dirty(req.new, req.dirty_mask) {
+                let dldc_bits = enc.total_bits_with_flag();
+                if dldc_bits < fpc_bits {
+                    dldc_words[i] = Some(enc);
+                    candidates.push((i, fpc_bits - dldc_bits));
+                }
             }
         }
-        let mut segments = Vec::with_capacity(meta.len() + data.len());
+        candidates.sort_by_key(|&(_, savings)| std::cmp::Reverse(savings));
+        let mut choices: Choices = data.iter().map(|_| EncodingChoice::Fpc).collect();
+        for &(i, _) in candidates.iter().take(dldc_budget) {
+            choices[i] = match dldc_words[i] {
+                Some(DldcEncoded {
+                    pattern: DldcPattern::Raw,
+                    ..
+                }) => EncodingChoice::DldcRaw,
+                _ => EncodingChoice::Dldc,
+            };
+        }
+        let mut segments = ArrayVec::new();
         let mut payload_bits = 0;
         for &m in meta {
             let mut w = BitWriter::new();
@@ -311,18 +338,17 @@ impl SldeCodec {
             payload_bits += w.len_bits();
             segments.push(self.map_segment(w));
         }
-        for (req, &choice) in data.iter().zip(choices.iter()) {
+        for (i, (req, &choice)) in data.iter().zip(choices.iter()).enumerate() {
             let mut w = BitWriter::new();
             if req.log_data {
                 w.push(choice.flag(), CHOICE_FLAG_BITS);
             }
             match choice {
-                EncodingChoice::Fpc => push_fpc(&mut w, fpc::compress_word(req.new)),
-                EncodingChoice::Dldc | EncodingChoice::DldcRaw => {
-                    let enc = dldc::compress_dirty(req.new, req.dirty_mask)
-                        .expect("choice implies a dirty word");
-                    push_dldc(&mut w, &enc);
-                }
+                EncodingChoice::Fpc => push_fpc(&mut w, fpc_words[i].expect("encoded above")),
+                EncodingChoice::Dldc | EncodingChoice::DldcRaw => push_dldc(
+                    &mut w,
+                    &dldc_words[i].expect("choice implies a DLDC encoding"),
+                ),
             }
             payload_bits += w.len_bits();
             segments.push(self.map_segment(w));
@@ -414,7 +440,7 @@ impl SldeCodec {
     }
 }
 
-fn push_fpc(w: &mut BitWriter, enc: FpcEncoded) {
+fn push_fpc(w: &mut BitWriter<SEGMENT_WORDS>, enc: FpcEncoded) {
     w.push(enc.pattern.tag() as u64, FPC_TAG_BITS);
     w.push(enc.payload, enc.pattern.payload_bits());
 }
@@ -436,7 +462,7 @@ fn pull_fpc(r: &mut BitReader<'_>) -> u64 {
     fpc::decompress_word(&FpcEncoded { pattern, payload })
 }
 
-fn push_dldc(w: &mut BitWriter, enc: &DldcEncoded) {
+fn push_dldc(w: &mut BitWriter<SEGMENT_WORDS>, enc: &DldcEncoded) {
     w.push(enc.dirty_mask as u64, DIRTY_FLAG_BITS);
     if enc.pattern != DldcPattern::Raw {
         w.push(enc.pattern.tag() as u64, DLDC_TAG_BITS);
@@ -599,7 +625,7 @@ mod tests {
         let old = 0x1111_1111_1111_1111u64;
         let new = 0x1111_1111_1111_11FF;
         let region = c.encode_log_entry(&[], &[LogWordRequest::redo(new, old)], 1, 96);
-        assert_eq!(region.choices, vec![EncodingChoice::Fpc]);
+        assert_eq!(region.choices[..], [EncodingChoice::Fpc]);
         let w = c.encode_log_word(&LogWordRequest::redo(new, old));
         assert_eq!(w.choice, EncodingChoice::Fpc);
     }

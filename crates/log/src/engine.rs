@@ -18,8 +18,6 @@
 //!    in-place update is submitted — the write-ahead gate.
 //! 3. A commit is acknowledged only after its slot's drain returns.
 
-use std::collections::HashSet;
-
 use crate::domain::{log_region, PersistDomain, RegionId, CONTROL_REGION, DATA_REGION};
 use crate::protocol::{plan_replay, ScanEntry};
 use crate::record::{
@@ -169,6 +167,9 @@ pub struct Log<D: PersistDomain> {
     /// a successful drain makes them durable and releases them in the
     /// transaction table.
     submitted_words: Vec<u64>,
+    /// Reused by [`Log::truncate_committed`] for the tags of one slice's
+    /// reclaimed prefix.
+    reclaimed: Vec<TxTag>,
     needs_recovery: bool,
 }
 
@@ -192,6 +193,7 @@ impl<D: PersistDomain> Log<D> {
             clock: 1,
             txtable: TxTable::new(),
             submitted_words: Vec::new(),
+            reclaimed: Vec::new(),
             needs_recovery: false,
         };
         log.check_geometry();
@@ -222,6 +224,7 @@ impl<D: PersistDomain> Log<D> {
             clock: 1,
             txtable: TxTable::new(),
             submitted_words: Vec::new(),
+            reclaimed: Vec::new(),
             needs_recovery: true,
         };
         log.check_geometry();
@@ -376,12 +379,11 @@ impl<D: PersistDomain> Log<D> {
         self.vers[slice] += 1;
         let ver = self.vers[slice];
         let words = [ver, self.heads[slice], self.tails[slice]];
-        let mut block = Vec::with_capacity(CTRL_BLOCK as usize);
-        for w in words {
-            block.extend_from_slice(&w.to_le_bytes());
+        let mut block = [0u8; CTRL_BLOCK as usize];
+        for (i, w) in words.iter().enumerate() {
+            block[i * 8..i * 8 + 8].copy_from_slice(&w.to_le_bytes());
         }
-        block.extend_from_slice(&crc32_words(&words).to_le_bytes());
-        block.resize(CTRL_BLOCK as usize, 0);
+        block[24..28].copy_from_slice(&crc32_words(&words).to_le_bytes());
         let off = slice as u64 * CTRL_PER_SLICE + (ver % 2) * CTRL_BLOCK;
         self.domain.write(CONTROL_REGION, off, &block);
         self.domain.persist(CONTROL_REGION, off, CTRL_BLOCK);
@@ -390,7 +392,7 @@ impl<D: PersistDomain> Log<D> {
     /// Reads one control block; `None` when its CRC fails.
     fn read_control_block(&self, slice: usize, which: u64) -> Option<[u64; 3]> {
         let off = slice as u64 * CTRL_PER_SLICE + which * CTRL_BLOCK;
-        let mut block = vec![0u8; CTRL_BLOCK as usize];
+        let mut block = [0u8; CTRL_BLOCK as usize];
         self.domain.read(CONTROL_REGION, off, &mut block);
         let mut words = [0u64; 3];
         for (i, w) in words.iter_mut().enumerate() {
@@ -411,16 +413,17 @@ impl<D: PersistDomain> Log<D> {
     pub fn truncate_committed(&mut self) -> u64 {
         let cap = self.cfg.log_capacity;
         let mut freed = 0;
+        let mut reclaimed = std::mem::take(&mut self.reclaimed);
         for slice in 0..self.cfg.slices {
             let mut head = self.heads[slice];
             let tail = self.tails[slice];
-            let mut reclaimed: HashSet<TxTag> = HashSet::new();
+            reclaimed.clear();
             while head < tail {
                 head = slot_start(head, cap);
                 if head >= tail {
                     break;
                 }
-                let mut bytes = vec![0u8; SLOT_MAX as usize];
+                let mut bytes = [0u8; SLOT_MAX as usize];
                 self.domain.read(log_region(slice), head % cap, &mut bytes);
                 let read = match decode_slot(&bytes, pass_parity(head, cap)) {
                     Ok(r) => r,
@@ -429,7 +432,7 @@ impl<D: PersistDomain> Log<D> {
                 if !read.crc_ok || !self.txtable.is_deletable(read.record.tag) {
                     break;
                 }
-                reclaimed.insert(read.record.tag);
+                reclaimed.push(read.record.tag);
                 head += read.record.kind.slot_bytes();
             }
             if head != self.heads[slice] {
@@ -439,11 +442,13 @@ impl<D: PersistDomain> Log<D> {
             }
             // A tag's table entry is freed only once no slice still holds
             // its records; with per-thread slices a tag lives in exactly
-            // one slice, so reclaiming its prefix run frees it.
-            for tag in reclaimed {
+            // one slice, so reclaiming its prefix run frees it. A tag
+            // listed twice is forgotten twice, which is harmless.
+            for &tag in &reclaimed {
                 self.txtable.forget(tag);
             }
         }
+        self.reclaimed = reclaimed;
         freed
     }
 
@@ -522,6 +527,9 @@ impl<D: PersistDomain> Log<D> {
             self.publish_control(slice);
         }
         if !self.domain.drain() {
+            // The heads and tails above are already rewritten in memory
+            // but not durable: only another recovery may follow.
+            self.needs_recovery = true;
             return Err(LogError::PowerLoss);
         }
         self.txtable.clear();
@@ -551,7 +559,7 @@ impl<D: PersistDomain> Log<D> {
             if pos >= tail {
                 break;
             }
-            let mut bytes = vec![0u8; SLOT_MAX as usize];
+            let mut bytes = [0u8; SLOT_MAX as usize];
             self.domain.read(region, pos % cap, &mut bytes);
             match decode_slot(&bytes, pass_parity(pos, cap)) {
                 Ok(read) => {
@@ -739,6 +747,25 @@ mod tests {
         let outcome = log.recover().unwrap();
         assert!(outcome.records_scanned >= 1);
         assert_eq!(log.read_word(2), 5);
+    }
+
+    #[test]
+    fn power_cut_during_recovery_still_requires_recovery() {
+        let cfg = LogConfig::small();
+        let mut log = fresh(&cfg);
+        log.write(0, 0, 1, 11).unwrap();
+        log.commit(0, 0).unwrap();
+        log.write(0, 1, 1, 22).unwrap();
+        log.domain_mut().restart();
+        log.domain_mut().arm_power_cut(4);
+        assert_eq!(log.recover(), Err(LogError::PowerLoss));
+        assert_eq!(log.write(0, 2, 1, 33), Err(LogError::NeedsRecovery));
+        assert_eq!(log.commit(0, 2), Err(LogError::NeedsRecovery));
+        log.domain_mut().restart();
+        let outcome = log.recover().unwrap();
+        assert_eq!(outcome.committed, vec![TxTag::new(0, 0)]);
+        assert_eq!(log.read_word(1), 11);
+        log.write(0, 2, 1, 33).unwrap();
     }
 
     #[test]

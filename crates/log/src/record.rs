@@ -218,23 +218,36 @@ impl Record {
         )
     }
 
-    /// The words covered by the integrity footprint: metadata header,
-    /// timestamp and data words, in slot order.
-    pub fn payload_words(&self) -> Vec<u64> {
+    /// The words covered by the integrity footprint — metadata header,
+    /// timestamp and data words, in slot order — in a fixed array, with
+    /// the count in use.
+    pub fn payload_array(&self) -> ([u64; MAX_PAYLOAD_WORDS], usize) {
         let [m0, m1] = self.meta_words();
-        let mut words = vec![m0, m1, self.timestamp];
-        for i in 0..self.kind.data_words() {
-            words.push(self.data_word(i));
+        let mut words = [m0, m1, self.timestamp, 0, 0];
+        let n = 3 + self.kind.data_words();
+        for (i, w) in words[3..n].iter_mut().enumerate() {
+            *w = self.data_word(i);
         }
-        words
+        (words, n)
+    }
+
+    /// [`Record::payload_array`] as a `Vec`.
+    pub fn payload_words(&self) -> Vec<u64> {
+        let (words, n) = self.payload_array();
+        words[..n].to_vec()
     }
 
     /// The CRC-32 the record should carry when stored in a slot whose
     /// pass-parity bit is `parity`.
     pub fn integrity_crc(&self, parity: bool) -> u32 {
-        seal_words(&self.payload_words(), parity)
+        let (words, n) = self.payload_array();
+        seal_words(&words[..n], parity)
     }
 }
+
+/// The most words a record's integrity footprint covers: two metadata
+/// words, the timestamp and two data words.
+pub const MAX_PAYLOAD_WORDS: usize = 5;
 
 /// Mask selecting the 48 address bits stored in metadata word 0.
 pub const ADDR_MASK: u64 = 0x0000_FFFF_FFFF_FFFF;
@@ -326,6 +339,58 @@ pub fn unpack_meta(meta: [u64; 2]) -> Result<MetaFields, MetaError> {
     })
 }
 
+/// The reflected IEEE 802.3 CRC-32 polynomial.
+const CRC_POLY: u32 = 0xEDB8_8320;
+
+/// Slicing-by-8 tables: `CRC_TABLES[k][b]` is the CRC register after
+/// feeding byte `b` followed by `k` zero bytes into an all-zero register,
+/// so one lookup per byte of a word updates the CRC a whole word at a time.
+static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
+
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
+    let mut b = 0;
+    while b < 256 {
+        let mut c = b as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            c = if c & 1 != 0 {
+                CRC_POLY ^ (c >> 1)
+            } else {
+                c >> 1
+            };
+            bit += 1;
+        }
+        t[0][b] = c;
+        b += 1;
+    }
+    let mut b = 0;
+    while b < 256 {
+        let mut k = 1;
+        while k < 8 {
+            let prev = t[k - 1][b];
+            t[k][b] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            k += 1;
+        }
+        b += 1;
+    }
+    t
+}
+
+/// Feeds one word (its eight little-endian bytes) into the CRC register.
+fn crc_word(crc: u32, word: u64) -> u32 {
+    let x = word ^ crc as u64;
+    let byte = |i: u32| ((x >> (8 * i)) & 0xFF) as usize;
+    CRC_TABLES[7][byte(0)]
+        ^ CRC_TABLES[6][byte(1)]
+        ^ CRC_TABLES[5][byte(2)]
+        ^ CRC_TABLES[4][byte(3)]
+        ^ CRC_TABLES[3][byte(4)]
+        ^ CRC_TABLES[2][byte(5)]
+        ^ CRC_TABLES[1][byte(6)]
+        ^ CRC_TABLES[0][byte(7)]
+}
+
 /// CRC-32 (IEEE, reflected 0xEDB88320) over a word slice, little-endian
 /// byte order. This is the exact footprint function the simulator seals
 /// records with; keeping a single implementation here is what makes the
@@ -339,24 +404,14 @@ pub fn unpack_meta(meta: [u64; 2]) -> Result<MetaFields, MetaError> {
 /// assert_ne!(crc32_words(&[1, 2]), crc32_words(&[2, 1]));
 /// ```
 pub fn crc32_words(words: &[u64]) -> u32 {
-    let mut crc: u32 = !0;
-    for &w in words {
-        for byte in w.to_le_bytes() {
-            crc ^= byte as u32;
-            for _ in 0..8 {
-                let mask = (crc & 1).wrapping_neg();
-                crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-            }
-        }
-    }
-    !crc
+    !words.iter().fold(!0, |crc, &w| crc_word(crc, w))
 }
 
-/// Seals a record's payload words together with the slot's pass-parity bit.
+/// Seals a record's payload words together with the slot's pass-parity bit:
+/// the CRC-32 of the payload followed by one word holding the parity.
 pub fn seal_words(payload: &[u64], parity: bool) -> u32 {
-    let mut words = payload.to_vec();
-    words.push(parity as u64);
-    crc32_words(&words)
+    let crc = payload.iter().fold(!0, |crc, &w| crc_word(crc, w));
+    !crc_word(crc, parity as u64)
 }
 
 /// High nibble of the slot trailer byte: marks a slot as fully written.
@@ -371,12 +426,13 @@ pub const SLOT_MAGIC: u8 = 0xA0;
 /// (little-endian u32), trailer byte `SLOT_MAGIC | parity`, zero padding
 /// up to [`RecordKind::slot_bytes`].
 pub fn encode_slot(record: &Record, parity: bool) -> Vec<u8> {
-    let words = record.payload_words();
+    let (words, n) = record.payload_array();
+    let words = &words[..n];
     let mut out = Vec::with_capacity(record.kind.slot_bytes() as usize);
-    for w in &words {
+    for w in words {
         out.extend_from_slice(&w.to_le_bytes());
     }
-    out.extend_from_slice(&seal_words(&words, parity).to_le_bytes());
+    out.extend_from_slice(&seal_words(words, parity).to_le_bytes());
     out.push(SLOT_MAGIC | parity as u8);
     out.resize(record.kind.slot_bytes() as usize, 0);
     out
@@ -533,6 +589,83 @@ mod tests {
         reference = !reference;
         assert_eq!(crc32_words(&[0x3837_3635_3433_3231]), reference);
         assert_eq!(reference, 0x9AE0_DAAF);
+    }
+
+    /// The bitwise CRC-32 the table-driven one replaced: the reference
+    /// every table lookup must reproduce.
+    fn bitwise_crc32(words: &[u64]) -> u32 {
+        let mut crc: u32 = !0;
+        for &w in words {
+            for byte in w.to_le_bytes() {
+                crc ^= byte as u32;
+                for _ in 0..8 {
+                    let mask = (crc & 1).wrapping_neg();
+                    crc = (crc >> 1) ^ (CRC_POLY & mask);
+                }
+            }
+        }
+        !crc
+    }
+
+    /// A xorshift64 stream: deterministic word slices for the sweeps.
+    fn xorshift(mut x: u64) -> impl FnMut() -> u64 {
+        move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        }
+    }
+
+    #[test]
+    fn table_crc_matches_bitwise_reference() {
+        let mut next = xorshift(0x5EED_C3C3_0001);
+        for case in 0..2_000 {
+            let len = case % 9;
+            let words: Vec<u64> = (0..len)
+                .map(|i| match (case + i) % 4 {
+                    0 => 0,
+                    1 => next() & 0xFF,
+                    2 => u64::MAX,
+                    _ => next(),
+                })
+                .collect();
+            assert_eq!(crc32_words(&words), bitwise_crc32(&words), "{words:x?}");
+            for parity in [false, true] {
+                let mut sealed = words.clone();
+                sealed.push(parity as u64);
+                assert_eq!(seal_words(&words, parity), bitwise_crc32(&sealed));
+            }
+        }
+    }
+
+    #[test]
+    fn integrity_crc_matches_the_sealed_payload_for_every_kind() {
+        let mut next = xorshift(0x1A7E_6217);
+        for _ in 0..200 {
+            let t = tag(next() as u8, next() as u16);
+            let addr = next();
+            let mut records = vec![
+                Record::undo_redo(t, addr, next(), next(), next() as u8),
+                Record::redo_only(t, addr, next(), next() as u8),
+                Record::commit(t, Some(next() as u32 & 0x3FF_FFFF)),
+                Record::commit(t, None),
+            ];
+            for r in &mut records {
+                r.timestamp = next();
+            }
+            for r in records {
+                let (words, n) = r.payload_array();
+                assert_eq!(n, 3 + r.kind.data_words());
+                assert_eq!(&words[..n], r.payload_words().as_slice());
+                for parity in [false, true] {
+                    let mut sealed = r.payload_words();
+                    sealed.push(parity as u64);
+                    assert_eq!(r.integrity_crc(parity), bitwise_crc32(&sealed));
+                    assert_eq!(r.integrity_crc(parity), seal_words(&words[..n], parity));
+                }
+            }
+        }
     }
 
     #[test]

@@ -36,7 +36,7 @@
 //! [`store_stall`]: LogController::store_stall
 //! [`writeback_blocked`]: LogController::writeback_blocked
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 use morlog_cache::line::{CacheLine, L1Ext, WordLogState};
 use morlog_encoding::secure::SecureMode;
@@ -44,6 +44,7 @@ use morlog_log::record::{Record, RecordKind, TxTag};
 use morlog_log::txtable::TxTable;
 use morlog_nvm::controller::{LogAppendError, MemoryController};
 use morlog_nvm::log::array_slot_bytes;
+use morlog_sim_core::hash::{IntHashMap, IntHashSet};
 use morlog_sim_core::hostprof::{self, HostPhase};
 use morlog_sim_core::ids::TxKey;
 use morlog_sim_core::metrics::CommitLatency;
@@ -154,14 +155,14 @@ pub struct LogController {
     /// (evictions, commits); drained ahead of everything else. While
     /// non-empty, new stores stall — this is the hardware backpressure.
     overflow: VecDeque<Record>,
-    next_txid: HashMap<ThreadId, TxId>,
+    next_txid: IntHashMap<ThreadId, TxId>,
     pending_commits: BTreeMap<ThreadId, PendingCommit>,
     /// Commit records awaiting a free write-queue slot (and, for gating,
     /// their transaction's undo+redo entries draining first).
     pending_records: VecDeque<Record>,
     /// Commit cycle of every transaction whose commit record persisted
     /// (drives log truncation).
-    commit_cycle: HashMap<TxKey, Cycle>,
+    commit_cycle: IntHashMap<TxKey, Cycle>,
     stats: LogStats,
     /// Redo entries older than this are written out even without pressure.
     redo_lazy_age: Cycle,
@@ -173,7 +174,7 @@ pub struct LogController {
     /// order commits across distributed log slices, §III-F).
     next_commit_ts: u64,
     /// Phase timestamps of transactions still resolving their commit.
-    commit_track: HashMap<TxKey, CommitTrack>,
+    commit_track: IntHashMap<TxKey, CommitTrack>,
     /// Commit-latency distributions (always collected).
     latency: CommitLatency,
     /// Observability sink (disabled by default; see [`set_tracer`]).
@@ -196,15 +197,15 @@ impl LogController {
             ur_buf: LogBuffer::new(cfg.undo_redo_entries),
             redo_buf: LogBuffer::new(cfg.redo_entries),
             overflow: VecDeque::new(),
-            next_txid: HashMap::new(),
+            next_txid: IntHashMap::default(),
             pending_commits: BTreeMap::new(),
             pending_records: VecDeque::new(),
-            commit_cycle: HashMap::new(),
+            commit_cycle: IntHashMap::default(),
             stats: LogStats::default(),
             redo_lazy_age: 4096,
             secure: SecureMode::None,
             next_commit_ts: 0,
-            commit_track: HashMap::new(),
+            commit_track: IntHashMap::default(),
             latency: CommitLatency::default(),
             tracer: Tracer::disabled(),
             mutation: CheckMutation::None,
@@ -1139,9 +1140,9 @@ impl LogController {
     /// transactions satisfy `deletable`, subject to the no-split rule and
     /// the commit-order-prefix rule (see the `truncate` docs).
     fn truncate_by(
-        commit_cycle: &HashMap<TxKey, Cycle>,
+        commit_cycle: &IntHashMap<TxKey, Cycle>,
         mc: &mut MemoryController,
-        deletable: impl Fn(&TxKey, &HashMap<TxKey, Cycle>) -> bool,
+        deletable: impl Fn(&TxKey, &IntHashMap<TxKey, Cycle>) -> bool,
     ) {
         let n_slices = mc.log_regions().len();
         // Pass 1 per slice: naive committed-prefix walk, then the no-split
@@ -1159,7 +1160,7 @@ impl LogController {
                 }
             }
             if new_head > head {
-                let split_keys: std::collections::HashSet<_> = region
+                let split_keys: IntHashSet<_> = region
                     .records()
                     .filter(|r| r.offset >= new_head)
                     .map(|r| r.record.tag)
@@ -1180,7 +1181,7 @@ impl LogController {
         // and everything that committed after it; a later-committed
         // transaction must therefore never be deleted while an
         // earlier-committed one still has ring records — across all slices.
-        let mut removed: std::collections::HashSet<TxTag> = std::collections::HashSet::new();
+        let mut removed: IntHashSet<TxTag> = IntHashSet::default();
         for (slice, &head) in new_heads.iter().enumerate().take(n_slices) {
             for r in mc.log_regions()[slice].records() {
                 if r.offset < head {

@@ -12,11 +12,12 @@
 //! applied to the functional store at *acceptance*, and queue/bank state
 //! models timing only.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use morlog_encoding::slde::{EncodingChoice, SldeCodec};
 use morlog_log::record::{Record, RecordKind};
 use morlog_sim_core::fault::FaultPlan;
+use morlog_sim_core::hash::IntHashMap;
 use morlog_sim_core::hostprof::{self, HostCounter, HostPhase};
 use morlog_sim_core::ids::TxKey;
 use morlog_sim_core::metrics::LogWriteMetrics;
@@ -133,7 +134,8 @@ fn hash_line(line: LineAddr, data: &LineData) -> u64 {
 /// Location hash of one live log slot.
 fn hash_record(slice: usize, stored: &StoredRecord) -> u64 {
     let mut h = mix64((slice as u64) << 48 ^ stored.offset ^ 0x2545_F491_4F6C_DD1D);
-    for w in stored.record.payload_words() {
+    let (words, n) = stored.record.payload_array();
+    for w in &words[..n] {
         h = mix64(h ^ w);
     }
     h
@@ -169,6 +171,13 @@ struct Channel {
     /// When each bank finishes its current write (extends when paused).
     write_busy_until: Vec<Cycle>,
     draining: bool,
+    /// The earliest cycle at which a queued request finds its bank free:
+    /// any queued read, and the queued writes when they may issue (the
+    /// channel drains or has no reads waiting). `Cycle::MAX` when nothing
+    /// can issue. Kept current by every change to the queues, the bank
+    /// timers and `draining`, so neither [`MemoryController::tick`] nor
+    /// [`MemoryController::next_event`] rescans the queues.
+    next_issue: Cycle,
 }
 
 impl Channel {
@@ -179,7 +188,46 @@ impl Channel {
             read_busy_until: vec![0; banks],
             write_busy_until: vec![0; banks],
             draining: false,
+            next_issue: Cycle::MAX,
         }
+    }
+
+    /// Whether queued writes may issue: reads have priority unless the
+    /// channel drains.
+    fn writes_eligible(&self) -> bool {
+        self.draining || self.read_q.is_empty()
+    }
+
+    /// The cycle `bank` is free for a write: no write or read occupies it.
+    fn write_free_at(&self, bank: usize) -> Cycle {
+        self.write_busy_until[bank].max(self.read_busy_until[bank])
+    }
+
+    /// Recomputes [`Channel::next_issue`] from the queues.
+    fn refresh_next_issue(&mut self) {
+        let mut next = Cycle::MAX;
+        for r in &self.read_q {
+            next = next.min(self.read_busy_until[r.bank]);
+        }
+        if self.writes_eligible() {
+            for w in &self.write_q {
+                next = next.min(self.write_free_at(w.bank));
+            }
+        }
+        self.next_issue = next;
+    }
+
+    fn push_read(&mut self, read: PendingRead) {
+        self.read_q.push_back(read);
+        // A first waiting read also holds back the queued writes.
+        self.refresh_next_issue();
+    }
+
+    fn push_write(&mut self, write: PendingWrite) {
+        if self.writes_eligible() {
+            self.next_issue = self.next_issue.min(self.write_free_at(write.bank));
+        }
+        self.write_q.push_back(write);
     }
 }
 
@@ -221,13 +269,16 @@ pub struct MemoryController {
     freq: Frequency,
     map: MemoryMap,
     module: NvmmModule,
-    dram: HashMap<LineAddr, LineData>,
+    dram: IntHashMap<LineAddr, LineData>,
     /// Log slices: one for the paper's centralized log, several for the
     /// §III-F distributed (per-thread) variant.
     logs: Vec<LogRegion>,
+    /// Channel and bank of the slot each slice appends next; recomputed
+    /// whenever the slice's tail or capacity moves.
+    tail_place: Vec<(usize, usize)>,
     channels: Vec<Channel>,
     next_ticket: u64,
-    done_reads: HashMap<ReadTicket, Cycle>,
+    done_reads: IntHashMap<ReadTicket, Cycle>,
     stats: MemStats,
     high_mark: usize,
     low_mark: usize,
@@ -237,12 +288,12 @@ pub struct MemoryController {
     accept_seq: u64,
     /// Lifetime program count per log slot (keyed by slot_key), for the
     /// stuck-at wear-out model. Reset when a slot is remapped to a spare.
-    wear: HashMap<u64, u32>,
+    wear: IntHashMap<u64, u32>,
     /// Slots a crash-time tear truncated: `(slice, offset) -> data words
     /// persisted`. The recovery scan reads this through [`scan_log`].
     ///
     /// [`scan_log`]: MemoryController::scan_log
-    torn_words: HashMap<(usize, u64), usize>,
+    torn_words: IntHashMap<(usize, u64), usize>,
     /// Observability sink (disabled by default; see [`set_tracer`]).
     ///
     /// [`set_tracer`]: MemoryController::set_tracer
@@ -286,20 +337,21 @@ impl MemoryController {
                 )
             })
             .collect();
-        MemoryController {
+        let mut mc = MemoryController {
             channels: (0..cfg.channels).map(|_| Channel::new(banks)).collect(),
             module: NvmmModule::new(codec),
-            dram: HashMap::new(),
+            dram: IntHashMap::default(),
             logs,
+            tail_place: Vec::new(),
             next_ticket: 0,
-            done_reads: HashMap::new(),
+            done_reads: IntHashMap::default(),
             stats: MemStats::default(),
             high_mark,
             low_mark,
             fault_plan: FaultPlan::none(),
             accept_seq: 0,
-            wear: HashMap::new(),
-            torn_words: HashMap::new(),
+            wear: IntHashMap::default(),
+            torn_words: IntHashMap::default(),
             tracer: Tracer::disabled(),
             last_tick: 0,
             log_metrics: LogWriteMetrics::default(),
@@ -309,7 +361,9 @@ impl MemoryController {
             cfg,
             freq,
             map,
-        }
+        };
+        mc.tail_place = (0..mc.logs.len()).map(|s| mc.place_log_tail(s)).collect();
+        mc
     }
 
     /// Installs the shared trace handle (see [`morlog_sim_core::trace`]).
@@ -439,7 +493,7 @@ impl MemoryController {
                 if self.channels[ch].draining {
                     self.stats.reads_blocked_by_drain += 1;
                 }
-                self.channels[ch].read_q.push_back(PendingRead {
+                self.channels[ch].push_read(PendingRead {
                     ticket,
                     bank,
                     enqueued: now,
@@ -522,7 +576,7 @@ impl MemoryController {
                     WritePayload::Untracked
                 };
                 let accept_seq = self.bump_accept_seq();
-                self.channels[ch].write_q.push_back(PendingWrite {
+                self.channels[ch].push_write(PendingWrite {
                     bank,
                     service_cycles,
                     accept_seq,
@@ -563,7 +617,7 @@ impl MemoryController {
         if self.needs_pre_grow(slice, record.kind) {
             self.grow_log_slice(slice);
         }
-        let (ch, bank) = self.place_log_tail(slice);
+        let (ch, bank) = self.tail_place[slice];
         if self.channels[ch].write_q.len() >= self.cfg.write_queue_entries {
             return Err(LogAppendError::WqFull);
         }
@@ -576,6 +630,7 @@ impl MemoryController {
                     .map_err(LogAppendError::RingFull)?
             }
         };
+        self.tail_place[slice] = self.place_log_tail(slice);
         let kind = stored.record.kind;
         let home = Addr::new(stored.record.addr);
         if let Some(ht) = &mut self.hash_trace {
@@ -603,9 +658,7 @@ impl MemoryController {
             .record(serviced.cost.bits_programmed);
         let service_cycles = self.write_service_cycles(&serviced.cost);
         let payload = if self.fault_plan.is_active() {
-            let pw = stored.record.payload_words();
-            let mut words = [0u64; 5];
-            words[..pw.len()].copy_from_slice(&pw);
+            let (words, nwords) = stored.record.payload_array();
             WritePayload::Log {
                 slice,
                 offset: stored.offset,
@@ -615,13 +668,13 @@ impl MemoryController {
                 data_words: kind.data_words(),
                 slot_key,
                 words,
-                nwords: pw.len() as u8,
+                nwords: nwords as u8,
             }
         } else {
             WritePayload::Untracked
         };
         let accept_seq = self.bump_accept_seq();
-        self.channels[ch].write_q.push_back(PendingWrite {
+        self.channels[ch].push_write(PendingWrite {
             bank,
             service_cycles,
             accept_seq,
@@ -660,7 +713,7 @@ impl MemoryController {
         if self.needs_pre_grow(slice, record.kind) {
             return false;
         }
-        let (ch, _) = self.place_log_tail(slice);
+        let (ch, _) = self.tail_place[slice];
         self.channels[ch].write_q.len() >= self.cfg.write_queue_entries
     }
 
@@ -671,7 +724,8 @@ impl MemoryController {
             && self.logs[slice].free_bytes() < COMMIT_RESERVE_BYTES + array_slot_bytes(kind)
     }
 
-    /// Channel and bank of the next slot appended to `slice`.
+    /// Channel and bank of the next slot appended to `slice`, computed
+    /// from the ring (callers read the cached `tail_place`).
     fn place_log_tail(&self, slice: usize) -> (usize, usize) {
         let log = &self.logs[slice];
         let offset = log.tail(); // close enough for placement (wrap skip shifts by <1 slot)
@@ -684,6 +738,7 @@ impl MemoryController {
     fn grow_log_slice(&mut self, slice: usize) {
         let extra = self.logs[slice].capacity().max(4096);
         self.logs[slice].grow(extra);
+        self.tail_place[slice] = self.place_log_tail(slice);
         self.stats.log_overflow_growths += 1;
     }
 
@@ -796,6 +851,7 @@ impl MemoryController {
         for ch in &mut self.channels {
             inflight.extend(ch.write_q.drain(..));
             ch.draining = false;
+            ch.refresh_next_issue();
         }
         if !self.fault_plan.is_active() {
             return;
@@ -981,23 +1037,19 @@ impl MemoryController {
     pub fn next_event(&self, now: Cycle) -> Cycle {
         let mut next = Cycle::MAX;
         for ch in &self.channels {
-            let occupancy = ch.write_q.len();
-            if (!ch.draining && occupancy >= self.high_mark)
-                || (ch.draining && occupancy <= self.low_mark)
-            {
+            if self.drain_flip_due(ch) {
                 return now;
             }
-            for r in &ch.read_q {
-                next = next.min(ch.read_busy_until[r.bank]);
-            }
-            // Writes wait behind queued reads unless the channel drains.
-            if ch.draining || ch.read_q.is_empty() {
-                for w in &ch.write_q {
-                    next = next.min(ch.write_busy_until[w.bank].max(ch.read_busy_until[w.bank]));
-                }
-            }
+            next = next.min(ch.next_issue);
         }
         next.max(now)
+    }
+
+    /// Whether `ch`'s write-queue occupancy has crossed the drain
+    /// hysteresis mark its current state watches for.
+    fn drain_flip_due(&self, ch: &Channel) -> bool {
+        let occupancy = ch.write_q.len();
+        (!ch.draining && occupancy >= self.high_mark) || (ch.draining && occupancy <= self.low_mark)
     }
 
     /// Accounts for ticks skipped up to and including `cycle`: by
@@ -1028,6 +1080,7 @@ impl MemoryController {
         let mut issued_writes: Vec<PendingWrite> = Vec::new();
         for (ci, ch) in self.channels.iter_mut().enumerate() {
             // WQF drain hysteresis.
+            let draining = ch.draining;
             if !ch.draining && ch.write_q.len() >= self.high_mark {
                 ch.draining = true;
                 self.stats.drains += 1;
@@ -1043,6 +1096,12 @@ impl MemoryController {
                     channel: ci as u32,
                     occupancy: occ,
                 });
+            }
+            if ch.draining != draining {
+                ch.refresh_next_issue();
+            }
+            if ch.next_issue > now {
+                continue; // no queued request finds its bank free yet
             }
             // Issue loop: reads always have priority — write pausing lets
             // them preempt in-progress writes even mid-drain; writes go out
@@ -1087,6 +1146,7 @@ impl MemoryController {
                     break;
                 }
             }
+            ch.refresh_next_issue();
         }
         for w in issued_writes {
             self.verify_issued_write(&w);

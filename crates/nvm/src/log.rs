@@ -29,7 +29,7 @@ pub fn array_slot_bytes(kind: RecordKind) -> u64 {
 /// TLC cells backing one slot of `kind` in the NVMM module: one 24-cell
 /// word sub-region per metadata or data word (2 metadata words plus 2, 1
 /// or 0 data words), so 96, 72 or 48.
-pub fn array_slot_cells(kind: RecordKind) -> usize {
+pub const fn array_slot_cells(kind: RecordKind) -> usize {
     match kind {
         RecordKind::UndoRedo => 96,
         RecordKind::Redo => 72,

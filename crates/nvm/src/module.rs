@@ -7,17 +7,25 @@
 //! reads return the raw bytes while timing and energy come from the encoded
 //! cell states — see `DESIGN.md` §2.
 
-use std::collections::HashMap;
+use std::hash::Hash;
 
 use morlog_encoding::cell::{CellModel, CellState};
 use morlog_encoding::dcw::{self, WriteCost};
 use morlog_encoding::secure::{transform_log_word, SecureMode};
-use morlog_encoding::slde::{EncodingChoice, LogWordRequest, SldeCodec, BLOCK_CELLS};
+use morlog_encoding::slde::{
+    Choices, EncodedRegion, LogWordRequest, SldeCodec, BLOCK_CELLS, MAX_LOG_DATA_WORDS,
+    WORD_REGION_CELLS,
+};
 use morlog_log::record::RecordKind;
+use morlog_sim_core::array_vec::ArrayVec;
+use morlog_sim_core::hash::IntHashMap;
 use morlog_sim_core::hostprof::{self, HostPhase};
 use morlog_sim_core::{LineAddr, LineData};
 
 use crate::log::{array_slot_cells, StoredRecord};
+
+/// Cells of the largest log slot (an undo+redo entry).
+const MAX_SLOT_CELLS: usize = array_slot_cells(RecordKind::UndoRedo);
 
 /// Outcome of one serviced NVMM write.
 #[derive(Debug, Clone, PartialEq)]
@@ -25,7 +33,7 @@ pub struct ServicedWrite {
     /// DCW programming cost.
     pub cost: WriteCost,
     /// Encoder choices for log-data words (empty for data writes).
-    pub choices: Vec<EncodingChoice>,
+    pub choices: Choices,
 }
 
 /// The NVMM module: codec + cell arrays + functional backing store.
@@ -47,14 +55,90 @@ pub struct ServicedWrite {
 #[derive(Debug, Clone)]
 pub struct NvmmModule {
     codec: SldeCodec,
-    data_states: HashMap<LineAddr, Vec<CellState>>,
-    log_states: HashMap<u64, Vec<CellState>>,
-    backing: HashMap<LineAddr, LineData>,
+    /// Stored cells and program counts per data line and per log slot.
+    data_cells: CellTable<LineAddr, BLOCK_CELLS>,
+    log_cells: CellTable<u64, MAX_SLOT_CELLS>,
+    backing: IntHashMap<LineAddr, LineData>,
     secure: SecureMode,
-    /// Program counts per data line (wear; Table VI's endurance argument).
-    data_wear: HashMap<LineAddr, u64>,
-    /// Program counts per log slot.
-    log_wear: HashMap<u64, u64>,
+}
+
+/// The cells behind one data line or log slot, stored inline so a first
+/// write to a line or slot allocates nothing of its own, with the count of
+/// writes that programmed any of them (wear; Table VI's endurance
+/// argument).
+#[derive(Debug, Clone)]
+struct Cells<const N: usize> {
+    states: [CellState; N],
+    programs: u64,
+}
+
+impl<const N: usize> Default for Cells<N> {
+    fn default() -> Self {
+        Cells {
+            states: [CellState::default(); N],
+            programs: 0,
+        }
+    }
+}
+
+/// The [`Cells`] of every data line or every log slot written so far, kept
+/// in first-write order and found through an index map. The map's entries
+/// stay small, so its spare buckets cost little memory, and the cells of
+/// consecutive log slots sit next to each other.
+#[derive(Debug, Clone)]
+struct CellTable<K, const N: usize> {
+    index: IntHashMap<K, usize>,
+    cells: Vec<Cells<N>>,
+}
+
+impl<K, const N: usize> Default for CellTable<K, N> {
+    fn default() -> Self {
+        CellTable {
+            index: IntHashMap::default(),
+            cells: Vec::new(),
+        }
+    }
+}
+
+impl<K: Hash + Eq, const N: usize> CellTable<K, N> {
+    /// The cells at `key`, erased (`000`) on first use.
+    fn cells_mut(&mut self, key: K) -> &mut Cells<N> {
+        let fresh = self.cells.len();
+        let i = *self.index.entry(key).or_insert(fresh);
+        if i == fresh {
+            self.cells.push(Cells::default());
+        }
+        &mut self.cells[i]
+    }
+
+    /// The program count of every location.
+    fn programs(&self) -> impl Iterator<Item = u64> + Clone + '_ {
+        self.cells.iter().map(|c| c.programs)
+    }
+}
+
+impl<const N: usize> Cells<N> {
+    /// Programs an encoded region (one sub-region per word) under DCW,
+    /// returning the combined cost. Segment `i` occupies cells
+    /// `[i·WORD_REGION_CELLS, …)`; cells beyond a segment's footprint keep
+    /// their previous states (DCW never touches them).
+    fn program(&mut self, model: &CellModel, region: &EncodedRegion) -> WriteCost {
+        let mut total = WriteCost::silent();
+        for (i, seg) in region.segments.iter().enumerate() {
+            let cells = &mut self.states[i * WORD_REGION_CELLS..][..seg.states.len()];
+            total.combine(&dcw::write_cost(
+                model,
+                cells,
+                &seg.states,
+                seg.mode.bits_per_cell(),
+            ));
+            cells.copy_from_slice(&seg.states);
+        }
+        if !total.is_silent() {
+            self.programs += 1;
+        }
+        total
+    }
 }
 
 impl NvmmModule {
@@ -63,12 +147,10 @@ impl NvmmModule {
     pub fn new(codec: SldeCodec) -> Self {
         NvmmModule {
             codec,
-            data_states: HashMap::new(),
-            log_states: HashMap::new(),
-            backing: HashMap::new(),
+            data_cells: CellTable::default(),
+            log_cells: CellTable::default(),
+            backing: IntHashMap::default(),
             secure: SecureMode::None,
-            data_wear: HashMap::new(),
-            log_wear: HashMap::new(),
         }
     }
 
@@ -98,14 +180,10 @@ impl NvmmModule {
     pub fn write_data_line(&mut self, line: LineAddr, data: LineData) -> ServicedWrite {
         let _prof = hostprof::scope(HostPhase::Encoding);
         let region = self.codec.encode_data_block(&data);
-        let states = self
-            .data_states
-            .entry(line)
-            .or_insert_with(|| vec![CellState::default(); BLOCK_CELLS]);
-        let cost = program(self.codec.model(), states, &region);
-        if !cost.is_silent() {
-            *self.data_wear.entry(line).or_insert(0) += 1;
-        }
+        let cost = self
+            .data_cells
+            .cells_mut(line)
+            .program(self.codec.model(), &region);
         self.backing.insert(line, data);
         ServicedWrite {
             cost,
@@ -129,7 +207,7 @@ impl NvmmModule {
         // would be overkill; it rides in the high bit of word 1.
         let meta = [meta[0], meta[1] | (stored.torn as u64) << 63];
         let key = 0x5EC0_0000 ^ physical_offset; // per-slot tweak, like CTR-mode IVs
-        let mut data = Vec::with_capacity(2);
+        let mut data: ArrayVec<LogWordRequest, MAX_LOG_DATA_WORDS> = ArrayVec::new();
         if let Some(undo) = rec.undo {
             data.push(transform_log_word(
                 &LogWordRequest::with_mask(undo, rec.dirty_mask),
@@ -147,14 +225,10 @@ impl NvmmModule {
         let region = self
             .codec
             .encode_log_entry(&meta, &data, 1, array_slot_cells(rec.kind));
-        let states = self
-            .log_states
-            .entry(physical_offset)
-            .or_insert_with(|| vec![CellState::default(); array_slot_cells(rec.kind)]);
-        let cost = program(self.codec.model(), states, &region);
-        if !cost.is_silent() {
-            *self.log_wear.entry(physical_offset).or_insert(0) += 1;
-        }
+        let cost = self
+            .log_cells
+            .cells_mut(physical_offset)
+            .program(self.codec.model(), &region);
         ServicedWrite {
             cost,
             choices: region.choices,
@@ -166,44 +240,20 @@ impl NvmmModule {
     /// improves lifetime — the §VI-C endurance argument; the log ring also
     /// levels wear by construction (sequential slot reuse).
     pub fn wear_summary(&self) -> (u64, u64, usize) {
-        let max_data = self.data_wear.values().copied().max().unwrap_or(0);
-        let max_log = self.log_wear.values().copied().max().unwrap_or(0);
+        let data = self.data_cells.programs();
+        let log = self.log_cells.programs();
         (
-            max_data,
-            max_log,
-            self.data_wear.len() + self.log_wear.len(),
+            data.clone().max().unwrap_or(0),
+            log.clone().max().unwrap_or(0),
+            data.chain(log).filter(|&p| p > 0).count(),
         )
     }
-}
-
-/// Programs an encoded region (one sub-region per word) into the stored
-/// `states` under DCW, returning the combined cost. Segment `i` occupies
-/// cells `[i·WORD_REGION_CELLS, …)`; cells beyond a segment's footprint keep
-/// their previous states (DCW never touches them).
-fn program(
-    model: &CellModel,
-    states: &mut Vec<CellState>,
-    region: &morlog_encoding::slde::EncodedRegion,
-) -> WriteCost {
-    use morlog_encoding::slde::WORD_REGION_CELLS;
-    let needed = region.segments.len() * WORD_REGION_CELLS;
-    if states.len() < needed {
-        states.resize(needed, CellState::default());
-    }
-    let mut total = WriteCost::silent();
-    for (i, seg) in region.segments.iter().enumerate() {
-        let base = i * WORD_REGION_CELLS;
-        let old = &states[base..base + seg.states.len()];
-        let cost = dcw::write_cost(model, old, &seg.states, seg.mode.bits_per_cell());
-        total.combine(&cost);
-        states[base..base + seg.states.len()].copy_from_slice(&seg.states);
-    }
-    total
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use morlog_encoding::slde::EncodingChoice;
     use morlog_log::record::{Record, TxTag};
 
     fn module() -> NvmmModule {

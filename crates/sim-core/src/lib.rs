@@ -24,8 +24,10 @@
 
 #![deny(missing_docs)]
 
+pub mod array_vec;
 pub mod config;
 pub mod fault;
+pub mod hash;
 pub mod hostprof;
 pub mod ids;
 pub mod knobs;

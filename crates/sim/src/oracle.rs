@@ -30,6 +30,7 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 
 use morlog_logging::recovery::RecoveryReport;
 use morlog_nvm::controller::MemoryController;
+use morlog_sim_core::hash::IntHashMap;
 use morlog_sim_core::ids::TxKey;
 use morlog_sim_core::{Addr, ThreadId};
 
@@ -44,7 +45,7 @@ struct OracleTx {
 #[derive(Debug, Clone, Default)]
 pub struct Oracle {
     txs: Vec<OracleTx>,
-    index: HashMap<TxKey, usize>,
+    index: IntHashMap<TxKey, usize>,
     initial: Vec<(Addr, u64)>,
 }
 

@@ -117,6 +117,9 @@ pub struct System {
     /// Reused buffer for the undo+redo entries the log controller
     /// persisted this cycle.
     persisted: Vec<PersistedUr>,
+    /// The account each core is charged for a skipped cycle, filled by
+    /// [`System::next_event`] whenever it finds a cycle to skip to.
+    skip_kinds: Vec<StallKind>,
 }
 
 impl System {
@@ -234,6 +237,7 @@ impl System {
             sample_period,
             series: SeriesSet::with_period(sample_period),
             persisted: Vec::new(),
+            skip_kinds: vec![StallKind::Idle; trace.threads.len()],
             mc,
             cfg,
         }
@@ -369,20 +373,10 @@ impl System {
         // waiting step returns, retried every stalled store, and done
         // nothing else.
         let span = next - self.now;
-        for i in 0..self.cores.len() {
-            let kind = match self.cores[i].phase {
-                Phase::Done => StallKind::Idle,
-                Phase::BusyUntil(_) => self.cores[i].busy_kind,
-                Phase::WaitRead(..) => self.read_wait_kind(),
-                Phase::WaitCommit => StallKind::CommitWait,
-                Phase::Ready => {
-                    self.store_stall_cycles += span;
-                    let why = self
-                        .store_retry_stall(i)
-                        .expect("skipped stores stay stalled");
-                    stall_kind(why)
-                }
-            };
+        for (core, &kind) in self.cores.iter().zip(&self.skip_kinds) {
+            if core.phase == Phase::Ready {
+                self.store_stall_cycles += span;
+            }
             if self.finish_cycle.is_none() {
                 self.attr.add_n(kind, span);
             }
@@ -394,8 +388,9 @@ impl System {
     /// The earliest cycle `>= now` at which stepping could do more than
     /// charge attribution and retry stalled stores. A lower bound: every
     /// component answers `now` when unsure, and waking early only steps a
-    /// cycle that changes nothing.
-    fn next_event(&self) -> Cycle {
+    /// cycle that changes nothing. When the answer is later than `now`,
+    /// `skip_kinds` holds the account each core's skipped cycles go to.
+    fn next_event(&mut self) -> Cycle {
         let now = self.now;
         if self.pending_truncation.is_some() && self.pending_writebacks.is_empty() {
             return now;
@@ -414,20 +409,29 @@ impl System {
         if self.cfg.log.truncation == morlog_sim_core::config::TruncationPolicy::TransactionTable {
             next = next.min(now.next_multiple_of(4096));
         }
-        for (i, core) in self.cores.iter().enumerate() {
-            let ready = match core.phase {
-                Phase::Done => Cycle::MAX,
-                Phase::BusyUntil(t) => t,
+        for i in 0..self.cores.len() {
+            let core = &self.cores[i];
+            let (ready, kind) = match core.phase {
+                Phase::Done => (Cycle::MAX, StallKind::Idle),
+                Phase::BusyUntil(t) => (t, core.busy_kind),
                 // An unissued read completes only after a controller event.
-                Phase::WaitRead(ticket, _) => self.mc.read_done_at(ticket).unwrap_or(Cycle::MAX),
-                Phase::WaitCommit if self.lc.is_commit_pending(core.thread) => Cycle::MAX,
-                Phase::WaitCommit => now,
-                Phase::Ready if self.store_retry_stall(i).is_some() => Cycle::MAX,
-                Phase::Ready => now,
+                Phase::WaitRead(ticket, _) => (
+                    self.mc.read_done_at(ticket).unwrap_or(Cycle::MAX),
+                    self.read_wait_kind(),
+                ),
+                Phase::WaitCommit if self.lc.is_commit_pending(core.thread) => {
+                    (Cycle::MAX, StallKind::CommitWait)
+                }
+                Phase::WaitCommit => return now,
+                Phase::Ready => match self.store_retry_stall(i) {
+                    Some(why) => (Cycle::MAX, stall_kind(why)),
+                    None => return now,
+                },
             };
             if ready <= now {
                 return now;
             }
+            self.skip_kinds[i] = kind;
             next = next.min(ready);
         }
         next.min(self.lc.next_event(now, &self.mc))
@@ -643,7 +647,26 @@ impl System {
                 }
                 StallKind::CommitWait
             }
-            Phase::Ready => self.issue(i),
+            Phase::Ready => {
+                // A store retry predicted to stall again, changing nothing,
+                // is charged without running it. Debug builds run it anyway
+                // and check the prediction, so `run_for(1)` stays the
+                // reference the skipping engine is tested against.
+                let predicted = self.store_retry_stall(i);
+                match predicted {
+                    Some(why) if !cfg!(debug_assertions) => {
+                        self.store_stall_cycles += 1;
+                        stall_kind(why)
+                    }
+                    _ => {
+                        let kind = self.issue(i);
+                        if let Some(why) = predicted {
+                            debug_assert_eq!(kind, stall_kind(why), "store retry prediction");
+                        }
+                        kind
+                    }
+                }
+            }
         }
     }
 

@@ -15,7 +15,7 @@ use morlog_repro::encoding::dcw;
 use morlog_repro::encoding::dldc;
 use morlog_repro::encoding::expansion::{map_payload, unmap_payload};
 use morlog_repro::encoding::fpc;
-use morlog_repro::encoding::slde::{LogWordRequest, SldeCodec};
+use morlog_repro::encoding::slde::{LogWordRequest, SldeCodec, SEGMENT_WORDS, WORD_REGION_CELLS};
 use morlog_repro::log::record::{Record, TxTag};
 use morlog_repro::nvm::log::{array_slot_bytes, LogRegion};
 
@@ -98,7 +98,7 @@ fn bit_stream_round_trips() {
             };
             fields.push((masked, width));
         }
-        let mut w = BitWriter::new();
+        let mut w = BitWriter::<49>::new();
         for &(value, width) in &fields {
             w.push(value, width);
         }
@@ -114,12 +114,15 @@ fn bit_stream_round_trips() {
 
 #[test]
 fn expansion_round_trips() {
+    // Every mapped write fills one word region: at most 24 TLC cells, so
+    // at most 72 payload bits in two words.
     let mut rng = DetRng::new(0xE9A);
     for _ in 0..500 {
-        let len = 1 + rng.gen_range(3) as usize;
+        let len = 1 + rng.gen_range(SEGMENT_WORDS as u64) as usize;
         let payload: Vec<u64> = (0..len).map(|_| rng.next_u64()).collect();
-        let bits = (1 + rng.gen_range(191) as usize).min(payload.len() * 64);
-        let mapped = map_payload(&payload, bits, 171);
+        let capacity = 3 * WORD_REGION_CELLS;
+        let bits = (1 + rng.gen_range(capacity as u64) as usize).min(payload.len() * 64);
+        let mapped = map_payload(&payload, bits, WORD_REGION_CELLS);
         let out = unmap_payload(&mapped, bits);
         for idx in 0..bits {
             assert_eq!(
