@@ -3,7 +3,8 @@
 //!
 //! Where `crash_explore` exhaustively sweeps a 16-transaction workload,
 //! this gate *samples* crash points on workloads an order of magnitude
-//! larger. Each design runs a seeded campaign ([`morlog_checker::fuzz`]):
+//! larger. Each design runs a seeded campaign
+//! ([`morlog_checker::fuzz`](fn@morlog_checker::fuzz)):
 //! points are drawn uniformly over the persist-event schedule, paired with
 //! a fault variant (none / torn drain / crash-time bit flip / stuck-at
 //! wear), pruned when the persist-domain hash proves the point redundant,

@@ -32,7 +32,8 @@
 //! point order regardless of shard count, keeping reports byte-identical
 //! across `MORLOG_CHECK_SHARDS` settings.
 //!
-//! The checker proves it has teeth via [`CheckMutation`]: deliberately
+//! The checker proves it has teeth via
+//! [`CheckMutation`](morlog_sim_core::CheckMutation): deliberately
 //! sabotaged variants (drop the undo→data write-ahead fence; skip the DP
 //! `ulog` bump) must yield counterexamples while every real design passes.
 //!

@@ -21,8 +21,9 @@
 use crate::domain::{log_region, PersistDomain, RegionId, CONTROL_REGION, DATA_REGION};
 use crate::protocol::{plan_replay, ScanEntry};
 use crate::record::{
-    crc32_words, decode_slot, encode_slot, pass_parity, Record, RecordKind, TxTag, SLOT_MAX,
+    crc32_words, decode_slot, encode_slot, Record, RecordKind, TxTag, BYTE_SLOTS, SLOT_MAX,
 };
+use crate::ring::Ring;
 use crate::txtable::TxTable;
 
 /// Geometry and protocol options of a log.
@@ -46,19 +47,6 @@ const CTRL_BLOCK: u64 = 32;
 
 /// Bytes of control state per slice: two alternating blocks.
 const CTRL_PER_SLICE: u64 = 2 * CTRL_BLOCK;
-
-/// Where the slot at monotonic offset `pos` of a `cap`-byte ring really
-/// starts: `pos` itself, or the start of the next pass when fewer than
-/// [`SLOT_MAX`] bytes remain before the wrap point (a slot never straddles
-/// the wrap). Appends, truncation and the recovery scan all step with it.
-fn slot_start(pos: u64, cap: u64) -> u64 {
-    let rem = cap - pos % cap;
-    if rem < SLOT_MAX {
-        pos + rem
-    } else {
-        pos
-    }
-}
 
 impl LogConfig {
     /// A small single-slice geometry for tests and examples: 4 KiB of log,
@@ -107,6 +95,8 @@ pub enum LogError {
     /// The append did not fit even after truncating every deletable
     /// committed transaction.
     LogFull,
+    /// A store named this data word, which lies outside the data region.
+    WordOutOfRange(u64),
     /// The domain reported a (simulated) power loss mid-operation; restart
     /// the domain and recover.
     PowerLoss,
@@ -120,6 +110,7 @@ impl std::fmt::Display for LogError {
         match self {
             LogError::NeedsRecovery => write!(f, "log opened over existing state; recover first"),
             LogError::LogFull => write!(f, "log full (no deletable records to truncate)"),
+            LogError::WordOutOfRange(word) => write!(f, "data word {word} out of range"),
             LogError::PowerLoss => write!(f, "persist domain lost power; restart and recover"),
             LogError::Corrupt(why) => write!(f, "log state corrupt: {why}"),
         }
@@ -154,10 +145,8 @@ pub struct RecoveryOutcome {
 pub struct Log<D: PersistDomain> {
     domain: D,
     cfg: LogConfig,
-    /// Monotonic head offset per slice (ring position = `head % capacity`).
-    heads: Vec<u64>,
-    /// Monotonic tail offset per slice.
-    tails: Vec<u64>,
+    /// One ring per slice; each live slot holds its record's transaction.
+    rings: Vec<Ring<TxTag>>,
     /// Control-block version counter per slice (selects the dual slot).
     vers: Vec<u64>,
     /// Logical commit clock (monotonic across recoveries).
@@ -167,9 +156,6 @@ pub struct Log<D: PersistDomain> {
     /// a successful drain makes them durable and releases them in the
     /// transaction table.
     submitted_words: Vec<u64>,
-    /// Reused by [`Log::truncate_committed`] for the tags of one slice's
-    /// reclaimed prefix.
-    reclaimed: Vec<TxTag>,
     needs_recovery: bool,
 }
 
@@ -183,24 +169,8 @@ impl<D: PersistDomain> Log<D> {
     /// Panics if the domain's region geometry does not match `cfg`, or if
     /// the domain dies during the format drain.
     pub fn format(domain: D, cfg: LogConfig) -> Self {
-        cfg.validate();
-        let mut log = Log {
-            domain,
-            cfg,
-            heads: Vec::new(),
-            tails: Vec::new(),
-            vers: Vec::new(),
-            clock: 1,
-            txtable: TxTable::new(),
-            submitted_words: Vec::new(),
-            reclaimed: Vec::new(),
-            needs_recovery: false,
-        };
-        log.check_geometry();
+        let mut log = Log::new(domain, cfg, false);
         for slice in 0..log.cfg.slices {
-            log.heads.push(0);
-            log.tails.push(0);
-            log.vers.push(0);
             log.publish_control(slice);
         }
         assert!(log.domain.drain(), "domain died during format");
@@ -214,18 +184,23 @@ impl<D: PersistDomain> Log<D> {
     ///
     /// Panics if the domain's region geometry does not match `cfg`.
     pub fn open(domain: D, cfg: LogConfig) -> Self {
+        Log::new(domain, cfg, true)
+    }
+
+    /// A log with empty rings and version-0 control state over `domain`.
+    fn new(domain: D, cfg: LogConfig, needs_recovery: bool) -> Self {
         cfg.validate();
         let log = Log {
             domain,
-            cfg: cfg.clone(),
-            heads: vec![0; cfg.slices],
-            tails: vec![0; cfg.slices],
+            rings: (0..cfg.slices)
+                .map(|_| Ring::new(BYTE_SLOTS, cfg.log_capacity))
+                .collect(),
             vers: vec![0; cfg.slices],
+            cfg,
             clock: 1,
             txtable: TxTable::new(),
             submitted_words: Vec::new(),
-            reclaimed: Vec::new(),
-            needs_recovery: true,
+            needs_recovery,
         };
         log.check_geometry();
         log
@@ -280,15 +255,14 @@ impl<D: PersistDomain> Log<D> {
     ///
     /// # Errors
     ///
+    /// [`LogError::WordOutOfRange`] when `word >= config().data_words`,
     /// [`LogError::NeedsRecovery`] before recovery, [`LogError::LogFull`]
     /// when the slot does not fit, [`LogError::PowerLoss`] when the domain
     /// dies at the drain.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `word >= config().data_words`.
     pub fn write(&mut self, thread: u8, txid: u16, word: u64, value: u64) -> Result<(), LogError> {
-        assert!(word < self.cfg.data_words, "data word out of range");
+        if word >= self.cfg.data_words {
+            return Err(LogError::WordOutOfRange(word));
+        }
         if self.needs_recovery {
             return Err(LogError::NeedsRecovery);
         }
@@ -351,25 +325,24 @@ impl<D: PersistDomain> Log<D> {
     /// in that order, so a cut slot stays inside the published window.
     fn append(&mut self, thread: u8, rec: Record) -> Result<(), LogError> {
         let slice = self.slice_of(thread);
-        let cap = self.cfg.log_capacity;
-        let slot = rec.kind.slot_bytes();
-        let mut tail = slot_start(self.tails[slice], cap);
-        if tail + slot - self.heads[slice] > cap {
-            // Try to reclaim dead prefix records before giving up.
-            self.truncate_committed();
-            tail = slot_start(self.tails[slice], cap);
-            if tail + slot - self.heads[slice] > cap {
-                return Err(LogError::LogFull);
+        let offset = match self.rings[slice].append(rec.kind, |_| rec.tag) {
+            Some(entry) => entry.offset,
+            None => {
+                // Try to reclaim dead prefix records before giving up.
+                self.truncate_committed();
+                self.rings[slice]
+                    .append(rec.kind, |_| rec.tag)
+                    .ok_or(LogError::LogFull)?
+                    .offset
             }
-        }
-        let parity = pass_parity(tail, cap);
-        let bytes = encode_slot(&rec, parity);
-        let region = log_region(slice);
-        self.domain.write(region, tail % cap, &bytes);
-        self.tails[slice] = tail + slot;
+        };
+        let ring = &self.rings[slice];
+        let bytes = encode_slot(&rec, ring.pass_parity(offset));
+        let (region, pos) = (log_region(slice), ring.position(offset));
+        self.domain.write(region, pos, &bytes);
         // Publish the tail first (ordering rule 1), then the slot bytes.
         self.publish_control(slice);
-        self.domain.persist(region, tail % cap, slot);
+        self.domain.persist(region, pos, rec.kind.slot_bytes());
         Ok(())
     }
 
@@ -378,7 +351,8 @@ impl<D: PersistDomain> Log<D> {
     fn publish_control(&mut self, slice: usize) {
         self.vers[slice] += 1;
         let ver = self.vers[slice];
-        let words = [ver, self.heads[slice], self.tails[slice]];
+        let ring = &self.rings[slice];
+        let words = [ver, ring.head(), ring.tail()];
         let mut block = [0u8; CTRL_BLOCK as usize];
         for (i, w) in words.iter().enumerate() {
             block[i * 8..i * 8 + 8].copy_from_slice(&w.to_le_bytes());
@@ -411,44 +385,28 @@ impl<D: PersistDomain> Log<D> {
     /// drained — a stale durable head is safe (recovery re-applies the
     /// extra records idempotently).
     pub fn truncate_committed(&mut self) -> u64 {
-        let cap = self.cfg.log_capacity;
         let mut freed = 0;
-        let mut reclaimed = std::mem::take(&mut self.reclaimed);
         for slice in 0..self.cfg.slices {
-            let mut head = self.heads[slice];
-            let tail = self.tails[slice];
-            reclaimed.clear();
-            while head < tail {
-                head = slot_start(head, cap);
-                if head >= tail {
-                    break;
-                }
-                let mut bytes = [0u8; SLOT_MAX as usize];
-                self.domain.read(log_region(slice), head % cap, &mut bytes);
-                let read = match decode_slot(&bytes, pass_parity(head, cap)) {
-                    Ok(r) => r,
-                    Err(_) => break,
-                };
-                if !read.crc_ok || !self.txtable.is_deletable(read.record.tag) {
-                    break;
-                }
-                reclaimed.push(read.record.tag);
-                head += read.record.kind.slot_bytes();
-            }
-            if head != self.heads[slice] {
-                freed += head - self.heads[slice];
-                self.heads[slice] = head;
-                self.publish_control(slice);
-            }
+            let ring = &mut self.rings[slice];
+            let old_head = ring.head();
+            // The new head is the first slot still needed, which also skips
+            // a wrap remainder in front of it.
+            let head = ring
+                .entries()
+                .find(|e| !self.txtable.is_deletable(e.value))
+                .map_or(ring.tail(), |e| e.offset);
             // A tag's table entry is freed only once no slice still holds
             // its records; with per-thread slices a tag lives in exactly
             // one slice, so reclaiming its prefix run frees it. A tag
             // listed twice is forgotten twice, which is harmless.
-            for &tag in &reclaimed {
-                self.txtable.forget(tag);
+            for entry in ring.truncate_to(head) {
+                self.txtable.forget(entry.value);
+            }
+            if head != old_head {
+                freed += head - old_head;
+                self.publish_control(slice);
             }
         }
-        self.reclaimed = reclaimed;
         freed
     }
 
@@ -497,8 +455,7 @@ impl<D: PersistDomain> Log<D> {
                 )));
             }
             self.vers[slice] = ver;
-            self.heads[slice] = head;
-            self.tails[slice] = tail;
+            self.rings[slice].reopen(head, tail);
         }
 
         // 2. Scan each slice's published window into planner entries.
@@ -523,7 +480,7 @@ impl<D: PersistDomain> Log<D> {
         // 4. Truncate everything (all scanned records are now applied or
         //    dead) and make the whole recovery durable.
         for slice in 0..self.cfg.slices {
-            self.heads[slice] = self.tails[slice];
+            self.rings[slice].clear();
             self.publish_control(slice);
         }
         if !self.domain.drain() {
@@ -549,25 +506,25 @@ impl<D: PersistDomain> Log<D> {
 
     /// Scans one slice's `[head, tail)` window into [`ScanEntry`] values.
     fn scan_slice(&self, slice: usize, entries: &mut Vec<ScanEntry>) {
-        let cap = self.cfg.log_capacity;
+        let ring = &self.rings[slice];
         let region = log_region(slice);
-        let mut pos = self.heads[slice];
-        let tail = self.tails[slice];
-        let mut seq = 0u64;
-        while pos < tail {
-            pos = slot_start(pos, cap);
-            if pos >= tail {
+        let mut pos = ring.head();
+        while pos < ring.tail() {
+            // The reserve covers every slot, so the kind the slot turns out
+            // to hold does not move its start.
+            pos = ring.place(pos, RecordKind::UndoRedo);
+            if pos >= ring.tail() {
                 break;
             }
             let mut bytes = [0u8; SLOT_MAX as usize];
-            self.domain.read(region, pos % cap, &mut bytes);
-            match decode_slot(&bytes, pass_parity(pos, cap)) {
+            self.domain.read(region, ring.position(pos), &mut bytes);
+            match decode_slot(&bytes, ring.pass_parity(pos)) {
                 Ok(read) => {
                     let rec = read.record;
                     if read.complete {
                         entries.push(ScanEntry {
                             slice,
-                            seq,
+                            seq: pos,
                             kind: rec.kind,
                             tag: rec.tag,
                             addr: rec.addr,
@@ -587,7 +544,7 @@ impl<D: PersistDomain> Log<D> {
                         // anchor or name a rolled-back transaction.
                         entries.push(ScanEntry {
                             slice,
-                            seq,
+                            seq: pos,
                             kind: RecordKind::Redo,
                             tag: rec.tag,
                             addr: rec.addr,
@@ -601,7 +558,6 @@ impl<D: PersistDomain> Log<D> {
                         });
                     }
                     pos += rec.kind.slot_bytes();
-                    seq += 1;
                 }
                 Err(_) => {
                     // Reserved kind bits: the header itself is damaged, so
@@ -611,7 +567,7 @@ impl<D: PersistDomain> Log<D> {
                     let w1 = u64::from_le_bytes(bytes[8..16].try_into().unwrap());
                     entries.push(ScanEntry {
                         slice,
-                        seq,
+                        seq: pos,
                         kind: RecordKind::Redo,
                         tag: TxTag::new(((w1 >> 2) & 0xFF) as u8, ((w1 >> 10) & 0xFFFF) as u16),
                         addr: 0,
@@ -678,6 +634,16 @@ mod tests {
         reopened.recover().unwrap();
         assert_eq!(reopened.read_word(0), 1);
         reopened.write(0, 1, 0, 2).unwrap();
+    }
+
+    #[test]
+    fn out_of_range_write_is_an_error() {
+        let cfg = LogConfig::small();
+        let mut log = fresh(&cfg);
+        let formatted = log.domain().durable_bytes();
+        assert_eq!(log.write(0, 0, 64, 1), Err(LogError::WordOutOfRange(64)));
+        assert_eq!(log.domain().durable_bytes(), formatted, "nothing logged");
+        log.write(0, 0, 63, 1).unwrap();
     }
 
     #[test]

@@ -12,6 +12,10 @@
 //! * [`record`] — the log-record wire format: the Fig. 7 metadata packing,
 //!   the CRC-32 integrity footprint that binds in the pass-parity (torn)
 //!   bit, and a fixed-slot byte codec for storage backends.
+//! * [`ring`] — the Lamport single-producer/single-consumer log ring:
+//!   head/tail offsets, slot placement with its wrap skip, pass parity,
+//!   truncation and the live window, over a caller-chosen slot
+//!   [`Geometry`](ring::Geometry).
 //! * [`protocol`] — the pure recovery planner shared by every backend *and*
 //!   by the simulator: classify scanned slots (valid / torn / corrupt),
 //!   compute per-thread damage cutoffs, pick winners (with the optional
@@ -32,10 +36,13 @@
 //!   truncation and full crash recovery over any [`PersistDomain`].
 //!
 //! The simulator shares this crate's record, kind and transaction-table
-//! types and its recovery planner, but not its ring: the cycle engine still
-//! appends through its own `morlog_nvm::log::LogRegion`. The simulator's
-//! NVMM fault model implements [`PersistDomain`] in the `morlog-nvm` crate
-//! (`SimDomain`); only tests drive [`Log`] over it.
+//! types, its recovery planner and its [`Ring`](ring::Ring): the engine
+//! steps one ring per slice over [`BYTE_SLOTS`](record::BYTE_SLOTS), and
+//! the simulator's memory controller one per slice over the Fig. 7 array
+//! slots (`morlog_nvm::log::ARRAY_SLOTS`). The simulator still keeps its
+//! slots as structured records rather than bytes. Its NVMM fault model
+//! implements [`PersistDomain`] in the `morlog-nvm` crate (`SimDomain`);
+//! only tests drive [`Log`] over it.
 //!
 //! # Example
 //!
@@ -63,6 +70,7 @@ pub mod mem;
 pub mod mmap;
 pub mod protocol;
 pub mod record;
+pub mod ring;
 pub mod txtable;
 
 pub use domain::{PersistDomain, RegionId, CONTROL_REGION, DATA_REGION};

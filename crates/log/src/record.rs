@@ -13,6 +13,8 @@
 //! pass-parity (torn) bit** — binding the parity in keeps a stale slot from
 //! a previous pass over the ring from masquerading as current.
 
+use crate::ring::Geometry;
+
 /// A transaction tag: the `(thread, txid)` pair that identifies a
 /// transaction among those still present in the log region (8-bit thread,
 /// 16-bit per-thread transaction id — the field widths of the Fig. 7 entry
@@ -77,7 +79,7 @@ impl RecordKind {
     /// Bytes one slot of this kind occupies in a byte-domain log region:
     /// 24 header bytes (two metadata words + timestamp), the data words,
     /// a 4-byte CRC and a 1-byte parity/magic trailer, rounded up to 8.
-    pub fn slot_bytes(self) -> u64 {
+    pub const fn slot_bytes(self) -> u64 {
         match self {
             RecordKind::UndoRedo => 48,
             RecordKind::Redo => 40,
@@ -90,6 +92,16 @@ impl RecordKind {
 /// pass whenever fewer than this many bytes remain before the wrap point,
 /// so a slot never straddles the wrap.
 pub const SLOT_MAX: u64 = 48;
+
+/// The byte backends' ring layout: [`RecordKind::slot_bytes`] slots with a
+/// [`SLOT_MAX`] wrap reserve, so the recovery scan finds the next slot's
+/// start before it has decoded the slot's kind.
+pub const BYTE_SLOTS: Geometry = Geometry {
+    undo_redo: RecordKind::UndoRedo.slot_bytes(),
+    redo: RecordKind::Redo.slot_bytes(),
+    commit: RecordKind::Commit.slot_bytes(),
+    reserve: SLOT_MAX,
+};
 
 /// The pass-parity (torn) bit of the slot at monotonic byte `offset` in a
 /// ring of `capacity` bytes: which pass over the ring wrote it. The bit

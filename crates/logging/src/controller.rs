@@ -43,7 +43,6 @@ use morlog_encoding::secure::SecureMode;
 use morlog_log::record::{Record, RecordKind, TxTag};
 use morlog_log::txtable::TxTable;
 use morlog_nvm::controller::{LogAppendError, MemoryController};
-use morlog_nvm::log::array_slot_bytes;
 use morlog_sim_core::hash::{IntHashMap, IntHashSet};
 use morlog_sim_core::hostprof::{self, HostPhase};
 use morlog_sim_core::ids::TxKey;
@@ -804,7 +803,7 @@ impl LogController {
                     self.track_phase(key, CommitPhaseTag::RecordPersisted, now);
                 }
                 Err(LogAppendError::WqFull) => break,
-                Err(LogAppendError::RingFull(_)) => {
+                Err(LogAppendError::RingFull) => {
                     self.stats.log_region_full_stalls += 1;
                     break;
                 }
@@ -909,7 +908,7 @@ impl LogController {
                 FlushOutcome::Written
             }
             Err(LogAppendError::WqFull) => FlushOutcome::Blocked(StoreStall::WriteQueue),
-            Err(LogAppendError::RingFull(_)) => {
+            Err(LogAppendError::RingFull) => {
                 self.stats.log_region_full_stalls += 1;
                 FlushOutcome::Blocked(StoreStall::Buffer)
             }
@@ -1144,33 +1143,32 @@ impl LogController {
         mc: &mut MemoryController,
         deletable: impl Fn(&TxKey, &IntHashMap<TxKey, Cycle>) -> bool,
     ) {
-        let n_slices = mc.log_regions().len();
+        let rings = mc.log_rings();
         // Pass 1 per slice: naive committed-prefix walk, then the no-split
         // rule (recovery must see a transaction completely or not at all).
-        let mut new_heads: Vec<u64> = Vec::with_capacity(n_slices);
-        for slice in 0..n_slices {
-            let region = &mc.log_regions()[slice];
-            let head = region.head();
+        let mut new_heads: Vec<u64> = Vec::with_capacity(rings.len());
+        for ring in rings {
+            let head = ring.head();
             let mut new_head = head;
-            for stored in region.records() {
-                if deletable(&stored.record.tag.into(), commit_cycle) {
-                    new_head = stored.offset + array_slot_bytes(stored.record.kind);
+            for slot in ring.entries() {
+                if deletable(&slot.value.record.tag.into(), commit_cycle) {
+                    new_head = slot.offset + ring.geometry().slot_bytes(slot.kind);
                 } else {
                     break;
                 }
             }
             if new_head > head {
-                let split_keys: IntHashSet<_> = region
-                    .records()
+                let split_keys: IntHashSet<_> = ring
+                    .entries()
                     .filter(|r| r.offset >= new_head)
-                    .map(|r| r.record.tag)
+                    .map(|r| r.value.record.tag)
                     .collect();
-                for stored in region.records() {
-                    if stored.offset >= new_head {
+                for slot in ring.entries() {
+                    if slot.offset >= new_head {
                         break;
                     }
-                    if split_keys.contains(&stored.record.tag) {
-                        new_head = new_head.min(stored.offset);
+                    if split_keys.contains(&slot.value.record.tag) {
+                        new_head = new_head.min(slot.offset);
                     }
                 }
             }
@@ -1182,37 +1180,34 @@ impl LogController {
         // transaction must therefore never be deleted while an
         // earlier-committed one still has ring records — across all slices.
         let mut removed: IntHashSet<TxTag> = IntHashSet::default();
-        for (slice, &head) in new_heads.iter().enumerate().take(n_slices) {
-            for r in mc.log_regions()[slice].records() {
-                if r.offset < head {
-                    removed.insert(r.record.tag);
-                }
+        for (ring, &head) in rings.iter().zip(&new_heads) {
+            for r in ring.entries().take_while(|r| r.offset < head) {
+                removed.insert(r.value.record.tag);
             }
         }
         let mut c_lim = Cycle::MAX;
-        for slice in 0..n_slices {
-            for r in mc.log_regions()[slice].records() {
-                if !removed.contains(&r.record.tag) {
-                    if let Some(&c) = commit_cycle.get(&r.record.tag.into()) {
-                        c_lim = c_lim.min(c);
-                    }
+        for r in rings.iter().flat_map(|ring| ring.entries()) {
+            let tag = r.value.record.tag;
+            if !removed.contains(&tag) {
+                if let Some(&c) = commit_cycle.get(&tag.into()) {
+                    c_lim = c_lim.min(c);
                 }
             }
         }
-        for (slice, slice_head) in new_heads.iter().copied().enumerate().take(n_slices) {
-            let region = &mc.log_regions()[slice];
-            let head = region.head();
+        for (slice, slice_head) in new_heads.into_iter().enumerate() {
+            let ring = &mc.log_rings()[slice];
+            let head = ring.head();
             let mut new_head = slice_head;
-            for stored in region.records() {
-                if stored.offset >= new_head {
+            for slot in ring.entries() {
+                if slot.offset >= new_head {
                     break;
                 }
                 let c = commit_cycle
-                    .get(&stored.record.tag.into())
+                    .get(&slot.value.record.tag.into())
                     .copied()
                     .unwrap_or(Cycle::MAX);
                 if c > c_lim {
-                    new_head = new_head.min(stored.offset);
+                    new_head = new_head.min(slot.offset);
                 }
             }
             if new_head > head {
@@ -1370,7 +1365,7 @@ mod tests {
         assert!(tick(&mut lc, 100 + cfg.eager_evict_cycles - 1, &mut m).is_empty());
         let persisted = tick(&mut lc, 100 + cfg.eager_evict_cycles, &mut m);
         assert_eq!(persisted.len(), 1);
-        assert_eq!(m.log_region().records().count(), 1);
+        assert_eq!(m.log_ring().entries().count(), 1);
         apply_persisted(&mut line, &persisted);
         assert_eq!(line.ext.unwrap().word_state[0], WordLogState::URLog);
     }
@@ -1426,7 +1421,7 @@ mod tests {
         let addr2 = line.addr.word_addr(1);
         lc.on_store(key, addr2, 0, 5, &mut line2, 51, &mut m)
             .unwrap();
-        let written_before = m.log_region().records().count();
+        let written_before = m.log_ring().entries().count();
         assert!(lc.on_llc_writeback(line.addr.index(), 52, &mut m));
         assert_eq!(
             lc.stats().redo_discarded,
@@ -1435,7 +1430,7 @@ mod tests {
         );
         assert_eq!(lc.occupancy(), (0, 0, 0));
         // The undo+redo entry was forced out ahead of the data.
-        assert_eq!(m.log_region().records().count(), written_before + 1);
+        assert_eq!(m.log_ring().entries().count(), written_before + 1);
     }
 
     #[test]
@@ -1466,7 +1461,7 @@ mod tests {
             now += 1;
             assert!(now < 10_000, "commit must complete");
         }
-        let kinds: Vec<RecordKind> = m.log_region().records().map(|r| r.record.kind).collect();
+        let kinds: Vec<RecordKind> = m.log_ring().entries().map(|r| r.kind).collect();
         assert!(kinds.contains(&RecordKind::UndoRedo));
         assert!(kinds.contains(&RecordKind::Redo));
         assert_eq!(*kinds.last().unwrap(), RecordKind::Commit);
@@ -1491,11 +1486,11 @@ mod tests {
         // into the log ahead of itself (write-ahead completeness: a commit
         // record in the ring implies every undo+redo entry is too).
         tick(&mut lc, 1, &mut m);
-        let records: Vec<_> = m.log_region().records().collect();
+        let records: Vec<_> = m.log_ring().entries().collect();
         assert_eq!(records.len(), 2);
-        assert_eq!(records[0].record.kind, RecordKind::UndoRedo);
-        assert_eq!(records[1].record.kind, RecordKind::Commit);
-        assert_eq!(records[1].record.ulog_count, Some(3));
+        assert_eq!(records[0].kind, RecordKind::UndoRedo);
+        assert_eq!(records[1].kind, RecordKind::Commit);
+        assert_eq!(records[1].value.record.ulog_count, Some(3));
     }
 
     #[test]
@@ -1517,7 +1512,7 @@ mod tests {
             line.data.set_word(0, 0);
             tick(&mut lc, cfg.eager_evict_cycles + 1, &mut m);
             assert_eq!(lc.stats().silent_discarded, expect_silent, "{design}");
-            let written = m.log_region().records().count();
+            let written = m.log_ring().entries().count();
             assert_eq!(written, if expect_silent == 1 { 0 } else { 1 }, "{design}");
         }
     }
@@ -1647,13 +1642,13 @@ mod tests {
         lc.on_store(key2, line2_addr.word_addr(0), 0, 2, &mut line2, now, &mut m)
             .unwrap();
         tick(&mut lc, now + cfg.eager_evict_cycles, &mut m);
-        let before = m.log_region().records().count();
+        let before = m.log_ring().entries().count();
         assert_eq!(before, 3); // tx1 entry + commit, tx2 entry
         lc.truncate(now + 1000, &mut m);
         let remaining: Vec<_> = m
-            .log_region()
-            .records()
-            .map(|r| TxKey::from(r.record.tag))
+            .log_ring()
+            .entries()
+            .map(|r| TxKey::from(r.value.record.tag))
             .collect();
         assert_eq!(
             remaining,
@@ -1699,7 +1694,7 @@ mod silent_anchor_tests {
             persisted[0].silent,
             "coalesced-to-silent entry is discarded"
         );
-        assert_eq!(m.log_region().records().count(), 0, "nothing written");
+        assert_eq!(m.log_ring().entries().count(), 0, "nothing written");
         // The engine sends the word back to Clean on a silent notification;
         // a later write must create a fresh undo+redo entry (not a redo).
         line.ext.as_mut().unwrap().word_state[0] = WordLogState::Clean;
@@ -1730,7 +1725,7 @@ mod silent_anchor_tests {
         line.data.set_word(0, 42);
         // Force the entry out via the write-ahead path (LLC writeback).
         assert!(lc.on_llc_writeback(line_addr.index(), 1, &mut m));
-        assert_eq!(m.log_region().records().count(), 1);
+        assert_eq!(m.log_ring().entries().count(), 1);
         // Word still marked Dirty (no notification went to the engine);
         // the next store opens a new entry with undo = 42.
         lc.on_store(key, addr, 42, 99, &mut line, 2, &mut m)

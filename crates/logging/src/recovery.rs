@@ -36,8 +36,7 @@
 //! interleave in the ring.
 
 use morlog_log::protocol::{plan_replay, ScanEntry};
-use morlog_log::record::unpack_meta;
-use morlog_nvm::controller::{MemoryController, ScannedRecord};
+use morlog_nvm::controller::MemoryController;
 use morlog_sim_core::hostprof::{self, HostPhase};
 use morlog_sim_core::ids::TxKey;
 use morlog_sim_core::trace::{RecoveryStepTag, TraceEvent};
@@ -73,28 +72,6 @@ impl RecoveryReport {
     /// Whether the scan found any damaged or dropped records.
     pub fn saw_damage(&self) -> bool {
         self.torn_records > 0 || self.corrupt_records > 0 || self.dropped_records > 0
-    }
-}
-
-/// Maps one scanned ring record into the backend-neutral form the extracted
-/// planner consumes. Classification (torn / corrupt / valid) happens inside
-/// [`plan_replay`] from the `words_persisted` / `meta_ok` / `crc_ok` facts
-/// recorded here.
-fn scan_entry(s: &ScannedRecord) -> ScanEntry {
-    let r = &s.stored.record;
-    ScanEntry {
-        slice: s.slice,
-        seq: s.stored.seq,
-        kind: r.kind,
-        tag: r.tag,
-        addr: r.addr,
-        undo: r.undo,
-        redo: r.redo,
-        ulog_count: r.ulog_count,
-        timestamp: r.timestamp,
-        words_persisted: s.words_persisted,
-        meta_ok: unpack_meta(r.meta_words()).is_ok(),
-        crc_ok: s.stored.crc_ok(),
     }
 }
 
@@ -165,17 +142,22 @@ fn recover_inner(
     // Gather records from every log slice (one for the centralized log,
     // several for the §III-F distributed variant) and hand them to the
     // extracted protocol planner. A transaction's records all live in its
-    // thread's slice, so per-slice `seq` ordering is enough within a
-    // transaction; commit order across slices comes from the timestamps in
-    // the commit records.
-    let scanned = mc.scan_log();
+    // thread's slice, so per-slice `seq` ordering (the slot offset) is
+    // enough within a transaction; commit order across slices comes from
+    // the timestamps in the commit records.
+    let mut entries: Vec<ScanEntry> = Vec::new();
+    for (slice, ring) in mc.log_rings().iter().enumerate() {
+        entries.extend(
+            ring.entries()
+                .map(|slot| slot.value.scan_entry(slice, slot.offset)),
+        );
+    }
     let tracer = mc.tracer().clone();
     let at = mc.last_tick();
     tracer.emit(at, || TraceEvent::Recovery {
         step: RecoveryStepTag::Scan,
-        count: scanned.len() as u64,
+        count: entries.len() as u64,
     });
-    let entries: Vec<ScanEntry> = scanned.iter().map(scan_entry).collect();
     // Classification, per-thread damage cutoffs, winner determination (with
     // the delay-persistence ulog check) and the forward/backward replay
     // schedules all come from `morlog-log` — the same planner every byte
@@ -290,7 +272,7 @@ mod tests {
         assert!(report.undone.is_empty());
         assert!(!report.saw_damage());
         assert_eq!(word_at(&m, a), 42);
-        assert!(m.log_region().is_empty());
+        assert!(m.log_ring().is_empty());
     }
 
     #[test]
@@ -549,7 +531,7 @@ mod tests {
             let partial = recover_interrupted(&mut m, false, budget);
             assert!(partial.interrupted, "budget {budget} must interrupt");
             assert!(
-                !m.log_region().is_empty(),
+                !m.log_ring().is_empty(),
                 "interrupted recovery must not delete log entries"
             );
             let second = recover(&mut m, false);
@@ -557,13 +539,13 @@ mod tests {
             assert_eq!(second.redone, vec![key(0, 0)]);
             assert_eq!(second.undone, vec![key(1, 0)]);
             assert_eq!((word_at(&m, a0), word_at(&m, a1)), want, "budget {budget}");
-            assert!(m.log_region().is_empty());
+            assert!(m.log_ring().is_empty());
         }
         // A budget past the total replay count no longer interrupts.
         let (mut m, _, _) = build();
         let full = recover_interrupted(&mut m, false, 64);
         assert!(!full.interrupted);
-        assert!(m.log_region().is_empty());
+        assert!(m.log_ring().is_empty());
     }
 }
 
@@ -780,7 +762,7 @@ mod distributed_tests {
             .unwrap();
         }
         for slice in 0..4 {
-            assert_eq!(m.log_regions()[slice].records().count(), 1, "slice {slice}");
+            assert_eq!(m.log_rings()[slice].entries().count(), 1, "slice {slice}");
         }
     }
 
@@ -849,7 +831,7 @@ mod distributed_tests {
             .unwrap();
         }
         recover(&mut m, false);
-        for r in m.log_regions() {
+        for r in m.log_rings() {
             assert!(r.is_empty());
         }
     }

@@ -16,6 +16,7 @@ use std::collections::VecDeque;
 
 use morlog_encoding::slde::{EncodingChoice, SldeCodec};
 use morlog_log::record::{Record, RecordKind};
+use morlog_log::ring::{Entry, Ring};
 use morlog_sim_core::fault::FaultPlan;
 use morlog_sim_core::hash::IntHashMap;
 use morlog_sim_core::hostprof::{self, HostCounter, HostPhase};
@@ -27,7 +28,7 @@ use morlog_sim_core::trace::{TraceEvent, Tracer};
 use morlog_sim_core::{Addr, Cycle, Frequency, LineAddr, LineData, MemConfig};
 
 use crate::layout::{line_to_channel_bank, MemoryMap, Region};
-use crate::log::{array_slot_bytes, LogFullError, LogRegion, StoredRecord};
+use crate::log::{StoredRecord, ARRAY_SLOTS};
 use crate::module::NvmmModule;
 
 /// Identifies an outstanding read.
@@ -54,7 +55,7 @@ pub enum LogAppendError {
     WqFull,
     /// The log ring is out of space; truncation must run first (§III-A
     /// overflow handling).
-    RingFull(LogFullError),
+    RingFull,
 }
 
 #[derive(Debug, Clone)]
@@ -132,27 +133,13 @@ fn hash_line(line: LineAddr, data: &LineData) -> u64 {
 }
 
 /// Location hash of one live log slot.
-fn hash_record(slice: usize, stored: &StoredRecord) -> u64 {
-    let mut h = mix64((slice as u64) << 48 ^ stored.offset ^ 0x2545_F491_4F6C_DD1D);
-    let (words, n) = stored.record.payload_array();
+fn hash_record(slice: usize, slot: &Entry<StoredRecord>) -> u64 {
+    let mut h = mix64((slice as u64) << 48 ^ slot.offset ^ 0x2545_F491_4F6C_DD1D);
+    let (words, n) = slot.value.record.payload_array();
     for w in &words[..n] {
         h = mix64(h ^ w);
     }
     h
-}
-
-/// One live log slot as seen by the recovery scan: its stored form plus how
-/// many of its data words actually persisted (fewer than
-/// `record.kind.data_words()` when a crash tore the slot's drain).
-#[derive(Debug, Clone, Copy)]
-pub struct ScannedRecord {
-    /// Which log slice holds the slot.
-    pub slice: usize,
-    /// The stored record (contents as the array now holds them — possibly
-    /// bit-flipped or prefix-truncated by an injected fault).
-    pub stored: StoredRecord,
-    /// Data words that persisted before the crash cut the drain short.
-    pub words_persisted: usize,
 }
 
 #[derive(Debug, Clone)]
@@ -272,7 +259,9 @@ pub struct MemoryController {
     dram: IntHashMap<LineAddr, LineData>,
     /// Log slices: one for the paper's centralized log, several for the
     /// §III-F distributed (per-thread) variant.
-    logs: Vec<LogRegion>,
+    logs: Vec<Ring<StoredRecord>>,
+    /// Bytes between the NVMM start addresses of consecutive slices.
+    log_slice_stride: u64,
     /// Channel and bank of the slot each slice appends next; recomputed
     /// whenever the slice's tail or capacity moves.
     tail_place: Vec<(usize, usize)>,
@@ -289,11 +278,6 @@ pub struct MemoryController {
     /// Lifetime program count per log slot (keyed by slot_key), for the
     /// stuck-at wear-out model. Reset when a slot is remapped to a spare.
     wear: IntHashMap<u64, u32>,
-    /// Slots a crash-time tear truncated: `(slice, offset) -> data words
-    /// persisted`. The recovery scan reads this through [`scan_log`].
-    ///
-    /// [`scan_log`]: MemoryController::scan_log
-    torn_words: IntHashMap<(usize, u64), usize>,
     /// Observability sink (disabled by default; see [`set_tracer`]).
     ///
     /// [`set_tracer`]: MemoryController::set_tracer
@@ -331,8 +315,8 @@ impl MemoryController {
         let slice_bytes = (map.log_bytes() / slices).next_multiple_of(64).max(64);
         let logs = (0..slices)
             .map(|i| {
-                LogRegion::new(
-                    morlog_sim_core::Addr::new(map.log_base().as_u64() + i * slice_bytes),
+                Ring::new(
+                    ARRAY_SLOTS,
                     slice_bytes.min(map.log_bytes() - i * slice_bytes),
                 )
             })
@@ -342,6 +326,7 @@ impl MemoryController {
             module: NvmmModule::new(codec),
             dram: IntHashMap::default(),
             logs,
+            log_slice_stride: slice_bytes,
             tail_place: Vec::new(),
             next_ticket: 0,
             done_reads: IntHashMap::default(),
@@ -351,7 +336,6 @@ impl MemoryController {
             fault_plan: FaultPlan::none(),
             accept_seq: 0,
             wear: IntHashMap::default(),
-            torn_words: IntHashMap::default(),
             tracer: Tracer::disabled(),
             last_tick: 0,
             log_metrics: LogWriteMetrics::default(),
@@ -422,16 +406,16 @@ impl MemoryController {
     }
 
     /// The log ring (for the recovery scan and truncation decisions).
-    /// With distributed logs this is slice 0; use [`log_regions`] to see
+    /// With distributed logs this is slice 0; use [`log_rings`] to see
     /// all slices.
     ///
-    /// [`log_regions`]: MemoryController::log_regions
-    pub fn log_region(&self) -> &LogRegion {
+    /// [`log_rings`]: MemoryController::log_rings
+    pub fn log_ring(&self) -> &Ring<StoredRecord> {
         &self.logs[0]
     }
 
-    /// All log slices (1 for the centralized log).
-    pub fn log_regions(&self) -> &[LogRegion] {
+    /// All log slices (1 for the centralized log), one ring each.
+    pub fn log_rings(&self) -> &[Ring<StoredRecord>] {
         &self.logs
     }
 
@@ -605,7 +589,7 @@ impl MemoryController {
         &mut self,
         record: Record,
         now: Cycle,
-    ) -> Result<StoredRecord, LogAppendError> {
+    ) -> Result<Entry<StoredRecord>, LogAppendError> {
         let _prof = hostprof::scope(HostPhase::MemController);
         if self.crash_point_reached() {
             // Armed crash point hit: freeze before any side effect (even
@@ -621,20 +605,21 @@ impl MemoryController {
         if self.channels[ch].write_q.len() >= self.cfg.write_queue_entries {
             return Err(LogAppendError::WqFull);
         }
-        let stored = match self.logs[slice].append(record) {
-            Ok(stored) => stored,
-            Err(_) => {
+        let kind = record.kind;
+        let seal = |torn| StoredRecord::seal(record, torn);
+        let slot = match self.logs[slice].append(kind, seal) {
+            Some(slot) => *slot,
+            None => {
                 self.grow_log_slice(slice);
-                self.logs[slice]
-                    .append(record)
-                    .map_err(LogAppendError::RingFull)?
+                *self.logs[slice]
+                    .append(kind, seal)
+                    .ok_or(LogAppendError::RingFull)?
             }
         };
         self.tail_place[slice] = self.place_log_tail(slice);
-        let kind = stored.record.kind;
-        let home = Addr::new(stored.record.addr);
+        let home = Addr::new(record.addr);
         if let Some(ht) = &mut self.hash_trace {
-            ht.state ^= hash_record(slice, &stored);
+            ht.state ^= hash_record(slice, &slot);
         }
         if let Some(mt) = &mut self.meta_trace {
             mt.push(PersistEventMeta::Log {
@@ -646,22 +631,22 @@ impl MemoryController {
                 key,
                 addr: home,
                 slice,
-                offset: stored.offset,
+                offset: slot.offset,
             });
         }
-        let physical = stored.offset % self.logs[slice].capacity();
+        let physical = self.logs[slice].position(slot.offset);
         // Slot-state keys are unique across slices.
         let slot_key = ((slice as u64) << 40) | physical;
-        let serviced = self.module.write_log_record(&stored, slot_key);
+        let serviced = self.module.write_log_record(&slot.value, slot_key);
         self.account_write(&serviced.cost, true, &serviced.choices);
         self.log_metrics.entry_bits[LogWriteMetrics::kind_index(kind)]
             .record(serviced.cost.bits_programmed);
         let service_cycles = self.write_service_cycles(&serviced.cost);
         let payload = if self.fault_plan.is_active() {
-            let (words, nwords) = stored.record.payload_array();
+            let (words, nwords) = record.payload_array();
             WritePayload::Log {
                 slice,
-                offset: stored.offset,
+                offset: slot.offset,
                 key,
                 data_line: home.line(),
                 is_undo: kind == RecordKind::UndoRedo,
@@ -690,11 +675,11 @@ impl MemoryController {
         });
         self.tracer.emit(now, || TraceEvent::LogAppend {
             slice: slice as u32,
-            offset: stored.offset,
+            offset: slot.offset,
             kind,
             key,
         });
-        Ok(stored)
+        Ok(slot)
     }
 
     /// Whether [`try_append_log`](MemoryController::try_append_log) would
@@ -721,7 +706,7 @@ impl MemoryController {
     /// data entries stop short of the commit-record reserve.
     fn needs_pre_grow(&self, slice: usize, kind: RecordKind) -> bool {
         kind != RecordKind::Commit
-            && self.logs[slice].free_bytes() < COMMIT_RESERVE_BYTES + array_slot_bytes(kind)
+            && self.logs[slice].free_bytes() < COMMIT_RESERVE_BYTES + ARRAY_SLOTS.slot_bytes(kind)
     }
 
     /// Channel and bank of the next slot appended to `slice`, computed
@@ -729,7 +714,8 @@ impl MemoryController {
     fn place_log_tail(&self, slice: usize) -> (usize, usize) {
         let log = &self.logs[slice];
         let offset = log.tail(); // close enough for placement (wrap skip shifts by <1 slot)
-        self.place(Addr::new(log.base().as_u64() + offset % log.capacity()).line())
+        let base = self.map.log_base().as_u64() + slice as u64 * self.log_slice_stride;
+        self.place(Addr::new(base + log.position(offset)).line())
     }
 
     /// §III-A overflow prevention, option 2: extends `slice` with a
@@ -871,12 +857,12 @@ impl MemoryController {
                 continue;
             }
             if let Some(k) = self.fault_plan.torn_prefix(w.accept_seq, data_words) {
-                self.torn_words.insert((slice, offset), k);
-                self.logs[slice].corrupt_record_at(offset, |r| {
+                if let Some(slot) = self.logs[slice].entry_mut(offset) {
+                    slot.value.words_persisted = k as u8;
                     for i in k..data_words {
-                        r.set_data_word(i, 0);
+                        slot.value.record.set_data_word(i, 0);
                     }
-                });
+                }
                 self.stats.faults_torn_drains += 1;
                 continue;
             }
@@ -884,7 +870,7 @@ impl MemoryController {
                 let j = 3 + i; // data words follow [meta0, meta1, timestamp]
                 let site = w.accept_seq * 16 + j as u64;
                 if let Some(flipped) = self.fault_plan.crash_flip_word(site, words[j]) {
-                    self.logs[slice].corrupt_record_at(offset, |r| r.set_data_word(i, flipped));
+                    self.corrupt_log_record(slice, offset, |r| r.set_data_word(i, flipped));
                     self.stats.faults_bit_flips += 1;
                 }
             }
@@ -901,29 +887,8 @@ impl MemoryController {
         offset: u64,
         f: impl FnOnce(&mut Record),
     ) -> bool {
-        self.logs[slice].corrupt_record_at(offset, f)
-    }
-
-    /// The recovery scan: every live record of every slice, oldest first
-    /// within a slice, annotated with how many data words survived the
-    /// crash (see [`ScannedRecord`]).
-    pub fn scan_log(&self) -> Vec<ScannedRecord> {
-        let mut out = Vec::new();
-        for (slice, log) in self.logs.iter().enumerate() {
-            for stored in log.records() {
-                let words_persisted = self
-                    .torn_words
-                    .get(&(slice, stored.offset))
-                    .copied()
-                    .unwrap_or_else(|| stored.record.kind.data_words());
-                out.push(ScannedRecord {
-                    slice,
-                    stored: *stored,
-                    words_persisted,
-                });
-            }
-        }
-        out
+        let slot = self.logs[slice].entry_mut(offset);
+        slot.map(|slot| f(&mut slot.value.record)).is_some()
     }
 
     /// Truncates log slice 0 up to `offset` (exclusive); see
@@ -936,37 +901,14 @@ impl MemoryController {
 
     /// Truncates one log slice up to `offset` (exclusive).
     pub fn truncate_log_slice(&mut self, slice: usize, offset: u64) {
-        if let Some(ht) = &mut self.hash_trace {
-            // XOR the deleted slots out of the fold so a crash point after
-            // the truncation is not pruned as equivalent to one before it.
-            for stored in self.logs[slice].records() {
-                if stored.offset >= offset {
-                    break;
-                }
-                ht.state ^= hash_record(slice, stored);
-            }
-        }
-        if self.meta_trace.is_some() {
-            let offsets: Vec<u64> = self.logs[slice]
-                .records()
-                .take_while(|s| s.offset < offset)
-                .map(|s| s.offset)
-                .collect();
-            if !offsets.is_empty() {
-                if let Some(mt) = &mut self.meta_trace {
-                    mt.push(PersistEventMeta::Truncate { slice, offsets });
-                }
-            }
-        }
         let old_head = self.logs[slice].head();
-        self.logs[slice].truncate_to(offset);
-        let new_head = self.logs[slice].head();
-        if new_head != old_head {
+        self.drop_log_prefix(slice, offset);
+        if offset != old_head {
             self.tracer
                 .emit(self.last_tick, || TraceEvent::LogTruncate {
                     slice: slice as u32,
                     old_head,
-                    new_head,
+                    new_head: offset,
                 });
         }
     }
@@ -974,27 +916,31 @@ impl MemoryController {
     /// Empties every log slice (end of recovery: all entries deleted by
     /// advancing the head pointers to the tails).
     pub fn clear_log(&mut self) {
-        if let Some(ht) = &mut self.hash_trace {
-            for (slice, log) in self.logs.iter().enumerate() {
-                for stored in log.records() {
-                    ht.state ^= hash_record(slice, stored);
-                }
+        for slice in 0..self.logs.len() {
+            self.drop_log_prefix(slice, self.logs[slice].tail());
+        }
+    }
+
+    /// Moves `slice`'s head to `offset`. The deleted slots leave the
+    /// persist-domain hash, so a crash point after the truncation is not
+    /// pruned as equivalent to one before it, and the checker's metadata
+    /// stream gets a `Truncate` marker naming them.
+    fn drop_log_prefix(&mut self, slice: usize, offset: u64) {
+        let mut offsets = Vec::new();
+        for slot in self.logs[slice].truncate_to(offset) {
+            if let Some(ht) = &mut self.hash_trace {
+                ht.state ^= hash_record(slice, &slot);
+            }
+            if self.meta_trace.is_some() {
+                offsets.push(slot.offset);
             }
         }
-        if self.meta_trace.is_some() {
-            for slice in 0..self.logs.len() {
-                let offsets: Vec<u64> = self.logs[slice].records().map(|s| s.offset).collect();
-                if !offsets.is_empty() {
-                    if let Some(mt) = &mut self.meta_trace {
-                        mt.push(PersistEventMeta::Truncate { slice, offsets });
-                    }
-                }
+        match &mut self.meta_trace {
+            Some(mt) if !offsets.is_empty() => {
+                mt.push(PersistEventMeta::Truncate { slice, offsets })
             }
+            _ => {}
         }
-        for log in &mut self.logs {
-            log.clear();
-        }
-        self.torn_words.clear();
     }
 
     /// Whether any channel's write queue is at or above the drain watermark.
@@ -1014,7 +960,7 @@ impl MemoryController {
 
     /// Bytes of live (un-truncated) log summed across all slices.
     pub fn log_used_bytes(&self) -> u64 {
-        self.logs.iter().map(|l| l.tail() - l.head()).sum()
+        self.logs.iter().map(|l| l.used_bytes()).sum()
     }
 
     /// Records one cycle of a core stalled on a full write queue.
@@ -1351,7 +1297,7 @@ mod tests {
         assert_eq!(stored.offset, 0);
         assert_eq!(m.stats().log_writes, 1);
         assert!(m.stats().log_bits_programmed > 0);
-        assert_eq!(m.log_region().records().count(), 1);
+        assert_eq!(m.log_ring().entries().count(), 1);
     }
 
     #[test]
@@ -1378,11 +1324,11 @@ mod tests {
             m.stats().log_overflow_growths >= 1,
             "slice grew under pressure"
         );
-        assert_eq!(m.log_region().records().count(), 8);
+        assert_eq!(m.log_ring().entries().count(), 8);
         // Truncation still works over the grown region.
-        let head_target = m.log_region().records().nth(2).unwrap().offset;
+        let head_target = m.log_ring().entries().nth(2).unwrap().offset;
         m.truncate_log(head_target);
-        assert_eq!(m.log_region().records().count(), 6);
+        assert_eq!(m.log_ring().entries().count(), 6);
     }
 
     #[test]
@@ -1427,6 +1373,11 @@ mod tests {
         assert_eq!(m.stats().nvmm_writes, 2);
     }
 
+    /// What slice 0's oldest live slot holds.
+    fn first_slot(m: &MemoryController) -> StoredRecord {
+        m.log_ring().entries().next().unwrap().value
+    }
+
     /// An always-active plan that injects nothing (huge endurance limit):
     /// turns the fault-mode bookkeeping on without damaging anything.
     fn inert_active_plan() -> FaultPlan {
@@ -1468,22 +1419,17 @@ mod tests {
         let commit = m.try_append_log(Record::commit(tag(), None), 0).unwrap();
         m.crash_persist();
         assert_eq!(m.stats().faults_torn_drains, 1);
-        let scan = m.scan_log();
-        let torn = scan
-            .iter()
-            .find(|s| s.stored.offset == stored.offset)
-            .unwrap();
+        let [torn, c] = [stored, commit].map(|slot| {
+            let live = m.log_ring().entries().find(|s| s.offset == slot.offset);
+            live.unwrap().value
+        });
         assert!(torn.words_persisted < 2, "a tear keeps a strict prefix");
-        assert!(!torn.stored.crc_ok(), "truncated words break the CRC");
-        let c = scan
-            .iter()
-            .find(|s| s.stored.offset == commit.offset)
-            .unwrap();
+        assert!(!torn.crc_ok(), "truncated words break the CRC");
         assert_eq!(
             c.words_persisted, 0,
             "commit slots have no data words to tear"
         );
-        assert!(c.stored.crc_ok(), "meta-only slots land atomically");
+        assert!(c.crc_ok(), "meta-only slots land atomically");
     }
 
     #[test]
@@ -1497,9 +1443,9 @@ mod tests {
         m.try_append_log(rec, 0).unwrap();
         m.crash_persist();
         assert_eq!(m.stats().faults_bit_flips, 1);
-        let scan = m.scan_log();
-        assert_eq!(scan[0].words_persisted, 2, "a flip is not a tear");
-        assert!(!scan[0].stored.crc_ok());
+        let slot = first_slot(&m);
+        assert_eq!(slot.words_persisted, 2, "a flip is not a tear");
+        assert!(!slot.crc_ok());
     }
 
     #[test]
@@ -1509,9 +1455,9 @@ mod tests {
         m.try_append_log(rec, 0).unwrap();
         m.crash_persist();
         assert_eq!(m.stats().faults_torn_drains, 0);
-        let scan = m.scan_log();
-        assert_eq!(scan[0].words_persisted, 2);
-        assert!(scan[0].stored.crc_ok());
+        let slot = first_slot(&m);
+        assert_eq!(slot.words_persisted, 2);
+        assert!(slot.crc_ok());
         assert_eq!(
             m.write_queue_occupancy(),
             0,
@@ -1535,8 +1481,9 @@ mod tests {
         assert_eq!(m.stats().write_verify_retries, 1);
         assert_eq!(m.stats().stuck_slots_remapped, 0);
         // The repaired slot is undamaged.
-        assert!(stored.crc_ok());
-        assert_eq!(m.scan_log()[0].words_persisted, 2);
+        assert_eq!(first_slot(&m), stored.value);
+        assert!(stored.value.crc_ok());
+        assert_eq!(stored.value.words_persisted, 2);
     }
 
     #[test]
@@ -1579,7 +1526,7 @@ mod tests {
         ));
         assert_eq!(m.persist_events(), 2);
         assert_eq!(m.read_line(LineAddr::from_index(base)).word(0), 7);
-        assert_eq!(m.log_region().records().count(), 1);
+        assert_eq!(m.log_ring().entries().count(), 1);
         // DRAM (volatile) writes stay unaffected and count no events.
         assert!(m.try_write_data(LineAddr::from_index(1), d, 1));
         assert_eq!(m.persist_events(), 2);
@@ -1611,7 +1558,7 @@ mod tests {
         let rec = Record::undo_redo(tag(), 0x40, 1, 2, 0xFF);
         m.try_append_log(rec, 0).unwrap();
         let after_append = *m.persist_hash_samples().last().unwrap();
-        let cut = m.log_region().tail();
+        let cut = m.log_ring().tail();
         m.truncate_log(cut);
         // Append an identical-content record at a new offset: distinct slot,
         // so the fold must differ from the pre-truncation state even though
@@ -1621,7 +1568,7 @@ mod tests {
         assert_ne!(after_append, after_requeue);
         // Clearing the log after the crash XORs everything back out.
         m.clear_log();
-        assert_eq!(m.log_region().records().count(), 0);
+        assert_eq!(m.log_ring().entries().count(), 0);
     }
 
     /// Regression guard for the checker's equivalence pruning: two
@@ -1647,7 +1594,7 @@ mod tests {
         // Now truncate the log, then rewrite silently again: the samples
         // bracketing the truncation must differ even though the data-line
         // event itself changed nothing.
-        m.truncate_log(m.log_region().tail());
+        m.truncate_log(m.log_ring().tail());
         assert!(m.try_write_data(LineAddr::from_index(base), d, 0));
         let s = m.persist_hash_samples().to_vec();
         assert_ne!(
@@ -1670,7 +1617,7 @@ mod tests {
             .try_append_log(Record::undo_redo(tag(), 0x40, 1, 2, 0xFF), 0)
             .unwrap();
         m.try_append_log(Record::commit(tag(), Some(1)), 0).unwrap();
-        m.truncate_log(m.log_region().tail());
+        m.truncate_log(m.log_ring().tail());
         let meta = m.persist_event_meta().to_vec();
         assert_eq!(meta.len(), 5);
         assert!(

@@ -3,9 +3,10 @@
 //!
 //! * [`layout`] — the physical address map: DRAM and NVMM on one bus, with
 //!   the log region carved out of NVMM (§III-A failure model).
-//! * [`log`] — the NVMM-resident log: record formats, the Lamport
-//!   single-producer/single-consumer circular log with head/tail registers
-//!   and per-pass torn bits (§III-A, §III-B).
+//! * [`log`] — the NVMM-resident log's array layout: the Fig. 7 slot
+//!   geometry the memory controller passes to `morlog-log`'s Lamport
+//!   single-producer/single-consumer ring (head/tail registers, per-pass
+//!   torn bits; §III-A, §III-B), and the sealed record each slot holds.
 //! * [`module`] — the NVMM module controller: hosts the SLDE/CRADE codec,
 //!   tracks per-block TLC cell states, and computes DCW write costs.
 //! * [`controller`] — the FRFCFS-WQF memory controller of Table III:
@@ -31,5 +32,4 @@ pub mod module;
 
 pub use controller::{MemoryController, ReadTicket, WriteRequest};
 pub use layout::{MemoryMap, Region};
-pub use log::LogRegion;
 pub use module::NvmmModule;

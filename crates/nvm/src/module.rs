@@ -305,13 +305,7 @@ mod tests {
     fn log_record_write_has_cost_and_choices() {
         let mut m = module();
         let rec = Record::undo_redo(tag(), 0x40, 0xAAAA, 0xAAAB, 0x01);
-        let stored = StoredRecord {
-            record: rec,
-            offset: 0,
-            torn: false,
-            crc: 0,
-            seq: 0,
-        };
+        let stored = StoredRecord::seal(rec, false);
         let s = m.write_log_record(&stored, 0);
         assert!(s.cost.cells_programmed > 0);
         assert_eq!(s.choices.len(), 2); // undo + redo words
@@ -328,23 +322,11 @@ mod tests {
     fn slot_reuse_compares_against_previous_pass() {
         let mut m = module();
         let rec = Record::undo_redo(tag(), 0x40, 0x1234, 0x5678, 0xFF);
-        let stored = StoredRecord {
-            record: rec,
-            offset: 0,
-            torn: false,
-            crc: 0,
-            seq: 0,
-        };
+        let stored = StoredRecord::seal(rec, false);
         let first = m.write_log_record(&stored, 0);
         // Same record re-written into the same physical slot: almost
         // everything matches the stored states except the torn bit.
-        let stored2 = StoredRecord {
-            record: rec,
-            offset: 4096,
-            torn: true,
-            crc: 0,
-            seq: 1,
-        };
+        let stored2 = StoredRecord::seal(rec, true);
         let second = m.write_log_record(&stored2, 0);
         assert!(second.cost.cells_programmed < first.cost.cells_programmed);
     }
@@ -353,13 +335,7 @@ mod tests {
     fn commit_record_encodes_without_data_words() {
         let mut m = module();
         let rec = Record::commit(tag(), Some(5));
-        let stored = StoredRecord {
-            record: rec,
-            offset: 64,
-            torn: false,
-            crc: 0,
-            seq: 3,
-        };
+        let stored = StoredRecord::seal(rec, false);
         let s = m.write_log_record(&stored, 64);
         assert!(s.choices.is_empty());
         assert!(s.cost.cells_programmed > 0);
@@ -399,13 +375,7 @@ mod wear_tests {
         let mut m = NvmmModule::new(SldeCodec::new(CellModel::table_iii()));
         for pass in 0..3u64 {
             let rec = Record::undo_redo(TxTag::new(0, 0), 0x40, pass, pass + 1, 0xFF);
-            let stored = StoredRecord {
-                record: rec,
-                offset: pass * 4096,
-                torn: pass % 2 == 1,
-                crc: 0,
-                seq: pass,
-            };
+            let stored = StoredRecord::seal(rec, pass % 2 == 1);
             m.write_log_record(&stored, 0); // same physical slot each pass
         }
         let (_, max_log, _) = m.wear_summary();

@@ -8,7 +8,7 @@
 //! fixed seed, so failures are exactly reproducible.
 
 use morlog_repro::core::types::dirty_byte_mask;
-use morlog_repro::core::{Addr, DetRng, LineData, TxId};
+use morlog_repro::core::{DetRng, LineData, TxId};
 use morlog_repro::encoding::bits::{BitReader, BitWriter};
 use morlog_repro::encoding::cell::{CellModel, CellState};
 use morlog_repro::encoding::dcw;
@@ -16,8 +16,9 @@ use morlog_repro::encoding::dldc;
 use morlog_repro::encoding::expansion::{map_payload, unmap_payload};
 use morlog_repro::encoding::fpc;
 use morlog_repro::encoding::slde::{LogWordRequest, SldeCodec, SEGMENT_WORDS, WORD_REGION_CELLS};
-use morlog_repro::log::record::{Record, TxTag};
-use morlog_repro::nvm::log::{array_slot_bytes, LogRegion};
+use morlog_repro::log::record::{RecordKind, BYTE_SLOTS};
+use morlog_repro::log::ring::Ring;
+use morlog_repro::nvm::log::ARRAY_SLOTS;
 
 const CASES: usize = 2_000;
 
@@ -209,36 +210,44 @@ fn dirty_mask_is_symmetric_and_zero_iff_equal() {
 #[test]
 fn log_ring_preserves_fifo_and_capacity() {
     let mut rng = DetRng::new(0xF1F0);
-    for _ in 0..100 {
-        let mut ring = LogRegion::new(Addr::new(0), 1024);
-        let tag = TxTag::new(0, 0);
-        let mut live: u64 = 0;
-        let mut appended: u64 = 0;
-        let ops = 1 + rng.gen_range(199) as usize;
-        for _ in 0..ops {
-            if rng.gen_bool(0.5) {
-                let rec = Record::undo_redo(tag, appended * 8, 0, 1, 0xFF);
-                if ring.append(rec).is_ok() {
-                    live += 1;
-                    appended += 1;
+    // The simulator's array slots (reserve 0) and the engine's byte slots
+    // (reserve SLOT_MAX), over the same random operation streams.
+    for geometry in [ARRAY_SLOTS, BYTE_SLOTS] {
+        for _ in 0..100 {
+            let mut ring: Ring<(u64, bool)> = Ring::new(geometry, 1024);
+            let mut live: u64 = 0;
+            let mut appended: u64 = 0;
+            let ops = 1 + rng.gen_range(199) as usize;
+            for _ in 0..ops {
+                if rng.gen_bool(0.5) {
+                    let kind = RecordKind::ALL[rng.gen_range(3) as usize];
+                    if ring.append(kind, |parity| (appended, parity)).is_some() {
+                        live += 1;
+                        appended += 1;
+                    }
+                } else {
+                    let cut = ring
+                        .entries()
+                        .next()
+                        .map(|f| f.offset + geometry.slot_bytes(f.kind));
+                    if let Some(cut) = cut {
+                        assert_eq!(ring.truncate_to(cut).count(), 1);
+                        live -= 1;
+                    }
                 }
-            } else {
-                let cut = ring
-                    .records()
-                    .next()
-                    .map(|f| f.offset + array_slot_bytes(f.record.kind));
-                if let Some(cut) = cut {
-                    ring.truncate_to(cut);
-                    live -= 1;
+                assert_eq!(ring.entries().count() as u64, live);
+                assert!(ring.used_bytes() <= ring.capacity());
+                // Slots remain in append order, never straddle the wrap and
+                // carry their pass's parity.
+                let values: Vec<u64> = ring.entries().map(|e| e.value.0).collect();
+                assert_eq!(values, (appended - live..appended).collect::<Vec<_>>());
+                for e in ring.entries() {
+                    let end = ring.position(e.offset) + geometry.slot_bytes(e.kind);
+                    assert!(end <= ring.capacity());
+                    assert_eq!(e.value.1, ring.pass_parity(e.offset));
+                    assert!(e.offset >= ring.head() && e.offset < ring.tail());
                 }
             }
-            assert_eq!(ring.records().count() as u64, live);
-            assert!(ring.used_bytes() <= ring.capacity());
-            // Records remain in append order.
-            let offs: Vec<u64> = ring.records().map(|r| r.seq).collect();
-            let mut sorted = offs.clone();
-            sorted.sort_unstable();
-            assert_eq!(offs, sorted);
         }
     }
 }
