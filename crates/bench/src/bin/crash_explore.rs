@@ -2,50 +2,37 @@
 //! over a tiny workload for every atomic-persistence design, plus the
 //! mutation self-test that proves the checker has teeth.
 //!
-//! For each design the checker records the reference run's persist-event
-//! schedule, prunes crash points whose persist-domain hash is unchanged,
-//! and replays every surviving prefix — crash, hardened recovery, oracle
-//! verification — twice per point (base + torn-drain fault variant). The
-//! per-point replays are independent, so they fan out across the
-//! `SweepRunner` worker pool; outcomes are merged back in enumeration
-//! order, making the verdict table byte-identical for any shard count
-//! (`MORLOG_CHECK_SHARDS`, default `MORLOG_JOBS`).
+//! For each design [`morlog_checker::check`](fn@morlog_checker::check)
+//! records the reference run's persist-event schedule, prunes crash points
+//! whose persist-domain hash is unchanged, and replays every surviving
+//! prefix — crash, hardened recovery, oracle verification — twice per
+//! point (base + torn-drain fault variant), sharded over
+//! `MORLOG_CHECK_SHARDS` workers (default `MORLOG_JOBS`). The checker
+//! merges outcomes in enumeration order, so the verdict table, the
+//! results JSON and every counterexample are byte-identical for any shard
+//! count. This binary only picks the designs, the options and the output.
 //!
 //! The two sabotaged variants (drop the undo→data write-ahead fence; skip
 //! the DP `ulog` winner bump) must each produce a minimized counterexample
-//! whose JSONL trace lands in the shared counterexample sink
-//! (`MORLOG_CX_DIR`, default `counterexamples/`; deduplicated by
-//! persist-domain signature and capped by `MORLOG_CX_MAX`) for
-//! `trace_lint` / `trace2perfetto`. A *real* design failing any crash
-//! point also writes its counterexample — and, like a surviving mutant,
-//! makes the gate exit non-zero.
+//! whose JSONL trace lands in the shared counterexample sink as
+//! `crash_explore.<design>+<mutation>.jsonl` (`MORLOG_CX_DIR`, default
+//! `counterexamples/`; deduplicated by persist-domain signature and capped
+//! by `MORLOG_CX_MAX`) for `trace_lint` / `trace2perfetto`. A *real*
+//! design failing any crash point also writes its counterexample — and,
+//! like a surviving mutant, makes the gate exit non-zero.
 //!
 //! Env knobs: `MORLOG_CHECK_MAX_POINTS` caps exploration (a capped run is
 //! reported but is no longer an exhaustiveness proof), `MORLOG_CHECK_SHARDS`
 //! sets the fan-out; both exit 2 on malformed values, as does a malformed
 //! `MORLOG_CX_MAX`.
 
-use morlog_bench::cx::{persist_signature, CxSink};
+use morlog_bench::cx::{verdict, CxSink, MUTANTS};
 use morlog_bench::json::Json;
 use morlog_bench::results::ResultSink;
-use morlog_bench::SweepRunner;
-use morlog_checker::{
-    assemble, double_store_trace, plan, run_point, torn_plan_for, CheckOptions, CheckPlan,
-    CheckReport,
-};
+use morlog_checker::{check, double_store_trace, CheckOptions, CheckReport};
 use morlog_sim::System;
 use morlog_sim_core::{knobs, CheckMutation, DesignKind, SystemConfig};
 use morlog_workloads::{generate, WorkloadConfig, WorkloadKind, WorkloadTrace};
-
-/// The designs that guarantee atomic persistence (FWB-unsafe is excluded —
-/// it cannot pass a crash sweep by construction, which is its point).
-const DESIGNS: [DesignKind; 5] = [
-    DesignKind::FwbCrade,
-    DesignKind::FwbSlde,
-    DesignKind::MorLogCrade,
-    DesignKind::MorLogSlde,
-    DesignKind::MorLogDp,
-];
 
 /// Smoke transactions: small enough that the exhaustive sweep stays a
 /// few seconds per design, large enough to cover log growth, coalescing
@@ -56,30 +43,6 @@ fn smoke_trace(cfg: &SystemConfig) -> WorkloadTrace {
     let mut wl = WorkloadConfig::test_config(System::data_base(cfg));
     wl.total_transactions = SMOKE_TXS;
     generate(WorkloadKind::Hash, &wl)
-}
-
-/// Plans, fans the replays out over the worker pool, and merges in
-/// enumeration order — the deterministic-sharding core of the gate.
-fn explore(
-    cfg: &SystemConfig,
-    trace: &WorkloadTrace,
-    opts: &CheckOptions,
-    runner: &SweepRunner,
-) -> (CheckReport, CheckPlan) {
-    let p = plan(cfg, trace, opts);
-    let mut items: Vec<(u64, bool)> = Vec::with_capacity(p.points.len() * 2);
-    for &n in &p.points {
-        items.push((n, false));
-        if opts.fault_variant {
-            items.push((n, true));
-        }
-    }
-    let outcomes = runner.map(&items, |&(n, torn)| {
-        let fault = torn.then(|| torn_plan_for(opts.fault_seed, n));
-        run_point(cfg, trace, n, fault)
-    });
-    let report = assemble(cfg, trace, opts, &p, outcomes);
-    (report, p)
 }
 
 fn record(label: &str, workload: &str, mutation: &str, report: &CheckReport, passed: bool) -> Json {
@@ -108,99 +71,75 @@ fn print_row(label: &str, report: &CheckReport, verdict: &str) {
     );
 }
 
-/// Routes a report's minimized counterexample into the shared sink,
-/// keyed by the persist-domain signature of its crash point. Returns
-/// whether the report had a counterexample at all (not whether the sink
-/// admitted it — duplicates and the cap must not change the verdict).
-fn sink_counterexample(sink: &mut CxSink, name: &str, report: &CheckReport, p: &CheckPlan) -> bool {
-    let Some(cx) = &report.counterexample else {
-        return false;
-    };
-    let signature = persist_signature(&p.samples, cx.point);
-    sink.write(
-        name,
-        signature,
-        &format!("point {}, {}", cx.point, cx.error),
-        &cx.trace_jsonl,
-    );
-    true
-}
-
 fn main() {
-    let runner = SweepRunner::with_jobs(knobs::check_shards());
+    let shards = knobs::check_shards();
     let opts = CheckOptions {
         max_points: knobs::check_max_points(),
         fault_variant: true,
         fault_seed: 0xC0FFEE,
         ..CheckOptions::default()
     };
-    let mut cx_sink = CxSink::from_env();
-    let mut sink = ResultSink::new("crash_explore", runner.jobs());
+    let base_opts = CheckOptions {
+        max_points: opts.max_points,
+        ..CheckOptions::default()
+    };
+    let mut cx_sink = CxSink::from_env("crash_explore");
+    let mut sink = ResultSink::new("crash_explore", shards);
     let mut failed = false;
 
     println!(
         "crash explore: hash x {SMOKE_TXS} txs, {} designs + 2 mutants, torn variant on",
-        DESIGNS.len()
+        DesignKind::ATOMIC.len()
     );
     println!(
         "{:>22} {:>7} {:>7} {:>7} {:>7} {:>9} {:>9} {:>8}",
         "design", "events", "points", "pruned", "explored", "verified", "failures", "verdict"
     );
 
-    for design in DESIGNS {
-        let cfg = SystemConfig::for_design(design);
-        let trace = smoke_trace(&cfg);
-        let (report, p) = explore(&cfg, &trace, &opts, &runner);
-        let passed = report.stats.failures == 0;
+    // Every real design on the smoke workload (torn variant on), then the
+    // mutation self-test: each sabotaged variant runs the crafted
+    // double-store workload and must yield a minimized counterexample.
+    let cases = DesignKind::ATOMIC
+        .map(|design| (design, CheckMutation::None, 0))
+        .into_iter()
+        .chain(MUTANTS);
+    for (design, mutation, fwb_period) in cases {
+        let mut cfg = SystemConfig::for_design(design);
+        let mutant = mutation != CheckMutation::None;
+        let (label, workload, trace, opts) = if mutant {
+            cfg.hierarchy.force_write_back_period = fwb_period;
+            cfg.mutation = mutation;
+            let label = format!("{}+{}", design.label(), mutation.label());
+            (
+                label,
+                "double-store",
+                double_store_trace(&cfg, 6),
+                &base_opts,
+            )
+        } else {
+            let trace = smoke_trace(&cfg);
+            (design.label().to_string(), "hash", trace, &opts)
+        };
+        let report = check(&cfg, &trace, opts, shards);
+        if let Some(cx) = &report.counterexample {
+            cx_sink.write_cx(&label, cx);
+        }
+        let passed = report.counterexample.is_some() == mutant;
+        let verdict = verdict(mutant, passed);
         if !passed {
             failed = true;
-            if let Some(f) = report.failures.first() {
-                eprintln!(
-                    "FAIL: {} point={} torn={}: {}",
-                    design.label(),
-                    f.point,
-                    f.torn_variant,
-                    f.error.as_deref().unwrap_or("?")
-                );
+            match &report.counterexample {
+                Some(cx) => eprintln!("FAIL: {label}: {}", cx.error),
+                None => eprintln!("FAIL: mutant {label} was not caught — the checker has no teeth"),
             }
-            sink_counterexample(&mut cx_sink, design.label(), &report, &p);
         }
-        print_row(design.label(), &report, if passed { "ok" } else { "FAIL" });
-        sink.push(record(design.label(), "hash", "none", &report, passed));
-    }
-
-    // The mutation self-test: each sabotaged variant runs the crafted
-    // double-store workload under the schedule that exposes it (see
-    // crates/checker/tests/self_test.rs for why the periods differ) and
-    // must yield a minimized counterexample.
-    let mutants: [(DesignKind, CheckMutation, u64); 2] = [
-        (DesignKind::MorLogSlde, CheckMutation::DropUndoFence, 16),
-        (DesignKind::MorLogDp, CheckMutation::SkipUlogBump, 64),
-    ];
-    let base_opts = CheckOptions {
-        max_points: opts.max_points,
-        ..CheckOptions::default()
-    };
-    for (design, mutation, fwb_period) in mutants {
-        let mut cfg = SystemConfig::for_design(design);
-        cfg.hierarchy.force_write_back_period = fwb_period;
-        cfg.mutation = mutation;
-        let trace = double_store_trace(&cfg, 6);
-        let (report, p) = explore(&cfg, &trace, &base_opts, &runner);
-        let label = format!("{}+{}", design.label(), mutation.label());
-        let caught =
-            report.stats.failures > 0 && sink_counterexample(&mut cx_sink, &label, &report, &p);
-        if !caught {
-            failed = true;
-            eprintln!("FAIL: mutant {label} was not caught — the checker has no teeth");
-        }
-        print_row(&label, &report, if caught { "caught" } else { "MISSED" });
+        print_row(&label, &report, verdict);
         sink.push(record(
             design.label(),
-            "double-store",
+            workload,
             mutation.label(),
             &report,
-            caught,
+            passed,
         ));
     }
 

@@ -21,16 +21,6 @@ use morlog_sim_core::fault::FaultPlan;
 use morlog_sim_core::{knobs, DesignKind, SystemConfig};
 use morlog_workloads::{generate, WorkloadConfig, WorkloadKind};
 
-/// The designs that guarantee atomic persistence (FWB-unsafe is excluded —
-/// it cannot pass a crash matrix by construction, which is its point).
-const DESIGNS: [DesignKind; 5] = [
-    DesignKind::FwbCrade,
-    DesignKind::FwbSlde,
-    DesignKind::MorLogCrade,
-    DesignKind::MorLogSlde,
-    DesignKind::MorLogDp,
-];
-
 const WORKLOADS: [WorkloadKind; 3] = [WorkloadKind::Hash, WorkloadKind::Tpcc, WorkloadKind::Queue];
 
 const CRASH_POINTS: [u64; 2] = [5_000, 12_000];
@@ -91,7 +81,7 @@ fn main() {
 
     println!(
         "crash matrix: {} designs x {} workloads x {} plans x {} crash points (seed {base_seed})",
-        DESIGNS.len(),
+        DesignKind::ATOMIC.len(),
         WORKLOADS.len(),
         PLAN_LABELS.len(),
         CRASH_POINTS.len()
@@ -107,7 +97,7 @@ fn main() {
     // Enumerate cells in table order; each gets its own deterministic seed
     // so plans hit different in-flight slots across the matrix.
     let mut cells: Vec<CellSpec> = Vec::new();
-    for design in DESIGNS {
+    for design in DesignKind::ATOMIC {
         for kind in WORKLOADS {
             for plan_idx in 0..PLAN_LABELS.len() {
                 for crash_cycle in CRASH_POINTS {

@@ -21,16 +21,15 @@
 
 #![deny(missing_docs)]
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
 use morlog_encoding::secure::SecureMode;
 use morlog_sim::{RunReport, System};
 use morlog_sim_core::hostprof::{self, HostProfile};
-use morlog_sim_core::knobs;
 use morlog_sim_core::stats::CycleAttribution;
 use morlog_sim_core::trace::Tracer;
+use morlog_sim_core::{knobs, par};
 use morlog_sim_core::{DesignKind, SystemConfig};
 use morlog_workloads::{cached_generate, DatasetSize, WorkloadConfig, WorkloadKind};
 
@@ -269,14 +268,10 @@ impl TimedRun {
 }
 
 /// A bounded worker pool that fans independent sweep points out across
-/// threads and returns results **in input order**, so a parallel sweep is
-/// byte-identical to a serial one.
-///
-/// Each worker claims the next unclaimed index from a shared counter
-/// (dynamic scheduling: long runs don't convoy short ones behind a static
-/// partition). With `jobs == 1` everything executes on the calling thread
-/// — that is the reference serial path the determinism test compares
-/// against.
+/// threads and returns results **in input order** (through
+/// [`morlog_sim_core::par::ordered_map`]), so a parallel sweep is
+/// byte-identical to a serial one. With `jobs == 1` everything executes
+/// on the calling thread.
 #[derive(Debug, Clone, Copy)]
 pub struct SweepRunner {
     jobs: usize,
@@ -311,29 +306,7 @@ impl SweepRunner {
         R: Send,
         F: Fn(&T) -> R + Send + Sync,
     {
-        if self.jobs == 1 || items.len() <= 1 {
-            return items.iter().map(f).collect();
-        }
-        let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..self.jobs.min(items.len()) {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(item) = items.get(i) else { break };
-                    let result = f(item);
-                    *slots[i].lock().unwrap() = Some(result);
-                });
-            }
-        });
-        slots
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .unwrap()
-                    .expect("every slot filled once the scope joins")
-            })
-            .collect()
+        par::ordered_map(self.jobs, items, f)
     }
 
     /// Runs a list of specs through the pool, timing each, with results in

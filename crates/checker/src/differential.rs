@@ -25,12 +25,16 @@
 //!    notion, not a spec obligation.
 //!
 //! A divergence is minimized to the smallest fraction exhibiting it and
-//! re-run with tracing on the culprit design for replayable evidence.
+//! re-run with tracing on the culprit design for replayable evidence; its
+//! signature is the culprit's reference hash sample at its crash point.
+//! Both designs' crashes are the checker's shared replay (base variant),
+//! and the pairs are sharded like every other campaign.
 //!
 //! [`CheckMutation::SkewRedoValue`]: morlog_sim_core::CheckMutation::SkewRedoValue
 
-use morlog_sim::System;
-use morlog_sim_core::{Addr, SystemConfig, TxKey};
+use crate::campaign::{counterexample, replay, Reference, Replay};
+use morlog_sim_core::par::ordered_map;
+use morlog_sim_core::{Addr, FaultVariantKind, SystemConfig, ThreadId, TxId, TxKey};
 use morlog_workloads::{Op, WorkloadTrace};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -60,24 +64,10 @@ impl DiffCulprit {
 /// One matched-fraction crash pair.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DiffPair {
-    /// Pair index (ascending fraction).
-    pub index: u64,
     /// Crash point in design A's schedule.
     pub point_a: u64,
     /// Crash point in design B's schedule.
     pub point_b: u64,
-}
-
-/// The matched crash schedule for one differential run.
-#[derive(Debug, Clone)]
-pub struct DiffPlan {
-    /// Crash pairs, ascending fraction; the last pair crashes after each
-    /// design's full schedule.
-    pub pairs: Vec<DiffPair>,
-    /// Persist events in design A's reference schedule.
-    pub events_a: u64,
-    /// Persist events in design B's reference schedule.
-    pub events_b: u64,
 }
 
 /// Verdict of one executed crash pair.
@@ -90,7 +80,7 @@ pub struct DiffOutcome {
 }
 
 /// The smallest diverging pair plus its replayable evidence.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DiffDivergence {
     /// Crash point in design A's schedule.
     pub point_a: u64,
@@ -98,8 +88,11 @@ pub struct DiffDivergence {
     pub point_b: u64,
     /// Which design the divergence is attributed to.
     pub culprit: DiffCulprit,
-    /// Description of the divergence.
+    /// Description of the divergence (from the pair's verdict).
     pub error: String,
+    /// Persist-domain signature of the culprit's crash state: its
+    /// reference run's hash sample at its crash point.
+    pub signature: u64,
     /// JSONL event trace of the culprit's failing replay (design A when
     /// the culprit is `Both`).
     pub trace_jsonl: String,
@@ -118,65 +111,16 @@ pub struct DiffReport {
     pub divergence: Option<DiffDivergence>,
 }
 
-/// Builds the matched crash schedule: `pairs` fractions `i / pairs` for
-/// `i` in `1..=pairs`, each rounded into both designs' event ranges. The
-/// final pair always crashes after the complete schedules.
-pub fn diff_plan(
-    cfg_a: &SystemConfig,
-    cfg_b: &SystemConfig,
-    trace: &WorkloadTrace,
-    pairs: u64,
-) -> DiffPlan {
-    let events_of = |cfg: &SystemConfig| {
-        let mut sys = System::new(cfg.clone(), trace);
-        sys.enable_persist_hash();
-        sys.run();
-        sys.persist_hash_samples().len() as u64
-    };
-    let events_a = events_of(cfg_a);
-    let events_b = events_of(cfg_b);
-    let pairs = pairs.max(1);
-    let schedule = (1..=pairs)
-        .map(|i| DiffPair {
-            index: i - 1,
-            point_a: events_a * i / pairs,
-            point_b: events_b * i / pairs,
-        })
-        .collect();
-    DiffPlan {
-        pairs: schedule,
-        events_a,
-        events_b,
-    }
-}
-
-/// Every word address the workload touches (initial images and stores).
-fn touched_words(trace: &WorkloadTrace) -> BTreeSet<Addr> {
-    let mut words = BTreeSet::new();
-    for thread in &trace.threads {
-        for (addr, _) in &thread.initial {
-            words.insert(addr.word_base());
-        }
-        for tx in &thread.transactions {
-            for op in &tx.ops {
-                if let Op::Store(addr, _) = op {
-                    words.insert(addr.word_base());
-                }
-            }
-        }
-    }
-    words
-}
-
-/// Maps each word to the set of transactions that store to it.
+/// Every word the workload touches (initial images and stores), mapped
+/// to the transactions that store to it.
 fn word_writers(trace: &WorkloadTrace) -> BTreeMap<Addr, BTreeSet<TxKey>> {
     let mut writers: BTreeMap<Addr, BTreeSet<TxKey>> = BTreeMap::new();
     for (t, thread) in trace.threads.iter().enumerate() {
+        for (addr, _) in &thread.initial {
+            writers.entry(addr.word_base()).or_default();
+        }
         for (x, tx) in thread.transactions.iter().enumerate() {
-            let key = TxKey::new(
-                morlog_sim_core::ThreadId::new(t as u8),
-                morlog_sim_core::TxId::new(x as u16),
-            );
+            let key = TxKey::new(ThreadId::new(t as u8), TxId::new(x as u16));
             for op in &tx.ops {
                 if let Op::Store(addr, _) = op {
                     writers.entry(addr.word_base()).or_default().insert(key);
@@ -187,51 +131,18 @@ fn word_writers(trace: &WorkloadTrace) -> BTreeMap<Addr, BTreeSet<TxKey>> {
     writers
 }
 
-struct CrashedState {
-    error: Option<String>,
-    redone: BTreeSet<TxKey>,
-    undone: BTreeSet<TxKey>,
-    words: BTreeMap<Addr, u64>,
-}
-
-fn crash_and_recover(
-    cfg: &SystemConfig,
+/// Replays one crash pair on both designs and compares the verdicts over
+/// the workload's words (see [`word_writers`]).
+fn run_pair(
+    (cfg_a, cfg_b): (&SystemConfig, &SystemConfig),
     trace: &WorkloadTrace,
-    point: u64,
-    words: &BTreeSet<Addr>,
-) -> CrashedState {
-    let mut sys = System::new(cfg.clone(), trace);
-    sys.arm_crash_at(point);
-    sys.run_until_crash_point();
-    sys.crash();
-    let report = sys.recover();
-    let error = sys.verify_recovery(&report).err();
-    let recovered = words
-        .iter()
-        .map(|&addr| {
-            let line = sys.memory().read_line(addr.line());
-            (addr, line.word(addr.word_index()))
-        })
-        .collect();
-    CrashedState {
-        error,
-        redone: report.redone.iter().copied().collect(),
-        undone: report.undone.iter().copied().collect(),
-        words: recovered,
-    }
-}
-
-/// Replays one crash pair on both designs and compares the verdicts.
-pub fn run_diff_pair(
-    cfg_a: &SystemConfig,
-    cfg_b: &SystemConfig,
-    trace: &WorkloadTrace,
-    plan: &DiffPlan,
     pair: DiffPair,
+    final_pair: bool,
+    writers: &BTreeMap<Addr, BTreeSet<TxKey>>,
 ) -> DiffOutcome {
-    let words = touched_words(trace);
-    let a = crash_and_recover(cfg_a, trace, pair.point_a, &words);
-    let b = crash_and_recover(cfg_b, trace, pair.point_b, &words);
+    let base = FaultVariantKind::Base;
+    let a = replay(cfg_a, trace, (pair.point_a, base), 0, false);
+    let b = replay(cfg_b, trace, (pair.point_b, base), 0, false);
     let divergence = match (&a.error, &b.error) {
         (Some(ea), Some(eb)) => Some((
             DiffCulprit::Both,
@@ -240,31 +151,28 @@ pub fn run_diff_pair(
         (Some(ea), None) => Some((DiffCulprit::DesignA, ea.clone())),
         (None, Some(eb)) => Some((DiffCulprit::DesignB, eb.clone())),
         (None, None) => {
-            let final_pair = pair.point_a == plan.events_a && pair.point_b == plan.events_b;
-            let comparable: Box<dyn Fn(Addr) -> bool> = if final_pair {
-                Box::new(|_| true)
-            } else if a.redone == b.redone && a.undone == b.undone && !a.redone.is_empty() {
-                let writers = word_writers(trace);
-                let redone = a.redone.clone();
-                Box::new(move |addr| {
-                    writers
-                        .get(&addr)
-                        .is_some_and(|w| w.len() == 1 && w.iter().all(|k| redone.contains(k)))
-                })
-            } else {
-                Box::new(|_| false)
+            let set = |keys: &[TxKey]| keys.iter().copied().collect::<BTreeSet<_>>();
+            let redone = set(&a.redone);
+            let same_replay =
+                redone == set(&b.redone) && set(&a.undone) == set(&b.undone) && !redone.is_empty();
+            let comparable = |w: &BTreeSet<TxKey>| {
+                final_pair || same_replay && w.len() == 1 && w.iter().all(|k| redone.contains(k))
             };
-            words
+            let word = |r: &Replay, addr: Addr| {
+                r.sys
+                    .memory()
+                    .read_line(addr.line())
+                    .word(addr.word_index())
+            };
+            writers
                 .iter()
-                .filter(|&&addr| comparable(addr))
-                .find(|&&addr| a.words[&addr] != b.words[&addr])
-                .map(|&addr| {
+                .filter(|(_, w)| comparable(w))
+                .map(|(&addr, _)| (addr, word(&a, addr), word(&b, addr)))
+                .find(|(_, va, vb)| va != vb)
+                .map(|(addr, va, vb)| {
                     (
                         DiffCulprit::Both,
-                        format!(
-                            "recovered state diverges at {addr:?}: a={:#x}, b={:#x}",
-                            a.words[&addr], b.words[&addr]
-                        ),
+                        format!("recovered state diverges at {addr:?}: a={va:#x}, b={vb:#x}"),
                     )
                 })
         }
@@ -272,41 +180,54 @@ pub fn run_diff_pair(
     DiffOutcome { pair, divergence }
 }
 
-/// Merges pair outcomes into the final report; the minimized divergence
-/// (smallest fraction) is re-run with tracing on the culprit design.
-pub fn assemble_diff(
+/// Crashes both designs at `pairs` matched progress fractions `i / pairs`
+/// for `i` in `1..=pairs` — each rounded into the design's reference
+/// schedule, the last crashing after both complete schedules — replaying
+/// the pairs across `shards` workers. The minimized divergence (smallest
+/// fraction) is re-traced on the culprit design. One shard runs serially
+/// on the calling thread and every shard count yields the same report.
+pub fn diff(
     cfg_a: &SystemConfig,
     cfg_b: &SystemConfig,
     trace: &WorkloadTrace,
-    outcomes: Vec<DiffOutcome>,
+    pairs: u64,
+    shards: usize,
 ) -> DiffReport {
+    let ref_a = Reference::record(cfg_a, trace, false);
+    let ref_b = Reference::record(cfg_b, trace, false);
+    let (events_a, events_b) = (ref_a.events(), ref_b.events());
+    let pairs = pairs.max(1);
+    let schedule: Vec<DiffPair> = (1..=pairs)
+        .map(|i| DiffPair {
+            point_a: events_a * i / pairs,
+            point_b: events_b * i / pairs,
+        })
+        .collect();
+    let writers = word_writers(trace);
+    let outcomes = ordered_map(shards, &schedule, |&pair| {
+        let final_pair = pair.point_a == events_a && pair.point_b == events_b;
+        run_pair((cfg_a, cfg_b), trace, pair, final_pair, &writers)
+    });
     let checked = outcomes.len() as u64;
-    let mut failures: Vec<DiffOutcome> = outcomes
+    // `ordered_map` keeps the schedule's ascending-fraction order.
+    let failures: Vec<DiffOutcome> = outcomes
         .into_iter()
         .filter(|o| o.divergence.is_some())
         .collect();
-    failures.sort_by_key(|o| o.pair.index);
     let divergence = failures.first().map(|f| {
         let (culprit, error) = f.divergence.clone().expect("failures carry divergences");
-        let (cfg, point) = match culprit {
-            DiffCulprit::DesignB => (cfg_b, f.pair.point_b),
-            _ => (cfg_a, f.pair.point_a),
+        let (cfg, point, reference) = match culprit {
+            DiffCulprit::DesignB => (cfg_b, f.pair.point_b, &ref_b),
+            _ => (cfg_a, f.pair.point_a, &ref_a),
         };
-        let mut traced = cfg.clone();
-        traced.trace.enabled = true;
-        traced.trace.buffer_capacity = 1 << 20;
-        let mut sys = System::new(traced, trace);
-        sys.arm_crash_at(point);
-        sys.run_until_crash_point();
-        sys.crash();
-        let report = sys.recover();
-        let _ = sys.verify_recovery(&report);
+        let cx = counterexample(cfg, trace, (point, FaultVariantKind::Base), 0, reference);
         DiffDivergence {
             point_a: f.pair.point_a,
             point_b: f.pair.point_b,
             culprit,
             error,
-            trace_jsonl: sys.tracer().to_jsonl(),
+            signature: cx.signature,
+            trace_jsonl: cx.trace_jsonl,
         }
     });
     DiffReport {
@@ -315,20 +236,4 @@ pub fn assemble_diff(
         failures,
         divergence,
     }
-}
-
-/// Plans and executes a whole differential run on the calling thread.
-pub fn diff(
-    cfg_a: &SystemConfig,
-    cfg_b: &SystemConfig,
-    trace: &WorkloadTrace,
-    pairs: u64,
-) -> DiffReport {
-    let plan = diff_plan(cfg_a, cfg_b, trace, pairs);
-    let outcomes = plan
-        .pairs
-        .iter()
-        .map(|&pair| run_diff_pair(cfg_a, cfg_b, trace, &plan, pair))
-        .collect();
-    assemble_diff(cfg_a, cfg_b, trace, outcomes)
 }

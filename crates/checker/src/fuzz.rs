@@ -1,6 +1,6 @@
 //! Coverage-guided random crash campaigns.
 //!
-//! Exhaustive exploration ([`crate::plan`]) is the gold standard but its
+//! Exhaustive exploration ([`crate::check`]) is the gold standard but its
 //! cost is linear in persist events, which caps it at toy workloads. The
 //! fuzzer trades exhaustiveness for scale: on a workload with thousands of
 //! transactions it *samples* crash points with a seeded generator, prunes
@@ -9,24 +9,24 @@
 //! the samples, and feeds a [`CoverageMap`] with the (event kind, progress
 //! decile) bucket of every executed point. A sample lighting a previously
 //! empty bucket is *novel*: the campaign resamples its neighborhood
-//! (`point ± 1..=radius`), on the theory that a fresh kind/phase
+//! (`point ± 1..=NEIGHBORHOOD`), on the theory that a fresh kind/phase
 //! combination marks a schedule region the random draws have been
 //! starving.
 //!
 //! The whole plan is built serially from one [`DetRng`] stream, so a given
-//! `(seed, points)` pair always yields the same item list; execution is
-//! embarrassingly parallel and the `bench` harness shards it across the
-//! `SweepRunner` pool with input-order reassembly, keeping campaign
-//! reports byte-identical across `MORLOG_CHECK_SHARDS` settings.
+//! `(seed, points)` pair always yields the same item list; the items then
+//! run on the checker's shared sharded core, so campaign reports are
+//! byte-identical for any shard count.
 
+use crate::campaign::{run_items, CrashItem, Reference};
 use crate::coverage::CoverageMap;
-use crate::{run_point, PointOutcome};
-use morlog_sim::System;
-use morlog_sim_core::{
-    DetRng, FaultVariantKind, FuzzStats, PersistEventKind, PersistEventMeta, SystemConfig,
-};
+use crate::{Counterexample, Outcome};
+use morlog_sim_core::{DetRng, FaultVariantKind, FuzzStats, PersistEventMeta, SystemConfig};
 use morlog_workloads::WorkloadTrace;
 use std::collections::HashSet;
+
+/// Resample radius around points that light a novel coverage bucket.
+const NEIGHBORHOOD: u64 = 2;
 
 /// Tuning knobs for one fuzz campaign.
 #[derive(Debug, Clone)]
@@ -39,8 +39,6 @@ pub struct FuzzOptions {
     /// [`FaultVariantKind::point_seed`], so plans are deterministic per
     /// point regardless of sharding).
     pub fault_seed: u64,
-    /// Resample radius around points that light a novel coverage bucket.
-    pub neighborhood: u64,
 }
 
 impl Default for FuzzOptions {
@@ -49,63 +47,8 @@ impl Default for FuzzOptions {
             seed: 0x4d6f_724c_6f67_f00d,
             points: 64,
             fault_seed: 0,
-            neighborhood: 2,
         }
     }
-}
-
-/// One campaign work item: a crash point plus the fault variant to run it
-/// under.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct FuzzItem {
-    /// Persist events completed before the crash.
-    pub point: u64,
-    /// Fault plan family composed at this point.
-    pub variant: FaultVariantKind,
-}
-
-/// Verdict of one executed campaign item.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FuzzOutcome {
-    /// The item that was replayed.
-    pub item: FuzzItem,
-    /// The oracle's description of the violation, if any.
-    pub error: Option<String>,
-}
-
-/// The campaign's deterministic work list plus plan-side counters.
-#[derive(Debug, Clone)]
-pub struct FuzzPlan {
-    /// Items to execute, in draw order (already deduplicated and
-    /// hash-pruned).
-    pub items: Vec<FuzzItem>,
-    /// Persist events in the reference schedule.
-    pub events: u64,
-    /// The reference run's persist-domain hash samples (`samples[i]` =
-    /// fold right after event `i + 1`) — the persist-state signature of
-    /// each crash point, used downstream to deduplicate counterexamples.
-    pub samples: Vec<u64>,
-    /// Plan-side counters: `events`, `sampled`, `novel`, `pruned` are
-    /// filled here; the execution-side counters stay zero until
-    /// [`assemble_fuzz`].
-    pub stats: FuzzStats,
-    /// Coverage buckets lit during planning (out of
-    /// [`CoverageMap::total_buckets`]).
-    pub coverage: u64,
-}
-
-/// The smallest failing campaign item plus its replayable evidence.
-#[derive(Debug, Clone)]
-pub struct FuzzCounterexample {
-    /// Persist events completed before the failing crash.
-    pub point: u64,
-    /// Fault variant the failure needed.
-    pub variant: FaultVariantKind,
-    /// The oracle's description of the violation.
-    pub error: String,
-    /// JSONL event trace of the failing replay, consumable by
-    /// `trace_lint` and `trace2perfetto`.
-    pub trace_jsonl: String,
 }
 
 /// Aggregated verdict of a fuzz campaign.
@@ -114,169 +57,96 @@ pub struct FuzzReport {
     /// Campaign counters (see [`FuzzStats`]).
     pub stats: FuzzStats,
     /// Every failing item, ordered by (point, variant).
-    pub failures: Vec<FuzzOutcome>,
-    /// Coverage buckets lit by the campaign.
+    pub failures: Vec<Outcome>,
+    /// Coverage buckets lit by the campaign (out of
+    /// [`CoverageMap::total_buckets`]).
     pub coverage: u64,
     /// The minimized counterexample, when any item failed.
-    pub counterexample: Option<FuzzCounterexample>,
+    pub counterexample: Option<Counterexample>,
 }
 
-/// Builds the deterministic campaign work list.
+/// Builds the deterministic campaign work list; returns the items in draw
+/// order, the plan-side counters (`events`, `sampled`, `novel`, `pruned`)
+/// and the coverage buckets lit.
 ///
-/// One reference run records the persist-domain hash samples (the pruning
-/// signal) and the persist-event metadata stream (the coverage signal).
 /// Each base draw picks a point uniformly from `0..=events` and a variant
-/// from [`FaultVariantKind::ALL`]; hash-equivalent base-variant points are
-/// pruned, novel-bucket points seed neighborhood resampling.
-pub fn fuzz_plan(cfg: &SystemConfig, trace: &WorkloadTrace, opts: &FuzzOptions) -> FuzzPlan {
-    let mut sys = System::new(cfg.clone(), trace);
-    sys.enable_persist_hash();
-    sys.enable_persist_meta();
-    sys.run();
-    let samples = sys.persist_hash_samples().to_vec();
-    let kinds: Vec<PersistEventKind> = sys
-        .persist_event_meta()
+/// from [`FaultVariantKind::ALL`]; silent base-variant points are pruned,
+/// novel-bucket points seed neighborhood resampling.
+fn fuzz_plan(reference: &Reference, opts: &FuzzOptions) -> (Vec<CrashItem>, FuzzStats, u64) {
+    let kinds: Vec<_> = reference
+        .meta
         .iter()
         .filter_map(PersistEventMeta::kind)
         .collect();
-    let events = samples.len() as u64;
+    let events = reference.events();
     debug_assert_eq!(kinds.len() as u64, events, "meta/hash streams must agree");
-
-    // `point` is hash-equivalent to `point - 1`: event `point` left the
-    // persist domain bit-identical, so a crash there proves nothing new.
-    // Only the base variant is prunable — fault plans are keyed by the
-    // point index, so equal pre-fault states still diverge post-fault.
-    let silent =
-        |point: u64| point >= 2 && samples[point as usize - 1] == samples[point as usize - 2];
 
     let mut rng = DetRng::for_stream(opts.seed, 0x6675_7a7a);
     let mut coverage = CoverageMap::new();
-    let mut seen: HashSet<FuzzItem> = HashSet::new();
+    let mut seen: HashSet<CrashItem> = HashSet::new();
     let mut items = Vec::new();
     let mut stats = FuzzStats {
         events,
         ..FuzzStats::default()
     };
-    // (point, variant) candidates pending admission; base draws push one
-    // candidate each, novelty pushes the neighborhood.
-    let mut queue: Vec<FuzzItem> = Vec::new();
+    // Candidates pending admission; base draws push one candidate each,
+    // novelty pushes the neighborhood.
+    let mut queue: Vec<CrashItem> = Vec::new();
     for _ in 0..opts.points {
         let point = rng.gen_range(events + 1);
         let variant =
             FaultVariantKind::ALL[rng.gen_range(FaultVariantKind::ALL.len() as u64) as usize];
-        queue.push(FuzzItem { point, variant });
+        queue.push((point, variant));
         while let Some(item) = queue.pop() {
             if !seen.insert(item) {
                 continue;
             }
             stats.sampled += 1;
-            if item.variant == FaultVariantKind::Base && silent(item.point) {
+            let (point, variant) = item;
+            // Only the base variant is prunable — fault plans are keyed by
+            // the point index, so equal pre-fault states still diverge
+            // post-fault.
+            if variant == FaultVariantKind::Base && reference.silent(point) {
                 stats.pruned += 1;
                 continue;
             }
             items.push(item);
-            let novel = item.point >= 1
-                && coverage.record(kinds[item.point as usize - 1], item.point, events);
-            if novel {
+            if point >= 1 && coverage.record(kinds[point as usize - 1], point, events) {
                 stats.novel += 1;
-                for delta in 1..=opts.neighborhood {
-                    for neighbor in [item.point.saturating_sub(delta), item.point + delta] {
-                        if neighbor <= events && neighbor != item.point {
-                            queue.push(FuzzItem {
-                                point: neighbor,
-                                variant: FaultVariantKind::Base,
-                            });
+                for delta in 1..=NEIGHBORHOOD {
+                    for neighbor in [point.saturating_sub(delta), point + delta] {
+                        if neighbor <= events && neighbor != point {
+                            queue.push((neighbor, FaultVariantKind::Base));
                         }
                     }
                 }
             }
         }
     }
-    let coverage = coverage.hit_buckets();
-    FuzzPlan {
-        items,
-        events,
-        samples,
-        stats,
-        coverage,
-    }
+    (items, stats, coverage.hit_buckets())
 }
 
-/// Replays one campaign item (crash, recover, verify) under its variant's
-/// point-keyed fault plan.
-pub fn run_fuzz_item(
-    cfg: &SystemConfig,
-    trace: &WorkloadTrace,
-    item: FuzzItem,
-    fault_seed: u64,
-) -> FuzzOutcome {
-    let PointOutcome { error, .. } = run_point(
-        cfg,
-        trace,
-        item.point,
-        item.variant.plan_for(fault_seed, item.point),
-    );
-    FuzzOutcome { item, error }
-}
-
-/// Merges campaign outcomes into the final report, deterministically: the
-/// failure list is sorted by (point, variant) and the minimized
-/// counterexample (smallest failing point, mildest variant) is re-run
-/// with tracing enabled to capture its JSONL evidence.
-pub fn assemble_fuzz(
+/// Plans a campaign from one reference run (hash samples for pruning,
+/// persist-event kinds for coverage) and replays its items across
+/// `shards` workers; one shard runs serially on the calling thread and
+/// every shard count yields the same report.
+pub fn fuzz(
     cfg: &SystemConfig,
     trace: &WorkloadTrace,
     opts: &FuzzOptions,
-    plan: &FuzzPlan,
-    outcomes: Vec<FuzzOutcome>,
+    shards: usize,
 ) -> FuzzReport {
-    let mut stats = plan.stats;
-    stats.executed = outcomes.len() as u64;
-    let mut failures: Vec<FuzzOutcome> =
-        outcomes.into_iter().filter(|o| o.error.is_some()).collect();
-    failures.sort_by_key(|o| (o.item.point, o.item.variant.index()));
+    let reference = Reference::record(cfg, trace, true);
+    let (items, mut stats, coverage) = fuzz_plan(&reference, opts);
+    let (failures, counterexample) =
+        run_items(cfg, trace, &items, opts.fault_seed, &reference, shards);
+    stats.executed = items.len() as u64;
     stats.failures = failures.len() as u64;
     stats.verified = stats.executed - stats.failures;
-    let counterexample = failures.first().map(|f| {
-        let mut traced = cfg.clone();
-        traced.trace.enabled = true;
-        traced.trace.buffer_capacity = 1 << 20;
-        let mut sys = System::new(traced, trace);
-        if let Some(plan) = f.item.variant.plan_for(opts.fault_seed, f.item.point) {
-            sys.set_fault_plan(plan);
-        }
-        sys.arm_crash_at(f.item.point);
-        sys.run_until_crash_point();
-        sys.crash();
-        let report = sys.recover();
-        let error = sys
-            .verify_recovery(&report)
-            .err()
-            .unwrap_or_else(|| "violation did not reproduce under tracing".to_string());
-        FuzzCounterexample {
-            point: f.item.point,
-            variant: f.item.variant,
-            error,
-            trace_jsonl: sys.tracer().to_jsonl(),
-        }
-    });
     FuzzReport {
         stats,
         failures,
-        coverage: plan.coverage,
+        coverage,
         counterexample,
     }
-}
-
-/// Plans and executes a whole campaign on the calling thread. The `bench`
-/// harness shards the execution loop instead; this serial driver is the
-/// reference the sharded path must match byte-for-byte.
-pub fn fuzz(cfg: &SystemConfig, trace: &WorkloadTrace, opts: &FuzzOptions) -> FuzzReport {
-    let plan = fuzz_plan(cfg, trace, opts);
-    let outcomes = plan
-        .items
-        .iter()
-        .map(|&item| run_fuzz_item(cfg, trace, item, opts.fault_seed))
-        .collect();
-    assemble_fuzz(cfg, trace, opts, &plan, outcomes)
 }

@@ -30,7 +30,6 @@ fn campaign() -> FuzzOptions {
         seed: 0x5EED_CAFE,
         points: 6,
         fault_seed: 0xFA11,
-        neighborhood: 1,
     }
 }
 
@@ -39,7 +38,7 @@ fn random_campaign_catches_dropped_undo_fence_at_scale() {
     let mut cfg = smoke_cfg(DesignKind::MorLogSlde);
     cfg.mutation = CheckMutation::DropUndoFence;
     let trace = double_store_trace(&cfg, FUZZ_TXS_PER_THREAD);
-    let report = fuzz(&cfg, &trace, &campaign());
+    let report = fuzz(&cfg, &trace, &campaign(), 1);
     assert!(
         report.stats.failures > 0,
         "random campaign must catch the dropped undo→data fence \
@@ -62,7 +61,7 @@ fn random_campaign_catches_skipped_ulog_bump_at_scale() {
     cfg.hierarchy.force_write_back_period = 64;
     cfg.mutation = CheckMutation::SkipUlogBump;
     let trace = double_store_trace(&cfg, FUZZ_TXS_PER_THREAD);
-    let report = fuzz(&cfg, &trace, &campaign());
+    let report = fuzz(&cfg, &trace, &campaign(), 1);
     assert!(
         report.stats.failures > 0,
         "random campaign must catch the skipped ulog bump \
@@ -81,7 +80,7 @@ fn random_campaign_clears_real_design_and_is_deterministic() {
         points: 16,
         ..campaign()
     };
-    let a = fuzz(&cfg, &trace, &opts);
+    let a = fuzz(&cfg, &trace, &opts, 1);
     assert_eq!(
         a.stats.failures,
         0,
@@ -94,7 +93,7 @@ fn random_campaign_clears_real_design_and_is_deterministic() {
     assert!(a.coverage > 0, "campaign must light coverage buckets");
     assert!(a.stats.novel > 0, "first hits must register as novel");
     // Same seed, same campaign — byte for byte.
-    let b = fuzz(&cfg, &trace, &opts);
+    let b = fuzz(&cfg, &trace, &opts, 1);
     assert_eq!(a.stats, b.stats);
     assert_eq!(a.failures, b.failures);
     assert_eq!(a.coverage, b.coverage);
@@ -112,7 +111,7 @@ fn differential_pins_spec_divergence_to_the_mutated_design() {
     let mut clean = smoke_cfg(DesignKind::MorLogSlde);
     clean.hierarchy.force_write_back_period = 64;
     let trace = double_store_trace(&clean, 6);
-    let report = diff(&skewed, &clean, &trace, 8);
+    let report = diff(&skewed, &clean, &trace, 8, 1);
     assert!(
         report.divergences > 0,
         "skewed redo values must diverge from the clean design"
@@ -135,7 +134,7 @@ fn differential_tolerates_legitimate_cross_design_variation() {
     let a = smoke_cfg(DesignKind::MorLogSlde);
     let b = smoke_cfg(DesignKind::MorLogDp);
     let trace = double_store_trace(&a, 6);
-    let report = diff(&a, &b, &trace, 8);
+    let report = diff(&a, &b, &trace, 8, 1);
     assert_eq!(
         report.divergences,
         0,
@@ -151,7 +150,7 @@ fn reduction_shrinks_exhaustive_exploration_without_changing_verdicts() {
     // execute strictly fewer points and reach the same verdict.
     let cfg = smoke_cfg(DesignKind::MorLogSlde);
     let trace = double_store_trace(&cfg, 16);
-    let base = check(&cfg, &trace, &CheckOptions::default());
+    let base = check(&cfg, &trace, &CheckOptions::default(), 1);
     let reduced = check(
         &cfg,
         &trace,
@@ -159,6 +158,7 @@ fn reduction_shrinks_exhaustive_exploration_without_changing_verdicts() {
             reduce: true,
             ..CheckOptions::default()
         },
+        1,
     );
     assert!(
         reduced.stats.explored < base.stats.explored,
@@ -186,7 +186,7 @@ fn reduction_preserves_the_minimized_counterexample() {
     let mut cfg = smoke_cfg(DesignKind::MorLogSlde);
     cfg.mutation = CheckMutation::DropUndoFence;
     let trace = double_store_trace(&cfg, 6);
-    let base = check(&cfg, &trace, &CheckOptions::default());
+    let base = check(&cfg, &trace, &CheckOptions::default(), 1);
     let reduced = check(
         &cfg,
         &trace,
@@ -194,6 +194,7 @@ fn reduction_preserves_the_minimized_counterexample() {
             reduce: true,
             ..CheckOptions::default()
         },
+        1,
     );
     assert!(base.stats.failures > 0 && reduced.stats.failures > 0);
     let (bcx, rcx) = (

@@ -24,7 +24,7 @@ fn smoke_cfg(design: DesignKind) -> SystemConfig {
 fn real_synchronous_design_passes_exhaustively() {
     let cfg = smoke_cfg(DesignKind::MorLogSlde);
     let trace = double_store_trace(&cfg, 6);
-    let report = check(&cfg, &trace, &CheckOptions::default());
+    let report = check(&cfg, &trace, &CheckOptions::default(), 1);
     assert!(report.stats.explored > 0);
     assert_eq!(report.stats.capped, 0, "smoke run must be exhaustive");
     assert_eq!(
@@ -40,7 +40,7 @@ fn real_synchronous_design_passes_exhaustively() {
 fn real_dp_design_passes_exhaustively() {
     let cfg = smoke_cfg(DesignKind::MorLogDp);
     let trace = double_store_trace(&cfg, 6);
-    let report = check(&cfg, &trace, &CheckOptions::default());
+    let report = check(&cfg, &trace, &CheckOptions::default(), 1);
     assert_eq!(
         report.stats.failures,
         0,
@@ -58,7 +58,7 @@ fn torn_drain_variant_composes_with_hardened_recovery() {
         fault_seed: 0xC0FFEE,
         ..CheckOptions::default()
     };
-    let report = check(&cfg, &trace, &opts);
+    let report = check(&cfg, &trace, &opts, 1);
     // Every point ran twice: base + torn-drain variant.
     assert_eq!(report.stats.explored % 2, 0);
     assert_eq!(
@@ -74,7 +74,7 @@ fn drop_undo_fence_mutation_yields_minimized_counterexample() {
     let mut cfg = smoke_cfg(DesignKind::MorLogSlde);
     cfg.mutation = CheckMutation::DropUndoFence;
     let trace = double_store_trace(&cfg, 6);
-    let report = check(&cfg, &trace, &CheckOptions::default());
+    let report = check(&cfg, &trace, &CheckOptions::default(), 1);
     assert!(
         report.stats.failures > 0,
         "dropping the undo→data fence must be caught"
@@ -106,7 +106,7 @@ fn skip_ulog_bump_mutation_yields_minimized_counterexample() {
     cfg.hierarchy.force_write_back_period = 64;
     cfg.mutation = CheckMutation::SkipUlogBump;
     let trace = double_store_trace(&cfg, 6);
-    let report = check(&cfg, &trace, &CheckOptions::default());
+    let report = check(&cfg, &trace, &CheckOptions::default(), 1);
     assert!(
         report.stats.failures > 0,
         "skipping the DP ulog bump must be caught"
@@ -125,8 +125,8 @@ fn reports_are_deterministic() {
         fault_seed: 7,
         ..CheckOptions::default()
     };
-    let a = check(&cfg, &trace, &opts);
-    let b = check(&cfg, &trace, &opts);
+    let a = check(&cfg, &trace, &opts, 1);
+    let b = check(&cfg, &trace, &opts, 1);
     assert_eq!(a.stats, b.stats);
     assert_eq!(a.failures, b.failures);
 }

@@ -68,7 +68,7 @@ impl RecordKind {
 
     /// Data words following the record's metadata header: `[undo, redo]`,
     /// `[redo]` or none.
-    pub fn data_words(self) -> usize {
+    pub const fn data_words(self) -> usize {
         match self {
             RecordKind::UndoRedo => 2,
             RecordKind::Redo => 1,
@@ -77,21 +77,24 @@ impl RecordKind {
     }
 
     /// Bytes one slot of this kind occupies in a byte-domain log region:
-    /// 24 header bytes (two metadata words + timestamp), the data words,
-    /// a 4-byte CRC and a 1-byte parity/magic trailer, rounded up to 8.
+    /// the [`SLOT_HEADER`], the data words and the [`SLOT_TRAILER`].
     pub const fn slot_bytes(self) -> u64 {
-        match self {
-            RecordKind::UndoRedo => 48,
-            RecordKind::Redo => 40,
-            RecordKind::Commit => 32,
-        }
+        SLOT_HEADER + 8 * self.data_words() as u64 + SLOT_TRAILER
     }
 }
+
+/// Header bytes of a byte-domain log slot: the two metadata words and the
+/// timestamp, programmed as one unit a tear cannot split.
+pub const SLOT_HEADER: u64 = 24;
+
+/// Trailer bytes of a byte-domain log slot: a 4-byte CRC and a 1-byte
+/// parity/magic trailer, padded to a word.
+pub const SLOT_TRAILER: u64 = 8;
 
 /// The largest slot size; appends (and the recovery scan) skip to the next
 /// pass whenever fewer than this many bytes remain before the wrap point,
 /// so a slot never straddles the wrap.
-pub const SLOT_MAX: u64 = 48;
+pub const SLOT_MAX: u64 = RecordKind::UndoRedo.slot_bytes();
 
 /// The byte backends' ring layout: [`RecordKind::slot_bytes`] slots with a
 /// [`SLOT_MAX`] wrap reserve, so the recovery scan finds the next slot's
@@ -487,6 +490,7 @@ pub fn decode_slot(bytes: &[u8], expected_parity: bool) -> Result<SlotRead, Meta
     let meta = [word_at(bytes, 0), word_at(bytes, 8)];
     let fields = unpack_meta(meta)?;
     let d = fields.kind.data_words();
+    let data = SLOT_HEADER as usize;
     let timestamp = word_at(bytes, 16);
     let mut record = Record {
         kind: fields.kind,
@@ -500,13 +504,13 @@ pub fn decode_slot(bytes: &[u8], expected_parity: bool) -> Result<SlotRead, Meta
     };
     match fields.kind {
         RecordKind::UndoRedo => {
-            record.undo = Some(word_at(bytes, 24));
-            record.redo = word_at(bytes, 32);
+            record.undo = Some(word_at(bytes, data));
+            record.redo = word_at(bytes, data + 8);
         }
-        RecordKind::Redo => record.redo = word_at(bytes, 24),
+        RecordKind::Redo => record.redo = word_at(bytes, data),
         RecordKind::Commit => {}
     }
-    let crc_off = 24 + 8 * d;
+    let crc_off = data + 8 * d;
     let mut crc_bytes = [0u8; 4];
     crc_bytes.copy_from_slice(&bytes[crc_off..crc_off + 4]);
     let stored_crc = u32::from_le_bytes(crc_bytes);

@@ -25,6 +25,7 @@
 use morlog_log::domain::{PersistDomain, RegionId, DATA_REGION};
 use morlog_log::engine::LogConfig;
 use morlog_log::image::{Image, RangeFault};
+use morlog_log::record::{SLOT_HEADER, SLOT_TRAILER};
 use morlog_sim_core::fault::FaultPlan;
 
 /// A persist domain with the simulator's NVMM fault model attached.
@@ -80,13 +81,6 @@ impl SimDomain {
         self.image.durable_bytes()
     }
 }
-
-/// Header bytes of a byte-domain log slot (two metadata words plus the
-/// timestamp) — the atomically-programmed part a tear cannot split.
-const SLOT_HEADER: u64 = 24;
-
-/// Trailer bytes (CRC + magic/parity byte, padded to a word).
-const SLOT_TRAILER: u64 = 8;
 
 impl PersistDomain for SimDomain {
     fn region_len(&self, region: RegionId) -> u64 {

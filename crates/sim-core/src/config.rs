@@ -49,6 +49,17 @@ impl DesignKind {
         DesignKind::MorLogDp,
     ];
 
+    /// The five designs that guarantee atomic persistence, in
+    /// [`DesignKind::ALL`] order: every design but FWB-Unsafe, which
+    /// cannot pass a crash sweep by construction (that is its point).
+    pub const ATOMIC: [DesignKind; 5] = [
+        DesignKind::FwbCrade,
+        DesignKind::FwbSlde,
+        DesignKind::MorLogCrade,
+        DesignKind::MorLogSlde,
+        DesignKind::MorLogDp,
+    ];
+
     /// Returns `true` for the three morphable-logging designs.
     pub fn is_morlog(self) -> bool {
         matches!(

@@ -287,13 +287,14 @@ impl FaultPlan {
     }
 }
 
-/// The fault families a fuzz campaign composes with a sampled crash point.
+/// The fault families the crash checker composes with a crash point (the
+/// exhaustive mode uses [`FaultVariantKind::Torn`], the fuzz mode draws
+/// from all four).
 ///
-/// Each variant derives a [`FaultPlan`] keyed to the crash point with the
-/// same SplitMix64 site mixing the exhaustive explorer uses for its torn
-/// variant, so a campaign item `(point, variant)` is replayable from the
-/// campaign seed alone — sharding and execution order never change which
-/// fault lands where.
+/// Each variant derives a [`FaultPlan`] keyed to the crash point (see
+/// [`FaultVariantKind::point_seed`]), so a crash item `(point, variant)`
+/// is replayable from the fault seed alone — sharding and execution order
+/// never change which fault lands where.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultVariantKind {
     /// No fault plan: the crash alone.
@@ -339,8 +340,9 @@ impl FaultVariantKind {
         }
     }
 
-    /// The point-keyed seed shared by every variant's plan (and by the
-    /// exhaustive explorer's `torn_plan_for`).
+    /// The point-keyed seed shared by every variant's plan, so a crash
+    /// item `(point, variant)` replays the same faults in every checker
+    /// mode and at every shard count.
     pub fn point_seed(fault_seed: u64, point: u64) -> u64 {
         fault_seed ^ point.wrapping_mul(0x9E37_79B9_7F4A_7C15)
     }
@@ -474,6 +476,9 @@ mod tests {
                     let (a, b) = (a.unwrap(), b.unwrap());
                     assert!(a.is_active() && b.is_active());
                     assert_ne!(a.seed, b.seed, "{}", v.label());
+                    if v == FaultVariantKind::Torn {
+                        assert_eq!(a.fault_budget, Some(1), "exactly one slot tears");
+                    }
                 }
             }
         }

@@ -32,6 +32,7 @@ pub mod hostprof;
 pub mod ids;
 pub mod knobs;
 pub mod metrics;
+pub mod par;
 pub mod persist;
 pub mod rng;
 pub mod stats;

@@ -367,19 +367,6 @@ pub struct CheckStats {
     pub failures: u64,
 }
 
-impl CheckStats {
-    /// Adds another sweep's counters into this one.
-    pub fn merge(&mut self, other: &CheckStats) {
-        self.events += other.events;
-        self.points_total += other.points_total;
-        self.pruned += other.pruned;
-        self.capped += other.capped;
-        self.explored += other.explored;
-        self.verified += other.verified;
-        self.failures += other.failures;
-    }
-}
-
 /// Coverage counters of one coverage-guided random crash campaign
 /// (`crates/checker` fuzz mode). Invariants the results validator checks:
 /// `executed + pruned == sampled` and `verified + failures == executed`.
