@@ -50,8 +50,25 @@ impl Cache {
         &self.cfg
     }
 
-    fn set_index(&self, addr: LineAddr) -> usize {
+    /// Number of sets.
+    pub fn sets(&self) -> usize {
+        self.sets.len()
+    }
+
+    /// The set `addr` maps to.
+    pub fn set_index(&self, addr: LineAddr) -> usize {
         (addr.index() & self.set_mask) as usize
+    }
+
+    /// The lines of set `set`, MRU first (does not touch LRU order).
+    pub fn set_lines(&self, set: usize) -> &[CacheLine] {
+        &self.sets[set]
+    }
+
+    /// The lines of set `set` mutably, MRU first (does not touch LRU
+    /// order).
+    pub fn set_lines_mut(&mut self, set: usize) -> &mut [CacheLine] {
+        &mut self.sets[set]
     }
 
     /// Whether the line is present (does not touch LRU order).
@@ -113,12 +130,14 @@ impl Cache {
         Some(set.remove(pos))
     }
 
-    /// Iterates all resident lines (scan order unspecified).
+    /// Iterates all resident lines: sets in ascending order, each set's
+    /// ways MRU first.
     pub fn iter(&self) -> impl Iterator<Item = &CacheLine> + '_ {
         self.sets.iter().flatten()
     }
 
-    /// Iterates all resident lines mutably.
+    /// Iterates all resident lines mutably, in [`iter`](Cache::iter)
+    /// order.
     pub fn iter_mut(&mut self) -> impl Iterator<Item = &mut CacheLine> + '_ {
         self.sets.iter_mut().flatten()
     }

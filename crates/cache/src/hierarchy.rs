@@ -227,9 +227,26 @@ impl Hierarchy {
         Some((core, self.l1[core].get_mut(addr).expect("checked contains")))
     }
 
-    /// Iterates every L1 line of one core mutably (commit-time walks).
-    pub fn l1_lines_mut(&mut self, core: usize) -> impl Iterator<Item = &mut CacheLine> + '_ {
-        self.l1[core].iter_mut()
+    /// Number of sets in each L1 (every core's L1 has the same geometry).
+    pub fn l1_sets(&self) -> usize {
+        self.l1[0].sets()
+    }
+
+    /// The L1 set `addr` maps to.
+    pub fn l1_set_index(&self, addr: LineAddr) -> usize {
+        self.l1[0].set_index(addr)
+    }
+
+    /// The lines of one L1 set of one core, MRU first.
+    pub fn l1_set(&self, core: usize, set: usize) -> &[CacheLine] {
+        self.l1[core].set_lines(set)
+    }
+
+    /// The lines of one L1 set of one core mutably, MRU first, without
+    /// touching LRU order (commit-time walks visit sets in ascending
+    /// order, so their visit order is the L1's set/way order).
+    pub fn l1_set_mut(&mut self, core: usize, set: usize) -> &mut [CacheLine] {
+        self.l1[core].set_lines_mut(set)
     }
 
     /// The force-write-back scan (§III-F): pass one sets the age flag on

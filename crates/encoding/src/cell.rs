@@ -37,6 +37,12 @@ impl CellState {
         CellState(bits)
     }
 
+    /// The state named by the low 3 bits of `bits` (the mapping kernels'
+    /// unchecked constructor).
+    pub(crate) const fn from_low_bits(bits: u8) -> Self {
+        CellState(bits & 0b111)
+    }
+
     /// Returns the 3-bit value.
     pub fn bits(self) -> u8 {
         self.0

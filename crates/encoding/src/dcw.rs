@@ -86,15 +86,24 @@ pub fn write_cost(
     );
     // Raw per-state table lookups: scaling the maximum latency once equals
     // taking the maximum of scaled latencies (scaling by a positive factor
-    // is monotone), and the energy is summed in cell order as before.
+    // is monotone). Each run of up to 64 cells is compared without a
+    // branch into a changed-cell bitmask, and only the changed cells are
+    // visited, in cell order, so the energy is the same sum of the same
+    // terms in the same order as a cell-by-cell loop.
     let (latency_ns, energy_pj) = model.write_tables();
     let (mut latency, mut energy, mut programmed) = (0.0f64, 0.0f64, 0u64);
-    for (&o, &n) in old.iter().zip(new.iter()) {
-        if o != n {
-            let s = n.bits() as usize;
+    for (old, new) in old.chunks(64).zip(new.chunks(64)) {
+        let mut changed = old
+            .iter()
+            .zip(new)
+            .enumerate()
+            .fold(0u64, |mask, (i, (o, n))| mask | ((o != n) as u64) << i);
+        programmed += u64::from(changed.count_ones());
+        while changed != 0 {
+            let s = new[changed.trailing_zeros() as usize].bits() as usize;
+            changed &= changed - 1;
             latency = latency.max(latency_ns[s]);
             energy += energy_pj[s];
-            programmed += 1;
         }
     }
     WriteCost {
@@ -168,6 +177,63 @@ mod tests {
         assert!((a.latency.as_f64() - 143.0).abs() < 1e-9);
         assert_eq!(a.cells_programmed, 2);
         assert!((a.energy.as_f64() - (1.5 + 35.1)).abs() < 1e-9);
+    }
+
+    /// DCW as a plain cell-by-cell loop.
+    fn write_cost_by_cells(model: &CellModel, old: &[CellState], new: &[CellState]) -> WriteCost {
+        let (mut latency, mut energy, mut programmed) = (0.0f64, 0.0f64, 0u64);
+        for (&o, &n) in old.iter().zip(new) {
+            if o != n {
+                latency = latency.max(model.write_latency(n).as_f64());
+                energy += model.write_energy(n).as_f64();
+                programmed += 1;
+            }
+        }
+        WriteCost {
+            latency: NanoSeconds::new(latency),
+            energy: PicoJoules::new(energy),
+            cells_programmed: programmed,
+            bits_programmed: programmed * 3,
+        }
+    }
+
+    #[test]
+    fn write_cost_matches_cell_by_cell_loop_bit_for_bit() {
+        let mut rng = morlog_sim_core::rng::DetRng::new(0xDC3);
+        for model in [
+            CellModel::table_iii(),
+            CellModel::table_iii().with_write_latency_scale(1.7),
+        ] {
+            for len in [0usize, 1, 5, 24, 63, 64, 65, 96, 200] {
+                for _ in 0..50 {
+                    let old: Vec<CellState> = (0..len).map(|_| s(rng.gen_range(8) as u8)).collect();
+                    // Mostly-equal vectors as well as random ones.
+                    let keep = rng.gen_f64();
+                    let new: Vec<CellState> = old
+                        .iter()
+                        .map(|&o| {
+                            if rng.gen_bool(keep) {
+                                o
+                            } else {
+                                s(rng.gen_range(8) as u8)
+                            }
+                        })
+                        .collect();
+                    let got = write_cost(&model, &old, &new, 3);
+                    let want = write_cost_by_cells(&model, &old, &new);
+                    assert_eq!(
+                        got.energy.as_f64().to_bits(),
+                        want.energy.as_f64().to_bits()
+                    );
+                    assert_eq!(
+                        got.latency.as_f64().to_bits(),
+                        want.latency.as_f64().to_bits()
+                    );
+                    assert_eq!(got.cells_programmed, want.cells_programmed);
+                    assert_eq!(got.bits_programmed, want.bits_programmed);
+                }
+            }
+        }
     }
 
     #[test]

@@ -160,9 +160,22 @@ pub fn map_payload(payload: &[u64], payload_bits: usize, region_cells: usize) ->
     map_payload_with_mode(payload, payload_bits, mode)
 }
 
+/// The IDM-2 mapping of [`ExpansionMode::map_chunk`] as a table.
+const IDM2_STATES: [CellState; 4] = [
+    CellState::from_low_bits(0b000),
+    CellState::from_low_bits(0b001),
+    CellState::from_low_bits(0b110),
+    CellState::from_low_bits(0b111),
+];
+
 /// Maps `payload_bits` bits onto cells using an explicitly chosen mode
 /// (used when expansion coding is disabled and everything stays at full TLC
 /// density, Table VI).
+///
+/// Produces the states [`ExpansionMode::map_chunk`] gives each cell's
+/// chunk, with bits past `payload_bits` read as 0, but runs one
+/// branch-free loop per mode over the payload held in one `u128` (a
+/// region's payload is at most 72 bits).
 ///
 /// # Panics
 ///
@@ -179,19 +192,38 @@ pub fn map_payload_with_mode(
     );
     let bpc = mode.bits_per_cell();
     let cells_used = payload_bits.div_ceil(bpc);
-    let mut states = ArrayVec::new();
-    for cell in 0..cells_used {
-        // The cell's bits start at `idx`; past `payload_bits` they read 0.
-        let idx = cell * bpc;
-        let (word, shift) = (idx / 64, idx % 64);
-        let valid = bpc.min(payload_bits - idx);
-        let mut chunk = payload[word] >> shift;
-        if shift + valid > 64 {
-            chunk |= payload[word + 1] << (64 - shift);
+    assert!(
+        cells_used <= WORD_REGION_CELLS,
+        "mapping needs {cells_used} cells, more than {WORD_REGION_CELLS}"
+    );
+    let word = |i: usize| payload.get(i).copied().unwrap_or(0) as u128;
+    let mut bits = (word(0) | word(1) << 64) & ((1u128 << payload_bits) - 1);
+    let mut cells = [CellState::default(); WORD_REGION_CELLS];
+    let cells_out = &mut cells[..cells_used];
+    match mode {
+        ExpansionMode::Idm1 => {
+            for cell in cells_out {
+                *cell = CellState::from_low_bits((bits as u8 & 1) * 0b111);
+                bits >>= 1;
+            }
         }
-        states.push(mode.map_chunk((chunk & ((1 << valid) - 1)) as u8));
+        ExpansionMode::Idm2 => {
+            for cell in cells_out {
+                *cell = IDM2_STATES[bits as usize & 0b11];
+                bits >>= 2;
+            }
+        }
+        ExpansionMode::Tlc => {
+            for cell in cells_out {
+                *cell = CellState::from_low_bits(bits as u8);
+                bits >>= 3;
+            }
+        }
     }
-    MappedWrite { mode, states }
+    MappedWrite {
+        mode,
+        states: ArrayVec::from_prefix(cells, cells_used),
+    }
 }
 
 /// Recovers the payload bits from a mapped region (the decode path).
@@ -267,6 +299,44 @@ mod tests {
                     let want = (payload[idx / 64] >> (idx % 64)) & 1;
                     let got = (out[idx / 64] >> (idx % 64)) & 1;
                     assert_eq!(want, got, "bit {idx} with {bits} bits / {cells} cells");
+                }
+            }
+        }
+    }
+
+    /// Reference mapping, one cell at a time: each cell's chunk through
+    /// `map_chunk`, bits past `payload_bits` read as 0.
+    fn map_by_chunks(payload: &[u64], payload_bits: usize, mode: ExpansionMode) -> MappedWrite {
+        let bpc = mode.bits_per_cell();
+        let mut states = ArrayVec::new();
+        for cell in 0..payload_bits.div_ceil(bpc) {
+            let idx = cell * bpc;
+            let (word, shift) = (idx / 64, idx % 64);
+            let valid = bpc.min(payload_bits - idx);
+            let mut chunk = payload[word] >> shift;
+            if shift + valid > 64 {
+                chunk |= payload[word + 1] << (64 - shift);
+            }
+            states.push(mode.map_chunk((chunk & ((1 << valid) - 1)) as u8));
+        }
+        MappedWrite { mode, states }
+    }
+
+    #[test]
+    fn mapping_kernels_match_map_chunk_for_every_length() {
+        let mut rng = morlog_sim_core::rng::DetRng::new(72);
+        for mode in [ExpansionMode::Idm1, ExpansionMode::Idm2, ExpansionMode::Tlc] {
+            let max_bits = mode.bits_per_cell() * WORD_REGION_CELLS;
+            for bits in 0..=72usize.min(max_bits) {
+                for _ in 0..16 {
+                    // Bits past `payload_bits` are set at random too: the
+                    // mapping must read them as 0.
+                    let payload = [rng.next_u64(), rng.next_u64()];
+                    assert_eq!(
+                        map_payload_with_mode(&payload, bits, mode),
+                        map_by_chunks(&payload, bits, mode),
+                        "{mode:?}, {bits} bits, payload {payload:x?}"
+                    );
                 }
             }
         }

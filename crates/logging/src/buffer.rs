@@ -1,23 +1,89 @@
 //! The volatile log FIFOs: the undo+redo buffer and the redo buffer
-//! (§III-A, §III-B).
+//! (§III-A, §III-B), and the record queues the controller keeps beside
+//! them.
 //!
-//! Both are small SRAM FIFOs in the processor (Table I: 16 × 202-bit
-//! undo+redo entries, 32 × 138-bit redo entries by default). Entries for
-//! the same word of the same transaction coalesce in place while buffered;
-//! the undo+redo buffer evicts entries *eagerly* after a fixed number of
-//! cycles (below the minimum cache-traversal latency, to keep undo data
-//! ahead of updated data), while the redo buffer evicts *lazily* to
-//! maximise the chance of coalescing or discarding redo data.
+//! Both buffers are small SRAM FIFOs in the processor (Table I: 16 ×
+//! 202-bit undo+redo entries, 32 × 138-bit redo entries by default).
+//! Entries for the same word of the same transaction coalesce in place
+//! while buffered; the undo+redo buffer evicts entries *eagerly* after a
+//! fixed number of cycles (below the minimum cache-traversal latency, to
+//! keep undo data ahead of updated data), while the redo buffer evicts
+//! *lazily* to maximise the chance of coalescing or discarding redo data.
+//!
+//! # Per-transaction counts
+//!
+//! The controller asks, for every pending commit on every stepped cycle,
+//! whether a transaction still has anything buffered or queued. Each
+//! [`LogBuffer`] and each `RecordQueue` therefore keeps a count of its
+//! entries per transaction, updated by every method that adds or removes
+//! one, so their `has_tx` answers without a scan and
+//! [`LogBuffer::find_tx_front`] returns at once for a transaction with
+//! nothing buffered. Lookups by word or by cache line still scan: the
+//! buffers hold at most a few dozen entries.
 
 use std::collections::VecDeque;
 
-use morlog_log::record::{Record, TxTag};
+use morlog_log::record::{Record, RecordKind, TxTag};
 use morlog_sim_core::ids::TxKey;
 use morlog_sim_core::{Addr, Cycle};
 
 /// Index of the cache line holding a record's home word.
 pub(crate) fn home_line(record: &Record) -> u64 {
     Addr::new(record.addr).line().index()
+}
+
+/// How many entries each transaction has in one queue: a multiset of
+/// [`TxTag`]s, kept per thread. A thread has one transaction running and
+/// at most a few committed ones with entries still queued, so a lookup
+/// indexes the thread and scans a list of one or two.
+#[derive(Debug, Clone, Default)]
+struct TxCounts {
+    /// `(txid, count)` pairs per thread index.
+    by_thread: Vec<Vec<(u16, u32)>>,
+}
+
+impl TxCounts {
+    /// Counts one more entry of `tag`.
+    fn add(&mut self, tag: TxTag) {
+        let t = tag.thread as usize;
+        if t >= self.by_thread.len() {
+            self.by_thread.resize_with(t + 1, Vec::new);
+        }
+        let list = &mut self.by_thread[t];
+        match list.iter_mut().find(|(x, _)| *x == tag.txid) {
+            Some((_, n)) => *n += 1,
+            None => list.push((tag.txid, 1)),
+        }
+    }
+
+    /// Counts one entry of `tag` fewer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no entry of `tag` is counted.
+    fn sub(&mut self, tag: TxTag) {
+        let list = &mut self.by_thread[tag.thread as usize];
+        let i = list
+            .iter()
+            .position(|(x, _)| *x == tag.txid)
+            .expect("removed an entry that was never counted");
+        list[i].1 -= 1;
+        if list[i].1 == 0 {
+            list.swap_remove(i);
+        }
+    }
+
+    /// Whether any entry of `tag` is counted.
+    fn contains(&self, tag: TxTag) -> bool {
+        self.by_thread
+            .get(tag.thread as usize)
+            .is_some_and(|list| list.iter().any(|(x, _)| *x == tag.txid))
+    }
+
+    /// Forgets every count.
+    fn clear(&mut self) {
+        self.by_thread.iter_mut().for_each(Vec::clear);
+    }
 }
 
 /// A buffered log entry.
@@ -43,12 +109,15 @@ pub struct Pending {
 /// let key = TxKey::new(ThreadId::new(0), TxId::new(0));
 /// buf.push(Record::undo_redo(key.into(), 0x40, 1, 2, 0xFF), 100).unwrap();
 /// assert!(buf.find_mut(key, Addr::new(0x40)).is_some());
+/// assert!(buf.has_tx(key));
 /// assert_eq!(buf.len(), 1);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct LogBuffer {
     entries: VecDeque<Pending>,
     capacity: usize,
+    /// Entries per transaction.
+    per_tx: TxCounts,
 }
 
 /// Error returned by [`LogBuffer::push`] when the buffer is full.
@@ -62,6 +131,7 @@ impl LogBuffer {
         LogBuffer {
             entries: VecDeque::with_capacity(capacity),
             capacity,
+            per_tx: TxCounts::default(),
         }
     }
 
@@ -95,6 +165,7 @@ impl LogBuffer {
         if self.is_full() {
             return Err(BufferFull);
         }
+        self.per_tx.add(record.tag);
         self.entries.push_back(Pending {
             record,
             created: now,
@@ -103,8 +174,13 @@ impl LogBuffer {
     }
 
     /// Finds the buffered entry for `(key, word address)`, for coalescing.
+    /// The caller may change the entry's data but not its tag or address,
+    /// which are the lookup key.
     pub fn find_mut(&mut self, key: TxKey, addr: Addr) -> Option<&mut Pending> {
         let (tag, addr) = (TxTag::from(key), addr.word_base().as_u64());
+        if !self.per_tx.contains(tag) {
+            return None;
+        }
         self.entries
             .iter_mut()
             .find(|p| p.record.tag == tag && p.record.addr == addr)
@@ -113,9 +189,11 @@ impl LogBuffer {
     /// Whether an entry for `(key, word address)` is buffered.
     pub fn contains(&self, key: TxKey, addr: Addr) -> bool {
         let (tag, addr) = (TxTag::from(key), addr.word_base().as_u64());
-        self.entries
-            .iter()
-            .any(|p| p.record.tag == tag && p.record.addr == addr)
+        self.per_tx.contains(tag)
+            && self
+                .entries
+                .iter()
+                .any(|p| p.record.tag == tag && p.record.addr == addr)
     }
 
     /// The oldest entry, if any.
@@ -125,16 +203,22 @@ impl LogBuffer {
 
     /// Removes and returns the oldest entry.
     pub fn pop_front(&mut self) -> Option<Pending> {
-        self.entries.pop_front()
+        let p = self.entries.pop_front()?;
+        self.per_tx.sub(p.record.tag);
+        Some(p)
     }
 
     /// Removes the entry for `(key, word address)` (redo-discard, §III-B).
     pub fn remove(&mut self, key: TxKey, addr: Addr) -> Option<Pending> {
         let (tag, addr) = (TxTag::from(key), addr.word_base().as_u64());
+        if !self.per_tx.contains(tag) {
+            return None;
+        }
         let pos = self
             .entries
             .iter()
             .position(|p| p.record.tag == tag && p.record.addr == addr)?;
+        self.per_tx.sub(tag);
         self.entries.remove(pos)
     }
 
@@ -142,31 +226,20 @@ impl LogBuffer {
     /// (LLC-eviction discard); returns how many were removed.
     pub fn remove_line(&mut self, line_index: u64) -> usize {
         let before = self.entries.len();
-        self.entries.retain(|p| home_line(&p.record) != line_index);
-        before - self.entries.len()
-    }
-
-    /// Removes every entry of transaction `key` matching `pred`, returning
-    /// them in FIFO order (commit flush).
-    pub fn drain_tx(&mut self, key: TxKey) -> Vec<Pending> {
-        let tag = TxTag::from(key);
-        let mut taken = Vec::new();
-        let mut kept = VecDeque::with_capacity(self.entries.len());
-        for p in self.entries.drain(..) {
-            if p.record.tag == tag {
-                taken.push(p);
-            } else {
-                kept.push_back(p);
+        let per_tx = &mut self.per_tx;
+        self.entries.retain(|p| {
+            let keep = home_line(&p.record) != line_index;
+            if !keep {
+                per_tx.sub(p.record.tag);
             }
-        }
-        self.entries = kept;
-        taken
+            keep
+        });
+        before - self.entries.len()
     }
 
     /// Whether any entry belongs to transaction `key`.
     pub fn has_tx(&self, key: TxKey) -> bool {
-        let tag = TxTag::from(key);
-        self.entries.iter().any(|p| p.record.tag == tag)
+        self.per_tx.contains(TxTag::from(key))
     }
 
     /// The oldest entry belonging to transaction `key` (commit flush pulls
@@ -174,6 +247,9 @@ impl LogBuffer {
     /// ordering, §III-C).
     pub fn find_tx_front(&self, key: TxKey) -> Option<Pending> {
         let tag = TxTag::from(key);
+        if !self.per_tx.contains(tag) {
+            return None;
+        }
         self.entries.iter().find(|p| p.record.tag == tag).copied()
     }
 
@@ -192,22 +268,6 @@ impl LogBuffer {
             .any(|p| home_line(&p.record) == line_index)
     }
 
-    /// Removes and returns all entries for line `line_index`, FIFO order
-    /// (forced flush before a data writeback of that line).
-    pub fn drain_line(&mut self, line_index: u64) -> Vec<Pending> {
-        let mut taken = Vec::new();
-        let mut kept = VecDeque::with_capacity(self.entries.len());
-        for p in self.entries.drain(..) {
-            if home_line(&p.record) == line_index {
-                taken.push(p);
-            } else {
-                kept.push_back(p);
-            }
-        }
-        self.entries = kept;
-        taken
-    }
-
     /// Iterates buffered entries, oldest first.
     pub fn iter(&self) -> impl Iterator<Item = &Pending> + '_ {
         self.entries.iter()
@@ -216,12 +276,133 @@ impl LogBuffer {
     /// Drops everything (crash: the buffers are volatile SRAM).
     pub fn clear(&mut self) {
         self.entries.clear();
+        self.per_tx.clear();
+    }
+}
+
+/// Per-transaction counts of a [`RecordQueue`]: all its records, and its
+/// undo+redo records.
+#[derive(Debug, Clone, Default)]
+struct QueueCounts {
+    all: TxCounts,
+    undo: TxCounts,
+}
+
+impl QueueCounts {
+    fn add(&mut self, record: &Record) {
+        self.all.add(record.tag);
+        if record.kind == RecordKind::UndoRedo {
+            self.undo.add(record.tag);
+        }
+    }
+
+    fn sub(&mut self, record: &Record) {
+        self.all.sub(record.tag);
+        if record.kind == RecordKind::UndoRedo {
+            self.undo.sub(record.tag);
+        }
+    }
+}
+
+/// An unbounded FIFO of log records that counts, per transaction, its
+/// records and its undo+redo records. The controller keeps two: the
+/// overflow queue of records forced out of the buffers, and the queue of
+/// commit records waiting to append.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct RecordQueue {
+    records: VecDeque<Record>,
+    counts: QueueCounts,
+}
+
+impl RecordQueue {
+    /// Records queued.
+    pub fn len(&self) -> usize {
+        self.records.len()
+    }
+
+    /// Whether nothing is queued.
+    pub fn is_empty(&self) -> bool {
+        self.records.is_empty()
+    }
+
+    /// Appends a record.
+    pub fn push_back(&mut self, record: Record) {
+        self.counts.add(&record);
+        self.records.push_back(record);
+    }
+
+    /// The oldest record, if any.
+    pub fn front(&self) -> Option<&Record> {
+        self.records.front()
+    }
+
+    /// Removes and returns the oldest record.
+    pub fn pop_front(&mut self) -> Option<Record> {
+        let record = self.records.pop_front()?;
+        self.counts.sub(&record);
+        Some(record)
+    }
+
+    /// Removes and returns the record at `pos` (0 is the oldest).
+    pub fn remove(&mut self, pos: usize) -> Option<Record> {
+        let record = self.records.remove(pos)?;
+        self.counts.sub(&record);
+        Some(record)
+    }
+
+    /// Keeps only the records `keep` accepts, in order.
+    pub fn retain(&mut self, mut keep: impl FnMut(&Record) -> bool) {
+        let counts = &mut self.counts;
+        self.records.retain(|r| {
+            let kept = keep(r);
+            if !kept {
+                counts.sub(r);
+            }
+            kept
+        });
+    }
+
+    /// Iterates the queued records, oldest first.
+    pub fn iter(&self) -> impl Iterator<Item = &Record> + '_ {
+        self.records.iter()
+    }
+
+    /// The position of the oldest record `pred` accepts.
+    pub fn position(&self, pred: impl FnMut(&Record) -> bool) -> Option<usize> {
+        self.records.iter().position(pred)
+    }
+
+    /// Whether any record of transaction `key` is queued.
+    pub fn has_tx(&self, key: TxKey) -> bool {
+        self.counts.all.contains(TxTag::from(key))
+    }
+
+    /// Whether any undo+redo record of transaction `key` is queued.
+    pub fn has_undo(&self, key: TxKey) -> bool {
+        self.counts.undo.contains(TxTag::from(key))
+    }
+
+    /// Drops everything (crash: the queues are volatile).
+    pub fn clear(&mut self) {
+        self.records.clear();
+        self.counts.all.clear();
+        self.counts.undo.clear();
+    }
+}
+
+impl std::ops::Index<usize> for RecordQueue {
+    type Output = Record;
+
+    /// The record at `pos` (0 is the oldest).
+    fn index(&self, pos: usize) -> &Record {
+        &self.records[pos]
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use morlog_sim_core::rng::DetRng;
     use morlog_sim_core::{ThreadId, TxId};
 
     fn key(t: u8, x: u16) -> TxKey {
@@ -289,35 +470,86 @@ mod tests {
     }
 
     #[test]
-    fn drain_tx_keeps_other_transactions() {
-        let mut b = LogBuffer::new(8);
-        b.push(rec(key(0, 0), 0x00), 0).unwrap();
-        b.push(rec(key(0, 1), 0x08), 1).unwrap();
-        b.push(rec(key(0, 0), 0x10), 2).unwrap();
-        let taken = b.drain_tx(key(0, 0));
-        assert_eq!(taken.len(), 2);
-        assert_eq!(taken[0].record.addr, 0x00);
-        assert_eq!(taken[1].record.addr, 0x10);
-        assert_eq!(b.len(), 1);
-        assert!(b.has_tx(key(0, 1)));
-    }
-
-    #[test]
-    fn drain_line_preserves_fifo_of_rest() {
-        let mut b = LogBuffer::new(8);
-        b.push(rec(key(0, 0), 0x40), 0).unwrap();
-        b.push(rec(key(0, 0), 0x100), 1).unwrap();
-        b.push(rec(key(0, 0), 0x48), 2).unwrap();
-        let taken = b.drain_line(1);
-        assert_eq!(taken.len(), 2);
-        assert_eq!(b.front().unwrap().record.addr, 0x100);
-    }
-
-    #[test]
     fn clear_empties() {
         let mut b = LogBuffer::new(4);
         b.push(rec(key(0, 0), 0), 0).unwrap();
         b.clear();
         assert!(b.is_empty());
+    }
+
+    /// Random buffer and queue operations, checking after each one that
+    /// the per-transaction counts answer exactly what a scan would.
+    #[test]
+    fn per_tx_counts_match_linear_scans() {
+        let mut rng = DetRng::new(0x10B_B0FF);
+        let keys: Vec<TxKey> = (0..3)
+            .flat_map(|t| (0..2).map(move |x| key(t, x)))
+            .collect();
+        let mut b = LogBuffer::new(12);
+        let mut q = RecordQueue::default();
+        for step in 0..20_000 {
+            let k = keys[rng.gen_range(keys.len() as u64) as usize];
+            let addr = rng.gen_range(6) * 0x20;
+            match rng.gen_range(10) {
+                0..=2 => {
+                    let _ = b.push(rec(k, addr), step);
+                }
+                3 => {
+                    b.pop_front();
+                }
+                4 => {
+                    b.remove(k, Addr::new(addr));
+                }
+                5 => {
+                    b.remove_line(addr / 64);
+                }
+                6 => {
+                    if let Some(p) = b.find_mut(k, Addr::new(addr)) {
+                        p.record.redo += 1;
+                    }
+                }
+                7 => {
+                    let r = if rng.gen_bool(0.5) {
+                        rec(k, addr)
+                    } else {
+                        Record::redo_only(k.into(), addr, 1, 0xFF)
+                    };
+                    q.push_back(r);
+                }
+                8 => match rng.gen_range(3) {
+                    0 => {
+                        q.pop_front();
+                    }
+                    1 => {
+                        q.remove(rng.gen_range(q.len() as u64 + 1) as usize);
+                    }
+                    _ => q.retain(|r| home_line(r) != addr / 64),
+                },
+                _ if rng.gen_range(20) == 0 => {
+                    b.clear();
+                    q.clear();
+                }
+                _ => {}
+            }
+            for &k in &keys {
+                let tag = TxTag::from(k);
+                assert_eq!(
+                    b.has_tx(k),
+                    b.iter().any(|p| p.record.tag == tag),
+                    "has_tx, step {step}"
+                );
+                assert_eq!(
+                    b.find_tx_front(k),
+                    b.iter().find(|p| p.record.tag == tag).copied(),
+                    "find_tx_front, step {step}"
+                );
+                assert_eq!(q.has_tx(k), q.iter().any(|r| r.tag == tag));
+                assert_eq!(
+                    q.has_undo(k),
+                    q.iter()
+                        .any(|r| r.tag == tag && r.kind == RecordKind::UndoRedo)
+                );
+            }
+        }
     }
 }

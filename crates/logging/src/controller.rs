@@ -26,6 +26,19 @@
 //! [`writeback_blocked`] whether a stalled store or write-back would just
 //! stall again, so it can skip the cycles in between.
 //!
+//! # Per-cycle cost
+//!
+//! `tick` and `next_event` run on every stepped cycle and ask, for each
+//! pending commit, whether its transaction still has entries buffered,
+//! undo+redo records in the overflow queue, or a commit record queued.
+//! None of these questions scans: the buffers and both record queues keep
+//! per-transaction counts (see [`crate::buffer`]), the pending commits sit
+//! in one slot per thread, and each pending commit remembers whether its
+//! commit record has persisted. Every append attempt is first checked with
+//! [`MemoryController::log_append_blocked`], which answers exactly whether
+//! the append would fail on a full write queue without side effects, so a
+//! queue known to be full is not tried again for each pending commit.
+//!
 //! [`tx_begin`]: LogController::tx_begin
 //! [`start_commit`]: LogController::start_commit
 //! [`on_store`]: LogController::on_store
@@ -35,8 +48,6 @@
 //! [`next_event`]: LogController::next_event
 //! [`store_stall`]: LogController::store_stall
 //! [`writeback_blocked`]: LogController::writeback_blocked
-
-use std::collections::{BTreeMap, VecDeque};
 
 use morlog_cache::line::{CacheLine, L1Ext, WordLogState};
 use morlog_encoding::secure::SecureMode;
@@ -52,7 +63,7 @@ use morlog_sim_core::trace::{CommitPhaseTag, TraceEvent, Tracer, WordStateTag};
 use morlog_sim_core::types::dirty_byte_mask;
 use morlog_sim_core::{Addr, CheckMutation, Cycle, DesignKind, LogConfig, ThreadId, TxId};
 
-use crate::buffer::{home_line, LogBuffer};
+use crate::buffer::{home_line, LogBuffer, RecordQueue};
 
 /// A store could not proceed this cycle, and what blocked it. The engine
 /// retries the store next cycle and charges the stalled cycle to the
@@ -109,6 +120,66 @@ pub struct UlogWord {
 struct PendingCommit {
     key: TxKey,
     started: Cycle,
+    /// Whether `commit_cycle` holds `key`: its commit record persisted
+    /// (or, after a TxID wrap, an earlier one under the same key did).
+    /// Kept here so the per-tick checks need no map lookup.
+    recorded: bool,
+}
+
+/// The synchronous commits in flight, at most one per thread, in a slot
+/// per thread: lookups need no search, and iteration runs in thread order.
+#[derive(Debug, Default)]
+struct PendingCommits {
+    by_thread: Vec<Option<PendingCommit>>,
+}
+
+impl PendingCommits {
+    fn get(&self, thread: ThreadId) -> Option<&PendingCommit> {
+        self.by_thread.get(thread.index())?.as_ref()
+    }
+
+    fn get_mut(&mut self, thread: ThreadId) -> Option<&mut PendingCommit> {
+        self.by_thread.get_mut(thread.index())?.as_mut()
+    }
+
+    /// Records `p` as its thread's commit in flight.
+    fn insert(&mut self, p: PendingCommit) {
+        let t = p.key.thread.index();
+        if t >= self.by_thread.len() {
+            self.by_thread.resize(t + 1, None);
+        }
+        self.by_thread[t] = Some(p);
+    }
+
+    fn remove(&mut self, thread: ThreadId) {
+        if let Some(slot) = self.by_thread.get_mut(thread.index()) {
+            *slot = None;
+        }
+    }
+
+    /// One past the highest thread slot ever used: the slots
+    /// `0..slots()`, in thread order, hold every commit in flight.
+    fn slots(&self) -> usize {
+        self.by_thread.len()
+    }
+
+    /// The commit in flight in thread slot `slot`, if any.
+    fn at(&self, slot: usize) -> Option<PendingCommit> {
+        self.by_thread[slot]
+    }
+
+    /// The commits in flight, in thread order.
+    fn values(&self) -> impl Iterator<Item = &PendingCommit> + '_ {
+        self.by_thread.iter().flatten()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.values().next().is_none()
+    }
+
+    fn clear(&mut self) {
+        self.by_thread.fill(None);
+    }
 }
 
 /// Phase timestamps of one in-flight transaction, resolved into the
@@ -153,12 +224,12 @@ pub struct LogController {
     /// Records forced out of the buffers by events that cannot stall
     /// (evictions, commits); drained ahead of everything else. While
     /// non-empty, new stores stall — this is the hardware backpressure.
-    overflow: VecDeque<Record>,
+    overflow: RecordQueue,
     next_txid: IntHashMap<ThreadId, TxId>,
-    pending_commits: BTreeMap<ThreadId, PendingCommit>,
+    pending_commits: PendingCommits,
     /// Commit records awaiting a free write-queue slot (and, for gating,
     /// their transaction's undo+redo entries draining first).
-    pending_records: VecDeque<Record>,
+    pending_records: RecordQueue,
     /// Commit cycle of every transaction whose commit record persisted
     /// (drives log truncation).
     commit_cycle: IntHashMap<TxKey, Cycle>,
@@ -183,9 +254,6 @@ pub struct LogController {
     /// Deliberate sabotage selector for the checker's mutation self-test
     /// (see [`CheckMutation`]); `None` in every real configuration.
     mutation: CheckMutation,
-    /// Reused by [`tick`](LogController::tick) for the pending-commit keys
-    /// it walks, so a tick allocates nothing.
-    commit_scratch: Vec<TxKey>,
 }
 
 impl LogController {
@@ -195,10 +263,10 @@ impl LogController {
             design,
             ur_buf: LogBuffer::new(cfg.undo_redo_entries),
             redo_buf: LogBuffer::new(cfg.redo_entries),
-            overflow: VecDeque::new(),
+            overflow: RecordQueue::default(),
             next_txid: IntHashMap::default(),
-            pending_commits: BTreeMap::new(),
-            pending_records: VecDeque::new(),
+            pending_commits: PendingCommits::default(),
+            pending_records: RecordQueue::default(),
             commit_cycle: IntHashMap::default(),
             stats: LogStats::default(),
             redo_lazy_age: 4096,
@@ -208,7 +276,6 @@ impl LogController {
             latency: CommitLatency::default(),
             tracer: Tracer::disabled(),
             mutation: CheckMutation::None,
-            commit_scratch: Vec::new(),
             cfg,
         }
     }
@@ -512,8 +579,8 @@ impl LogController {
         self.stats.redo_created += 1;
         let key = TxKey::from(record.tag);
         if self.commit_cycle.contains_key(&key)
-            || self.pending_commits.values().any(|p| p.key == key)
-            || self.pending_records.iter().any(|r| r.tag == record.tag)
+            || Self::is_held(&self.pending_commits, &key)
+            || self.pending_records.has_tx(key)
         {
             self.stats.post_commit_redo += 1;
         }
@@ -613,7 +680,6 @@ impl LogController {
         }
         while let Some(pos) = self
             .overflow
-            .iter()
             .position(|r| home_line(r) == line_index && r.kind == RecordKind::UndoRedo)
         {
             let record = self.overflow[pos];
@@ -679,13 +745,16 @@ impl LogController {
                 now,
             );
         }
-        self.pending_commits
-            .insert(key.thread, PendingCommit { key, started: now });
+        self.pending_commits.insert(PendingCommit {
+            key,
+            started: now,
+            recorded: self.commit_cycle.contains_key(&key),
+        });
     }
 
     /// Whether `thread`'s synchronous commit is still draining log data.
     pub fn is_commit_pending(&self, thread: ThreadId) -> bool {
-        self.pending_commits.contains_key(&thread)
+        self.pending_commits.get(thread).is_some()
     }
 
     /// Commit records queued but not yet persisted. The engine applies
@@ -734,10 +803,10 @@ impl LogController {
             }
         }
         // 3. Synchronous commits pull their transaction's entries out.
-        let mut commits = std::mem::take(&mut self.commit_scratch);
-        commits.clear();
-        commits.extend(self.pending_commits.values().map(|p| p.key));
-        for &key in &commits {
+        for slot in 0..self.pending_commits.slots() {
+            let Some(PendingCommit { key, .. }) = self.pending_commits.at(slot) else {
+                continue;
+            };
             loop {
                 let next = self
                     .ur_buf
@@ -788,7 +857,7 @@ impl LogController {
                     }
                 }
             }
-            if self.tx_has_buffered_undo(key) {
+            if self.tx_has_buffered_undo(key) || mc.log_append_blocked(&record) {
                 break;
             }
             match mc.try_append_log(record, now) {
@@ -796,6 +865,9 @@ impl LogController {
                     self.pending_records.pop_front();
                     self.stats.commit_records += 1;
                     self.commit_cycle.insert(key, now);
+                    if let Some(p) = self.pending_commits.get_mut(key.thread) {
+                        p.recorded |= p.key == key;
+                    }
                     self.tracer.emit(now, || TraceEvent::CommitPhase {
                         key,
                         phase: CommitPhaseTag::RecordPersisted,
@@ -811,29 +883,21 @@ impl LogController {
         }
         // 6. Synchronous commits complete when nothing of theirs is left
         // and their commit record persisted.
-        commits.clear();
-        commits.extend(
-            self.pending_commits
-                .values()
-                .filter(|p| !self.tx_has_buffered_entries(p.key))
-                .map(|p| p.key),
-        );
-        for &key in &commits {
-            let thread = key.thread;
-            let p = self.pending_commits[&thread];
-            if !self.commit_cycle.contains_key(&p.key)
-                && !self
-                    .pending_records
-                    .iter()
-                    .any(|r| r.tag == TxTag::from(p.key))
-            {
+        for slot in 0..self.pending_commits.slots() {
+            let Some(p) = self.pending_commits.at(slot) else {
+                continue;
+            };
+            if self.tx_has_buffered_entries(p.key) {
+                continue;
+            }
+            if !p.recorded && !self.pending_records.has_tx(p.key) {
                 self.next_commit_ts += 1;
                 self.pending_records.push_back(
                     Record::commit(p.key.into(), None).with_timestamp(self.next_commit_ts),
                 );
                 continue; // record appends on a later tick pass
             }
-            if self.commit_cycle.contains_key(&p.key) {
+            if p.recorded {
                 // Under an active fault plan, hold completion until every
                 // record of the transaction has fully drained: the program
                 // must not observe a commit whose log entries a crash could
@@ -842,7 +906,7 @@ impl LogController {
                     continue;
                 }
                 self.stats.commit_stall_cycles += now.saturating_sub(p.started);
-                self.pending_commits.remove(&thread);
+                self.pending_commits.remove(p.key.thread);
                 self.tracer.emit(now, || TraceEvent::CommitPhase {
                     key: p.key,
                     phase: CommitPhaseTag::Complete,
@@ -850,15 +914,12 @@ impl LogController {
                 self.track_phase(p.key, CommitPhaseTag::Complete, now);
             }
         }
-        self.commit_scratch = commits;
     }
 
     /// Whether any of `key`'s entries is still buffered or queued for the
     /// overflow drain.
     fn tx_has_buffered_entries(&self, key: TxKey) -> bool {
-        self.ur_buf.has_tx(key)
-            || self.redo_buf.has_tx(key)
-            || self.overflow.iter().any(|r| r.tag == TxTag::from(key))
+        self.ur_buf.has_tx(key) || self.redo_buf.has_tx(key) || self.overflow.has_tx(key)
     }
 
     /// Whether the redo buffer is at least three quarters full, which
@@ -867,13 +928,10 @@ impl LogController {
         self.redo_buf.capacity() > 0 && self.redo_buf.len() * 4 >= self.redo_buf.capacity() * 3
     }
 
+    /// Whether any of `key`'s undo+redo entries is still buffered or
+    /// queued for the overflow drain.
     fn tx_has_buffered_undo(&self, key: TxKey) -> bool {
-        let tag = TxTag::from(key);
-        self.ur_buf.has_tx(key)
-            || self
-                .overflow
-                .iter()
-                .any(|r| r.tag == tag && r.kind == RecordKind::UndoRedo)
+        self.ur_buf.has_tx(key) || self.overflow.has_undo(key)
     }
 
     fn evict_ur_front(
@@ -901,6 +959,10 @@ impl LogController {
         if self.is_silent(&record) {
             self.stats.silent_discarded += 1;
             return FlushOutcome::Discarded;
+        }
+        // Exact: a blocked append would fail without touching anything.
+        if mc.log_append_blocked(&record) {
+            return FlushOutcome::Blocked(StoreStall::WriteQueue);
         }
         match mc.try_append_log(record, now) {
             Ok(_) => {
@@ -1016,14 +1078,11 @@ impl LogController {
             if self.tx_has_buffered_entries(p.key) {
                 continue;
             }
-            let ready = if self.commit_cycle.contains_key(&p.key) {
+            let ready = if p.recorded {
                 !(mc.fault_active() && mc.tx_has_undrained_records(p.key))
             } else {
                 // Queues its commit record unless one is already pending.
-                !self
-                    .pending_records
-                    .iter()
-                    .any(|r| r.tag == TxTag::from(p.key))
+                !self.pending_records.has_tx(p.key)
             };
             if ready {
                 return now;
@@ -1129,9 +1188,9 @@ impl LogController {
     /// checker-visible state. (Without an active fault plan, completion
     /// lands the same tick the record persists, before any truncation
     /// pass, so nothing is held.)
-    fn is_held(pending_commits: &BTreeMap<ThreadId, PendingCommit>, key: &TxKey) -> bool {
+    fn is_held(pending_commits: &PendingCommits, key: &TxKey) -> bool {
         pending_commits
-            .get(&key.thread)
+            .get(key.thread)
             .is_some_and(|p| p.key == *key)
     }
 

@@ -38,6 +38,16 @@ impl<T: Copy + Default, const N: usize> ArrayVec<T, N> {
         }
     }
 
+    /// The first `len` elements of `items`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `len > N`.
+    pub fn from_prefix(items: [T; N], len: usize) -> Self {
+        assert!(len <= N, "ArrayVec capacity {N} exceeded");
+        ArrayVec { items, len }
+    }
+
     /// Appends `item`.
     ///
     /// # Panics

@@ -311,27 +311,35 @@ fn scope_slow(phase: HostPhase) -> ScopeGuard {
 }
 
 impl Drop for ScopeGuard {
+    /// Inlined, so an inert guard's drop is one branch and no call.
+    #[inline]
     fn drop(&mut self) {
-        if !self.active {
-            return;
+        if self.active {
+            close_scope();
         }
-        let _ = SCOPES.try_with(|s| {
-            let mut st = s.borrow_mut();
-            let now = Instant::now();
-            // Charge the closing scope with the full path (including its own
-            // frame) before popping it.
-            if let Some((_, since)) = st.stack.last().copied() {
-                let ns = now.duration_since(since).as_nanos() as u64;
-                st.charge(ns);
-            }
-            st.stack.pop();
-            let parent = st.stack.last_mut().map(|top| {
-                top.1 = now;
-                top.0
-            });
-            let _ = CUR_PHASE.try_with(|c| c.set(parent.unwrap_or(NO_PHASE)));
-        });
     }
+}
+
+/// Closes the innermost active scope: the out-of-line half of
+/// [`ScopeGuard`]'s drop.
+#[cold]
+fn close_scope() {
+    let _ = SCOPES.try_with(|s| {
+        let mut st = s.borrow_mut();
+        let now = Instant::now();
+        // Charge the closing scope with the full path (including its own
+        // frame) before popping it.
+        if let Some((_, since)) = st.stack.last().copied() {
+            let ns = now.duration_since(since).as_nanos() as u64;
+            st.charge(ns);
+        }
+        st.stack.pop();
+        let parent = st.stack.last_mut().map(|top| {
+            top.1 = now;
+            top.0
+        });
+        let _ = CUR_PHASE.try_with(|c| c.set(parent.unwrap_or(NO_PHASE)));
+    });
 }
 
 /// Increment a hot-path operation counter by `n`.  One branch when

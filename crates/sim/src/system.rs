@@ -12,7 +12,7 @@ use std::collections::VecDeque;
 
 use morlog_cache::fwb::FwbScheduler;
 use morlog_cache::hierarchy::{AccessOutcome, EvictionEvent, Hierarchy};
-use morlog_cache::line::WordLogState;
+use morlog_cache::line::{CacheLine, L1Ext, WordLogState};
 use morlog_encoding::cell::CellModel;
 use morlog_encoding::slde::SldeCodec;
 use morlog_log::txtable::TxTable;
@@ -52,6 +52,48 @@ struct Core {
     /// accounts: `Busy` for pipeline latency, `CommitWait` for log
     /// backpressure at transaction begin.
     busy_kind: StallKind,
+    /// The L1 sets that may hold a line a commit walk would change.
+    ext_sets: SetMask,
+}
+
+/// A set of L1 set indices, one bit each.
+///
+/// A core's commit walks only act on lines whose MorLog extension has a
+/// non-Clean word, so each core keeps the sets that may hold one: a set
+/// joins whenever a store installs or changes an extension in it, and
+/// leaves only when a walk finds every line in it inert. The mask may hold
+/// more sets than needed, never fewer, and the walks still check each
+/// line's owner, so visiting only its sets, in ascending order, changes
+/// the same lines in the same order as visiting the whole L1.
+#[derive(Debug, Clone)]
+struct SetMask {
+    words: Vec<u64>,
+}
+
+impl SetMask {
+    fn new(sets: usize) -> Self {
+        SetMask {
+            words: vec![0; sets.div_ceil(64)],
+        }
+    }
+
+    fn insert(&mut self, set: usize) {
+        self.words[set / 64] |= 1 << (set % 64);
+    }
+
+    fn remove(&mut self, set: usize) {
+        self.words[set / 64] &= !(1 << (set % 64));
+    }
+
+    fn contains(&self, set: usize) -> bool {
+        self.words[set / 64] & (1 << (set % 64)) != 0
+    }
+}
+
+/// Whether no commit walk could change `line`: it has no MorLog extension,
+/// or one whose words are all Clean with no dirty flags.
+fn walk_inert(line: &CacheLine) -> bool {
+    line.ext.is_none_or(|e| e == L1Ext::new(e.owner))
 }
 
 /// One simulated machine running one workload under one design.
@@ -203,6 +245,8 @@ impl System {
                 mc.write_line_functional(line_addr, line);
             }
         }
+        let mut hierarchy = Hierarchy::new(&cfg.hierarchy, cfg.cores.cores);
+        hierarchy.set_tracer(tracer.clone());
         let cores = (0..trace.threads.len())
             .map(|i| Core {
                 thread: ThreadId::new(i as u8),
@@ -212,10 +256,9 @@ impl System {
                 key: None,
                 tx_began: false,
                 busy_kind: StallKind::Busy,
+                ext_sets: SetMask::new(hierarchy.l1_sets()),
             })
             .collect();
-        let mut hierarchy = Hierarchy::new(&cfg.hierarchy, cfg.cores.cores);
-        hierarchy.set_tracer(tracer.clone());
         System {
             hierarchy,
             lc,
@@ -759,10 +802,13 @@ impl System {
         let w = addr.word_index();
         let line = self.hierarchy.l1_line_mut(i, line_addr).expect("resident");
         let old = line.data.word(w);
-        match self
+        let stored = self
             .lc
-            .on_store(key, addr, old, value, line, self.now, &mut self.mc)
-        {
+            .on_store(key, addr, old, value, line, self.now, &mut self.mc);
+        // The store may have installed or changed the line's extension.
+        let set = self.hierarchy.l1_set_index(line_addr);
+        self.cores[i].ext_sets.insert(set);
+        match stored {
             Err(why) => {
                 // Buffer backpressure: retry next cycle.
                 self.store_stall_cycles += 1;
@@ -799,42 +845,42 @@ impl System {
         let mut ulog_words = Vec::new();
         let mut ulog_count = 0u32;
         if self.cfg.design.is_morlog() {
-            for line in self.hierarchy.l1_lines_mut(i) {
-                let addr = line.addr;
-                let data = line.data;
-                if let Some(ext) = line.ext.as_mut() {
-                    if ext.owner != key {
+            self.walk_ext_sets(i, |s, set| {
+                for line in s.hierarchy.l1_set_mut(i, set) {
+                    let addr = line.addr;
+                    let data = line.data;
+                    let Some(ext) = line.ext.as_mut().filter(|e| e.owner == key) else {
                         continue;
-                    }
+                    };
                     for w in 0..morlog_sim_core::WORDS_PER_LINE {
-                        if ext.word_state[w] == WordLogState::ULog {
-                            if dp {
-                                // §III-C: redo data stay in the L1 line; the
-                                // ulog counter goes into the commit record.
-                                // (SkipUlogBump sabotages exactly this bump
-                                // for the checker's mutation self-test.)
-                                if self.cfg.mutation != morlog_sim_core::CheckMutation::SkipUlogBump
-                                {
-                                    ulog_count += 1;
-                                }
-                            } else {
-                                ulog_words.push(UlogWord {
-                                    addr: addr.word_addr(w),
-                                    value: data.word(w),
-                                    dirty_mask: ext.dirty_flags[w],
-                                });
-                                ext.word_state[w] = WordLogState::URLog;
-                                self.tracer.emit(self.now, || TraceEvent::WordTransition {
-                                    key,
-                                    addr: addr.word_addr(w).as_u64(),
-                                    from: WordStateTag::ULog,
-                                    to: WordStateTag::URLog,
-                                });
+                        if ext.word_state[w] != WordLogState::ULog {
+                            continue;
+                        }
+                        if dp {
+                            // §III-C: redo data stay in the L1 line; the
+                            // ulog counter goes into the commit record.
+                            // (SkipUlogBump sabotages exactly this bump
+                            // for the checker's mutation self-test.)
+                            if s.cfg.mutation != morlog_sim_core::CheckMutation::SkipUlogBump {
+                                ulog_count += 1;
                             }
+                        } else {
+                            ulog_words.push(UlogWord {
+                                addr: addr.word_addr(w),
+                                value: data.word(w),
+                                dirty_mask: ext.dirty_flags[w],
+                            });
+                            ext.word_state[w] = WordLogState::URLog;
+                            s.tracer.emit(s.now, || TraceEvent::WordTransition {
+                                key,
+                                addr: addr.word_addr(w).as_u64(),
+                                from: WordStateTag::ULog,
+                                to: WordStateTag::URLog,
+                            });
                         }
                     }
                 }
-            }
+            });
         }
         self.lc.start_commit(key, ulog_words, ulog_count, self.now);
         if dp {
@@ -852,12 +898,12 @@ impl System {
         let dp = self.cfg.design.delay_persistence();
         if self.cfg.design.is_morlog() {
             let trace_on = self.tracer.is_enabled();
-            for line in self.hierarchy.l1_lines_mut(i) {
-                let addr = line.addr;
-                if let Some(ext) = line.ext.as_mut() {
-                    if ext.owner != key {
+            self.walk_ext_sets(i, |s, set| {
+                for line in s.hierarchy.l1_set_mut(i, set) {
+                    let addr = line.addr;
+                    let Some(ext) = line.ext.as_mut().filter(|e| e.owner == key) else {
                         continue;
-                    }
+                    };
                     if dp {
                         // ULog words keep buffering redo data after commit;
                         // fully-persisted words go back to Clean.
@@ -866,7 +912,7 @@ impl System {
                                 && ext.word_state[w] != WordLogState::Dirty
                             {
                                 if trace_on && ext.word_state[w] == WordLogState::URLog {
-                                    self.tracer.emit(self.now, || TraceEvent::WordTransition {
+                                    s.tracer.emit(s.now, || TraceEvent::WordTransition {
                                         key,
                                         addr: addr.word_addr(w).as_u64(),
                                         from: WordStateTag::URLog,
@@ -881,7 +927,7 @@ impl System {
                         if trace_on {
                             for w in 0..morlog_sim_core::WORDS_PER_LINE {
                                 if ext.word_state[w] == WordLogState::URLog {
-                                    self.tracer.emit(self.now, || TraceEvent::WordTransition {
+                                    s.tracer.emit(s.now, || TraceEvent::WordTransition {
                                         key,
                                         addr: addr.word_addr(w).as_u64(),
                                         from: WordStateTag::URLog,
@@ -893,7 +939,7 @@ impl System {
                         ext.reset();
                     }
                 }
-            }
+            });
         }
         if self.cfg.log.truncation == morlog_sim_core::config::TruncationPolicy::TransactionTable {
             self.tx_table.on_commit(key.into());
@@ -904,6 +950,29 @@ impl System {
         self.cores[i].op_idx = 0;
         self.cores[i].tx_began = false;
         self.cores[i].phase = Phase::BusyUntil(self.now + 1);
+    }
+
+    /// A commit walk over core `i`'s L1: calls `visit` on each set in the
+    /// core's [`SetMask`], in ascending order, and drops from the mask
+    /// every visited set whose lines `visit` left inert. Visiting the
+    /// other sets would change nothing, which debug builds check.
+    fn walk_ext_sets(&mut self, i: usize, mut visit: impl FnMut(&mut Self, usize)) {
+        debug_assert!(
+            (0..self.hierarchy.l1_sets()).all(|set| self.cores[i].ext_sets.contains(set)
+                || self.hierarchy.l1_set(i, set).iter().all(walk_inert)),
+            "core {i}'s L1 holds log state outside its commit-walk mask"
+        );
+        for word in 0..self.cores[i].ext_sets.words.len() {
+            let mut bits = self.cores[i].ext_sets.words[word];
+            while bits != 0 {
+                let set = word * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                visit(self, set);
+                if self.hierarchy.l1_set(i, set).iter().all(walk_inert) {
+                    self.cores[i].ext_sets.remove(set);
+                }
+            }
+        }
     }
 
     /// Installs a fault-injection plan on the memory controller (see
