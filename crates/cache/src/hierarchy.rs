@@ -14,8 +14,14 @@
 //!   discards redo-buffer entries (§III-B).
 //! * Evictions are reported as ordered [`EvictionEvent`]s so the logging
 //!   controller can act on an L1 eviction (create/flush log entries)
-//!   *before* the corresponding memory writeback is enqueued.
+//!   *before* the corresponding memory writeback is enqueued. Accesses and
+//!   fills push them into a buffer the caller owns and reuses, so the
+//!   access path allocates nothing.
+//! * Lines stay in the slots they were filled into ([`Cache`]); the L1
+//!   accessors hand out lines in place, and the commit walks visit a set's
+//!   lines MRU first, the order of the recency list, without touching it.
 
+use morlog_sim_core::hash::IntHashSet;
 use morlog_sim_core::hostprof::{self, HostCounter, HostPhase};
 use morlog_sim_core::stats::CacheLevelStats;
 use morlog_sim_core::trace::{TraceEvent, Tracer};
@@ -79,12 +85,12 @@ pub enum EvictionEvent {
 /// use morlog_sim_core::{HierarchyConfig, LineAddr, LineData};
 ///
 /// let mut h = Hierarchy::new(&HierarchyConfig::default(), 2);
+/// let mut events = Vec::new();
 /// let line = LineAddr::from_index(100);
-/// let (outcome, _) = h.access(0, line);
-/// assert_eq!(outcome, AccessOutcome::Miss);
-/// h.fill(0, line, LineData::zeroed());
-/// let (outcome, _) = h.access(0, line);
-/// assert_eq!(outcome, AccessOutcome::L1Hit);
+/// assert_eq!(h.access(0, line, &mut events), AccessOutcome::Miss);
+/// h.fill(0, line, LineData::zeroed(), &mut events);
+/// assert_eq!(h.access(0, line, &mut events), AccessOutcome::L1Hit);
+/// assert!(events.is_empty(), "nothing was evicted");
 /// ```
 #[derive(Debug, Clone)]
 pub struct Hierarchy {
@@ -148,23 +154,29 @@ impl Hierarchy {
         self.l1.len()
     }
 
-    /// Accesses `addr` from `core`, promoting the line into the core's L1.
-    /// On [`AccessOutcome::Miss`] the line is *not* resident; fetch memory
-    /// and call [`fill`].
+    /// Accesses `addr` from `core`, promoting the line into the core's L1
+    /// and appending the evictions this causes to `events`, in order. On
+    /// [`AccessOutcome::Miss`] the line is *not* resident; fetch memory and
+    /// call [`fill`].
     ///
     /// [`fill`]: Hierarchy::fill
-    pub fn access(&mut self, core: usize, addr: LineAddr) -> (AccessOutcome, Vec<EvictionEvent>) {
+    pub fn access(
+        &mut self,
+        core: usize,
+        addr: LineAddr,
+        events: &mut Vec<EvictionEvent>,
+    ) -> AccessOutcome {
         hostprof::count(HostCounter::CacheLookups, 1);
         let _prof = hostprof::scope(HostPhase::CacheHierarchy);
         if self.l1[core].get_mut(addr).is_some() {
             self.stats[0].hits += 1;
-            return (AccessOutcome::L1Hit, Vec::new());
+            return AccessOutcome::L1Hit;
         }
         self.stats[0].misses += 1;
         if let Some(line) = self.l2[core].remove(addr) {
             self.stats[1].hits += 1;
-            let events = self.insert_l1(core, line);
-            return (AccessOutcome::L2Hit, events);
+            self.insert_l1(core, line, events);
+            return AccessOutcome::L2Hit;
         }
         self.stats[1].misses += 1;
         // Another core's private copy? Migrate it (freshest data travels).
@@ -178,12 +190,11 @@ impl Hierarchy {
                 .or_else(|| self.l2[other].remove(addr).map(|l| (false, l)));
             if let Some((from_l1, line)) = migrated {
                 self.stats[2].hits += 1;
-                let mut events = Vec::new();
                 if from_l1 {
                     events.push(EvictionEvent::L1Evicted(line));
                 }
-                events.extend(self.insert_l1(core, line.without_ext()));
-                return (AccessOutcome::L3Hit, events);
+                self.insert_l1(core, line.without_ext(), events);
+                return AccessOutcome::L3Hit;
             }
         }
         if let Some(l3_line) = self.l3.get_mut(addr) {
@@ -193,19 +204,25 @@ impl Hierarchy {
                 ..*l3_line
             };
             self.stats[2].hits += 1;
-            let events = self.insert_l1(core, promoted);
-            return (AccessOutcome::L3Hit, events);
+            self.insert_l1(core, promoted, events);
+            return AccessOutcome::L3Hit;
         }
         self.stats[2].misses += 1;
-        (AccessOutcome::Miss, Vec::new())
+        AccessOutcome::Miss
     }
 
-    /// Installs a line fetched from memory into L3 and the core's L1.
-    pub fn fill(&mut self, core: usize, addr: LineAddr, data: LineData) -> Vec<EvictionEvent> {
+    /// Installs a line fetched from memory into L3 and the core's L1,
+    /// appending the evictions this causes to `events`, in order.
+    pub fn fill(
+        &mut self,
+        core: usize,
+        addr: LineAddr,
+        data: LineData,
+        events: &mut Vec<EvictionEvent>,
+    ) {
         let _prof = hostprof::scope(HostPhase::CacheHierarchy);
-        let mut events = self.insert_l3(CacheLine::clean(addr, data));
-        events.extend(self.insert_l1(core, CacheLine::clean(addr, data)));
-        events
+        self.insert_l3(CacheLine::clean(addr, data), events);
+        self.insert_l1(core, CacheLine::clean(addr, data), events);
     }
 
     /// Mutable view of a resident L1 line (for stores and log-state
@@ -221,10 +238,13 @@ impl Hierarchy {
         self.l1[core].peek_mru(addr)
     }
 
-    /// Finds the L1 copy of `addr` across cores.
+    /// Finds the L1 copy of `addr` across cores, promoting it to MRU in
+    /// its set (one tag scan per core).
     pub fn find_l1(&mut self, addr: LineAddr) -> Option<(usize, &mut CacheLine)> {
-        let core = (0..self.l1.len()).find(|&c| self.l1[c].contains(addr))?;
-        Some((core, self.l1[core].get_mut(addr).expect("checked contains")))
+        self.l1
+            .iter_mut()
+            .enumerate()
+            .find_map(|(core, l1)| Some((core, l1.get_mut(addr)?)))
     }
 
     /// Number of sets in each L1 (every core's L1 has the same geometry).
@@ -238,15 +258,20 @@ impl Hierarchy {
     }
 
     /// The lines of one L1 set of one core, MRU first.
-    pub fn l1_set(&self, core: usize, set: usize) -> &[CacheLine] {
+    pub fn l1_set(&self, core: usize, set: usize) -> impl Iterator<Item = &CacheLine> + '_ {
         self.l1[core].set_lines(set)
     }
 
-    /// The lines of one L1 set of one core mutably, MRU first, without
-    /// touching LRU order (commit-time walks visit sets in ascending
-    /// order, so their visit order is the L1's set/way order).
-    pub fn l1_set_mut(&mut self, core: usize, set: usize) -> &mut [CacheLine] {
-        self.l1[core].set_lines_mut(set)
+    /// Calls `visit` on each line of one L1 set of one core mutably, MRU
+    /// first, without touching LRU order (commit-time walks visit sets in
+    /// ascending order, so their visit order is the L1's set/way order).
+    pub fn l1_set_for_each_mut(
+        &mut self,
+        core: usize,
+        set: usize,
+        visit: impl FnMut(&mut CacheLine),
+    ) {
+        self.l1[core].for_each_set_line_mut(set, visit);
     }
 
     /// The force-write-back scan (§III-F): pass one sets the age flag on
@@ -256,41 +281,49 @@ impl Hierarchy {
     pub fn force_write_back_scan(&mut self) -> Vec<(LineAddr, LineData)> {
         let _prof = hostprof::scope(HostPhase::CacheHierarchy);
         let mut written = Vec::new();
-        let mut seen = std::collections::HashSet::new();
-        let cores = self.l1.len();
-        for level in 0..3 {
-            let caches: Vec<&mut Cache> = match level {
-                0 => self.l1.iter_mut().take(cores).collect(),
-                1 => self.l2.iter_mut().take(cores).collect(),
-                _ => vec![&mut self.l3],
-            };
+        let mut seen = IntHashSet::default();
+        let Hierarchy {
+            l1,
+            l2,
+            l3,
+            stats,
+            tracer,
+            now,
+            ..
+        } = self;
+        let levels = [
+            l1.as_mut_slice(),
+            l2.as_mut_slice(),
+            std::slice::from_mut(l3),
+        ];
+        for (level, caches) in levels.into_iter().enumerate() {
             for cache in caches {
-                for line in cache.iter_mut() {
+                cache.for_each_line_mut(|line| {
                     if !line.dirty {
-                        continue;
+                        return;
                     }
                     if seen.contains(&line.addr) {
                         // A fresher copy was already written back; this
                         // stale copy is now clean with respect to memory.
                         line.dirty = false;
                         line.fwb_flag = false;
-                        continue;
+                        return;
                     }
                     if line.fwb_flag {
                         written.push((line.addr, line.data));
                         seen.insert(line.addr);
                         line.dirty = false;
                         line.fwb_flag = false;
-                        self.stats[level].writebacks += 1;
+                        stats[level].writebacks += 1;
                         let addr = line.addr.base().as_u64();
-                        self.tracer.emit(self.now, || TraceEvent::CacheWriteback {
+                        tracer.emit(*now, || TraceEvent::CacheWriteback {
                             level: level as u32,
                             line: addr,
                         });
                     } else {
                         line.fwb_flag = true;
                     }
-                }
+                });
             }
         }
         let count = written.len() as u64;
@@ -310,24 +343,21 @@ impl Hierarchy {
         self.l3.clear();
     }
 
-    fn insert_l1(&mut self, core: usize, line: CacheLine) -> Vec<EvictionEvent> {
-        let mut events = Vec::new();
+    fn insert_l1(&mut self, core: usize, line: CacheLine, events: &mut Vec<EvictionEvent>) {
         if let Some(victim) = self.l1[core].insert(line) {
             if victim.addr != line.addr {
                 self.stats[0].evictions += 1;
                 events.push(EvictionEvent::L1Evicted(victim));
-                events.extend(self.insert_l2(core, victim.without_ext()));
+                self.insert_l2(core, victim.without_ext(), events);
             }
         }
-        events
     }
 
-    fn insert_l2(&mut self, core: usize, line: CacheLine) -> Vec<EvictionEvent> {
-        let mut events = Vec::new();
+    fn insert_l2(&mut self, core: usize, line: CacheLine, events: &mut Vec<EvictionEvent>) {
         if let Some(victim) = self.l2[core].insert(line) {
             if victim.addr != line.addr {
                 self.stats[1].evictions += 1;
-                events.extend(self.insert_l3(victim));
+                self.insert_l3(victim, events);
             } else if victim.dirty && !line.dirty {
                 // Replaced a dirty stale copy with a clean one: keep dirty.
                 self.l2[core]
@@ -336,17 +366,15 @@ impl Hierarchy {
                     .dirty = true;
             }
         }
-        events
     }
 
-    fn insert_l3(&mut self, line: CacheLine) -> Vec<EvictionEvent> {
-        let mut events = Vec::new();
+    fn insert_l3(&mut self, line: CacheLine, events: &mut Vec<EvictionEvent>) {
         if let Some(victim) = self.l3.insert(line.without_ext()) {
             if victim.addr == line.addr {
                 if victim.dirty && !line.dirty {
                     self.l3.get_mut(line.addr).expect("just inserted").dirty = true;
                 }
-                return events;
+                return;
             }
             self.stats[2].evictions += 1;
             // Inclusive back-invalidation: gather the freshest copy.
@@ -379,7 +407,6 @@ impl Hierarchy {
                 });
             }
         }
-        events
     }
 }
 
@@ -409,6 +436,24 @@ mod tests {
         }
     }
 
+    /// Accesses `addr`, returning the outcome and the evictions.
+    fn access(
+        h: &mut Hierarchy,
+        core: usize,
+        addr: LineAddr,
+    ) -> (AccessOutcome, Vec<EvictionEvent>) {
+        let mut events = Vec::new();
+        let outcome = h.access(core, addr, &mut events);
+        (outcome, events)
+    }
+
+    /// Fills `addr`, returning the evictions.
+    fn fill(h: &mut Hierarchy, core: usize, addr: LineAddr, data: LineData) -> Vec<EvictionEvent> {
+        let mut events = Vec::new();
+        h.fill(core, addr, data, &mut events);
+        events
+    }
+
     fn data(v: u64) -> LineData {
         let mut d = LineData::zeroed();
         d.set_word(0, v);
@@ -419,9 +464,9 @@ mod tests {
     fn miss_then_fill_then_hit() {
         let mut h = Hierarchy::new(&tiny_cfg(), 1);
         let a = LineAddr::from_index(10);
-        assert_eq!(h.access(0, a).0, AccessOutcome::Miss);
-        h.fill(0, a, data(7));
-        assert_eq!(h.access(0, a).0, AccessOutcome::L1Hit);
+        assert_eq!(access(&mut h, 0, a).0, AccessOutcome::Miss);
+        fill(&mut h, 0, a, data(7));
+        assert_eq!(access(&mut h, 0, a).0, AccessOutcome::L1Hit);
         assert_eq!(h.l1_line_mut(0, a).unwrap().data.word(0), 7);
     }
 
@@ -439,9 +484,9 @@ mod tests {
         let mut h = Hierarchy::new(&tiny_cfg(), 1);
         // L1: 2 ways × 2 sets. Fill set 0 with lines 0, 2, then 4 evicts 0.
         for idx in [0u64, 2, 4] {
-            h.fill(0, LineAddr::from_index(idx), data(idx));
+            fill(&mut h, 0, LineAddr::from_index(idx), data(idx));
         }
-        let (outcome, _) = h.access(0, LineAddr::from_index(0));
+        let (outcome, _) = access(&mut h, 0, LineAddr::from_index(0));
         assert_eq!(outcome, AccessOutcome::L2Hit, "victim landed in L2");
     }
 
@@ -450,7 +495,7 @@ mod tests {
         let mut h = Hierarchy::new(&tiny_cfg(), 1);
         // Dirty a line, then overflow every level so it reaches memory.
         let a = LineAddr::from_index(0);
-        h.fill(0, a, data(1));
+        fill(&mut h, 0, a, data(1));
         {
             let line = h.l1_line_mut(0, a).unwrap();
             line.dirty = true;
@@ -460,10 +505,10 @@ mod tests {
         // L3: 2 ways × 8 sets; push many same-set lines (stride 8).
         for i in 1..=12u64 {
             let addr = LineAddr::from_index(i * 8);
-            let (o, e) = h.access(0, addr);
+            let (o, e) = access(&mut h, 0, addr);
             all_events.extend(e);
             if o == AccessOutcome::Miss {
-                all_events.extend(h.fill(0, addr, data(0)));
+                all_events.extend(fill(&mut h, 0, addr, data(0)));
             }
         }
         let l1_pos = all_events
@@ -486,13 +531,13 @@ mod tests {
     fn migration_between_cores_preserves_data() {
         let mut h = Hierarchy::new(&tiny_cfg(), 2);
         let a = LineAddr::from_index(5);
-        h.fill(0, a, data(0));
+        fill(&mut h, 0, a, data(0));
         {
             let line = h.l1_line_mut(0, a).unwrap();
             line.dirty = true;
             line.data.set_word(0, 123);
         }
-        let (outcome, events) = h.access(1, a);
+        let (outcome, events) = access(&mut h, 1, a);
         assert_eq!(outcome, AccessOutcome::L3Hit);
         assert!(matches!(&events[0], EvictionEvent::L1Evicted(l) if l.addr == a));
         assert_eq!(h.l1_line_mut(1, a).unwrap().data.word(0), 123);
@@ -503,7 +548,7 @@ mod tests {
     fn force_write_back_is_two_phase() {
         let mut h = Hierarchy::new(&tiny_cfg(), 1);
         let a = LineAddr::from_index(3);
-        h.fill(0, a, data(0));
+        fill(&mut h, 0, a, data(0));
         {
             let line = h.l1_line_mut(0, a).unwrap();
             line.dirty = true;
@@ -526,7 +571,7 @@ mod tests {
     fn fwb_redirty_restarts_aging() {
         let mut h = Hierarchy::new(&tiny_cfg(), 1);
         let a = LineAddr::from_index(3);
-        h.fill(0, a, data(0));
+        fill(&mut h, 0, a, data(0));
         h.l1_line_mut(0, a).unwrap().dirty = true;
         h.force_write_back_scan(); // flags
         h.force_write_back_scan(); // writes back
@@ -540,18 +585,21 @@ mod tests {
     #[test]
     fn invalidate_all_clears_everything() {
         let mut h = Hierarchy::new(&tiny_cfg(), 1);
-        h.fill(0, LineAddr::from_index(9), data(9));
+        fill(&mut h, 0, LineAddr::from_index(9), data(9));
         h.invalidate_all();
-        assert_eq!(h.access(0, LineAddr::from_index(9)).0, AccessOutcome::Miss);
+        assert_eq!(
+            access(&mut h, 0, LineAddr::from_index(9)).0,
+            AccessOutcome::Miss
+        );
     }
 
     #[test]
     fn stats_track_hits_and_misses() {
         let mut h = Hierarchy::new(&tiny_cfg(), 1);
         let a = LineAddr::from_index(1);
-        h.access(0, a);
-        h.fill(0, a, data(0));
-        h.access(0, a);
+        access(&mut h, 0, a);
+        fill(&mut h, 0, a, data(0));
+        access(&mut h, 0, a);
         assert_eq!(h.stats()[0].hits, 1);
         assert_eq!(h.stats()[0].misses, 1);
         assert_eq!(h.stats()[2].misses, 1);

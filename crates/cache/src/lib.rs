@@ -4,7 +4,10 @@
 //!   thread/transaction tags, the 2-bit log-state machine of Fig. 8
 //!   (`Clean → Dirty → URLog → ULog`), and the per-word dirty flags of
 //!   §IV-A.
-//! * [`cache`] — a generic set-associative LRU write-back cache.
+//! * [`cache`] — a generic set-associative LRU write-back cache whose
+//!   lines stay in the slots they were filled into; LRU order is a per-set
+//!   recency list of way indices, and storage grows with the sets and ways
+//!   a run fills.
 //! * [`hierarchy`] — private L1/L2 per core and a shared inclusive L3
 //!   (Table III geometry), with eviction cascades that surface the events
 //!   the logging hardware reacts to (L1 evictions carry their extensions

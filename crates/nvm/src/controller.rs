@@ -266,6 +266,15 @@ pub struct MemoryController {
     /// whenever the slice's tail or capacity moves.
     tail_place: Vec<(usize, usize)>,
     channels: Vec<Channel>,
+    /// NVMM read latency, DRAM read latency and the write-pause overhead,
+    /// converted to cycles once at construction.
+    read_cycles: Cycle,
+    dram_read_cycles: Cycle,
+    pause_cycles: Cycle,
+    /// Reused buffer for the writes one [`tick`](MemoryController::tick)
+    /// issues under an active fault plan (their write-verify pass runs
+    /// after the issue loop).
+    issued_writes: Vec<PendingWrite>,
     next_ticket: u64,
     done_reads: IntHashMap<ReadTicket, Cycle>,
     stats: MemStats,
@@ -321,8 +330,13 @@ impl MemoryController {
                 )
             })
             .collect();
+        let cycles = |ns| freq.ns_to_cycles(morlog_sim_core::NanoSeconds::new(ns));
         let mut mc = MemoryController {
             channels: (0..cfg.channels).map(|_| Channel::new(banks)).collect(),
+            read_cycles: cycles(cfg.read_latency_ns),
+            dram_read_cycles: cycles(cfg.dram_latency_ns),
+            pause_cycles: cycles(WRITE_PAUSE_NS),
+            issued_writes: Vec::new(),
             module: NvmmModule::new(codec),
             dram: IntHashMap::default(),
             logs,
@@ -465,11 +479,7 @@ impl MemoryController {
         self.next_ticket += 1;
         match self.map.region(line.base()) {
             Region::Dram => {
-                let done = now
-                    + self
-                        .freq
-                        .ns_to_cycles(morlog_sim_core::NanoSeconds::new(self.cfg.dram_latency_ns));
-                self.done_reads.insert(ticket, done);
+                self.done_reads.insert(ticket, now + self.dram_read_cycles);
             }
             Region::NvmmLog | Region::NvmmData => {
                 self.stats.nvmm_reads += 1;
@@ -1016,14 +1026,8 @@ impl MemoryController {
     pub fn tick(&mut self, now: Cycle) {
         let _prof = hostprof::scope(HostPhase::MemController);
         self.last_tick = now;
-        let read_cycles = self
-            .freq
-            .ns_to_cycles(morlog_sim_core::NanoSeconds::new(self.cfg.read_latency_ns));
-        let pause_cycles = self
-            .freq
-            .ns_to_cycles(morlog_sim_core::NanoSeconds::new(WRITE_PAUSE_NS));
+        let (read_cycles, pause_cycles) = (self.read_cycles, self.pause_cycles);
         let fault_active = self.fault_plan.is_active();
-        let mut issued_writes: Vec<PendingWrite> = Vec::new();
         for (ci, ch) in self.channels.iter_mut().enumerate() {
             // WQF drain hysteresis.
             let draining = ch.draining;
@@ -1083,7 +1087,7 @@ impl MemoryController {
                     if let Some(w) = ready {
                         ch.write_busy_until[w.bank] = now + w.service_cycles;
                         if fault_active {
-                            issued_writes.push(w);
+                            self.issued_writes.push(w);
                         }
                         issued = true;
                     }
@@ -1094,9 +1098,11 @@ impl MemoryController {
             }
             ch.refresh_next_issue();
         }
-        for w in issued_writes {
+        let mut issued_writes = std::mem::take(&mut self.issued_writes);
+        for w in issued_writes.drain(..) {
             self.verify_issued_write(&w);
         }
+        self.issued_writes = issued_writes;
     }
 
     /// The write-verify pass run as each write drains to its bank: read the

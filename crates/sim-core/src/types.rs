@@ -95,7 +95,7 @@ pub struct LineAddr(u64);
 
 impl LineAddr {
     /// Creates a line address from a line index (byte address / 64).
-    pub fn from_index(index: u64) -> Self {
+    pub const fn from_index(index: u64) -> Self {
         LineAddr(index)
     }
 

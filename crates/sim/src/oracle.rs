@@ -27,25 +27,38 @@
 //! [`System::verify_recovery`]: crate::system::System::verify_recovery
 
 use std::collections::{BTreeMap, HashMap, HashSet};
+use std::ops::Range;
 
 use morlog_logging::recovery::RecoveryReport;
 use morlog_nvm::controller::MemoryController;
-use morlog_sim_core::hash::IntHashMap;
 use morlog_sim_core::ids::TxKey;
 use morlog_sim_core::{Addr, ThreadId};
 
 #[derive(Debug, Clone)]
 struct OracleTx {
     key: TxKey,
-    writes: Vec<(Addr, u64)>,
+    /// The transaction's writes: a range of its thread's write log.
+    writes: Range<usize>,
     committed: bool,
 }
 
+/// One thread's writes in program order, and its open transaction.
+#[derive(Debug, Clone, Default)]
+struct ThreadLog {
+    writes: Vec<(Addr, u64)>,
+    /// Index in `Oracle::txs` of the thread's latest transaction.
+    open: Option<usize>,
+}
+
 /// Ground-truth recorder for atomicity verification.
+///
+/// A thread has at most one transaction open at a time, so each thread
+/// keeps all its writes in one growing list and each transaction holds a
+/// range of it: recording a write is one push.
 #[derive(Debug, Clone, Default)]
 pub struct Oracle {
     txs: Vec<OracleTx>,
-    index: IntHashMap<TxKey, usize>,
+    threads: Vec<ThreadLog>,
     initial: Vec<(Addr, u64)>,
 }
 
@@ -60,26 +73,65 @@ impl Oracle {
         self.initial.extend_from_slice(writes);
     }
 
-    /// A transaction began.
+    /// Reserves room for `writes` more writes of `thread`, so that
+    /// recording them never grows its write list.
+    pub fn reserve_writes(&mut self, thread: ThreadId, writes: usize) {
+        self.thread_log(thread).writes.reserve_exact(writes);
+    }
+
+    /// The write list of `thread`, created on first use.
+    fn thread_log(&mut self, thread: ThreadId) -> &mut ThreadLog {
+        let t = thread.index();
+        if t >= self.threads.len() {
+            self.threads.resize_with(t + 1, ThreadLog::default);
+        }
+        &mut self.threads[t]
+    }
+
+    /// A transaction began; it is its thread's open transaction until the
+    /// thread begins the next one.
     pub fn begin(&mut self, key: TxKey) {
-        self.index.insert(key, self.txs.len());
+        let open = self.txs.len();
+        let thread = self.thread_log(key.thread);
+        let start = thread.writes.len();
+        thread.open = Some(open);
         self.txs.push(OracleTx {
             key,
-            writes: Vec::new(),
+            writes: start..start,
             committed: false,
         });
     }
 
+    /// The open transaction of `key`'s thread, which must be `key`.
+    fn open_tx(&mut self, key: TxKey) -> &mut OracleTx {
+        let idx = self
+            .threads
+            .get(key.thread.index())
+            .and_then(|t| t.open)
+            .unwrap_or_else(|| panic!("{key}: no transaction open on its thread"));
+        let tx = &mut self.txs[idx];
+        assert_eq!(tx.key, key, "{key} is not its thread's open transaction");
+        tx
+    }
+
     /// A transactional store executed (program order).
     pub fn record_write(&mut self, key: TxKey, addr: Addr, value: u64) {
-        let idx = self.index[&key];
-        self.txs[idx].writes.push((addr.word_base(), value));
+        let end = {
+            let writes = &mut self.threads[key.thread.index()].writes;
+            writes.push((addr.word_base(), value));
+            writes.len()
+        };
+        self.open_tx(key).writes.end = end;
     }
 
     /// The transaction committed (program-visible commit).
     pub fn mark_committed(&mut self, key: TxKey) {
-        let idx = self.index[&key];
-        self.txs[idx].committed = true;
+        self.open_tx(key).committed = true;
+    }
+
+    /// The writes of `tx`, in program order.
+    fn writes(&self, tx: &OracleTx) -> &[(Addr, u64)] {
+        &self.threads[tx.key.thread.index()].writes[tx.writes.clone()]
     }
 
     /// Transactions recorded so far.
@@ -126,7 +178,7 @@ impl Oracle {
             // Addresses this thread ever touches.
             let mut touched: HashSet<u64> = HashSet::new();
             for tx in &txs {
-                for &(a, _) in &tx.writes {
+                for &(a, _) in self.writes(tx) {
                     touched.insert(a.as_u64());
                 }
             }
@@ -178,7 +230,7 @@ impl Oracle {
                 .map(|&a| (a, initial.get(&a).copied().unwrap_or(0)))
                 .collect();
             for tx in &txs[..lo] {
-                for &(a, v) in &tx.writes {
+                for &(a, v) in self.writes(tx) {
                     expected.insert(a.as_u64(), v);
                 }
             }
@@ -192,7 +244,7 @@ impl Oracle {
                 if k >= hi {
                     break;
                 }
-                for &(a, v) in &txs[k].writes {
+                for &(a, v) in self.writes(txs[k]) {
                     expected.insert(a.as_u64(), v);
                 }
                 k += 1;

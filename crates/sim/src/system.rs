@@ -27,7 +27,7 @@ use morlog_sim_core::metrics::{MetricsSet, SeriesSet};
 use morlog_sim_core::stats::{CycleAttribution, StallKind};
 use morlog_sim_core::trace::{CommitPhaseTag, TraceEvent, Tracer, WordStateTag};
 use morlog_sim_core::{Addr, Cycle, LineAddr, LineData, SimStats, SystemConfig, ThreadId};
-use morlog_workloads::trace::{Op, WorkloadTrace};
+use morlog_workloads::trace::{Op, ThreadTrace, WorkloadTrace};
 
 use crate::oracle::Oracle;
 
@@ -45,6 +45,10 @@ struct Core {
     thread: ThreadId,
     tx_idx: usize,
     op_idx: usize,
+    /// The open transaction's ops, copied from the trace when it begins:
+    /// one burst of reads then, instead of a cache miss on the trace
+    /// every few ops while it runs.
+    ops: Vec<Op>,
     phase: Phase,
     key: Option<TxKey>,
     tx_began: bool,
@@ -159,6 +163,9 @@ pub struct System {
     /// Reused buffer for the undo+redo entries the log controller
     /// persisted this cycle.
     persisted: Vec<PersistedUr>,
+    /// Reused buffer for the eviction events of one hierarchy access or
+    /// fill, in the order the hierarchy produced them.
+    events: Vec<EvictionEvent>,
     /// The account each core is charged for a skipped cycle, filled by
     /// [`System::next_event`] whenever it finds a cycle to skip to.
     skip_kinds: Vec<StallKind>,
@@ -235,9 +242,11 @@ impl System {
         lc.set_secure_mode(secure);
         lc.set_tracer(tracer.clone());
         lc.set_mutation(cfg.mutation);
+        let (trace, stores) = copy_trace(trace);
         let mut oracle = Oracle::new();
-        for thread in &trace.threads {
+        for (i, thread) in trace.threads.iter().enumerate() {
             oracle.record_initial(&thread.initial);
+            oracle.reserve_writes(ThreadId::new(i as u8), stores[i]);
             for &(addr, value) in &thread.initial {
                 let line_addr = addr.line();
                 let mut line = mc.read_line(line_addr);
@@ -252,6 +261,7 @@ impl System {
                 thread: ThreadId::new(i as u8),
                 tx_idx: 0,
                 op_idx: 0,
+                ops: Vec::new(),
                 phase: Phase::Ready,
                 key: None,
                 tx_began: false,
@@ -264,7 +274,8 @@ impl System {
             lc,
             fwb: FwbScheduler::new(cfg.hierarchy.force_write_back_period),
             cores,
-            trace: trace.clone(),
+            skip_kinds: vec![StallKind::Idle; trace.threads.len()],
+            trace,
             pending_writebacks: VecDeque::new(),
             pending_truncation: None,
             tx_table: TxTable::new(),
@@ -280,7 +291,7 @@ impl System {
             sample_period,
             series: SeriesSet::with_period(sample_period),
             persisted: Vec::new(),
-            skip_kinds: vec![StallKind::Idle; trace.threads.len()],
+            events: Vec::new(),
             mc,
             cfg,
         }
@@ -488,12 +499,7 @@ impl System {
     fn store_retry_stall(&self, i: usize) -> Option<StoreStall> {
         let core = &self.cores[i];
         let key = core.key.filter(|_| core.tx_began)?;
-        let op = self.trace.threads[i]
-            .transactions
-            .get(core.tx_idx)?
-            .ops
-            .get(core.op_idx)?;
-        let &Op::Store(addr, value) = op else {
+        let &Op::Store(addr, value) = core.ops.get(core.op_idx)? else {
             return None;
         };
         let line = self.hierarchy.l1_mru_line(i, addr.line())?;
@@ -614,11 +620,11 @@ impl System {
         {
             self.lc.truncate_with_table(&self.tx_table, &mut self.mc);
         }
+        // One scope for the whole core loop: the cache, logging and memory
+        // scopes it opens still charge their own time.
+        let _prof = hostprof::scope(HostPhase::CoreIssue);
         for i in 0..self.cores.len() {
-            let kind = {
-                let _prof = hostprof::scope(HostPhase::CoreIssue);
-                self.step_core(i)
-            };
+            let kind = self.step_core(i);
             // The attribution clock stops with the throughput clock: the
             // quiesce tail after the last commit is not execution time.
             if self.finish_cycle.is_none() {
@@ -649,8 +655,10 @@ impl System {
         }
     }
 
-    fn handle_events(&mut self, events: Vec<EvictionEvent>) {
-        for ev in events {
+    /// Hands the buffered eviction events to the log controller and the
+    /// write-back queue, in order, and empties the buffer.
+    fn handle_events(&mut self) {
+        for ev in self.events.drain(..) {
             match ev {
                 EvictionEvent::L1Evicted(line) => self.lc.on_l1_evict(&line, self.now),
                 EvictionEvent::MemoryWriteback { addr, data } => {
@@ -676,8 +684,8 @@ impl System {
             Phase::WaitRead(ticket, line) => {
                 if self.mc.take_if_done(ticket, self.now) {
                     let data = self.mc.read_line(line);
-                    let events = self.hierarchy.fill(i, line, data);
-                    self.handle_events(events);
+                    self.hierarchy.fill(i, line, data, &mut self.events);
+                    self.handle_events();
                     // Retry the op next cycle with the line resident.
                     self.cores[i].busy_kind = StallKind::Busy;
                     self.cores[i].phase = Phase::BusyUntil(self.now + 1);
@@ -734,18 +742,18 @@ impl System {
                 key,
                 phase: CommitPhaseTag::Begin,
             });
+            let ops = &self.trace.threads[i].transactions[tx_idx].ops;
+            self.cores[i].ops.clear();
+            self.cores[i].ops.extend_from_slice(ops);
             self.cores[i].key = Some(key);
             self.cores[i].tx_began = true;
             self.cores[i].busy_kind = StallKind::Busy;
             self.cores[i].phase = Phase::BusyUntil(self.now + 1);
             return StallKind::Busy;
         }
-        let op_idx = self.cores[i].op_idx;
-        let ops_len = self.trace.threads[i].transactions[tx_idx].ops.len();
-        if op_idx >= ops_len {
+        let Some(&op) = self.cores[i].ops.get(self.cores[i].op_idx) else {
             return self.start_commit(i);
-        }
-        let op = self.trace.threads[i].transactions[tx_idx].ops[op_idx];
+        };
         match op {
             Op::Compute(cycles) => {
                 self.cores[i].op_idx += 1;
@@ -754,8 +762,8 @@ impl System {
                 StallKind::Busy
             }
             Op::Load(addr) => {
-                let (outcome, events) = self.hierarchy.access(i, addr.line());
-                self.handle_events(events);
+                let outcome = self.hierarchy.access(i, addr.line(), &mut self.events);
+                self.handle_events();
                 match outcome {
                     AccessOutcome::Miss => {
                         let ticket = self.mc.enqueue_read(addr.line(), self.now);
@@ -779,10 +787,13 @@ impl System {
     fn issue_store(&mut self, i: usize, addr: Addr, value: u64) -> StallKind {
         let key = self.cores[i].key.expect("store inside a transaction");
         let line_addr = addr.line();
-        if self.hierarchy.l1_line_mut(i, line_addr).is_none() {
+        let set = self.hierarchy.l1_set_index(line_addr);
+        // One L1 lookup: the store, its log-state change and the data write
+        // all act on this line in place.
+        let Some(line) = self.hierarchy.l1_line_mut(i, line_addr) else {
             // Write-allocate: bring the line into L1 first.
-            let (outcome, events) = self.hierarchy.access(i, line_addr);
-            self.handle_events(events);
+            let outcome = self.hierarchy.access(i, line_addr, &mut self.events);
+            self.handle_events();
             match outcome {
                 AccessOutcome::Miss => {
                     let ticket = self.mc.enqueue_read(line_addr, self.now);
@@ -798,15 +809,13 @@ impl System {
                     return StallKind::Busy;
                 }
             }
-        }
+        };
         let w = addr.word_index();
-        let line = self.hierarchy.l1_line_mut(i, line_addr).expect("resident");
         let old = line.data.word(w);
         let stored = self
             .lc
             .on_store(key, addr, old, value, line, self.now, &mut self.mc);
         // The store may have installed or changed the line's extension.
-        let set = self.hierarchy.l1_set_index(line_addr);
         self.cores[i].ext_sets.insert(set);
         match stored {
             Err(why) => {
@@ -820,7 +829,6 @@ impl System {
                 {
                     self.tx_table.on_store(key.into(), line_addr.index());
                 }
-                let line = self.hierarchy.l1_line_mut(i, line_addr).expect("resident");
                 line.data.set_word(w, value);
                 // Stores do not clear the force-write-back age flag: a line
                 // flagged at scan k is written back at scan k+1 even if it
@@ -846,11 +854,11 @@ impl System {
         let mut ulog_count = 0u32;
         if self.cfg.design.is_morlog() {
             self.walk_ext_sets(i, |s, set| {
-                for line in s.hierarchy.l1_set_mut(i, set) {
+                s.hierarchy.l1_set_for_each_mut(i, set, |line| {
                     let addr = line.addr;
                     let data = line.data;
                     let Some(ext) = line.ext.as_mut().filter(|e| e.owner == key) else {
-                        continue;
+                        return;
                     };
                     for w in 0..morlog_sim_core::WORDS_PER_LINE {
                         if ext.word_state[w] != WordLogState::ULog {
@@ -879,7 +887,7 @@ impl System {
                             });
                         }
                     }
-                }
+                });
             });
         }
         self.lc.start_commit(key, ulog_words, ulog_count, self.now);
@@ -899,10 +907,10 @@ impl System {
         if self.cfg.design.is_morlog() {
             let trace_on = self.tracer.is_enabled();
             self.walk_ext_sets(i, |s, set| {
-                for line in s.hierarchy.l1_set_mut(i, set) {
+                s.hierarchy.l1_set_for_each_mut(i, set, |line| {
                     let addr = line.addr;
                     let Some(ext) = line.ext.as_mut().filter(|e| e.owner == key) else {
-                        continue;
+                        return;
                     };
                     if dp {
                         // ULog words keep buffering redo data after commit;
@@ -938,7 +946,7 @@ impl System {
                         }
                         ext.reset();
                     }
-                }
+                });
             });
         }
         if self.cfg.log.truncation == morlog_sim_core::config::TruncationPolicy::TransactionTable {
@@ -959,7 +967,7 @@ impl System {
     fn walk_ext_sets(&mut self, i: usize, mut visit: impl FnMut(&mut Self, usize)) {
         debug_assert!(
             (0..self.hierarchy.l1_sets()).all(|set| self.cores[i].ext_sets.contains(set)
-                || self.hierarchy.l1_set(i, set).iter().all(walk_inert)),
+                || self.hierarchy.l1_set(i, set).all(walk_inert)),
             "core {i}'s L1 holds log state outside its commit-walk mask"
         );
         for word in 0..self.cores[i].ext_sets.words.len() {
@@ -968,7 +976,7 @@ impl System {
                 let set = word * 64 + bits.trailing_zeros() as usize;
                 bits &= bits - 1;
                 visit(self, set);
-                if self.hierarchy.l1_set(i, set).iter().all(walk_inert) {
+                if self.hierarchy.l1_set(i, set).all(walk_inert) {
                     self.cores[i].ext_sets.remove(set);
                 }
             }
@@ -1115,6 +1123,38 @@ impl System {
             !self.cfg.design.delay_persistence() && !self.mc.stats().crash_faults_injected();
         self.oracle.verify(&self.mc, report, strict)
     }
+}
+
+/// A copy of `trace` and each thread's store count, counted as each
+/// transaction is copied so that the ops are read once.
+fn copy_trace(trace: &WorkloadTrace) -> (WorkloadTrace, Vec<usize>) {
+    let mut stores = Vec::with_capacity(trace.threads.len());
+    let threads = trace
+        .threads
+        .iter()
+        .map(|thread| {
+            let mut n = 0;
+            let transactions = thread
+                .transactions
+                .iter()
+                .map(|tx| {
+                    let tx = tx.clone();
+                    n += tx.stores();
+                    tx
+                })
+                .collect();
+            stores.push(n);
+            ThreadTrace {
+                transactions,
+                initial: thread.initial.clone(),
+            }
+        })
+        .collect();
+    let copy = WorkloadTrace {
+        name: trace.name.clone(),
+        threads,
+    };
+    (copy, stores)
 }
 
 /// The attribution account of a stalled store.
