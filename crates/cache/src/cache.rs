@@ -80,6 +80,8 @@ pub struct Cache {
     slots: Vec<u32>,
     /// The lines (a free way's line is stale).
     lines: Vec<CacheLine>,
+    /// See [`Cache::changes`].
+    changes: u64,
 }
 
 impl Cache {
@@ -105,6 +107,7 @@ impl Cache {
             order: Vec::new(),
             slots: Vec::new(),
             lines: Vec::new(),
+            changes: 0,
         }
     }
 
@@ -198,6 +201,7 @@ impl Cache {
     /// Calls `visit` on each line of set `set` mutably, MRU first (does not
     /// touch LRU order).
     pub fn for_each_set_line_mut(&mut self, set: usize, mut visit: impl FnMut(&mut CacheLine)) {
+        self.changes += 1;
         let (base, len) = self.block(set);
         for &w in &self.order[base..base + len] {
             visit(&mut self.lines[self.slots[base + w as usize] as usize]);
@@ -213,6 +217,7 @@ impl Cache {
     pub fn get_mut(&mut self, addr: LineAddr) -> Option<&mut CacheLine> {
         let (base, way) = self.find(addr)?;
         self.promote(base, way);
+        self.changes += 1;
         Some(self.line_mut(base + way))
     }
 
@@ -237,6 +242,7 @@ impl Cache {
     /// full. Replaces (and returns) an existing line with the same address.
     pub fn insert(&mut self, line: CacheLine) -> Option<CacheLine> {
         debug_assert_ne!(line.addr, FREE, "the free-way tag is not an address");
+        self.changes += 1;
         if let Some((base, way)) = self.find(line.addr) {
             self.promote(base, way);
             return Some(std::mem::replace(self.line_mut(base + way), line));
@@ -274,6 +280,7 @@ impl Cache {
     /// Removes and returns a line (back-invalidation).
     pub fn remove(&mut self, addr: LineAddr) -> Option<CacheLine> {
         let (base, way) = self.find(addr)?;
+        self.changes += 1;
         let set = self.set_index(addr);
         let len = self.sets[set].len as usize;
         let order = &mut self.order[base..base + len];
@@ -320,6 +327,15 @@ impl Cache {
         self.order.clear();
         self.slots.clear();
         self.lines.clear();
+        self.changes += 1;
+    }
+
+    /// A counter that moves on every change to the cache: every
+    /// `get_mut` hit (it promotes the line and may change it), insert,
+    /// removal, mutable walk and clear. While it stays put, so do the
+    /// cache's lines, their contents and their recency order.
+    pub fn changes(&self) -> u64 {
+        self.changes
     }
 }
 

@@ -238,6 +238,12 @@ impl Hierarchy {
         self.l1[core].peek_mru(addr)
     }
 
+    /// The [`Cache::changes`] counter of `core`'s L1: while it stays put,
+    /// so does every line [`l1_mru_line`](Hierarchy::l1_mru_line) returns.
+    pub fn l1_changes(&self, core: usize) -> u64 {
+        self.l1[core].changes()
+    }
+
     /// Finds the L1 copy of `addr` across cores, promoting it to MRU in
     /// its set (one tag scan per core).
     pub fn find_l1(&mut self, addr: LineAddr) -> Option<(usize, &mut CacheLine)> {

@@ -8,6 +8,8 @@
 use morlog_sim_core::{NanoSeconds, PicoJoules};
 
 use crate::cell::{CellModel, CellState, BITS_PER_CELL};
+use crate::expansion::{map_cells, ExpansionMode};
+use crate::slde::{SegmentPayload, WORD_REGION_CELLS};
 
 /// The outcome of programming a cell vector under DCW.
 ///
@@ -111,6 +113,52 @@ pub fn write_cost(
         energy: PicoJoules::new(energy),
         cells_programmed: programmed,
         bits_programmed: programmed * bits_per_cell as u64,
+    }
+}
+
+/// Maps `payload` over the leading cells of `stored` under `mode` and
+/// programs them under DCW in the same pass: each cell's target state is
+/// compared with its stored state and written back. Returns the cost
+/// [`write_cost`] reports for the mapped states against the old ones,
+/// bit for bit: the changed cells' energies are summed in cell order.
+/// Cells past the payload keep their states.
+///
+/// # Panics
+///
+/// Panics if the payload needs more cells than `stored` holds or more
+/// than one word region.
+pub fn program_payload(
+    model: &CellModel,
+    stored: &mut [CellState],
+    payload: &SegmentPayload,
+    mode: ExpansionMode,
+) -> WriteCost {
+    let bpc = mode.bits_per_cell();
+    let cells = payload.len.div_ceil(bpc);
+    assert!(
+        cells <= WORD_REGION_CELLS,
+        "mapping needs {cells} cells, more than {WORD_REGION_CELLS}"
+    );
+    let stored = &mut stored[..cells];
+    let mut changed = 0u32;
+    map_cells(payload.bits, mode, cells, |c, state| {
+        changed |= u32::from(stored[c] != state) << c;
+        stored[c] = state;
+    });
+    let (latency_ns, energy_pj) = model.write_tables();
+    let (mut latency, mut energy) = (0.0f64, 0.0f64);
+    let programmed = u64::from(changed.count_ones());
+    while changed != 0 {
+        let s = stored[changed.trailing_zeros() as usize].bits() as usize;
+        changed &= changed - 1;
+        latency = latency.max(latency_ns[s]);
+        energy += energy_pj[s];
+    }
+    WriteCost {
+        latency: NanoSeconds::new(latency * model.write_latency_scale()),
+        energy: PicoJoules::new(energy),
+        cells_programmed: programmed,
+        bits_programmed: programmed * bpc as u64,
     }
 }
 
@@ -231,6 +279,48 @@ mod tests {
                     );
                     assert_eq!(got.cells_programmed, want.cells_programmed);
                     assert_eq!(got.bits_programmed, want.bits_programmed);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn program_payload_matches_map_then_write_cost() {
+        use crate::expansion::map_payload_with_mode;
+        let mut rng = morlog_sim_core::rng::DetRng::new(0x9A7);
+        let model = CellModel::table_iii().with_write_latency_scale(1.3);
+        for mode in [ExpansionMode::Idm1, ExpansionMode::Idm2, ExpansionMode::Tlc] {
+            for len in 0..=WORD_REGION_CELLS * mode.bits_per_cell() {
+                for _ in 0..20 {
+                    let mask = (1u128 << len) - 1;
+                    let bits =
+                        (u128::from(rng.next_u64()) | u128::from(rng.next_u64()) << 64) & mask;
+                    let payload = SegmentPayload { bits, len };
+                    let old: Vec<CellState> = (0..WORD_REGION_CELLS + 2)
+                        .map(|_| s(rng.gen_range(8) as u8))
+                        .collect();
+                    let mapped =
+                        map_payload_with_mode(&[bits as u64, (bits >> 64) as u64], len, mode);
+                    let n = mapped.states.len();
+                    let want = write_cost(&model, &old[..n], &mapped.states, mode.bits_per_cell());
+                    let mut stored = old.clone();
+                    let got = program_payload(&model, &mut stored, &payload, mode);
+                    assert_eq!(
+                        got.energy.as_f64().to_bits(),
+                        want.energy.as_f64().to_bits()
+                    );
+                    assert_eq!(
+                        got.latency.as_f64().to_bits(),
+                        want.latency.as_f64().to_bits()
+                    );
+                    assert_eq!(got.cells_programmed, want.cells_programmed);
+                    assert_eq!(got.bits_programmed, want.bits_programmed);
+                    assert_eq!(&stored[..n], &mapped.states[..]);
+                    assert_eq!(
+                        &stored[n..],
+                        &old[n..],
+                        "cells past the payload keep their states"
+                    );
                 }
             }
         }

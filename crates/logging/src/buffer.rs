@@ -118,6 +118,8 @@ pub struct LogBuffer {
     capacity: usize,
     /// Entries per transaction.
     per_tx: TxCounts,
+    /// See [`LogBuffer::changes`].
+    changes: u64,
 }
 
 /// Error returned by [`LogBuffer::push`] when the buffer is full.
@@ -132,6 +134,7 @@ impl LogBuffer {
             entries: VecDeque::with_capacity(capacity),
             capacity,
             per_tx: TxCounts::default(),
+            changes: 0,
         }
     }
 
@@ -170,6 +173,7 @@ impl LogBuffer {
             record,
             created: now,
         });
+        self.changes += 1;
         Ok(())
     }
 
@@ -181,9 +185,13 @@ impl LogBuffer {
         if !self.per_tx.contains(tag) {
             return None;
         }
-        self.entries
+        let found = self
+            .entries
             .iter_mut()
-            .find(|p| p.record.tag == tag && p.record.addr == addr)
+            .find(|p| p.record.tag == tag && p.record.addr == addr);
+        // The caller may change what it found.
+        self.changes += u64::from(found.is_some());
+        found
     }
 
     /// Whether an entry for `(key, word address)` is buffered.
@@ -205,6 +213,7 @@ impl LogBuffer {
     pub fn pop_front(&mut self) -> Option<Pending> {
         let p = self.entries.pop_front()?;
         self.per_tx.sub(p.record.tag);
+        self.changes += 1;
         Some(p)
     }
 
@@ -219,6 +228,7 @@ impl LogBuffer {
             .iter()
             .position(|p| p.record.tag == tag && p.record.addr == addr)?;
         self.per_tx.sub(tag);
+        self.changes += 1;
         self.entries.remove(pos)
     }
 
@@ -234,7 +244,9 @@ impl LogBuffer {
             }
             keep
         });
-        before - self.entries.len()
+        let removed = before - self.entries.len();
+        self.changes += u64::from(removed != 0);
+        removed
     }
 
     /// Whether any entry belongs to transaction `key`.
@@ -277,6 +289,14 @@ impl LogBuffer {
     pub fn clear(&mut self) {
         self.entries.clear();
         self.per_tx.clear();
+        self.changes += 1;
+    }
+
+    /// A counter that moves on every change to the buffer: every push,
+    /// removal, clear and every `find_mut` that found an entry. While it
+    /// stays put, the buffer holds the same entries in the same order.
+    pub fn changes(&self) -> u64 {
+        self.changes
     }
 }
 
@@ -312,6 +332,8 @@ impl QueueCounts {
 pub(crate) struct RecordQueue {
     records: VecDeque<Record>,
     counts: QueueCounts,
+    /// See [`RecordQueue::changes`].
+    changes: u64,
 }
 
 impl RecordQueue {
@@ -329,6 +351,7 @@ impl RecordQueue {
     pub fn push_back(&mut self, record: Record) {
         self.counts.add(&record);
         self.records.push_back(record);
+        self.changes += 1;
     }
 
     /// The oldest record, if any.
@@ -340,6 +363,7 @@ impl RecordQueue {
     pub fn pop_front(&mut self) -> Option<Record> {
         let record = self.records.pop_front()?;
         self.counts.sub(&record);
+        self.changes += 1;
         Some(record)
     }
 
@@ -347,12 +371,14 @@ impl RecordQueue {
     pub fn remove(&mut self, pos: usize) -> Option<Record> {
         let record = self.records.remove(pos)?;
         self.counts.sub(&record);
+        self.changes += 1;
         Some(record)
     }
 
     /// Keeps only the records `keep` accepts, in order.
     pub fn retain(&mut self, mut keep: impl FnMut(&Record) -> bool) {
         let counts = &mut self.counts;
+        self.changes += 1;
         self.records.retain(|r| {
             let kept = keep(r);
             if !kept {
@@ -387,6 +413,13 @@ impl RecordQueue {
         self.records.clear();
         self.counts.all.clear();
         self.counts.undo.clear();
+        self.changes += 1;
+    }
+
+    /// A counter that moves on every change to the queue, as
+    /// [`LogBuffer::changes`] does for a buffer.
+    pub fn changes(&self) -> u64 {
+        self.changes
     }
 }
 

@@ -1132,6 +1132,16 @@ impl LogController {
         }
     }
 
+    /// A counter that moves whenever anything
+    /// [`store_stall`](LogController::store_stall) reads of this
+    /// controller may have changed: the undo+redo and redo buffers and the
+    /// overflow queue. While it and the memory controller's
+    /// [`state_version`](MemoryController::state_version) stay put, so
+    /// does every `store_stall` answer over an unchanged line.
+    pub fn state_version(&self) -> u64 {
+        self.ur_buf.changes() + self.redo_buf.changes() + self.overflow.changes()
+    }
+
     /// Whether [`on_llc_writeback`](LogController::on_llc_writeback) for
     /// `line_index` would return `false` and change nothing, and keep
     /// doing so until the next controller or memory event. `false`

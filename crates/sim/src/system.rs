@@ -58,6 +58,22 @@ struct Core {
     busy_kind: StallKind,
     /// The L1 sets that may hold a line a commit walk would change.
     ext_sets: SetMask,
+    /// The done cycle of the read a `WaitRead` core waits on, held from
+    /// the first step that finds it issued.
+    read_done: Option<Cycle>,
+    /// The last store-retry prediction, while it may still hold.
+    retry: Option<RetryPrediction>,
+}
+
+/// A store-retry prediction and the state it was made in: the log
+/// controller's and the memory controller's state versions and the
+/// core's L1 change count. A core's own state changes only when it
+/// issues, which drops its prediction, so the prediction holds for as
+/// long as the three counts stay put.
+#[derive(Debug, Clone, Copy)]
+struct RetryPrediction {
+    versions: [u64; 3],
+    stall: Option<StoreStall>,
 }
 
 /// A set of L1 set indices, one bit each.
@@ -157,6 +173,9 @@ pub struct System {
     /// Time-series sample period in cycles (0 disables sampling);
     /// `MORLOG_SAMPLE_CYCLES` overrides the configured value.
     sample_period: Cycle,
+    /// The next cycle whose step takes an occupancy sample: the next
+    /// multiple of `sample_period`, or `Cycle::MAX` with sampling off.
+    next_sample: Cycle,
     /// Cycle-sampled occupancy series (write queue, log buffers, live
     /// log bytes, outstanding DP commits, pending writebacks).
     series: SeriesSet,
@@ -267,6 +286,8 @@ impl System {
                 tx_began: false,
                 busy_kind: StallKind::Busy,
                 ext_sets: SetMask::new(hierarchy.l1_sets()),
+                read_done: None,
+                retry: None,
             })
             .collect();
         System {
@@ -289,6 +310,7 @@ impl System {
             tracer,
             attr: CycleAttribution::default(),
             sample_period,
+            next_sample: if sample_period == 0 { Cycle::MAX } else { 0 },
             series: SeriesSet::with_period(sample_period),
             persisted: Vec::new(),
             events: Vec::new(),
@@ -446,23 +468,9 @@ impl System {
     /// `skip_kinds` holds the account each core's skipped cycles go to.
     fn next_event(&mut self) -> Cycle {
         let now = self.now;
-        if self.pending_truncation.is_some() && self.pending_writebacks.is_empty() {
-            return now;
-        }
-        // A write-back that gets past the log controller either enters the
-        // write queue or counts a write-queue stall.
-        if let Some(&(addr, _)) = self.pending_writebacks.front() {
-            if !self.lc.writeback_blocked(addr.index(), &self.mc) {
-                return now;
-            }
-        }
-        let mut next = self.fwb.next_scan();
-        if self.sample_period != 0 && self.finish_cycle.is_none() {
-            next = next.min(now.next_multiple_of(self.sample_period));
-        }
-        if self.cfg.log.truncation == morlog_sim_core::config::TruncationPolicy::TransactionTable {
-            next = next.min(now.next_multiple_of(4096));
-        }
+        let mut next = Cycle::MAX;
+        // The cores first: most calls end here. No check changes simulated
+        // state, so their order cannot change the answer.
         for i in 0..self.cores.len() {
             let core = &self.cores[i];
             let (ready, kind) = match core.phase {
@@ -470,7 +478,7 @@ impl System {
                 Phase::BusyUntil(t) => (t, core.busy_kind),
                 // An unissued read completes only after a controller event.
                 Phase::WaitRead(ticket, _) => (
-                    self.mc.read_done_at(ticket).unwrap_or(Cycle::MAX),
+                    self.read_done(i, ticket).unwrap_or(Cycle::MAX),
                     self.read_wait_kind(),
                 ),
                 Phase::WaitCommit if self.lc.is_commit_pending(core.thread) => {
@@ -488,15 +496,59 @@ impl System {
             self.skip_kinds[i] = kind;
             next = next.min(ready);
         }
+        if self.pending_truncation.is_some() && self.pending_writebacks.is_empty() {
+            return now;
+        }
+        // A write-back that gets past the log controller either enters the
+        // write queue or counts a write-queue stall.
+        if let Some(&(addr, _)) = self.pending_writebacks.front() {
+            if !self.lc.writeback_blocked(addr.index(), &self.mc) {
+                return now;
+            }
+        }
+        next = next.min(self.fwb.next_scan());
+        if self.finish_cycle.is_none() {
+            next = next.min(self.next_sample);
+        }
+        if self.cfg.log.truncation == morlog_sim_core::config::TruncationPolicy::TransactionTable {
+            next = next.min(now.next_multiple_of(4096));
+        }
         next.min(self.lc.next_event(now, &self.mc))
             .min(self.mc.next_event(now))
             .max(now)
     }
 
+    /// The done cycle of core `i`'s read `ticket`, once the memory
+    /// controller has issued it. The core keeps it from the first call
+    /// that finds it, so the controller's map is read again only when the
+    /// read completes.
+    fn read_done(&mut self, i: usize, ticket: ReadTicket) -> Option<Cycle> {
+        if self.cores[i].read_done.is_none() {
+            self.cores[i].read_done = self.mc.read_done_at(ticket);
+        }
+        self.cores[i].read_done
+    }
+
     /// The stall of core `i`'s store retry, if the core sits on a
     /// stalled store whose retry would stall again without touching
-    /// anything, LRU order included.
-    fn store_retry_stall(&self, i: usize) -> Option<StoreStall> {
+    /// anything, LRU order included. Reuses the core's last prediction
+    /// while the state it was made in stays put.
+    fn store_retry_stall(&mut self, i: usize) -> Option<StoreStall> {
+        let versions = [
+            self.lc.state_version(),
+            self.mc.state_version(),
+            self.hierarchy.l1_changes(i),
+        ];
+        if let Some(p) = self.cores[i].retry.filter(|p| p.versions == versions) {
+            return p.stall;
+        }
+        let stall = self.predict_store_retry(i);
+        self.cores[i].retry = Some(RetryPrediction { versions, stall });
+        stall
+    }
+
+    /// [`store_retry_stall`](System::store_retry_stall) from scratch.
+    fn predict_store_retry(&self, i: usize) -> Option<StoreStall> {
         let core = &self.cores[i];
         let key = core.key.filter(|_| core.tx_began)?;
         let &Op::Store(addr, value) = core.ops.get(core.op_idx)? else {
@@ -547,10 +599,9 @@ impl System {
         hostprof::count(HostCounter::EventsSimulated, 1);
         // Occupancy sampling runs on the execution clock only — the
         // quiesce tail after the last commit is excluded, like `attr`.
-        if self.sample_period != 0
-            && self.finish_cycle.is_none()
-            && self.now.is_multiple_of(self.sample_period)
-        {
+        if self.now == self.next_sample && self.finish_cycle.is_none() {
+            // Skips stop at `next_sample`, so every sampled cycle steps.
+            self.next_sample += self.sample_period;
             let _prof = hostprof::scope(HostPhase::TraceOverhead);
             let (ur, redo, _) = self.lc.occupancy();
             self.series.push_sample(
@@ -682,7 +733,13 @@ impl System {
                 }
             }
             Phase::WaitRead(ticket, line) => {
-                if self.mc.take_if_done(ticket, self.now) {
+                if self
+                    .read_done(i, ticket)
+                    .is_some_and(|done| done <= self.now)
+                {
+                    let taken = self.mc.take_if_done(ticket, self.now);
+                    debug_assert!(taken, "a read done by now completes");
+                    self.cores[i].read_done = None;
                     let data = self.mc.read_line(line);
                     self.hierarchy.fill(i, line, data, &mut self.events);
                     self.handle_events();
@@ -722,6 +779,9 @@ impl System {
     }
 
     fn issue(&mut self, i: usize) -> StallKind {
+        // Issuing may change the core's state, which its prediction does
+        // not track.
+        self.cores[i].retry = None;
         let thread = self.cores[i].thread;
         let tx_idx = self.cores[i].tx_idx;
         if tx_idx >= self.trace.threads[i].transactions.len() {
