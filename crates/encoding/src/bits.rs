@@ -1,8 +1,10 @@
 //! Little-endian bit packing used to build encoded write payloads.
 //!
 //! Encoders emit (tag, payload) pairs; the bit writer packs them into `u64`
-//! words that [`crate::expansion::map_payload`] spreads over cells. The bit
-//! reader implements the decode path used during recovery.
+//! words (one word region's stream becomes a
+//! [`SegmentPayload`](crate::slde::SegmentPayload), which
+//! [`dcw::program_payload`](crate::dcw::program_payload) spreads over
+//! cells). The bit reader implements the decode path used during recovery.
 
 /// Packs variable-width fields into a little-endian bit stream of at most
 /// `WORDS` 64-bit words, stored inline (no heap allocation).

@@ -13,7 +13,7 @@ use morlog_repro::encoding::bits::{BitReader, BitWriter};
 use morlog_repro::encoding::cell::{CellModel, CellState};
 use morlog_repro::encoding::dcw;
 use morlog_repro::encoding::dldc;
-use morlog_repro::encoding::expansion::{map_payload, unmap_payload};
+use morlog_repro::encoding::expansion::{map_payload_with_mode, unmap_payload, ExpansionMode};
 use morlog_repro::encoding::fpc;
 use morlog_repro::encoding::slde::{LogWordRequest, SldeCodec, SEGMENT_WORDS, WORD_REGION_CELLS};
 use morlog_repro::log::record::{RecordKind, BYTE_SLOTS};
@@ -123,7 +123,8 @@ fn expansion_round_trips() {
         let payload: Vec<u64> = (0..len).map(|_| rng.next_u64()).collect();
         let capacity = 3 * WORD_REGION_CELLS;
         let bits = (1 + rng.gen_range(capacity as u64) as usize).min(payload.len() * 64);
-        let mapped = map_payload(&payload, bits, WORD_REGION_CELLS);
+        let mode = ExpansionMode::for_payload(bits, WORD_REGION_CELLS);
+        let mapped = map_payload_with_mode(&payload, bits, mode);
         let out = unmap_payload(&mapped, bits);
         for idx in 0..bits {
             assert_eq!(
