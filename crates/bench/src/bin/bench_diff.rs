@@ -6,13 +6,15 @@
 //!
 //! `baseline` and `candidate` are either two JSON files or two
 //! directories (compared pairwise by file name over their `.json`
-//! intersection). Volatile fields (`git`, `jobs`) are excluded; every
-//! other metric — counters, histogram buckets, series samples — is
-//! compared exactly, and non-zero deltas are printed as per-metric
-//! percentages.
+//! intersection). Each leaf is treated by its field's declared class
+//! (`morlog_bench::results`): volatile fields (`git`, `jobs`) are
+//! excluded; deterministic ones — counters, histogram buckets, series
+//! samples — are compared exactly, and non-zero deltas are printed as
+//! per-metric percentages.
 //!
-//! Host-timing fields (`wall_ms`/`*_ns`, `sim_rate_cps`, `alloc*`) are
-//! machine-dependent: by default they are skipped, but in **ratio mode**
+//! Timing fields (wall-clock, per-phase nanoseconds, `sim_rate_cps`,
+//! allocator volumes) are machine-dependent: by default they are
+//! skipped, but in **ratio mode**
 //! (`--ratio <factor>` or `MORLOG_DIFF_RATIO`) they participate and must
 //! agree within the multiplicative factor — the `host_perf` CI gate runs
 //! this way so a profile's deterministic counters are diffed exactly

@@ -27,8 +27,7 @@
 //! `MORLOG_CX_MAX`.
 
 use morlog_bench::cx::{verdict, CxSink, MUTANTS};
-use morlog_bench::json::Json;
-use morlog_bench::results::ResultSink;
+use morlog_bench::results::{CrashCheck, ResultSink};
 use morlog_checker::{check, double_store_trace, CheckOptions, CheckReport};
 use morlog_sim::System;
 use morlog_sim_core::{knobs, CheckMutation, DesignKind, SystemConfig};
@@ -43,24 +42,6 @@ fn smoke_trace(cfg: &SystemConfig) -> WorkloadTrace {
     let mut wl = WorkloadConfig::test_config(System::data_base(cfg));
     wl.total_transactions = SMOKE_TXS;
     generate(WorkloadKind::Hash, &wl)
-}
-
-fn record(label: &str, workload: &str, mutation: &str, report: &CheckReport, passed: bool) -> Json {
-    let s = &report.stats;
-    Json::obj(vec![
-        ("kind", Json::Str("crash_check".into())),
-        ("design", Json::Str(label.into())),
-        ("workload", Json::Str(workload.into())),
-        ("mutation", Json::Str(mutation.into())),
-        ("events", Json::UInt(s.events)),
-        ("points_total", Json::UInt(s.points_total)),
-        ("pruned", Json::UInt(s.pruned)),
-        ("capped", Json::UInt(s.capped)),
-        ("explored", Json::UInt(s.explored)),
-        ("verified", Json::UInt(s.verified)),
-        ("failures", Json::UInt(s.failures)),
-        ("passed", Json::Bool(passed)),
-    ])
 }
 
 fn print_row(label: &str, report: &CheckReport, verdict: &str) {
@@ -134,13 +115,20 @@ fn main() {
             }
         }
         print_row(&label, &report, verdict);
-        sink.push(record(
-            design.label(),
-            workload,
-            mutation.label(),
-            &report,
+        let s = &report.stats;
+        sink.push(CrashCheck {
+            design: design.label().into(),
+            workload: workload.into(),
+            mutation: mutation.label().into(),
+            events: s.events,
+            points_total: s.points_total,
+            pruned: s.pruned,
+            capped: s.capped,
+            explored: s.explored,
+            verified: s.verified,
+            failures: s.failures,
             passed,
-        ));
+        });
     }
 
     sink.finish();

@@ -37,11 +37,8 @@
 //! values, as does a malformed `MORLOG_CX_MAX`.
 
 use morlog_bench::cx::{verdict, CxSink, MUTANTS};
-use morlog_bench::json::Json;
-use morlog_bench::results::ResultSink;
-use morlog_checker::{
-    diff, double_store_trace, fuzz, Counterexample, DiffCulprit, DiffReport, FuzzOptions,
-};
+use morlog_bench::results::{CrashDiff, CrashFuzz, ResultSink};
+use morlog_checker::{diff, double_store_trace, fuzz, Counterexample, DiffCulprit, FuzzOptions};
 use morlog_sim::System;
 use morlog_sim_core::{knobs, CheckMutation, DesignKind, FuzzStats, SystemConfig};
 use morlog_workloads::{generate, WorkloadConfig, WorkloadKind, WorkloadTrace};
@@ -120,48 +117,6 @@ fn run_campaign(
             return result;
         }
     }
-}
-
-fn fuzz_record(
-    design: &str,
-    workload: &str,
-    mutation: &str,
-    r: &CampaignResult,
-    passed: bool,
-) -> Json {
-    let s = &r.stats;
-    Json::obj(vec![
-        ("kind", Json::Str("crash_fuzz".into())),
-        ("design", Json::Str(design.into())),
-        ("workload", Json::Str(workload.into())),
-        ("mutation", Json::Str(mutation.into())),
-        ("events", Json::UInt(s.events)),
-        ("sampled", Json::UInt(s.sampled)),
-        ("novel", Json::UInt(s.novel)),
-        ("pruned", Json::UInt(s.pruned)),
-        ("executed", Json::UInt(s.executed)),
-        ("verified", Json::UInt(s.verified)),
-        ("failures", Json::UInt(s.failures)),
-        ("coverage", Json::UInt(r.coverage)),
-        ("passed", Json::Bool(passed)),
-    ])
-}
-
-fn diff_record(design_a: &str, design_b: &str, report: &DiffReport, passed: bool) -> Json {
-    let culprit = report
-        .divergence
-        .as_ref()
-        .map_or("none", |d| d.culprit.label());
-    Json::obj(vec![
-        ("kind", Json::Str("crash_diff".into())),
-        ("design_a", Json::Str(design_a.into())),
-        ("design_b", Json::Str(design_b.into())),
-        ("workload", Json::Str("double-store".into())),
-        ("checked", Json::UInt(report.checked)),
-        ("divergences", Json::UInt(report.divergences)),
-        ("culprit", Json::Str(culprit.into())),
-        ("passed", Json::Bool(passed)),
-    ])
 }
 
 fn print_row(label: &str, r: &CampaignResult, verdict: &str) {
@@ -245,13 +200,21 @@ fn main() {
             }
         }
         print_row(&label, &r, verdict);
-        sink.push(fuzz_record(
-            design.label(),
-            workload,
-            mutation.label(),
-            &r,
+        let s = &r.stats;
+        sink.push(CrashFuzz {
+            design: design.label().into(),
+            workload: workload.into(),
+            mutation: mutation.label().into(),
+            events: s.events,
+            sampled: s.sampled,
+            novel: s.novel,
+            pruned: s.pruned,
+            executed: s.executed,
+            verified: s.verified,
+            failures: s.failures,
+            coverage: r.coverage,
             passed,
-        ));
+        });
     }
 
     // Differential teeth: the redo-value skew passes the skewed design's
@@ -310,7 +273,19 @@ fn main() {
             "{label:>22} {:>6} pairs, {} divergences, culprit {culprit:>4} {verdict:>8}",
             report.checked, report.divergences,
         );
-        sink.push(diff_record(name_a, name_b, &report, passed));
+        let culprit = report
+            .divergence
+            .as_ref()
+            .map_or("none", |d| d.culprit.label());
+        sink.push(CrashDiff {
+            design_a: name_a.into(),
+            design_b: name_b.into(),
+            workload: "double-store".into(),
+            checked: report.checked,
+            divergences: report.divergences,
+            culprit: culprit.into(),
+            passed,
+        });
     }
 
     sink.finish();

@@ -13,8 +13,7 @@
 //! Exits non-zero if any combination fails, so the matrix doubles as a
 //! robustness gate.
 
-use morlog_bench::json::Json;
-use morlog_bench::results::ResultSink;
+use morlog_bench::results::{CrashCell, ResultSink};
 use morlog_bench::SweepRunner;
 use morlog_sim::System;
 use morlog_sim_core::fault::FaultPlan;
@@ -147,23 +146,17 @@ fn main() {
                     spec.design, spec.kind, PLAN_LABELS[spec.plan_idx], spec.crash_cycle, spec.seed
                 ));
             }
-            sink.push(Json::obj(vec![
-                ("kind", Json::Str("crash_cell".into())),
-                ("design", Json::Str(spec.design.label().into())),
-                ("workload", Json::Str(spec.kind.label().into())),
-                ("plan", Json::Str(PLAN_LABELS[spec.plan_idx].into())),
-                ("crash_cycle", Json::UInt(spec.crash_cycle)),
-                ("seed", Json::UInt(spec.seed)),
-                ("passed", Json::Bool(cell.passed)),
-                ("injected", Json::UInt(u64::from(cell.injected))),
-                ("damaged", Json::Bool(cell.damaged)),
-                (
-                    "error",
-                    cell.error
-                        .as_ref()
-                        .map_or(Json::Null, |e| Json::Str(e.clone())),
-                ),
-            ]));
+            sink.push(CrashCell {
+                design: spec.design.label().into(),
+                workload: spec.kind.label().into(),
+                plan: PLAN_LABELS[spec.plan_idx].into(),
+                crash_cycle: spec.crash_cycle,
+                seed: spec.seed,
+                passed: cell.passed,
+                injected: u64::from(cell.injected),
+                damaged: cell.damaged,
+                error: cell.error.clone(),
+            });
         }
         println!();
     }

@@ -1,7 +1,6 @@
 //! Endurance view (§VI-C): hottest data line and log slot per design —
 //! reducing log writes improves lifetime, and the ring levels log wear.
-use morlog_bench::json::Json;
-use morlog_bench::results::{stats_json, ResultSink};
+use morlog_bench::results::{Endurance, ResultSink, Stats};
 use morlog_bench::SweepRunner;
 use morlog_sim::System;
 use morlog_sim_core::{knobs, DesignKind, SimStats, SystemConfig};
@@ -61,14 +60,13 @@ fn main() {
             row.stats.mem.log_writes,
             row.stats.mem.log_overflow_growths
         );
-        sink.push(Json::obj(vec![
-            ("kind", Json::Str("endurance".into())),
-            ("design", Json::Str(row.design.label().into())),
-            ("max_data_line_programs", Json::UInt(row.max_data)),
-            ("max_log_slot_programs", Json::UInt(row.max_log)),
-            ("locations", Json::UInt(row.locations as u64)),
-            ("stats", stats_json(&row.stats)),
-        ]));
+        sink.push(Endurance {
+            design: row.design.label().into(),
+            max_data_line_programs: row.max_data,
+            max_log_slot_programs: row.max_log,
+            locations: row.locations as u64,
+            stats: Stats::from(&row.stats),
+        });
     }
     println!("\nSLDE designs touch fewer log locations for the same work: fewer writes");
     println!("means longer lifetime (§VI-C). The ring appends sequentially, so log wear");

@@ -1,7 +1,6 @@
 //! Fig. 3: distribution of write distance for writes in transactions.
 use morlog_analysis::write_distance::{DistanceBucket, WriteDistanceHistogram};
-use morlog_bench::json::Json;
-use morlog_bench::results::ResultSink;
+use morlog_bench::results::{ResultSink, WriteDistance};
 use morlog_bench::SweepRunner;
 use morlog_sim::System;
 use morlog_sim_core::{knobs, DesignKind, SystemConfig};
@@ -32,24 +31,21 @@ fn main() {
     });
     for (kind, h) in WorkloadKind::ALL.iter().zip(&histograms) {
         print!("{:<10}", kind.label());
-        let mut buckets = Vec::new();
         for b in DistanceBucket::ALL {
             print!(" {:>10.1}%", h.fraction(b) * 100.0);
-            buckets.push((b.label(), Json::Num(h.fraction(b))));
         }
         println!(
             " {:>7.1}% {:>7.1}%",
             h.fraction_beyond_31() * 100.0,
             h.fraction_repeat() * 100.0
         );
-        sink.push(Json::obj(vec![
-            ("kind", Json::Str("write_distance".into())),
-            ("workload", Json::Str(kind.label().into())),
-            ("transactions", Json::UInt(txs as u64)),
-            ("buckets", Json::obj(buckets)),
-            ("beyond_31_fraction", Json::Num(h.fraction_beyond_31())),
-            ("repeat_fraction", Json::Num(h.fraction_repeat())),
-        ]));
+        sink.push(WriteDistance {
+            workload: kind.label().into(),
+            transactions: txs as u64,
+            buckets: DistanceBucket::ALL.iter().map(|&b| h.fraction(b)).collect(),
+            beyond_31_fraction: h.fraction_beyond_31(),
+            repeat_fraction: h.fraction_repeat(),
+        });
     }
     println!("\npaper: 44.8% of non-first writes have distance > 31; 83.1% of data");
     println!("are updated more than once in a transaction (WHISPER apps under PIN).");

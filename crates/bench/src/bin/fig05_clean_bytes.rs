@@ -1,7 +1,6 @@
 //! Fig. 5: percentage of clean bytes among the data updated by transactions.
 use morlog_analysis::clean_bytes::CleanByteStats;
-use morlog_bench::json::Json;
-use morlog_bench::results::ResultSink;
+use morlog_bench::results::{CleanBytes, ResultSink};
 use morlog_bench::SweepRunner;
 use morlog_sim::System;
 use morlog_sim_core::{knobs, DesignKind, SystemConfig};
@@ -38,13 +37,12 @@ fn main() {
             s.clean_fraction() * 100.0,
             s.silent_fraction() * 100.0
         );
-        sink.push(Json::obj(vec![
-            ("kind", Json::Str("clean_bytes".into())),
-            ("workload", Json::Str(kind.label().into())),
-            ("transactions", Json::UInt(txs as u64)),
-            ("clean_fraction", Json::Num(s.clean_fraction())),
-            ("silent_fraction", Json::Num(s.silent_fraction())),
-        ]));
+        sink.push(CleanBytes {
+            workload: kind.label().into(),
+            transactions: txs as u64,
+            clean_fraction: s.clean_fraction(),
+            silent_fraction: s.silent_fraction(),
+        });
     }
     let avg = fractions.iter().sum::<f64>() / fractions.len() as f64;
     println!("{:<10} {:>11.1}%", "average", avg * 100.0);

@@ -31,8 +31,9 @@
 
 use std::io::Write as _;
 
-use morlog_bench::json::Json;
-use morlog_bench::results::{git_describe, host_perf_record, ResultSink};
+use morlog_bench::results::{
+    git_describe, HostPerf, PerfHistory, PerfHistoryEntry, ResultSink, Value,
+};
 use morlog_bench::{RunSpec, SweepRunner, TimedRun};
 use morlog_sim_core::hostprof::{self, HostPhase};
 use morlog_sim_core::{knobs, DesignKind};
@@ -72,7 +73,7 @@ fn main() {
         print_row(run);
         let prefix = format!("{};{}", run.spec.design.label(), run.report.workload);
         folded.extend(run.host.folded_lines(&prefix));
-        sink.push(host_perf_record(run));
+        sink.push(HostPerf::from(run));
     }
 
     write_folded(&folded);
@@ -124,25 +125,21 @@ fn append_history(runs: &[TimedRun]) {
         .duration_since(std::time::UNIX_EPOCH)
         .map(|d| d.as_millis() as u64)
         .unwrap_or(0);
-    let entries = runs
-        .iter()
-        .map(|run| {
-            Json::obj(vec![
-                ("design", Json::Str(run.spec.design.label().into())),
-                ("workload", Json::Str(run.report.workload.clone())),
-                ("sim_cycles", Json::UInt(run.report.stats.cycles)),
-                ("wall_ms", Json::Num(run.wall.as_secs_f64() * 1e3)),
-                ("sim_rate_cps", Json::Num(run.sim_rate_cps())),
-                ("alloc_bytes", Json::UInt(run.host.alloc_bytes_total())),
-            ])
-        })
-        .collect();
-    let line = Json::obj(vec![
-        ("kind", Json::Str("perf_history".into())),
-        ("git", Json::Str(git_describe())),
-        ("unix_ms", Json::UInt(unix_ms)),
-        ("entries", Json::Arr(entries)),
-    ]);
+    let line = PerfHistory {
+        git: git_describe(),
+        unix_ms,
+        entries: runs
+            .iter()
+            .map(|run| PerfHistoryEntry {
+                design: run.spec.design.label().into(),
+                workload: run.report.workload.clone(),
+                sim_cycles: run.report.stats.cycles,
+                wall_ms: run.wall.as_secs_f64() * 1e3,
+                sim_rate_cps: run.sim_rate_cps(),
+                alloc_bytes: run.host.alloc_bytes_total(),
+            })
+            .collect(),
+    };
     if let Some(parent) = std::path::Path::new(&path).parent() {
         let _ = std::fs::create_dir_all(parent);
     }
@@ -150,7 +147,7 @@ fn append_history(runs: &[TimedRun]) {
         .create(true)
         .append(true)
         .open(&path)
-        .and_then(|mut f| writeln!(f, "{}", line.to_json()));
+        .and_then(|mut f| writeln!(f, "{}", line.json().to_json()));
     match appended {
         Err(e) => eprintln!("warning: could not append to {path}: {e}"),
         Ok(()) => eprintln!("perf history: appended to {path}"),

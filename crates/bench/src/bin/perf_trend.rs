@@ -20,7 +20,8 @@
 
 use std::collections::BTreeMap;
 
-use morlog_bench::json::{self, Json};
+use morlog_bench::json;
+use morlog_bench::results::{validate, PerfHistory, Value};
 use morlog_sim_core::knobs;
 
 /// One point's trajectory: `(git, unix_ms, sim_rate_cps)` per record.
@@ -43,47 +44,19 @@ fn main() {
         if line.trim().is_empty() {
             continue;
         }
-        let doc = match json::parse(line) {
-            Ok(d) => d,
-            Err(e) => {
-                eprintln!("error: {path}:{}: {e}", lineno + 1);
-                std::process::exit(2);
-            }
-        };
-        if doc.get("kind").and_then(Json::as_str) != Some("perf_history") {
-            eprintln!("error: {path}:{}: not a perf_history record", lineno + 1);
+        let line = json::parse(line)
+            .and_then(|doc| validate::<PerfHistory>(&doc).map(|()| PerfHistory::from_json(&doc)));
+        let line = line.unwrap_or_else(|e| {
+            eprintln!("error: {path}:{}: {e}", lineno + 1);
             std::process::exit(2);
-        }
-        let git = doc
-            .get("git")
-            .and_then(Json::as_str)
-            .unwrap_or("unknown")
-            .to_string();
-        let unix_ms = doc.get("unix_ms").and_then(Json::as_u64).unwrap_or(0);
-        let Some(entries) = doc.get("entries").and_then(Json::as_arr) else {
-            eprintln!("error: {path}:{}: missing entries array", lineno + 1);
-            std::process::exit(2);
-        };
+        });
         records += 1;
-        for entry in entries {
-            let design = entry
-                .get("design")
-                .and_then(Json::as_str)
-                .unwrap_or("?")
-                .to_string();
-            let workload = entry
-                .get("workload")
-                .and_then(Json::as_str)
-                .unwrap_or("?")
-                .to_string();
-            let rate = entry
-                .get("sim_rate_cps")
-                .and_then(Json::as_f64)
-                .unwrap_or(0.0);
+        for entry in line.entries {
+            let point = (line.git.clone(), line.unix_ms, entry.sim_rate_cps);
             series
-                .entry((design, workload))
+                .entry((entry.design, entry.workload))
                 .or_default()
-                .push((git.clone(), unix_ms, rate));
+                .push(point);
         }
     }
 

@@ -1,7 +1,6 @@
 //! Table I: hardware overhead of morphable logging, plus the §IV-C SLDE
 //! overhead arithmetic.
-use morlog_bench::json::Json;
-use morlog_bench::results::ResultSink;
+use morlog_bench::results::{self, ResultSink, SldeFlagOverhead, SldeSynthesis};
 use morlog_encoding::overhead as slde;
 use morlog_logging::overhead::HardwareOverhead;
 use morlog_sim_core::LogConfig;
@@ -43,26 +42,13 @@ fn main() {
         "FF",
         format!("{} bytes", o.ulog_counters_bytes)
     );
-    sink.push(Json::obj(vec![
-        ("kind", Json::Str("hardware_overhead".into())),
-        (
-            "log_registers_bytes",
-            Json::UInt(o.log_registers_bytes as u64),
-        ),
-        (
-            "l1_ext_bits_per_line",
-            Json::UInt(o.l1_ext_bits_per_line as u64),
-        ),
-        (
-            "undo_redo_buffer_bytes",
-            Json::UInt(o.undo_redo_buffer_bytes as u64),
-        ),
-        ("redo_buffer_bytes", Json::UInt(o.redo_buffer_bytes as u64)),
-        (
-            "ulog_counters_bytes",
-            Json::UInt(o.ulog_counters_bytes as u64),
-        ),
-    ]));
+    sink.push(results::HardwareOverhead {
+        log_registers_bytes: o.log_registers_bytes as u64,
+        l1_ext_bits_per_line: o.l1_ext_bits_per_line as u64,
+        undo_redo_buffer_bytes: o.undo_redo_buffer_bytes as u64,
+        redo_buffer_bytes: o.redo_buffer_bytes as u64,
+        ulog_counters_bytes: o.ulog_counters_bytes as u64,
+    });
     println!();
     println!("SLDE capacity overheads (dirty flag, 1 flag bit per m bytes), §IV-C:");
     for m in [1u32, 2, 4] {
@@ -72,19 +58,12 @@ fn main() {
             slde::redo_dirty_flag_overhead(m) * 100.0,
             slde::l1_dirty_flag_overhead(m) * 100.0
         );
-        sink.push(Json::obj(vec![
-            ("kind", Json::Str("slde_flag_overhead".into())),
-            ("m", Json::UInt(m.into())),
-            (
-                "undo_redo_fraction",
-                Json::Num(slde::undo_redo_dirty_flag_overhead(m)),
-            ),
-            (
-                "redo_fraction",
-                Json::Num(slde::redo_dirty_flag_overhead(m)),
-            ),
-            ("l1_fraction", Json::Num(slde::l1_dirty_flag_overhead(m))),
-        ]));
+        sink.push(SldeFlagOverhead {
+            m: m.into(),
+            undo_redo_fraction: slde::undo_redo_dirty_flag_overhead(m),
+            redo_fraction: slde::redo_dirty_flag_overhead(m),
+            l1_fraction: slde::l1_dirty_flag_overhead(m),
+        });
     }
     println!(
         "log-region flag overhead: {:.2}% (paper: <= 1.7%)",
@@ -98,16 +77,12 @@ fn main() {
         synth.encode_energy_pj,
         synth.decode_energy_pj
     );
-    sink.push(Json::obj(vec![
-        ("kind", Json::Str("slde_synthesis".into())),
-        (
-            "log_region_flag_fraction",
-            Json::Num(slde::log_region_flag_overhead()),
-        ),
-        ("extra_gates", Json::Num(synth.extra_gates)),
-        ("encode_latency_ns", Json::Num(synth.encode_latency_ns)),
-        ("encode_energy_pj", Json::Num(synth.encode_energy_pj)),
-        ("decode_energy_pj", Json::Num(synth.decode_energy_pj)),
-    ]));
+    sink.push(SldeSynthesis {
+        log_region_flag_fraction: slde::log_region_flag_overhead(),
+        extra_gates: synth.extra_gates,
+        encode_latency_ns: synth.encode_latency_ns,
+        encode_energy_pj: synth.encode_energy_pj,
+        decode_energy_pj: synth.decode_energy_pj,
+    });
     sink.finish();
 }

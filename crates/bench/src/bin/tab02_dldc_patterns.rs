@@ -1,7 +1,6 @@
 //! Table II: percentage of dirty log data compressed by each DLDC pattern.
 use morlog_analysis::patterns::PatternStats;
-use morlog_bench::json::Json;
-use morlog_bench::results::ResultSink;
+use morlog_bench::results::{DldcPatterns, ResultSink};
 use morlog_bench::SweepRunner;
 use morlog_encoding::dldc::DldcPattern;
 use morlog_sim::System;
@@ -30,23 +29,17 @@ fn main() {
     let mut sums = std::collections::HashMap::new();
     let n = WorkloadKind::ALL.len() as f64;
     for (kind, s) in WorkloadKind::ALL.iter().zip(&profiles) {
-        let mut record_fields = vec![
-            ("kind", Json::Str("dldc_patterns".into())),
-            ("workload", Json::Str(kind.label().into())),
-            ("transactions", Json::UInt(txs as u64)),
-        ];
-        let mut pattern_fields = Vec::new();
-        for p in DldcPattern::TABLE_II
-            .iter()
-            .chain([DldcPattern::Raw].iter())
-        {
+        let patterns = DldcPattern::TABLE_II.iter().chain(&[DldcPattern::Raw]);
+        for p in patterns.clone() {
             *sums.entry(format!("{p:?}")).or_insert(0.0) += s.fraction(*p) / n;
-            pattern_fields.push((format!("{p:?}"), Json::Num(s.fraction(*p))));
         }
         *sums.entry("coverage".to_string()).or_insert(0.0) += s.pattern_coverage() / n;
-        record_fields.push(("patterns", Json::Obj(pattern_fields)));
-        record_fields.push(("coverage", Json::Num(s.pattern_coverage())));
-        sink.push(Json::obj(record_fields));
+        sink.push(DldcPatterns {
+            workload: kind.label().into(),
+            transactions: txs as u64,
+            patterns: patterns.map(|p| s.fraction(*p)).collect(),
+            coverage: s.pattern_coverage(),
+        });
     }
     let paper = [
         ("AllZero", 9.3),

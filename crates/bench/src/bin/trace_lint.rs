@@ -1,37 +1,23 @@
 //! Schema checker for observability artifacts: validates JSONL event
-//! traces (`MORLOG_TRACE_DIR` dumps) and schema-v3 `results/*.json`
-//! documents — including the `stats.hist.*` commit-latency/entry-size
-//! histograms and the `stats.series.*` sampled occupancy series that
-//! v3 added (bucket sums, quantile ordering and series alignment are
-//! all checked by `validate_document`).
+//! traces (`MORLOG_TRACE_DIR` dumps, counterexamples) against the event
+//! fields declared next to their writer (`TraceEvent::FIELDS`),
+//! `perf_history` trajectories and `results/*.json` documents against
+//! the declarations in `morlog_bench::results` (every field, type and
+//! invariant, via `validate`).
 //!
 //! Usage: `trace_lint <path>...` — each path is a `.jsonl` trace (event
 //! dump or `perf_history` trajectory), a `.json` results document, a
 //! `.folded` flamegraph stack dump, or a directory scanned
 //! (non-recursively) for all three. Exits non-zero on the first
 //! malformed file, printing what was wrong; prints a per-file summary
-//! otherwise. CI runs this over the `quick_check` and `perf_report`
-//! artifacts so a schema drift fails the build instead of silently
-//! shipping unreadable dumps.
+//! otherwise. CI runs this over the committed `results/`, the
+//! `quick_check` and `perf_report` artifacts, traces and counterexamples,
+//! so a schema drift fails the build instead of silently shipping
+//! unreadable dumps.
 
 use morlog_bench::json::{parse, Json};
-use morlog_bench::results::validate_document;
-
-/// Event labels the simulator emits, with the extra fields each carries
-/// (beyond the common `cycle` + `event`).
-const EVENT_FIELDS: &[(&str, &[&str])] = &[
-    ("log_append", &["slice", "offset", "kind", "thread", "txid"]),
-    ("log_truncate", &["slice", "old_head", "new_head"]),
-    ("word_transition", &["thread", "txid", "addr", "from", "to"]),
-    ("wq_accept", &["channel", "occupancy", "is_log"]),
-    ("wq_drain_start", &["channel", "occupancy"]),
-    ("wq_drain_end", &["channel", "occupancy"]),
-    ("commit_phase", &["thread", "txid", "phase"]),
-    ("cache_writeback", &["level", "line"]),
-    ("fwb_scan", &["writebacks"]),
-    ("crash", &[]),
-    ("recovery", &["step", "count"]),
-];
+use morlog_bench::results::{validate, validate_document, PerfHistory};
+use morlog_sim_core::trace::TraceEvent;
 
 /// A JSONL file is either an event trace (every line carries
 /// `cycle` + `event`) or a `perf_history` trajectory (every line is a
@@ -52,7 +38,7 @@ fn lint_trace(path: &std::path::Path) -> Result<(usize, &'static str), String> {
                 ));
             }
             history = true;
-            lint_history_line(&obj).map_err(|e| format!("line {n}: {e}"))?;
+            validate::<PerfHistory>(&obj).map_err(|e| format!("line {n}: {e}"))?;
             count += 1;
             continue;
         }
@@ -75,56 +61,19 @@ fn lint_trace(path: &std::path::Path) -> Result<(usize, &'static str), String> {
             .get("event")
             .and_then(Json::as_str)
             .ok_or_else(|| format!("line {n}: missing string \"event\""))?;
-        let fields = EVENT_FIELDS
+        let (_, fields) = TraceEvent::FIELDS
             .iter()
             .find(|(label, _)| *label == event)
-            .map(|(_, fields)| *fields)
             .ok_or_else(|| format!("line {n}: unknown event {event:?}"))?;
-        for field in fields {
-            if obj.get(field).is_none() {
-                return Err(format!("line {n}: {event} is missing field {field:?}"));
-            }
+        let keys = obj.as_pairs().unwrap_or_default().iter().map(|(k, _)| k);
+        if !keys.eq(["cycle", "event"].iter().chain(fields.iter())) {
+            return Err(format!(
+                "line {n}: {event} must carry exactly cycle, event, {fields:?}"
+            ));
         }
         count += 1;
     }
     Ok((count, if history { "history records" } else { "events" }))
-}
-
-/// One `perf_history` line: a git stamp, a timestamp, and an entries
-/// array whose members each carry the headline per-point numbers.
-fn lint_history_line(obj: &Json) -> Result<(), String> {
-    obj.get("git")
-        .and_then(Json::as_str)
-        .ok_or("missing string \"git\"")?;
-    obj.get("unix_ms")
-        .and_then(Json::as_u64)
-        .ok_or("missing integer \"unix_ms\"")?;
-    let entries = obj
-        .get("entries")
-        .and_then(Json::as_arr)
-        .ok_or("missing array \"entries\"")?;
-    for (i, entry) in entries.iter().enumerate() {
-        for key in ["design", "workload"] {
-            if entry.get(key).and_then(Json::as_str).is_none() {
-                return Err(format!("entry {i}: missing string {key:?}"));
-            }
-        }
-        for key in ["sim_cycles", "alloc_bytes"] {
-            if entry.get(key).and_then(Json::as_u64).is_none() {
-                return Err(format!("entry {i}: missing integer {key:?}"));
-            }
-        }
-        let rate = entry
-            .get("sim_rate_cps")
-            .and_then(Json::as_f64)
-            .ok_or_else(|| format!("entry {i}: missing number \"sim_rate_cps\""))?;
-        if !rate.is_finite() || rate < 0.0 {
-            return Err(format!(
-                "entry {i}: sim_rate_cps {rate} is not finite and >= 0"
-            ));
-        }
-    }
-    Ok(())
 }
 
 /// Flamegraph folded-stack format: every non-empty line is

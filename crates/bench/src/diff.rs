@@ -10,10 +10,11 @@
 //! is exact — a record-count mismatch is reported as a structural
 //! difference rather than fuzzily matched.
 //!
-//! Volatile envelope fields that legitimately differ between two runs
-//! of the same code (`git`, `jobs`) are excluded from the comparison.
+//! Each leaf's treatment comes from its declared [`Class`] (see
+//! [`crate::results`]). *Volatile* fields that legitimately differ
+//! between two runs of the same code (`git`, `jobs`) never participate.
 //! *Timing* fields — host wall-clock, per-phase nanoseconds, allocation
-//! counts, sim-rates — are machine-dependent, so by default they are
+//! volumes, sim-rates — are machine-dependent, so by default they are
 //! excluded too; in **ratio mode** (`MORLOG_DIFF_RATIO` / `--ratio`)
 //! they instead participate and must agree within a configurable
 //! multiplicative factor, which is how the `host_perf` CI gate compares
@@ -23,24 +24,10 @@
 //! zero, and any simulated-behaviour change shows up as a per-metric
 //! percentage delta.
 
+use std::collections::BTreeMap;
+
 use crate::json::Json;
-
-/// Fields excluded from comparison wherever they appear: the git stamp
-/// and sweep parallelism are properties of the *run*, not of the
-/// simulated behaviour the gate protects. (Host timing fields are
-/// handled separately — see [`is_timing_key`].)
-const SKIP_FIELDS: [&str; 2] = ["git", "jobs"];
-
-/// Whether a field name denotes host-dependent timing data: wall-clock
-/// (`wall_ms` and other `_ms`/`_ns` suffixes), sim-rates (`_cps`), and
-/// allocator statistics (`alloc*`). These are skipped by default and
-/// compared within a factor in ratio mode.
-pub fn is_timing_key(key: &str) -> bool {
-    key.ends_with("_ns")
-        || key.ends_with("_ms")
-        || key.ends_with("_cps")
-        || key.starts_with("alloc")
-}
+use crate::results::{self, Class};
 
 /// One differing metric between baseline and candidate.
 #[derive(Debug, Clone, PartialEq)]
@@ -53,8 +40,7 @@ pub struct MetricDelta {
     /// Candidate value (`None` when the path only exists in the
     /// baseline).
     pub cand: Option<f64>,
-    /// Whether this is a host-timing field (see [`is_timing_key`]),
-    /// judged by the ratio tolerance instead of the percent threshold.
+    /// Whether this is a [`Class::Timing`] field, judged by the ratio tolerance instead of the percent threshold.
     pub timing: bool,
 }
 
@@ -145,58 +131,18 @@ impl DocumentDiff {
     }
 }
 
-/// A flattened leaf value. Strings and bools are hashed into the
-/// comparison as exact-match values: a mismatch is structural (reported
-/// as infinite delta), never a percentage.
-#[derive(Debug, Clone, PartialEq)]
-enum Leaf {
-    Num(f64),
-    Text(String),
-}
-
-fn flatten(
-    value: &Json,
-    path: &str,
-    timing: bool,
-    include_timing: bool,
-    out: &mut Vec<(String, (Leaf, bool))>,
-) {
-    match value {
-        Json::Null => out.push((path.to_string(), (Leaf::Text("null".into()), timing))),
-        Json::Bool(b) => out.push((path.to_string(), (Leaf::Text(b.to_string()), timing))),
-        Json::UInt(n) => out.push((path.to_string(), (Leaf::Num(*n as f64), timing))),
-        Json::Num(n) => out.push((path.to_string(), (Leaf::Num(*n), timing))),
-        Json::Str(s) => out.push((path.to_string(), (Leaf::Text(s.clone()), timing))),
-        Json::Arr(items) => {
-            for (i, item) in items.iter().enumerate() {
-                flatten(item, &format!("{path}[{i}]"), timing, include_timing, out);
-            }
-            // Lengths participate so a shorter array is a difference
-            // even when every shared index matches. Array lengths are
-            // structural even inside timing subtrees.
-            out.push((
-                format!("{path}.len"),
-                (Leaf::Num(items.len() as f64), false),
-            ));
+/// The compared leaves of a validated document: path → (value, whether
+/// it is a timing field). Strings, bools and nulls compare exactly: a
+/// mismatch is structural (an infinite delta), never a percentage.
+fn flatten(doc: &Json, include_timing: bool) -> BTreeMap<String, (Json, bool)> {
+    let mut out = BTreeMap::new();
+    results::walk(doc, &mut |path, value, class| {
+        let timing = class == Class::Timing;
+        if class != Class::Volatile && (include_timing || !timing) {
+            out.insert(path.to_string(), (value.clone(), timing));
         }
-        Json::Obj(pairs) => {
-            for (key, v) in pairs {
-                if SKIP_FIELDS.contains(&key.as_str()) {
-                    continue;
-                }
-                let sub_timing = timing || is_timing_key(key);
-                if sub_timing && !include_timing {
-                    continue;
-                }
-                let sub = if path.is_empty() {
-                    key.clone()
-                } else {
-                    format!("{path}.{key}")
-                };
-                flatten(v, &sub, sub_timing, include_timing, out);
-            }
-        }
-    }
+    });
+    out
 }
 
 /// Diffs two validated result documents with timing fields excluded
@@ -210,8 +156,8 @@ pub fn diff_documents(base: &Json, cand: &Json) -> Result<DocumentDiff, String> 
     diff_documents_with(base, cand, false)
 }
 
-/// Diffs two validated result documents. With `include_timing`, timing
-/// fields (see [`is_timing_key`]) participate and are flagged on their
+/// Diffs two validated result documents. With `include_timing`,
+/// [`Class::Timing`] fields participate and are flagged on their
 /// deltas so [`DocumentDiff::regressions`] can judge them by ratio.
 ///
 /// # Errors
@@ -223,8 +169,8 @@ pub fn diff_documents_with(
     cand: &Json,
     include_timing: bool,
 ) -> Result<DocumentDiff, String> {
-    crate::results::validate_document(base).map_err(|e| format!("baseline: {e}"))?;
-    crate::results::validate_document(cand).map_err(|e| format!("candidate: {e}"))?;
+    results::validate_document(base).map_err(|e| format!("baseline: {e}"))?;
+    results::validate_document(cand).map_err(|e| format!("candidate: {e}"))?;
     let base_bench = base.get("bench").and_then(Json::as_str).unwrap_or("");
     let cand_bench = cand.get("bench").and_then(Json::as_str).unwrap_or("");
     if base_bench != cand_bench {
@@ -232,99 +178,60 @@ pub fn diff_documents_with(
             "bench mismatch: baseline is {base_bench:?} but candidate is {cand_bench:?}"
         ));
     }
-    let mut base_flat = Vec::new();
-    let mut cand_flat = Vec::new();
-    flatten(base, "", false, include_timing, &mut base_flat);
-    flatten(cand, "", false, include_timing, &mut cand_flat);
-    let base_map: std::collections::BTreeMap<String, (Leaf, bool)> =
-        base_flat.into_iter().collect();
-    let cand_map: std::collections::BTreeMap<String, (Leaf, bool)> =
-        cand_flat.into_iter().collect();
+    let base_map = flatten(base, include_timing);
+    let cand_map = flatten(cand, include_timing);
 
+    let delta = |path: &String, base: Option<&Json>, cand: Option<&Json>, timing: bool| {
+        let (base, cand) = (base.and_then(Json::as_f64), cand.and_then(Json::as_f64));
+        let path = path.clone();
+        MetricDelta {
+            path,
+            base,
+            cand,
+            timing,
+        }
+    };
     let mut diff = DocumentDiff::default();
     for (path, (b, timing)) in &base_map {
-        match cand_map.get(path) {
-            None => diff.deltas.push(MetricDelta {
-                path: path.clone(),
-                base: leaf_num(b),
-                cand: None,
-                timing: *timing,
-            }),
-            Some((c, _)) => {
-                diff.compared += 1;
-                match (b, c) {
-                    (Leaf::Num(bn), Leaf::Num(cn)) => {
-                        if bn != cn {
-                            diff.deltas.push(MetricDelta {
-                                path: path.clone(),
-                                base: Some(*bn),
-                                cand: Some(*cn),
-                                timing: *timing,
-                            });
-                        }
-                    }
-                    (Leaf::Text(bt), Leaf::Text(ct)) => {
-                        if bt != ct {
-                            diff.deltas.push(MetricDelta {
-                                path: path.clone(),
-                                base: None,
-                                cand: None,
-                                timing: *timing,
-                            });
-                        }
-                    }
-                    _ => diff.deltas.push(MetricDelta {
-                        path: path.clone(),
-                        base: leaf_num(b),
-                        cand: leaf_num(c),
-                        timing: *timing,
-                    }),
-                }
-            }
+        let c = cand_map.get(path).map(|(c, _)| c);
+        diff.compared += usize::from(c.is_some());
+        if c != Some(b) {
+            diff.deltas.push(delta(path, Some(b), c, *timing));
         }
     }
     for (path, (c, timing)) in &cand_map {
         if !base_map.contains_key(path) {
-            diff.deltas.push(MetricDelta {
-                path: path.clone(),
-                base: None,
-                cand: leaf_num(c),
-                timing: *timing,
-            });
+            diff.deltas.push(delta(path, None, Some(c), *timing));
         }
     }
     Ok(diff)
-}
-
-fn leaf_num(leaf: &Leaf) -> Option<f64> {
-    match leaf {
-        Leaf::Num(n) => Some(*n),
-        Leaf::Text(_) => None,
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::json;
+    use crate::results::{Envelope, HardwareOverhead, Value, SCHEMA_VERSION};
 
+    /// A minimal valid envelope with one small record whose first field
+    /// carries `cycles`.
     fn doc(cycles: u64, wall: f64) -> Json {
-        // A minimal valid envelope with one non-"run" record (only
-        // "run" records have the full stats schema enforced).
-        Json::obj(vec![
-            ("bench", Json::Str("unit".into())),
-            ("schema_version", Json::UInt(crate::results::SCHEMA_VERSION)),
-            ("git", Json::Str("deadbeef".into())),
-            ("jobs", Json::UInt(1)),
-            ("wall_ms", Json::Num(wall)),
-            (
-                "records",
-                Json::Arr(vec![Json::obj(vec![
-                    ("kind", Json::Str("unit_metric".into())),
-                    ("cycles", Json::UInt(cycles)),
-                ])]),
-            ),
-        ])
+        let record = HardwareOverhead {
+            log_registers_bytes: cycles,
+            l1_ext_bits_per_line: 0,
+            undo_redo_buffer_bytes: 0,
+            redo_buffer_bytes: 0,
+            ulog_counters_bytes: 0,
+        };
+        Envelope {
+            bench: "unit".into(),
+            schema_version: SCHEMA_VERSION,
+            git: "deadbeef".into(),
+            jobs: 1,
+            wall_ms: wall,
+            records: vec![record.json()],
+        }
+        .json()
     }
 
     #[test]
@@ -439,19 +346,6 @@ mod tests {
             timing: true,
         };
         assert!(!structural.within_ratio(f64::MAX));
-    }
-
-    #[test]
-    fn timing_key_classification() {
-        assert!(is_timing_key("wall_ms"));
-        assert!(is_timing_key("wall_ns"));
-        assert!(is_timing_key("profile_total_ns"));
-        assert!(is_timing_key("sim_rate_cps"));
-        assert!(is_timing_key("alloc_bytes"));
-        assert!(is_timing_key("alloc_count"));
-        assert!(!is_timing_key("cycles"));
-        assert!(!is_timing_key("wq_ops"));
-        assert!(!is_timing_key("transactions"));
     }
 
     #[test]

@@ -31,6 +31,7 @@
 use std::collections::HashMap;
 
 use crate::json::{self, Json};
+use crate::results::{validate, CounterKeys, HostPerf, Labels, PhaseKeys, Record, Value};
 
 /// Offset separating per-thread `persist` tracks from the commit
 /// tracks in the synthetic thread-id space.
@@ -217,67 +218,32 @@ pub fn convert_host_perf(doc: &Json) -> Result<Converted, String> {
         .and_then(Json::as_arr)
         .ok_or("missing \"records\" array (not a results document)")?;
     let mut events = Vec::new();
-    let mut spans = 0usize;
-    let mut counter_events = 0usize;
-    let mut ignored = 0usize;
+    let (mut spans, mut counter_events, mut ignored) = (0usize, 0usize, 0usize);
     for (idx, record) in records.iter().enumerate() {
-        if record.get("kind").and_then(Json::as_str) != Some("host_perf") {
+        if record.get("kind").and_then(Json::as_str) != Some(HostPerf::KIND) {
             ignored += 1;
             continue;
         }
-        let tid = idx as u64;
-        let design = record.get("design").and_then(Json::as_str).unwrap_or("?");
-        let workload = record.get("workload").and_then(Json::as_str).unwrap_or("?");
-        let label = format!("{design} {workload}");
+        validate::<HostPerf>(record).map_err(|e| format!("record {idx}: {e}"))?;
+        let r = HostPerf::from_json(record);
+        let (tid, label) = (idx as u64, format!("{} {}", r.design, r.workload));
         events.push(thread_name_event(tid, label.clone()));
-        let phase_ns = record
-            .get("phase_ns")
-            .and_then(Json::as_pairs)
-            .ok_or_else(|| format!("record {idx}: missing \"phase_ns\" object"))?;
-        let alloc_bytes = record.get("alloc_bytes");
         let mut cursor_us = 0u64;
-        for (phase, ns) in phase_ns {
-            let ns = ns
-                .as_u64()
-                .ok_or_else(|| format!("record {idx}: phase_ns.{phase} is not an integer"))?;
+        let phases = PhaseKeys::labels().into_iter().zip(&r.phase_ns.values);
+        for ((phase, &ns), &bytes) in phases.zip(&r.alloc_bytes.values) {
             if ns == 0 {
                 continue;
             }
             let dur = (ns / 1000).max(1);
-            events.push(span_event(
-                phase.clone(),
-                "host",
-                tid,
-                cursor_us,
-                cursor_us + dur,
-            ));
-            spans += 1;
-            if let Some(bytes) = alloc_bytes
-                .and_then(|o| o.get(phase))
-                .and_then(Json::as_u64)
-            {
-                events.push(counter_event(
-                    format!("alloc_bytes[{label}]"),
-                    "bytes",
-                    cursor_us,
-                    bytes,
-                ));
-                counter_events += 1;
-            }
-            cursor_us += dur;
+            events.push(span_event(phase, "host", tid, cursor_us, cursor_us + dur));
+            let track = format!("alloc_bytes[{label}]");
+            events.push(counter_event(track, "bytes", cursor_us, bytes));
+            (spans, counter_events, cursor_us) = (spans + 1, counter_events + 1, cursor_us + dur);
         }
-        if let Some(counters) = record.get("counters").and_then(Json::as_pairs) {
-            for (name, value) in counters {
-                if let Some(value) = value.as_u64() {
-                    events.push(counter_event(
-                        format!("{name}[{label}]"),
-                        "count",
-                        cursor_us,
-                        value,
-                    ));
-                    counter_events += 1;
-                }
-            }
+        for (name, &value) in CounterKeys::labels().iter().zip(&r.counters.values) {
+            let track = format!("{name}[{label}]");
+            events.push(counter_event(track, "count", cursor_us, value));
+            counter_events += 1;
         }
     }
     if spans == 0 && counter_events == 0 {
@@ -337,6 +303,7 @@ fn thread_name_event(tid: u64, name: String) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::results::HardwareOverhead;
 
     const SAMPLE: &str = r#"{"cycle":10,"event":"commit_phase","thread":0,"txid":1,"phase":"begin"}
 {"cycle":20,"event":"commit_phase","thread":0,"txid":1,"phase":"start"}
@@ -400,20 +367,39 @@ mod tests {
 
     #[test]
     fn host_perf_records_become_phase_spans_and_counter_tracks() {
-        let doc = json::parse(
-            r#"{"records":[
-              {"kind":"quick_check"},
-              {"kind":"host_perf","design":"MorLog","workload":"Hash-Small",
-               "phase_ns":{"core_issue":2500,"logging":0,"encoding":1000},
-               "alloc_bytes":{"core_issue":4096,"encoding":128},
-               "counters":{"events_simulated":9,"wq_ops":4}}
-            ]}"#,
-        )
-        .unwrap();
+        // Phases in `HostPhase::ALL` order: core_issue, cache_hierarchy,
+        // mem_controller, logging, encoding, recovery, checker_replay,
+        // trace_overhead; allocator slots add `unscoped` and `total`.
+        let record = HostPerf {
+            design: "MorLog".into(),
+            workload: "Hash-Small".into(),
+            threads: 8,
+            transactions: 100,
+            seed: 42,
+            sim_cycles: 1000,
+            wall_ns: 5000,
+            sim_rate_cps: 2e8,
+            profile_total_ns: 3500,
+            phase_ns: [2500, 0, 0, 0, 1000, 0, 0, 0].into_iter().collect(),
+            counters: [9, 4, 0, 0].into_iter().collect(),
+            alloc_count: [0; 10].into_iter().collect(),
+            alloc_bytes: [4096, 0, 0, 0, 128, 0, 0, 0, 0, 4224].into_iter().collect(),
+        };
+        let other = HardwareOverhead {
+            log_registers_bytes: 1,
+            l1_ext_bits_per_line: 1,
+            undo_redo_buffer_bytes: 1,
+            redo_buffer_bytes: 1,
+            ulog_counters_bytes: 1,
+        };
+        let doc = Json::obj(vec![(
+            "records",
+            Json::Arr(vec![other.json(), record.json()]),
+        )]);
         let c = convert_host_perf(&doc).unwrap();
         assert_eq!(c.spans, 2, "zero-ns phases are dropped");
-        // 2 per-phase alloc samples + 2 op-counter samples.
-        assert_eq!(c.counter_events, 4);
+        // 2 per-phase alloc samples + 4 op-counter samples.
+        assert_eq!(c.counter_events, 6);
         assert_eq!(c.ignored, 1, "non-host_perf record is skipped");
         let text = c.trace.to_json();
         assert!(text.contains("\"name\":\"MorLog Hash-Small\""));
@@ -423,6 +409,14 @@ mod tests {
         assert!(text.contains("\"dur\":2"));
         assert!(text.contains("\"name\":\"alloc_bytes[MorLog Hash-Small]\""));
         assert!(text.contains("\"name\":\"wq_ops[MorLog Hash-Small]\""));
+        let broken = Json::obj(vec![(
+            "records",
+            Json::Arr(vec![Json::obj(vec![(
+                "kind",
+                Json::Str("host_perf".into()),
+            )])]),
+        )]);
+        assert!(convert_host_perf(&broken).is_err(), "records are validated");
     }
 
     #[test]

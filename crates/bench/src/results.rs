@@ -6,7 +6,7 @@
 //! ```json
 //! {
 //!   "bench": "fig14_macro_throughput",
-//!   "schema_version": 3,
+//!   "schema_version": 6,
 //!   "git": "65c28e8",
 //!   "jobs": 8,
 //!   "wall_ms": 1234.5,
@@ -14,75 +14,834 @@
 //! }
 //! ```
 //!
-//! Simulation runs use the `"run"` record kind (spec + full `SimStats`
-//! counters + wall-clock); binaries that only profile traces or compute
-//! overhead arithmetic emit their own record kinds through
-//! [`ResultSink::push`]. The envelope and every `"run"` record are
-//! validated by [`validate_document`], which the schema round-trip test
-//! and CI exercise.
+//! The `schema!` block below is the one declaration of this format: each
+//! object is a list of `name, ...: Type [Class];` rows and expands into a
+//! typed struct whose [`Value`] impl writes, reads back, checks and walks
+//! exactly those fields. Everything else derives from it:
 //!
-//! Schema history: version 2 added the `stats.attr` cycle-attribution
-//! object (one integer account per [`StallKind`] bucket; the accounts sum
-//! to `cycles * threads`). Version 3 added `trace_dropped` on `"run"`
-//! records plus the telemetry layer under `stats.hist.*` (commit-latency
-//! and log-entry-size histograms as `{count, sum, min, max, p50, p90,
-//! p99, buckets}` with sparse `[bucket, count]` pairs, and SLDE
-//! encoder-choice counts) and `stats.series.*` (cycle-sampled occupancy
-//! series as parallel `cycles`/`values` arrays plus the sample
-//! `period`). The validator checks that every histogram's bucket counts
-//! sum to its `count`, that quantiles are ordered `p50 <= p90 <= p99 <=
-//! max`, and that every per-run series is cycle-monotone with equal
-//! array lengths. Version 4 added the `"crash_check"` record kind
-//! emitted by `crash_explore`: one record per checked design/mutation
-//! pair carrying the crash-point model checker's counters (`events`,
-//! `points_total`, `pruned`, `capped`, `explored`, `verified`,
-//! `failures`) and the gate verdict (`passed`). The validator checks
-//! the counter arithmetic: `points_total = events + 1`,
-//! `explored + pruned + capped >= points_total` (the torn-drain variant
-//! can explore each point twice), and `verified + failures = explored`.
-//! Version 5 added the two record kinds emitted by `crash_fuzz`:
-//! `"crash_fuzz"` carries one coverage-guided random campaign's counters
-//! (`events`, `sampled`, `novel`, `pruned`, `executed`, `verified`,
-//! `failures`, `coverage`) and the gate verdict (`passed`); the
-//! validator checks `executed + pruned = sampled` and
-//! `verified + failures = executed`. `"crash_diff"` carries one
-//! differential cross-design run (`design_a`, `design_b`, `checked`,
-//! `divergences`, `passed`, and the culprit label when diverging); the
-//! validator checks `divergences <= checked`.
-//! Version 6 added the `"host_perf"` record kind emitted by
-//! `perf_report`: one record per design×workload point carrying the
-//! host-profiling snapshot — exclusive per-phase wall nanoseconds
-//! (`phase_ns.*`, one entry per [`HostPhase`] label, summing to
-//! `profile_total_ns`), deterministic hot-path op counters
-//! (`counters.*`, one entry per [`HostCounter`] label), per-phase
-//! allocator statistics (`alloc_count.*` / `alloc_bytes.*`, the phase
-//! labels plus an `unscoped` bucket), the run's `wall_ns`, `sim_cycles`,
-//! and the headline `sim_rate_cps` (simulated cycles per host-second).
-//! The validator checks that the phase times sum to `profile_total_ns`,
-//! that `profile_total_ns <= wall_ns` (exclusive-time attribution can
-//! never exceed the run's wall-clock), and that `sim_rate_cps` is
-//! non-negative. Host-timing fields are machine-dependent: `bench_diff`
-//! skips them by default and compares them within a factor in ratio
-//! mode (see [`crate::diff`]).
+//! - the writers build the typed structs ([`Run::from`],
+//!   [`HostPerf::from`], the record literals in the bench binaries);
+//! - [`validate`] accepts a document iff reading it through its
+//!   declaration and writing it back reproduces it exactly — every
+//!   declared field, in order, with its declared type, and no other —
+//!   and every declared invariant holds; a record's `kind` must be one of
+//!   [`RECORD_KINDS`];
+//! - [`walk`] gives `bench_diff` (see [`crate::diff`]) each leaf with its
+//!   declared [`Class`];
+//! - `trace_lint` checks `.json` documents with [`validate_document`] and
+//!   `perf_history` lines with `validate::<PerfHistory>`.
 //!
-//! [`StallKind`]: morlog_sim_core::stats::StallKind
-//! [`HostPhase`]: morlog_sim_core::hostprof::HostPhase
-//! [`HostCounter`]: morlog_sim_core::hostprof::HostCounter
+//! [`ResultSink::finish`] validates before writing, in every build, and
+//! exits non-zero on a document that breaks its declaration.
 
+use std::marker::PhantomData;
 use std::sync::OnceLock;
 use std::time::Instant;
 
+use morlog_analysis::DistanceBucket;
+use morlog_encoding::dldc::DldcPattern;
 use morlog_sim_core::hostprof::{HostCounter, HostPhase, HostProfile, ALLOC_SLOTS};
 use morlog_sim_core::metrics::{
-    Histogram, MetricsSet, SeriesSet, COMMIT_LATENCY_LABELS, ENCODER_CHOICE_LABELS, LOG_KIND_LABELS,
+    Histogram, COMMIT_LATENCY_LABELS, ENCODER_CHOICE_LABELS, HIST_BUCKETS, LOG_KIND_LABELS,
+    SERIES_LABELS,
 };
-use morlog_sim_core::SimStats;
+use morlog_sim_core::stats::{CacheLevelStats, CycleAttribution, LogStats, MemStats};
+use morlog_sim_core::{Series, SimStats};
 
 use crate::json::Json;
 use crate::TimedRun;
 
 /// Version stamp of the `results/*.json` envelope and record layout.
 pub const SCHEMA_VERSION: u64 = 6;
+
+/// How `bench_diff` treats a field (and everything under it).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Class {
+    /// A function of the simulated input alone: diffed exactly.
+    Deterministic,
+    /// Host wall-clock, rates and allocator volumes: machine-dependent,
+    /// skipped by default and compared within a factor in ratio mode.
+    Timing,
+    /// A property of the invocation (`git`, `jobs`, timestamps): never
+    /// compared.
+    Volatile,
+}
+
+/// Receives each leaf of a [`Value::visit`]: path, value, class.
+type Visitor<'a> = dyn FnMut(&str, &Json, Class) + 'a;
+
+/// A value with a declared JSON form.
+pub trait Value: Sized {
+    /// Serializes the value.
+    fn json(&self) -> Json;
+    /// Reads a value back; anything missing or mistyped reads as a
+    /// default, which [`validate`] then reports as a difference.
+    fn from_json(v: &Json) -> Self;
+    /// Appends this value to an object's members under `name`.
+    fn put(&self, name: &str, out: &mut Vec<(String, Json)>) {
+        out.push((name.to_string(), self.json()));
+    }
+    /// Reads this value from the object that holds it under `name`.
+    fn take(obj: &Json, name: &str) -> Self {
+        Self::from_json(obj.get(name).unwrap_or(&Json::Null))
+    }
+    /// The path of this value when held under `name` by the object at
+    /// `path`.
+    fn at(path: &str, name: &str) -> String {
+        join(path, name)
+    }
+    /// Checks the declared invariants of this value and everything in it.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the path of the first broken invariant.
+    fn check(&self, _path: &str) -> Result<(), String> {
+        Ok(())
+    }
+    /// Calls `leaf` with the path, value and class of every scalar.
+    fn visit(&self, path: &str, class: Class, leaf: &mut Visitor<'_>) {
+        leaf(path, &self.json(), class);
+    }
+}
+
+/// A declared record kind: what [`ResultSink::push`] accepts.
+pub trait Record: Value {
+    /// The `"kind"` the record is written with.
+    const KIND: &'static str;
+}
+
+macro_rules! scalar {
+    ($($ty:ty: $to:expr, $from:expr;)*) => {$(
+        impl Value for $ty {
+            fn json(&self) -> Json {
+                $to(self)
+            }
+            fn from_json(v: &Json) -> Self {
+                $from(v)
+            }
+        }
+    )*};
+}
+
+scalar! {
+    String: |s: &String| Json::Str(s.clone()), |v: &Json| v.as_str().unwrap_or("").to_string();
+    Option<String>: |s: &Option<String>| s.clone().map_or(Json::Null, Json::Str),
+        |v: &Json| v.as_str().map(str::to_string);
+    u64: |n: &u64| Json::UInt(*n), |v: &Json| v.as_u64().unwrap_or(0);
+    f64: |n: &f64| Json::Num(*n), |v: &Json| if let Json::Num(n) = v { *n } else { 0.0 };
+    bool: |b: &bool| Json::Bool(*b), |v: &Json| matches!(v, Json::Bool(true));
+}
+
+fn visit_items<'a, T: Value + 'a>(
+    items: impl ExactSizeIterator<Item = &'a T>,
+    path: &str,
+    class: Class,
+    leaf: &mut Visitor<'_>,
+) {
+    let len = Json::UInt(items.len() as u64);
+    for (i, item) in items.enumerate() {
+        item.visit(&format!("{path}[{i}]"), class, leaf);
+    }
+    leaf(&join(path, "len"), &len, Class::Deterministic);
+}
+
+impl<T: Value> Value for Vec<T> {
+    fn json(&self) -> Json {
+        Json::Arr(self.iter().map(Value::json).collect())
+    }
+    fn from_json(v: &Json) -> Self {
+        v.as_arr().unwrap_or(&[]).iter().map(T::from_json).collect()
+    }
+    fn check(&self, path: &str) -> Result<(), String> {
+        let mut items = self.iter().enumerate();
+        items.try_for_each(|(i, item)| item.check(&format!("{path}[{i}]")))
+    }
+    fn visit(&self, path: &str, class: Class, leaf: &mut Visitor<'_>) {
+        visit_items(self.iter(), path, class, leaf);
+    }
+}
+
+impl<T: Value, const N: usize> Value for [T; N] {
+    fn json(&self) -> Json {
+        Json::Arr(self.iter().map(Value::json).collect())
+    }
+    fn from_json(v: &Json) -> Self {
+        let items = v.as_arr().unwrap_or(&[]);
+        std::array::from_fn(|i| T::from_json(items.get(i).unwrap_or(&Json::Null)))
+    }
+    fn check(&self, path: &str) -> Result<(), String> {
+        let mut items = self.iter().enumerate();
+        items.try_for_each(|(i, item)| item.check(&format!("{path}[{i}]")))
+    }
+    fn visit(&self, path: &str, class: Class, leaf: &mut Visitor<'_>) {
+        visit_items(self.iter(), path, class, leaf);
+    }
+}
+
+/// A record of any kind in [`RECORD_KINDS`], already serialized; checked
+/// and walked as the kind its `"kind"` names.
+impl Value for Json {
+    fn json(&self) -> Json {
+        self.clone()
+    }
+    fn from_json(v: &Json) -> Self {
+        v.clone()
+    }
+    fn check(&self, path: &str) -> Result<(), String> {
+        (record_kind(self, path)?.check)(self, path)
+    }
+    fn visit(&self, path: &str, class: Class, leaf: &mut Visitor<'_>) {
+        if let Ok(kind) = record_kind(self, path) {
+            (kind.visit)(self, path, class, leaf);
+        }
+    }
+}
+
+/// A label list that keys a [`Map`].
+pub trait Labels {
+    /// The keys, in written order.
+    fn labels() -> Vec<String>;
+}
+
+/// An object keyed by `L`'s labels, its values in label order.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Map<L, V> {
+    /// One value per label.
+    pub(crate) values: Vec<V>,
+    keys: PhantomData<L>,
+}
+
+impl<L, V> FromIterator<V> for Map<L, V> {
+    fn from_iter<I: IntoIterator<Item = V>>(iter: I) -> Self {
+        Map {
+            values: iter.into_iter().collect(),
+            keys: PhantomData,
+        }
+    }
+}
+
+impl<L: Labels, V: Value> Map<L, V> {
+    fn entries(&self) -> impl Iterator<Item = (String, &V)> {
+        L::labels().into_iter().zip(&self.values)
+    }
+}
+
+impl<L: Labels, V: Value> Value for Map<L, V> {
+    fn json(&self) -> Json {
+        Json::Obj(self.entries().map(|(key, v)| (key, v.json())).collect())
+    }
+    fn from_json(v: &Json) -> Self {
+        L::labels().iter().map(|key| V::take(v, key)).collect()
+    }
+    fn check(&self, path: &str) -> Result<(), String> {
+        self.entries()
+            .try_for_each(|(key, v)| v.check(&join(path, &key)))
+    }
+    fn visit(&self, path: &str, class: Class, leaf: &mut Visitor<'_>) {
+        for (key, v) in self.entries() {
+            v.visit(&join(path, &key), class, leaf);
+        }
+    }
+}
+
+/// A [`Map`] whose entries sit directly in the enclosing object.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Inline<L, V>(pub Map<L, V>);
+
+impl<L: Labels, V: Value> Value for Inline<L, V> {
+    fn json(&self) -> Json {
+        self.0.json()
+    }
+    fn from_json(v: &Json) -> Self {
+        Inline(Map::from_json(v))
+    }
+    fn put(&self, _name: &str, out: &mut Vec<(String, Json)>) {
+        out.extend(self.0.entries().map(|(key, v)| (key, v.json())));
+    }
+    fn take(obj: &Json, _name: &str) -> Self {
+        Inline(Map::from_json(obj))
+    }
+    fn at(path: &str, _name: &str) -> String {
+        path.to_string()
+    }
+    fn check(&self, path: &str) -> Result<(), String> {
+        self.0.check(path)
+    }
+    fn visit(&self, path: &str, class: Class, leaf: &mut Visitor<'_>) {
+        self.0.visit(path, class, leaf);
+    }
+}
+
+macro_rules! labels {
+    ($($(#[$doc:meta])* $name:ident => $labels:expr;)*) => {$(
+        $(#[$doc])*
+        #[derive(Debug, Clone, PartialEq)]
+        pub struct $name;
+
+        impl Labels for $name {
+            fn labels() -> Vec<String> {
+                $labels.into_iter().map(|label| label.to_string()).collect()
+            }
+        }
+    )*};
+}
+
+labels! {
+    /// [`HostPhase`] labels.
+    PhaseKeys => HostPhase::ALL.map(HostPhase::label);
+    /// [`HostCounter`] labels.
+    CounterKeys => HostCounter::ALL.map(HostCounter::label);
+    /// Allocator slots (the phases, then `unscoped`), then their `total`.
+    AllocKeys => (0..ALLOC_SLOTS).map(HostProfile::alloc_slot_label).chain(["total"]);
+    /// Commit-latency histograms ([`COMMIT_LATENCY_LABELS`]).
+    CommitKeys => COMMIT_LATENCY_LABELS;
+    /// Log-record kinds ([`LOG_KIND_LABELS`]).
+    LogKindKeys => LOG_KIND_LABELS;
+    /// SLDE encoder choices ([`ENCODER_CHOICE_LABELS`]).
+    EncoderKeys => ENCODER_CHOICE_LABELS;
+    /// Sampled series ([`SERIES_LABELS`]).
+    SeriesKeys => SERIES_LABELS;
+    /// Fig. 3 write-distance buckets.
+    DistanceKeys => DistanceBucket::ALL.map(DistanceBucket::label);
+    /// Table II patterns, then the raw escape.
+    PatternKeys => DldcPattern::TABLE_II.iter().chain(&[DldcPattern::Raw]).map(|p| format!("{p:?}"));
+}
+
+/// Declares objects. `Name [= "kind"] [from Source] [where invariant]
+/// { name, ...: Type [Class]; ... }` expands into a struct with those
+/// fields (all of class `Deterministic` unless marked) and its [`Value`]
+/// impl; `= "kind"` makes it a [`Record`], `from Source` adds
+/// `From<&Source>` for a source with the same field names and types, and
+/// `where invariant` names a `fn(&Name) -> Result<(), String>`.
+macro_rules! schema {
+    (@class) => { Class::Deterministic };
+    (@class $class:ident) => { Class::$class };
+    (@record $name:ident) => {};
+    (@record $name:ident $kind:literal) => {
+        impl Record for $name {
+            const KIND: &'static str = $kind;
+        }
+    };
+    (@from [] $($rest:tt)*) => {};
+    (@from [$src:ty] $name:ident { $($field:ident)* }) => {
+        impl From<&$src> for $name {
+            #[allow(clippy::clone_on_copy)]
+            fn from(s: &$src) -> Self {
+                $name { $($field: s.$field.clone(),)* }
+            }
+        }
+    };
+    ($(
+        $(#[$doc:meta])*
+        $name:ident $(= $kind:literal)? $(from $src:ty)? $(where $invariant:ident)? {
+            $($($field:ident),+: $ty:ty $([$class:ident])?;)*
+        }
+    )*) => {$(
+        $(#[$doc])*
+        #[derive(Debug, Clone, PartialEq)]
+        #[allow(missing_docs)]
+        pub struct $name {
+            $($(pub $field: $ty,)+)*
+        }
+
+        impl Value for $name {
+            fn json(&self) -> Json {
+                let mut out = Vec::new();
+                $(out.push(("kind".to_string(), Json::Str($kind.to_string())));)?
+                $($(self.$field.put(stringify!($field), &mut out);)+)*
+                Json::Obj(out)
+            }
+            fn from_json(v: &Json) -> Self {
+                $name { $($($field: <$ty as Value>::take(v, stringify!($field)),)+)* }
+            }
+            fn check(&self, path: &str) -> Result<(), String> {
+                $($(self.$field.check(&<$ty as Value>::at(path, stringify!($field)))?;)+)*
+                $($invariant(self).map_err(|e| format!("{}: {e}", at(path)))?;)?
+                Ok(())
+            }
+            fn visit(&self, path: &str, class: Class, leaf: &mut Visitor<'_>) {
+                $(leaf(&join(path, "kind"), &Json::Str($kind.to_string()), class);)?
+                $(
+                    let field_class = class.max(schema!(@class $($class)?));
+                    $(self.$field.visit(&<$ty as Value>::at(path, stringify!($field)), field_class, leaf);)+
+                )*
+            }
+        }
+
+        schema!(@record $name $($kind)?);
+        schema!(@from [$($src)?] $name { $($($field)+)* });
+    )*};
+}
+
+schema! {
+    /// The `results/<bench>.json` envelope.
+    Envelope where envelope_invariants {
+        bench: String;
+        schema_version: u64;
+        git: String [Volatile];
+        jobs: u64 [Volatile];
+        wall_ms: f64 [Timing];
+        records: Vec<Json>;
+    }
+
+    /// `"run"`: one timed simulation run — its spec, throughput, host
+    /// wall-clock, dropped trace events and every [`SimStats`] counter.
+    Run = "run" {
+        design, workload, workload_kind, dataset: String;
+        threads_requested, threads, transactions: u64;
+        expansion: bool;
+        secure: String;
+        seed: u64;
+        tweaked: bool;
+        throughput_tps: f64;
+        wall_ms: f64 [Timing];
+        trace_dropped: u64;
+        stats: Stats;
+    }
+
+    /// A run's [`SimStats`], with one `cache` entry per level (L1, L2, LLC).
+    Stats {
+        cycles, transactions_committed, tx_stores, tx_loads: u64;
+        cache: [CacheLevel; 3];
+        mem: Mem;
+        log: Log;
+        attr: Attr;
+        hist: StatsHist;
+        series: StatsSeries;
+    }
+
+    /// One cache level's counters.
+    CacheLevel from CacheLevelStats {
+        hits, misses, writebacks, evictions: u64;
+    }
+
+    /// Memory-controller and NVM counters.
+    Mem from MemStats {
+        nvmm_reads, nvmm_writes, data_writes, log_writes: u64;
+        cells_programmed, bits_programmed, log_bits_programmed: u64;
+        write_energy_pj, log_write_energy_pj: f64;
+        wq_full_stall_cycles, drains, reads_blocked_by_drain, silent_block_writes: u64;
+        read_wait_cycles, log_overflow_growths, faults_torn_drains, faults_bit_flips: u64;
+        write_verify_failures, write_verify_retries, stuck_slots_remapped: u64;
+    }
+
+    /// Log-controller counters.
+    Log from LogStats {
+        undo_redo_created, redo_created, coalesced, silent_discarded, redo_discarded: u64;
+        entries_written, commit_records, commit_stall_cycles, buffer_full_stall_cycles: u64;
+        post_commit_redo, log_region_full_stalls: u64;
+    }
+
+    /// Cycle attribution: one account per stall bucket, summing to
+    /// `total` (`cycles * threads`).
+    Attr where attr_invariants {
+        busy, read_wait, drain_wait, log_buffer_stall, wq_stall, commit_wait, idle, total: u64;
+    }
+
+    /// Commit-latency and log-entry-size histograms, encoder choices.
+    StatsHist {
+        commit: Map<CommitKeys, Hist>;
+        log_entry_bits: Map<LogKindKeys, Hist>;
+        encoder_choices: Map<EncoderKeys, u64>;
+    }
+
+    /// One log2-bucketed histogram; `buckets` holds the non-empty
+    /// `[bucket, count]` pairs.
+    Hist where hist_invariants {
+        count, sum, min, max, p50, p90, p99: u64;
+        buckets: Vec<[u64; 2]>;
+    }
+
+    /// The sample period, then one entry per sampled series.
+    StatsSeries {
+        period: u64;
+        series: Inline<SeriesKeys, SeriesSamples>;
+    }
+
+    /// One cycle-sampled series as parallel arrays.
+    SeriesSamples from Series where series_invariants {
+        cycles, values: Vec<u64>;
+    }
+
+    /// `"host_perf"`: one run's host-profiling snapshot — exclusive wall
+    /// time per [`HostPhase`], deterministic [`HostCounter`]s, per-phase
+    /// allocator statistics and the headline sim-rate.
+    HostPerf = "host_perf" where host_perf_invariants {
+        design, workload: String;
+        threads, transactions, seed, sim_cycles: u64;
+        wall_ns: u64 [Timing];
+        sim_rate_cps: f64 [Timing];
+        profile_total_ns: u64 [Timing];
+        phase_ns: Map<PhaseKeys, u64> [Timing];
+        counters: Map<CounterKeys, u64>;
+        alloc_count, alloc_bytes: Map<AllocKeys, u64> [Timing];
+    }
+
+    /// `"crash_check"`: one exhaustive crash-point campaign
+    /// (`crash_explore`) and its gate verdict.
+    CrashCheck = "crash_check" where crash_check_invariants {
+        design, workload, mutation: String;
+        events, points_total, pruned, capped, explored, verified, failures: u64;
+        passed: bool;
+    }
+
+    /// `"crash_fuzz"`: one coverage-guided random campaign (`crash_fuzz`)
+    /// and its gate verdict.
+    CrashFuzz = "crash_fuzz" where crash_fuzz_invariants {
+        design, workload, mutation: String;
+        events, sampled, novel, pruned, executed, verified, failures, coverage: u64;
+        passed: bool;
+    }
+
+    /// `"crash_diff"`: one differential cross-design run (`crash_fuzz`);
+    /// `culprit` is `"none"` unless the designs diverged.
+    CrashDiff = "crash_diff" where crash_diff_invariants {
+        design_a, design_b, workload: String;
+        checked, divergences: u64;
+        culprit: String;
+        passed: bool;
+    }
+
+    /// `"crash_cell"`: one fault-injection cell of `crash_matrix`.
+    CrashCell = "crash_cell" {
+        design, workload, plan: String;
+        crash_cycle, seed: u64;
+        passed: bool;
+        injected: u64;
+        damaged: bool;
+        error: Option<String>;
+    }
+
+    /// `"write_distance"`: one workload's Fig. 3 profile.
+    WriteDistance = "write_distance" {
+        workload: String;
+        transactions: u64;
+        buckets: Map<DistanceKeys, f64>;
+        beyond_31_fraction, repeat_fraction: f64;
+    }
+
+    /// `"clean_bytes"`: one workload's Fig. 5 profile.
+    CleanBytes = "clean_bytes" {
+        workload: String;
+        transactions: u64;
+        clean_fraction, silent_fraction: f64;
+    }
+
+    /// `"endurance"`: one design's wear summary and run counters.
+    Endurance = "endurance" {
+        design: String;
+        max_data_line_programs, max_log_slot_programs, locations: u64;
+        stats: Stats;
+    }
+
+    /// `"hardware_overhead"`: Table I storage overheads.
+    HardwareOverhead = "hardware_overhead" {
+        log_registers_bytes, l1_ext_bits_per_line, undo_redo_buffer_bytes: u64;
+        redo_buffer_bytes, ulog_counters_bytes: u64;
+    }
+
+    /// `"slde_flag_overhead"`: dirty-flag capacity overheads at `m`
+    /// bytes per flag bit.
+    SldeFlagOverhead = "slde_flag_overhead" {
+        m: u64;
+        undo_redo_fraction, redo_fraction, l1_fraction: f64;
+    }
+
+    /// `"slde_synthesis"`: the paper's SLDE codec synthesis constants
+    /// (`encode_latency_ns` is a paper figure, not host time).
+    SldeSynthesis = "slde_synthesis" {
+        log_region_flag_fraction, extra_gates, encode_latency_ns: f64;
+        encode_energy_pj, decode_energy_pj: f64;
+    }
+
+    /// `"dldc_patterns"`: one workload's Table II pattern fractions.
+    DldcPatterns = "dldc_patterns" {
+        workload: String;
+        transactions: u64;
+        patterns: Map<PatternKeys, f64>;
+        coverage: f64;
+    }
+
+    /// One `perf_history.jsonl` line (appended by `perf_report`; not a
+    /// results-document record).
+    PerfHistory = "perf_history" {
+        git: String [Volatile];
+        unix_ms: u64 [Volatile];
+        entries: Vec<PerfHistoryEntry>;
+    }
+
+    /// One design×workload point of a [`PerfHistory`] line.
+    PerfHistoryEntry where perf_history_invariants {
+        design, workload: String;
+        sim_cycles: u64;
+        wall_ms, sim_rate_cps: f64 [Timing];
+        alloc_bytes: u64 [Timing];
+    }
+}
+
+/// A record kind's entry points, for records held as [`Json`].
+pub struct RecordKind {
+    /// The `"kind"` it is written with.
+    pub kind: &'static str,
+    check: fn(&Json, &str) -> Result<(), String>,
+    visit: fn(&Json, &str, Class, &mut Visitor<'_>),
+}
+
+macro_rules! record_kinds {
+    ($($name:ident),*) => {
+        [$(RecordKind { kind: $name::KIND, check: check_as::<$name>, visit: visit_as::<$name> },)*]
+    };
+}
+
+/// Every record kind a results document may hold.
+///
+/// Schema history: version 2 added `stats.attr`; version 3 added
+/// `trace_dropped`, `stats.hist` and `stats.series` to `"run"` records;
+/// version 4 added `"crash_check"`; version 5 added `"crash_fuzz"` and
+/// `"crash_diff"`; version 6 added `"host_perf"`.
+pub const RECORD_KINDS: [RecordKind; 13] = record_kinds! {
+    Run, HostPerf, CrashCheck, CrashFuzz, CrashDiff, CrashCell, WriteDistance, CleanBytes,
+    Endurance, HardwareOverhead, SldeFlagOverhead, SldeSynthesis, DldcPatterns
+};
+
+fn record_kind(record: &Json, path: &str) -> Result<&'static RecordKind, String> {
+    let kind = record.get("kind").and_then(Json::as_str);
+    RECORD_KINDS
+        .iter()
+        .find(|k| Some(k.kind) == kind)
+        .ok_or_else(|| format!("{}: unknown record kind {kind:?}", at(path)))
+}
+
+impl From<&TimedRun> for Run {
+    fn from(run: &TimedRun) -> Self {
+        let spec = &run.spec;
+        Run {
+            design: spec.design.label().into(),
+            workload: run.report.workload.clone(),
+            workload_kind: spec.kind.label().into(),
+            dataset: spec.dataset.label().into(),
+            threads_requested: spec.requested_threads() as u64,
+            threads: run.report.threads as u64,
+            transactions: spec.transactions as u64,
+            expansion: spec.expansion,
+            secure: spec.secure.label().into(),
+            seed: spec.seed,
+            tweaked: spec.tweak.is_some(),
+            throughput_tps: run.report.throughput(),
+            wall_ms: run.wall.as_secs_f64() * 1e3,
+            trace_dropped: run.report.trace_dropped,
+            stats: Stats::from(&run.report.stats),
+        }
+    }
+}
+
+impl From<&SimStats> for Stats {
+    fn from(s: &SimStats) -> Self {
+        let (log_writes, series) = (&s.metrics.log_writes, &s.metrics.series);
+        let commit = s.metrics.commit.named().map(|(_, h)| Hist::from(h));
+        let samples = series
+            .named()
+            .map(|(_, samples)| SeriesSamples::from(samples));
+        Stats {
+            cycles: s.cycles,
+            transactions_committed: s.transactions_committed,
+            tx_stores: s.tx_stores,
+            tx_loads: s.tx_loads,
+            cache: s.cache.each_ref().map(CacheLevel::from),
+            mem: Mem::from(&s.mem),
+            log: Log::from(&s.log),
+            attr: Attr::from(&s.attr),
+            hist: StatsHist {
+                commit: commit.into_iter().collect(),
+                log_entry_bits: log_writes.entry_bits.iter().map(Hist::from).collect(),
+                encoder_choices: log_writes.encoder_choices.into_iter().collect(),
+            },
+            series: StatsSeries {
+                period: series.period,
+                series: Inline(samples.into_iter().collect()),
+            },
+        }
+    }
+}
+
+impl From<&CycleAttribution> for Attr {
+    fn from(a: &CycleAttribution) -> Self {
+        Attr {
+            busy: a.busy,
+            read_wait: a.read_wait,
+            drain_wait: a.drain_wait,
+            log_buffer_stall: a.log_buffer_stall,
+            wq_stall: a.wq_stall,
+            commit_wait: a.commit_wait,
+            idle: a.idle,
+            total: a.total(),
+        }
+    }
+}
+
+impl From<&Histogram> for Hist {
+    /// The exact 128-bit sum is clamped to `u64::MAX` on overflow
+    /// (unreachable for cycle counts).
+    fn from(h: &Histogram) -> Self {
+        Hist {
+            count: h.count(),
+            sum: u64::try_from(h.sum()).unwrap_or(u64::MAX),
+            min: h.min(),
+            max: h.max(),
+            p50: h.p50(),
+            p90: h.p90(),
+            p99: h.p99(),
+            buckets: h.nonzero_buckets().map(|(i, c)| [i as u64, c]).collect(),
+        }
+    }
+}
+
+impl From<&TimedRun> for HostPerf {
+    fn from(run: &TimedRun) -> Self {
+        let profile = &run.host;
+        let alloc = |slots: [u64; ALLOC_SLOTS]| {
+            let total = slots.iter().sum();
+            slots.into_iter().chain([total]).collect()
+        };
+        HostPerf {
+            design: run.spec.design.label().into(),
+            workload: run.report.workload.clone(),
+            threads: run.report.threads as u64,
+            transactions: run.spec.transactions as u64,
+            seed: run.spec.seed,
+            sim_cycles: run.report.stats.cycles,
+            wall_ns: run.wall.as_nanos() as u64,
+            sim_rate_cps: run.sim_rate_cps(),
+            profile_total_ns: profile.total_ns(),
+            phase_ns: profile.phase_ns().into_iter().collect(),
+            counters: profile.counters().into_iter().collect(),
+            alloc_count: alloc(profile.alloc_count()),
+            alloc_bytes: alloc(profile.alloc_bytes()),
+        }
+    }
+}
+
+fn envelope_invariants(e: &Envelope) -> Result<(), String> {
+    let version = e.schema_version;
+    if version != SCHEMA_VERSION {
+        Err(format!("schema_version {version} != {SCHEMA_VERSION}"))
+    } else if e.jobs == 0 {
+        Err("jobs must be >= 1".into())
+    } else {
+        Ok(())
+    }
+}
+
+fn attr_invariants(a: &Attr) -> Result<(), String> {
+    let stalls = a.read_wait + a.drain_wait + a.log_buffer_stall + a.wq_stall + a.commit_wait;
+    let (sum, total) = (a.busy + stalls + a.idle, a.total);
+    if sum != total {
+        return Err(format!("accounts sum to {sum} but total says {total}"));
+    }
+    Ok(())
+}
+
+fn hist_invariants(h: &Hist) -> Result<(), String> {
+    let sum: u64 = h.buckets.iter().map(|[_, n]| n).sum();
+    let count = h.count;
+    if let Some([bucket, _]) = h.buckets.iter().find(|[b, _]| *b >= HIST_BUCKETS as u64) {
+        Err(format!("bucket index {bucket} out of range"))
+    } else if sum != count {
+        Err(format!("bucket counts sum to {sum} but count says {count}"))
+    } else if count > 0 && !(h.p50 <= h.p90 && h.p90 <= h.p99 && h.p99 <= h.max) {
+        Err("quantiles must be ordered p50 <= p90 <= p99 <= max".into())
+    } else {
+        Ok(())
+    }
+}
+
+fn series_invariants(s: &SeriesSamples) -> Result<(), String> {
+    let (cycles, values) = (s.cycles.len(), s.values.len());
+    if cycles != values {
+        Err(format!(
+            "cycles has {cycles} entries but values has {values}"
+        ))
+    } else if let Some(i) = s.cycles.windows(2).position(|w| w[1] < w[0]) {
+        Err(format!("cycles[{}] goes backwards", i + 1))
+    } else {
+        Ok(())
+    }
+}
+
+fn rate_invariant(rate: f64) -> Result<(), String> {
+    if !rate.is_finite() || rate < 0.0 {
+        return Err(format!("sim_rate_cps {rate} must be finite and >= 0"));
+    }
+    Ok(())
+}
+
+fn host_perf_invariants(r: &HostPerf) -> Result<(), String> {
+    rate_invariant(r.sim_rate_cps)?;
+    let (total, wall) = (r.profile_total_ns, r.wall_ns);
+    let phases: u64 = r.phase_ns.values.iter().sum();
+    if total > wall {
+        return Err(format!("profile_total_ns {total} exceeds wall_ns {wall}"));
+    } else if phases != total {
+        return Err(format!(
+            "phase_ns sums to {phases} but profile_total_ns says {total}"
+        ));
+    }
+    for map in [&r.alloc_count, &r.alloc_bytes] {
+        let (total, slots) = map.values.split_last().unwrap_or((&0, &[]));
+        let sum: u64 = slots.iter().sum();
+        if sum != *total {
+            return Err(format!("alloc slots sum to {sum} but total says {total}"));
+        }
+    }
+    Ok(())
+}
+
+fn crash_check_invariants(r: &CrashCheck) -> Result<(), String> {
+    let (events, points, explored) = (r.events, r.points_total, r.explored);
+    let (verified, failures) = (r.verified, r.failures);
+    if points != events + 1 {
+        Err(format!("points_total {points} != events {events} + 1"))
+    } else if explored + r.pruned + r.capped < points {
+        // Not `!=`: the torn-drain variant can explore a point twice.
+        Err(format!(
+            "explored + pruned + capped does not cover points_total {points}"
+        ))
+    } else if verified + failures != explored {
+        Err(format!(
+            "verified {verified} + failures {failures} != explored {explored}"
+        ))
+    } else {
+        Ok(())
+    }
+}
+
+fn crash_fuzz_invariants(r: &CrashFuzz) -> Result<(), String> {
+    let (executed, pruned, sampled) = (r.executed, r.pruned, r.sampled);
+    let (verified, failures) = (r.verified, r.failures);
+    if executed + pruned != sampled {
+        Err(format!(
+            "executed {executed} + pruned {pruned} != sampled {sampled}"
+        ))
+    } else if verified + failures != executed {
+        Err(format!(
+            "verified {verified} + failures {failures} != executed {executed}"
+        ))
+    } else {
+        Ok(())
+    }
+}
+
+fn crash_diff_invariants(r: &CrashDiff) -> Result<(), String> {
+    let (divergences, checked) = (r.divergences, r.checked);
+    if divergences > checked {
+        return Err(format!("divergences {divergences} > checked {checked}"));
+    }
+    Ok(())
+}
+
+fn perf_history_invariants(e: &PerfHistoryEntry) -> Result<(), String> {
+    rate_invariant(e.sim_rate_cps)
+}
 
 /// Collects result records for one bench binary and writes
 /// `results/<bench>.json` on [`ResultSink::finish`].
@@ -105,15 +864,14 @@ impl ResultSink {
         }
     }
 
-    /// Appends an arbitrary record. It must be an object with a `"kind"`
-    /// string field (enforced by [`validate_document`]).
-    pub fn push(&mut self, record: Json) {
-        self.records.push(record);
+    /// Appends one record of a declared kind.
+    pub fn push(&mut self, record: impl Record) {
+        self.records.push(record.json());
     }
 
     /// Appends one `"run"` record for a timed simulation run.
     pub fn push_run(&mut self, run: &TimedRun) {
-        self.records.push(run_record(run));
+        self.push(Run::from(run));
     }
 
     /// Appends `"run"` records for a whole sweep.
@@ -125,27 +883,31 @@ impl ResultSink {
 
     /// Assembles the envelope document (also used by the schema tests).
     pub fn document(&self) -> Json {
-        Json::obj(vec![
-            ("bench", Json::Str(self.bench.clone())),
-            ("schema_version", Json::UInt(SCHEMA_VERSION)),
-            ("git", Json::Str(git_describe())),
-            ("jobs", Json::UInt(self.jobs as u64)),
-            (
-                "wall_ms",
-                Json::Num(self.started.elapsed().as_secs_f64() * 1e3),
-            ),
-            ("records", Json::Arr(self.records.clone())),
-        ])
+        Envelope {
+            bench: self.bench.clone(),
+            schema_version: SCHEMA_VERSION,
+            git: git_describe(),
+            jobs: self.jobs as u64,
+            wall_ms: self.started.elapsed().as_secs_f64() * 1e3,
+            records: self.records.clone(),
+        }
+        .json()
     }
 
     /// Writes `results/<bench>.json` (directory from `MORLOG_RESULTS_DIR`,
     /// default `results/`, created if missing). Reports the path on stderr
     /// so table output on stdout stays byte-identical across runs.
+    ///
+    /// A document that breaks its declaration is not written: the error
+    /// goes to stderr and the process exits with status 1.
     pub fn finish(self) {
         let dir = morlog_sim_core::knobs::results_dir();
         let path = std::path::Path::new(&dir).join(format!("{}.json", self.bench));
         let doc = self.document();
-        debug_assert_eq!(validate_document(&doc), Ok(()));
+        if let Err(e) = validate_document(&doc) {
+            eprintln!("error: {} breaks its declared schema: {e}", path.display());
+            std::process::exit(1);
+        }
         if let Err(e) = std::fs::create_dir_all(&dir)
             .and_then(|()| std::fs::write(&path, doc.to_json_pretty() + "\n"))
         {
@@ -154,237 +916,6 @@ impl ResultSink {
             eprintln!("results: wrote {}", path.display());
         }
     }
-}
-
-/// Builds the `"run"` record for one timed simulation run.
-pub fn run_record(run: &TimedRun) -> Json {
-    let spec = &run.spec;
-    Json::obj(vec![
-        ("kind", Json::Str("run".into())),
-        ("design", Json::Str(spec.design.label().into())),
-        ("workload", Json::Str(run.report.workload.clone())),
-        ("workload_kind", Json::Str(spec.kind.label().into())),
-        ("dataset", Json::Str(spec.dataset.label().into())),
-        (
-            "threads_requested",
-            Json::UInt(spec.requested_threads() as u64),
-        ),
-        ("threads", Json::UInt(run.report.threads as u64)),
-        ("transactions", Json::UInt(spec.transactions as u64)),
-        ("expansion", Json::Bool(spec.expansion)),
-        ("secure", Json::Str(spec.secure.label().into())),
-        ("seed", Json::UInt(spec.seed)),
-        ("tweaked", Json::Bool(spec.tweak.is_some())),
-        ("throughput_tps", Json::Num(run.report.throughput())),
-        ("wall_ms", Json::Num(run.wall.as_secs_f64() * 1e3)),
-        ("trace_dropped", Json::UInt(run.report.trace_dropped)),
-        ("stats", stats_json(&run.report.stats)),
-    ])
-}
-
-/// Builds the `"host_perf"` record for one timed run's host-profiling
-/// snapshot (schema v6). `phase_ns` attributes each recorded phase
-/// path's exclusive time to its leaf phase; the allocator maps carry
-/// the phase labels plus the `unscoped` bucket.
-pub fn host_perf_record(run: &TimedRun) -> Json {
-    let spec = &run.spec;
-    let profile = &run.host;
-    let phase_ns = profile.phase_ns();
-    let phases = HostPhase::ALL
-        .iter()
-        .map(|&p| (p.label(), Json::UInt(phase_ns[p as usize])))
-        .collect();
-    let counters = HostCounter::ALL
-        .iter()
-        .map(|&c| (c.label(), Json::UInt(profile.counter(c))))
-        .collect();
-    let alloc_map = |values: [u64; ALLOC_SLOTS]| {
-        let mut fields: Vec<(&str, Json)> = (0..ALLOC_SLOTS)
-            .map(|slot| {
-                (
-                    HostProfile::alloc_slot_label(slot),
-                    Json::UInt(values[slot]),
-                )
-            })
-            .collect();
-        fields.push(("total", Json::UInt(values.iter().sum())));
-        Json::obj(fields)
-    };
-    Json::obj(vec![
-        ("kind", Json::Str("host_perf".into())),
-        ("design", Json::Str(spec.design.label().into())),
-        ("workload", Json::Str(run.report.workload.clone())),
-        ("threads", Json::UInt(run.report.threads as u64)),
-        ("transactions", Json::UInt(spec.transactions as u64)),
-        ("seed", Json::UInt(spec.seed)),
-        ("sim_cycles", Json::UInt(run.report.stats.cycles)),
-        ("wall_ns", Json::UInt(run.wall.as_nanos() as u64)),
-        ("sim_rate_cps", Json::Num(run.sim_rate_cps())),
-        ("profile_total_ns", Json::UInt(profile.total_ns())),
-        ("phase_ns", Json::obj(phases)),
-        ("counters", Json::obj(counters)),
-        ("alloc_count", alloc_map(profile.alloc_count())),
-        ("alloc_bytes", alloc_map(profile.alloc_bytes())),
-    ])
-}
-
-/// Serializes one histogram: summary fields plus the sparse non-empty
-/// buckets as `[bucket_index, count]` pairs. The exact 128-bit sum is
-/// clamped to `u64::MAX` on overflow (unreachable for cycle counts).
-pub fn hist_json(h: &Histogram) -> Json {
-    let buckets = h
-        .nonzero_buckets()
-        .map(|(i, c)| Json::Arr(vec![Json::UInt(i as u64), Json::UInt(c)]))
-        .collect();
-    Json::obj(vec![
-        ("count", Json::UInt(h.count())),
-        (
-            "sum",
-            Json::UInt(u64::try_from(h.sum()).unwrap_or(u64::MAX)),
-        ),
-        ("min", Json::UInt(h.min())),
-        ("max", Json::UInt(h.max())),
-        ("p50", Json::UInt(h.p50())),
-        ("p90", Json::UInt(h.p90())),
-        ("p99", Json::UInt(h.p99())),
-        ("buckets", Json::Arr(buckets)),
-    ])
-}
-
-/// Serializes the `stats.hist` object: commit-latency histograms, per
-/// log-record-kind entry-size histograms, and encoder-choice counts.
-pub fn metrics_hist_json(m: &MetricsSet) -> Json {
-    let commit = m
-        .commit
-        .named()
-        .into_iter()
-        .map(|(name, h)| (name, hist_json(h)))
-        .collect();
-    let entry_bits = LOG_KIND_LABELS
-        .iter()
-        .zip(m.log_writes.entry_bits.iter())
-        .map(|(&name, h)| (name, hist_json(h)))
-        .collect();
-    let choices = ENCODER_CHOICE_LABELS
-        .iter()
-        .zip(m.log_writes.encoder_choices.iter())
-        .map(|(&name, &n)| (name, Json::UInt(n)))
-        .collect();
-    Json::obj(vec![
-        ("commit", Json::obj(commit)),
-        ("log_entry_bits", Json::obj(entry_bits)),
-        ("encoder_choices", Json::obj(choices)),
-    ])
-}
-
-/// Serializes the `stats.series` object: the sample period plus one
-/// `{cycles, values}` pair of parallel arrays per sampled series.
-pub fn series_json(s: &SeriesSet) -> Json {
-    let mut fields = vec![("period", Json::UInt(s.period))];
-    for (name, series) in s.named() {
-        fields.push((
-            name,
-            Json::obj(vec![
-                (
-                    "cycles",
-                    Json::Arr(series.cycles.iter().map(|&c| Json::UInt(c)).collect()),
-                ),
-                (
-                    "values",
-                    Json::Arr(series.values.iter().map(|&v| Json::UInt(v)).collect()),
-                ),
-            ]),
-        ));
-    }
-    Json::obj(fields)
-}
-
-/// Flattens every [`SimStats`] counter into a JSON object.
-pub fn stats_json(s: &SimStats) -> Json {
-    let cache = s
-        .cache
-        .iter()
-        .map(|l| {
-            Json::obj(vec![
-                ("hits", Json::UInt(l.hits)),
-                ("misses", Json::UInt(l.misses)),
-                ("writebacks", Json::UInt(l.writebacks)),
-                ("evictions", Json::UInt(l.evictions)),
-            ])
-        })
-        .collect();
-    let m = &s.mem;
-    let mem = Json::obj(vec![
-        ("nvmm_reads", Json::UInt(m.nvmm_reads)),
-        ("nvmm_writes", Json::UInt(m.nvmm_writes)),
-        ("data_writes", Json::UInt(m.data_writes)),
-        ("log_writes", Json::UInt(m.log_writes)),
-        ("cells_programmed", Json::UInt(m.cells_programmed)),
-        ("bits_programmed", Json::UInt(m.bits_programmed)),
-        ("log_bits_programmed", Json::UInt(m.log_bits_programmed)),
-        ("write_energy_pj", Json::Num(m.write_energy_pj)),
-        ("log_write_energy_pj", Json::Num(m.log_write_energy_pj)),
-        ("wq_full_stall_cycles", Json::UInt(m.wq_full_stall_cycles)),
-        ("drains", Json::UInt(m.drains)),
-        (
-            "reads_blocked_by_drain",
-            Json::UInt(m.reads_blocked_by_drain),
-        ),
-        ("silent_block_writes", Json::UInt(m.silent_block_writes)),
-        ("read_wait_cycles", Json::UInt(m.read_wait_cycles)),
-        ("log_overflow_growths", Json::UInt(m.log_overflow_growths)),
-        ("faults_torn_drains", Json::UInt(m.faults_torn_drains)),
-        ("faults_bit_flips", Json::UInt(m.faults_bit_flips)),
-        ("write_verify_failures", Json::UInt(m.write_verify_failures)),
-        ("write_verify_retries", Json::UInt(m.write_verify_retries)),
-        ("stuck_slots_remapped", Json::UInt(m.stuck_slots_remapped)),
-    ]);
-    let l = &s.log;
-    let log = Json::obj(vec![
-        ("undo_redo_created", Json::UInt(l.undo_redo_created)),
-        ("redo_created", Json::UInt(l.redo_created)),
-        ("coalesced", Json::UInt(l.coalesced)),
-        ("silent_discarded", Json::UInt(l.silent_discarded)),
-        ("redo_discarded", Json::UInt(l.redo_discarded)),
-        ("entries_written", Json::UInt(l.entries_written)),
-        ("commit_records", Json::UInt(l.commit_records)),
-        ("commit_stall_cycles", Json::UInt(l.commit_stall_cycles)),
-        (
-            "buffer_full_stall_cycles",
-            Json::UInt(l.buffer_full_stall_cycles),
-        ),
-        ("post_commit_redo", Json::UInt(l.post_commit_redo)),
-        (
-            "log_region_full_stalls",
-            Json::UInt(l.log_region_full_stalls),
-        ),
-    ]);
-    let a = &s.attr;
-    let attr = Json::obj(vec![
-        ("busy", Json::UInt(a.busy)),
-        ("read_wait", Json::UInt(a.read_wait)),
-        ("drain_wait", Json::UInt(a.drain_wait)),
-        ("log_buffer_stall", Json::UInt(a.log_buffer_stall)),
-        ("wq_stall", Json::UInt(a.wq_stall)),
-        ("commit_wait", Json::UInt(a.commit_wait)),
-        ("idle", Json::UInt(a.idle)),
-        ("total", Json::UInt(a.total())),
-    ]);
-    Json::obj(vec![
-        ("cycles", Json::UInt(s.cycles)),
-        (
-            "transactions_committed",
-            Json::UInt(s.transactions_committed),
-        ),
-        ("tx_stores", Json::UInt(s.tx_stores)),
-        ("tx_loads", Json::UInt(s.tx_loads)),
-        ("cache", Json::Arr(cache)),
-        ("mem", mem),
-        ("log", log),
-        ("attr", attr),
-        ("hist", metrics_hist_json(&s.metrics)),
-        ("series", series_json(&s.metrics.series)),
-    ])
 }
 
 /// `git describe --always --dirty` of this crate's source tree, or
@@ -414,502 +945,105 @@ pub fn git_describe() -> String {
         .clone()
 }
 
-fn require<'a>(obj: &'a Json, key: &str, what: &str) -> Result<&'a Json, String> {
-    obj.get(key)
-        .ok_or_else(|| format!("{what}: missing field {key:?}"))
-}
-
-fn require_kind(
-    obj: &Json,
-    key: &str,
-    what: &str,
-    check: impl Fn(&Json) -> bool,
-    ty: &str,
-) -> Result<(), String> {
-    let v = require(obj, key, what)?;
-    if check(v) {
-        Ok(())
+fn join(path: &str, key: &str) -> String {
+    if path.is_empty() {
+        key.to_string()
     } else {
-        Err(format!("{what}: field {key:?} is not {ty}"))
+        format!("{path}.{key}")
     }
 }
 
-/// Validates a whole `results/*.json` document against the envelope and
-/// record schemas.
-///
-/// # Errors
-///
-/// Returns a message naming the first offending field.
-pub fn validate_document(doc: &Json) -> Result<(), String> {
-    require_kind(
-        doc,
-        "bench",
-        "envelope",
-        |v| v.as_str().is_some(),
-        "a string",
-    )?;
-    let version = require(doc, "schema_version", "envelope")?
-        .as_u64()
-        .ok_or("envelope: schema_version is not an integer")?;
-    if version != SCHEMA_VERSION {
-        return Err(format!(
-            "envelope: schema_version {version} != {SCHEMA_VERSION}"
-        ));
+fn at(path: &str) -> &str {
+    if path.is_empty() {
+        "document"
+    } else {
+        path
     }
-    require_kind(doc, "git", "envelope", |v| v.as_str().is_some(), "a string")?;
-    let jobs = require(doc, "jobs", "envelope")?
-        .as_u64()
-        .ok_or("envelope: jobs is not an integer")?;
-    if jobs == 0 {
-        return Err("envelope: jobs must be >= 1".to_string());
-    }
-    require_kind(
-        doc,
-        "wall_ms",
-        "envelope",
-        |v| v.as_f64().is_some(),
-        "a number",
-    )?;
-    let records = require(doc, "records", "envelope")?
-        .as_arr()
-        .ok_or("envelope: records is not an array")?;
-    for (i, record) in records.iter().enumerate() {
-        let kind = record
-            .get("kind")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("record {i}: missing string field \"kind\""))?;
-        if kind == "run" {
-            validate_run_record(record).map_err(|e| format!("record {i}: {e}"))?;
-        }
-        if kind == "crash_check" {
-            validate_crash_check_record(record).map_err(|e| format!("record {i}: {e}"))?;
-        }
-        if kind == "crash_fuzz" {
-            validate_crash_fuzz_record(record).map_err(|e| format!("record {i}: {e}"))?;
-        }
-        if kind == "crash_diff" {
-            validate_crash_diff_record(record).map_err(|e| format!("record {i}: {e}"))?;
-        }
-        if kind == "host_perf" {
-            validate_host_perf_record(record).map_err(|e| format!("record {i}: {e}"))?;
-        }
-    }
-    Ok(())
 }
 
-/// Validates one `"host_perf"` record (schema v6): the host-profiling
-/// snapshot's fields must be present and arithmetically consistent —
-/// the per-phase exclusive times sum to `profile_total_ns`, which never
-/// exceeds the run's `wall_ns`, and the allocator maps carry every
-/// phase label plus the `unscoped` bucket with a matching `total`.
-///
-/// # Errors
-///
-/// Returns a message naming the first offending field.
-pub fn validate_host_perf_record(record: &Json) -> Result<(), String> {
-    for key in ["design", "workload"] {
-        require_kind(
-            record,
-            key,
-            "host_perf",
-            |v| v.as_str().is_some(),
-            "a string",
-        )?;
-    }
-    let counter = |key: &str| -> Result<u64, String> {
-        require(record, key, "host_perf")?
-            .as_u64()
-            .ok_or_else(|| format!("host_perf: field {key:?} is not an integer"))
-    };
-    counter("threads")?;
-    counter("transactions")?;
-    counter("seed")?;
-    counter("sim_cycles")?;
-    let wall_ns = counter("wall_ns")?;
-    let profile_total_ns = counter("profile_total_ns")?;
-    let rate = require(record, "sim_rate_cps", "host_perf")?
-        .as_f64()
-        .ok_or("host_perf: sim_rate_cps is not a number")?;
-    if !rate.is_finite() || rate < 0.0 {
-        return Err(format!(
-            "host_perf: sim_rate_cps {rate} must be finite and >= 0"
-        ));
-    }
-    if profile_total_ns > wall_ns {
-        return Err(format!(
-            "host_perf: profile_total_ns {profile_total_ns} exceeds wall_ns {wall_ns}"
-        ));
-    }
-    let phases = require(record, "phase_ns", "host_perf")?;
-    let mut phase_sum = 0u64;
-    for phase in HostPhase::ALL {
-        phase_sum += require(phases, phase.label(), "host_perf.phase_ns")?
-            .as_u64()
-            .ok_or_else(|| {
-                format!(
-                    "host_perf.phase_ns: field {:?} is not an integer",
-                    phase.label()
-                )
-            })?;
-    }
-    if phase_sum != profile_total_ns {
-        return Err(format!(
-            "host_perf: phase_ns sums to {phase_sum} but profile_total_ns says {profile_total_ns}"
-        ));
-    }
-    let counters = require(record, "counters", "host_perf")?;
-    for c in HostCounter::ALL {
-        require_kind(
-            counters,
-            c.label(),
-            "host_perf.counters",
-            |v| v.as_u64().is_some(),
-            "an integer",
-        )?;
-    }
-    for map_key in ["alloc_count", "alloc_bytes"] {
-        let map = require(record, map_key, "host_perf")?;
-        let what = format!("host_perf.{map_key}");
-        let mut sum = 0u64;
-        for slot in 0..ALLOC_SLOTS {
-            let label = HostProfile::alloc_slot_label(slot);
-            sum += require(map, label, &what)?
-                .as_u64()
-                .ok_or_else(|| format!("{what}: field {label:?} is not an integer"))?;
-        }
-        let total = require(map, "total", &what)?
-            .as_u64()
-            .ok_or_else(|| format!("{what}: total is not an integer"))?;
-        if sum != total {
-            return Err(format!("{what}: slots sum to {sum} but total says {total}"));
-        }
-    }
-    Ok(())
-}
-
-/// Validates one `"crash_fuzz"` record (schema v5): a coverage-guided
-/// random campaign's counters must be present and arithmetically
-/// consistent.
-///
-/// # Errors
-///
-/// Returns a message naming the first offending field.
-pub fn validate_crash_fuzz_record(record: &Json) -> Result<(), String> {
-    for key in ["design", "workload", "mutation"] {
-        require_kind(
-            record,
-            key,
-            "crash_fuzz",
-            |v| v.as_str().is_some(),
-            "a string",
-        )?;
-    }
-    require_kind(
-        record,
-        "passed",
-        "crash_fuzz",
-        |v| matches!(v, Json::Bool(_)),
-        "a bool",
-    )?;
-    let counter = |key: &str| -> Result<u64, String> {
-        require(record, key, "crash_fuzz")?
-            .as_u64()
-            .ok_or_else(|| format!("crash_fuzz: field {key:?} is not an integer"))
-    };
-    counter("events")?;
-    counter("novel")?;
-    counter("coverage")?;
-    let sampled = counter("sampled")?;
-    let pruned = counter("pruned")?;
-    let executed = counter("executed")?;
-    let verified = counter("verified")?;
-    let failures = counter("failures")?;
-    if executed + pruned != sampled {
-        return Err(format!(
-            "crash_fuzz: executed {executed} + pruned {pruned} != sampled {sampled}"
-        ));
-    }
-    if verified + failures != executed {
-        return Err(format!(
-            "crash_fuzz: verified {verified} + failures {failures} != executed {executed}"
-        ));
-    }
-    Ok(())
-}
-
-/// Validates one `"crash_diff"` record (schema v5): a differential
-/// cross-design run.
-///
-/// # Errors
-///
-/// Returns a message naming the first offending field.
-pub fn validate_crash_diff_record(record: &Json) -> Result<(), String> {
-    for key in ["design_a", "design_b", "workload", "culprit"] {
-        require_kind(
-            record,
-            key,
-            "crash_diff",
-            |v| v.as_str().is_some(),
-            "a string",
-        )?;
-    }
-    require_kind(
-        record,
-        "passed",
-        "crash_diff",
-        |v| matches!(v, Json::Bool(_)),
-        "a bool",
-    )?;
-    let counter = |key: &str| -> Result<u64, String> {
-        require(record, key, "crash_diff")?
-            .as_u64()
-            .ok_or_else(|| format!("crash_diff: field {key:?} is not an integer"))
-    };
-    let checked = counter("checked")?;
-    let divergences = counter("divergences")?;
-    if divergences > checked {
-        return Err(format!(
-            "crash_diff: divergences {divergences} > checked {checked}"
-        ));
-    }
-    Ok(())
-}
-
-/// Validates one `"crash_check"` record (schema v4): the crash-point
-/// model checker's per-design counters must be present and arithmetically
-/// consistent.
-///
-/// # Errors
-///
-/// Returns a message naming the first offending field.
-pub fn validate_crash_check_record(record: &Json) -> Result<(), String> {
-    for key in ["design", "workload", "mutation"] {
-        require_kind(
-            record,
-            key,
-            "crash_check",
-            |v| v.as_str().is_some(),
-            "a string",
-        )?;
-    }
-    require_kind(
-        record,
-        "passed",
-        "crash_check",
-        |v| matches!(v, Json::Bool(_)),
-        "a bool",
-    )?;
-    let counter = |key: &str| -> Result<u64, String> {
-        require(record, key, "crash_check")?
-            .as_u64()
-            .ok_or_else(|| format!("crash_check: field {key:?} is not an integer"))
-    };
-    let events = counter("events")?;
-    let points_total = counter("points_total")?;
-    let pruned = counter("pruned")?;
-    let capped = counter("capped")?;
-    let explored = counter("explored")?;
-    let verified = counter("verified")?;
-    let failures = counter("failures")?;
-    if points_total != events + 1 {
-        return Err(format!(
-            "crash_check: points_total {points_total} != events {events} + 1"
-        ));
-    }
-    if explored + pruned + capped < points_total {
-        return Err(format!(
-            "crash_check: explored {explored} + pruned {pruned} + capped {capped} \
-             does not cover points_total {points_total}"
-        ));
-    }
-    if verified + failures != explored {
-        return Err(format!(
-            "crash_check: verified {verified} + failures {failures} != explored {explored}"
-        ));
-    }
-    Ok(())
-}
-
-/// Validates one `"run"` record.
-///
-/// # Errors
-///
-/// Returns a message naming the first offending field.
-pub fn validate_run_record(record: &Json) -> Result<(), String> {
-    for key in ["design", "workload", "workload_kind", "dataset", "secure"] {
-        require_kind(record, key, "run", |v| v.as_str().is_some(), "a string")?;
-    }
-    for key in ["threads_requested", "threads", "transactions", "seed"] {
-        require_kind(record, key, "run", |v| v.as_u64().is_some(), "an integer")?;
-    }
-    for key in ["expansion", "tweaked"] {
-        require_kind(record, key, "run", |v| matches!(v, Json::Bool(_)), "a bool")?;
-    }
-    for key in ["throughput_tps", "wall_ms"] {
-        require_kind(record, key, "run", |v| v.as_f64().is_some(), "a number")?;
-    }
-    require_kind(
-        record,
-        "trace_dropped",
-        "run",
-        |v| v.as_u64().is_some(),
-        "an integer",
-    )?;
-    let stats = require(record, "stats", "run")?;
-    for key in ["cycles", "transactions_committed", "tx_stores", "tx_loads"] {
-        require_kind(
-            stats,
-            key,
-            "run.stats",
-            |v| v.as_u64().is_some(),
-            "an integer",
-        )?;
-    }
-    let cache = require(stats, "cache", "run.stats")?
-        .as_arr()
-        .ok_or("run.stats: cache is not an array")?;
-    if cache.len() != 3 {
-        return Err("run.stats: cache must have 3 levels".to_string());
-    }
-    for key in ["nvmm_writes", "log_writes", "bits_programmed"] {
-        require_kind(
-            require(stats, "mem", "run.stats")?,
-            key,
-            "run.stats.mem",
-            |v| v.as_u64().is_some(),
-            "an integer",
-        )?;
-    }
-    require_kind(
-        require(stats, "log", "run.stats")?,
-        "entries_written",
-        "run.stats.log",
-        |v| v.as_u64().is_some(),
-        "an integer",
-    )?;
-    let attr = require(stats, "attr", "run.stats")?;
-    let mut sum = 0u64;
-    for key in [
-        "busy",
-        "read_wait",
-        "drain_wait",
-        "log_buffer_stall",
-        "wq_stall",
-        "commit_wait",
-        "idle",
-    ] {
-        sum += require(attr, key, "run.stats.attr")?
-            .as_u64()
-            .ok_or_else(|| format!("run.stats.attr: field {key:?} is not an integer"))?;
-    }
-    let total = require(attr, "total", "run.stats.attr")?
-        .as_u64()
-        .ok_or("run.stats.attr: total is not an integer")?;
-    if sum != total {
-        return Err(format!(
-            "run.stats.attr: accounts sum to {sum} but total says {total}"
-        ));
-    }
-    let hist = require(stats, "hist", "run.stats")?;
-    let commit = require(hist, "commit", "run.stats.hist")?;
-    for name in COMMIT_LATENCY_LABELS {
-        let h = require(commit, name, "run.stats.hist.commit")?;
-        validate_hist(h, &format!("run.stats.hist.commit.{name}"))?;
-    }
-    let entry_bits = require(hist, "log_entry_bits", "run.stats.hist")?;
-    for name in LOG_KIND_LABELS {
-        let h = require(entry_bits, name, "run.stats.hist.log_entry_bits")?;
-        validate_hist(h, &format!("run.stats.hist.log_entry_bits.{name}"))?;
-    }
-    let choices = require(hist, "encoder_choices", "run.stats.hist")?;
-    for name in ENCODER_CHOICE_LABELS {
-        require_kind(
-            choices,
-            name,
-            "run.stats.hist.encoder_choices",
-            |v| v.as_u64().is_some(),
-            "an integer",
-        )?;
-    }
-    let series = require(stats, "series", "run.stats")?;
-    require_kind(
-        series,
-        "period",
-        "run.stats.series",
-        |v| v.as_u64().is_some(),
-        "an integer",
-    )?;
-    for name in morlog_sim_core::metrics::SERIES_LABELS {
-        let s = require(series, name, "run.stats.series")?;
-        let what = format!("run.stats.series.{name}");
-        let cycles = require(s, "cycles", &what)?
-            .as_arr()
-            .ok_or_else(|| format!("{what}: cycles is not an array"))?;
-        let values = require(s, "values", &what)?
-            .as_arr()
-            .ok_or_else(|| format!("{what}: values is not an array"))?;
-        if cycles.len() != values.len() {
-            return Err(format!(
-                "{what}: cycles has {} entries but values has {}",
-                cycles.len(),
-                values.len()
-            ));
-        }
-        let mut last: Option<u64> = None;
-        for (i, c) in cycles.iter().enumerate() {
-            let c = c
-                .as_u64()
-                .ok_or_else(|| format!("{what}: cycles[{i}] is not an integer"))?;
-            if let Some(prev) = last {
-                if c < prev {
-                    return Err(format!(
-                        "{what}: cycles[{i}] = {c} goes backwards from {prev}"
-                    ));
+/// Where `got` first departs from `want`, its re-serialization through
+/// the declaration: an undeclared, missing or reordered field, a wrong
+/// item count, or a value of the wrong type.
+fn first_difference(got: &Json, want: &Json, path: &str) -> Option<String> {
+    let at = at(path);
+    match (got, want) {
+        (Json::Obj(got), Json::Obj(want)) => {
+            let declared = |key: &String| want.iter().any(|(name, _)| name == key);
+            if let Some((key, _)) = got.iter().find(|(key, _)| !declared(key)) {
+                return Some(format!("{at}: undeclared field {key:?}"));
+            }
+            for (i, (name, w)) in want.iter().enumerate() {
+                match got.get(i) {
+                    Some((key, g)) if key == name => {
+                        let d = first_difference(g, w, &join(path, name));
+                        if d.is_some() {
+                            return d;
+                        }
+                    }
+                    _ if got.iter().any(|(key, _)| key == name) => {
+                        return Some(format!("{at}: field {name:?} is out of declared order"));
+                    }
+                    _ => return Some(format!("{at}: missing field {name:?}")),
                 }
             }
-            last = Some(c);
+            (got.len() > want.len()).then(|| format!("{at}: duplicate field"))
         }
+        (Json::Arr(got), Json::Arr(want)) if got.len() == want.len() => {
+            let mut items = got.iter().zip(want).enumerate();
+            items.find_map(|(i, (g, w))| first_difference(g, w, &format!("{path}[{i}]")))
+        }
+        (Json::Arr(got), Json::Arr(want)) => Some(format!(
+            "{at}: {} items, declared {}",
+            got.len(),
+            want.len()
+        )),
+        _ if got == want => None,
+        _ => Some(format!(
+            "{at}: {} reads back as {}",
+            got.to_json(),
+            want.to_json()
+        )),
     }
-    Ok(())
 }
 
-/// Validates one serialized histogram: required summary fields, bucket
-/// counts that sum to `count`, and quantile ordering
-/// `p50 <= p90 <= p99 <= max`.
-fn validate_hist(h: &Json, what: &str) -> Result<(), String> {
-    for key in ["count", "sum", "min", "max", "p50", "p90", "p99"] {
-        require_kind(h, key, what, |v| v.as_u64().is_some(), "an integer")?;
+fn check_as<T: Value>(v: &Json, path: &str) -> Result<(), String> {
+    let typed = T::from_json(v);
+    match first_difference(v, &typed.json(), path) {
+        Some(e) => Err(e),
+        None => typed.check(path),
     }
-    let count = h.get("count").and_then(Json::as_u64).unwrap_or(0);
-    let buckets = require(h, "buckets", what)?
-        .as_arr()
-        .ok_or_else(|| format!("{what}: buckets is not an array"))?;
-    let mut bucket_sum = 0u64;
-    for (i, pair) in buckets.iter().enumerate() {
-        let pair = pair
-            .as_arr()
-            .filter(|p| p.len() == 2)
-            .ok_or_else(|| format!("{what}: buckets[{i}] is not a [bucket, count] pair"))?;
-        let idx = pair[0]
-            .as_u64()
-            .ok_or_else(|| format!("{what}: buckets[{i}][0] is not an integer"))?;
-        if idx as usize >= morlog_sim_core::metrics::HIST_BUCKETS {
-            return Err(format!("{what}: buckets[{i}] index {idx} out of range"));
-        }
-        bucket_sum += pair[1]
-            .as_u64()
-            .ok_or_else(|| format!("{what}: buckets[{i}][1] is not an integer"))?;
-    }
-    if bucket_sum != count {
-        return Err(format!(
-            "{what}: bucket counts sum to {bucket_sum} but count says {count}"
-        ));
-    }
-    let q = |key: &str| h.get(key).and_then(Json::as_u64).unwrap_or(0);
-    if count > 0 && !(q("p50") <= q("p90") && q("p90") <= q("p99") && q("p99") <= q("max")) {
-        return Err(format!(
-            "{what}: quantiles must be ordered p50 <= p90 <= p99 <= max"
-        ));
-    }
-    Ok(())
+}
+
+fn visit_as<T: Value>(v: &Json, path: &str, class: Class, leaf: &mut Visitor<'_>) {
+    T::from_json(v).visit(path, class, leaf);
+}
+
+/// Validates `v` as a `T`: reading it through `T`'s declaration and
+/// writing it back must reproduce it exactly (every declared field, in
+/// order, with its declared type, and nothing else), and every declared
+/// invariant must hold.
+///
+/// # Errors
+///
+/// Returns a message naming the path of the first offending field.
+pub fn validate<T: Value>(v: &Json) -> Result<(), String> {
+    check_as::<T>(v, "")
+}
+
+/// Validates a whole `results/*.json` document (an [`Envelope`]).
+///
+/// # Errors
+///
+/// Returns a message naming the path of the first offending field.
+pub fn validate_document(doc: &Json) -> Result<(), String> {
+    validate::<Envelope>(doc)
+}
+
+/// Calls `leaf` with the path (e.g. `records[3].stats.mem.drains`), value
+/// and declared [`Class`] of every scalar of a document that passed
+/// [`validate_document`]. A field's class covers everything under it;
+/// every array also yields its length as `<path>.len`, always
+/// deterministic.
+pub fn walk(doc: &Json, leaf: &mut dyn FnMut(&str, &Json, Class)) {
+    Envelope::from_json(doc).visit("", Class::Deterministic, leaf);
 }

@@ -13,7 +13,7 @@
 use std::process::Command;
 use std::time::Instant;
 
-use morlog_bench::results::{host_perf_record, validate_host_perf_record};
+use morlog_bench::results::{validate, HardwareOverhead, HostPerf, Value};
 use morlog_bench::{RunSpec, SweepRunner, TimedRun};
 use morlog_sim_core::hostprof::{self, HostCounter, HostPhase, HostProfile};
 use morlog_sim_core::DesignKind;
@@ -52,8 +52,8 @@ fn check_run_invariants(run: &TimedRun) {
         run.host.counter(HostCounter::CacheLookups) > 0,
         "{label}: a hash run performs cache lookups"
     );
-    let record = host_perf_record(run);
-    validate_host_perf_record(&record)
+    let record = HostPerf::from(run).json();
+    validate::<HostPerf>(&record)
         .unwrap_or_else(|e| panic!("{label}: host_perf record rejected: {e}"));
     for line in run.host.folded_lines("design;workload") {
         let (stack, count) = line
@@ -250,7 +250,8 @@ fn perf_trend_reads_perf_history_env() {
     std::fs::write(
         &history,
         "{\"kind\":\"perf_history\",\"git\":\"abc1234\",\"unix_ms\":1,\"entries\":\
-         [{\"design\":\"MorLog-SLDE\",\"workload\":\"hash\",\"sim_rate_cps\":2000000}]}\n",
+         [{\"design\":\"MorLog-SLDE\",\"workload\":\"hash\",\"sim_cycles\":4000,\
+         \"wall_ms\":2.0,\"sim_rate_cps\":2000000.0,\"alloc_bytes\":0}]}\n",
     )
     .expect("write history");
     // The results directory holds no history: only MORLOG_PERF_HISTORY
@@ -294,10 +295,18 @@ fn well_formed_diff_ratio_gates_identical_files() {
     std::fs::create_dir_all(&dir).expect("create temp dir");
     let file = dir.join("ratio_ok.json");
     // A minimal valid results envelope (diffing validates the schema).
+    let record = HardwareOverhead {
+        log_registers_bytes: 10,
+        l1_ext_bits_per_line: 0,
+        undo_redo_buffer_bytes: 0,
+        redo_buffer_bytes: 0,
+        ulog_counters_bytes: 0,
+    };
     let doc = format!(
         "{{\"bench\":\"unit\",\"schema_version\":{},\"git\":\"t\",\"jobs\":1,\
-         \"wall_ms\":1.5,\"records\":[{{\"kind\":\"unit_metric\",\"cycles\":10}}]}}",
-        morlog_bench::results::SCHEMA_VERSION
+         \"wall_ms\":1.5,\"records\":[{}]}}",
+        morlog_bench::results::SCHEMA_VERSION,
+        record.json().to_json()
     );
     std::fs::write(&file, doc).expect("write temp file");
     let out = Command::new(env!("CARGO_BIN_EXE_bench_diff"))

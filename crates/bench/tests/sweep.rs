@@ -120,12 +120,12 @@ fn all_designs_share_one_generated_trace() {
 /// Satellite gate for the telemetry layer: the merged (fold-reduced)
 /// histograms and series of a jobs=1 sweep are identical to a jobs=4
 /// sweep of the same specs — not just value-equal, but byte-identical
-/// once serialized through the schema-v3 `stats_json` encoder. This is
+/// once serialized through the declared `Stats` record. This is
 /// the property that makes per-run histograms safe to aggregate across
 /// a parallel sweep.
 #[test]
 fn merged_metrics_identical_across_jobs() {
-    use morlog_bench::results::stats_json;
+    use morlog_bench::results::{Stats, Value};
     use morlog_sim_core::SimStats;
 
     let specs: Vec<RunSpec> = DesignKind::ALL
@@ -153,8 +153,8 @@ fn merged_metrics_identical_across_jobs() {
         "merged histograms/series must not depend on sweep parallelism"
     );
     assert_eq!(
-        stats_json(&merged_serial).to_json(),
-        stats_json(&merged_parallel).to_json(),
+        Stats::from(&merged_serial).json().to_json(),
+        Stats::from(&merged_parallel).json().to_json(),
         "serialized merged stats must be byte-identical across jobs"
     );
     // The merge actually carried latency data, not two empty sets.

@@ -960,10 +960,8 @@ impl LogController {
             self.stats.silent_discarded += 1;
             return FlushOutcome::Discarded;
         }
-        // Exact: a blocked append would fail without touching anything.
-        if mc.log_append_blocked(&record) {
-            return FlushOutcome::Blocked(StoreStall::WriteQueue);
-        }
+        // A blocked append (see `MemoryController::log_append_blocked`)
+        // fails with `WqFull` before any side effect.
         match mc.try_append_log(record, now) {
             Ok(_) => {
                 self.stats.entries_written += 1;

@@ -214,102 +214,112 @@ pub enum TraceEvent {
 }
 
 impl TraceEvent {
-    /// Stable lower-case label naming the event type in the JSONL stream.
-    pub fn label(&self) -> &'static str {
+    /// Every event label with the fields its JSONL line carries after
+    /// `cycle` and `event`, in written order and in variant order: the
+    /// one declaration of the event schema, which
+    /// [`TraceRecord::to_json`] writes and `trace_lint` checks.
+    pub const FIELDS: [(&'static str, &'static [&'static str]); 11] = [
+        ("log_append", &["slice", "offset", "kind", "thread", "txid"]),
+        ("log_truncate", &["slice", "old_head", "new_head"]),
+        ("word_transition", &["thread", "txid", "addr", "from", "to"]),
+        ("wq_accept", &["channel", "occupancy", "is_log"]),
+        ("wq_drain_start", &["channel", "occupancy"]),
+        ("wq_drain_end", &["channel", "occupancy"]),
+        ("commit_phase", &["thread", "txid", "phase"]),
+        ("cache_writeback", &["level", "line"]),
+        ("fwb_scan", &["writebacks"]),
+        ("crash", &[]),
+        ("recovery", &["step", "count"]),
+    ];
+
+    /// This variant's row in [`TraceEvent::FIELDS`].
+    fn index(&self) -> usize {
         match self {
-            TraceEvent::LogAppend { .. } => "log_append",
-            TraceEvent::LogTruncate { .. } => "log_truncate",
-            TraceEvent::WordTransition { .. } => "word_transition",
-            TraceEvent::WqAccept { .. } => "wq_accept",
-            TraceEvent::WqDrainStart { .. } => "wq_drain_start",
-            TraceEvent::WqDrainEnd { .. } => "wq_drain_end",
-            TraceEvent::CommitPhase { .. } => "commit_phase",
-            TraceEvent::CacheWriteback { .. } => "cache_writeback",
-            TraceEvent::FwbScan { .. } => "fwb_scan",
-            TraceEvent::Crash => "crash",
-            TraceEvent::Recovery { .. } => "recovery",
+            TraceEvent::LogAppend { .. } => 0,
+            TraceEvent::LogTruncate { .. } => 1,
+            TraceEvent::WordTransition { .. } => 2,
+            TraceEvent::WqAccept { .. } => 3,
+            TraceEvent::WqDrainStart { .. } => 4,
+            TraceEvent::WqDrainEnd { .. } => 5,
+            TraceEvent::CommitPhase { .. } => 6,
+            TraceEvent::CacheWriteback { .. } => 7,
+            TraceEvent::FwbScan { .. } => 8,
+            TraceEvent::Crash => 9,
+            TraceEvent::Recovery { .. } => 10,
         }
     }
 
+    /// Stable lower-case label naming the event type in the JSONL stream.
+    pub fn label(&self) -> &'static str {
+        Self::FIELDS[self.index()].0
+    }
+
+    /// Writes `,"name":value` for each of this event's declared fields.
     fn write_fields(&self, out: &mut String) {
-        use std::fmt::Write;
+        use std::fmt::{Display, Write};
+        let names = Self::FIELDS[self.index()].1;
+        let mut fields = |values: &[&dyn Display]| {
+            debug_assert_eq!(names.len(), values.len(), "{}", self.label());
+            for (name, value) in names.iter().zip(values) {
+                let _ = write!(out, ",\"{name}\":{value}");
+            }
+        };
         match *self {
             TraceEvent::LogAppend {
                 slice,
                 offset,
                 kind,
                 key,
-            } => {
-                let _ = write!(
-                    out,
-                    ",\"slice\":{},\"offset\":{},\"kind\":\"{}\",\"thread\":{},\"txid\":{}",
-                    slice,
-                    offset,
-                    kind.label(),
-                    key.thread.as_u8(),
-                    key.txid.as_u16()
-                );
-            }
+            } => fields(&[
+                &slice,
+                &offset,
+                &Quoted(kind.label()),
+                &key.thread.as_u8(),
+                &key.txid.as_u16(),
+            ]),
             TraceEvent::LogTruncate {
                 slice,
                 old_head,
                 new_head,
-            } => {
-                let _ = write!(
-                    out,
-                    ",\"slice\":{slice},\"old_head\":{old_head},\"new_head\":{new_head}"
-                );
-            }
+            } => fields(&[&slice, &old_head, &new_head]),
             TraceEvent::WordTransition {
                 key,
                 addr,
                 from,
                 to,
-            } => {
-                let _ = write!(
-                    out,
-                    ",\"thread\":{},\"txid\":{},\"addr\":{},\"from\":\"{}\",\"to\":\"{}\"",
-                    key.thread.as_u8(),
-                    key.txid.as_u16(),
-                    addr,
-                    from.label(),
-                    to.label()
-                );
-            }
+            } => fields(&[
+                &key.thread.as_u8(),
+                &key.txid.as_u16(),
+                &addr,
+                &Quoted(from.label()),
+                &Quoted(to.label()),
+            ]),
             TraceEvent::WqAccept {
                 channel,
                 occupancy,
                 is_log,
-            } => {
-                let _ = write!(
-                    out,
-                    ",\"channel\":{channel},\"occupancy\":{occupancy},\"is_log\":{is_log}"
-                );
-            }
+            } => fields(&[&channel, &occupancy, &is_log]),
             TraceEvent::WqDrainStart { channel, occupancy }
-            | TraceEvent::WqDrainEnd { channel, occupancy } => {
-                let _ = write!(out, ",\"channel\":{channel},\"occupancy\":{occupancy}");
-            }
-            TraceEvent::CommitPhase { key, phase } => {
-                let _ = write!(
-                    out,
-                    ",\"thread\":{},\"txid\":{},\"phase\":\"{}\"",
-                    key.thread.as_u8(),
-                    key.txid.as_u16(),
-                    phase.label()
-                );
-            }
-            TraceEvent::CacheWriteback { level, line } => {
-                let _ = write!(out, ",\"level\":{level},\"line\":{line}");
-            }
-            TraceEvent::FwbScan { writebacks } => {
-                let _ = write!(out, ",\"writebacks\":{writebacks}");
-            }
-            TraceEvent::Crash => {}
-            TraceEvent::Recovery { step, count } => {
-                let _ = write!(out, ",\"step\":\"{}\",\"count\":{}", step.label(), count);
-            }
+            | TraceEvent::WqDrainEnd { channel, occupancy } => fields(&[&channel, &occupancy]),
+            TraceEvent::CommitPhase { key, phase } => fields(&[
+                &key.thread.as_u8(),
+                &key.txid.as_u16(),
+                &Quoted(phase.label()),
+            ]),
+            TraceEvent::CacheWriteback { level, line } => fields(&[&level, &line]),
+            TraceEvent::FwbScan { writebacks } => fields(&[&writebacks]),
+            TraceEvent::Crash => fields(&[]),
+            TraceEvent::Recovery { step, count } => fields(&[&Quoted(step.label()), &count]),
         }
+    }
+}
+
+/// A label written as a JSON string (labels never need escaping).
+struct Quoted(&'static str);
+
+impl std::fmt::Display for Quoted {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "\"{}\"", self.0)
     }
 }
 
@@ -582,6 +592,72 @@ mod tests {
             lines[4],
             "{\"cycle\":5,\"event\":\"recovery\",\"step\":\"scan\",\"count\":12}"
         );
+    }
+
+    #[test]
+    fn every_variant_writes_exactly_its_declared_fields() {
+        let events = [
+            TraceEvent::LogAppend {
+                slice: 1,
+                offset: 64,
+                kind: RecordKind::Commit,
+                key: key(),
+            },
+            TraceEvent::LogTruncate {
+                slice: 0,
+                old_head: 0,
+                new_head: 128,
+            },
+            TraceEvent::WordTransition {
+                key: key(),
+                addr: 8,
+                from: WordStateTag::Clean,
+                to: WordStateTag::Dirty,
+            },
+            TraceEvent::WqAccept {
+                channel: 0,
+                occupancy: 3,
+                is_log: true,
+            },
+            TraceEvent::WqDrainStart {
+                channel: 1,
+                occupancy: 52,
+            },
+            TraceEvent::WqDrainEnd {
+                channel: 1,
+                occupancy: 16,
+            },
+            TraceEvent::CommitPhase {
+                key: key(),
+                phase: CommitPhaseTag::Begin,
+            },
+            TraceEvent::CacheWriteback { level: 3, line: 99 },
+            TraceEvent::FwbScan { writebacks: 4 },
+            TraceEvent::Crash,
+            TraceEvent::Recovery {
+                step: RecoveryStepTag::Done,
+                count: 2,
+            },
+        ];
+        assert_eq!(events.len(), TraceEvent::FIELDS.len());
+        for (event, (label, fields)) in events.iter().zip(TraceEvent::FIELDS) {
+            assert_eq!(event.label(), label);
+            let line = TraceRecord {
+                cycle: 7,
+                event: *event,
+            }
+            .to_json();
+            // Labels and numbers never contain ',' or ':', so splitting
+            // the object body recovers the keys in written order.
+            let body = &line[1..line.len() - 1];
+            let keys: Vec<&str> = body
+                .split(',')
+                .map(|pair| pair.split(':').next().unwrap().trim_matches('"'))
+                .collect();
+            let mut expected = vec!["cycle", "event"];
+            expected.extend_from_slice(fields);
+            assert_eq!(keys, expected, "{line}");
+        }
     }
 
     #[test]
