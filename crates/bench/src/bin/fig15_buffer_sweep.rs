@@ -1,7 +1,8 @@
 //! Fig. 15: transaction throughput and NVMM write traffic vs the undo+redo
 //! buffer size, for several redo-buffer sizes (Echo benchmark).
 use morlog_bench::results::ResultSink;
-use morlog_bench::{RunSpec, SweepRunner};
+use morlog_bench::{RunSpec, SweepRunner, Table};
+use morlog_sim::RunReport;
 use morlog_sim_core::{knobs, DesignKind};
 use morlog_workloads::WorkloadKind;
 
@@ -29,59 +30,29 @@ fn main() {
         .collect();
     let runs = runner.run_specs(&specs);
     sink.push_runs(&runs);
-    let mut results: Vec<(usize, usize, f64, u64)> = Vec::new();
-    for (i, t) in runs.iter().enumerate() {
-        let redo = redo_sizes[i / ur_sizes.len()];
-        let ur = ur_sizes[i % ur_sizes.len()];
-        results.push((
-            redo,
-            ur,
-            t.report.throughput(),
-            t.report.stats.mem.nvmm_writes,
-        ));
-    }
-    let (base_tput, base_writes) = {
-        let r = results
-            .iter()
-            .find(|&&(redo, ur, _, _)| redo == 2 && ur == 1)
-            .unwrap();
-        (r.2, r.3)
-    };
-    println!("(a) normalized transaction throughput");
-    print!("{:<10}", "ur size");
-    for ur in ur_sizes {
-        print!(" {:>8}", ur);
-    }
-    println!();
-    for &redo in &redo_sizes {
-        print!("Redo{redo:0>3}   ");
-        for &ur in &ur_sizes {
-            let r = results
-                .iter()
-                .find(|&&(rd, u, _, _)| rd == redo && u == ur)
-                .unwrap();
-            print!(" {:>8.3}", r.2 / base_tput);
-        }
+    // The first point (Redo002, 1-entry undo+redo buffer) is the baseline.
+    let base = &runs[0].report;
+    let table = Table::new(10, ur_sizes.map(|ur| (ur.to_string(), 8)));
+    let labels = redo_sizes.map(|redo| format!("Redo{redo:0>3}"));
+    for (title, metric) in [
+        (
+            "(a) normalized transaction throughput",
+            RunReport::normalized_throughput as fn(_, _) -> _,
+        ),
+        (
+            "(b) normalized NVMM write traffic",
+            RunReport::normalized_write_traffic,
+        ),
+    ] {
+        let rows: Vec<Vec<f64>> = runs
+            .chunks(ur_sizes.len())
+            .map(|row| row.iter().map(|t| metric(&t.report, base)).collect())
+            .collect();
+        println!("{title}");
+        print!("{}", table.render("ur size", &labels, &rows, None));
         println!();
     }
-    println!("\n(b) normalized NVMM write traffic");
-    print!("{:<10}", "ur size");
-    for ur in ur_sizes {
-        print!(" {:>8}", ur);
-    }
-    println!();
-    for &redo in &redo_sizes {
-        print!("Redo{redo:0>3}   ");
-        for &ur in &ur_sizes {
-            let r = results
-                .iter()
-                .find(|&&(rd, u, _, _)| rd == redo && u == ur)
-                .unwrap();
-            print!(" {:>8.3}", r.3 as f64 / base_writes as f64);
-        }
-        println!();
-    }
-    println!("\npaper: write traffic falls as the undo+redo buffer grows; throughput rises");
+    println!("paper: write traffic falls as the undo+redo buffer grows; throughput rises");
     println!("then drops (longer commit latency); 16-entry undo+redo + 32-entry redo is the");
     println!("chosen performance/hardware-cost trade-off.");
     sink.finish();

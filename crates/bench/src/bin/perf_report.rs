@@ -4,6 +4,8 @@
 //! perf_report [txs]
 //! ```
 //!
+//! A malformed transaction count exits 2 before anything runs.
+//!
 //! Runs every design on the hash and btree micro-benchmarks with the
 //! host profiler enabled and reports, per design×workload point: the
 //! headline **sim-rate** (simulated cycles per host-second — the metric
@@ -45,31 +47,26 @@ fn main() {
     let _ = hostprof::enabled();
     hostprof::force_enable();
 
-    let args: Vec<String> = std::env::args().collect();
-    let txs: usize = args
-        .get(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| knobs::txs(1000));
+    let txs = match std::env::args().nth(1) {
+        Some(raw) => knobs::or_exit("transactions argument", &raw, knobs::positive),
+        None => knobs::txs(1000),
+    };
 
     // One worker: each run's thread-local profile then covers exactly
     // that run, and wall-times are not perturbed by sibling runs.
     let runner = SweepRunner::with_jobs(1);
     let mut sink = ResultSink::new("perf_report", runner.jobs());
 
-    let mut specs = Vec::new();
-    for kind in [WorkloadKind::Hash, WorkloadKind::BTree] {
-        for design in DesignKind::ALL {
-            specs.push(RunSpec::new(design, kind, txs));
-        }
-    }
-    let runs = runner.run_specs(&specs);
+    let rows = [WorkloadKind::Hash, WorkloadKind::BTree];
+    let grid = runner.grid(&rows.map(|kind| RunSpec::new(DesignKind::FwbCrade, kind, txs)));
+    let runs = grid.runs();
 
     println!(
         "{:<14} {:<12} {:>12} {:>12} {:>8} {:>10} {:>10}",
         "design", "workload", "sim Mcycles", "Mcyc/s", "allocs", "alloc MB", "top phase"
     );
     let mut folded = Vec::new();
-    for run in &runs {
+    for run in runs {
         print_row(run);
         let prefix = format!("{};{}", run.spec.design.label(), run.report.workload);
         folded.extend(run.host.folded_lines(&prefix));
@@ -77,7 +74,7 @@ fn main() {
     }
 
     write_folded(&folded);
-    append_history(&runs);
+    append_history(runs);
     sink.finish();
 }
 

@@ -1,6 +1,7 @@
 //! Table I: hardware overhead of morphable logging, plus the §IV-C SLDE
 //! overhead arithmetic.
 use morlog_bench::results::{self, ResultSink, SldeFlagOverhead, SldeSynthesis};
+use morlog_bench::Table;
 use morlog_encoding::overhead as slde;
 use morlog_logging::overhead::HardwareOverhead;
 use morlog_sim_core::LogConfig;
@@ -11,37 +12,29 @@ fn main() {
     let mut sink = ResultSink::new("tab01_overhead", 1);
     let o = HardwareOverhead::for_config(&LogConfig::default(), 16);
     println!("Table I — hardware overhead of morphable logging");
-    println!("{:<28} {:>6} {:>18}", "component", "type", "size");
-    println!(
-        "{:<28} {:>6} {:>18}",
-        "log head/tail registers",
-        "FF",
-        format!("{} bytes", o.log_registers_bytes)
-    );
-    println!(
-        "{:<28} {:>6} {:>18}",
-        "L1 cache extensions",
-        "SRAM",
-        format!("{} bits/line", o.l1_ext_bits_per_line)
-    );
-    println!(
-        "{:<28} {:>6} {:>18}",
-        "undo+redo buffer",
-        "SRAM",
-        format!("{} bytes", o.undo_redo_buffer_bytes)
-    );
-    println!(
-        "{:<28} {:>6} {:>18}",
-        "redo buffer",
-        "SRAM",
-        format!("{} bytes", o.redo_buffer_bytes)
-    );
-    println!(
-        "{:<28} {:>6} {:>18}",
-        "ulog counters (optional)",
-        "FF",
-        format!("{} bytes", o.ulog_counters_bytes)
-    );
+    let bytes = |n: usize| format!("{n} bytes");
+    let lines = [
+        (
+            "log head/tail registers",
+            "FF",
+            bytes(o.log_registers_bytes),
+        ),
+        (
+            "L1 cache extensions",
+            "SRAM",
+            format!("{} bits/line", o.l1_ext_bits_per_line),
+        ),
+        ("undo+redo buffer", "SRAM", bytes(o.undo_redo_buffer_bytes)),
+        ("redo buffer", "SRAM", bytes(o.redo_buffer_bytes)),
+        (
+            "ulog counters (optional)",
+            "FF",
+            bytes(o.ulog_counters_bytes),
+        ),
+    ];
+    let table = Table::new(28, [("type", 6), ("size", 18)]);
+    let lines = lines.map(|(component, kind, size)| (component, vec![kind.to_string(), size]));
+    print!("{}", table.render_lines("component", lines));
     sink.push(results::HardwareOverhead {
         log_registers_bytes: o.log_registers_bytes as u64,
         l1_ext_bits_per_line: o.l1_ext_bits_per_line as u64,

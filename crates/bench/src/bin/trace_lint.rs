@@ -16,8 +16,8 @@
 //! unreadable dumps.
 
 use morlog_bench::json::{parse, Json};
+use morlog_bench::perfetto::event_fields;
 use morlog_bench::results::{validate, validate_document, PerfHistory};
-use morlog_sim_core::trace::TraceEvent;
 
 /// A JSONL file is either an event trace (every line carries
 /// `cycle` + `event`) or a `perf_history` trajectory (every line is a
@@ -61,16 +61,7 @@ fn lint_trace(path: &std::path::Path) -> Result<(usize, &'static str), String> {
             .get("event")
             .and_then(Json::as_str)
             .ok_or_else(|| format!("line {n}: missing string \"event\""))?;
-        let (_, fields) = TraceEvent::FIELDS
-            .iter()
-            .find(|(label, _)| *label == event)
-            .ok_or_else(|| format!("line {n}: unknown event {event:?}"))?;
-        let keys = obj.as_pairs().unwrap_or_default().iter().map(|(k, _)| k);
-        if !keys.eq(["cycle", "event"].iter().chain(fields.iter())) {
-            return Err(format!(
-                "line {n}: {event} must carry exactly cycle, event, {fields:?}"
-            ));
-        }
+        event_fields(&obj, event).map_err(|e| format!("line {n}: {e}"))?;
         count += 1;
     }
     Ok((count, if history { "history records" } else { "events" }))

@@ -1,6 +1,8 @@
 //! Shared harness for regenerating every table and figure of the paper's
 //! evaluation (§VI). Each `src/bin/*` binary prints one table/figure; this
-//! library holds the common runner.
+//! library holds the common runner, the six-design [`Grid`] every
+//! FWB-CRADE-normalized comparison runs through, and the one [`Table`]
+//! printer.
 //!
 //! Run sizes default to values that complete in minutes on a laptop and can
 //! be scaled with the `MORLOG_TXS` environment variable (the paper runs
@@ -27,7 +29,7 @@ use std::time::Duration;
 use morlog_encoding::secure::SecureMode;
 use morlog_sim::{RunReport, System};
 use morlog_sim_core::hostprof::{self, HostProfile};
-use morlog_sim_core::stats::CycleAttribution;
+use morlog_sim_core::stats::{geometric_mean, CycleAttribution};
 use morlog_sim_core::trace::Tracer;
 use morlog_sim_core::{knobs, par};
 use morlog_sim_core::{DesignKind, SystemConfig};
@@ -108,9 +110,9 @@ impl RunSpec {
         }
     }
 
-    /// Selects the large (4 KB) dataset.
-    pub fn large(mut self) -> Self {
-        self.dataset = DatasetSize::Large;
+    /// Selects the dataset size.
+    pub fn dataset(mut self, dataset: DatasetSize) -> Self {
+        self.dataset = dataset;
         self
     }
 
@@ -222,23 +224,6 @@ pub fn run(spec: &RunSpec) -> RunReport {
     }
 }
 
-/// Runs all six designs on one spec, returning reports in
-/// [`DesignKind::ALL`] order (index 0 is the FWB-CRADE baseline).
-///
-/// The workload trace is generated **once** and shared across the designs
-/// through the trace cache: the memory map (and therefore `data_base`) is
-/// identical for every design, so all six runs replay the same trace.
-pub fn run_all_designs(base: &RunSpec) -> Vec<RunReport> {
-    DesignKind::ALL
-        .iter()
-        .map(|&design| {
-            let mut spec = base.clone();
-            spec.design = design;
-            run(&spec)
-        })
-        .collect()
-}
-
 /// One sweep result: the spec, its report and the host wall-clock the run
 /// took (simulated time lives in `report.stats.cycles`).
 #[derive(Debug, Clone)]
@@ -329,43 +314,233 @@ impl SweepRunner {
         })
     }
 
-    /// [`run_all_designs`] through the pool: all six designs on one base
-    /// spec, in [`DesignKind::ALL`] order.
-    pub fn run_designs(&self, base: &RunSpec) -> Vec<TimedRun> {
-        let specs: Vec<RunSpec> = DesignKind::ALL
+    /// Runs every row spec under each design of [`DesignKind::ALL`] (the
+    /// row's own design is replaced), as one batch through the pool.
+    pub fn grid(&self, rows: &[RunSpec]) -> Grid {
+        let specs: Vec<RunSpec> = rows
             .iter()
-            .map(|&design| {
-                let mut spec = base.clone();
-                spec.design = design;
-                spec
+            .flat_map(|row| {
+                DesignKind::ALL.iter().map(move |&design| RunSpec {
+                    design,
+                    ..row.clone()
+                })
             })
             .collect();
-        self.run_specs(&specs)
+        Grid {
+            runs: self.run_specs(&specs),
+        }
     }
 }
 
-/// Prints a normalized-metric table row per design (Fig. 12/13/14 bars).
-/// An empty report slice (every run filtered or skipped) prints a
-/// diagnostic instead of panicking on the missing baseline.
-pub fn print_normalized_rows(workload: &str, reports: &[RunReport]) {
-    let Some(baseline) = reports.first() else {
-        println!("{workload:<14} (no runs — nothing to normalize)");
-        return;
-    };
-    print!("{workload:<14}");
-    for r in reports {
-        print!(" {:>12.3}", r.normalized_throughput(baseline));
-    }
-    println!();
+/// The six-design comparison behind Figs. 12–14 and 16, Tables V–VI and
+/// the §VI-E sweep: each row spec run under every design, in
+/// [`DesignKind::ALL`] order, so design 0 (FWB-CRADE) is each row's
+/// baseline.
+#[derive(Debug, Clone)]
+pub struct Grid {
+    /// Row-major: the six designs of row 0, then of row 1, ...
+    runs: Vec<TimedRun>,
 }
 
-/// Prints the header line for design columns.
-pub fn print_design_header(first_col: &str) {
-    print!("{first_col:<14}");
-    for d in DesignKind::ALL {
-        print!(" {:>12}", d.label());
+impl Grid {
+    /// Every run, row by row.
+    pub fn runs(&self) -> &[TimedRun] {
+        &self.runs
     }
-    println!();
+
+    /// The rows, each holding its runs in [`DesignKind::ALL`] order.
+    pub fn rows(&self) -> impl Iterator<Item = &[TimedRun]> {
+        self.runs.chunks_exact(DesignKind::ALL.len())
+    }
+
+    /// Every run, design by design (all rows of FWB-CRADE first) — the
+    /// record order of the sweeps whose tables have one line per design.
+    pub fn by_design(&self) -> impl Iterator<Item = &TimedRun> {
+        (0..DesignKind::ALL.len()).flat_map(move |d| self.rows().map(move |row| &row[d]))
+    }
+
+    /// `metric(run, baseline)` for every run, indexed `[row][design]`,
+    /// with each row's design 0 as the baseline (e.g.
+    /// [`RunReport::normalized_throughput`]).
+    pub fn normalized(&self, metric: impl Fn(&RunReport, &RunReport) -> f64) -> Vec<Vec<f64>> {
+        self.rows()
+            .map(|row| {
+                row.iter()
+                    .map(|t| metric(&t.report, &row[0].report))
+                    .collect()
+            })
+            .collect()
+    }
+}
+
+/// How a table column folds its values into one summary cell.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Summary {
+    /// Geometric mean, 0 when undefined (Figs. 12–14 and 16, §VI-E).
+    Gmean,
+    /// Arithmetic mean (Tables V and VI).
+    Mean,
+}
+
+impl Summary {
+    /// One summary per column of `rows` (`rows[row][column]`).
+    pub fn columns(self, rows: &[Vec<f64>]) -> Vec<f64> {
+        let fold = |column: &Vec<f64>| match self {
+            Summary::Gmean => geometric_mean(column).unwrap_or(0.0),
+            // Summed as v/n term by term, so the printed decimals match
+            // the tables as first published.
+            Summary::Mean => column
+                .iter()
+                .fold(0.0, |acc, v| acc + v / column.len() as f64),
+        };
+        transpose(rows).iter().map(fold).collect()
+    }
+
+    /// [`Summary::columns`] of each run of `group` consecutive rows: a
+    /// `[point][column]` table from rows grouped by sweep point.
+    pub fn groups(self, rows: &[Vec<f64>], group: usize) -> Vec<Vec<f64>> {
+        rows.chunks(group).map(|g| self.columns(g)).collect()
+    }
+}
+
+/// `rows[i][j]` as `[j][i]`, e.g. design columns turned into design rows.
+pub fn transpose(rows: &[Vec<f64>]) -> Vec<Vec<f64>> {
+    let width = rows.first().map_or(0, Vec::len);
+    (0..width)
+        .map(|c| rows.iter().map(|row| row[c]).collect())
+        .collect()
+}
+
+/// A fixed-width text table: a left-aligned label column, then one
+/// right-aligned column per design or sweep point, each after one space.
+#[derive(Debug, Clone)]
+pub struct Table {
+    label_width: usize,
+    columns: Vec<(String, usize)>,
+}
+
+impl Table {
+    /// Columns with the given headers and widths.
+    pub fn new<H: Into<String>>(
+        label_width: usize,
+        columns: impl IntoIterator<Item = (H, usize)>,
+    ) -> Self {
+        let columns = columns.into_iter().map(|(h, w)| (h.into(), w)).collect();
+        Table {
+            label_width,
+            columns,
+        }
+    }
+
+    /// One 12-wide column per design after a 14-wide label (Figs. 12–14).
+    pub fn designs() -> Self {
+        Table::new(14, DesignKind::ALL.map(|d| (d.label(), 12)))
+    }
+
+    /// The header line, then one line per `(label, cells)`.
+    pub fn render_lines<L: AsRef<str>>(
+        &self,
+        corner: &str,
+        lines: impl IntoIterator<Item = (L, Vec<String>)>,
+    ) -> String {
+        use std::fmt::Write;
+        let w = self.label_width;
+        let mut out = format!("{corner:<w$}");
+        for (header, width) in &self.columns {
+            let _ = write!(out, " {header:>width$}");
+        }
+        for (label, cells) in lines {
+            let _ = write!(out, "\n{:<w$}", label.as_ref());
+            for (cell, (_, width)) in cells.iter().zip(&self.columns) {
+                let _ = write!(out, " {cell:>width$}");
+            }
+        }
+        out + "\n"
+    }
+
+    /// `rows[i]`, labelled `labels[i]`, to three decimals, then an optional
+    /// `(label, summary)` line over the rows' columns. An empty table
+    /// renders a diagnostic instead of a summary of nothing.
+    pub fn render(
+        &self,
+        corner: &str,
+        labels: &[impl AsRef<str>],
+        rows: &[Vec<f64>],
+        summary: Option<(&str, Summary)>,
+    ) -> String {
+        if rows.is_empty() {
+            let w = self.label_width;
+            let none = format!("{:<w$} (no runs — nothing to normalize)", "");
+            return self.render_lines(corner, [(none, vec![])]);
+        }
+        let summary = summary.map(|(label, s)| (label, s.columns(rows)));
+        let lines = labels.iter().map(AsRef::as_ref).zip(rows);
+        let lines = lines.chain(summary.as_ref().map(|(label, cells)| (*label, cells)));
+        self.render_lines(
+            corner,
+            lines.map(|(label, cells)| (label, cells.iter().map(|v| format!("{v:.3}")).collect())),
+        )
+    }
+}
+
+/// Tables V and VI: per dataset size, each design's reduction vs
+/// FWB-CRADE (`metric`, e.g. [`RunReport::energy_reduction_pct`]) averaged
+/// over the micro-benchmarks, every run passed through `adjust` first.
+pub fn print_reduction_table(
+    runner: &SweepRunner,
+    sink: &mut results::ResultSink,
+    metric: fn(&RunReport, &RunReport) -> f64,
+    adjust: fn(RunSpec) -> RunSpec,
+) {
+    let datasets = [
+        (DatasetSize::Small, knobs::txs(2_000)),
+        (DatasetSize::Large, knobs::txs(400)),
+    ];
+    let rows: Vec<RunSpec> = datasets
+        .iter()
+        .flat_map(|&(dataset, txs)| {
+            WorkloadKind::MICRO
+                .map(|kind| adjust(RunSpec::new(DesignKind::FwbCrade, kind, txs).dataset(dataset)))
+        })
+        .collect();
+    let grid = runner.grid(&rows);
+    sink.push_runs(grid.runs());
+    let means = Summary::Mean.groups(&grid.normalized(metric), WorkloadKind::MICRO.len());
+    // FWB-CRADE's own column (all zeros) is left out.
+    let others = DesignKind::ALL[1..].iter().zip([11, 10, 13, 12, 10]);
+    let table = Table::new(8, others.map(|(d, w)| (d.label(), w)));
+    let lines = datasets.iter().zip(&means).map(|((dataset, _), row)| {
+        (
+            dataset.label(),
+            row[1..].iter().map(|v| format!("{v:.1}%")).collect(),
+        )
+    });
+    print!("{}", table.render_lines("dataset", lines));
+}
+
+/// Fig. 16 and §VI-E: one line per design and one `width`-wide column
+/// per sweep point (`headers`), each cell the design's Gmean over the
+/// micro-benchmarks of its throughput normalized to FWB-CRADE at the same
+/// point. `rows` holds, point by point, one spec per micro-benchmark.
+/// Records reach `sink` design by design, the order these sweeps' JSON
+/// has always had (`bench_diff` matches records by position).
+pub fn print_point_sweep(
+    runner: &SweepRunner,
+    sink: &mut results::ResultSink,
+    rows: &[RunSpec],
+    headers: impl IntoIterator<Item = String>,
+    width: usize,
+) {
+    let grid = runner.grid(rows);
+    sink.push_runs(grid.by_design());
+    let norm = grid.normalized(RunReport::normalized_throughput);
+    let per_point = Summary::Gmean.groups(&norm, WorkloadKind::MICRO.len());
+    let table = Table::new(14, headers.into_iter().map(|h| (h, width)));
+    let designs = DesignKind::ALL.map(DesignKind::label);
+    print!(
+        "{}",
+        table.render("design", &designs, &transpose(&per_point), None)
+    );
 }
 
 /// Prints the per-design cycle-attribution breakdown: what fraction of the
@@ -373,26 +548,16 @@ pub fn print_design_header(first_col: &str) {
 /// the simulator's profiler and sum exactly to the run's execution cycles
 /// times its cores, so the percentages of a row always total 100.
 pub fn print_stall_breakdown(reports: &[RunReport]) {
-    if reports.is_empty() {
-        return;
-    }
-    print!("{:<14}", "cycle %");
-    for label in CycleAttribution::LABELS {
-        print!(" {label:>16}");
-    }
-    println!();
-    for r in reports {
-        print!("{:<14}", r.design.label());
+    let table = Table::new(14, CycleAttribution::LABELS.map(|l| (l, 16)));
+    let lines = reports.iter().map(|r| {
         let total = r.stats.attr.total();
-        for v in r.stats.attr.values() {
-            if total == 0 {
-                print!(" {:>16}", "-");
-            } else {
-                print!(" {:>15.1}%", 100.0 * v as f64 / total as f64);
-            }
-        }
-        println!();
-    }
+        let share = |v: u64| match total {
+            0 => "-".to_string(),
+            _ => format!("{:.1}%", 100.0 * v as f64 / total as f64),
+        };
+        (r.design.label(), r.stats.attr.values().map(share).to_vec())
+    });
+    print!("{}", table.render_lines("cycle %", lines));
 }
 
 /// Prints the per-design commit-latency table: p50/p99 of
@@ -406,30 +571,28 @@ pub fn print_stall_breakdown(reports: &[RunReport]) {
 /// log2-bucketed histograms, so the table is byte-identical across
 /// serial/parallel sweeps and with tracing on or off.
 pub fn print_commit_latency_table(reports: &[RunReport]) {
-    if reports.is_empty() {
-        return;
-    }
-    println!(
-        "{:<14} {:>14} {:>10} {:>14} {:>10} {:>12}",
-        "commit cycles", "persist p50", "p99", "complete p50", "p99", "dp lag p99"
-    );
-    for r in reports {
+    let columns = [
+        ("persist p50", 14),
+        ("p99", 10),
+        ("complete p50", 14),
+        ("p99", 10),
+        ("dp lag p99", 12),
+    ];
+    let table = Table::new(14, columns);
+    let lines = reports.iter().map(|r| {
         let c = &r.stats.metrics.commit;
         let lag = if c.dp_persist_lag.is_empty() {
             "-".to_string()
         } else {
             c.dp_persist_lag.p99().to_string()
         };
-        println!(
-            "{:<14} {:>14} {:>10} {:>14} {:>10} {:>12}",
-            r.design.label(),
-            c.begin_to_persist.p50(),
-            c.begin_to_persist.p99(),
-            c.begin_to_complete.p50(),
-            c.begin_to_complete.p99(),
-            lag
-        );
-    }
+        let (persist, complete) = (&c.begin_to_persist, &c.begin_to_complete);
+        let cells = [persist.p50(), persist.p99(), complete.p50(), complete.p99()];
+        let mut cells: Vec<String> = cells.iter().map(u64::to_string).collect();
+        cells.push(lag);
+        (r.design.label(), cells)
+    });
+    print!("{}", table.render_lines("commit cycles", lines));
 }
 
 /// Writes a finished run's event trace as JSONL when tracing is enabled

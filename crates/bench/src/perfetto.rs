@@ -30,6 +30,8 @@
 
 use std::collections::HashMap;
 
+use morlog_sim_core::trace::TraceEvent;
+
 use crate::json::{self, Json};
 use crate::results::{validate, CounterKeys, HostPerf, Labels, PhaseKeys, Record, Value};
 
@@ -91,18 +93,17 @@ pub fn convert_jsonl(text: &str) -> Result<Converted, String> {
             .ok_or_else(|| format!("line {}: missing string \"event\"", lineno + 1))?;
         match event {
             "commit_phase" => {
-                let thread = field_u64(&record, "thread", lineno)?;
-                let txid = field_u64(&record, "txid", lineno)?;
-                let phase = record
-                    .get("phase")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| format!("line {}: missing string \"phase\"", lineno + 1))?
-                    .to_string();
+                let [thread, txid, phase] = declared(&record, event, lineno)?;
+                let (thread, txid) = (as_u64(thread, lineno)?, as_u64(txid, lineno)?);
+                let phase = phase
+                    .1
+                    .as_str()
+                    .ok_or_else(|| format!("line {}: {:?} is not a string", lineno + 1, phase.0))?;
                 if !threads_seen.contains(&thread) {
                     threads_seen.push(thread);
                 }
                 let entry = open.entry((thread, txid)).or_default();
-                match phase.as_str() {
+                match phase {
                     "begin" => entry.begin = Some(cycle),
                     "start" => entry.start = Some(cycle),
                     "record_persisted" => match entry.start.take() {
@@ -139,36 +140,29 @@ pub fn convert_jsonl(text: &str) -> Result<Converted, String> {
                     }
                 }
             }
-            "wq_accept" => {
-                let channel = field_u64(&record, "channel", lineno)?;
-                let occupancy = field_u64(&record, "occupancy", lineno)?;
+            // One counter track per channel / slice; the plotted field's
+            // declared name is the counter's argument.
+            "wq_accept" | "log_append" | "log_truncate" => {
+                let (track, id, value) = match event {
+                    "wq_accept" => {
+                        let [channel, occupancy, _] = declared(&record, event, lineno)?;
+                        ("wq[ch", channel, occupancy)
+                    }
+                    "log_append" => {
+                        let [slice, offset, ..] = declared::<5>(&record, event, lineno)?;
+                        ("log_tail[slice", slice, offset)
+                    }
+                    _ => {
+                        let [slice, _, new_head] = declared(&record, event, lineno)?;
+                        ("log_head[slice", slice, new_head)
+                    }
+                };
+                let id = as_u64(id, lineno)?;
                 events.push(counter_event(
-                    format!("wq[ch{channel}]"),
-                    "occupancy",
+                    format!("{track}{id}]"),
+                    &value.0,
                     cycle,
-                    occupancy,
-                ));
-                counter_events += 1;
-            }
-            "log_append" => {
-                let slice = field_u64(&record, "slice", lineno)?;
-                let offset = field_u64(&record, "offset", lineno)?;
-                events.push(counter_event(
-                    format!("log_tail[slice{slice}]"),
-                    "offset",
-                    cycle,
-                    offset,
-                ));
-                counter_events += 1;
-            }
-            "log_truncate" => {
-                let slice = field_u64(&record, "slice", lineno)?;
-                let new_head = field_u64(&record, "new_head", lineno)?;
-                events.push(counter_event(
-                    format!("log_head[slice{slice}]"),
-                    "offset",
-                    cycle,
-                    new_head,
+                    as_u64(value, lineno)?,
                 ));
                 counter_events += 1;
             }
@@ -261,11 +255,49 @@ pub fn convert_host_perf(doc: &Json) -> Result<Converted, String> {
     })
 }
 
-fn field_u64(record: &Json, key: &str, lineno: usize) -> Result<u64, String> {
-    record
-        .get(key)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| format!("line {}: missing integer {key:?}", lineno + 1))
+/// The fields of one trace line after `cycle` and `event`, checked to be
+/// exactly those [`TraceEvent::FIELDS`] declares for `event`, in order.
+/// `trace_lint` and [`convert_jsonl`] both read events through it, so a
+/// renamed field fails both instead of silently dropping a track.
+///
+/// # Errors
+///
+/// Names the event when it is undeclared or its keys differ from the
+/// declaration.
+pub fn event_fields<'a>(record: &'a Json, event: &str) -> Result<&'a [(String, Json)], String> {
+    let (_, fields) = TraceEvent::FIELDS
+        .iter()
+        .find(|(label, _)| *label == event)
+        .ok_or_else(|| format!("unknown event {event:?}"))?;
+    let pairs = record.as_pairs().unwrap_or_default();
+    let keys: Vec<&str> = pairs.iter().map(|(k, _)| k.as_str()).collect();
+    if !keys
+        .iter()
+        .eq(["cycle", "event"].iter().chain(fields.iter()))
+    {
+        return Err(format!(
+            "{event} keys {keys:?} differ from the declared cycle, event, {fields:?}"
+        ));
+    }
+    Ok(&pairs[2..])
+}
+
+/// [`event_fields`] of a mapped event, as an array of its declared arity.
+fn declared<'a, const N: usize>(
+    record: &'a Json,
+    event: &str,
+    lineno: usize,
+) -> Result<&'a [(String, Json); N], String> {
+    let fields = event_fields(record, event).map_err(|e| format!("line {}: {e}", lineno + 1))?;
+    Ok(fields
+        .try_into()
+        .expect("mapped arity matches TraceEvent::FIELDS"))
+}
+
+fn as_u64((key, value): &(String, Json), lineno: usize) -> Result<u64, String> {
+    value
+        .as_u64()
+        .ok_or_else(|| format!("line {}: {key:?} is not an integer", lineno + 1))
 }
 
 fn span_event(name: String, cat: &str, tid: u64, begin: u64, end: u64) -> Json {
@@ -356,6 +388,21 @@ mod tests {
         let c = convert_jsonl(truncated).unwrap();
         assert_eq!(c.spans, 0);
         assert_eq!(c.unmatched, 1);
+    }
+
+    #[test]
+    fn renamed_field_is_an_error_naming_its_line() {
+        // `occupancy` renamed: the wq track must not silently vanish.
+        let renamed = SAMPLE.replace("\"occupancy\":7", "\"depth\":7");
+        let err = convert_jsonl(&renamed).unwrap_err();
+        assert!(err.starts_with("line 3: wq_accept keys"), "{err}");
+        assert!(
+            err.contains("\"depth\"") && err.contains("\"occupancy\""),
+            "{err}"
+        );
+        // Unmapped events are not checked: they are ignored, not converted.
+        let other = SAMPLE.replace("\"from\":", "\"was\":");
+        assert_eq!(convert_jsonl(&other).unwrap().ignored, 1);
     }
 
     #[test]

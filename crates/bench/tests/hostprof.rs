@@ -2,7 +2,8 @@
 //! counter determinism on real sweeps, shard-merge associativity, the
 //! disabled-path overhead budget at `quick_check 2000 hash` scale,
 //! strict exit-2 parsing of `MORLOG_HOSTPROF` / `MORLOG_DIFF_RATIO` /
-//! `MORLOG_SEED` in the shipped binaries, and `perf_trend` reading the
+//! `MORLOG_SEED` and of `quick_check`'s arguments in the shipped
+//! binaries, and `perf_trend` reading the
 //! `MORLOG_PERF_HISTORY` file `perf_report` appends to.
 //!
 //! The profiler's enable flag is process-global, so every in-process
@@ -239,6 +240,44 @@ fn malformed_crash_matrix_seed_exits_2() {
             String::from_utf8_lossy(&out.stdout)
         );
     }
+}
+
+#[test]
+fn malformed_quick_check_arguments_exit_2() {
+    let tmp = std::env::temp_dir();
+    for (args, label) in [
+        (&["5O", "hash"][..], "transactions argument"),
+        (&["0"], "transactions argument"),
+        (&["50", "nosuch"], "workload argument"),
+        (&["50", "hash", "medium"], "dataset argument"),
+        (&["50", "hash", "small", "extra"], "unexpected argument"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_quick_check"))
+            .args(args)
+            .env("MORLOG_RESULTS_DIR", &tmp)
+            .output()
+            .expect("spawn quick_check");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?} stderr: {stderr}");
+        assert!(stderr.contains(label), "{args:?} stderr: {stderr}");
+        // Arguments are parsed before any design runs or prints.
+        assert!(out.stdout.is_empty(), "{args:?} printed before failing");
+    }
+    // Any benchmark label selects its workload, in any case.
+    let dir = tmp.join(format!("morlog-quick-check-{}", std::process::id()));
+    let out = Command::new(env!("CARGO_BIN_EXE_quick_check"))
+        .args(["20", "rbtree", "large"])
+        .env("MORLOG_RESULTS_DIR", &dir)
+        .output()
+        .expect("spawn quick_check");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let doc = std::fs::read_to_string(dir.join("quick_check.json")).expect("results written");
+    assert!(doc.contains("\"RBTree-Large\""), "{doc}");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -2,7 +2,8 @@
 //! strict env parsing, clamp labelling, and the results JSON schema.
 
 use morlog_bench::results::{validate_document, ResultSink, SCHEMA_VERSION};
-use morlog_bench::{json, print_normalized_rows, RunSpec, SweepRunner};
+use morlog_bench::{json, transpose, RunSpec, Summary, SweepRunner, Table};
+use morlog_sim::RunReport;
 use morlog_sim::System;
 use morlog_sim_core::{DesignKind, SystemConfig};
 use morlog_workloads::{WorkloadConfig, WorkloadKind};
@@ -82,25 +83,42 @@ fn map_preserves_input_order() {
 }
 
 #[test]
-fn run_designs_returns_paper_order() {
-    let runs = SweepRunner::with_jobs(3).run_designs(&quick_spec(
-        DesignKind::FwbCrade,
-        WorkloadKind::Queue,
-        90_002,
-    ));
-    let designs: Vec<DesignKind> = runs.iter().map(|t| t.report.design).collect();
-    assert_eq!(designs, DesignKind::ALL.to_vec());
+fn grid_returns_paper_order() {
+    let rows = [
+        quick_spec(DesignKind::FwbCrade, WorkloadKind::Queue, 90_002),
+        quick_spec(DesignKind::MorLogDp, WorkloadKind::Hash, 90_002),
+    ];
+    let grid = SweepRunner::with_jobs(3).grid(&rows);
+    for (row, spec) in grid.rows().zip(&rows) {
+        let designs: Vec<DesignKind> = row.iter().map(|t| t.report.design).collect();
+        assert_eq!(designs, DesignKind::ALL.to_vec());
+        assert!(row.iter().all(|t| t.spec.kind == spec.kind));
+    }
+    let by_design: Vec<(DesignKind, WorkloadKind)> = grid
+        .by_design()
+        .map(|t| (t.spec.design, t.spec.kind))
+        .collect();
+    let want: Vec<(DesignKind, WorkloadKind)> = DesignKind::ALL
+        .iter()
+        .flat_map(|&d| rows.iter().map(move |r| (d, r.kind)))
+        .collect();
+    assert_eq!(by_design, want);
+    let norm = grid.normalized(RunReport::normalized_throughput);
+    assert_eq!(norm.len(), rows.len());
+    assert!(norm
+        .iter()
+        .all(|row| row.len() == DesignKind::ALL.len() && row[0] == 1.0));
 }
 
 #[test]
 fn all_designs_share_one_generated_trace() {
-    // Regression for the run_all_designs bug that regenerated the identical
-    // trace once per design: across all six designs the cache must report
-    // exactly one generation for the shared key.
+    // Regression for the bug that regenerated the identical trace once
+    // per design: across all six designs of a grid row the cache must
+    // report exactly one generation for the shared key.
     let seed = 90_003;
     let spec = quick_spec(DesignKind::FwbCrade, WorkloadKind::Hash, seed);
-    let runs = SweepRunner::with_jobs(2).run_designs(&spec);
-    assert_eq!(runs.len(), DesignKind::ALL.len());
+    let grid = SweepRunner::with_jobs(2).grid(std::slice::from_ref(&spec));
+    assert_eq!(grid.runs().len(), DesignKind::ALL.len());
     let cfg = SystemConfig::for_design(DesignKind::FwbCrade);
     let wl = WorkloadConfig {
         threads: spec.effective_threads(),
@@ -162,8 +180,63 @@ fn merged_metrics_identical_across_jobs() {
 }
 
 #[test]
-fn empty_report_slice_prints_diagnostic_instead_of_panicking() {
-    print_normalized_rows("empty", &[]);
+fn empty_grid_prints_diagnostic_instead_of_panicking() {
+    let grid = SweepRunner::with_jobs(1).grid(&[]);
+    let rows = grid.normalized(RunReport::normalized_throughput);
+    assert!(rows.is_empty());
+    let text = Table::designs().render("empty", &[""; 0], &rows, Some(("Gmean", Summary::Gmean)));
+    assert!(text.contains("(no runs — nothing to normalize)"), "{text}");
+}
+
+#[test]
+fn tables_keep_the_published_layouts() {
+    let rows = vec![
+        vec![1.0, 1.25, 0.5, 2.0, 1.0, 4.0],
+        vec![1.0, 1.0, 2.0, 0.5, 1.0, 1.0],
+    ];
+    let text = Table::designs().render(
+        "workload",
+        &["A", "B"],
+        &rows,
+        Some(("Gmean", Summary::Gmean)),
+    );
+    let lines: Vec<&str> = text.lines().collect();
+    assert_eq!(
+        lines[0],
+        format!(
+            "{:<14}{}",
+            "workload",
+            DesignKind::ALL
+                .map(|d| format!(" {:>12}", d.label()))
+                .concat()
+        )
+    );
+    assert_eq!(lines[1], "A                     1.000        1.250        0.500        2.000        1.000        4.000");
+    assert_eq!(lines[3], "Gmean                 1.000        1.118        1.000        1.000        1.000        2.000");
+    // Tables V/VI: per-column means as right-aligned percentage cells.
+    let means = Summary::Mean.groups(&rows, 2);
+    let headers = [
+        "FWB-Unsafe",
+        "FWB-SLDE",
+        "MorLog-CRADE",
+        "MorLog-SLDE",
+        "MorLog-DP",
+    ];
+    let table = Table::new(8, headers.into_iter().zip([11, 10, 13, 12, 10]));
+    let cells = means[0][1..].iter().map(|v| format!("{v:.1}%")).collect();
+    let text = table.render_lines("dataset", [("Small", cells)]);
+    assert_eq!(
+        text,
+        format!(
+            "{:<8} {:>11} {:>10} {:>13} {:>12} {:>10}\n{:<8} {:>10.1}% {:>9.1}% {:>12.1}% {:>11.1}% {:>9.1}%\n",
+            "dataset", "FWB-Unsafe", "FWB-SLDE", "MorLog-CRADE", "MorLog-SLDE", "MorLog-DP",
+            "Small", 1.125, 1.25, 1.25, 1.0, 2.5
+        )
+    );
+    assert_eq!(
+        transpose(&means),
+        (0..6).map(|c| vec![means[0][c]]).collect::<Vec<_>>()
+    );
 }
 
 #[test]

@@ -8,8 +8,8 @@
 //! one aborts the process with **exit code 2** and an `error:` line that
 //! names the variable, so a typo never silently runs the default.
 //! Command-line values that share a knob's grammar (`bench_diff
-//! --threshold`, `crash_matrix`'s seed argument) go through [`or_exit`],
-//! the same exit-2 path.
+//! --threshold`, `crash_matrix`'s seed argument, `quick_check`'s
+//! transaction count) go through [`or_exit`], the same exit-2 path.
 
 use std::path::PathBuf;
 use std::str::FromStr;
@@ -77,8 +77,9 @@ knobs! {
 // ignored everywhere except in plain paths.
 
 /// A positive integer: `0`, signs, fractions and suffixes like `100k`
-/// are rejected.
-fn positive<T: FromStr + Default + PartialEq>(raw: &str) -> Result<T, String> {
+/// are rejected (`MORLOG_TXS`, `MORLOG_JOBS`, `quick_check`'s
+/// transaction count).
+pub fn positive<T: FromStr + Default + PartialEq>(raw: &str) -> Result<T, String> {
     match raw.trim().parse::<T>() {
         Ok(n) if n == T::default() => Err("must be at least 1".into()),
         Ok(n) => Ok(n),
