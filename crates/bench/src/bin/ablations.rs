@@ -74,8 +74,8 @@ fn main() {
     for ((label, _), t) in cases.iter().zip(&runs) {
         let s = &t.report.stats;
         println!(
-            "  {:<12} NVMM writes {:>8}  redo discarded {:>6}  cycles {:>10}",
-            label, s.mem.nvmm_writes, s.log.redo_discarded, s.cycles
+            "  {:<12} NVMM writes {:>8}  log entries {:>8}  cycles {:>10}",
+            label, s.mem.nvmm_writes, s.log.entries_written, s.cycles
         );
     }
     println!();

@@ -68,8 +68,9 @@ fn main() {
             stats: Stats::from(&row.stats),
         });
     }
-    println!("\nSLDE designs touch fewer log locations for the same work: fewer writes");
-    println!("means longer lifetime (§VI-C). The ring appends sequentially, so log wear");
-    println!("is level by construction (max slot count stays minimal even under reuse).");
+    println!("\nSLDE designs issue fewer log writes for the same work, although they");
+    println!("program more distinct locations; fewer writes means longer lifetime");
+    println!("(§VI-C). The ring appends sequentially, so log wear is level by");
+    println!("construction (max slot count stays minimal even under reuse).");
     sink.finish();
 }

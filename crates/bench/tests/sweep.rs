@@ -135,50 +135,6 @@ fn all_designs_share_one_generated_trace() {
     );
 }
 
-/// Satellite gate for the telemetry layer: the merged (fold-reduced)
-/// histograms and series of a jobs=1 sweep are identical to a jobs=4
-/// sweep of the same specs — not just value-equal, but byte-identical
-/// once serialized through the declared `Stats` record. This is
-/// the property that makes per-run histograms safe to aggregate across
-/// a parallel sweep.
-#[test]
-fn merged_metrics_identical_across_jobs() {
-    use morlog_bench::results::{Stats, Value};
-    use morlog_sim_core::SimStats;
-
-    let specs: Vec<RunSpec> = DesignKind::ALL
-        .iter()
-        .flat_map(|&design| {
-            [WorkloadKind::Hash, WorkloadKind::Queue]
-                .into_iter()
-                .map(move |kind| quick_spec(design, kind, 90_009))
-        })
-        .collect();
-    let serial = SweepRunner::with_jobs(1).run_specs(&specs);
-    let parallel = SweepRunner::with_jobs(4).run_specs(&specs);
-
-    let fold = |runs: &[morlog_bench::TimedRun]| {
-        let mut merged = SimStats::default();
-        for r in runs {
-            merged.merge(&r.report.stats);
-        }
-        merged
-    };
-    let merged_serial = fold(&serial);
-    let merged_parallel = fold(&parallel);
-    assert_eq!(
-        merged_serial.metrics, merged_parallel.metrics,
-        "merged histograms/series must not depend on sweep parallelism"
-    );
-    assert_eq!(
-        Stats::from(&merged_serial).json().to_json(),
-        Stats::from(&merged_parallel).json().to_json(),
-        "serialized merged stats must be byte-identical across jobs"
-    );
-    // The merge actually carried latency data, not two empty sets.
-    assert!(merged_serial.metrics.commit.begin_to_complete.count() > 0);
-}
-
 #[test]
 fn empty_grid_prints_diagnostic_instead_of_panicking() {
     let grid = SweepRunner::with_jobs(1).grid(&[]);

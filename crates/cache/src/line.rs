@@ -1,6 +1,6 @@
 //! Cache lines and the MorLog L1 extensions (Fig. 7 and Fig. 8).
 
-use morlog_sim_core::ids::TxKey;
+use morlog_log::record::TxTag;
 use morlog_sim_core::{LineAddr, LineData, WORDS_PER_LINE};
 
 /// The 2-bit per-word log state of Fig. 8.
@@ -31,7 +31,7 @@ pub enum WordLogState {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct L1Ext {
     /// The transaction whose updates the line's log states describe.
-    pub owner: TxKey,
+    pub owner: TxTag,
     /// Per-word log state.
     pub word_state: [WordLogState; WORDS_PER_LINE],
     /// Per-word dirty flags, accumulated since the word's last persisted
@@ -41,7 +41,7 @@ pub struct L1Ext {
 
 impl L1Ext {
     /// A fresh extension owned by `owner`, all words clean.
-    pub fn new(owner: TxKey) -> Self {
+    pub fn new(owner: TxTag) -> Self {
         L1Ext {
             owner,
             ..Default::default()
@@ -109,11 +109,10 @@ impl CacheLine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use morlog_sim_core::{ThreadId, TxId};
 
     #[test]
     fn ext_counts_ulog_words() {
-        let mut ext = L1Ext::new(TxKey::new(ThreadId::new(0), TxId::new(0)));
+        let mut ext = L1Ext::new(TxTag::new(0, 0));
         assert_eq!(ext.ulog_words(), 0);
         assert!(!ext.has_log_state());
         ext.word_state[0] = WordLogState::ULog;

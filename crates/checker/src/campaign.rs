@@ -19,10 +19,11 @@
 //!   runs serially on the calling thread — the reference every other
 //!   shard count must match byte for byte.
 
+use morlog_log::RecoveryOutcome;
 use morlog_sim::System;
 use morlog_sim_core::hostprof::{self, HostPhase};
 use morlog_sim_core::par::ordered_map;
-use morlog_sim_core::{FaultVariantKind, PersistEventMeta, SystemConfig, TxKey};
+use morlog_sim_core::{FaultVariantKind, PersistEventMeta, SystemConfig};
 use morlog_workloads::WorkloadTrace;
 
 /// One campaign work item: the crash point (persist events completed
@@ -113,10 +114,8 @@ pub(crate) struct Replay {
     pub(crate) sys: System,
     /// The oracle's description of the violation, if any.
     pub(crate) error: Option<String>,
-    /// Transactions recovery rolled forward.
-    pub(crate) redone: Vec<TxKey>,
-    /// Transactions recovery rolled back.
-    pub(crate) undone: Vec<TxKey>,
+    /// What recovery rolled forward and back.
+    pub(crate) outcome: RecoveryOutcome,
 }
 
 /// Replays one crash item from cycle zero: install the variant's
@@ -148,13 +147,12 @@ pub(crate) fn replay(
     sys.arm_crash_at(point);
     sys.run_until_crash_point();
     sys.crash();
-    let report = sys.recover();
-    let error = sys.verify_recovery(&report).err();
+    let outcome = sys.recover();
+    let error = sys.verify_recovery(&outcome).err();
     Replay {
         sys,
         error,
-        redone: report.redone,
-        undone: report.undone,
+        outcome,
     }
 }
 

@@ -33,8 +33,9 @@
 //! [`CheckMutation::SkewRedoValue`]: morlog_sim_core::CheckMutation::SkewRedoValue
 
 use crate::campaign::{counterexample, replay, Reference, Replay};
+use morlog_log::record::TxTag;
 use morlog_sim_core::par::ordered_map;
-use morlog_sim_core::{Addr, FaultVariantKind, SystemConfig, ThreadId, TxId, TxKey};
+use morlog_sim_core::{Addr, FaultVariantKind, SystemConfig};
 use morlog_workloads::{Op, WorkloadTrace};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -113,14 +114,14 @@ pub struct DiffReport {
 
 /// Every word the workload touches (initial images and stores), mapped
 /// to the transactions that store to it.
-fn word_writers(trace: &WorkloadTrace) -> BTreeMap<Addr, BTreeSet<TxKey>> {
-    let mut writers: BTreeMap<Addr, BTreeSet<TxKey>> = BTreeMap::new();
+fn word_writers(trace: &WorkloadTrace) -> BTreeMap<Addr, BTreeSet<TxTag>> {
+    let mut writers: BTreeMap<Addr, BTreeSet<TxTag>> = BTreeMap::new();
     for (t, thread) in trace.threads.iter().enumerate() {
         for (addr, _) in &thread.initial {
             writers.entry(addr.word_base()).or_default();
         }
         for (x, tx) in thread.transactions.iter().enumerate() {
-            let key = TxKey::new(ThreadId::new(t as u8), TxId::new(x as u16));
+            let key = TxTag::new(t as u8, x as u16);
             for op in &tx.ops {
                 if let Op::Store(addr, _) = op {
                     writers.entry(addr.word_base()).or_default().insert(key);
@@ -138,7 +139,7 @@ fn run_pair(
     trace: &WorkloadTrace,
     pair: DiffPair,
     final_pair: bool,
-    writers: &BTreeMap<Addr, BTreeSet<TxKey>>,
+    writers: &BTreeMap<Addr, BTreeSet<TxTag>>,
 ) -> DiffOutcome {
     let base = FaultVariantKind::Base;
     let a = replay(cfg_a, trace, (pair.point_a, base), 0, false);
@@ -151,11 +152,12 @@ fn run_pair(
         (Some(ea), None) => Some((DiffCulprit::DesignA, ea.clone())),
         (None, Some(eb)) => Some((DiffCulprit::DesignB, eb.clone())),
         (None, None) => {
-            let set = |keys: &[TxKey]| keys.iter().copied().collect::<BTreeSet<_>>();
-            let redone = set(&a.redone);
-            let same_replay =
-                redone == set(&b.redone) && set(&a.undone) == set(&b.undone) && !redone.is_empty();
-            let comparable = |w: &BTreeSet<TxKey>| {
+            let set = |keys: &[TxTag]| keys.iter().copied().collect::<BTreeSet<_>>();
+            let redone = set(&a.outcome.committed);
+            let same_replay = redone == set(&b.outcome.committed)
+                && set(&a.outcome.rolled_back) == set(&b.outcome.rolled_back)
+                && !redone.is_empty();
+            let comparable = |w: &BTreeSet<TxTag>| {
                 final_pair || same_replay && w.len() == 1 && w.iter().all(|k| redone.contains(k))
             };
             let word = |r: &Replay, addr: Addr| {

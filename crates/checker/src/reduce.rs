@@ -107,12 +107,13 @@ pub fn recovery_pinned_points(meta: &[PersistEventMeta]) -> HashSet<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use morlog_sim_core::{Addr, ThreadId, TxId, TxKey};
+    use morlog_log::record::TxTag;
+    use morlog_sim_core::Addr;
 
     fn undo(line: u64, word: usize, offset: u64) -> PersistEventMeta {
         PersistEventMeta::Log {
             kind: PersistEventKind::UndoRedo,
-            key: TxKey::new(ThreadId::new(0), TxId::new(0)),
+            key: TxTag::new(0, 0),
             addr: Addr::new(line * 64 + word as u64 * 8),
             slice: 0,
             offset,

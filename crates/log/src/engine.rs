@@ -19,7 +19,7 @@
 //! 3. A commit is acknowledged only after its slot's drain returns.
 
 use crate::domain::{log_region, PersistDomain, RegionId, CONTROL_REGION, DATA_REGION};
-use crate::protocol::{plan_replay, ScanEntry};
+use crate::protocol::{plan_replay, ReplayPlan, ScanEntry};
 use crate::record::{
     crc32_words, decode_slot, encode_slot, Record, RecordKind, TxTag, BYTE_SLOTS, SLOT_MAX,
 };
@@ -119,12 +119,16 @@ impl std::fmt::Display for LogError {
 
 impl std::error::Error for LogError {}
 
-/// What a [`Log::recover`] call found and did.
+/// What a completed recovery pass found and did: the result of
+/// [`Log::recover`] and of the simulator's recovery over its NVMM log.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RecoveryOutcome {
-    /// Transactions rolled forward (committed and kept), in commit order.
+    /// Transactions rolled forward (committed, and persisted under
+    /// delay-persistence), in commit order.
     pub committed: Vec<TxTag>,
-    /// Transactions rolled back, sorted.
+    /// Transactions rolled back, sorted: uncommitted ones, committed but
+    /// not persisted ones under delay-persistence, and ones demoted because
+    /// the crash damaged a record before their commit could be trusted.
     pub rolled_back: Vec<TxTag>,
     /// Log slots scanned inside the published windows.
     pub records_scanned: usize,
@@ -138,6 +142,29 @@ pub struct RecoveryOutcome {
     pub forward_writes: usize,
     /// Backward (undo) replay writes applied.
     pub backward_writes: usize,
+}
+
+impl RecoveryOutcome {
+    /// Whether the scan found any damaged or dropped records.
+    pub fn saw_damage(&self) -> bool {
+        self.torn_records > 0 || self.corrupt_records > 0 || self.dropped_records > 0
+    }
+}
+
+/// The outcome of a pass that applied every write of `plan`.
+impl From<ReplayPlan> for RecoveryOutcome {
+    fn from(plan: ReplayPlan) -> Self {
+        RecoveryOutcome {
+            forward_writes: plan.forward.len(),
+            backward_writes: plan.backward.len(),
+            committed: plan.winners,
+            rolled_back: plan.undone,
+            records_scanned: plan.records_scanned,
+            torn_records: plan.torn_records,
+            corrupt_records: plan.corrupt_records,
+            dropped_records: plan.dropped_records,
+        }
+    }
 }
 
 /// The transactional log engine. See the module docs for the protocol.
@@ -492,16 +519,7 @@ impl<D: PersistDomain> Log<D> {
         self.txtable.clear();
         self.submitted_words.clear();
         self.needs_recovery = false;
-        Ok(RecoveryOutcome {
-            committed: plan.winners.clone(),
-            rolled_back: plan.undone.clone(),
-            records_scanned: plan.records_scanned,
-            torn_records: plan.torn_records,
-            corrupt_records: plan.corrupt_records,
-            dropped_records: plan.dropped_records,
-            forward_writes: plan.forward.len(),
-            backward_writes: plan.backward.len(),
-        })
+        Ok(RecoveryOutcome::from(plan))
     }
 
     /// Scans one slice's `[head, tail)` window into [`ScanEntry`] values.

@@ -35,8 +35,9 @@
 //!   undo+redo append, commit records with cross-slice timestamps, log
 //!   truncation and full crash recovery over any [`PersistDomain`].
 //!
-//! The simulator shares this crate's record, kind and transaction-table
-//! types, its recovery planner and its [`Ring`](ring::Ring): the engine
+//! The simulator shares this crate's record, kind, transaction-tag and
+//! transaction-table types, its recovery planner and its result
+//! ([`RecoveryOutcome`]), and its [`Ring`](ring::Ring): the engine
 //! steps one ring per slice over [`BYTE_SLOTS`](record::BYTE_SLOTS), and
 //! the simulator's memory controller one per slice over the Fig. 7 array
 //! slots (`morlog_nvm::log::ARRAY_SLOTS`). The simulator still keeps its

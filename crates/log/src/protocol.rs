@@ -123,13 +123,6 @@ pub struct ReplayPlan {
     pub dropped_records: usize,
 }
 
-impl ReplayPlan {
-    /// Whether the scan found any damaged or dropped records.
-    pub fn saw_damage(&self) -> bool {
-        self.torn_records > 0 || self.corrupt_records > 0 || self.dropped_records > 0
-    }
-}
-
 /// Computes the complete replay plan for a scanned log state. Pass
 /// `delay_persistence = true` for logs whose transactions committed with
 /// the delay-persistence protocol (ulog counters in commit records).
@@ -335,7 +328,14 @@ mod tests {
             }]
         );
         assert!(plan.backward.is_empty());
-        assert!(!plan.saw_damage());
+        assert_eq!(
+            (
+                plan.torn_records,
+                plan.corrupt_records,
+                plan.dropped_records
+            ),
+            (0, 0, 0)
+        );
     }
 
     #[test]

@@ -18,8 +18,9 @@ use crate::ring::Geometry;
 /// A transaction tag: the `(thread, txid)` pair that identifies a
 /// transaction among those still present in the log region (8-bit thread,
 /// 16-bit per-thread transaction id — the field widths of the Fig. 7 entry
-/// format). The simulator's typed `TxKey` converts to and from it
-/// losslessly.
+/// format). Every layer names a transaction by it: the engine and its byte
+/// backends, and the simulator's controllers, L1 extensions, trace events,
+/// oracle and crash checker.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct TxTag {
     /// The hardware thread (or client shard) that ran the transaction.
@@ -531,6 +532,12 @@ mod tests {
 
     fn tag(t: u8, x: u16) -> TxTag {
         TxTag::new(t, x)
+    }
+
+    /// Oracle messages and counterexample files name transactions this way.
+    #[test]
+    fn tag_display_names_thread_and_txid() {
+        assert_eq!(tag(2, 9).to_string(), "T2/tx9");
     }
 
     #[test]

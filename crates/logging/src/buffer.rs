@@ -24,7 +24,6 @@
 use std::collections::VecDeque;
 
 use morlog_log::record::{Record, RecordKind, TxTag};
-use morlog_sim_core::ids::TxKey;
 use morlog_sim_core::{Addr, Cycle};
 
 /// Index of the cache line holding a record's home word.
@@ -102,14 +101,14 @@ pub struct Pending {
 /// ```
 /// use morlog_log::record::Record;
 /// use morlog_logging::buffer::LogBuffer;
-/// use morlog_sim_core::ids::TxKey;
-/// use morlog_sim_core::{Addr, ThreadId, TxId};
+/// use morlog_log::record::TxTag;
+/// use morlog_sim_core::Addr;
 ///
 /// let mut buf = LogBuffer::new(4);
-/// let key = TxKey::new(ThreadId::new(0), TxId::new(0));
-/// buf.push(Record::undo_redo(key.into(), 0x40, 1, 2, 0xFF), 100).unwrap();
-/// assert!(buf.find_mut(key, Addr::new(0x40)).is_some());
-/// assert!(buf.has_tx(key));
+/// let tag = TxTag::new(0, 0);
+/// buf.push(Record::undo_redo(tag, 0x40, 1, 2, 0xFF), 100).unwrap();
+/// assert!(buf.find_mut(tag, Addr::new(0x40)).is_some());
+/// assert!(buf.has_tx(tag));
 /// assert_eq!(buf.len(), 1);
 /// ```
 #[derive(Debug, Clone, Default)]
@@ -177,11 +176,11 @@ impl LogBuffer {
         Ok(())
     }
 
-    /// Finds the buffered entry for `(key, word address)`, for coalescing.
+    /// Finds the buffered entry for `(tag, word address)`, for coalescing.
     /// The caller may change the entry's data but not its tag or address,
     /// which are the lookup key.
-    pub fn find_mut(&mut self, key: TxKey, addr: Addr) -> Option<&mut Pending> {
-        let (tag, addr) = (TxTag::from(key), addr.word_base().as_u64());
+    pub fn find_mut(&mut self, tag: TxTag, addr: Addr) -> Option<&mut Pending> {
+        let addr = addr.word_base().as_u64();
         if !self.per_tx.contains(tag) {
             return None;
         }
@@ -194,9 +193,9 @@ impl LogBuffer {
         found
     }
 
-    /// Whether an entry for `(key, word address)` is buffered.
-    pub fn contains(&self, key: TxKey, addr: Addr) -> bool {
-        let (tag, addr) = (TxTag::from(key), addr.word_base().as_u64());
+    /// Whether an entry for `(tag, word address)` is buffered.
+    pub fn contains(&self, tag: TxTag, addr: Addr) -> bool {
+        let addr = addr.word_base().as_u64();
         self.per_tx.contains(tag)
             && self
                 .entries
@@ -217,9 +216,9 @@ impl LogBuffer {
         Some(p)
     }
 
-    /// Removes the entry for `(key, word address)` (redo-discard, §III-B).
-    pub fn remove(&mut self, key: TxKey, addr: Addr) -> Option<Pending> {
-        let (tag, addr) = (TxTag::from(key), addr.word_base().as_u64());
+    /// Removes the entry for `(tag, word address)` (redo-discard, §III-B).
+    pub fn remove(&mut self, tag: TxTag, addr: Addr) -> Option<Pending> {
+        let addr = addr.word_base().as_u64();
         if !self.per_tx.contains(tag) {
             return None;
         }
@@ -249,16 +248,15 @@ impl LogBuffer {
         removed
     }
 
-    /// Whether any entry belongs to transaction `key`.
-    pub fn has_tx(&self, key: TxKey) -> bool {
-        self.per_tx.contains(TxTag::from(key))
+    /// Whether any entry belongs to transaction `tag`.
+    pub fn has_tx(&self, tag: TxTag) -> bool {
+        self.per_tx.contains(tag)
     }
 
-    /// The oldest entry belonging to transaction `key` (commit flush pulls
+    /// The oldest entry belonging to transaction `tag` (commit flush pulls
     /// a transaction's entries in FIFO order, preserving per-word undo
     /// ordering, §III-C).
-    pub fn find_tx_front(&self, key: TxKey) -> Option<Pending> {
-        let tag = TxTag::from(key);
+    pub fn find_tx_front(&self, tag: TxTag) -> Option<Pending> {
         if !self.per_tx.contains(tag) {
             return None;
         }
@@ -398,14 +396,14 @@ impl RecordQueue {
         self.records.iter().position(pred)
     }
 
-    /// Whether any record of transaction `key` is queued.
-    pub fn has_tx(&self, key: TxKey) -> bool {
-        self.counts.all.contains(TxTag::from(key))
+    /// Whether any record of transaction `tag` is queued.
+    pub fn has_tx(&self, tag: TxTag) -> bool {
+        self.counts.all.contains(tag)
     }
 
-    /// Whether any undo+redo record of transaction `key` is queued.
-    pub fn has_undo(&self, key: TxKey) -> bool {
-        self.counts.undo.contains(TxTag::from(key))
+    /// Whether any undo+redo record of transaction `tag` is queued.
+    pub fn has_undo(&self, tag: TxTag) -> bool {
+        self.counts.undo.contains(tag)
     }
 
     /// Drops everything (crash: the queues are volatile).
@@ -436,14 +434,13 @@ impl std::ops::Index<usize> for RecordQueue {
 mod tests {
     use super::*;
     use morlog_sim_core::rng::DetRng;
-    use morlog_sim_core::{ThreadId, TxId};
 
-    fn key(t: u8, x: u16) -> TxKey {
-        TxKey::new(ThreadId::new(t), TxId::new(x))
+    fn key(t: u8, x: u16) -> TxTag {
+        TxTag::new(t, x)
     }
 
-    fn rec(k: TxKey, addr: u64) -> Record {
-        Record::undo_redo(k.into(), addr, 0, 1, 0xFF)
+    fn rec(k: TxTag, addr: u64) -> Record {
+        Record::undo_redo(k, addr, 0, 1, 0xFF)
     }
 
     #[test]
@@ -515,7 +512,7 @@ mod tests {
     #[test]
     fn per_tx_counts_match_linear_scans() {
         let mut rng = DetRng::new(0x10B_B0FF);
-        let keys: Vec<TxKey> = (0..3)
+        let keys: Vec<TxTag> = (0..3)
             .flat_map(|t| (0..2).map(move |x| key(t, x)))
             .collect();
         let mut b = LogBuffer::new(12);
@@ -545,7 +542,7 @@ mod tests {
                     let r = if rng.gen_bool(0.5) {
                         rec(k, addr)
                     } else {
-                        Record::redo_only(k.into(), addr, 1, 0xFF)
+                        Record::redo_only(k, addr, 1, 0xFF)
                     };
                     q.push_back(r);
                 }
@@ -564,21 +561,20 @@ mod tests {
                 }
                 _ => {}
             }
-            for &k in &keys {
-                let tag = TxTag::from(k);
+            for &tag in &keys {
                 assert_eq!(
-                    b.has_tx(k),
+                    b.has_tx(tag),
                     b.iter().any(|p| p.record.tag == tag),
                     "has_tx, step {step}"
                 );
                 assert_eq!(
-                    b.find_tx_front(k),
+                    b.find_tx_front(tag),
                     b.iter().find(|p| p.record.tag == tag).copied(),
                     "find_tx_front, step {step}"
                 );
-                assert_eq!(q.has_tx(k), q.iter().any(|r| r.tag == tag));
+                assert_eq!(q.has_tx(tag), q.iter().any(|r| r.tag == tag));
                 assert_eq!(
-                    q.has_undo(k),
+                    q.has_undo(tag),
                     q.iter()
                         .any(|r| r.tag == tag && r.kind == RecordKind::UndoRedo)
                 );

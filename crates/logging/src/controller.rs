@@ -56,12 +56,11 @@ use morlog_log::txtable::TxTable;
 use morlog_nvm::controller::{LogAppendError, MemoryController};
 use morlog_sim_core::hash::{IntHashMap, IntHashSet};
 use morlog_sim_core::hostprof::{self, HostPhase};
-use morlog_sim_core::ids::TxKey;
 use morlog_sim_core::metrics::CommitLatency;
 use morlog_sim_core::stats::LogStats;
 use morlog_sim_core::trace::{CommitPhaseTag, TraceEvent, Tracer, WordStateTag};
 use morlog_sim_core::types::dirty_byte_mask;
-use morlog_sim_core::{Addr, CheckMutation, Cycle, DesignKind, LogConfig, ThreadId, TxId};
+use morlog_sim_core::{Addr, CheckMutation, Cycle, DesignKind, LogConfig, ThreadId};
 
 use crate::buffer::{home_line, LogBuffer, RecordQueue};
 
@@ -86,7 +85,7 @@ pub enum StoreStall {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PersistedUr {
     /// The owning transaction.
-    pub key: TxKey,
+    pub key: TxTag,
     /// The logged word's home address.
     pub addr: Addr,
     /// The entry was discarded (all-clean log data) rather than written.
@@ -98,7 +97,7 @@ impl PersistedUr {
     /// with `outcome` (never [`FlushOutcome::Blocked`]).
     fn of(record: &Record, outcome: FlushOutcome) -> Self {
         PersistedUr {
-            key: record.tag.into(),
+            key: record.tag,
             addr: record.addr.into(),
             silent: matches!(outcome, FlushOutcome::Discarded),
         }
@@ -118,7 +117,7 @@ pub struct UlogWord {
 
 #[derive(Debug, Clone, Copy)]
 struct PendingCommit {
-    key: TxKey,
+    key: TxTag,
     started: Cycle,
     /// Whether `commit_cycle` holds `key`: its commit record persisted
     /// (or, after a TxID wrap, an earlier one under the same key did).
@@ -134,25 +133,25 @@ struct PendingCommits {
 }
 
 impl PendingCommits {
-    fn get(&self, thread: ThreadId) -> Option<&PendingCommit> {
-        self.by_thread.get(thread.index())?.as_ref()
+    fn get(&self, thread: u8) -> Option<&PendingCommit> {
+        self.by_thread.get(thread as usize)?.as_ref()
     }
 
-    fn get_mut(&mut self, thread: ThreadId) -> Option<&mut PendingCommit> {
-        self.by_thread.get_mut(thread.index())?.as_mut()
+    fn get_mut(&mut self, thread: u8) -> Option<&mut PendingCommit> {
+        self.by_thread.get_mut(thread as usize)?.as_mut()
     }
 
     /// Records `p` as its thread's commit in flight.
     fn insert(&mut self, p: PendingCommit) {
-        let t = p.key.thread.index();
+        let t = p.key.thread as usize;
         if t >= self.by_thread.len() {
             self.by_thread.resize(t + 1, None);
         }
         self.by_thread[t] = Some(p);
     }
 
-    fn remove(&mut self, thread: ThreadId) {
-        if let Some(slot) = self.by_thread.get_mut(thread.index()) {
+    fn remove(&mut self, thread: u8) {
+        if let Some(slot) = self.by_thread.get_mut(thread as usize) {
             *slot = None;
         }
     }
@@ -213,7 +212,7 @@ enum FlushOutcome {
 ///
 /// let mut lc = LogController::new(DesignKind::MorLogSlde, LogConfig::default());
 /// let key = lc.tx_begin(ThreadId::new(0), 0);
-/// assert_eq!(key.thread, ThreadId::new(0));
+/// assert_eq!(key.thread, 0);
 /// ```
 #[derive(Debug)]
 pub struct LogController {
@@ -225,14 +224,14 @@ pub struct LogController {
     /// (evictions, commits); drained ahead of everything else. While
     /// non-empty, new stores stall — this is the hardware backpressure.
     overflow: RecordQueue,
-    next_txid: IntHashMap<ThreadId, TxId>,
+    next_txid: IntHashMap<ThreadId, u16>,
     pending_commits: PendingCommits,
     /// Commit records awaiting a free write-queue slot (and, for gating,
     /// their transaction's undo+redo entries draining first).
     pending_records: RecordQueue,
     /// Commit cycle of every transaction whose commit record persisted
     /// (drives log truncation).
-    commit_cycle: IntHashMap<TxKey, Cycle>,
+    commit_cycle: IntHashMap<TxTag, Cycle>,
     stats: LogStats,
     /// Redo entries older than this are written out even without pressure.
     redo_lazy_age: Cycle,
@@ -244,7 +243,7 @@ pub struct LogController {
     /// order commits across distributed log slices, §III-F).
     next_commit_ts: u64,
     /// Phase timestamps of transactions still resolving their commit.
-    commit_track: IntHashMap<TxKey, CommitTrack>,
+    commit_track: IntHashMap<TxTag, CommitTrack>,
     /// Commit-latency distributions (always collected).
     latency: CommitLatency,
     /// Observability sink (disabled by default; see [`set_tracer`]).
@@ -322,10 +321,10 @@ impl LogController {
 
     /// Starts a transaction on `thread` at cycle `now`, assigning the
     /// next 16-bit TxID. `now` seeds the commit-latency phase tracker.
-    pub fn tx_begin(&mut self, thread: ThreadId, now: Cycle) -> TxKey {
-        let txid = self.next_txid.entry(thread).or_insert_with(|| TxId::new(0));
-        let key = TxKey::new(thread, *txid);
-        *txid = txid.next();
+    pub fn tx_begin(&mut self, thread: ThreadId, now: Cycle) -> TxTag {
+        let txid = self.next_txid.entry(thread).or_insert(0);
+        let key = TxTag::new(thread.as_u8(), *txid);
+        *txid = txid.wrapping_add(1);
         self.commit_track.insert(
             key,
             CommitTrack {
@@ -347,7 +346,7 @@ impl LogController {
     /// Complete have been observed, resolves the transaction into the
     /// latency histograms. Completion and persistence arrive in either
     /// order (§III-C inverts them), so resolution waits for both.
-    fn track_phase(&mut self, key: TxKey, phase: CommitPhaseTag, now: Cycle) {
+    fn track_phase(&mut self, key: TxTag, phase: CommitPhaseTag, now: Cycle) {
         let Some(track) = self.commit_track.get_mut(&key) else {
             return;
         };
@@ -381,7 +380,7 @@ impl LogController {
     #[allow(clippy::too_many_arguments)]
     pub fn on_store(
         &mut self,
-        key: TxKey,
+        key: TxTag,
         addr: Addr,
         old: u64,
         new: u64,
@@ -430,10 +429,7 @@ impl LogController {
                 }
                 let ext = line.ext.as_mut().expect("ext installed above");
                 self.ur_buf
-                    .push(
-                        Record::undo_redo(key.into(), addr.as_u64(), old, new, delta),
-                        now,
-                    )
+                    .push(Record::undo_redo(key, addr.as_u64(), old, new, delta), now)
                     .expect("room ensured");
                 self.stats.undo_redo_created += 1;
                 ext.word_state[w] = WordLogState::Dirty;
@@ -466,10 +462,7 @@ impl LogController {
                         self.evict_ur_front(now, mc)?;
                     }
                     self.ur_buf
-                        .push(
-                            Record::undo_redo(key.into(), addr.as_u64(), old, new, delta),
-                            now,
-                        )
+                        .push(Record::undo_redo(key, addr.as_u64(), old, new, delta), now)
                         .expect("room ensured");
                     self.stats.undo_redo_created += 1;
                     let ext = line.ext.as_mut().expect("ext installed above");
@@ -504,7 +497,7 @@ impl LogController {
 
     fn fwb_store(
         &mut self,
-        key: TxKey,
+        key: TxTag,
         addr: Addr,
         old: u64,
         new: u64,
@@ -525,13 +518,7 @@ impl LogController {
         }
         self.ur_buf
             .push(
-                Record::undo_redo(
-                    key.into(),
-                    addr.as_u64(),
-                    old,
-                    new,
-                    dirty_byte_mask(old, new),
-                ),
+                Record::undo_redo(key, addr.as_u64(), old, new, dirty_byte_mask(old, new)),
                 now,
             )
             .expect("room ensured");
@@ -553,7 +540,7 @@ impl LogController {
             if ext.word_state[w] == WordLogState::ULog {
                 self.queue_redo_with_evict(
                     Record::redo_only(
-                        ext.owner.into(),
+                        ext.owner,
                         line.addr.word_addr(w).as_u64(),
                         line.data.word(w),
                         ext.dirty_flags[w],
@@ -577,7 +564,7 @@ impl LogController {
             record.redo = record.redo.wrapping_add(1);
         }
         self.stats.redo_created += 1;
-        let key = TxKey::from(record.tag);
+        let key = record.tag;
         if self.commit_cycle.contains_key(&key)
             || Self::is_held(&self.pending_commits, &key)
             || self.pending_records.has_tx(key)
@@ -620,7 +607,7 @@ impl LogController {
                 WordLogState::ULog => {
                     self.queue_redo(
                         Record::redo_only(
-                            ext.owner.into(),
+                            ext.owner,
                             line.addr.word_addr(w).as_u64(),
                             line.data.word(w),
                             ext.dirty_flags[w],
@@ -673,8 +660,7 @@ impl LogController {
             match self.flush_to_ring(p.record, now, mc) {
                 FlushOutcome::Blocked(_) => return false,
                 _ => {
-                    self.ur_buf
-                        .remove(p.record.tag.into(), p.record.addr.into());
+                    self.ur_buf.remove(p.record.tag, p.record.addr.into());
                 }
             }
         }
@@ -708,7 +694,7 @@ impl LogController {
     /// counter instead and the commit completes instantly (§III-C).
     pub fn start_commit(
         &mut self,
-        key: TxKey,
+        key: TxTag,
         ulog_words: Vec<UlogWord>,
         ulog_count: u32,
         now: Cycle,
@@ -725,7 +711,7 @@ impl LogController {
             // have drained, preserving the §III-C recovery invariant.
             self.next_commit_ts += 1;
             self.pending_records.push_back(
-                Record::commit(key.into(), Some(ulog_count)).with_timestamp(self.next_commit_ts),
+                Record::commit(key, Some(ulog_count)).with_timestamp(self.next_commit_ts),
             );
             self.tracer.emit(now, || TraceEvent::CommitPhase {
                 key,
@@ -737,7 +723,7 @@ impl LogController {
         for wordinfo in ulog_words {
             self.queue_redo(
                 Record::redo_only(
-                    key.into(),
+                    key,
                     wordinfo.addr.word_base().as_u64(),
                     wordinfo.value,
                     wordinfo.dirty_mask,
@@ -754,7 +740,7 @@ impl LogController {
 
     /// Whether `thread`'s synchronous commit is still draining log data.
     pub fn is_commit_pending(&self, thread: ThreadId) -> bool {
-        self.pending_commits.get(thread).is_some()
+        self.pending_commits.get(thread.as_u8()).is_some()
     }
 
     /// Commit records queued but not yet persisted. The engine applies
@@ -818,10 +804,10 @@ impl LogController {
                     FlushOutcome::Blocked(_) => break,
                     outcome => {
                         if is_ur {
-                            self.ur_buf.remove(record.tag.into(), record.addr.into());
+                            self.ur_buf.remove(record.tag, record.addr.into());
                             persisted.push(PersistedUr::of(&record, outcome));
                         } else {
-                            self.redo_buf.remove(record.tag.into(), record.addr.into());
+                            self.redo_buf.remove(record.tag, record.addr.into());
                         }
                     }
                 }
@@ -846,13 +832,12 @@ impl LogController {
         // The head record's entries are pulled out actively rather than
         // waiting for the aging timer.
         while let Some(record) = self.pending_records.front().copied() {
-            let key = TxKey::from(record.tag);
+            let key = record.tag;
             while let Some(p) = self.ur_buf.find_tx_front(key) {
                 match self.flush_to_ring(p.record, now, mc) {
                     FlushOutcome::Blocked(_) => break,
                     outcome => {
-                        self.ur_buf
-                            .remove(p.record.tag.into(), p.record.addr.into());
+                        self.ur_buf.remove(p.record.tag, p.record.addr.into());
                         persisted.push(PersistedUr::of(&p.record, outcome));
                     }
                 }
@@ -892,9 +877,8 @@ impl LogController {
             }
             if !p.recorded && !self.pending_records.has_tx(p.key) {
                 self.next_commit_ts += 1;
-                self.pending_records.push_back(
-                    Record::commit(p.key.into(), None).with_timestamp(self.next_commit_ts),
-                );
+                self.pending_records
+                    .push_back(Record::commit(p.key, None).with_timestamp(self.next_commit_ts));
                 continue; // record appends on a later tick pass
             }
             if p.recorded {
@@ -918,7 +902,7 @@ impl LogController {
 
     /// Whether any of `key`'s entries is still buffered or queued for the
     /// overflow drain.
-    fn tx_has_buffered_entries(&self, key: TxKey) -> bool {
+    fn tx_has_buffered_entries(&self, key: TxTag) -> bool {
         self.ur_buf.has_tx(key) || self.redo_buf.has_tx(key) || self.overflow.has_tx(key)
     }
 
@@ -930,7 +914,7 @@ impl LogController {
 
     /// Whether any of `key`'s undo+redo entries is still buffered or
     /// queued for the overflow drain.
-    fn tx_has_buffered_undo(&self, key: TxKey) -> bool {
+    fn tx_has_buffered_undo(&self, key: TxTag) -> bool {
         self.ur_buf.has_tx(key) || self.overflow.has_undo(key)
     }
 
@@ -1057,7 +1041,7 @@ impl LogController {
         }
         // 5. The head commit record.
         if let Some(record) = self.pending_records.front() {
-            let key = TxKey::from(record.tag);
+            let key = record.tag;
             match self.ur_buf.find_tx_front(key) {
                 Some(p) => {
                     if !self.flush_blocked(&p.record, mc) {
@@ -1096,7 +1080,7 @@ impl LogController {
     /// touch state, and whenever unsure.
     pub fn store_stall(
         &self,
-        key: TxKey,
+        key: TxTag,
         addr: Addr,
         old: u64,
         new: u64,
@@ -1183,7 +1167,7 @@ impl LogController {
     pub fn truncate_with_table(&mut self, table: &TxTable, mc: &mut MemoryController) {
         let held = &self.pending_commits;
         Self::truncate_by(&self.commit_cycle, mc, |key, cc| {
-            !Self::is_held(held, key) && cc.contains_key(key) && table.is_deletable((*key).into())
+            !Self::is_held(held, key) && cc.contains_key(key) && table.is_deletable(*key)
         });
     }
 
@@ -1196,7 +1180,7 @@ impl LogController {
     /// checker-visible state. (Without an active fault plan, completion
     /// lands the same tick the record persists, before any truncation
     /// pass, so nothing is held.)
-    fn is_held(pending_commits: &PendingCommits, key: &TxKey) -> bool {
+    fn is_held(pending_commits: &PendingCommits, key: &TxTag) -> bool {
         pending_commits
             .get(key.thread)
             .is_some_and(|p| p.key == *key)
@@ -1206,9 +1190,9 @@ impl LogController {
     /// transactions satisfy `deletable`, subject to the no-split rule and
     /// the commit-order-prefix rule (see the `truncate` docs).
     fn truncate_by(
-        commit_cycle: &IntHashMap<TxKey, Cycle>,
+        commit_cycle: &IntHashMap<TxTag, Cycle>,
         mc: &mut MemoryController,
-        deletable: impl Fn(&TxKey, &IntHashMap<TxKey, Cycle>) -> bool,
+        deletable: impl Fn(&TxTag, &IntHashMap<TxTag, Cycle>) -> bool,
     ) {
         let rings = mc.log_rings();
         // Pass 1 per slice: naive committed-prefix walk, then the no-split
@@ -1218,7 +1202,7 @@ impl LogController {
             let head = ring.head();
             let mut new_head = head;
             for slot in ring.entries() {
-                if deletable(&slot.value.record.tag.into(), commit_cycle) {
+                if deletable(&slot.value.record.tag, commit_cycle) {
                     new_head = slot.offset + ring.geometry().slot_bytes(slot.kind);
                 } else {
                     break;
@@ -1256,7 +1240,7 @@ impl LogController {
         for r in rings.iter().flat_map(|ring| ring.entries()) {
             let tag = r.value.record.tag;
             if !removed.contains(&tag) {
-                if let Some(&c) = commit_cycle.get(&tag.into()) {
+                if let Some(&c) = commit_cycle.get(&tag) {
                     c_lim = c_lim.min(c);
                 }
             }
@@ -1270,7 +1254,7 @@ impl LogController {
                     break;
                 }
                 let c = commit_cycle
-                    .get(&slot.value.record.tag.into())
+                    .get(&slot.value.record.tag)
                     .copied()
                     .unwrap_or(Cycle::MAX);
                 if c > c_lim {
@@ -1356,6 +1340,20 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// TxIDs are 16-bit per-thread counters (Fig. 7): the 65,537th begin
+    /// on one thread reuses txid 0, and other threads count on their own.
+    #[test]
+    fn txid_wraps_at_sixteen_bits_per_thread() {
+        let mut lc = LogController::new(DesignKind::MorLogSlde, LogConfig::default());
+        let (t0, t1) = (ThreadId::new(0), ThreadId::new(1));
+        assert_eq!(lc.tx_begin(t1, 0), TxTag::new(1, 0));
+        for txid in 0..=u16::MAX {
+            assert_eq!(lc.tx_begin(t0, 0), TxTag::new(0, txid));
+        }
+        assert_eq!(lc.tx_begin(t0, 0), TxTag::new(0, 0));
+        assert_eq!(lc.tx_begin(t1, 0), TxTag::new(1, 1));
     }
 
     #[test]
@@ -1712,11 +1710,7 @@ mod tests {
         let before = m.log_ring().entries().count();
         assert_eq!(before, 3); // tx1 entry + commit, tx2 entry
         lc.truncate(now + 1000, &mut m);
-        let remaining: Vec<_> = m
-            .log_ring()
-            .entries()
-            .map(|r| TxKey::from(r.value.record.tag))
-            .collect();
+        let remaining: Vec<_> = m.log_ring().entries().map(|r| r.value.record.tag).collect();
         assert_eq!(
             remaining,
             vec![key2],

@@ -12,8 +12,9 @@
 //!
 //! The simulation engine in `morlog-sim` wires a [`controller::LogController`]
 //! between the cache hierarchy (`morlog-cache`) and the memory controller
-//! (`morlog-nvm`). Log records, their kinds and the §III-F transaction
-//! table are `morlog-log`'s types (`Record`, `RecordKind`, `TxTable`).
+//! (`morlog-nvm`). Log records, their kinds, their `(thread, txid)` tags,
+//! the §III-F transaction table and the recovery result are `morlog-log`'s
+//! types (`Record`, `RecordKind`, `TxTag`, `TxTable`, `RecoveryOutcome`).
 
 #![deny(missing_docs)]
 
@@ -23,4 +24,4 @@ pub mod overhead;
 pub mod recovery;
 
 pub use controller::{LogController, PersistedUr, StoreStall, UlogWord};
-pub use recovery::{recover, RecoveryReport};
+pub use recovery::recover;

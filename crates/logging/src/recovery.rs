@@ -23,7 +23,7 @@
 //!
 //! Roll-forward stops per thread at the first damaged record in its slice:
 //! later records of that thread are dropped from winner determination and
-//! replay (reported in [`RecoveryReport`]). Roll-back inspects the oldest
+//! replay (reported in [`RecoveryOutcome`]). Roll-back inspects the oldest
 //! undo+redo entry per (transaction, word): a valid anchor restores the
 //! pre-transaction value; a damaged anchor means the gated in-place write
 //! never landed, so the word is skipped — it already holds that value.
@@ -36,44 +36,11 @@
 //! interleave in the ring.
 
 use morlog_log::protocol::{plan_replay, ScanEntry};
+use morlog_log::{LogError, RecoveryOutcome};
 use morlog_nvm::controller::MemoryController;
 use morlog_sim_core::hostprof::{self, HostPhase};
-use morlog_sim_core::ids::TxKey;
 use morlog_sim_core::trace::{RecoveryStepTag, TraceEvent};
 use morlog_sim_core::Addr;
-
-/// What recovery did.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct RecoveryReport {
-    /// Committed (and persisted) transactions rolled forward, commit order.
-    pub redone: Vec<TxKey>,
-    /// Transactions rolled back (uncommitted, committed-but-not-persisted
-    /// under delay-persistence, or demoted because the crash damaged one of
-    /// their records before their commit could be trusted).
-    pub undone: Vec<TxKey>,
-    /// Ring records scanned.
-    pub records_scanned: usize,
-    /// Records an interrupted drain truncated (a strict prefix of their
-    /// data words persisted). Classified and excluded from replay.
-    pub torn_records: usize,
-    /// Records whose integrity footprint or metadata header failed to
-    /// check out (escaped bit flips). Excluded from replay.
-    pub corrupt_records: usize,
-    /// Undamaged records dropped from roll-forward because they follow a
-    /// damaged record of the same thread (replay stops at first damage).
-    pub dropped_records: usize,
-    /// Whether this recovery pass was cut short by a second crash
-    /// ([`recover_interrupted`]): the log region is intact and another
-    /// recovery pass must run before the state is trustworthy.
-    pub interrupted: bool,
-}
-
-impl RecoveryReport {
-    /// Whether the scan found any damaged or dropped records.
-    pub fn saw_damage(&self) -> bool {
-        self.torn_records > 0 || self.corrupt_records > 0 || self.dropped_records > 0
-    }
-}
 
 /// Runs recovery over the controller's log region and applies the log data
 /// to the in-place NVMM locations. Pass `delay_persistence = true` for
@@ -95,12 +62,13 @@ impl RecoveryReport {
 ///     Frequency::ghz(3.0),
 ///     SldeCodec::new(CellModel::table_iii()),
 /// );
-/// let report = recover(&mut mc, false);
-/// assert!(report.redone.is_empty() && report.undone.is_empty());
-/// assert!(!report.saw_damage());
+/// let outcome = recover(&mut mc, false);
+/// assert!(outcome.committed.is_empty() && outcome.rolled_back.is_empty());
+/// assert!(!outcome.saw_damage());
 /// ```
-pub fn recover(mc: &mut MemoryController, delay_persistence: bool) -> RecoveryReport {
-    recover_inner(mc, delay_persistence, None)
+pub fn recover(mc: &mut MemoryController, delay_persistence: bool) -> RecoveryOutcome {
+    recover_interrupted(mc, delay_persistence, usize::MAX)
+        .expect("a pass without a write budget applies every write")
 }
 
 /// Runs recovery but crashes it after `apply_budget` replay writes — the
@@ -111,34 +79,17 @@ pub fn recover(mc: &mut MemoryController, delay_persistence: bool) -> RecoveryRe
 /// and must converge to the same state an uninterrupted recovery produces.
 /// Replay writes are absolute values, so re-applying them is idempotent.
 ///
-/// The returned report carries the winner/loser determination (which is
-/// complete before any replay write) with
-/// [`RecoveryReport::interrupted`] set.
+/// # Errors
+///
+/// [`LogError::PowerLoss`] when the budget runs out before the last replay
+/// write — as [`morlog_log::Log::recover`] reports a power loss during
+/// recovery. Only another recovery pass may follow.
 pub fn recover_interrupted(
     mc: &mut MemoryController,
     delay_persistence: bool,
     apply_budget: usize,
-) -> RecoveryReport {
-    recover_inner(mc, delay_persistence, Some(apply_budget))
-}
-
-fn recover_inner(
-    mc: &mut MemoryController,
-    delay_persistence: bool,
-    apply_budget: Option<usize>,
-) -> RecoveryReport {
+) -> Result<RecoveryOutcome, LogError> {
     let _prof = hostprof::scope(HostPhase::Recovery);
-    // Budget of replay writes before the simulated second crash; `None`
-    // never interrupts.
-    let mut budget = apply_budget;
-    let mut spend = move || match &mut budget {
-        None => true,
-        Some(0) => false,
-        Some(n) => {
-            *n -= 1;
-            true
-        }
-    };
     // Gather records from every log slice (one for the centralized log,
     // several for the §III-F distributed variant) and hand them to the
     // extracted protocol planner. A transaction's records all live in its
@@ -164,15 +115,6 @@ fn recover_inner(
     // backend uses. This routine only applies the plan to the NVMM array
     // with the simulator's trace and double-crash machinery around it.
     let plan = plan_replay(&entries, delay_persistence);
-    let mut report = RecoveryReport {
-        redone: plan.winners.iter().map(|&t| TxKey::from(t)).collect(),
-        undone: plan.undone.iter().map(|&t| TxKey::from(t)).collect(),
-        records_scanned: plan.records_scanned,
-        torn_records: plan.torn_records,
-        corrupt_records: plan.corrupt_records,
-        dropped_records: plan.dropped_records,
-        interrupted: false,
-    };
 
     tracer.emit(at, || TraceEvent::Recovery {
         step: RecoveryStepTag::Winners,
@@ -180,18 +122,13 @@ fn recover_inner(
     });
 
     // Forward pass: winners in commit order, records in append order.
-    let mut redone_words = 0u64;
-    for w in &plan.forward {
-        if !spend() {
-            report.interrupted = true;
-            break;
-        }
+    let forward = plan.forward.len().min(apply_budget);
+    for w in &plan.forward[..forward] {
         apply_word(mc, Addr::new(w.addr), w.value);
-        redone_words += 1;
     }
     tracer.emit(at, || TraceEvent::Recovery {
         step: RecoveryStepTag::RollForward,
-        count: redone_words,
+        count: forward as u64,
     });
 
     // Backward pass: the globally-oldest valid undo anchor per word, in
@@ -201,11 +138,8 @@ fn recover_inner(
         step: RecoveryStepTag::RollBack,
         count: plan.backward.len() as u64,
     });
-    for w in &plan.backward {
-        if report.interrupted || !spend() {
-            report.interrupted = true;
-            break;
-        }
+    let backward = plan.backward.len().min(apply_budget - forward);
+    for w in &plan.backward[..backward] {
         apply_word(mc, Addr::new(w.addr), w.value);
     }
 
@@ -213,19 +147,19 @@ fn recover_inner(
     // A second crash mid-replay leaves the ring intact: entries may only be
     // deleted once every update is in place, so the next recovery pass can
     // re-derive everything the interrupted one did.
-    if report.interrupted {
+    if forward + backward < plan.forward.len() + plan.backward.len() {
         tracer.emit(at, || TraceEvent::Recovery {
             step: RecoveryStepTag::Interrupted,
-            count: report.undone.len() as u64,
+            count: plan.undone.len() as u64,
         });
-        return report;
+        return Err(LogError::PowerLoss);
     }
     mc.clear_log();
     tracer.emit(at, || TraceEvent::Recovery {
         step: RecoveryStepTag::Done,
-        count: report.undone.len() as u64,
+        count: plan.undone.len() as u64,
     });
-    report
+    Ok(RecoveryOutcome::from(plan))
 }
 
 fn apply_word(mc: &mut MemoryController, addr: Addr, value: u64) {
@@ -240,8 +174,8 @@ mod tests {
     use super::*;
     use morlog_encoding::cell::CellModel;
     use morlog_encoding::slde::SldeCodec;
-    use morlog_log::record::Record;
-    use morlog_sim_core::{Frequency, MemConfig, ThreadId, TxId};
+    use morlog_log::record::{Record, TxTag};
+    use morlog_sim_core::{Frequency, MemConfig};
 
     fn mc() -> MemoryController {
         MemoryController::with_default_map(
@@ -251,8 +185,8 @@ mod tests {
         )
     }
 
-    fn key(t: u8, x: u16) -> TxKey {
-        TxKey::new(ThreadId::new(t), TxId::new(x))
+    fn key(t: u8, x: u16) -> TxTag {
+        TxTag::new(t, x)
     }
 
     fn word_at(mc: &MemoryController, addr: Addr) -> u64 {
@@ -264,12 +198,12 @@ mod tests {
         let mut m = mc();
         let a = m.map().data_base(); // word 0 of the first data line
         let k = key(0, 0);
-        m.try_append_log(Record::undo_redo(k.into(), a.as_u64(), 0, 42, 0xFF), 0)
+        m.try_append_log(Record::undo_redo(k, a.as_u64(), 0, 42, 0xFF), 0)
             .unwrap();
-        m.try_append_log(Record::commit(k.into(), None), 0).unwrap();
+        m.try_append_log(Record::commit(k, None), 0).unwrap();
         let report = recover(&mut m, false);
-        assert_eq!(report.redone, vec![k]);
-        assert!(report.undone.is_empty());
+        assert_eq!(report.committed, vec![k]);
+        assert!(report.rolled_back.is_empty());
         assert!(!report.saw_damage());
         assert_eq!(word_at(&m, a), 42);
         assert!(m.log_ring().is_empty());
@@ -282,13 +216,13 @@ mod tests {
         let k = key(0, 0);
         // Simulate: undo+redo persisted, then in-place data updated, crash
         // before commit.
-        m.try_append_log(Record::undo_redo(k.into(), a.as_u64(), 7, 42, 0xFF), 0)
+        m.try_append_log(Record::undo_redo(k, a.as_u64(), 7, 42, 0xFF), 0)
             .unwrap();
         let mut line = m.read_line(a.line());
         line.set_word(0, 42);
         m.write_line_functional(a.line(), line);
         let report = recover(&mut m, false);
-        assert_eq!(report.undone, vec![k]);
+        assert_eq!(report.rolled_back, vec![k]);
         assert_eq!(word_at(&m, a), 7, "rolled back to the undo value");
     }
 
@@ -297,13 +231,13 @@ mod tests {
         let mut m = mc();
         let a = m.map().data_base();
         let k = key(0, 0);
-        m.try_append_log(Record::undo_redo(k.into(), a.as_u64(), 0, 1, 0xFF), 0)
+        m.try_append_log(Record::undo_redo(k, a.as_u64(), 0, 1, 0xFF), 0)
             .unwrap();
-        m.try_append_log(Record::redo_only(k.into(), a.as_u64(), 2, 0xFF), 0)
+        m.try_append_log(Record::redo_only(k, a.as_u64(), 2, 0xFF), 0)
             .unwrap();
-        m.try_append_log(Record::redo_only(k.into(), a.as_u64(), 3, 0xFF), 0)
+        m.try_append_log(Record::redo_only(k, a.as_u64(), 3, 0xFF), 0)
             .unwrap();
-        m.try_append_log(Record::commit(k.into(), None), 0).unwrap();
+        m.try_append_log(Record::commit(k, None), 0).unwrap();
         recover(&mut m, false);
         assert_eq!(word_at(&m, a), 3);
     }
@@ -315,9 +249,9 @@ mod tests {
         let k = key(0, 0);
         // Two undo+redo entries for the same word (line was evicted and
         // re-fetched mid-transaction): the oldest anchors the rollback.
-        m.try_append_log(Record::undo_redo(k.into(), a.as_u64(), 10, 20, 0xFF), 0)
+        m.try_append_log(Record::undo_redo(k, a.as_u64(), 10, 20, 0xFF), 0)
             .unwrap();
-        m.try_append_log(Record::undo_redo(k.into(), a.as_u64(), 20, 30, 0xFF), 0)
+        m.try_append_log(Record::undo_redo(k, a.as_u64(), 20, 30, 0xFF), 0)
             .unwrap();
         recover(&mut m, false);
         assert_eq!(word_at(&m, a), 10);
@@ -330,14 +264,12 @@ mod tests {
         let k1 = key(0, 0);
         let k2 = key(1, 0);
         // tx1 writes 5, commits; tx2 writes 9 (undo = 5), commits.
-        m.try_append_log(Record::undo_redo(k1.into(), a.as_u64(), 0, 5, 0xFF), 0)
+        m.try_append_log(Record::undo_redo(k1, a.as_u64(), 0, 5, 0xFF), 0)
             .unwrap();
-        m.try_append_log(Record::commit(k1.into(), None), 0)
+        m.try_append_log(Record::commit(k1, None), 0).unwrap();
+        m.try_append_log(Record::undo_redo(k2, a.as_u64(), 5, 9, 0xFF), 0)
             .unwrap();
-        m.try_append_log(Record::undo_redo(k2.into(), a.as_u64(), 5, 9, 0xFF), 0)
-            .unwrap();
-        m.try_append_log(Record::commit(k2.into(), None), 0)
-            .unwrap();
+        m.try_append_log(Record::commit(k2, None), 0).unwrap();
         recover(&mut m, false);
         assert_eq!(word_at(&m, a), 9, "later commit replays later");
     }
@@ -348,19 +280,18 @@ mod tests {
         let a = m.map().data_base();
         let k1 = key(0, 0);
         let k2 = key(1, 0);
-        m.try_append_log(Record::undo_redo(k1.into(), a.as_u64(), 0, 5, 0xFF), 0)
+        m.try_append_log(Record::undo_redo(k1, a.as_u64(), 0, 5, 0xFF), 0)
             .unwrap();
-        m.try_append_log(Record::commit(k1.into(), None), 0)
-            .unwrap();
-        m.try_append_log(Record::undo_redo(k2.into(), a.as_u64(), 5, 9, 0xFF), 0)
+        m.try_append_log(Record::commit(k1, None), 0).unwrap();
+        m.try_append_log(Record::undo_redo(k2, a.as_u64(), 5, 9, 0xFF), 0)
             .unwrap();
         // Crash before tx2 commits; in-place holds 9.
         let mut line = m.read_line(a.line());
         line.set_word(0, 9);
         m.write_line_functional(a.line(), line);
         let report = recover(&mut m, false);
-        assert_eq!(report.redone, vec![k1]);
-        assert_eq!(report.undone, vec![k2]);
+        assert_eq!(report.committed, vec![k1]);
+        assert_eq!(report.rolled_back, vec![k2]);
         assert_eq!(
             word_at(&m, a),
             5,
@@ -376,27 +307,24 @@ mod tests {
         let a2 = Addr::new(a0.as_u64() + 16);
         let (k1, k2, k3) = (key(0, 0), key(0, 1), key(0, 2));
         // tx1: complete (ulog 1, one post-commit redo entry present).
-        m.try_append_log(Record::undo_redo(k1.into(), a0.as_u64(), 0, 1, 0xFF), 0)
+        m.try_append_log(Record::undo_redo(k1, a0.as_u64(), 0, 1, 0xFF), 0)
             .unwrap();
-        m.try_append_log(Record::commit(k1.into(), Some(1)), 0)
-            .unwrap();
-        m.try_append_log(Record::redo_only(k1.into(), a0.as_u64(), 11, 0xFF), 0)
+        m.try_append_log(Record::commit(k1, Some(1)), 0).unwrap();
+        m.try_append_log(Record::redo_only(k1, a0.as_u64(), 11, 0xFF), 0)
             .unwrap();
         // tx2: claims 2 ULog words but only one redo entry made it.
-        m.try_append_log(Record::undo_redo(k2.into(), a1.as_u64(), 0, 2, 0xFF), 0)
+        m.try_append_log(Record::undo_redo(k2, a1.as_u64(), 0, 2, 0xFF), 0)
             .unwrap();
-        m.try_append_log(Record::commit(k2.into(), Some(2)), 0)
-            .unwrap();
-        m.try_append_log(Record::redo_only(k2.into(), a1.as_u64(), 22, 0xFF), 0)
+        m.try_append_log(Record::commit(k2, Some(2)), 0).unwrap();
+        m.try_append_log(Record::redo_only(k2, a1.as_u64(), 22, 0xFF), 0)
             .unwrap();
         // tx3: complete, but commits after tx2 -> still a loser.
-        m.try_append_log(Record::undo_redo(k3.into(), a2.as_u64(), 0, 3, 0xFF), 0)
+        m.try_append_log(Record::undo_redo(k3, a2.as_u64(), 0, 3, 0xFF), 0)
             .unwrap();
-        m.try_append_log(Record::commit(k3.into(), Some(0)), 0)
-            .unwrap();
+        m.try_append_log(Record::commit(k3, Some(0)), 0).unwrap();
         let report = recover(&mut m, true);
-        assert_eq!(report.redone, vec![k1]);
-        assert_eq!(report.undone, vec![k2, k3]);
+        assert_eq!(report.committed, vec![k1]);
+        assert_eq!(report.rolled_back, vec![k2, k3]);
         assert_eq!(word_at(&m, a0), 11, "tx1 rolled forward to its newest redo");
         assert_eq!(word_at(&m, a1), 0, "tx2 rolled back");
         assert_eq!(word_at(&m, a2), 0, "tx3 rolled back despite being complete");
@@ -414,18 +342,15 @@ mod tests {
         let a0 = m.map().data_base();
         let a1 = Addr::new(a0.as_u64() + 8);
         let (k1, k2) = (key(0, 0), key(0, 1));
-        m.try_append_log(Record::undo_redo(k1.into(), a0.as_u64(), 5, 50, 0xFF), 0)
+        m.try_append_log(Record::undo_redo(k1, a0.as_u64(), 5, 50, 0xFF), 0)
             .unwrap();
-        let commit = m
-            .try_append_log(Record::commit(k1.into(), Some(1)), 0)
-            .unwrap();
-        m.try_append_log(Record::redo_only(k1.into(), a0.as_u64(), 51, 0xFF), 0)
+        let commit = m.try_append_log(Record::commit(k1, Some(1)), 0).unwrap();
+        m.try_append_log(Record::redo_only(k1, a0.as_u64(), 51, 0xFF), 0)
             .unwrap();
         // tx2: complete with ulog 0, committing after the damaged record.
-        m.try_append_log(Record::undo_redo(k2.into(), a1.as_u64(), 6, 60, 0xFF), 0)
+        m.try_append_log(Record::undo_redo(k2, a1.as_u64(), 6, 60, 0xFF), 0)
             .unwrap();
-        m.try_append_log(Record::commit(k2.into(), Some(0)), 0)
-            .unwrap();
+        m.try_append_log(Record::commit(k2, Some(0)), 0).unwrap();
         // In-place data already carries tx1's update (DP wrote it back).
         let mut line = m.read_line(a0.line());
         line.set_word(a0.word_index(), 51);
@@ -437,8 +362,8 @@ mod tests {
         }));
         let report = recover(&mut m, true);
         assert_eq!(report.corrupt_records, 1);
-        assert!(report.redone.is_empty());
-        assert_eq!(report.undone, vec![k1, k2]);
+        assert!(report.committed.is_empty());
+        assert_eq!(report.rolled_back, vec![k1, k2]);
         assert_eq!(word_at(&m, a0), 5, "tx1 rolled back via its undo anchor");
         assert_eq!(word_at(&m, a1), 6, "tx2 dropped behind the damage");
     }
@@ -454,26 +379,24 @@ mod tests {
         let mut m = mc();
         let a = m.map().data_base();
         let k = key(0, 0);
-        m.try_append_log(Record::undo_redo(k.into(), a.as_u64(), 0, 1, 0xFF), 0)
+        m.try_append_log(Record::undo_redo(k, a.as_u64(), 0, 1, 0xFF), 0)
             .unwrap();
-        m.try_append_log(Record::commit(k.into(), Some(0)), 0)
-            .unwrap();
+        m.try_append_log(Record::commit(k, Some(0)), 0).unwrap();
         let report = recover(&mut m, true);
-        assert_eq!(report.redone, vec![k]);
-        assert!(report.undone.is_empty());
+        assert_eq!(report.committed, vec![k]);
+        assert!(report.rolled_back.is_empty());
         assert_eq!(word_at(&m, a), 1);
 
         // ulog = 1 at the same crash point: the counter says one more redo
         // entry should follow, none did — the commit is not persisted.
         let mut m = mc();
         let k = key(0, 0);
-        m.try_append_log(Record::undo_redo(k.into(), a.as_u64(), 7, 8, 0xFF), 0)
+        m.try_append_log(Record::undo_redo(k, a.as_u64(), 7, 8, 0xFF), 0)
             .unwrap();
-        m.try_append_log(Record::commit(k.into(), Some(1)), 0)
-            .unwrap();
+        m.try_append_log(Record::commit(k, Some(1)), 0).unwrap();
         let report = recover(&mut m, true);
-        assert!(report.redone.is_empty());
-        assert_eq!(report.undone, vec![k]);
+        assert!(report.committed.is_empty());
+        assert_eq!(report.rolled_back, vec![k]);
         assert_eq!(word_at(&m, a), 7, "rolled back to the undo value");
     }
 
@@ -482,12 +405,11 @@ mod tests {
         let mut m = mc();
         let a = m.map().data_base();
         let k = key(0, 0);
-        m.try_append_log(Record::undo_redo(k.into(), a.as_u64(), 0, 1, 0xFF), 0)
+        m.try_append_log(Record::undo_redo(k, a.as_u64(), 0, 1, 0xFF), 0)
             .unwrap();
-        m.try_append_log(Record::commit(k.into(), Some(99)), 0)
-            .unwrap();
+        m.try_append_log(Record::commit(k, Some(99)), 0).unwrap();
         let report = recover(&mut m, false);
-        assert_eq!(report.redone, vec![k]);
+        assert_eq!(report.committed, vec![k]);
         assert_eq!(word_at(&m, a), 1);
     }
 
@@ -495,7 +417,7 @@ mod tests {
     fn empty_log_is_a_noop() {
         let mut m = mc();
         let report = recover(&mut m, true);
-        assert_eq!(report, RecoveryReport::default());
+        assert_eq!(report, RecoveryOutcome::default());
     }
 
     /// Double crash: recovery dies after every possible number of replay
@@ -509,13 +431,12 @@ mod tests {
             let a1 = Addr::new(a0.as_u64() + 8);
             let (k1, k2) = (key(0, 0), key(1, 0));
             // Winner k1 writes both words; loser k2 overwrote a1 in place.
-            m.try_append_log(Record::undo_redo(k1.into(), a0.as_u64(), 0, 5, 0xFF), 0)
+            m.try_append_log(Record::undo_redo(k1, a0.as_u64(), 0, 5, 0xFF), 0)
                 .unwrap();
-            m.try_append_log(Record::undo_redo(k1.into(), a1.as_u64(), 0, 6, 0xFF), 0)
+            m.try_append_log(Record::undo_redo(k1, a1.as_u64(), 0, 6, 0xFF), 0)
                 .unwrap();
-            m.try_append_log(Record::commit(k1.into(), None), 0)
-                .unwrap();
-            m.try_append_log(Record::undo_redo(k2.into(), a1.as_u64(), 6, 9, 0xFF), 0)
+            m.try_append_log(Record::commit(k1, None), 0).unwrap();
+            m.try_append_log(Record::undo_redo(k2, a1.as_u64(), 6, 9, 0xFF), 0)
                 .unwrap();
             let mut line = m.read_line(a1.line());
             line.set_word(a1.word_index(), 9);
@@ -529,22 +450,20 @@ mod tests {
         for budget in 0..3 {
             let (mut m, a0, a1) = build();
             let partial = recover_interrupted(&mut m, false, budget);
-            assert!(partial.interrupted, "budget {budget} must interrupt");
+            assert_eq!(partial, Err(LogError::PowerLoss), "budget {budget}");
             assert!(
                 !m.log_ring().is_empty(),
                 "interrupted recovery must not delete log entries"
             );
             let second = recover(&mut m, false);
-            assert!(!second.interrupted);
-            assert_eq!(second.redone, vec![key(0, 0)]);
-            assert_eq!(second.undone, vec![key(1, 0)]);
+            assert_eq!(second.committed, vec![key(0, 0)]);
+            assert_eq!(second.rolled_back, vec![key(1, 0)]);
             assert_eq!((word_at(&m, a0), word_at(&m, a1)), want, "budget {budget}");
             assert!(m.log_ring().is_empty());
         }
         // A budget past the total replay count no longer interrupts.
         let (mut m, _, _) = build();
-        let full = recover_interrupted(&mut m, false, 64);
-        assert!(!full.interrupted);
+        assert!(recover_interrupted(&mut m, false, 64).is_ok());
         assert!(m.log_ring().is_empty());
     }
 }
@@ -554,9 +473,9 @@ mod damage_tests {
     use super::*;
     use morlog_encoding::cell::CellModel;
     use morlog_encoding::slde::SldeCodec;
-    use morlog_log::record::Record;
+    use morlog_log::record::{Record, TxTag};
     use morlog_sim_core::fault::FaultPlan;
-    use morlog_sim_core::{Frequency, MemConfig, ThreadId, TxId};
+    use morlog_sim_core::{Frequency, MemConfig};
 
     fn mc() -> MemoryController {
         MemoryController::with_default_map(
@@ -566,8 +485,8 @@ mod damage_tests {
         )
     }
 
-    fn key(t: u8, x: u16) -> TxKey {
-        TxKey::new(ThreadId::new(t), TxId::new(x))
+    fn key(t: u8, x: u16) -> TxTag {
+        TxTag::new(t, x)
     }
 
     fn word_at(mc: &MemoryController, addr: Addr) -> u64 {
@@ -590,13 +509,13 @@ mod damage_tests {
         let mut line = m.read_line(a.line());
         line.set_word(0, 7);
         m.write_line_functional(a.line(), line);
-        m.try_append_log(Record::undo_redo(k.into(), a.as_u64(), 7, 42, 0xFF), 0)
+        m.try_append_log(Record::undo_redo(k, a.as_u64(), 7, 42, 0xFF), 0)
             .unwrap();
         m.crash_persist();
         let report = recover(&mut m, false);
         assert_eq!(report.torn_records, 1);
         assert_eq!(
-            report.undone,
+            report.rolled_back,
             vec![k],
             "the damaged tx is still rolled back"
         );
@@ -613,12 +532,12 @@ mod damage_tests {
         let a1 = Addr::new(a0.as_u64() + 8);
         let k = key(0, 0);
         let first = m
-            .try_append_log(Record::undo_redo(k.into(), a0.as_u64(), 5, 50, 0xFF), 0)
+            .try_append_log(Record::undo_redo(k, a0.as_u64(), 5, 50, 0xFF), 0)
             .unwrap();
         let second = m
-            .try_append_log(Record::undo_redo(k.into(), a1.as_u64(), 6, 60, 0xFF), 0)
+            .try_append_log(Record::undo_redo(k, a1.as_u64(), 6, 60, 0xFF), 0)
             .unwrap();
-        m.try_append_log(Record::commit(k.into(), None), 0).unwrap();
+        m.try_append_log(Record::commit(k, None), 0).unwrap();
         assert!(first.offset < second.offset);
         // In-place state: a0 already carries the tx's value; a1 stayed at
         // its pre-tx value because the write-ahead gate holds a line back
@@ -641,8 +560,8 @@ mod damage_tests {
             report.dropped_records, 1,
             "the commit behind the damage is dropped"
         );
-        assert!(report.redone.is_empty());
-        assert_eq!(report.undone, vec![k]);
+        assert!(report.committed.is_empty());
+        assert_eq!(report.rolled_back, vec![k]);
         assert_eq!(word_at(&m, a0), 5, "valid anchor rolled back");
         assert_eq!(word_at(&m, a1), 6, "damaged anchor skipped (still pre-tx)");
     }
@@ -655,20 +574,19 @@ mod damage_tests {
         let a0 = m.map().data_base();
         let a1 = Addr::new(a0.as_u64() + 8);
         let (k0, k1) = (key(0, 0), key(1, 0));
-        m.try_append_log(Record::undo_redo(k0.into(), a0.as_u64(), 0, 5, 0xFF), 0)
+        m.try_append_log(Record::undo_redo(k0, a0.as_u64(), 0, 5, 0xFF), 0)
             .unwrap();
-        m.try_append_log(Record::commit(k0.into(), None), 0)
-            .unwrap();
+        m.try_append_log(Record::commit(k0, None), 0).unwrap();
         let victim = m
-            .try_append_log(Record::undo_redo(k1.into(), a1.as_u64(), 0, 9, 0xFF), 0)
+            .try_append_log(Record::undo_redo(k1, a1.as_u64(), 0, 9, 0xFF), 0)
             .unwrap();
         assert!(m.corrupt_log_record(0, victim.offset, |r| {
             let w = r.data_word(0);
             r.set_data_word(0, w ^ 1);
         }));
         let report = recover(&mut m, false);
-        assert_eq!(report.redone, vec![k0], "thread 0's commit survives");
-        assert_eq!(report.undone, vec![k1]);
+        assert_eq!(report.committed, vec![k0], "thread 0's commit survives");
+        assert_eq!(report.rolled_back, vec![k1]);
         assert_eq!(report.corrupt_records, 1);
         assert_eq!(word_at(&m, a0), 5);
     }
@@ -680,20 +598,19 @@ mod damage_tests {
         let mut m = mc();
         let a = m.map().data_base();
         let k = key(0, 0);
-        m.try_append_log(Record::undo_redo(k.into(), a.as_u64(), 3, 30, 0xFF), 0)
+        m.try_append_log(Record::undo_redo(k, a.as_u64(), 3, 30, 0xFF), 0)
             .unwrap();
-        m.try_append_log(Record::commit(k.into(), Some(1)), 0)
-            .unwrap();
+        m.try_append_log(Record::commit(k, Some(1)), 0).unwrap();
         let redo = m
-            .try_append_log(Record::redo_only(k.into(), a.as_u64(), 31, 0xFF), 0)
+            .try_append_log(Record::redo_only(k, a.as_u64(), 31, 0xFF), 0)
             .unwrap();
         assert!(m.corrupt_log_record(0, redo.offset, |r| {
             let w = r.data_word(0);
             r.set_data_word(0, w ^ 2);
         }));
         let report = recover(&mut m, true);
-        assert!(report.redone.is_empty());
-        assert_eq!(report.undone, vec![k]);
+        assert!(report.committed.is_empty());
+        assert_eq!(report.rolled_back, vec![k]);
         assert_eq!(report.corrupt_records, 1);
         assert_eq!(word_at(&m, a), 3, "rolled back to the pre-tx value");
     }
@@ -708,11 +625,8 @@ mod damage_tests {
         plan.fault_budget = Some(4);
         m.set_fault_plan(plan);
         let a = m.map().data_base();
-        m.try_append_log(
-            Record::undo_redo(key(0, 0).into(), a.as_u64(), 0, 1, 0xFF),
-            0,
-        )
-        .unwrap();
+        m.try_append_log(Record::undo_redo(key(0, 0), a.as_u64(), 0, 1, 0xFF), 0)
+            .unwrap();
         m.crash_persist();
         let first = recover(&mut m, false);
         assert!(first.saw_damage());
@@ -727,8 +641,8 @@ mod distributed_tests {
     use super::*;
     use morlog_encoding::cell::CellModel;
     use morlog_encoding::slde::SldeCodec;
-    use morlog_log::record::Record;
-    use morlog_sim_core::{Addr, Frequency, MemConfig, ThreadId, TxId};
+    use morlog_log::record::{Record, TxTag};
+    use morlog_sim_core::{Addr, Frequency, MemConfig};
 
     fn mc_sliced(slices: usize) -> MemoryController {
         let cfg = MemConfig {
@@ -742,8 +656,8 @@ mod distributed_tests {
         )
     }
 
-    fn key(t: u8, x: u16) -> TxKey {
-        TxKey::new(ThreadId::new(t), TxId::new(x))
+    fn key(t: u8, x: u16) -> TxTag {
+        TxTag::new(t, x)
     }
 
     fn word_at(mc: &MemoryController, addr: Addr) -> u64 {
@@ -756,7 +670,7 @@ mod distributed_tests {
         let a = m.map().data_base();
         for t in 0..4u8 {
             m.try_append_log(
-                Record::undo_redo(key(t, 0).into(), a.as_u64(), 0, t as u64, 0xFF),
+                Record::undo_redo(key(t, 0), a.as_u64(), 0, t as u64, 0xFF),
                 0,
             )
             .unwrap();
@@ -776,18 +690,18 @@ mod distributed_tests {
         let (k0, k1) = (key(0, 0), key(1, 0));
         // Thread 1 commits FIRST (timestamp 1) but its records land in
         // slice 1; thread 0 commits second with an incomplete redo set.
-        m.try_append_log(Record::undo_redo(k1.into(), a1.as_u64(), 0, 11, 0xFF), 0)
+        m.try_append_log(Record::undo_redo(k1, a1.as_u64(), 0, 11, 0xFF), 0)
             .unwrap();
-        m.try_append_log(Record::commit(k1.into(), Some(0)).with_timestamp(1), 0)
+        m.try_append_log(Record::commit(k1, Some(0)).with_timestamp(1), 0)
             .unwrap();
-        m.try_append_log(Record::undo_redo(k0.into(), a0.as_u64(), 0, 7, 0xFF), 0)
+        m.try_append_log(Record::undo_redo(k0, a0.as_u64(), 0, 7, 0xFF), 0)
             .unwrap();
-        m.try_append_log(Record::commit(k0.into(), Some(3)).with_timestamp(2), 0)
+        m.try_append_log(Record::commit(k0, Some(3)).with_timestamp(2), 0)
             .unwrap();
         let report = recover(&mut m, true);
         // k1 (ts 1) persisted; k0 (ts 2) fails its ulog check and rolls back.
-        assert_eq!(report.redone, vec![k1]);
-        assert_eq!(report.undone, vec![k0]);
+        assert_eq!(report.committed, vec![k1]);
+        assert_eq!(report.rolled_back, vec![k0]);
         assert_eq!(word_at(&m, a1), 11);
         assert_eq!(word_at(&m, a0), 0);
     }
@@ -800,17 +714,17 @@ mod distributed_tests {
         let (k0, k1) = (key(0, 0), key(1, 0));
         // Thread 0 commits first but NON-persisted; thread 1 commits later
         // and is complete — the cutoff must still roll thread 1 back.
-        m.try_append_log(Record::undo_redo(k0.into(), a0.as_u64(), 0, 7, 0xFF), 0)
+        m.try_append_log(Record::undo_redo(k0, a0.as_u64(), 0, 7, 0xFF), 0)
             .unwrap();
-        m.try_append_log(Record::commit(k0.into(), Some(5)).with_timestamp(1), 0)
+        m.try_append_log(Record::commit(k0, Some(5)).with_timestamp(1), 0)
             .unwrap();
-        m.try_append_log(Record::undo_redo(k1.into(), a1.as_u64(), 0, 11, 0xFF), 0)
+        m.try_append_log(Record::undo_redo(k1, a1.as_u64(), 0, 11, 0xFF), 0)
             .unwrap();
-        m.try_append_log(Record::commit(k1.into(), Some(0)).with_timestamp(2), 0)
+        m.try_append_log(Record::commit(k1, Some(0)).with_timestamp(2), 0)
             .unwrap();
         let report = recover(&mut m, true);
-        assert!(report.redone.is_empty());
-        assert_eq!(report.undone, vec![k0, k1]);
+        assert!(report.committed.is_empty());
+        assert_eq!(report.rolled_back, vec![k0, k1]);
         assert_eq!(word_at(&m, a0), 0);
         assert_eq!(
             word_at(&m, a1),
@@ -824,11 +738,8 @@ mod distributed_tests {
         let mut m = mc_sliced(3);
         let a = m.map().data_base();
         for t in 0..3u8 {
-            m.try_append_log(
-                Record::undo_redo(key(t, 0).into(), a.as_u64(), 0, 1, 0xFF),
-                0,
-            )
-            .unwrap();
+            m.try_append_log(Record::undo_redo(key(t, 0), a.as_u64(), 0, 1, 0xFF), 0)
+                .unwrap();
         }
         recover(&mut m, false);
         for r in m.log_rings() {

@@ -15,12 +15,11 @@
 use std::collections::VecDeque;
 
 use morlog_encoding::slde::{EncodingChoice, SldeCodec};
-use morlog_log::record::{Record, RecordKind};
+use morlog_log::record::{Record, RecordKind, TxTag};
 use morlog_log::ring::{Entry, Ring};
 use morlog_sim_core::fault::FaultPlan;
 use morlog_sim_core::hash::IntHashMap;
 use morlog_sim_core::hostprof::{self, HostCounter, HostPhase};
-use morlog_sim_core::ids::TxKey;
 use morlog_sim_core::metrics::LogWriteMetrics;
 use morlog_sim_core::persist::{PersistEventKind, PersistEventMeta};
 use morlog_sim_core::stats::MemStats;
@@ -81,7 +80,7 @@ enum WritePayload {
     Log {
         slice: usize,
         offset: u64,
-        key: TxKey,
+        key: TxTag,
         /// Home line of the logged word (write-ahead gating).
         data_line: LineAddr,
         /// Whether the slot carries undo data the home line depends on.
@@ -579,8 +578,8 @@ impl MemoryController {
     /// across slices by the commit-record timestamp rather than by ring
     /// position (§III-F). The 16-threads × 4-slices regression test in
     /// `morlog-sim` pins this down.
-    pub fn log_slice_of(&self, thread: morlog_sim_core::ThreadId) -> usize {
-        thread.index() % self.logs.len()
+    pub fn log_slice_of(&self, thread: u8) -> usize {
+        thread as usize % self.logs.len()
     }
 
     /// Functional read of any line (DRAM or NVMM). Recovery and the caches
@@ -749,7 +748,7 @@ impl MemoryController {
             // the overflow pre-grow), surfacing ordinary backpressure.
             return Err(LogAppendError::WqFull);
         }
-        let key = TxKey::from(record.tag);
+        let key = record.tag;
         let slice = self.log_slice_of(key.thread);
         if self.needs_pre_grow(slice, record.kind) {
             self.grow_log_slice(slice);
@@ -849,7 +848,7 @@ impl MemoryController {
         if self.crash_point_reached() {
             return true;
         }
-        let slice = self.log_slice_of(TxKey::from(record.tag).thread);
+        let slice = self.log_slice_of(record.tag.thread);
         if self.needs_pre_grow(slice, record.kind) {
             return false;
         }
@@ -985,7 +984,7 @@ impl MemoryController {
     /// write queue. Under an active fault plan the logging controller holds
     /// a synchronous commit's completion on this — otherwise a crash could
     /// tear a record of a transaction the program already saw commit.
-    pub fn tx_has_undrained_records(&self, key: TxKey) -> bool {
+    pub fn tx_has_undrained_records(&self, key: TxTag) -> bool {
         self.channels
             .iter()
             .flat_map(|c| c.write_q.iter())
@@ -1357,9 +1356,6 @@ impl MemoryController {
 mod tests {
     use super::*;
     use morlog_encoding::cell::CellModel;
-    use morlog_log::record::TxTag;
-    use morlog_sim_core::ids::TxKey;
-    use morlog_sim_core::{ThreadId, TxId};
 
     fn mc() -> MemoryController {
         MemoryController::with_default_map(
@@ -1369,12 +1365,8 @@ mod tests {
         )
     }
 
-    fn key() -> TxKey {
-        TxKey::new(ThreadId::new(0), TxId::new(0))
-    }
-
     fn tag() -> TxTag {
-        key().into()
+        TxTag::new(0, 0)
     }
 
     #[test]
@@ -1548,7 +1540,7 @@ mod tests {
         for now in 0..200_000 {
             m.tick(now);
         }
-        assert!(!m.tx_has_undrained_records(key()));
+        assert!(!m.tx_has_undrained_records(tag()));
         assert!(m.try_write_data(line, d, 200_000));
     }
 

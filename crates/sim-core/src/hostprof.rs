@@ -34,9 +34,7 @@
 //! # Harvesting
 //!
 //! [`take`] drains the calling thread's accumulated profile into a
-//! [`HostProfile`] and resets the thread-local state.  Profiles merge
-//! associatively and commutatively ([`HostProfile::merge`]), so per-shard
-//! profiles from a parallel sweep can be combined in any grouping.
+//! [`HostProfile`] and resets the thread-local state.
 
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
@@ -412,10 +410,8 @@ pub fn take() -> HostProfile {
     }
 }
 
-/// An immutable, mergeable snapshot of one thread's host-profiling state.
-///
-/// Produced by [`take`]; combined across runs or sweep shards with
-/// [`merge`](HostProfile::merge), which is associative and commutative.
+/// An immutable snapshot of one thread's host-profiling state, produced by
+/// [`take`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct HostProfile {
     paths: BTreeMap<[u8; MAX_PATH_DEPTH], u64>,
@@ -431,21 +427,6 @@ impl HostProfile {
             && self.counters.iter().all(|&c| c == 0)
             && self.alloc_count.iter().all(|&c| c == 0)
             && self.alloc_bytes.iter().all(|&c| c == 0)
-    }
-
-    /// Fold `other` into `self`.  Associative and commutative: merging
-    /// per-shard profiles in any grouping yields the same result.
-    pub fn merge(&mut self, other: &HostProfile) {
-        for (key, ns) in &other.paths {
-            *self.paths.entry(*key).or_insert(0) += ns;
-        }
-        for i in 0..HOST_COUNTER_COUNT {
-            self.counters[i] += other.counters[i];
-        }
-        for i in 0..ALLOC_SLOTS {
-            self.alloc_count[i] += other.alloc_count[i];
-            self.alloc_bytes[i] += other.alloc_bytes[i];
-        }
     }
 
     /// Total profiled wall-time in nanoseconds (sum over all phase paths).
@@ -553,45 +534,6 @@ mod tests {
         sorted.sort_unstable();
         sorted.dedup();
         assert_eq!(sorted.len(), labels.len(), "duplicate phase/counter label");
-    }
-
-    #[test]
-    fn profile_merge_laws_on_synthetic_profiles() {
-        fn synth(seed: u64) -> HostProfile {
-            let mut p = HostProfile::default();
-            let mut key = [NO_PHASE; MAX_PATH_DEPTH];
-            key[0] = (seed % HOST_PHASE_COUNT as u64) as u8;
-            p.paths.insert(key, 100 + seed);
-            key[1] = ((seed + 1) % HOST_PHASE_COUNT as u64) as u8;
-            p.paths.insert(key, 10 + seed);
-            for i in 0..HOST_COUNTER_COUNT {
-                p.counters[i] = seed * (i as u64 + 1);
-            }
-            for i in 0..ALLOC_SLOTS {
-                p.alloc_count[i] = seed + i as u64;
-                p.alloc_bytes[i] = (seed + i as u64) * 64;
-            }
-            p
-        }
-        let (a, b, c) = (synth(3), synth(7), synth(11));
-        // (a + b) + c
-        let mut left = a.clone();
-        left.merge(&b);
-        left.merge(&c);
-        // a + (b + c)
-        let mut bc = b.clone();
-        bc.merge(&c);
-        let mut right = a.clone();
-        right.merge(&bc);
-        assert_eq!(left, right, "merge must be associative");
-        // b + a == a + b
-        let mut ab = a.clone();
-        ab.merge(&b);
-        let mut ba = b.clone();
-        ba.merge(&a);
-        assert_eq!(ab, ba, "merge must be commutative");
-        assert_eq!(left.total_ns(), a.total_ns() + b.total_ns() + c.total_ns());
-        assert_eq!(left.phase_ns().iter().sum::<u64>(), left.total_ns());
     }
 
     #[test]

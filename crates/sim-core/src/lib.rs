@@ -46,7 +46,7 @@ pub use config::{
 };
 pub use fault::{FaultPlan, FaultVariantKind};
 pub use hostprof::{HostCounter, HostPhase, HostProfile};
-pub use ids::{ThreadId, TxId, TxKey};
+pub use ids::ThreadId;
 pub use metrics::{CommitLatency, Histogram, LogWriteMetrics, MetricsSet, Series, SeriesSet};
 pub use persist::{PersistEventKind, PersistEventMeta};
 pub use rng::DetRng;

@@ -1,19 +1,15 @@
-//! Deterministic, mergeable telemetry primitives: log2-bucketed
-//! histograms, cycle-driven time series, and the aggregate metric set
-//! attached to [`crate::SimStats`].
+//! Deterministic telemetry primitives: log2-bucketed histograms,
+//! cycle-driven time series, and the aggregate metric set attached to
+//! [`crate::SimStats`].
 //!
-//! Everything here is integer-exact and order-independent where the
-//! sweep engine needs it to be: [`Histogram::merge`] is associative and
-//! commutative (element-wise bucket addition plus min/max folds), so a
-//! parallel sweep that merges per-run metrics in any grouping produces
+//! Everything here is integer-exact, so a parallel sweep produces
 //! byte-identical JSON to a serial sweep. Quantile extraction uses pure
 //! integer arithmetic (no floating point) for the same reason.
 //!
 //! Time-series sampling is driven by the engine clock at a configurable
 //! period (`MORLOG_SAMPLE_CYCLES`, default [`DEFAULT_SAMPLE_CYCLES`];
-//! `0` disables sampling). Series merge by concatenation, which keeps
-//! merge associative; per-run series are cycle-monotone and the results
-//! validator checks that invariant on every emitted record.
+//! `0` disables sampling). Per-run series are cycle-monotone and the
+//! results validator checks that invariant on every emitted record.
 
 use crate::timing::Cycle;
 use morlog_log::record::RecordKind;
@@ -170,19 +166,6 @@ impl Histogram {
     pub fn p99(&self) -> u64 {
         self.quantile_permille(990)
     }
-
-    /// Fold another histogram into this one. Element-wise addition of
-    /// bucket counts plus min/max folds, so merge is associative and
-    /// commutative — parallel sweeps may merge in any grouping.
-    pub fn merge(&mut self, other: &Histogram) {
-        for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
 }
 
 /// A cycle-stamped time series: two parallel vectors of sample cycles
@@ -210,14 +193,6 @@ impl Series {
     /// True when the series holds no samples.
     pub fn is_empty(&self) -> bool {
         self.cycles.is_empty()
-    }
-
-    /// Append `other`'s samples after this series' samples.
-    /// Concatenation keeps merge associative; cycle monotonicity is a
-    /// per-run property and is not preserved across merged runs.
-    pub fn merge(&mut self, other: &Series) {
-        self.cycles.extend_from_slice(&other.cycles);
-        self.values.extend_from_slice(&other.values);
     }
 }
 
@@ -290,22 +265,6 @@ impl SeriesSet {
         self.log_bytes.push(cycle, log_bytes);
         self.dp_outstanding.push(cycle, dp_outstanding);
         self.pending_writebacks.push(cycle, pending_writebacks);
-    }
-
-    /// Concatenate `other`'s samples onto this set. The period is
-    /// taken from whichever side has a nonzero period first (self
-    /// wins), so merging a disabled-sampling run into an enabled one
-    /// keeps the enabled period.
-    pub fn merge(&mut self, other: &SeriesSet) {
-        if self.period == 0 {
-            self.period = other.period;
-        }
-        self.wq_depth.merge(&other.wq_depth);
-        self.redo_buf.merge(&other.redo_buf);
-        self.ur_buf.merge(&other.ur_buf);
-        self.log_bytes.merge(&other.log_bytes);
-        self.dp_outstanding.merge(&other.dp_outstanding);
-        self.pending_writebacks.merge(&other.pending_writebacks);
     }
 }
 
@@ -387,16 +346,6 @@ impl CommitLatency {
                 .record(persisted.saturating_sub(complete));
         }
     }
-
-    /// Merge another set of commit-latency distributions.
-    pub fn merge(&mut self, other: &CommitLatency) {
-        self.begin_to_start.merge(&other.begin_to_start);
-        self.start_to_persist.merge(&other.start_to_persist);
-        self.persist_to_complete.merge(&other.persist_to_complete);
-        self.begin_to_persist.merge(&other.begin_to_persist);
-        self.begin_to_complete.merge(&other.begin_to_complete);
-        self.dp_persist_lag.merge(&other.dp_persist_lag);
-    }
 }
 
 /// Display labels for the per-kind log-entry histograms, in
@@ -428,20 +377,6 @@ impl LogWriteMetrics {
             RecordKind::Commit => 2,
         }
     }
-
-    /// Merge another set of log-write metrics.
-    pub fn merge(&mut self, other: &LogWriteMetrics) {
-        for (a, b) in self.entry_bits.iter_mut().zip(other.entry_bits.iter()) {
-            a.merge(b);
-        }
-        for (a, b) in self
-            .encoder_choices
-            .iter_mut()
-            .zip(other.encoder_choices.iter())
-        {
-            *a += b;
-        }
-    }
 }
 
 /// The full telemetry set attached to [`crate::SimStats`]: commit
@@ -456,22 +391,11 @@ pub struct MetricsSet {
     pub series: SeriesSet,
 }
 
-impl MetricsSet {
-    /// Merge another metric set; associative and commutative on the
-    /// histogram side, concatenating on the series side.
-    pub fn merge(&mut self, other: &MetricsSet) {
-        self.commit.merge(&other.commit);
-        self.log_writes.merge(&other.log_writes);
-        self.series.merge(&other.series);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ids::{ThreadId, TxId, TxKey};
-    use crate::rng::DetRng;
     use crate::trace::{TraceEvent, Tracer};
+    use morlog_log::record::TxTag;
 
     #[test]
     fn histogram_labels_match_trace_labels() {
@@ -482,7 +406,7 @@ mod tests {
                 slice: 0,
                 offset: 0,
                 kind,
-                key: TxKey::new(ThreadId::new(0), TxId::new(0)),
+                key: TxTag::new(0, 0),
             });
         }
         let jsonl = t.to_jsonl();
@@ -551,53 +475,14 @@ mod tests {
     }
 
     #[test]
-    fn merge_is_associative_and_commutative() {
-        // Property-style over pseudo-random partitions: build three
-        // histograms from a deterministic stream, then check the merge
-        // laws hold exactly (full struct equality, not just summaries).
-        let mut rng = DetRng::new(0xC0FFEE);
-        let mut parts = [Histogram::new(), Histogram::new(), Histogram::new()];
-        for i in 0..3000 {
-            let raw = rng.next_u64();
-            // Mix magnitudes: shift by a pseudo-random amount so all
-            // buckets (including 0 and 64) are exercised.
-            let v = raw >> (raw % 65).min(63);
-            parts[i % 3].record(if i % 97 == 0 { 0 } else { v });
-        }
-        let [a, b, c] = parts;
-
-        let mut ab_c = a.clone();
-        ab_c.merge(&b);
-        ab_c.merge(&c);
-        let mut bc = b.clone();
-        bc.merge(&c);
-        let mut a_bc = a.clone();
-        a_bc.merge(&bc);
-        assert_eq!(ab_c, a_bc, "merge must be associative");
-
-        let mut ab = a.clone();
-        ab.merge(&b);
-        let mut ba = b.clone();
-        ba.merge(&a);
-        assert_eq!(ab, ba, "merge must be commutative");
-
-        let mut with_empty = a.clone();
-        with_empty.merge(&Histogram::new());
-        assert_eq!(with_empty, a, "empty histogram must be the identity");
-    }
-
-    #[test]
-    fn series_merge_concatenates() {
-        let mut a = SeriesSet::with_period(64);
-        a.push_sample(0, 1, 2, 3, 4, 5, 6);
-        let mut b = SeriesSet::with_period(64);
-        b.push_sample(64, 7, 8, 9, 10, 11, 12);
-        let mut merged = a.clone();
-        merged.merge(&b);
-        assert_eq!(merged.wq_depth.cycles, vec![0, 64]);
-        assert_eq!(merged.wq_depth.values, vec![1, 7]);
-        assert_eq!(merged.pending_writebacks.values, vec![6, 12]);
-        for (name, s) in merged.named() {
+    fn push_sample_appends_to_every_series() {
+        let mut set = SeriesSet::with_period(64);
+        set.push_sample(0, 1, 2, 3, 4, 5, 6);
+        set.push_sample(64, 7, 8, 9, 10, 11, 12);
+        assert_eq!(set.wq_depth.cycles, vec![0, 64]);
+        assert_eq!(set.wq_depth.values, vec![1, 7]);
+        assert_eq!(set.pending_writebacks.values, vec![6, 12]);
+        for (name, s) in set.named() {
             assert_eq!(s.len(), 2, "{name}");
         }
     }

@@ -11,7 +11,8 @@
 //! live log coverage (and therefore recovery-equivalent to their
 //! predecessor point).
 
-use crate::ids::TxKey;
+use morlog_log::record::TxTag;
+
 use crate::types::Addr;
 
 /// What kind of persist-domain program a persist event was. This is the
@@ -80,7 +81,7 @@ pub enum PersistEventMeta {
         /// Record kind (never [`PersistEventKind::DataLine`]).
         kind: PersistEventKind,
         /// Owning transaction.
-        key: TxKey,
+        key: TxTag,
         /// Home word address of the logged data (commit records carry the
         /// placeholder address stored in the record).
         addr: Addr,
@@ -114,7 +115,6 @@ impl PersistEventMeta {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ids::{ThreadId, TxId};
 
     #[test]
     fn kinds_have_stable_labels_and_dense_indices() {
@@ -134,7 +134,7 @@ mod tests {
         assert_eq!(data.kind(), Some(PersistEventKind::DataLine));
         let log = PersistEventMeta::Log {
             kind: PersistEventKind::Commit,
-            key: TxKey::new(ThreadId::new(0), TxId::new(1)),
+            key: TxTag::new(0, 1),
             addr: Addr::new(64),
             slice: 0,
             offset: 0,

@@ -26,14 +26,6 @@ impl CacheLevelStats {
         let total = self.hits + self.misses;
         (total > 0).then(|| self.hits as f64 / total as f64)
     }
-
-    /// Adds another counter set into this one.
-    pub fn merge(&mut self, other: &CacheLevelStats) {
-        self.hits += other.hits;
-        self.misses += other.misses;
-        self.writebacks += other.writebacks;
-        self.evictions += other.evictions;
-    }
 }
 
 /// NVMM device and controller counters.
@@ -89,30 +81,6 @@ pub struct MemStats {
 }
 
 impl MemStats {
-    /// Adds another counter set into this one.
-    pub fn merge(&mut self, other: &MemStats) {
-        self.nvmm_reads += other.nvmm_reads;
-        self.nvmm_writes += other.nvmm_writes;
-        self.data_writes += other.data_writes;
-        self.log_writes += other.log_writes;
-        self.cells_programmed += other.cells_programmed;
-        self.bits_programmed += other.bits_programmed;
-        self.log_bits_programmed += other.log_bits_programmed;
-        self.write_energy_pj += other.write_energy_pj;
-        self.log_write_energy_pj += other.log_write_energy_pj;
-        self.wq_full_stall_cycles += other.wq_full_stall_cycles;
-        self.drains += other.drains;
-        self.reads_blocked_by_drain += other.reads_blocked_by_drain;
-        self.silent_block_writes += other.silent_block_writes;
-        self.read_wait_cycles += other.read_wait_cycles;
-        self.log_overflow_growths += other.log_overflow_growths;
-        self.faults_torn_drains += other.faults_torn_drains;
-        self.faults_bit_flips += other.faults_bit_flips;
-        self.write_verify_failures += other.write_verify_failures;
-        self.write_verify_retries += other.write_verify_retries;
-        self.stuck_slots_remapped += other.stuck_slots_remapped;
-    }
-
     /// Whether any crash-time fault (torn drain or escaped bit flip) was
     /// injected — the damage classes recovery must detect and drop. The
     /// oracle relaxes strict durability exactly when this is set.
@@ -148,23 +116,6 @@ pub struct LogStats {
     pub post_commit_redo: u64,
     /// Times the log ring filled and appends had to wait for truncation.
     pub log_region_full_stalls: u64,
-}
-
-impl LogStats {
-    /// Adds another counter set into this one.
-    pub fn merge(&mut self, other: &LogStats) {
-        self.undo_redo_created += other.undo_redo_created;
-        self.redo_created += other.redo_created;
-        self.coalesced += other.coalesced;
-        self.silent_discarded += other.silent_discarded;
-        self.redo_discarded += other.redo_discarded;
-        self.entries_written += other.entries_written;
-        self.commit_records += other.commit_records;
-        self.commit_stall_cycles += other.commit_stall_cycles;
-        self.buffer_full_stall_cycles += other.buffer_full_stall_cycles;
-        self.post_commit_redo += other.post_commit_redo;
-        self.log_region_full_stalls += other.log_region_full_stalls;
-    }
 }
 
 /// Where one core-cycle went, for the cycle-attribution profiler.
@@ -265,17 +216,6 @@ impl CycleAttribution {
     pub fn total(&self) -> u64 {
         self.values().iter().sum()
     }
-
-    /// Adds another run's accounts into this one.
-    pub fn merge(&mut self, other: &CycleAttribution) {
-        self.busy += other.busy;
-        self.read_wait += other.read_wait;
-        self.drain_wait += other.drain_wait;
-        self.log_buffer_stall += other.log_buffer_stall;
-        self.wq_stall += other.wq_stall;
-        self.commit_wait += other.commit_wait;
-        self.idle += other.idle;
-    }
 }
 
 /// Whole-run statistics for one simulated system.
@@ -325,21 +265,6 @@ impl SimStats {
         } else {
             self.transactions_committed as f64 / secs
         }
-    }
-
-    /// Adds another run's counters into this one (for multi-workload means).
-    pub fn merge(&mut self, other: &SimStats) {
-        self.cycles += other.cycles;
-        self.transactions_committed += other.transactions_committed;
-        self.tx_stores += other.tx_stores;
-        self.tx_loads += other.tx_loads;
-        for (a, b) in self.cache.iter_mut().zip(other.cache.iter()) {
-            a.merge(b);
-        }
-        self.mem.merge(&other.mem);
-        self.log.merge(&other.log);
-        self.attr.merge(&other.attr);
-        self.metrics.merge(&other.metrics);
     }
 }
 
@@ -445,29 +370,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_accumulates() {
-        let mut a = SimStats {
-            transactions_committed: 1,
-            ..Default::default()
-        };
-        a.mem.nvmm_writes = 10;
-        a.cache[0].hits = 5;
-        a.log.coalesced = 2;
-        let mut b = SimStats {
-            transactions_committed: 2,
-            ..Default::default()
-        };
-        b.mem.nvmm_writes = 20;
-        b.cache[0].hits = 7;
-        b.log.coalesced = 3;
-        a.merge(&b);
-        assert_eq!(a.transactions_committed, 3);
-        assert_eq!(a.mem.nvmm_writes, 30);
-        assert_eq!(a.cache[0].hits, 12);
-        assert_eq!(a.log.coalesced, 5);
-    }
-
-    #[test]
     fn attribution_accounts_add_and_total() {
         let mut a = CycleAttribution::default();
         a.add(StallKind::Busy);
@@ -477,9 +379,7 @@ mod tests {
         assert_eq!(a.busy, 2);
         assert_eq!(a.wq_stall, 1);
         assert_eq!(a.total(), 4);
-        let mut b = CycleAttribution::default();
-        b.add(StallKind::CommitWait);
-        a.merge(&b);
+        a.add(StallKind::CommitWait);
         assert_eq!(a.total(), 5);
         assert_eq!(a.values().len(), CycleAttribution::LABELS.len());
     }

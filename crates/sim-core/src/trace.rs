@@ -31,9 +31,8 @@
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 
-use morlog_log::record::RecordKind;
+use morlog_log::record::{RecordKind, TxTag};
 
-use crate::ids::TxKey;
 use crate::timing::Cycle;
 
 /// Default ring capacity when tracing is enabled without an explicit size.
@@ -136,7 +135,7 @@ pub enum TraceEvent {
         /// What the slot carries.
         kind: RecordKind,
         /// The owning transaction.
-        key: TxKey,
+        key: TxTag,
     },
     /// A slice's head advanced, deleting records of committed transactions.
     LogTruncate {
@@ -150,7 +149,7 @@ pub enum TraceEvent {
     /// A word moved in the Fig. 8 state machine.
     WordTransition {
         /// The owning transaction.
-        key: TxKey,
+        key: TxTag,
         /// The word's home address.
         addr: u64,
         /// State before the event.
@@ -185,7 +184,7 @@ pub enum TraceEvent {
     /// The commit protocol reached a milestone for a transaction.
     CommitPhase {
         /// The committing transaction.
-        key: TxKey,
+        key: TxTag,
         /// Which milestone.
         phase: CommitPhaseTag,
     },
@@ -274,8 +273,8 @@ impl TraceEvent {
                 &slice,
                 &offset,
                 &Quoted(kind.label()),
-                &key.thread.as_u8(),
-                &key.txid.as_u16(),
+                &key.thread,
+                &key.txid,
             ]),
             TraceEvent::LogTruncate {
                 slice,
@@ -288,8 +287,8 @@ impl TraceEvent {
                 from,
                 to,
             } => fields(&[
-                &key.thread.as_u8(),
-                &key.txid.as_u16(),
+                &key.thread,
+                &key.txid,
                 &addr,
                 &Quoted(from.label()),
                 &Quoted(to.label()),
@@ -301,11 +300,9 @@ impl TraceEvent {
             } => fields(&[&channel, &occupancy, &is_log]),
             TraceEvent::WqDrainStart { channel, occupancy }
             | TraceEvent::WqDrainEnd { channel, occupancy } => fields(&[&channel, &occupancy]),
-            TraceEvent::CommitPhase { key, phase } => fields(&[
-                &key.thread.as_u8(),
-                &key.txid.as_u16(),
-                &Quoted(phase.label()),
-            ]),
+            TraceEvent::CommitPhase { key, phase } => {
+                fields(&[&key.thread, &key.txid, &Quoted(phase.label())])
+            }
             TraceEvent::CacheWriteback { level, line } => fields(&[&level, &line]),
             TraceEvent::FwbScan { writebacks } => fields(&[&writebacks]),
             TraceEvent::Crash => fields(&[]),
@@ -499,10 +496,9 @@ impl Tracer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ids::{ThreadId, TxId};
 
-    fn key() -> TxKey {
-        TxKey::new(ThreadId::new(2), TxId::new(7))
+    fn key() -> TxTag {
+        TxTag::new(2, 7)
     }
 
     #[test]

@@ -29,14 +29,14 @@
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::ops::Range;
 
-use morlog_logging::recovery::RecoveryReport;
+use morlog_log::record::TxTag;
+use morlog_log::RecoveryOutcome;
 use morlog_nvm::controller::MemoryController;
-use morlog_sim_core::ids::TxKey;
 use morlog_sim_core::{Addr, ThreadId};
 
 #[derive(Debug, Clone)]
 struct OracleTx {
-    key: TxKey,
+    key: TxTag,
     /// The transaction's writes: a range of its thread's write log.
     writes: Range<usize>,
     committed: bool,
@@ -76,12 +76,12 @@ impl Oracle {
     /// Reserves room for `writes` more writes of `thread`, so that
     /// recording them never grows its write list.
     pub fn reserve_writes(&mut self, thread: ThreadId, writes: usize) {
-        self.thread_log(thread).writes.reserve_exact(writes);
+        self.thread_log(thread.as_u8()).writes.reserve_exact(writes);
     }
 
     /// The write list of `thread`, created on first use.
-    fn thread_log(&mut self, thread: ThreadId) -> &mut ThreadLog {
-        let t = thread.index();
+    fn thread_log(&mut self, thread: u8) -> &mut ThreadLog {
+        let t = thread as usize;
         if t >= self.threads.len() {
             self.threads.resize_with(t + 1, ThreadLog::default);
         }
@@ -90,7 +90,7 @@ impl Oracle {
 
     /// A transaction began; it is its thread's open transaction until the
     /// thread begins the next one.
-    pub fn begin(&mut self, key: TxKey) {
+    pub fn begin(&mut self, key: TxTag) {
         let open = self.txs.len();
         let thread = self.thread_log(key.thread);
         let start = thread.writes.len();
@@ -103,10 +103,10 @@ impl Oracle {
     }
 
     /// The open transaction of `key`'s thread, which must be `key`.
-    fn open_tx(&mut self, key: TxKey) -> &mut OracleTx {
+    fn open_tx(&mut self, key: TxTag) -> &mut OracleTx {
         let idx = self
             .threads
-            .get(key.thread.index())
+            .get(key.thread as usize)
             .and_then(|t| t.open)
             .unwrap_or_else(|| panic!("{key}: no transaction open on its thread"));
         let tx = &mut self.txs[idx];
@@ -115,9 +115,9 @@ impl Oracle {
     }
 
     /// A transactional store executed (program order).
-    pub fn record_write(&mut self, key: TxKey, addr: Addr, value: u64) {
+    pub fn record_write(&mut self, key: TxTag, addr: Addr, value: u64) {
         let end = {
-            let writes = &mut self.threads[key.thread.index()].writes;
+            let writes = &mut self.threads[key.thread as usize].writes;
             writes.push((addr.word_base(), value));
             writes.len()
         };
@@ -125,13 +125,13 @@ impl Oracle {
     }
 
     /// The transaction committed (program-visible commit).
-    pub fn mark_committed(&mut self, key: TxKey) {
+    pub fn mark_committed(&mut self, key: TxTag) {
         self.open_tx(key).committed = true;
     }
 
     /// The writes of `tx`, in program order.
     fn writes(&self, tx: &OracleTx) -> &[(Addr, u64)] {
-        &self.threads[tx.key.thread.index()].writes[tx.writes.clone()]
+        &self.threads[tx.key.thread as usize].writes[tx.writes.clone()]
     }
 
     /// Transactions recorded so far.
@@ -153,11 +153,11 @@ impl Oracle {
     pub fn verify(
         &self,
         mc: &MemoryController,
-        report: &RecoveryReport,
+        report: &RecoveryOutcome,
         strict_durability: bool,
     ) -> Result<(), String> {
-        let redone: HashSet<TxKey> = report.redone.iter().copied().collect();
-        let undone: HashSet<TxKey> = report.undone.iter().copied().collect();
+        let redone: HashSet<TxTag> = report.committed.iter().copied().collect();
+        let undone: HashSet<TxTag> = report.rolled_back.iter().copied().collect();
 
         // Group transactions per thread, preserving program order. Threads
         // write disjoint addresses (isolation via partitioning, §III-A), so
@@ -166,7 +166,10 @@ impl Oracle {
         // iteration order (counterexample details are diffed across runs).
         let mut per_thread: BTreeMap<ThreadId, Vec<&OracleTx>> = BTreeMap::new();
         for tx in &self.txs {
-            per_thread.entry(tx.key.thread).or_default().push(tx);
+            per_thread
+                .entry(ThreadId::new(tx.key.thread))
+                .or_default()
+                .push(tx);
         }
         let initial: HashMap<u64, u64> = self
             .initial
@@ -288,7 +291,7 @@ mod tests {
     use super::*;
     use morlog_encoding::cell::CellModel;
     use morlog_encoding::slde::SldeCodec;
-    use morlog_sim_core::{Frequency, MemConfig, TxId};
+    use morlog_sim_core::{Frequency, MemConfig};
 
     fn mc() -> MemoryController {
         MemoryController::with_default_map(
@@ -298,8 +301,8 @@ mod tests {
         )
     }
 
-    fn key(x: u16) -> TxKey {
-        TxKey::new(ThreadId::new(0), TxId::new(x))
+    fn key(x: u16) -> TxTag {
+        TxTag::new(0, x)
     }
 
     fn set_word(m: &mut MemoryController, a: Addr, v: u64) {
@@ -316,7 +319,7 @@ mod tests {
         o.begin(key(0));
         o.record_write(key(0), a, 5);
         o.mark_committed(key(0));
-        let report = RecoveryReport::default();
+        let report = RecoveryOutcome::default();
         assert!(o.verify(&m, &report, true).is_err(), "NVMM still zero");
         set_word(&mut m, a, 5);
         assert!(o.verify(&m, &report, true).is_ok());
@@ -334,7 +337,7 @@ mod tests {
         o.begin(key(1));
         o.record_write(key(1), b, 2);
         o.mark_committed(key(1));
-        let report = RecoveryReport::default();
+        let report = RecoveryOutcome::default();
         // Nothing persisted: acceptable under DP (prefix length 0)...
         assert!(o.verify(&m, &report, false).is_ok());
         // ...but a strict protocol must reject it.
@@ -355,8 +358,8 @@ mod tests {
         o.begin(key(0));
         o.record_write(key(0), a, 5);
         o.mark_committed(key(0));
-        let report = RecoveryReport {
-            undone: vec![key(0)],
+        let report = RecoveryOutcome {
+            rolled_back: vec![key(0)],
             ..Default::default()
         };
         assert!(
@@ -378,8 +381,8 @@ mod tests {
         o.begin(key(0));
         o.record_write(key(0), a, 5);
         o.mark_committed(key(0));
-        let report = RecoveryReport {
-            redone: vec![key(0)],
+        let report = RecoveryOutcome {
+            committed: vec![key(0)],
             ..Default::default()
         };
         assert!(o.verify(&m, &report, false).is_err(), "redone but absent");
@@ -398,7 +401,7 @@ mod tests {
         o.record_write(key(0), b, 2);
         o.mark_committed(key(0));
         set_word(&mut m, a, 1); // only half the transaction applied
-        assert!(o.verify(&m, &RecoveryReport::default(), false).is_err());
+        assert!(o.verify(&m, &RecoveryOutcome::default(), false).is_err());
     }
 
     #[test]
@@ -413,9 +416,9 @@ mod tests {
         o.record_write(key(1), a, 2);
         o.mark_committed(key(1));
         // Recovery claims tx1 redone but tx0 undone: not a prefix.
-        let report = RecoveryReport {
-            redone: vec![key(1)],
-            undone: vec![key(0)],
+        let report = RecoveryOutcome {
+            committed: vec![key(1)],
+            rolled_back: vec![key(0)],
             ..Default::default()
         };
         assert!(o.verify(&m, &report, false).is_err());
@@ -435,8 +438,8 @@ mod tests {
         o.record_write(key(0), a, 1);
         o.record_write(key(0), b, 2);
         o.mark_committed(key(0));
-        let report = RecoveryReport {
-            undone: vec![key(0)],
+        let report = RecoveryOutcome {
+            rolled_back: vec![key(0)],
             torn_records: 1,
             ..Default::default()
         };
@@ -462,6 +465,6 @@ mod tests {
         o.record_write(key(0), a, 78);
         // Uncommitted: the initial value must remain.
         set_word(&mut m, a, 77);
-        assert!(o.verify(&m, &RecoveryReport::default(), true).is_ok());
+        assert!(o.verify(&m, &RecoveryOutcome::default(), true).is_ok());
     }
 }

@@ -15,14 +15,15 @@ use morlog_cache::hierarchy::{AccessOutcome, EvictionEvent, Hierarchy};
 use morlog_cache::line::{CacheLine, L1Ext, WordLogState};
 use morlog_encoding::cell::CellModel;
 use morlog_encoding::slde::SldeCodec;
+use morlog_log::record::TxTag;
 use morlog_log::txtable::TxTable;
+use morlog_log::{LogError, RecoveryOutcome};
 use morlog_logging::controller::{LogController, PersistedUr, StoreStall, UlogWord};
-use morlog_logging::recovery::{recover, RecoveryReport};
+use morlog_logging::recovery::{recover, recover_interrupted};
 use morlog_nvm::controller::{MemoryController, ReadTicket};
 use morlog_nvm::layout::MemoryMap;
 use morlog_sim_core::fault::FaultPlan;
 use morlog_sim_core::hostprof::{self, HostCounter, HostPhase};
-use morlog_sim_core::ids::TxKey;
 use morlog_sim_core::metrics::{MetricsSet, SeriesSet};
 use morlog_sim_core::stats::{CycleAttribution, StallKind};
 use morlog_sim_core::trace::{CommitPhaseTag, TraceEvent, Tracer, WordStateTag};
@@ -50,7 +51,7 @@ struct Core {
     /// every few ops while it runs.
     ops: Vec<Op>,
     phase: Phase,
-    key: Option<TxKey>,
+    key: Option<TxTag>,
     tx_began: bool,
     /// What a `BusyUntil` wait is charged to in the cycle-attribution
     /// accounts: `Busy` for pipeline latency, `CommitWait` for log
@@ -887,7 +888,7 @@ impl System {
                 if self.cfg.log.truncation
                     == morlog_sim_core::config::TruncationPolicy::TransactionTable
                 {
-                    self.tx_table.on_store(key.into(), line_addr.index());
+                    self.tx_table.on_store(key, line_addr.index());
                 }
                 line.data.set_word(w, value);
                 // Stores do not clear the force-write-back age flag: a line
@@ -1010,7 +1011,7 @@ impl System {
             });
         }
         if self.cfg.log.truncation == morlog_sim_core::config::TruncationPolicy::TransactionTable {
-            self.tx_table.on_commit(key.into());
+            self.tx_table.on_commit(key);
         }
         self.oracle.mark_committed(key);
         self.committed += 1;
@@ -1153,15 +1154,23 @@ impl System {
     }
 
     /// Runs the §III-E recovery routine over the surviving log ring.
-    pub fn recover(&mut self) -> RecoveryReport {
+    pub fn recover(&mut self) -> RecoveryOutcome {
         recover(&mut self.mc, self.cfg.design.delay_persistence())
     }
 
     /// Runs recovery but loses power again after `apply_budget` replay
     /// writes (double-crash modelling). The log survives an interrupted
     /// pass, so a later [`recover`](System::recover) can finish the job.
-    pub fn recover_interrupted(&mut self, apply_budget: usize) -> RecoveryReport {
-        morlog_logging::recovery::recover_interrupted(
+    ///
+    /// # Errors
+    ///
+    /// [`LogError::PowerLoss`] when the budget runs out before the last
+    /// replay write.
+    pub fn recover_interrupted(
+        &mut self,
+        apply_budget: usize,
+    ) -> Result<RecoveryOutcome, LogError> {
+        recover_interrupted(
             &mut self.mc,
             self.cfg.design.delay_persistence(),
             apply_budget,
@@ -1178,7 +1187,7 @@ impl System {
     /// # Errors
     ///
     /// Returns the oracle's description of the first violated word.
-    pub fn verify_recovery(&self, report: &RecoveryReport) -> Result<(), String> {
+    pub fn verify_recovery(&self, report: &RecoveryOutcome) -> Result<(), String> {
         let strict =
             !self.cfg.design.delay_persistence() && !self.mc.stats().crash_faults_injected();
         self.oracle.verify(&self.mc, report, strict)

@@ -4,6 +4,7 @@
 //! and only truncates the ring after a full pass, so an interrupted pass
 //! is idempotent — re-running it from scratch revisits every record.
 
+use morlog_log::LogError;
 use morlog_sim::System;
 use morlog_sim_core::{DesignKind, SystemConfig};
 use morlog_workloads::{generate, WorkloadConfig, WorkloadKind};
@@ -19,14 +20,13 @@ fn crash_recover_crash_recover(design: DesignKind, crash_cycle: u64, budget: usi
     let mut sys = System::new(cfg, &trace);
     sys.run_for(crash_cycle);
     sys.crash();
-    let first = sys.recover_interrupted(budget);
-    if first.interrupted {
+    let report = sys.recover_interrupted(budget).unwrap_or_else(|e| {
+        assert_eq!(e, LogError::PowerLoss);
         // The second power loss wipes volatile state again; the log ring
         // survived the aborted pass.
         sys.crash();
-    }
-    let report = sys.recover();
-    assert!(!report.interrupted);
+        sys.recover()
+    });
     sys.verify_recovery(&report).unwrap_or_else(|e| {
         panic!("{design} crash@{crash_cycle} + recovery crash after {budget} writes: {e}")
     });
@@ -71,12 +71,14 @@ fn interrupted_recovery_is_observable_and_bounded() {
         sys.arm_crash_at(point);
         sys.run_until_crash_point();
         sys.crash();
-        let first = sys.recover_interrupted(0);
-        interrupted_once |= first.interrupted;
-        if first.interrupted {
-            sys.crash();
-        }
-        let report = sys.recover();
+        let report = match sys.recover_interrupted(0) {
+            Ok(outcome) => outcome,
+            Err(_) => {
+                interrupted_once = true;
+                sys.crash();
+                sys.recover()
+            }
+        };
         sys.verify_recovery(&report)
             .unwrap_or_else(|e| panic!("double crash at point {point}: {e}"));
     }

@@ -32,11 +32,11 @@ fn main() {
         println!("  log records scanned:    {}", report.records_scanned);
         println!(
             "  rolled forward:         {} transactions",
-            report.redone.len()
+            report.committed.len()
         );
         println!(
             "  rolled back:            {} transactions",
-            report.undone.len()
+            report.rolled_back.len()
         );
         match sys.verify_recovery(&report) {
             Ok(()) => println!("  atomic persistence:     VERIFIED\n"),

@@ -8,7 +8,7 @@
 //! fixed seed, so failures are exactly reproducible.
 
 use morlog_repro::core::types::dirty_byte_mask;
-use morlog_repro::core::{DetRng, LineData, TxId};
+use morlog_repro::core::{DesignKind, DetRng, LineData, LogConfig, ThreadId};
 use morlog_repro::encoding::bits::{BitReader, BitWriter};
 use morlog_repro::encoding::cell::{CellModel, CellState};
 use morlog_repro::encoding::dcw;
@@ -16,8 +16,9 @@ use morlog_repro::encoding::dldc;
 use morlog_repro::encoding::expansion::{map_payload_with_mode, unmap_payload, ExpansionMode};
 use morlog_repro::encoding::fpc;
 use morlog_repro::encoding::slde::{LogWordRequest, SldeCodec, SEGMENT_WORDS, WORD_REGION_CELLS};
-use morlog_repro::log::record::{RecordKind, BYTE_SLOTS};
+use morlog_repro::log::record::{RecordKind, TxTag, BYTE_SLOTS};
 use morlog_repro::log::ring::Ring;
+use morlog_repro::logging::LogController;
 use morlog_repro::nvm::log::ARRAY_SLOTS;
 
 const CASES: usize = 2_000;
@@ -320,13 +321,24 @@ mod cache_props {
 mod id_props {
     use super::*;
 
-    /// TxId::next wraps like a 16-bit hardware counter.
+    /// Each thread's TxID is a 16-bit counter that `tx_begin` advances
+    /// with a wrapping increment, independently of other threads'. Thread 0
+    /// starts a few begins short of the wrap so the random steps cross it.
     #[test]
     fn txid_next_is_wrapping_increment() {
+        let mut lc = LogController::new(DesignKind::MorLogSlde, LogConfig::default());
+        let start = u16::MAX - 8;
+        let mut next = [0u16; 4];
+        for _ in 0..start {
+            next[0] = lc.tx_begin(ThreadId::new(0), 0).txid.wrapping_add(1);
+        }
         let mut rng = DetRng::new(0x771D);
         for _ in 0..CASES {
-            let raw = rng.next_u64() as u16;
-            assert_eq!(TxId::new(raw).next(), TxId::new(raw.wrapping_add(1)));
+            let t = rng.gen_range(4) as u8;
+            let want = TxTag::new(t, next[t as usize]);
+            assert_eq!(lc.tx_begin(ThreadId::new(t), 0), want);
+            next[t as usize] = want.txid.wrapping_add(1);
         }
+        assert!(next[0] < start, "thread 0 wrapped");
     }
 }
