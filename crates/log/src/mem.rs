@@ -41,17 +41,6 @@ impl MemDomain {
     pub fn durable_bytes(&self) -> u64 {
         self.image.durable_bytes()
     }
-
-    /// Direct access to the underlying image (fault-injecting wrappers and
-    /// white-box tests).
-    pub fn image_mut(&mut self) -> &mut Image {
-        &mut self.image
-    }
-
-    /// Shared access to the underlying image.
-    pub fn image(&self) -> &Image {
-        &self.image
-    }
 }
 
 impl PersistDomain for MemDomain {

@@ -31,13 +31,17 @@
 //! `tick` and `next_event` run on every stepped cycle and ask, for each
 //! pending commit, whether its transaction still has entries buffered,
 //! undo+redo records in the overflow queue, or a commit record queued.
-//! None of these questions scans: the buffers and both record queues keep
+//! None of these questions scans: the four record FIFOs keep
 //! per-transaction counts (see [`crate::buffer`]), the pending commits sit
 //! in one slot per thread, and each pending commit remembers whether its
-//! commit record has persisted. Every append attempt is first checked with
-//! [`MemoryController::log_append_blocked`], which answers exactly whether
-//! the append would fail on a full write queue without side effects, so a
-//! queue known to be full is not tried again for each pending commit.
+//! commit record has persisted. An append blocked on a full write queue
+//! fails before any side effect (see
+//! [`MemoryController::log_append_blocked`]), so a blocked flush changes
+//! nothing and is simply tried again on a later tick.
+//!
+//! Every buffered record that leaves for the log ring leaves through one
+//! helper, `flush_while`, which also holds the one rule for which flushes
+//! report their undo+redo records as [`PersistedUr`].
 //!
 //! [`tx_begin`]: LogController::tx_begin
 //! [`start_commit`]: LogController::start_commit
@@ -52,7 +56,6 @@
 use morlog_cache::line::{CacheLine, L1Ext, WordLogState};
 use morlog_encoding::secure::SecureMode;
 use morlog_log::record::{Record, RecordKind, TxTag};
-use morlog_log::txtable::TxTable;
 use morlog_nvm::controller::{LogAppendError, MemoryController};
 use morlog_sim_core::hash::{IntHashMap, IntHashSet};
 use morlog_sim_core::hostprof::{self, HostPhase};
@@ -62,7 +65,13 @@ use morlog_sim_core::trace::{CommitPhaseTag, TraceEvent, Tracer, WordStateTag};
 use morlog_sim_core::types::dirty_byte_mask;
 use morlog_sim_core::{Addr, CheckMutation, Cycle, DesignKind, LogConfig, ThreadId};
 
-use crate::buffer::{home_line, LogBuffer, RecordQueue};
+use crate::buffer::{home_line, Pending, RecordFifo};
+
+/// Whether `record` is an undo+redo record whose word lies in cache line
+/// `line_index` (write-ahead: it must persist before the line does).
+fn is_line_undo(record: &Record, line_index: u64) -> bool {
+    record.kind == RecordKind::UndoRedo && home_line(record) == line_index
+}
 
 /// A store could not proceed this cycle, and what blocked it. The engine
 /// retries the store next cycle and charges the stalled cycle to the
@@ -90,18 +99,6 @@ pub struct PersistedUr {
     pub addr: Addr,
     /// The entry was discarded (all-clean log data) rather than written.
     pub silent: bool,
-}
-
-impl PersistedUr {
-    /// The notification for an undo+redo `record` that left the buffers
-    /// with `outcome` (never [`FlushOutcome::Blocked`]).
-    fn of(record: &Record, outcome: FlushOutcome) -> Self {
-        PersistedUr {
-            key: record.tag,
-            addr: record.addr.into(),
-            silent: matches!(outcome, FlushOutcome::Discarded),
-        }
-    }
 }
 
 /// A `ULog` word reported by the engine's commit-time L1 walk.
@@ -135,6 +132,11 @@ struct PendingCommits {
 impl PendingCommits {
     fn get(&self, thread: u8) -> Option<&PendingCommit> {
         self.by_thread.get(thread as usize)?.as_ref()
+    }
+
+    /// Whether `key` is its thread's commit in flight.
+    fn holds(&self, key: TxTag) -> bool {
+        self.get(key.thread).is_some_and(|p| p.key == key)
     }
 
     fn get_mut(&mut self, thread: u8) -> Option<&mut PendingCommit> {
@@ -194,12 +196,13 @@ struct CommitTrack {
     complete: Option<Cycle>,
 }
 
-enum FlushOutcome {
-    Written,
-    Discarded,
-    /// The append could not proceed; carries the backpressure class the
-    /// engine should charge a dependent store stall to.
-    Blocked(StoreStall),
+/// The FIFOs a record can leave for the log ring through
+/// [`LogController::flush_while`].
+#[derive(Debug, Clone, Copy)]
+enum Fifo {
+    UndoRedo,
+    Redo,
+    Overflow,
 }
 
 /// The log controller.
@@ -218,17 +221,17 @@ enum FlushOutcome {
 pub struct LogController {
     design: DesignKind,
     cfg: LogConfig,
-    ur_buf: LogBuffer,
-    redo_buf: LogBuffer,
+    ur_buf: RecordFifo,
+    redo_buf: RecordFifo,
     /// Records forced out of the buffers by events that cannot stall
     /// (evictions, commits); drained ahead of everything else. While
     /// non-empty, new stores stall — this is the hardware backpressure.
-    overflow: RecordQueue,
+    overflow: RecordFifo,
     next_txid: IntHashMap<ThreadId, u16>,
     pending_commits: PendingCommits,
     /// Commit records awaiting a free write-queue slot (and, for gating,
     /// their transaction's undo+redo entries draining first).
-    pending_records: RecordQueue,
+    pending_records: RecordFifo,
     /// Commit cycle of every transaction whose commit record persisted
     /// (drives log truncation).
     commit_cycle: IntHashMap<TxTag, Cycle>,
@@ -260,12 +263,12 @@ impl LogController {
     pub fn new(design: DesignKind, cfg: LogConfig) -> Self {
         LogController {
             design,
-            ur_buf: LogBuffer::new(cfg.undo_redo_entries),
-            redo_buf: LogBuffer::new(cfg.redo_entries),
-            overflow: RecordQueue::default(),
+            ur_buf: RecordFifo::new(cfg.undo_redo_entries),
+            redo_buf: RecordFifo::new(cfg.redo_entries),
+            overflow: RecordFifo::unbounded(),
             next_txid: IntHashMap::default(),
             pending_commits: PendingCommits::default(),
-            pending_records: RecordQueue::default(),
+            pending_records: RecordFifo::unbounded(),
             commit_cycle: IntHashMap::default(),
             stats: LogStats::default(),
             redo_lazy_age: 4096,
@@ -424,14 +427,8 @@ impl LogController {
                 if self.redo_buf.remove(key, addr).is_some() {
                     self.stats.redo_discarded += 1;
                 }
-                if self.ur_buf.is_full() {
-                    self.evict_ur_front(now, mc)?;
-                }
+                self.log_undo_redo(key, addr, old, new, now, mc)?;
                 let ext = line.ext.as_mut().expect("ext installed above");
-                self.ur_buf
-                    .push(Record::undo_redo(key, addr.as_u64(), old, new, delta), now)
-                    .expect("room ensured");
-                self.stats.undo_redo_created += 1;
                 ext.word_state[w] = WordLogState::Dirty;
                 ext.dirty_flags[w] = delta;
                 self.tracer.emit(now, || TraceEvent::WordTransition {
@@ -442,14 +439,9 @@ impl LogController {
                 });
             }
             WordLogState::Dirty => {
-                if let Some(p) = self.ur_buf.find_mut(key, addr) {
-                    let undo = p.record.undo.expect("undo+redo entry");
-                    p.record.redo = new;
-                    p.record.dirty_mask = dirty_byte_mask(undo, new);
-                    let mask = p.record.dirty_mask;
+                if let Some(mask) = self.coalesce(key, addr, new) {
                     let ext = line.ext.as_mut().expect("ext installed above");
                     ext.dirty_flags[w] = mask;
-                    self.stats.coalesced += 1;
                 } else {
                     // The entry left the buffer before its persist
                     // notification arrived (forced flush or same-cycle
@@ -458,13 +450,7 @@ impl LogController {
                     // correctly behind whatever the flushed entry logged —
                     // and if that entry was discarded as silent, this one
                     // provides the rollback anchor the word needs.
-                    if self.ur_buf.is_full() {
-                        self.evict_ur_front(now, mc)?;
-                    }
-                    self.ur_buf
-                        .push(Record::undo_redo(key, addr.as_u64(), old, new, delta), now)
-                        .expect("room ensured");
-                    self.stats.undo_redo_created += 1;
+                    self.log_undo_redo(key, addr, old, new, now, mc)?;
                     let ext = line.ext.as_mut().expect("ext installed above");
                     ext.word_state[w] = WordLogState::Dirty;
                     ext.dirty_flags[w] = delta;
@@ -506,22 +492,39 @@ impl LogController {
     ) -> Result<(), StoreStall> {
         // FWB: every store creates (or coalesces into) an undo+redo entry in
         // the single log buffer; no value comparison is performed.
-        if let Some(p) = self.ur_buf.find_mut(key, addr) {
-            let undo = p.record.undo.expect("undo+redo entry");
-            p.record.redo = new;
-            p.record.dirty_mask = dirty_byte_mask(undo, new);
-            self.stats.coalesced += 1;
-            return Ok(());
+        if self.coalesce(key, addr, new).is_none() {
+            self.log_undo_redo(key, addr, old, new, now, mc)?;
         }
-        if self.ur_buf.is_full() {
-            self.evict_ur_front(now, mc)?;
-        }
-        self.ur_buf
-            .push(
-                Record::undo_redo(key, addr.as_u64(), old, new, dirty_byte_mask(old, new)),
-                now,
-            )
-            .expect("room ensured");
+        Ok(())
+    }
+
+    /// Coalesces a store of `new` into `key`'s buffered undo+redo entry for
+    /// `addr`: the entry keeps its undo and takes the newest redo. Returns
+    /// the entry's new dirty mask, or `None` if no entry is buffered.
+    fn coalesce(&mut self, key: TxTag, addr: Addr, new: u64) -> Option<u8> {
+        let p = self.ur_buf.find_mut(key, addr)?;
+        p.record.redo = new;
+        p.record.dirty_mask = dirty_byte_mask(p.record.undo.expect("undo+redo entry"), new);
+        self.stats.coalesced += 1;
+        Some(p.record.dirty_mask)
+    }
+
+    /// Buffers a new undo+redo entry for a store of `new` over `old`,
+    /// first flushing the buffer's head if the buffer is full.
+    fn log_undo_redo(
+        &mut self,
+        key: TxTag,
+        addr: Addr,
+        old: u64,
+        new: u64,
+        now: Cycle,
+        mc: &mut MemoryController,
+    ) -> Result<(), StoreStall> {
+        self.flush_while(now, mc, None, |lc| {
+            lc.ur_buf.is_full().then_some((Fifo::UndoRedo, 0))
+        })?;
+        let record = Record::undo_redo(key, addr.as_u64(), old, new, dirty_byte_mask(old, new));
+        self.ur_buf.push(record, now);
         self.stats.undo_redo_created += 1;
         Ok(())
     }
@@ -566,13 +569,13 @@ impl LogController {
         self.stats.redo_created += 1;
         let key = record.tag;
         if self.commit_cycle.contains_key(&key)
-            || Self::is_held(&self.pending_commits, &key)
+            || self.pending_commits.holds(key)
             || self.pending_records.has_tx(key)
         {
             self.stats.post_commit_redo += 1;
         }
-        if self.redo_buf.push(record, now).is_err() {
-            self.overflow.push_back(record);
+        if self.redo_buf.try_push(record, now).is_err() {
+            self.overflow.push(record, now);
         }
     }
 
@@ -580,17 +583,10 @@ impl LogController {
     /// out if needed; falls back to the overflow queue (which stalls
     /// stores) only when the write queue is also full.
     fn queue_redo_with_evict(&mut self, record: Record, now: Cycle, mc: &mut MemoryController) {
-        if self.redo_buf.is_full() {
-            if let Some(front) = self.redo_buf.front() {
-                let oldest = front.record;
-                if !matches!(
-                    self.flush_to_ring(oldest, now, mc),
-                    FlushOutcome::Blocked(_)
-                ) {
-                    self.redo_buf.pop_front();
-                }
-            }
-        }
+        // Blocked or nothing to evict: the record overflows instead.
+        let _ = self.flush_while(now, mc, None, |lc| {
+            lc.redo_buf.is_full().then_some((Fifo::Redo, 0))
+        });
         self.queue_redo(record, now);
     }
 
@@ -618,7 +614,7 @@ impl LogController {
                 WordLogState::Dirty => {
                     let addr = line.addr.word_addr(w);
                     if let Some(p) = self.ur_buf.remove(ext.owner, addr) {
-                        self.overflow.push_back(p.record);
+                        self.overflow.push(p.record, now);
                     }
                 }
                 WordLogState::Clean | WordLogState::URLog => {}
@@ -641,12 +637,9 @@ impl LogController {
     ) -> bool {
         let _prof = hostprof::scope(HostPhase::Logging);
         if self.discards_redo_on_writeback(mc) {
-            let n = self.redo_buf.remove_line(line_index);
+            let keep = |r: &Record| r.kind != RecordKind::Redo || home_line(r) != line_index;
+            let n = self.redo_buf.retain(keep) + self.overflow.retain(keep);
             self.stats.redo_discarded += n as u64;
-            let before = self.overflow.len();
-            self.overflow
-                .retain(|r| r.kind != RecordKind::Redo || home_line(r) != line_index);
-            self.stats.redo_discarded += (before - self.overflow.len()) as u64;
         }
         // Sabotage for the mutation self-test: let the data line go durable
         // without first persisting its buffered undo entries. A crash in
@@ -656,27 +649,12 @@ impl LogController {
             return true;
         }
         // Write-ahead: undo entries for this line must persist before it.
-        while let Some(p) = self.ur_buf.find_line_front(line_index) {
-            match self.flush_to_ring(p.record, now, mc) {
-                FlushOutcome::Blocked(_) => return false,
-                _ => {
-                    self.ur_buf.remove(p.record.tag, p.record.addr.into());
-                }
-            }
-        }
-        while let Some(pos) = self
-            .overflow
-            .position(|r| home_line(r) == line_index && r.kind == RecordKind::UndoRedo)
-        {
-            let record = self.overflow[pos];
-            match self.flush_to_ring(record, now, mc) {
-                FlushOutcome::Blocked(_) => return false,
-                _ => {
-                    self.overflow.remove(pos);
-                }
-            }
-        }
-        true
+        let line_undo = |fifo: &RecordFifo| fifo.position(|p| is_line_undo(&p.record, line_index));
+        self.flush_while(now, mc, None, |lc| {
+            (line_undo(&lc.ur_buf).map(|pos| (Fifo::UndoRedo, pos)))
+                .or_else(|| line_undo(&lc.overflow).map(|pos| (Fifo::Overflow, pos)))
+        })
+        .is_ok()
     }
 
     /// Whether an LLC write-back discards the line's buffered redo entries.
@@ -710,8 +688,9 @@ impl LogController {
             // is queued; it appends once the transaction's undo+redo entries
             // have drained, preserving the §III-C recovery invariant.
             self.next_commit_ts += 1;
-            self.pending_records.push_back(
+            self.pending_records.push(
                 Record::commit(key, Some(ulog_count)).with_timestamp(self.next_commit_ts),
+                now,
             );
             self.tracer.emit(now, || TraceEvent::CommitPhase {
                 key,
@@ -762,92 +741,48 @@ impl LogController {
         let _prof = hostprof::scope(HostPhase::Logging);
         persisted.clear();
         // 1. Overflow drains first (forced entries, eviction redo data).
-        while let Some(&record) = self.overflow.front() {
-            match self.flush_to_ring(record, now, mc) {
-                FlushOutcome::Blocked(_) => break,
-                outcome => {
-                    self.overflow.pop_front();
-                    if record.kind == RecordKind::UndoRedo {
-                        persisted.push(PersistedUr::of(&record, outcome));
-                    }
-                }
-            }
-        }
+        let _ = self.flush_while(now, mc, Some(&mut *persisted), |lc| {
+            lc.overflow.front().map(|_| (Fifo::Overflow, 0))
+        });
         // 2. Eager undo+redo aging (§III-B: entries leave after N cycles,
         // N below the minimum cache-traversal latency).
-        while let Some(front) = self.ur_buf.front() {
-            if now < front.created + self.cfg.eager_evict_cycles {
-                break;
-            }
-            let record = front.record;
-            match self.flush_to_ring(record, now, mc) {
-                FlushOutcome::Blocked(_) => break,
-                outcome => {
-                    self.ur_buf.pop_front();
-                    persisted.push(PersistedUr::of(&record, outcome));
-                }
-            }
-        }
+        let _ = self.flush_while(now, mc, Some(&mut *persisted), |lc| {
+            let front = lc.ur_buf.front()?;
+            (now >= front.created + lc.cfg.eager_evict_cycles).then_some((Fifo::UndoRedo, 0))
+        });
         // 3. Synchronous commits pull their transaction's entries out.
         for slot in 0..self.pending_commits.slots() {
             let Some(PendingCommit { key, .. }) = self.pending_commits.at(slot) else {
                 continue;
             };
-            loop {
-                let next = self
-                    .ur_buf
-                    .find_tx_front(key)
-                    .map(|p| (true, p.record))
-                    .or_else(|| self.redo_buf.find_tx_front(key).map(|p| (false, p.record)));
-                let Some((is_ur, record)) = next else { break };
-                match self.flush_to_ring(record, now, mc) {
-                    FlushOutcome::Blocked(_) => break,
-                    outcome => {
-                        if is_ur {
-                            self.ur_buf.remove(record.tag, record.addr.into());
-                            persisted.push(PersistedUr::of(&record, outcome));
-                        } else {
-                            self.redo_buf.remove(record.tag, record.addr.into());
-                        }
-                    }
-                }
-            }
+            let _ = self.flush_while(now, mc, Some(&mut *persisted), |lc| {
+                lc.buffered_tx_front(key)
+            });
         }
         // 4. Lazy redo eviction: only under pressure or old age (§III-B).
-        while let Some(front) = self.redo_buf.front() {
-            let old = now >= front.created + self.redo_lazy_age;
-            if !(self.redo_under_pressure() || old) {
-                break;
-            }
-            let record = front.record;
-            match self.flush_to_ring(record, now, mc) {
-                FlushOutcome::Blocked(_) => break,
-                _ => {
-                    self.redo_buf.pop_front();
-                }
-            }
-        }
+        let _ = self.flush_while(now, mc, Some(&mut *persisted), |lc| {
+            let front = lc.redo_buf.front()?;
+            let old = now >= front.created + lc.redo_lazy_age;
+            (lc.redo_under_pressure() || old).then_some((Fifo::Redo, 0))
+        });
         // 5. Commit records append once their transaction's undo+redo
         // entries are in the log (write-ahead completeness for recovery).
         // The head record's entries are pulled out actively rather than
         // waiting for the aging timer.
-        while let Some(record) = self.pending_records.front().copied() {
+        while let Some(record) = self.pending_records.front().map(|p| p.record) {
             let key = record.tag;
-            while let Some(p) = self.ur_buf.find_tx_front(key) {
-                match self.flush_to_ring(p.record, now, mc) {
-                    FlushOutcome::Blocked(_) => break,
-                    outcome => {
-                        self.ur_buf.remove(p.record.tag, p.record.addr.into());
-                        persisted.push(PersistedUr::of(&p.record, outcome));
-                    }
-                }
-            }
-            if self.tx_has_buffered_undo(key) || mc.log_append_blocked(&record) {
+            let _ = self.flush_while(now, mc, Some(&mut *persisted), |lc| {
+                lc.ur_buf
+                    .find_tx_front(key)
+                    .map(|pos| (Fifo::UndoRedo, pos))
+            });
+            if self.tx_has_buffered_undo(key) {
                 break;
             }
+            // A blocked append fails with `WqFull` before any side effect.
             match mc.try_append_log(record, now) {
                 Ok(_) => {
-                    self.pending_records.pop_front();
+                    self.pending_records.remove_at(0);
                     self.stats.commit_records += 1;
                     self.commit_cycle.insert(key, now);
                     if let Some(p) = self.pending_commits.get_mut(key.thread) {
@@ -877,8 +812,8 @@ impl LogController {
             }
             if !p.recorded && !self.pending_records.has_tx(p.key) {
                 self.next_commit_ts += 1;
-                self.pending_records
-                    .push_back(Record::commit(p.key, None).with_timestamp(self.next_commit_ts));
+                let record = Record::commit(p.key, None).with_timestamp(self.next_commit_ts);
+                self.pending_records.push(record, now);
                 continue; // record appends on a later tick pass
             }
             if p.recorded {
@@ -918,45 +853,89 @@ impl LogController {
         self.ur_buf.has_tx(key) || self.overflow.has_undo(key)
     }
 
-    fn evict_ur_front(
-        &mut self,
-        now: Cycle,
-        mc: &mut MemoryController,
-    ) -> Result<PersistedUr, StoreStall> {
-        let front = self.ur_buf.front().ok_or(StoreStall::Buffer)?;
-        let record = front.record;
-        match self.flush_to_ring(record, now, mc) {
-            FlushOutcome::Blocked(why) => Err(why),
-            outcome => {
-                self.ur_buf.pop_front();
-                Ok(PersistedUr::of(&record, outcome))
-            }
+    /// The buffered entry of `key` that leaves first: its oldest undo+redo
+    /// entry, else its oldest redo entry.
+    fn buffered_tx_front(&self, key: TxTag) -> Option<(Fifo, usize)> {
+        let ur = self
+            .ur_buf
+            .find_tx_front(key)
+            .map(|pos| (Fifo::UndoRedo, pos));
+        ur.or_else(|| {
+            self.redo_buf
+                .find_tx_front(key)
+                .map(|pos| (Fifo::Redo, pos))
+        })
+    }
+
+    /// The FIFO `fifo` names.
+    fn fifo(&self, fifo: Fifo) -> &RecordFifo {
+        match fifo {
+            Fifo::UndoRedo => &self.ur_buf,
+            Fifo::Redo => &self.redo_buf,
+            Fifo::Overflow => &self.overflow,
         }
     }
 
-    fn flush_to_ring(
+    /// Moves records to the log ring — or discards them as silent log
+    /// writes — one at a time from the FIFO position `next` picks, until
+    /// it picks none or an append is blocked. Every record that leaves a
+    /// FIFO for the ring leaves here, except commit records, which `tick`
+    /// appends itself.
+    ///
+    /// The one [`PersistedUr`] rule: an undo+redo record that leaves is
+    /// reported in `persisted` when the caller passes one. `tick` does;
+    /// the forced flushes of a store finding the undo+redo buffer full
+    /// and of [`on_llc_writeback`](LogController::on_llc_writeback)'s
+    /// write-ahead pass `None`, so their words stay `Dirty` in L1 and a
+    /// later store of the same transaction logs a fresh undo+redo entry.
+    ///
+    /// # Errors
+    ///
+    /// The [`StoreStall`] a dependent store would be charged when an
+    /// append is blocked (that record stays where it is), or
+    /// [`StoreStall::Buffer`] when `next` picks a position holding no
+    /// record (the head of an empty, zero-capacity buffer).
+    fn flush_while(
         &mut self,
-        record: Record,
         now: Cycle,
         mc: &mut MemoryController,
-    ) -> FlushOutcome {
-        if self.is_silent(&record) {
-            self.stats.silent_discarded += 1;
-            return FlushOutcome::Discarded;
-        }
-        // A blocked append (see `MemoryController::log_append_blocked`)
-        // fails with `WqFull` before any side effect.
-        match mc.try_append_log(record, now) {
-            Ok(_) => {
-                self.stats.entries_written += 1;
-                FlushOutcome::Written
+        mut persisted: Option<&mut Vec<PersistedUr>>,
+        next: impl Fn(&Self) -> Option<(Fifo, usize)>,
+    ) -> Result<(), StoreStall> {
+        while let Some((fifo, pos)) = next(self) {
+            let record = self.fifo(fifo).get(pos).ok_or(StoreStall::Buffer)?.record;
+            let silent = self.is_silent(&record);
+            if silent {
+                self.stats.silent_discarded += 1;
+            } else {
+                // A blocked append (see `MemoryController::log_append_blocked`)
+                // fails with `WqFull` before any side effect.
+                match mc.try_append_log(record, now) {
+                    Ok(_) => self.stats.entries_written += 1,
+                    Err(LogAppendError::WqFull) => return Err(StoreStall::WriteQueue),
+                    Err(LogAppendError::RingFull) => {
+                        self.stats.log_region_full_stalls += 1;
+                        return Err(StoreStall::Buffer);
+                    }
+                }
             }
-            Err(LogAppendError::WqFull) => FlushOutcome::Blocked(StoreStall::WriteQueue),
-            Err(LogAppendError::RingFull) => {
-                self.stats.log_region_full_stalls += 1;
-                FlushOutcome::Blocked(StoreStall::Buffer)
+            match fifo {
+                Fifo::UndoRedo => self.ur_buf.remove_at(pos),
+                Fifo::Redo => self.redo_buf.remove_at(pos),
+                Fifo::Overflow => self.overflow.remove_at(pos),
+            };
+            if let Some(persisted) = persisted
+                .as_deref_mut()
+                .filter(|_| record.kind == RecordKind::UndoRedo)
+            {
+                persisted.push(PersistedUr {
+                    key: record.tag,
+                    addr: record.addr.into(),
+                    silent,
+                });
             }
         }
+        Ok(())
     }
 
     /// Silent log writes: with dirty-flag hardware, completely clean log
@@ -965,16 +944,15 @@ impl LogController {
         self.has_dirty_flags() && record.kind != RecordKind::Commit && record.dirty_mask == 0
     }
 
-    /// Whether [`flush_to_ring`](Self::flush_to_ring) on `record` would
-    /// be blocked with no side effect (see
-    /// [`MemoryController::log_append_blocked`]).
+    /// Whether [`flush_while`](Self::flush_while) of `record` would be blocked with no
+    /// side effect (see [`MemoryController::log_append_blocked`]).
     fn flush_blocked(&self, record: &Record, mc: &MemoryController) -> bool {
         !self.is_silent(record) && mc.log_append_blocked(record)
     }
 
-    /// The stall [`evict_ur_front`](Self::evict_ur_front) would return
+    /// The stall [`log_undo_redo`](Self::log_undo_redo) would return
     /// without touching anything: the undo+redo buffer is full and its
-    /// head cannot leave it. `None` if the eviction could proceed.
+    /// head cannot leave it. `None` if it would make room.
     fn ur_front_stall(&self, mc: &MemoryController) -> Option<StoreStall> {
         if !self.ur_buf.is_full() {
             return None;
@@ -1003,7 +981,7 @@ impl LogController {
         if self
             .overflow
             .front()
-            .is_some_and(|r| !self.flush_blocked(r, mc))
+            .is_some_and(|p| !self.flush_blocked(&p.record, mc))
         {
             return now;
         }
@@ -1018,12 +996,10 @@ impl LogController {
         }
         // 3. Synchronous commits pulling their entries.
         for p in self.pending_commits.values() {
-            let head = self
-                .ur_buf
-                .find_tx_front(p.key)
-                .or_else(|| self.redo_buf.find_tx_front(p.key));
-            if head.is_some_and(|h| !self.flush_blocked(&h.record, mc)) {
-                return now;
+            if let Some((fifo, pos)) = self.buffered_tx_front(p.key) {
+                if !self.flush_blocked(&self.fifo(fifo)[pos].record, mc) {
+                    return now;
+                }
             }
         }
         // 4. Lazy redo eviction.
@@ -1040,11 +1016,11 @@ impl LogController {
             }
         }
         // 5. The head commit record.
-        if let Some(record) = self.pending_records.front() {
+        if let Some(Pending { record, .. }) = self.pending_records.front() {
             let key = record.tag;
             match self.ur_buf.find_tx_front(key) {
-                Some(p) => {
-                    if !self.flush_blocked(&p.record, mc) {
+                Some(pos) => {
+                    if !self.flush_blocked(&self.ur_buf[pos].record, mc) {
                         return now;
                     }
                 }
@@ -1129,71 +1105,50 @@ impl LogController {
     /// doing so until the next controller or memory event. `false`
     /// whenever unsure.
     pub fn writeback_blocked(&self, line_index: u64, mc: &MemoryController) -> bool {
+        let line_redo =
+            |p: &Pending| p.record.kind == RecordKind::Redo && home_line(&p.record) == line_index;
         if self.discards_redo_on_writeback(mc)
-            && (self.redo_buf.has_line(line_index)
-                || self
-                    .overflow
-                    .iter()
-                    .any(|r| r.kind == RecordKind::Redo && home_line(r) == line_index))
+            && self
+                .redo_buf
+                .iter()
+                .chain(self.overflow.iter())
+                .any(line_redo)
         {
             return false;
         }
         if self.mutation == CheckMutation::DropUndoFence {
             return false;
         }
-        if let Some(p) = self.ur_buf.find_line_front(line_index) {
-            return self.flush_blocked(&p.record, mc);
-        }
-        self.overflow
-            .iter()
-            .find(|r| home_line(r) == line_index && r.kind == RecordKind::UndoRedo)
-            .is_some_and(|r| self.flush_blocked(r, mc))
+        (self.ur_buf.iter().chain(self.overflow.iter()))
+            .find(|p| is_line_undo(&p.record, line_index))
+            .is_some_and(|p| self.flush_blocked(&p.record, mc))
     }
 
-    /// Log truncation (§III-F): drops ring records whose transactions
-    /// committed at or before `horizon` (the force-write-back scheduler's
-    /// safe commit horizon — their updated data have survived two scans).
-    pub fn truncate(&mut self, horizon: Cycle, mc: &mut MemoryController) {
-        let held = &self.pending_commits;
-        Self::truncate_by(&self.commit_cycle, mc, |key, cc| {
-            !Self::is_held(held, key) && cc.get(key).map(|&c| c <= horizon).unwrap_or(false)
-        });
-    }
-
-    /// Log truncation driven by the §III-F transaction table: entries of
-    /// committed transactions whose updated cache lines have all been
-    /// persisted are deleted immediately, without waiting for the
-    /// force-write-back horizon.
-    pub fn truncate_with_table(&mut self, table: &TxTable, mc: &mut MemoryController) {
-        let held = &self.pending_commits;
-        Self::truncate_by(&self.commit_cycle, mc, |key, cc| {
-            !Self::is_held(held, key) && cc.contains_key(key) && table.is_deletable(*key)
-        });
-    }
-
-    /// Whether `key`'s commit record may have persisted while its
-    /// program-visible completion is still pending (the fault-plan drain
-    /// gate holds it). Such a transaction's log entries must survive
-    /// truncation: a crash inside the hold window would otherwise find a
-    /// transaction the program never saw commit fully durable with no log
-    /// evidence left for recovery to classify it — an unrecoverable,
-    /// checker-visible state. (Without an active fault plan, completion
-    /// lands the same tick the record persists, before any truncation
-    /// pass, so nothing is held.)
-    fn is_held(pending_commits: &PendingCommits, key: &TxTag) -> bool {
-        pending_commits
-            .get(key.thread)
-            .is_some_and(|p| p.key == *key)
-    }
-
-    /// Shared truncation walk: deletes the ring prefix of records whose
-    /// transactions satisfy `deletable`, subject to the no-split rule and
-    /// the commit-order-prefix rule (see the `truncate` docs).
-    fn truncate_by(
-        commit_cycle: &IntHashMap<TxTag, Cycle>,
+    /// Log truncation (§III-F): deletes the ring prefix of records whose
+    /// transactions `deletable(tag, commit_cycle)` accepts. The caller's
+    /// policy decides: the force-write-back scheduler's safe commit
+    /// horizon (their updated data have survived two scans) or the
+    /// transaction table (all their updated lines have persisted).
+    ///
+    /// Only transactions whose commit record persisted are offered, and
+    /// not one whose program-visible completion is still pending (the
+    /// fault-plan drain gate holds it): a crash inside the hold window
+    /// would otherwise find a transaction the program never saw commit
+    /// fully durable with no log evidence left for recovery to classify
+    /// it — an unrecoverable, checker-visible state. (Without an active
+    /// fault plan, completion lands the same tick the record persists,
+    /// before any truncation pass, so nothing is held.) The deleted
+    /// prefix then shrinks so that no transaction is split and no
+    /// commit-order hole opens.
+    pub fn truncate(
+        &mut self,
+        deletable: impl Fn(TxTag, Cycle) -> bool,
         mc: &mut MemoryController,
-        deletable: impl Fn(&TxTag, &IntHashMap<TxTag, Cycle>) -> bool,
     ) {
+        let (commit_cycle, held) = (&self.commit_cycle, &self.pending_commits);
+        let deletable = |tag: &TxTag| {
+            !held.holds(*tag) && commit_cycle.get(tag).is_some_and(|&c| deletable(*tag, c))
+        };
         let rings = mc.log_rings();
         // Pass 1 per slice: naive committed-prefix walk, then the no-split
         // rule (recovery must see a transaction completely or not at all).
@@ -1202,7 +1157,7 @@ impl LogController {
             let head = ring.head();
             let mut new_head = head;
             for slot in ring.entries() {
-                if deletable(&slot.value.record.tag, commit_cycle) {
+                if deletable(&slot.value.record.tag) {
                     new_head = slot.offset + ring.geometry().slot_bytes(slot.kind);
                 } else {
                     break;
@@ -1709,7 +1664,7 @@ mod tests {
         tick(&mut lc, now + cfg.eager_evict_cycles, &mut m);
         let before = m.log_ring().entries().count();
         assert_eq!(before, 3); // tx1 entry + commit, tx2 entry
-        lc.truncate(now + 1000, &mut m);
+        lc.truncate(|_, committed| committed <= now + 1000, &mut m);
         let remaining: Vec<_> = m.log_ring().entries().map(|r| r.value.record.tag).collect();
         assert_eq!(
             remaining,

@@ -34,19 +34,6 @@ use crate::module::{log_slot_key, NvmmModule};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ReadTicket(u64);
 
-/// A write presented to the controller.
-#[derive(Debug, Clone, PartialEq)]
-pub enum WriteRequest {
-    /// An in-place 64-byte data write (cache writeback or non-temporal
-    /// store drain).
-    Data {
-        /// Target line.
-        line: LineAddr,
-        /// New contents.
-        data: LineData,
-    },
-}
-
 /// Why a log append could not be accepted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LogAppendError {
@@ -742,7 +729,9 @@ impl MemoryController {
         record: Record,
         now: Cycle,
     ) -> Result<Entry<StoredRecord>, LogAppendError> {
-        let _prof = hostprof::scope(HostPhase::MemController);
+        // Callers retry a refused append on every stepped cycle, so the
+        // refusals are checked before the profiler scope opens: an active
+        // scope costs more than the checks.
         if self.crash_point_reached() {
             // Armed crash point hit: freeze before any side effect (even
             // the overflow pre-grow), surfacing ordinary backpressure.
@@ -751,12 +740,14 @@ impl MemoryController {
         let key = record.tag;
         let slice = self.log_slice_of(key.thread);
         if self.needs_pre_grow(slice, record.kind) {
+            let _prof = hostprof::scope(HostPhase::MemController);
             self.grow_log_slice(slice);
         }
         let (ch, bank) = self.tail_place[slice];
         if self.channels[ch].write_q.len() >= self.cfg.write_queue_entries {
             return Err(LogAppendError::WqFull);
         }
+        let _prof = hostprof::scope(HostPhase::MemController);
         let kind = record.kind;
         let seal = |torn| StoredRecord::seal(record, torn);
         let slot = match self.logs[slice].append(kind, seal) {

@@ -111,11 +111,6 @@ impl MemoryMap {
         Addr::new(self.nvmm_base + self.nvmm_bytes)
     }
 
-    /// First DRAM byte (always zero; provided for symmetry).
-    pub fn dram_base(&self) -> Addr {
-        Addr::new(0)
-    }
-
     /// DRAM size in bytes.
     pub fn dram_bytes(&self) -> u64 {
         self.dram_bytes

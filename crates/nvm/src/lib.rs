@@ -30,6 +30,6 @@ pub mod layout;
 pub mod log;
 pub mod module;
 
-pub use controller::{MemoryController, ReadTicket, WriteRequest};
+pub use controller::{MemoryController, ReadTicket};
 pub use layout::{MemoryMap, Region};
 pub use module::NvmmModule;

@@ -71,7 +71,6 @@ pub struct FaultPlan {
     /// Maximum number of faults this plan may inject (None = unlimited).
     pub fault_budget: Option<u32>,
     injected: u32,
-    sites: u64,
 }
 
 // Fault plans ride inside `System`s that sweep workers own and run on pool
@@ -94,7 +93,6 @@ impl FaultPlan {
             endurance_limit: None,
             fault_budget: Some(0),
             injected: 0,
-            sites: 0,
         }
     }
 
@@ -108,7 +106,6 @@ impl FaultPlan {
             endurance_limit: None,
             fault_budget: Some(1),
             injected: 0,
-            sites: 0,
         }
     }
 
@@ -123,7 +120,6 @@ impl FaultPlan {
             endurance_limit: None,
             fault_budget: Some(1),
             injected: 0,
-            sites: 0,
         }
     }
 
@@ -138,7 +134,6 @@ impl FaultPlan {
             endurance_limit: None,
             fault_budget: Some(1),
             injected: 0,
-            sites: 0,
         }
     }
 
@@ -153,7 +148,6 @@ impl FaultPlan {
             endurance_limit: Some(limit),
             fault_budget: None,
             injected: 0,
-            sites: 0,
         }
     }
 
@@ -168,7 +162,6 @@ impl FaultPlan {
             endurance_limit: Some(48),
             fault_budget: Some(budget),
             injected: 0,
-            sites: 0,
         }
     }
 
@@ -184,11 +177,6 @@ impl FaultPlan {
     /// Faults injected so far.
     pub fn injected(&self) -> u32 {
         self.injected
-    }
-
-    /// Sites consulted so far (for coverage reporting).
-    pub fn sites_consulted(&self) -> u64 {
-        self.sites
     }
 
     /// A short human-readable tag for sweep matrices.
@@ -219,8 +207,7 @@ impl FaultPlan {
         }
     }
 
-    fn roll(&mut self, kind: u64, site: u64) -> u64 {
-        self.sites += 1;
+    fn roll(&self, kind: u64, site: u64) -> u64 {
         mix(self.seed ^ kind.wrapping_mul(0xA24B_AED4_963E_E407) ^ mix(site))
     }
 

@@ -180,11 +180,6 @@ impl Frequency {
         Frequency { ghz }
     }
 
-    /// Returns the frequency in GHz.
-    pub fn as_ghz(self) -> f64 {
-        self.ghz
-    }
-
     /// Converts a nanosecond duration to cycles, rounding up (a device busy
     /// for a fraction of a cycle occupies the whole cycle).
     pub fn ns_to_cycles(self, ns: NanoSeconds) -> Cycle {

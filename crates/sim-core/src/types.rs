@@ -150,19 +150,9 @@ impl LineData {
         LineData([0; LINE_BYTES])
     }
 
-    /// Wraps raw bytes as a line.
-    pub fn from_bytes(bytes: [u8; LINE_BYTES]) -> Self {
-        LineData(bytes)
-    }
-
     /// Returns the raw bytes.
     pub fn bytes(&self) -> &[u8; LINE_BYTES] {
         &self.0
-    }
-
-    /// Returns the raw bytes mutably.
-    pub fn bytes_mut(&mut self) -> &mut [u8; LINE_BYTES] {
-        &mut self.0
     }
 
     /// Reads word `index` (little-endian), `index` in `0..WORDS_PER_LINE`.

@@ -649,7 +649,8 @@ impl System {
                 // All scan writebacks are in the persist domain: entries of
                 // transactions committed before the horizon are now safe to
                 // delete.
-                self.lc.truncate(horizon, &mut self.mc);
+                self.lc
+                    .truncate(|_, committed| committed <= horizon, &mut self.mc);
             }
         }
         if self.fwb.due(self.now) {
@@ -670,7 +671,9 @@ impl System {
             && self.now.is_multiple_of(4096)
             && self.pending_writebacks.is_empty()
         {
-            self.lc.truncate_with_table(&self.tx_table, &mut self.mc);
+            let table = &self.tx_table;
+            self.lc
+                .truncate(|tag, _| table.is_deletable(tag), &mut self.mc);
         }
         // One scope for the whole core loop: the cache, logging and memory
         // scopes it opens still charge their own time.

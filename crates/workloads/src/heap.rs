@@ -100,11 +100,6 @@ impl PHeap {
     pub fn live_bytes(&self) -> u64 {
         self.live_bytes
     }
-
-    /// High-water mark of the bump pointer.
-    pub fn high_water(&self) -> u64 {
-        self.brk
-    }
 }
 
 #[cfg(test)]
