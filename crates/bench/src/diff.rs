@@ -145,17 +145,6 @@ fn flatten(doc: &Json, include_timing: bool) -> BTreeMap<String, (Json, bool)> {
     out
 }
 
-/// Diffs two validated result documents with timing fields excluded
-/// (the default, pre-ratio-mode behaviour).
-///
-/// # Errors
-///
-/// Returns a message when either document fails schema validation or
-/// the two documents are for different bench binaries.
-pub fn diff_documents(base: &Json, cand: &Json) -> Result<DocumentDiff, String> {
-    diff_documents_with(base, cand, false)
-}
-
 /// Diffs two validated result documents. With `include_timing`,
 /// [`Class::Timing`] fields participate and are flagged on their
 /// deltas so [`DocumentDiff::regressions`] can judge them by ratio.
@@ -238,7 +227,7 @@ mod tests {
     fn identical_documents_have_zero_deltas() {
         let a = doc(100, 5.0);
         let b = doc(100, 99.0); // wall_ms differs but is excluded
-        let d = diff_documents(&a, &b).unwrap();
+        let d = diff_documents_with(&a, &b, false).unwrap();
         assert!(d.deltas.is_empty(), "{:?}", d.deltas);
         assert!(d.compared > 0);
     }
@@ -247,7 +236,7 @@ mod tests {
     fn perturbed_document_trips_threshold() {
         let a = doc(100, 5.0);
         let b = doc(110, 5.0);
-        let d = diff_documents(&a, &b).unwrap();
+        let d = diff_documents_with(&a, &b, false).unwrap();
         assert_eq!(d.deltas.len(), 1);
         assert!((d.deltas[0].delta_pct() - 10.0).abs() < 1e-9);
         assert!(d.deltas[0].exceeds(2.0));
@@ -258,7 +247,7 @@ mod tests {
     fn zero_baseline_is_infinite_delta() {
         let a = doc(0, 5.0);
         let b = doc(1, 5.0);
-        let d = diff_documents(&a, &b).unwrap();
+        let d = diff_documents_with(&a, &b, false).unwrap();
         assert_eq!(d.deltas.len(), 1);
         assert!(d.deltas[0].delta_pct().is_infinite());
         assert!(d.deltas[0].exceeds(1e12));
@@ -271,7 +260,7 @@ mod tests {
         if let Json::Obj(pairs) = &mut b {
             pairs[0].1 = Json::Str("other".into());
         }
-        assert!(diff_documents(&a, &b).is_err());
+        assert!(diff_documents_with(&a, &b, false).is_err());
     }
 
     #[test]
@@ -285,7 +274,7 @@ mod tests {
                 items.push(extra);
             }
         }
-        let d = diff_documents(&a, &b).unwrap();
+        let d = diff_documents_with(&a, &b, false).unwrap();
         assert!(
             d.deltas.iter().any(|x| x.path == "records.len"),
             "{:?}",
@@ -298,7 +287,7 @@ mod tests {
         let a = doc(100, 5.0);
         let b = doc(100, 40.0);
         // Default mode: wall_ms excluded, so the docs are identical.
-        let d = diff_documents(&a, &b).unwrap();
+        let d = diff_documents_with(&a, &b, false).unwrap();
         assert!(d.deltas.is_empty(), "{:?}", d.deltas);
         // Ratio mode: wall_ms participates, flagged as timing.
         let d = diff_documents_with(&a, &b, true).unwrap();
@@ -353,7 +342,7 @@ mod tests {
         let a = doc(12345, 1.0);
         let text = a.to_json_pretty();
         let b = json::parse(&text).unwrap();
-        let d = diff_documents(&a, &b).unwrap();
+        let d = diff_documents_with(&a, &b, false).unwrap();
         assert!(d.deltas.is_empty(), "{:?}", d.deltas);
     }
 }

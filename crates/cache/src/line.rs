@@ -48,11 +48,6 @@ impl L1Ext {
         }
     }
 
-    /// Whether any word is in a non-clean state.
-    pub fn has_log_state(&self) -> bool {
-        self.word_state.iter().any(|&s| s != WordLogState::Clean)
-    }
-
     /// Number of words currently in `ULog` state (feeds the ulog counter of
     /// the delay-persistence commit protocol, §III-C).
     pub fn ulog_words(&self) -> u32 {
@@ -112,17 +107,16 @@ mod tests {
 
     #[test]
     fn ext_counts_ulog_words() {
-        let mut ext = L1Ext::new(TxTag::new(0, 0));
+        let clean = L1Ext::new(TxTag::new(0, 0));
+        let mut ext = clean;
         assert_eq!(ext.ulog_words(), 0);
-        assert!(!ext.has_log_state());
         ext.word_state[0] = WordLogState::ULog;
         ext.word_state[3] = WordLogState::ULog;
         ext.word_state[5] = WordLogState::Dirty;
         assert_eq!(ext.ulog_words(), 2);
-        assert!(ext.has_log_state());
         ext.reset();
         assert_eq!(ext.ulog_words(), 0);
-        assert!(!ext.has_log_state());
+        assert_eq!(ext, clean);
     }
 
     #[test]

@@ -78,7 +78,6 @@ impl fmt::Display for CellState {
 pub struct CellModel {
     latency_ns: [f64; 8],
     energy_pj: [f64; 8],
-    read_latency_ns: f64,
     write_latency_scale: f64,
 }
 
@@ -89,7 +88,6 @@ impl CellModel {
             //           000   001   010   011   100    101    110   111
             latency_ns: [15.2, 46.8, 98.3, 143.0, 150.0, 101.0, 52.7, 12.1],
             energy_pj: [2.0, 6.7, 19.3, 35.1, 35.6, 19.6, 8.5, 1.5],
-            read_latency_ns: 25.0,
             write_latency_scale: 1.0,
         }
     }
@@ -131,29 +129,6 @@ impl CellModel {
     pub fn write_energy(&self, state: CellState) -> PicoJoules {
         PicoJoules::new(self.energy_pj[state.bits() as usize])
     }
-
-    /// Array read latency (25 ns in Table III).
-    pub fn read_latency(&self) -> NanoSeconds {
-        NanoSeconds::new(self.read_latency_ns)
-    }
-
-    /// Average write energy over all eight states (≈16.0 pJ; the paper uses
-    /// this figure when arguing SLDE's energy overhead is negligible, §IV-C).
-    pub fn average_write_energy(&self) -> PicoJoules {
-        PicoJoules::new(self.energy_pj.iter().sum::<f64>() / 8.0)
-    }
-
-    /// The states sorted by ascending write energy. Incomplete data mappings
-    /// restrict writes to a prefix of this order.
-    pub fn states_by_energy(&self) -> [CellState; 8] {
-        let mut order = CellState::all();
-        order.sort_by(|a, b| {
-            self.energy_pj[a.bits() as usize]
-                .partial_cmp(&self.energy_pj[b.bits() as usize])
-                .expect("energies are finite")
-        });
-        order
-    }
 }
 
 impl Default for CellModel {
@@ -179,34 +154,17 @@ mod tests {
             .map(|&s| m.write_energy(s).as_f64())
             .collect();
         assert_eq!(en, vec![2.0, 6.7, 19.3, 35.1, 35.6, 19.6, 8.5, 1.5]);
-        assert!((m.read_latency().as_f64() - 25.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn average_energy_is_sixteen() {
-        // The paper: "the averaged write energy of a TLC RRAM cell is 16.0 pJ".
-        let m = CellModel::table_iii();
-        assert!((m.average_write_energy().as_f64() - 16.0375).abs() < 0.05);
-    }
-
-    #[test]
-    fn energy_order_starts_with_cheap_states() {
-        let m = CellModel::table_iii();
-        let order = m.states_by_energy();
-        assert_eq!(order[0], CellState::new(0b111)); // 1.5 pJ
-        assert_eq!(order[1], CellState::new(0b000)); // 2.0 pJ
-        assert_eq!(order[2], CellState::new(0b001)); // 6.7 pJ
-        assert_eq!(order[3], CellState::new(0b110)); // 8.5 pJ
-        assert_eq!(order[7], CellState::new(0b100)); // 35.6 pJ
+        // The paper: "the averaged write energy of a TLC RRAM cell is 16.0 pJ"
+        // (§IV-C).
+        assert!((en.iter().sum::<f64>() / 8.0 - 16.0375).abs() < 0.05);
     }
 
     #[test]
     fn latency_scaling() {
         let m = CellModel::table_iii().with_write_latency_scale(32.0);
         assert!((m.write_latency(CellState::new(4)).as_f64() - 4800.0).abs() < 1e-9);
-        // Energy and read latency are unaffected.
+        // Energy is unaffected.
         assert!((m.write_energy(CellState::new(4)).as_f64() - 35.6).abs() < 1e-12);
-        assert!((m.read_latency().as_f64() - 25.0).abs() < 1e-12);
     }
 
     #[test]

@@ -162,20 +162,6 @@ pub fn program_payload(
     }
 }
 
-/// Counts flipped *bits* between two equal-length state vectors (used by
-/// bit-level traffic statistics and tests).
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn bit_flips(old: &[CellState], new: &[CellState]) -> u64 {
-    assert_eq!(old.len(), new.len());
-    old.iter()
-        .zip(new.iter())
-        .map(|(o, n)| (o.bits() ^ n.bits()).count_ones() as u64)
-        .sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -324,13 +310,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn bit_flip_count() {
-        assert_eq!(bit_flips(&[s(0b000)], &[s(0b111)]), 3);
-        assert_eq!(bit_flips(&[s(0b101)], &[s(0b100)]), 1);
-        assert_eq!(bit_flips(&[s(1), s(2)], &[s(1), s(2)]), 0);
     }
 
     #[test]

@@ -159,13 +159,6 @@ pub struct EncodedRegion {
     pub choices: Choices,
 }
 
-impl EncodedRegion {
-    /// Total cells the write may program (sum of segment footprints).
-    pub fn cells_touched(&self) -> usize {
-        self.segments.iter().map(|s| s.states.len()).sum()
-    }
-}
-
 /// One word region's encoded bit stream before expansion, as a
 /// [`BitWriter`] packed it: `len` bits LSB-first in `bits`, every bit
 /// above `len` zero. A region holds at most 72 bits.
@@ -601,7 +594,8 @@ mod tests {
         let region = codec().encode_data_block(&line);
         assert_eq!(codec().decode_data_block(&region), line);
         assert!(region.payload_bits <= 512 + 24);
-        assert!(region.cells_touched() <= BLOCK_CELLS);
+        let cells: usize = region.segments.iter().map(|s| s.states.len()).sum();
+        assert!(cells <= BLOCK_CELLS);
     }
 
     #[test]

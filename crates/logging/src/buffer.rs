@@ -309,11 +309,6 @@ impl RecordFifo {
         self.position(|p| p.record.tag == tag)
     }
 
-    /// Iterates the queued records, oldest first.
-    pub fn iter(&self) -> impl Iterator<Item = &Pending> + '_ {
-        self.entries.iter()
-    }
-
     /// Drops everything (crash: the FIFOs are volatile SRAM).
     pub fn clear(&mut self) {
         self.entries.clear();
@@ -326,15 +321,6 @@ impl RecordFifo {
     /// stays put, the FIFO holds the same records in the same order.
     pub fn changes(&self) -> u64 {
         self.changes
-    }
-}
-
-impl std::ops::Index<usize> for RecordFifo {
-    type Output = Pending;
-
-    /// The record at `pos` (0 is the oldest).
-    fn index(&self, pos: usize) -> &Pending {
-        &self.entries[pos]
     }
 }
 
@@ -467,18 +453,19 @@ mod tests {
                 for &tag in &keys {
                     assert_eq!(
                         b.has_tx(tag),
-                        b.iter().any(|p| p.record.tag == tag),
+                        b.entries.iter().any(|p| p.record.tag == tag),
                         "has_tx, step {step}"
                     );
                     assert_eq!(
                         b.has_undo(tag),
-                        b.iter()
+                        b.entries
+                            .iter()
                             .any(|p| p.record.tag == tag && p.record.kind == RecordKind::UndoRedo),
                         "has_undo, step {step}"
                     );
                     assert_eq!(
                         b.find_tx_front(tag),
-                        b.iter().position(|p| p.record.tag == tag),
+                        b.entries.iter().position(|p| p.record.tag == tag),
                         "find_tx_front, step {step}"
                     );
                 }

@@ -18,26 +18,28 @@
 //!   domain; matching redo-buffer entries are discarded (their data are
 //!   persisting anyway) and any still-buffered undo entries for the line
 //!   are forced ahead of the data (write-ahead ordering).
-//! * [`tick`] — per-cycle buffer aging: eager undo+redo eviction, lazy
-//!   redo eviction, commit-record appends, overflow drain.
+//! * [`tick`] — buffer aging: eager undo+redo eviction, lazy redo
+//!   eviction, commit-record appends, overflow drain.
 //!
-//! Between events the engine asks [`next_event`] for the earliest cycle a
-//! tick could change anything, and [`store_stall`] /
-//! [`writeback_blocked`] whether a stalled store or write-back would just
-//! stall again, so it can skip the cycles in between.
+//! # One rule set, and a wake
+//!
+//! The rules live in `tick` alone. Each step leaves in a stored wake why
+//! it stopped: an age deadline, or an append refused while the write
+//! queue was full or the controller was frozen at a crash point.
+//! [`next_event`] reads the wake: `now` once an event has moved
+//! [`state_version`], or the memory controller's `state_version` has
+//! moved and one [`MemoryController::log_append_blocked`] check finds a
+//! refused append free; else the next deadline. The engine skips `tick`
+//! before then. A stalled store asks [`store_stall`] whether its retry
+//! would just stall again.
 //!
 //! # Per-cycle cost
 //!
-//! `tick` and `next_event` run on every stepped cycle and ask, for each
-//! pending commit, whether its transaction still has entries buffered,
-//! undo+redo records in the overflow queue, or a commit record queued.
-//! None of these questions scans: the four record FIFOs keep
-//! per-transaction counts (see [`crate::buffer`]), the pending commits sit
-//! in one slot per thread, and each pending commit remembers whether its
-//! commit record has persisted. An append blocked on a full write queue
-//! fails before any side effect (see
-//! [`MemoryController::log_append_blocked`]), so a blocked flush changes
-//! nothing and is simply tried again on a later tick.
+//! A `tick` asks, for each pending commit, whether its transaction still
+//! has records in a FIFO; none of these questions scans (see
+//! [`crate::buffer`]). A refused append changes nothing, and while its
+//! refusal stands, an append of the same log slice and record kind is
+//! refused again without asking the memory controller.
 //!
 //! Every buffered record that leaves for the log ring leaves through one
 //! helper, `flush_while`, which also holds the one rule for which flushes
@@ -51,7 +53,7 @@
 //! [`tick`]: LogController::tick
 //! [`next_event`]: LogController::next_event
 //! [`store_stall`]: LogController::store_stall
-//! [`writeback_blocked`]: LogController::writeback_blocked
+//! [`state_version`]: LogController::state_version
 
 use morlog_cache::line::{CacheLine, L1Ext, WordLogState};
 use morlog_encoding::secure::SecureMode;
@@ -65,13 +67,7 @@ use morlog_sim_core::trace::{CommitPhaseTag, TraceEvent, Tracer, WordStateTag};
 use morlog_sim_core::types::dirty_byte_mask;
 use morlog_sim_core::{Addr, CheckMutation, Cycle, DesignKind, LogConfig, ThreadId};
 
-use crate::buffer::{home_line, Pending, RecordFifo};
-
-/// Whether `record` is an undo+redo record whose word lies in cache line
-/// `line_index` (write-ahead: it must persist before the line does).
-fn is_line_undo(record: &Record, line_index: u64) -> bool {
-    record.kind == RecordKind::UndoRedo && home_line(record) == line_index
-}
+use crate::buffer::{home_line, RecordFifo};
 
 /// A store could not proceed this cycle, and what blocked it. The engine
 /// retries the store next cycle and charges the stalled cycle to the
@@ -126,7 +122,11 @@ struct PendingCommit {
 /// per thread: lookups need no search, and iteration runs in thread order.
 #[derive(Debug, Default)]
 struct PendingCommits {
+    /// Indexed by thread; `tick` walks the slots in thread order.
     by_thread: Vec<Option<PendingCommit>>,
+    /// Moves on every insert, removal and clear, like
+    /// [`RecordFifo::changes`].
+    changes: u64,
 }
 
 impl PendingCommits {
@@ -139,10 +139,6 @@ impl PendingCommits {
         self.get(key.thread).is_some_and(|p| p.key == key)
     }
 
-    fn get_mut(&mut self, thread: u8) -> Option<&mut PendingCommit> {
-        self.by_thread.get_mut(thread as usize)?.as_mut()
-    }
-
     /// Records `p` as its thread's commit in flight.
     fn insert(&mut self, p: PendingCommit) {
         let t = p.key.thread as usize;
@@ -150,36 +146,21 @@ impl PendingCommits {
             self.by_thread.resize(t + 1, None);
         }
         self.by_thread[t] = Some(p);
+        self.changes += 1;
     }
 
     fn remove(&mut self, thread: u8) {
-        if let Some(slot) = self.by_thread.get_mut(thread as usize) {
-            *slot = None;
-        }
-    }
-
-    /// One past the highest thread slot ever used: the slots
-    /// `0..slots()`, in thread order, hold every commit in flight.
-    fn slots(&self) -> usize {
-        self.by_thread.len()
-    }
-
-    /// The commit in flight in thread slot `slot`, if any.
-    fn at(&self, slot: usize) -> Option<PendingCommit> {
-        self.by_thread[slot]
-    }
-
-    /// The commits in flight, in thread order.
-    fn values(&self) -> impl Iterator<Item = &PendingCommit> + '_ {
-        self.by_thread.iter().flatten()
+        self.by_thread[thread as usize] = None;
+        self.changes += 1;
     }
 
     fn is_empty(&self) -> bool {
-        self.values().next().is_none()
+        self.by_thread.iter().all(Option::is_none)
     }
 
     fn clear(&mut self) {
         self.by_thread.fill(None);
+        self.changes += 1;
     }
 }
 
@@ -203,6 +184,70 @@ enum Fifo {
     UndoRedo,
     Redo,
     Overflow,
+}
+
+/// An append refused while its write queue was full or the memory
+/// controller was frozen at a crash point. Refusal depends only on the
+/// record's log slice and kind, so it speaks for every such record.
+#[derive(Debug, Clone, Copy)]
+struct Refusal {
+    record: Record,
+    /// The memory controller's `state_version` under which the append is
+    /// known refused; `None` until checked.
+    version: Option<u64>,
+    /// Met again since the current or last `tick` began.
+    renewed: bool,
+}
+
+impl Refusal {
+    /// Whether the refusal stands. When the memory controller's version
+    /// has moved, one [`MemoryController::log_append_blocked`] check
+    /// decides, and a refusal that stands is restamped.
+    fn stands(&mut self, mc: &MemoryController) -> bool {
+        let version = Some(mc.state_version());
+        if self.version != version && !mc.log_append_blocked(&self.record) {
+            return false;
+        }
+        self.version = version;
+        true
+    }
+}
+
+/// When `tick` can next act, as the last `tick` left it (see
+/// [`LogController::next_event`]).
+#[derive(Debug, Default)]
+struct Wake {
+    /// The next age deadline, or the next cycle after a `RingFull`
+    /// refusal or while the fault-plan drain gate holds a commit;
+    /// `Cycle::MAX` when none.
+    at: Cycle,
+    /// The controller's [`LogController::state_version`] when `tick` left.
+    version: u64,
+    /// The appends `tick` waits on.
+    refused: Vec<Refusal>,
+}
+
+impl Wake {
+    /// The refusal that speaks for appending `record`, if any.
+    fn refusal(&mut self, record: &Record, mc: &MemoryController) -> Option<&mut Refusal> {
+        let slice = mc.log_slice_of(record.tag.thread);
+        (self.refused.iter_mut())
+            .find(|r| r.record.kind == record.kind && mc.log_slice_of(r.record.tag.thread) == slice)
+    }
+
+    /// Notes that appending `record` is refused under memory version
+    /// `version`, or with `None`, that it is the next append to try.
+    fn refuse(&mut self, record: Record, version: Option<u64>, mc: &MemoryController) {
+        let refusal = Refusal {
+            record,
+            version,
+            renewed: true,
+        };
+        match self.refusal(&record, mc) {
+            Some(r) => *r = refusal,
+            None => self.refused.push(refusal),
+        }
+    }
 }
 
 /// The log controller.
@@ -256,6 +301,10 @@ pub struct LogController {
     /// Deliberate sabotage selector for the checker's mutation self-test
     /// (see [`CheckMutation`]); `None` in every real configuration.
     mutation: CheckMutation,
+    /// When `tick` can next act (see [`next_event`]).
+    ///
+    /// [`next_event`]: LogController::next_event
+    wake: Wake,
 }
 
 impl LogController {
@@ -278,6 +327,7 @@ impl LogController {
             latency: CommitLatency::default(),
             tracer: Tracer::disabled(),
             mutation: CheckMutation::None,
+            wake: Wake::default(),
             cfg,
         }
     }
@@ -297,11 +347,6 @@ impl LogController {
     /// Selects the secure-NVMM model (§IV-D).
     pub fn set_secure_mode(&mut self, mode: SecureMode) {
         self.secure = mode;
-    }
-
-    /// The design this controller implements.
-    pub fn design(&self) -> DesignKind {
-        self.design
     }
 
     /// Logging counters.
@@ -397,22 +442,23 @@ impl LogController {
         }
         let addr = addr.word_base();
         if !self.is_morlog() {
-            return self.fwb_store(key, addr, old, new, now, mc);
+            // FWB: every store creates (or coalesces into) an undo+redo
+            // entry in the single log buffer; no value comparison is made.
+            if self.coalesce(key, addr, new).is_none() {
+                self.log_undo_redo(key, addr, old, new, now, mc)?;
+            }
+            return Ok(());
         }
         // Residue of a previous transaction on this line: flush it first
         // (the line's single TID/TxID tag pair can describe one transaction).
-        let needs_reset = line.ext.as_ref().is_some_and(|e| e.owner != key);
-        if needs_reset {
-            let ext = line.ext.expect("checked above");
+        if let Some(ext) = line.ext.filter(|e| e.owner != key) {
             self.flush_residue(&ext, line, now, mc);
+            line.ext = None;
         }
         let ext = line.ext.get_or_insert_with(|| L1Ext::new(key));
-        if needs_reset {
-            *ext = L1Ext::new(key);
-        }
         let w = addr.word_index();
         let delta = dirty_byte_mask(old, new);
-        match ext.word_state[w] {
+        let from = match ext.word_state[w] {
             WordLogState::Clean => {
                 if delta == 0 && self.has_dirty_flags() {
                     // Fig. 11 "Write C1": the dirty-flag comparators (§IV-A)
@@ -427,39 +473,26 @@ impl LogController {
                 if self.redo_buf.remove(key, addr).is_some() {
                     self.stats.redo_discarded += 1;
                 }
-                self.log_undo_redo(key, addr, old, new, now, mc)?;
-                let ext = line.ext.as_mut().expect("ext installed above");
-                ext.word_state[w] = WordLogState::Dirty;
-                ext.dirty_flags[w] = delta;
-                self.tracer.emit(now, || TraceEvent::WordTransition {
-                    key,
-                    addr: addr.as_u64(),
-                    from: WordStateTag::Clean,
-                    to: WordStateTag::Dirty,
-                });
+                Some(WordStateTag::Clean)
             }
             WordLogState::Dirty => {
                 if let Some(mask) = self.coalesce(key, addr, new) {
-                    let ext = line.ext.as_mut().expect("ext installed above");
                     ext.dirty_flags[w] = mask;
-                } else {
-                    // The entry left the buffer before its persist
-                    // notification arrived (forced flush or same-cycle
-                    // eviction). Conservatively start over with a fresh
-                    // undo+redo entry: its undo (the current value) chains
-                    // correctly behind whatever the flushed entry logged —
-                    // and if that entry was discarded as silent, this one
-                    // provides the rollback anchor the word needs.
-                    self.log_undo_redo(key, addr, old, new, now, mc)?;
-                    let ext = line.ext.as_mut().expect("ext installed above");
-                    ext.word_state[w] = WordLogState::Dirty;
-                    ext.dirty_flags[w] = delta;
+                    return Ok(());
                 }
+                // The entry left the buffer before its persist notification
+                // arrived (forced flush or same-cycle eviction).
+                // Conservatively start over with a fresh undo+redo entry:
+                // its undo (the current value) chains correctly behind
+                // whatever the flushed entry logged — and if that entry was
+                // discarded as silent, this one provides the rollback anchor
+                // the word needs.
+                None
             }
             WordLogState::URLog => {
                 if delta != 0 || !self.has_dirty_flags() {
-                    let ext = line.ext.as_mut().expect("ext installed above");
-                    Self::enter_ulog(ext, w, delta);
+                    ext.word_state[w] = WordLogState::ULog;
+                    ext.dirty_flags[w] = delta;
                     self.tracer.emit(now, || TraceEvent::WordTransition {
                         key,
                         addr: addr.as_u64(),
@@ -467,33 +500,24 @@ impl LogController {
                         to: WordStateTag::ULog,
                     });
                 }
+                return Ok(());
             }
             WordLogState::ULog => {
-                let ext = line.ext.as_mut().expect("ext installed above");
                 ext.dirty_flags[w] |= delta;
+                return Ok(());
             }
-        }
-        Ok(())
-    }
-
-    fn enter_ulog(ext: &mut L1Ext, w: usize, delta: u8) {
-        ext.word_state[w] = WordLogState::ULog;
+        };
+        self.log_undo_redo(key, addr, old, new, now, mc)?;
+        let ext = line.ext.as_mut().expect("ext installed above");
+        ext.word_state[w] = WordLogState::Dirty;
         ext.dirty_flags[w] = delta;
-    }
-
-    fn fwb_store(
-        &mut self,
-        key: TxTag,
-        addr: Addr,
-        old: u64,
-        new: u64,
-        now: Cycle,
-        mc: &mut MemoryController,
-    ) -> Result<(), StoreStall> {
-        // FWB: every store creates (or coalesces into) an undo+redo entry in
-        // the single log buffer; no value comparison is performed.
-        if self.coalesce(key, addr, new).is_none() {
-            self.log_undo_redo(key, addr, old, new, now, mc)?;
+        if let Some(from) = from {
+            self.tracer.emit(now, || TraceEvent::WordTransition {
+                key,
+                addr: addr.as_u64(),
+                from,
+                to: WordStateTag::Dirty,
+            });
         }
         Ok(())
     }
@@ -541,16 +565,15 @@ impl LogController {
     ) {
         for w in 0..morlog_sim_core::WORDS_PER_LINE {
             if ext.word_state[w] == WordLogState::ULog {
-                self.queue_redo_with_evict(
-                    Record::redo_only(
-                        ext.owner,
-                        line.addr.word_addr(w).as_u64(),
-                        line.data.word(w),
-                        ext.dirty_flags[w],
-                    ),
-                    now,
-                    mc,
-                );
+                // Make room by writing the oldest redo entry out; if that
+                // is blocked, the record overflows (stalling stores).
+                let _ = self.flush_while(now, mc, None, |lc| {
+                    lc.redo_buf.is_full().then_some((Fifo::Redo, 0))
+                });
+                let addr = line.addr.word_addr(w).as_u64();
+                let record =
+                    Record::redo_only(ext.owner, addr, line.data.word(w), ext.dirty_flags[w]);
+                self.queue_redo(record, now);
             }
             // Dirty words: their undo+redo entries are still in the FIFO and
             // carry the newest redo; they flush by age in order.
@@ -577,17 +600,6 @@ impl LogController {
         if self.redo_buf.try_push(record, now).is_err() {
             self.overflow.push(record, now);
         }
-    }
-
-    /// Queues a redo record, making room by writing the oldest redo entry
-    /// out if needed; falls back to the overflow queue (which stalls
-    /// stores) only when the write queue is also full.
-    fn queue_redo_with_evict(&mut self, record: Record, now: Cycle, mc: &mut MemoryController) {
-        // Blocked or nothing to evict: the record overflows instead.
-        let _ = self.flush_while(now, mc, None, |lc| {
-            lc.redo_buf.is_full().then_some((Fifo::Redo, 0))
-        });
-        self.queue_redo(record, now);
     }
 
     /// An L1 line was evicted (capacity or back-invalidation): `ULog` words
@@ -649,7 +661,11 @@ impl LogController {
             return true;
         }
         // Write-ahead: undo entries for this line must persist before it.
-        let line_undo = |fifo: &RecordFifo| fifo.position(|p| is_line_undo(&p.record, line_index));
+        let line_undo = |fifo: &RecordFifo| {
+            fifo.position(|p| {
+                p.record.kind == RecordKind::UndoRedo && home_line(&p.record) == line_index
+            })
+        };
         self.flush_while(now, mc, None, |lc| {
             (line_undo(&lc.ur_buf).map(|pos| (Fifo::UndoRedo, pos)))
                 .or_else(|| line_undo(&lc.overflow).map(|pos| (Fifo::Overflow, pos)))
@@ -669,13 +685,15 @@ impl LogController {
     /// Begins committing `key`. For the synchronous protocols the engine
     /// passes the `ULog` words found in the committing core's L1 (their redo
     /// entries are created now); under delay-persistence it passes the ulog
-    /// counter instead and the commit completes instantly (§III-C).
+    /// counter instead and the commit completes instantly (§III-C). `mc`
+    /// tells the wake which appends the commit waits on.
     pub fn start_commit(
         &mut self,
         key: TxTag,
         ulog_words: Vec<UlogWord>,
         ulog_count: u32,
         now: Cycle,
+        mc: &MemoryController,
     ) {
         let _prof = hostprof::scope(HostPhase::Logging);
         self.tracer.emit(now, || TraceEvent::CommitPhase {
@@ -699,6 +717,15 @@ impl LogController {
             self.track_phase(key, CommitPhaseTag::Complete, now);
             return;
         }
+        // What the queued redo records could change for steps 1 and 4.
+        let heads = |lc: &Self| {
+            (
+                lc.redo_buf.is_empty(),
+                lc.redo_under_pressure(),
+                lc.overflow.len(),
+            )
+        };
+        let (fresh, before) = (self.state_version() == self.wake.version, heads(self));
         for wordinfo in ulog_words {
             self.queue_redo(
                 Record::redo_only(
@@ -715,6 +742,16 @@ impl LogController {
             started: now,
             recorded: self.commit_cycle.contains_key(&key),
         });
+        // Fold the commit into the wake when all it changes for `tick` is
+        // step 3's pull of the transaction's entries, whose first append
+        // is then one to try. Otherwise the wake is stale and `tick` runs.
+        let fresh = fresh && heads(self) == before;
+        let first = (self.buffered_tx_front(key))
+            .and_then(|(fifo, pos)| self.fifo(fifo).get(pos).map(|p| p.record));
+        if let Some(record) = first.filter(|r| fresh && !self.is_silent(r)) {
+            self.wake.refuse(record, None, mc);
+            self.wake.version = self.state_version();
+        }
     }
 
     /// Whether `thread`'s synchronous commit is still draining log data.
@@ -729,9 +766,13 @@ impl LogController {
         self.pending_records.len()
     }
 
-    /// Per-cycle maintenance. Refills `persisted` with the undo+redo
-    /// entries that reached the persist domain this cycle (the engine
-    /// transitions their words `Dirty → URLog`).
+    /// One cycle of buffer maintenance, in six steps. Refills `persisted`
+    /// with the undo+redo entries that reached the persist domain this
+    /// cycle (the engine transitions their words `Dirty → URLog`).
+    ///
+    /// Each step leaves in the wake why it stopped: an age deadline or a
+    /// refused append. [`next_event`](LogController::next_event) reads
+    /// it, and a tick before the cycle it names would change nothing.
     pub fn tick(
         &mut self,
         now: Cycle,
@@ -740,6 +781,8 @@ impl LogController {
     ) {
         let _prof = hostprof::scope(HostPhase::Logging);
         persisted.clear();
+        self.wake.at = Cycle::MAX;
+        self.wake.refused.iter_mut().for_each(|r| r.renewed = false);
         // 1. Overflow drains first (forced entries, eviction redo data).
         let _ = self.flush_while(now, mc, Some(&mut *persisted), |lc| {
             lc.overflow.front().map(|_| (Fifo::Overflow, 0))
@@ -751,8 +794,8 @@ impl LogController {
             (now >= front.created + lc.cfg.eager_evict_cycles).then_some((Fifo::UndoRedo, 0))
         });
         // 3. Synchronous commits pull their transaction's entries out.
-        for slot in 0..self.pending_commits.slots() {
-            let Some(PendingCommit { key, .. }) = self.pending_commits.at(slot) else {
+        for slot in 0..self.pending_commits.by_thread.len() {
+            let Some(PendingCommit { key, .. }) = self.pending_commits.by_thread[slot] else {
                 continue;
             };
             let _ = self.flush_while(now, mc, Some(&mut *persisted), |lc| {
@@ -776,35 +819,25 @@ impl LogController {
                     .find_tx_front(key)
                     .map(|pos| (Fifo::UndoRedo, pos))
             });
-            if self.tx_has_buffered_undo(key) {
+            if self.tx_has_buffered_undo(key) || self.append(record, now, mc).is_err() {
                 break;
             }
-            // A blocked append fails with `WqFull` before any side effect.
-            match mc.try_append_log(record, now) {
-                Ok(_) => {
-                    self.pending_records.remove_at(0);
-                    self.stats.commit_records += 1;
-                    self.commit_cycle.insert(key, now);
-                    if let Some(p) = self.pending_commits.get_mut(key.thread) {
-                        p.recorded |= p.key == key;
-                    }
-                    self.tracer.emit(now, || TraceEvent::CommitPhase {
-                        key,
-                        phase: CommitPhaseTag::RecordPersisted,
-                    });
-                    self.track_phase(key, CommitPhaseTag::RecordPersisted, now);
-                }
-                Err(LogAppendError::WqFull) => break,
-                Err(LogAppendError::RingFull) => {
-                    self.stats.log_region_full_stalls += 1;
-                    break;
-                }
+            self.pending_records.remove_at(0);
+            self.stats.commit_records += 1;
+            self.commit_cycle.insert(key, now);
+            if let Some(Some(p)) = self.pending_commits.by_thread.get_mut(key.thread as usize) {
+                p.recorded |= p.key == key;
             }
+            self.tracer.emit(now, || TraceEvent::CommitPhase {
+                key,
+                phase: CommitPhaseTag::RecordPersisted,
+            });
+            self.track_phase(key, CommitPhaseTag::RecordPersisted, now);
         }
         // 6. Synchronous commits complete when nothing of theirs is left
         // and their commit record persisted.
-        for slot in 0..self.pending_commits.slots() {
-            let Some(p) = self.pending_commits.at(slot) else {
+        for slot in 0..self.pending_commits.by_thread.len() {
+            let Some(p) = self.pending_commits.by_thread[slot] else {
                 continue;
             };
             if self.tx_has_buffered_entries(p.key) {
@@ -814,14 +847,23 @@ impl LogController {
                 self.next_commit_ts += 1;
                 let record = Record::commit(p.key, None).with_timestamp(self.next_commit_ts);
                 self.pending_records.push(record, now);
-                continue; // record appends on a later tick pass
+                // The record appends on a later tick pass; at the head,
+                // it is the next append to try.
+                if self.pending_records.len() == 1 {
+                    self.wake.refuse(record, None, mc);
+                }
+                continue;
             }
             if p.recorded {
                 // Under an active fault plan, hold completion until every
                 // record of the transaction has fully drained: the program
                 // must not observe a commit whose log entries a crash could
                 // still tear in the write queue.
+                // An issue that drains them need not move the memory
+                // controller's `state_version`, so the gate is checked
+                // again on the next cycle.
                 if mc.fault_active() && mc.tx_has_undrained_records(p.key) {
+                    self.wake.at = self.wake.at.min(now + 1);
                     continue;
                 }
                 self.stats.commit_stall_cycles += now.saturating_sub(p.started);
@@ -833,6 +875,18 @@ impl LogController {
                 self.track_phase(p.key, CommitPhaseTag::Complete, now);
             }
         }
+        // The buffers' heads leave at their age deadlines; a head already
+        // due is still here only because its append was refused.
+        let eager = (self.ur_buf.front()).map(|p| p.created + self.cfg.eager_evict_cycles);
+        let lazy = (self
+            .redo_buf
+            .front()
+            .filter(|_| !self.redo_under_pressure()))
+        .map(|p| p.created + self.redo_lazy_age);
+        let due = eager.into_iter().chain(lazy).filter(|&t| t > now);
+        self.wake.at = due.fold(self.wake.at, Cycle::min);
+        self.wake.refused.retain(|r| r.renewed);
+        self.wake.version = self.state_version();
     }
 
     /// Whether any of `key`'s entries is still buffered or queued for the
@@ -868,11 +922,11 @@ impl LogController {
     }
 
     /// The FIFO `fifo` names.
-    fn fifo(&self, fifo: Fifo) -> &RecordFifo {
+    fn fifo(&mut self, fifo: Fifo) -> &mut RecordFifo {
         match fifo {
-            Fifo::UndoRedo => &self.ur_buf,
-            Fifo::Redo => &self.redo_buf,
-            Fifo::Overflow => &self.overflow,
+            Fifo::UndoRedo => &mut self.ur_buf,
+            Fifo::Redo => &mut self.redo_buf,
+            Fifo::Overflow => &mut self.overflow,
         }
     }
 
@@ -908,22 +962,10 @@ impl LogController {
             if silent {
                 self.stats.silent_discarded += 1;
             } else {
-                // A blocked append (see `MemoryController::log_append_blocked`)
-                // fails with `WqFull` before any side effect.
-                match mc.try_append_log(record, now) {
-                    Ok(_) => self.stats.entries_written += 1,
-                    Err(LogAppendError::WqFull) => return Err(StoreStall::WriteQueue),
-                    Err(LogAppendError::RingFull) => {
-                        self.stats.log_region_full_stalls += 1;
-                        return Err(StoreStall::Buffer);
-                    }
-                }
+                self.append(record, now, mc)?;
+                self.stats.entries_written += 1;
             }
-            match fifo {
-                Fifo::UndoRedo => self.ur_buf.remove_at(pos),
-                Fifo::Redo => self.redo_buf.remove_at(pos),
-                Fifo::Overflow => self.overflow.remove_at(pos),
-            };
+            self.fifo(fifo).remove_at(pos);
             if let Some(persisted) = persisted
                 .as_deref_mut()
                 .filter(|_| record.kind == RecordKind::UndoRedo)
@@ -938,16 +980,39 @@ impl LogController {
         Ok(())
     }
 
+    /// Appends `record` to the log ring, or returns the stall a dependent
+    /// store is charged and notes the refusal or `RingFull` in the wake.
+    /// An append a standing refusal speaks for is refused again without
+    /// asking the memory controller.
+    fn append(
+        &mut self,
+        record: Record,
+        now: Cycle,
+        mc: &mut MemoryController,
+    ) -> Result<(), StoreStall> {
+        let appended = if self.wake.refusal(&record, mc).is_some_and(|r| r.stands(mc)) {
+            Err(LogAppendError::WqFull)
+        } else {
+            mc.try_append_log(record, now).map(drop)
+        };
+        appended.map_err(|e| match e {
+            LogAppendError::WqFull => {
+                self.wake.refuse(record, Some(mc.state_version()), mc);
+                StoreStall::WriteQueue
+            }
+            LogAppendError::RingFull => {
+                // Every tick counts the stall again.
+                self.stats.log_region_full_stalls += 1;
+                self.wake.at = self.wake.at.min(now + 1);
+                StoreStall::Buffer
+            }
+        })
+    }
+
     /// Silent log writes: with dirty-flag hardware, completely clean log
     /// data are discarded instead of written (§IV-A).
     fn is_silent(&self, record: &Record) -> bool {
         self.has_dirty_flags() && record.kind != RecordKind::Commit && record.dirty_mask == 0
-    }
-
-    /// Whether [`flush_while`](Self::flush_while) of `record` would be blocked with no
-    /// side effect (see [`MemoryController::log_append_blocked`]).
-    fn flush_blocked(&self, record: &Record, mc: &MemoryController) -> bool {
-        !self.is_silent(record) && mc.log_append_blocked(record)
     }
 
     /// The stall [`log_undo_redo`](Self::log_undo_redo) would return
@@ -959,94 +1024,28 @@ impl LogController {
         }
         match self.ur_buf.front() {
             None => Some(StoreStall::Buffer),
-            Some(front) if self.flush_blocked(&front.record, mc) => Some(StoreStall::WriteQueue),
+            Some(front)
+                if !self.is_silent(&front.record) && mc.log_append_blocked(&front.record) =>
+            {
+                Some(StoreStall::WriteQueue)
+            }
             Some(_) => None,
         }
     }
 
     /// The earliest cycle `>= now` at which [`tick`](LogController::tick)
-    /// could change anything, assuming no other component acts first:
-    /// an eager undo+redo or lazy redo age deadline, or `now` for work
-    /// that could proceed (or would bump a counter) right away. Work
-    /// blocked on a full write queue waits for the memory controller's
-    /// next issue, which the caller takes from
-    /// [`MemoryController::next_event`]. `Cycle::MAX` when nothing is
-    /// pending.
-    ///
-    /// This is a lower bound: waking early is harmless, waking late
-    /// would skip real work. `now` is the answer whenever unsure.
-    pub fn next_event(&self, now: Cycle, mc: &MemoryController) -> Cycle {
-        let mut next = Cycle::MAX;
-        // 1. Overflow drain.
-        if self
-            .overflow
-            .front()
-            .is_some_and(|p| !self.flush_blocked(&p.record, mc))
-        {
+    /// could change anything, read from the wake the last tick left:
+    /// `now` once [`state_version`](LogController::state_version) has
+    /// moved (an event changed what `tick` reads) or a refusal no longer
+    /// stands, else the next age deadline (`Cycle::MAX` when none). This
+    /// is a lower bound: waking early is harmless, waking late would
+    /// skip real work.
+    pub fn next_event(&mut self, now: Cycle, mc: &MemoryController) -> Cycle {
+        let moved = self.state_version() != self.wake.version;
+        if moved || !self.wake.refused.iter_mut().all(|r| r.stands(mc)) {
             return now;
         }
-        // 2. Eager undo+redo aging.
-        if let Some(front) = self.ur_buf.front() {
-            let due = front.created + self.cfg.eager_evict_cycles;
-            if due > now {
-                next = next.min(due);
-            } else if !self.flush_blocked(&front.record, mc) {
-                return now;
-            }
-        }
-        // 3. Synchronous commits pulling their entries.
-        for p in self.pending_commits.values() {
-            if let Some((fifo, pos)) = self.buffered_tx_front(p.key) {
-                if !self.flush_blocked(&self.fifo(fifo)[pos].record, mc) {
-                    return now;
-                }
-            }
-        }
-        // 4. Lazy redo eviction.
-        if let Some(front) = self.redo_buf.front() {
-            let due = if self.redo_under_pressure() {
-                now
-            } else {
-                front.created + self.redo_lazy_age
-            };
-            if due > now {
-                next = next.min(due);
-            } else if !self.flush_blocked(&front.record, mc) {
-                return now;
-            }
-        }
-        // 5. The head commit record.
-        if let Some(Pending { record, .. }) = self.pending_records.front() {
-            let key = record.tag;
-            match self.ur_buf.find_tx_front(key) {
-                Some(pos) => {
-                    if !self.flush_blocked(&self.ur_buf[pos].record, mc) {
-                        return now;
-                    }
-                }
-                None => {
-                    if !self.tx_has_buffered_undo(key) && !mc.log_append_blocked(record) {
-                        return now;
-                    }
-                }
-            }
-        }
-        // 6. Synchronous commit completion.
-        for p in self.pending_commits.values() {
-            if self.tx_has_buffered_entries(p.key) {
-                continue;
-            }
-            let ready = if p.recorded {
-                !(mc.fault_active() && mc.tx_has_undrained_records(p.key))
-            } else {
-                // Queues its commit record unless one is already pending.
-                !self.pending_records.has_tx(p.key)
-            };
-            if ready {
-                return now;
-            }
-        }
-        next
+        self.wake.at.max(now)
     }
 
     /// The [`StoreStall`] that [`on_store`](LogController::on_store) with
@@ -1090,38 +1089,18 @@ impl LogController {
         }
     }
 
-    /// A counter that moves whenever anything
-    /// [`store_stall`](LogController::store_stall) reads of this
-    /// controller may have changed: the undo+redo and redo buffers and the
-    /// overflow queue. While it and the memory controller's
-    /// [`state_version`](MemoryController::state_version) stay put, so
-    /// does every `store_stall` answer over an unchanged line.
+    /// A counter that moves on every change to the four record FIFOs
+    /// and the pending commits: everything `tick`, [`store_stall`] and
+    /// [`on_llc_writeback`] read of this controller.
+    ///
+    /// [`store_stall`]: LogController::store_stall
+    /// [`on_llc_writeback`]: LogController::on_llc_writeback
     pub fn state_version(&self) -> u64 {
-        self.ur_buf.changes() + self.redo_buf.changes() + self.overflow.changes()
-    }
-
-    /// Whether [`on_llc_writeback`](LogController::on_llc_writeback) for
-    /// `line_index` would return `false` and change nothing, and keep
-    /// doing so until the next controller or memory event. `false`
-    /// whenever unsure.
-    pub fn writeback_blocked(&self, line_index: u64, mc: &MemoryController) -> bool {
-        let line_redo =
-            |p: &Pending| p.record.kind == RecordKind::Redo && home_line(&p.record) == line_index;
-        if self.discards_redo_on_writeback(mc)
-            && self
-                .redo_buf
-                .iter()
-                .chain(self.overflow.iter())
-                .any(line_redo)
-        {
-            return false;
-        }
-        if self.mutation == CheckMutation::DropUndoFence {
-            return false;
-        }
-        (self.ur_buf.iter().chain(self.overflow.iter()))
-            .find(|p| is_line_undo(&p.record, line_index))
-            .is_some_and(|p| self.flush_blocked(&p.record, mc))
+        self.ur_buf.changes()
+            + self.redo_buf.changes()
+            + self.overflow.changes()
+            + self.pending_records.changes()
+            + self.pending_commits.changes
     }
 
     /// Log truncation (§III-F): deletes the ring prefix of records whose
@@ -1169,13 +1148,9 @@ impl LogController {
                     .filter(|r| r.offset >= new_head)
                     .map(|r| r.value.record.tag)
                     .collect();
-                for slot in ring.entries() {
-                    if slot.offset >= new_head {
-                        break;
-                    }
-                    if split_keys.contains(&slot.value.record.tag) {
-                        new_head = new_head.min(slot.offset);
-                    }
+                let mut prefix = ring.entries().take_while(|r| r.offset < new_head);
+                if let Some(split) = prefix.find(|r| split_keys.contains(&r.value.record.tag)) {
+                    new_head = split.offset;
                 }
             }
             new_heads.push(new_head);
@@ -1191,32 +1166,19 @@ impl LogController {
                 removed.insert(r.value.record.tag);
             }
         }
-        let mut c_lim = Cycle::MAX;
-        for r in rings.iter().flat_map(|ring| ring.entries()) {
-            let tag = r.value.record.tag;
-            if !removed.contains(&tag) {
-                if let Some(&c) = commit_cycle.get(&tag) {
-                    c_lim = c_lim.min(c);
-                }
-            }
-        }
+        let c_lim = (rings.iter().flat_map(|ring| ring.entries()))
+            .map(|r| r.value.record.tag)
+            .filter(|tag| !removed.contains(tag))
+            .filter_map(|tag| commit_cycle.get(&tag).copied())
+            .min()
+            .unwrap_or(Cycle::MAX);
         for (slice, slice_head) in new_heads.into_iter().enumerate() {
             let ring = &mc.log_rings()[slice];
-            let head = ring.head();
-            let mut new_head = slice_head;
-            for slot in ring.entries() {
-                if slot.offset >= new_head {
-                    break;
-                }
-                let c = commit_cycle
-                    .get(&slot.value.record.tag)
-                    .copied()
-                    .unwrap_or(Cycle::MAX);
-                if c > c_lim {
-                    new_head = new_head.min(slot.offset);
-                }
-            }
-            if new_head > head {
+            let later = |tag| commit_cycle.get(tag).copied().unwrap_or(Cycle::MAX) > c_lim;
+            let new_head = (ring.entries().take_while(|r| r.offset < slice_head))
+                .find(|r| later(&r.value.record.tag))
+                .map_or(slice_head, |r| r.offset);
+            if new_head > ring.head() {
                 mc.truncate_log_slice(slice, new_head);
             }
         }
@@ -1284,7 +1246,7 @@ mod tests {
     }
 
     /// Applies the engine's Dirty -> URLog transitions for persisted entries.
-    fn apply_persisted(line: &mut CacheLine, persisted: &[PersistedUr]) {
+    pub(super) fn apply_persisted(line: &mut CacheLine, persisted: &[PersistedUr]) {
         if let Some(ext) = line.ext.as_mut() {
             for p in persisted {
                 if p.key == ext.owner && p.addr.line() == line.addr {
@@ -1385,7 +1347,7 @@ mod tests {
         assert!(tick(&mut lc, 100 + cfg.eager_evict_cycles - 1, &mut m).is_empty());
         let persisted = tick(&mut lc, 100 + cfg.eager_evict_cycles, &mut m);
         assert_eq!(persisted.len(), 1);
-        assert_eq!(m.log_ring().entries().count(), 1);
+        assert_eq!(m.log_rings()[0].entries().count(), 1);
         apply_persisted(&mut line, &persisted);
         assert_eq!(line.ext.unwrap().word_state[0], WordLogState::URLog);
     }
@@ -1441,7 +1403,7 @@ mod tests {
         let addr2 = line.addr.word_addr(1);
         lc.on_store(key, addr2, 0, 5, &mut line2, 51, &mut m)
             .unwrap();
-        let written_before = m.log_ring().entries().count();
+        let written_before = m.log_rings()[0].entries().count();
         assert!(lc.on_llc_writeback(line.addr.index(), 52, &mut m));
         assert_eq!(
             lc.stats().redo_discarded,
@@ -1450,7 +1412,7 @@ mod tests {
         );
         assert_eq!(lc.occupancy(), (0, 0, 0));
         // The undo+redo entry was forced out ahead of the data.
-        assert_eq!(m.log_ring().entries().count(), written_before + 1);
+        assert_eq!(m.log_rings()[0].entries().count(), written_before + 1);
     }
 
     #[test]
@@ -1472,6 +1434,7 @@ mod tests {
             }],
             0,
             1,
+            &m,
         );
         assert!(lc.is_commit_pending(ThreadId::new(0)));
         let mut now = 1;
@@ -1481,7 +1444,7 @@ mod tests {
             now += 1;
             assert!(now < 10_000, "commit must complete");
         }
-        let kinds: Vec<RecordKind> = m.log_ring().entries().map(|r| r.kind).collect();
+        let kinds: Vec<RecordKind> = m.log_rings()[0].entries().map(|r| r.kind).collect();
         assert!(kinds.contains(&RecordKind::UndoRedo));
         assert!(kinds.contains(&RecordKind::Redo));
         assert_eq!(*kinds.last().unwrap(), RecordKind::Commit);
@@ -1497,7 +1460,7 @@ mod tests {
         let key = lc.tx_begin(ThreadId::new(0), 0);
         lc.on_store(key, line.addr.word_addr(0), 0, 42, &mut line, 0, &mut m)
             .unwrap();
-        lc.start_commit(key, Vec::new(), 3, 1);
+        lc.start_commit(key, Vec::new(), 3, 1, &m);
         assert!(
             !lc.is_commit_pending(ThreadId::new(0)),
             "DP commit is instant"
@@ -1506,7 +1469,7 @@ mod tests {
         // into the log ahead of itself (write-ahead completeness: a commit
         // record in the ring implies every undo+redo entry is too).
         tick(&mut lc, 1, &mut m);
-        let records: Vec<_> = m.log_ring().entries().collect();
+        let records: Vec<_> = m.log_rings()[0].entries().collect();
         assert_eq!(records.len(), 2);
         assert_eq!(records[0].kind, RecordKind::UndoRedo);
         assert_eq!(records[1].kind, RecordKind::Commit);
@@ -1532,7 +1495,7 @@ mod tests {
             line.data.set_word(0, 0);
             tick(&mut lc, cfg.eager_evict_cycles + 1, &mut m);
             assert_eq!(lc.stats().silent_discarded, expect_silent, "{design}");
-            let written = m.log_ring().entries().count();
+            let written = m.log_rings()[0].entries().count();
             assert_eq!(written, if expect_silent == 1 { 0 } else { 1 }, "{design}");
         }
     }
@@ -1582,8 +1545,8 @@ mod tests {
         lc.on_store(key1, addr, 42, 99, &mut line, 40, &mut m)
             .unwrap();
         line.data.set_word(0, 99);
-        lc.start_commit(key1, Vec::new(), 1, 41); // DP: word stays ULog
-                                                  // New transaction writes another word of the same line.
+        lc.start_commit(key1, Vec::new(), 1, 41, &m); // DP: word stays ULog
+                                                      // New transaction writes another word of the same line.
         let key2 = lc.tx_begin(t, 0);
         lc.on_store(key2, line.addr.word_addr(1), 0, 5, &mut line, 50, &mut m)
             .unwrap();
@@ -1648,7 +1611,7 @@ mod tests {
         lc.on_store(key1, line.addr.word_addr(0), 0, 1, &mut line, 0, &mut m)
             .unwrap();
         line.data.set_word(0, 1);
-        lc.start_commit(key1, Vec::new(), 0, 100);
+        lc.start_commit(key1, Vec::new(), 0, 100, &m);
         let mut now = 100;
         while lc.is_commit_pending(t) {
             m.tick(now);
@@ -1662,10 +1625,13 @@ mod tests {
         lc.on_store(key2, line2_addr.word_addr(0), 0, 2, &mut line2, now, &mut m)
             .unwrap();
         tick(&mut lc, now + cfg.eager_evict_cycles, &mut m);
-        let before = m.log_ring().entries().count();
+        let before = m.log_rings()[0].entries().count();
         assert_eq!(before, 3); // tx1 entry + commit, tx2 entry
         lc.truncate(|_, committed| committed <= now + 1000, &mut m);
-        let remaining: Vec<_> = m.log_ring().entries().map(|r| r.value.record.tag).collect();
+        let remaining: Vec<_> = m.log_rings()[0]
+            .entries()
+            .map(|r| r.value.record.tag)
+            .collect();
         assert_eq!(
             remaining,
             vec![key2],
@@ -1710,7 +1676,7 @@ mod silent_anchor_tests {
             persisted[0].silent,
             "coalesced-to-silent entry is discarded"
         );
-        assert_eq!(m.log_ring().entries().count(), 0, "nothing written");
+        assert_eq!(m.log_rings()[0].entries().count(), 0, "nothing written");
         // The engine sends the word back to Clean on a silent notification;
         // a later write must create a fresh undo+redo entry (not a redo).
         line.ext.as_mut().unwrap().word_state[0] = WordLogState::Clean;
@@ -1741,7 +1707,7 @@ mod silent_anchor_tests {
         line.data.set_word(0, 42);
         // Force the entry out via the write-ahead path (LLC writeback).
         assert!(lc.on_llc_writeback(line_addr.index(), 1, &mut m));
-        assert_eq!(m.log_ring().entries().count(), 1);
+        assert_eq!(m.log_rings()[0].entries().count(), 1);
         // Word still marked Dirty (no notification went to the engine);
         // the next store opens a new entry with undo = 42.
         lc.on_store(key, addr, 42, 99, &mut line, 2, &mut m)
@@ -1750,5 +1716,205 @@ mod silent_anchor_tests {
         let p = lc.ur_buf.front().unwrap();
         assert_eq!(p.record.undo, Some(42));
         assert_eq!(p.record.redo, 99);
+    }
+}
+
+#[cfg(test)]
+mod wake_tests {
+    use super::*;
+    use morlog_encoding::cell::CellModel;
+    use morlog_encoding::slde::SldeCodec;
+    use morlog_nvm::log::StoredRecord;
+    use morlog_sim_core::fault::FaultPlan;
+    use morlog_sim_core::{Frequency, LineAddr, LineData, MemConfig};
+    use std::ops::Range;
+
+    /// A scripted run's events: what the engine does at a cycle after
+    /// the ticks, over the run's cache lines.
+    type Script = dyn Fn(Cycle, &mut LogController, &mut MemoryController, &mut [CacheLine]);
+
+    /// What a run leaves: every cycle at which the log controller
+    /// persisted an undo+redo entry or the memory controller accepted a
+    /// write (with the entries and the persist-event count), the
+    /// logging counters and the log ring.
+    type Outcome = (
+        Vec<(Cycle, Vec<PersistedUr>, u64)>,
+        LogStats,
+        Vec<(u64, StoredRecord)>,
+    );
+
+    /// Runs `script` for `cycles` over a one-channel memory controller
+    /// with a four-entry write queue, which does not tick (so its queue
+    /// stays as full as it is) during `held`. The log controller ticks on
+    /// every cycle, or with `skip` only where `next_event` says so; the
+    /// second value is how many ticks were skipped.
+    fn run(
+        design: DesignKind,
+        plan: FaultPlan,
+        held: Range<Cycle>,
+        cycles: Cycle,
+        skip: bool,
+        script: &Script,
+    ) -> (Outcome, usize) {
+        let memcfg = MemConfig {
+            channels: 1,
+            write_queue_entries: 4,
+            ..Default::default()
+        };
+        let codec = SldeCodec::new(CellModel::table_iii());
+        let mut mc = MemoryController::with_default_map(memcfg, Frequency::ghz(3.0), codec);
+        mc.set_fault_plan(plan);
+        let mut lc = LogController::new(design, LogConfig::default());
+        let base = mc.map().data_base().line().index();
+        let mut lines: Vec<CacheLine> = (0..4)
+            .map(|i| CacheLine::clean(LineAddr::from_index(base + i), LineData::zeroed()))
+            .collect();
+        let (mut timeline, mut persisted, mut skipped) = (Vec::new(), Vec::new(), 0);
+        for now in 0..cycles {
+            let events = mc.persist_events();
+            if !held.contains(&now) {
+                mc.tick(now);
+            }
+            if !skip || lc.next_event(now, &mc) <= now {
+                lc.tick(now, &mut mc, &mut persisted);
+            } else {
+                persisted.clear();
+                skipped += 1;
+            }
+            for line in &mut lines {
+                super::tests::apply_persisted(line, &persisted);
+            }
+            script(now, &mut lc, &mut mc, &mut lines);
+            if !persisted.is_empty() || mc.persist_events() != events {
+                timeline.push((now, persisted.clone(), mc.persist_events()));
+            }
+        }
+        let ring = mc.log_rings()[0]
+            .entries()
+            .map(|e| (e.offset, e.value))
+            .collect();
+        ((timeline, *lc.stats(), ring), skipped)
+    }
+
+    /// Runs `script` ticking every cycle and ticking only when due, and
+    /// requires the same outcome from both. Returns the outcome.
+    fn same_with_skipping(
+        design: DesignKind,
+        plan: FaultPlan,
+        held: Range<Cycle>,
+        cycles: Cycle,
+        script: &Script,
+    ) -> Outcome {
+        let (every, _) = run(design, plan.clone(), held.clone(), cycles, false, script);
+        let (skipping, skipped) = run(design, plan, held, cycles, true, script);
+        assert_eq!(every.0, skipping.0, "{design}: what persisted, and when");
+        assert_eq!(every.1, skipping.1, "{design}: logging counters");
+        assert_eq!(every.2, skipping.2, "{design}: log ring");
+        assert!(
+            skipped as Cycle > cycles / 4,
+            "{design}: only {skipped} of {cycles} ticks skipped"
+        );
+        every
+    }
+
+    /// A store the script expects to proceed; the data write follows.
+    fn store(
+        lc: &mut LogController,
+        mc: &mut MemoryController,
+        line: &mut CacheLine,
+        key: TxTag,
+        (w, value): (usize, u64),
+        now: Cycle,
+    ) {
+        let old = line.data.word(w);
+        lc.on_store(key, line.addr.word_addr(w), old, value, line, now, mc)
+            .expect("scripted store proceeds");
+        line.data.set_word(w, value);
+    }
+
+    /// MorLog-DP: eager and lazy age deadlines, a write queue held full
+    /// while the undo+redo buffer ages, a delay-persistence commit record
+    /// waiting on its transaction's undo+redo entry behind refused
+    /// appends, and a crash point that freezes the controller.
+    #[test]
+    fn skipped_ticks_match_every_tick_through_deadlines_full_queue_and_crash_point() {
+        let (a, b) = (TxTag::new(0, 0), TxTag::new(1, 0));
+        let script = move |now: Cycle,
+                           lc: &mut LogController,
+                           mc: &mut MemoryController,
+                           lines: &mut [CacheLine]| match now {
+            0 => {
+                lc.tx_begin(ThreadId::new(0), now);
+                lc.tx_begin(ThreadId::new(1), now);
+            }
+            // Eager deadlines at 33 and 34.
+            1 | 2 => store(lc, mc, &mut lines[0], a, (now as usize - 1, now), now),
+            // URLog -> ULog, then the eviction queues a redo entry whose
+            // lazy deadline is 50 + 4096.
+            40 => store(lc, mc, &mut lines[0], a, (0, 5), now),
+            50 => {
+                lc.on_l1_evict(&lines[0], now);
+                lines[0].ext = None;
+            }
+            // The queue is held from 100: four appends fill it, and the
+            // rest of these entries are refused until 400.
+            100..=107 => store(lc, mc, &mut lines[2], b, (now as usize - 100, now), now),
+            115 => store(lc, mc, &mut lines[1], a, (0, 9), now),
+            120 => lc.start_commit(a, Vec::new(), 1, now, mc),
+            5000 => mc.arm_crash_at(mc.persist_events() + 2),
+            5001..=5004 => store(lc, mc, &mut lines[3], b, (now as usize - 5001, now), now),
+            _ => {}
+        };
+        let (timeline, stats, ring) = same_with_skipping(
+            DesignKind::MorLogDp,
+            FaultPlan::none(),
+            100..400,
+            5200,
+            &script,
+        );
+        let cycles: Vec<Cycle> = timeline.iter().map(|t| t.0).collect();
+        assert!(cycles.contains(&33) && cycles.contains(&4146), "{cycles:?}");
+        assert!(cycles.iter().any(|c| (400..410).contains(c)), "{cycles:?}");
+        assert_eq!(stats.commit_records, 1);
+        // a's two undo+redo entries, b's eight, a's third, a's commit
+        // record and redo entry, and two of b's last four: the freeze
+        // refuses the rest.
+        assert_eq!(ring.len(), 2 + 8 + 1 + 1 + 1 + 2);
+    }
+
+    /// MorLog-SLDE under an active fault plan: a synchronous commit is
+    /// held by the drain gate while its records wait in a held write
+    /// queue, and completes once they drain.
+    #[test]
+    fn skipped_ticks_match_every_tick_through_the_drain_gate() {
+        let key = TxTag::new(0, 0);
+        let script = move |now: Cycle,
+                           lc: &mut LogController,
+                           mc: &mut MemoryController,
+                           lines: &mut [CacheLine]| match now {
+            0 => {
+                lc.tx_begin(ThreadId::new(0), now);
+            }
+            1..=3 => store(lc, mc, &mut lines[0], key, (now as usize, now), now),
+            10 => {
+                let ulog = UlogWord {
+                    addr: lines[1].addr.word_addr(0),
+                    value: 7,
+                    dirty_mask: 0xFF,
+                };
+                lc.start_commit(key, vec![ulog], 0, now, mc);
+            }
+            _ => {}
+        };
+        let (_, stats, ring) = same_with_skipping(
+            DesignKind::MorLogSlde,
+            FaultPlan::single_torn(7),
+            12..300,
+            3000,
+            &script,
+        );
+        assert_eq!(stats.commit_records, 1);
+        assert!(stats.commit_stall_cycles >= 300 - 10, "{stats:?}");
+        assert_eq!(ring.len(), 3 + 1 + 1);
     }
 }

@@ -50,15 +50,6 @@ impl HardwareOverhead {
             ulog_counters_bytes: (hw_threads * ULOG_COUNTER_BITS).div_ceil(8),
         }
     }
-
-    /// Total bytes excluding the per-line L1 extension (which scales with
-    /// cache size, not a fixed block).
-    pub fn fixed_bytes(&self) -> usize {
-        self.log_registers_bytes
-            + self.undo_redo_buffer_bytes
-            + self.redo_buffer_bytes
-            + self.ulog_counters_bytes
-    }
 }
 
 #[cfg(test)]
@@ -73,7 +64,6 @@ mod tests {
         assert_eq!(o.undo_redo_buffer_bytes, 404);
         assert_eq!(o.redo_buffer_bytes, 552);
         assert_eq!(o.ulog_counters_bytes, 20);
-        assert_eq!(o.fixed_bytes(), 16 + 404 + 552 + 20);
     }
 
     #[test]

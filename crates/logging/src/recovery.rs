@@ -206,7 +206,7 @@ mod tests {
         assert!(report.rolled_back.is_empty());
         assert!(!report.saw_damage());
         assert_eq!(word_at(&m, a), 42);
-        assert!(m.log_ring().is_empty());
+        assert!(m.log_rings()[0].is_empty());
     }
 
     #[test]
@@ -452,19 +452,19 @@ mod tests {
             let partial = recover_interrupted(&mut m, false, budget);
             assert_eq!(partial, Err(LogError::PowerLoss), "budget {budget}");
             assert!(
-                !m.log_ring().is_empty(),
+                !m.log_rings()[0].is_empty(),
                 "interrupted recovery must not delete log entries"
             );
             let second = recover(&mut m, false);
             assert_eq!(second.committed, vec![key(0, 0)]);
             assert_eq!(second.rolled_back, vec![key(1, 0)]);
             assert_eq!((word_at(&m, a0), word_at(&m, a1)), want, "budget {budget}");
-            assert!(m.log_ring().is_empty());
+            assert!(m.log_rings()[0].is_empty());
         }
         // A budget past the total replay count no longer interrupts.
         let (mut m, _, _) = build();
         assert!(recover_interrupted(&mut m, false, 64).is_ok());
-        assert!(m.log_ring().is_empty());
+        assert!(m.log_rings()[0].is_empty());
     }
 }
 

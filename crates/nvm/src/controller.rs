@@ -541,15 +541,6 @@ impl MemoryController {
         &self.stats
     }
 
-    /// The log ring (for the recovery scan and truncation decisions).
-    /// With distributed logs this is slice 0; use [`log_rings`] to see
-    /// all slices.
-    ///
-    /// [`log_rings`]: MemoryController::log_rings
-    pub fn log_ring(&self) -> &Ring<StoredRecord> {
-        &self.logs[0]
-    }
-
     /// All log slices (1 for the centralized log), one ring each.
     pub fn log_rings(&self) -> &[Ring<StoredRecord>] {
         &self.logs
@@ -1051,14 +1042,6 @@ impl MemoryController {
         slot.map(|slot| f(&mut slot.value.record)).is_some()
     }
 
-    /// Truncates log slice 0 up to `offset` (exclusive); see
-    /// [`truncate_log_slice`] for distributed logs.
-    ///
-    /// [`truncate_log_slice`]: MemoryController::truncate_log_slice
-    pub fn truncate_log(&mut self, offset: u64) {
-        self.truncate_log_slice(0, offset);
-    }
-
     /// Truncates one log slice up to `offset` (exclusive).
     pub fn truncate_log_slice(&mut self, slice: usize, offset: u64) {
         let old_head = self.logs[slice].head();
@@ -1425,7 +1408,7 @@ mod tests {
         assert_eq!(stored.offset, 0);
         assert_eq!(m.stats().log_writes, 1);
         assert!(m.stats().log_bits_programmed > 0);
-        assert_eq!(m.log_ring().entries().count(), 1);
+        assert_eq!(m.log_rings()[0].entries().count(), 1);
     }
 
     #[test]
@@ -1452,11 +1435,11 @@ mod tests {
             m.stats().log_overflow_growths >= 1,
             "slice grew under pressure"
         );
-        assert_eq!(m.log_ring().entries().count(), 8);
+        assert_eq!(m.log_rings()[0].entries().count(), 8);
         // Truncation still works over the grown region.
-        let head_target = m.log_ring().entries().nth(2).unwrap().offset;
-        m.truncate_log(head_target);
-        assert_eq!(m.log_ring().entries().count(), 6);
+        let head_target = m.log_rings()[0].entries().nth(2).unwrap().offset;
+        m.truncate_log_slice(0, head_target);
+        assert_eq!(m.log_rings()[0].entries().count(), 6);
     }
 
     #[test]
@@ -1503,7 +1486,7 @@ mod tests {
 
     /// What slice 0's oldest live slot holds.
     fn first_slot(m: &MemoryController) -> StoredRecord {
-        m.log_ring().entries().next().unwrap().value
+        m.log_rings()[0].entries().next().unwrap().value
     }
 
     /// An always-active plan that injects nothing (huge endurance limit):
@@ -1548,7 +1531,7 @@ mod tests {
         m.crash_persist();
         assert_eq!(m.stats().faults_torn_drains, 1);
         let [torn, c] = [stored, commit].map(|slot| {
-            let live = m.log_ring().entries().find(|s| s.offset == slot.offset);
+            let live = m.log_rings()[0].entries().find(|s| s.offset == slot.offset);
             live.unwrap().value
         });
         assert!(torn.words_persisted < 2, "a tear keeps a strict prefix");
@@ -1654,7 +1637,7 @@ mod tests {
         ));
         assert_eq!(m.persist_events(), 2);
         assert_eq!(m.read_line(LineAddr::from_index(base)).word(0), 7);
-        assert_eq!(m.log_ring().entries().count(), 1);
+        assert_eq!(m.log_rings()[0].entries().count(), 1);
         // DRAM (volatile) writes stay unaffected and count no events.
         assert!(m.try_write_data(LineAddr::from_index(1), d, 1));
         assert_eq!(m.persist_events(), 2);
@@ -1686,8 +1669,8 @@ mod tests {
         let rec = Record::undo_redo(tag(), 0x40, 1, 2, 0xFF);
         m.try_append_log(rec, 0).unwrap();
         let after_append = *m.persist_hash_samples().last().unwrap();
-        let cut = m.log_ring().tail();
-        m.truncate_log(cut);
+        let cut = m.log_rings()[0].tail();
+        m.truncate_log_slice(0, cut);
         // Append an identical-content record at a new offset: distinct slot,
         // so the fold must differ from the pre-truncation state even though
         // the record payload repeats.
@@ -1696,7 +1679,7 @@ mod tests {
         assert_ne!(after_append, after_requeue);
         // Clearing the log after the crash XORs everything back out.
         m.clear_log();
-        assert_eq!(m.log_ring().entries().count(), 0);
+        assert_eq!(m.log_rings()[0].entries().count(), 0);
     }
 
     /// Regression guard for the checker's equivalence pruning: two
@@ -1722,7 +1705,7 @@ mod tests {
         // Now truncate the log, then rewrite silently again: the samples
         // bracketing the truncation must differ even though the data-line
         // event itself changed nothing.
-        m.truncate_log(m.log_ring().tail());
+        m.truncate_log_slice(0, m.log_rings()[0].tail());
         assert!(m.try_write_data(LineAddr::from_index(base), d, 0));
         let s = m.persist_hash_samples().to_vec();
         assert_ne!(
@@ -1745,7 +1728,7 @@ mod tests {
             .try_append_log(Record::undo_redo(tag(), 0x40, 1, 2, 0xFF), 0)
             .unwrap();
         m.try_append_log(Record::commit(tag(), Some(1)), 0).unwrap();
-        m.truncate_log(m.log_ring().tail());
+        m.truncate_log_slice(0, m.log_rings()[0].tail());
         let meta = m.persist_event_meta().to_vec();
         assert_eq!(meta.len(), 5);
         assert!(

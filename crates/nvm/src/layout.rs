@@ -106,11 +106,6 @@ impl MemoryMap {
         Addr::new(self.nvmm_base + self.log_bytes)
     }
 
-    /// One past the last NVMM byte.
-    pub fn nvmm_end(&self) -> Addr {
-        Addr::new(self.nvmm_base + self.nvmm_bytes)
-    }
-
     /// DRAM size in bytes.
     pub fn dram_bytes(&self) -> u64 {
         self.dram_bytes
@@ -153,14 +148,15 @@ mod tests {
         assert_eq!(map.region(Addr::new((1 << 20) + 4095)), Region::NvmmLog);
         assert_eq!(map.region(Addr::new((1 << 20) + 4096)), Region::NvmmData);
         assert_eq!(map.data_base().as_u64(), (1 << 20) + 4096);
-        assert_eq!(map.nvmm_end().as_u64(), (1 << 20) + (1 << 21));
+        let last = Addr::new((1 << 20) + (1 << 21) - 1);
+        assert_eq!(map.region(last), Region::NvmmData);
     }
 
     #[test]
     #[should_panic(expected = "beyond installed memory")]
     fn out_of_range_panics() {
         let map = MemoryMap::new(1 << 20, 1 << 21, 4096);
-        map.region(map.nvmm_end());
+        map.region(Addr::new((1 << 20) + (1 << 21)));
     }
 
     #[test]

@@ -76,14 +76,6 @@ impl Histogram {
         }
     }
 
-    /// Inclusive lower bound of a bucket.
-    pub fn bucket_lower(bucket: usize) -> u64 {
-        match bucket {
-            0 => 0,
-            b => 1u64 << (b - 1),
-        }
-    }
-
     /// Record one sample.
     pub fn record(&mut self, value: u64) {
         self.counts[Self::bucket_of(value)] += 1;
@@ -430,7 +422,10 @@ mod tests {
         assert_eq!(Histogram::bucket_of(1u64 << 63), 64);
         assert_eq!(Histogram::bucket_of(u64::MAX), 64);
         for b in 0..HIST_BUCKETS {
-            assert_eq!(Histogram::bucket_of(Histogram::bucket_lower(b)), b);
+            let lower = b
+                .checked_sub(1)
+                .map_or(0, |a| Histogram::bucket_upper(a) + 1);
+            assert_eq!(Histogram::bucket_of(lower), b);
             assert_eq!(Histogram::bucket_of(Histogram::bucket_upper(b)), b);
         }
     }

@@ -86,14 +86,6 @@ impl DetRng {
         keyed.next_u64();
         keyed
     }
-
-    /// Fisher–Yates shuffles a slice in place.
-    pub fn shuffle<T>(&mut self, slice: &mut [T]) {
-        for i in (1..slice.len()).rev() {
-            let j = self.gen_range(i as u64 + 1) as usize;
-            slice.swap(i, j);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -175,17 +167,6 @@ mod tests {
         let mut s1 = r.split();
         let mut s2 = r.split();
         assert_ne!(s1.next_u64(), s2.next_u64());
-    }
-
-    #[test]
-    fn shuffle_is_permutation() {
-        let mut r = DetRng::new(5);
-        let mut v: Vec<u32> = (0..100).collect();
-        r.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..100).collect::<Vec<u32>>());
-        assert_ne!(v, (0..100).collect::<Vec<u32>>()); // astronomically unlikely
     }
 
     #[test]

@@ -20,14 +20,6 @@ pub struct CacheLevelStats {
     pub evictions: u64,
 }
 
-impl CacheLevelStats {
-    /// Hit rate in `[0,1]`; `None` when the level saw no accesses.
-    pub fn hit_rate(&self) -> Option<f64> {
-        let total = self.hits + self.misses;
-        (total > 0).then(|| self.hits as f64 / total as f64)
-    }
-}
-
 /// NVMM device and controller counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct MemStats {
@@ -356,18 +348,6 @@ pub fn geometric_mean(values: &[f64]) -> Option<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn hit_rate_handles_empty() {
-        let s = CacheLevelStats::default();
-        assert_eq!(s.hit_rate(), None);
-        let s = CacheLevelStats {
-            hits: 3,
-            misses: 1,
-            ..Default::default()
-        };
-        assert!((s.hit_rate().unwrap() - 0.75).abs() < 1e-12);
-    }
 
     #[test]
     fn attribution_accounts_add_and_total() {

@@ -186,11 +186,6 @@ impl Frequency {
         (ns.as_f64() * self.ghz).ceil() as Cycle
     }
 
-    /// Converts a cycle count to nanoseconds.
-    pub fn cycles_to_ns(self, cycles: Cycle) -> NanoSeconds {
-        NanoSeconds::new(cycles as f64 / self.ghz)
-    }
-
     /// Converts a cycle count to seconds (for throughput reporting).
     pub fn cycles_to_seconds(self, cycles: Cycle) -> f64 {
         cycles as f64 / (self.ghz * 1e9)
@@ -225,8 +220,7 @@ mod tests {
     #[test]
     fn cycles_round_trip() {
         let f = Frequency::ghz(2.0);
-        let ns = f.cycles_to_ns(100);
-        assert!((ns.as_f64() - 50.0).abs() < 1e-9);
+        assert_eq!(f.ns_to_cycles(NanoSeconds::new(50.0)), 100);
         assert!((f.cycles_to_seconds(2_000_000_000) - 1.0).abs() < 1e-9);
     }
 

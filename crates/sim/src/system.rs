@@ -183,6 +183,9 @@ pub struct System {
     /// Reused buffer for the undo+redo entries the log controller
     /// persisted this cycle.
     persisted: Vec<PersistedUr>,
+    /// The versions (see [`System::writeback_versions`]) under which the
+    /// log controller last refused the front write-back.
+    writeback_refused: Option<[u64; 2]>,
     /// Reused buffer for the eviction events of one hierarchy access or
     /// fill, in the order the hierarchy produced them.
     events: Vec<EvictionEvent>,
@@ -314,6 +317,7 @@ impl System {
             next_sample: if sample_period == 0 { Cycle::MAX } else { 0 },
             series: SeriesSet::with_period(sample_period),
             persisted: Vec::new(),
+            writeback_refused: None,
             events: Vec::new(),
             mc,
             cfg,
@@ -502,10 +506,10 @@ impl System {
         }
         // A write-back that gets past the log controller either enters the
         // write queue or counts a write-queue stall.
-        if let Some(&(addr, _)) = self.pending_writebacks.front() {
-            if !self.lc.writeback_blocked(addr.index(), &self.mc) {
-                return now;
-            }
+        if !self.pending_writebacks.is_empty()
+            && self.writeback_refused != Some(self.writeback_versions())
+        {
+            return now;
         }
         next = next.min(self.fwb.next_scan());
         if self.finish_cycle.is_none() {
@@ -617,7 +621,17 @@ impl System {
         }
         self.hierarchy.set_now(self.now);
         self.mc.tick(self.now);
-        self.lc.tick(self.now, &mut self.mc, &mut self.persisted);
+        // The log controller sleeps until its wake. Debug builds tick it
+        // anyway and check that the tick changed nothing, as they do for
+        // a predicted store retry.
+        if self.lc.next_event(self.now, &self.mc) <= self.now {
+            self.lc.tick(self.now, &mut self.mc, &mut self.persisted);
+        } else {
+            self.persisted.clear();
+            if cfg!(debug_assertions) {
+                self.check_skipped_tick();
+            }
+        }
         for p in &self.persisted {
             if let Some((_, line)) = self.hierarchy.find_l1(p.addr.line()) {
                 if let Some(ext) = line.ext.as_mut() {
@@ -689,12 +703,49 @@ impl System {
         self.now += 1;
     }
 
+    /// Debug builds: runs the log-controller tick that the wake let
+    /// `step_cycle` skip, and checks that it changed nothing. Both sides of
+    /// `lockstep.rs` skip the same ticks, so only this check catches a
+    /// late wake.
+    fn check_skipped_tick(&mut self) {
+        let seen = |s: &Self| {
+            (
+                *s.lc.stats(),
+                s.lc.state_version(),
+                s.mc.persist_events(),
+                s.mc.state_version(),
+            )
+        };
+        let before = seen(self);
+        self.lc.tick(self.now, &mut self.mc, &mut self.persisted);
+        assert!(
+            self.persisted.is_empty() && seen(self) == before,
+            "the log controller slept through cycle {}, where its tick acts",
+            self.now
+        );
+    }
+
+    /// The state the log controller refuses a write-back under: its own
+    /// and the memory controller's `state_version`.
+    fn writeback_versions(&self) -> [u64; 2] {
+        [self.lc.state_version(), self.mc.state_version()]
+    }
+
+    /// Offers the queued write-backs, in order, to the log controller and
+    /// then the write queue. A write-back the log controller refused is
+    /// offered again only once the versions it was refused under move:
+    /// until then the offer would change nothing.
     fn drain_writebacks(&mut self) {
+        if self.writeback_refused == Some(self.writeback_versions()) {
+            return;
+        }
+        self.writeback_refused = None;
         while let Some(&(addr, data)) = self.pending_writebacks.front() {
             if !self
                 .lc
                 .on_llc_writeback(addr.index(), self.now, &mut self.mc)
             {
+                self.writeback_refused = Some(self.writeback_versions());
                 break;
             }
             if !self.mc.try_write_data(addr, data, self.now) {
@@ -954,7 +1005,8 @@ impl System {
                 });
             });
         }
-        self.lc.start_commit(key, ulog_words, ulog_count, self.now);
+        self.lc
+            .start_commit(key, ulog_words, ulog_count, self.now, &self.mc);
         if dp {
             // Instant commit (§III-C).
             self.finish_commit(i);
@@ -1151,6 +1203,7 @@ impl System {
         self.lc.on_crash();
         self.tx_table.clear();
         self.pending_writebacks.clear();
+        self.writeback_refused = None;
         for core in &mut self.cores {
             core.phase = Phase::Done;
         }

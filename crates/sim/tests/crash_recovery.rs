@@ -240,7 +240,7 @@ fn transaction_table_truncates_earlier_than_fwb_horizon() {
         let trace = generate(WorkloadKind::Queue, &wl);
         let mut sys = System::new(cfg, &trace);
         sys.run_for(120_000);
-        sys.memory().log_ring().used_bytes()
+        sys.memory().log_rings()[0].used_bytes()
     };
     let fwb_used = mk(TruncationPolicy::ForceWriteBack);
     let table_used = mk(TruncationPolicy::TransactionTable);

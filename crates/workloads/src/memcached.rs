@@ -186,17 +186,12 @@ mod tests {
 
     #[test]
     fn recycled_items_rewrite_mostly_clean_bytes() {
-        use crate::trace::WorkloadTrace;
         let t = generate_thread(&cfg(1500), 0);
-        let trace = WorkloadTrace {
-            name: "memcached".into(),
-            threads: vec![t],
-        };
         // Clean-byte profile: the value/flags rewrites of recycled chunks
         // keep most bytes unchanged.
         let mut shadow = std::collections::HashMap::new();
         let (mut clean, mut total) = (0u64, 0u64);
-        for (_, tx) in trace.iter_transactions() {
+        for tx in &t.transactions {
             for op in &tx.ops {
                 if let Op::Store(a, v) = op {
                     let old = shadow.insert(a.as_u64(), *v).unwrap_or(0);

@@ -71,14 +71,6 @@ impl WorkloadTrace {
             .map(|tx| tx.stores())
             .sum()
     }
-
-    /// Iterates `(thread_index, transaction)` pairs.
-    pub fn iter_transactions(&self) -> impl Iterator<Item = (usize, &Transaction)> + '_ {
-        self.threads
-            .iter()
-            .enumerate()
-            .flat_map(|(i, t)| t.transactions.iter().map(move |tx| (i, tx)))
-    }
 }
 
 #[cfg(test)]
@@ -112,6 +104,5 @@ mod tests {
         };
         assert_eq!(trace.total_transactions(), 3);
         assert_eq!(trace.total_stores(), 6);
-        assert_eq!(trace.iter_transactions().count(), 3);
     }
 }

@@ -140,19 +140,6 @@ impl Workspace {
         }
     }
 
-    /// Stores a byte range as word stores (read-modify-write at the edges),
-    /// modelling `memcpy`-style field updates of `len` bytes starting at
-    /// `addr` filled with the repeated byte pattern of `fill`.
-    pub fn store_bytes(&mut self, addr: Addr, len: u64, fill: u64) {
-        let start = addr.word_base();
-        let end = Addr::new((addr.as_u64() + len).next_multiple_of(8));
-        let mut a = start;
-        while a < end {
-            self.store(a, fill);
-            a = a.offset(8);
-        }
-    }
-
     /// Finishes generation, returning the thread's trace.
     ///
     /// # Panics
@@ -212,17 +199,6 @@ mod tests {
         let a1 = w1.pmalloc(64);
         assert!(a1.as_u64() >= ARENA_BYTES);
         drop(w0);
-    }
-
-    #[test]
-    fn store_bytes_covers_range() {
-        let mut w = ws();
-        w.begin_tx();
-        let a = w.pmalloc(64);
-        w.store_bytes(a, 20, 0xAB);
-        w.end_tx();
-        let t = w.finish();
-        assert_eq!(t.transactions[0].stores(), 3); // 20 bytes -> 3 words
     }
 
     #[test]
