@@ -28,7 +28,7 @@ impl CleanByteStats {
     /// (seeded from the trace's initial image).
     pub fn profile(trace: &WorkloadTrace) -> Self {
         let mut stats = CleanByteStats::default();
-        for thread in &trace.threads {
+        for thread in trace.threads.iter() {
             let mut shadow: HashMap<u64, u64> = HashMap::new();
             for &(addr, value) in &thread.initial {
                 shadow.insert(addr.word_base().as_u64(), value);
@@ -83,7 +83,7 @@ mod tests {
     fn trace_of(stores: Vec<(u64, u64)>, initial: Vec<(u64, u64)>) -> WorkloadTrace {
         WorkloadTrace {
             name: "t".into(),
-            threads: vec![ThreadTrace {
+            threads: [ThreadTrace {
                 transactions: vec![Transaction {
                     ops: stores
                         .into_iter()
@@ -94,7 +94,8 @@ mod tests {
                     .into_iter()
                     .map(|(a, v)| (Addr::new(a), v))
                     .collect(),
-            }],
+            }]
+            .into(),
         }
     }
 

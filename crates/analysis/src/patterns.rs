@@ -24,7 +24,7 @@ impl PatternStats {
     /// Profiles a workload trace.
     pub fn profile(trace: &WorkloadTrace) -> Self {
         let mut stats = PatternStats::default();
-        for thread in &trace.threads {
+        for thread in trace.threads.iter() {
             let mut shadow: HashMap<u64, u64> = HashMap::new();
             for &(addr, value) in &thread.initial {
                 shadow.insert(addr.word_base().as_u64(), value);
@@ -77,7 +77,7 @@ mod tests {
     fn trace_of(stores: Vec<(u64, u64)>) -> WorkloadTrace {
         WorkloadTrace {
             name: "t".into(),
-            threads: vec![ThreadTrace {
+            threads: [ThreadTrace {
                 transactions: vec![Transaction {
                     ops: stores
                         .into_iter()
@@ -85,7 +85,8 @@ mod tests {
                         .collect(),
                 }],
                 initial: Vec::new(),
-            }],
+            }]
+            .into(),
         }
     }
 

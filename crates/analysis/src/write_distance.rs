@@ -96,7 +96,7 @@ impl WriteDistanceHistogram {
     /// is why cross-transaction locality cannot be coalesced).
     pub fn profile(trace: &WorkloadTrace) -> Self {
         let mut hist = WriteDistanceHistogram::default();
-        for thread in &trace.threads {
+        for thread in trace.threads.iter() {
             for tx in &thread.transactions {
                 let mut last_store: HashMap<u64, u64> = HashMap::new();
                 let mut store_idx: u64 = 0;
@@ -183,10 +183,11 @@ mod tests {
             .collect();
         WorkloadTrace {
             name: "t".into(),
-            threads: vec![ThreadTrace {
+            threads: [ThreadTrace {
                 transactions: vec![Transaction { ops }],
                 initial: Vec::new(),
-            }],
+            }]
+            .into(),
         }
     }
 
@@ -242,7 +243,7 @@ mod tests {
         let c = Addr::new(12 * 8);
         let trace = WorkloadTrace {
             name: "t".into(),
-            threads: vec![ThreadTrace {
+            threads: [ThreadTrace {
                 transactions: vec![
                     Transaction {
                         ops: vec![Op::Store(a, 1), Op::Store(b, 1), Op::Store(a, 2)],
@@ -252,7 +253,8 @@ mod tests {
                     },
                 ],
                 initial: Vec::new(),
-            }],
+            }]
+            .into(),
         };
         let h = WriteDistanceHistogram::profile(&trace);
         assert_eq!(h.total(), 5);

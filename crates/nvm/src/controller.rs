@@ -385,6 +385,11 @@ pub struct MemoryController {
     /// whenever the slice's tail or capacity moves.
     tail_place: Vec<(usize, usize)>,
     channels: Vec<Channel>,
+    /// How many channels drain: kept wherever a channel's `draining` flips
+    /// (the hysteresis in `tick`, and `crash_persist`), so
+    /// [`any_channel_draining`](MemoryController::any_channel_draining)
+    /// reads one count instead of scanning the channels.
+    draining_channels: usize,
     /// NVMM read latency, DRAM read latency and the write-pause overhead,
     /// converted to cycles once at construction.
     read_cycles: Cycle,
@@ -454,6 +459,7 @@ impl MemoryController {
         let cycles = |ns| freq.ns_to_cycles(morlog_sim_core::NanoSeconds::new(ns));
         let mut mc = MemoryController {
             channels: (0..cfg.channels).map(|_| Channel::new(banks)).collect(),
+            draining_channels: 0,
             read_cycles: cycles(cfg.read_latency_ns),
             dram_read_cycles: cycles(cfg.dram_latency_ns),
             pause_cycles: cycles(WRITE_PAUSE_NS),
@@ -990,6 +996,7 @@ impl MemoryController {
             ch.draining = false;
             ch.refresh_next_issue();
         }
+        self.draining_channels = 0;
         if !self.fault_plan.is_active() {
             return;
         }
@@ -1089,7 +1096,12 @@ impl MemoryController {
 
     /// Whether any channel's write queue is at or above the drain watermark.
     pub fn any_channel_draining(&self) -> bool {
-        self.channels.iter().any(|c| c.draining)
+        debug_assert_eq!(
+            self.draining_channels,
+            self.channels.iter().filter(|c| c.draining).count(),
+            "draining-channel count"
+        );
+        self.draining_channels > 0
     }
 
     /// Total outstanding write-queue occupancy across channels.
@@ -1183,6 +1195,11 @@ impl MemoryController {
             }
             if ch.draining != draining {
                 ch.refresh_next_issue();
+                if ch.draining {
+                    self.draining_channels += 1;
+                } else {
+                    self.draining_channels -= 1;
+                }
             }
             if ch.next_issue > now {
                 continue; // no queued request finds its bank free yet

@@ -6,9 +6,9 @@
 //! * [`system`] — the [`system::System`]: construction for each of the six
 //!   evaluated designs, the cycle engine, commit handling, crash injection
 //!   and recovery.
-//! * [`oracle`] — a transaction oracle recording every transactional
-//!   write so crash/recovery tests can verify atomic persistence
-//!   end-to-end.
+//! * [`oracle`] — a transaction oracle that reads every transactional
+//!   write from the shared trace so crash/recovery tests can verify
+//!   atomic persistence end-to-end.
 //! * [`report`] — assembling [`morlog_sim_core::SimStats`] and the
 //!   normalized metrics the paper's figures report.
 

@@ -1,7 +1,11 @@
 //! The transaction oracle: ground truth for crash/recovery verification.
 //!
-//! The oracle records the program-order writes of every transaction and
-//! which transactions committed from the program's point of view. After a
+//! The oracle knows the program-order writes of every transaction and
+//! which transactions committed from the program's point of view. It reads
+//! the writes from the replayed trace itself, which it shares with the
+//! [`System`] (an O(1) clone): per transaction it keeps only where the
+//! transaction sits in its thread's trace, how many of its stores have
+//! executed, and whether it committed. After a
 //! crash and recovery, [`Oracle::verify`] checks *atomic persistence*: for
 //! every thread, the post-recovery NVMM image must equal the replay of a
 //! **prefix** of that thread's transactions — every transaction is
@@ -24,80 +28,61 @@
 //! `strict_durability = false` exactly when the controller reports a
 //! crash-time fault.
 //!
+//! [`System`]: crate::system::System
 //! [`System::verify_recovery`]: crate::system::System::verify_recovery
 
 use std::collections::{BTreeMap, HashMap, HashSet};
-use std::ops::Range;
+use std::sync::Arc;
 
 use morlog_log::record::TxTag;
 use morlog_log::RecoveryOutcome;
 use morlog_nvm::controller::MemoryController;
 use morlog_sim_core::{Addr, ThreadId};
+use morlog_workloads::trace::{Op, ThreadTrace};
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct OracleTx {
     key: TxTag,
-    /// The transaction's writes: a range of its thread's write log.
-    writes: Range<usize>,
+    /// The transaction's index in its thread's trace.
+    index: u32,
+    /// Its stores executed so far: the first `stores` of its trace stores.
+    stores: u32,
     committed: bool,
-}
-
-/// One thread's writes in program order, and its open transaction.
-#[derive(Debug, Clone, Default)]
-struct ThreadLog {
-    writes: Vec<(Addr, u64)>,
-    /// Index in `Oracle::txs` of the thread's latest transaction.
-    open: Option<usize>,
 }
 
 /// Ground-truth recorder for atomicity verification.
 ///
-/// A thread has at most one transaction open at a time, so each thread
-/// keeps all its writes in one growing list and each transaction holds a
-/// range of it: recording a write is one push.
-#[derive(Debug, Clone, Default)]
+/// A transaction runs its trace's ops in program order, so the writes it
+/// has made are the first stores of its trace transaction: recording a
+/// write is one increment.
+#[derive(Debug, Clone)]
 pub struct Oracle {
+    /// The replayed per-thread traces, indexed by `TxTag::thread`.
+    threads: Arc<[ThreadTrace]>,
     txs: Vec<OracleTx>,
-    threads: Vec<ThreadLog>,
-    initial: Vec<(Addr, u64)>,
+    /// Index in `txs` of each thread's latest transaction.
+    open: Vec<Option<usize>>,
 }
 
 impl Oracle {
-    /// Creates an empty oracle.
-    pub fn new() -> Self {
-        Oracle::default()
-    }
-
-    /// Registers the pre-loaded NVMM image.
-    pub fn record_initial(&mut self, writes: &[(Addr, u64)]) {
-        self.initial.extend_from_slice(writes);
-    }
-
-    /// Reserves room for `writes` more writes of `thread`, so that
-    /// recording them never grows its write list.
-    pub fn reserve_writes(&mut self, thread: ThreadId, writes: usize) {
-        self.thread_log(thread.as_u8()).writes.reserve_exact(writes);
-    }
-
-    /// The write list of `thread`, created on first use.
-    fn thread_log(&mut self, thread: u8) -> &mut ThreadLog {
-        let t = thread as usize;
-        if t >= self.threads.len() {
-            self.threads.resize_with(t + 1, ThreadLog::default);
+    /// An oracle for a run of `threads`, whose initial images are the
+    /// pre-loaded NVMM state.
+    pub fn new(threads: Arc<[ThreadTrace]>) -> Self {
+        Oracle {
+            open: vec![None; threads.len()],
+            threads,
+            txs: Vec::new(),
         }
-        &mut self.threads[t]
     }
 
-    /// A transaction began; it is its thread's open transaction until the
-    /// thread begins the next one.
-    pub fn begin(&mut self, key: TxTag) {
-        let open = self.txs.len();
-        let thread = self.thread_log(key.thread);
-        let start = thread.writes.len();
-        thread.open = Some(open);
+    /// Transaction `index` of `key`'s thread began; it is its thread's open
+    /// transaction until the thread begins the next one.
+    pub fn begin(&mut self, key: TxTag, index: usize) {
+        self.open[key.thread as usize] = Some(self.txs.len());
         self.txs.push(OracleTx {
             key,
-            writes: start..start,
+            index: index as u32,
+            stores: 0,
             committed: false,
         });
     }
@@ -105,23 +90,19 @@ impl Oracle {
     /// The open transaction of `key`'s thread, which must be `key`.
     fn open_tx(&mut self, key: TxTag) -> &mut OracleTx {
         let idx = self
-            .threads
+            .open
             .get(key.thread as usize)
-            .and_then(|t| t.open)
+            .copied()
+            .flatten()
             .unwrap_or_else(|| panic!("{key}: no transaction open on its thread"));
         let tx = &mut self.txs[idx];
         assert_eq!(tx.key, key, "{key} is not its thread's open transaction");
         tx
     }
 
-    /// A transactional store executed (program order).
-    pub fn record_write(&mut self, key: TxTag, addr: Addr, value: u64) {
-        let end = {
-            let writes = &mut self.threads[key.thread as usize].writes;
-            writes.push((addr.word_base(), value));
-            writes.len()
-        };
-        self.open_tx(key).writes.end = end;
+    /// The open transaction's next store executed (program order).
+    pub fn record_write(&mut self, key: TxTag) {
+        self.open_tx(key).stores += 1;
     }
 
     /// The transaction committed (program-visible commit).
@@ -129,9 +110,16 @@ impl Oracle {
         self.open_tx(key).committed = true;
     }
 
-    /// The writes of `tx`, in program order.
-    fn writes(&self, tx: &OracleTx) -> &[(Addr, u64)] {
-        &self.threads[tx.key.thread as usize].writes[tx.writes.clone()]
+    /// The writes of `tx` so far, in program order.
+    fn writes(&self, tx: &OracleTx) -> impl Iterator<Item = (Addr, u64)> + '_ {
+        self.threads[tx.key.thread as usize].transactions[tx.index as usize]
+            .ops
+            .iter()
+            .filter_map(|op| match *op {
+                Op::Store(addr, value) => Some((addr.word_base(), value)),
+                _ => None,
+            })
+            .take(tx.stores as usize)
     }
 
     /// Transactions recorded so far.
@@ -172,8 +160,9 @@ impl Oracle {
                 .push(tx);
         }
         let initial: HashMap<u64, u64> = self
-            .initial
+            .threads
             .iter()
+            .flat_map(|t| &t.initial)
             .map(|&(a, v)| (a.word_base().as_u64(), v))
             .collect();
 
@@ -181,7 +170,7 @@ impl Oracle {
             // Addresses this thread ever touches.
             let mut touched: HashSet<u64> = HashSet::new();
             for tx in &txs {
-                for &(a, _) in self.writes(tx) {
+                for (a, _) in self.writes(tx) {
                     touched.insert(a.as_u64());
                 }
             }
@@ -233,7 +222,7 @@ impl Oracle {
                 .map(|&a| (a, initial.get(&a).copied().unwrap_or(0)))
                 .collect();
             for tx in &txs[..lo] {
-                for &(a, v) in self.writes(tx) {
+                for (a, v) in self.writes(tx) {
                     expected.insert(a.as_u64(), v);
                 }
             }
@@ -247,7 +236,7 @@ impl Oracle {
                 if k >= hi {
                     break;
                 }
-                for &(a, v) in self.writes(txs[k]) {
+                for (a, v) in self.writes(txs[k]) {
                     expected.insert(a.as_u64(), v);
                 }
                 k += 1;
@@ -292,6 +281,7 @@ mod tests {
     use morlog_encoding::cell::CellModel;
     use morlog_encoding::slde::SldeCodec;
     use morlog_sim_core::{Frequency, MemConfig};
+    use morlog_workloads::trace::Transaction;
 
     fn mc() -> MemoryController {
         MemoryController::with_default_map(
@@ -311,14 +301,38 @@ mod tests {
         m.write_line_functional(a.line(), line);
     }
 
+    /// An oracle over one thread whose transaction `i` runs `txs[i]`.
+    fn oracle(initial: &[(Addr, u64)], txs: Vec<Vec<Op>>) -> Oracle {
+        let thread = ThreadTrace {
+            transactions: txs.into_iter().map(|ops| Transaction { ops }).collect(),
+            initial: initial.to_vec(),
+        };
+        Oracle::new(vec![thread].into())
+    }
+
+    /// [`oracle`] over transactions of stores, each of which ran all its
+    /// stores and committed.
+    fn committed(txs: &[&[(Addr, u64)]]) -> Oracle {
+        let ops = txs
+            .iter()
+            .map(|w| w.iter().map(|&(a, v)| Op::Store(a, v)).collect())
+            .collect();
+        let mut o = oracle(&[], ops);
+        for (i, writes) in txs.iter().enumerate() {
+            o.begin(key(i as u16), i);
+            for _ in writes.iter() {
+                o.record_write(key(i as u16));
+            }
+            o.mark_committed(key(i as u16));
+        }
+        o
+    }
+
     #[test]
     fn committed_tx_must_be_visible_under_strict_durability() {
         let mut m = mc();
         let a = m.map().data_base();
-        let mut o = Oracle::new();
-        o.begin(key(0));
-        o.record_write(key(0), a, 5);
-        o.mark_committed(key(0));
+        let o = committed(&[&[(a, 5)]]);
         let report = RecoveryOutcome::default();
         assert!(o.verify(&m, &report, true).is_err(), "NVMM still zero");
         set_word(&mut m, a, 5);
@@ -330,13 +344,7 @@ mod tests {
         let mut m = mc();
         let a = m.map().data_base();
         let b = Addr::new(a.as_u64() + 8);
-        let mut o = Oracle::new();
-        o.begin(key(0));
-        o.record_write(key(0), a, 1);
-        o.mark_committed(key(0));
-        o.begin(key(1));
-        o.record_write(key(1), b, 2);
-        o.mark_committed(key(1));
+        let o = committed(&[&[(a, 1)], &[(b, 2)]]);
         let report = RecoveryOutcome::default();
         // Nothing persisted: acceptable under DP (prefix length 0)...
         assert!(o.verify(&m, &report, false).is_ok());
@@ -354,10 +362,7 @@ mod tests {
     fn undone_tx_must_be_invisible() {
         let mut m = mc();
         let a = m.map().data_base();
-        let mut o = Oracle::new();
-        o.begin(key(0));
-        o.record_write(key(0), a, 5);
-        o.mark_committed(key(0));
+        let o = committed(&[&[(a, 5)]]);
         let report = RecoveryOutcome {
             rolled_back: vec![key(0)],
             ..Default::default()
@@ -377,10 +382,7 @@ mod tests {
     fn redone_tx_must_be_visible_even_under_dp() {
         let mut m = mc();
         let a = m.map().data_base();
-        let mut o = Oracle::new();
-        o.begin(key(0));
-        o.record_write(key(0), a, 5);
-        o.mark_committed(key(0));
+        let o = committed(&[&[(a, 5)]]);
         let report = RecoveryOutcome {
             committed: vec![key(0)],
             ..Default::default()
@@ -395,11 +397,7 @@ mod tests {
         let mut m = mc();
         let a = m.map().data_base();
         let b = Addr::new(a.as_u64() + 8);
-        let mut o = Oracle::new();
-        o.begin(key(0));
-        o.record_write(key(0), a, 1);
-        o.record_write(key(0), b, 2);
-        o.mark_committed(key(0));
+        let o = committed(&[&[(a, 1), (b, 2)]]);
         set_word(&mut m, a, 1); // only half the transaction applied
         assert!(o.verify(&m, &RecoveryOutcome::default(), false).is_err());
     }
@@ -408,13 +406,7 @@ mod tests {
     fn inconsistent_report_is_rejected() {
         let m = mc();
         let a = m.map().data_base();
-        let mut o = Oracle::new();
-        o.begin(key(0));
-        o.record_write(key(0), a, 1);
-        o.mark_committed(key(0));
-        o.begin(key(1));
-        o.record_write(key(1), a, 2);
-        o.mark_committed(key(1));
+        let o = committed(&[&[(a, 1)], &[(a, 2)]]);
         // Recovery claims tx1 redone but tx0 undone: not a prefix.
         let report = RecoveryOutcome {
             committed: vec![key(1)],
@@ -433,11 +425,7 @@ mod tests {
         let mut m = mc();
         let a = m.map().data_base();
         let b = Addr::new(a.as_u64() + 8);
-        let mut o = Oracle::new();
-        o.begin(key(0));
-        o.record_write(key(0), a, 1);
-        o.record_write(key(0), b, 2);
-        o.mark_committed(key(0));
+        let o = committed(&[&[(a, 1), (b, 2)]]);
         let report = RecoveryOutcome {
             rolled_back: vec![key(0)],
             torn_records: 1,
@@ -459,12 +447,46 @@ mod tests {
     fn initial_image_is_the_baseline() {
         let mut m = mc();
         let a = m.map().data_base();
-        let mut o = Oracle::new();
-        o.record_initial(&[(a, 77)]);
-        o.begin(key(0));
-        o.record_write(key(0), a, 78);
+        let mut o = oracle(&[(a, 77)], vec![vec![Op::Store(a, 78)]]);
+        o.begin(key(0), 0);
+        o.record_write(key(0));
         // Uncommitted: the initial value must remain.
         set_word(&mut m, a, 77);
         assert!(o.verify(&m, &RecoveryOutcome::default(), true).is_ok());
+    }
+
+    #[test]
+    fn writes_are_the_executed_stores_of_the_trace() {
+        // tx1 ran its first store (to the byte address inside `b`'s word)
+        // and crashed before its second, so only `a` and `b` are checked.
+        let mut m = mc();
+        let a = m.map().data_base();
+        let b = Addr::new(a.as_u64() + 8);
+        let c = Addr::new(a.as_u64() + 16);
+        let mut o = oracle(
+            &[],
+            vec![
+                vec![Op::Load(c), Op::Store(a, 1), Op::Compute(4)],
+                vec![Op::Store(Addr::new(b.as_u64() + 3), 2), Op::Store(c, 3)],
+            ],
+        );
+        o.begin(key(0), 0);
+        o.record_write(key(0));
+        o.mark_committed(key(0));
+        o.begin(key(1), 1);
+        o.record_write(key(1));
+        assert_eq!(o.transactions(), 2);
+        set_word(&mut m, c, 9);
+        assert!(
+            o.verify(&m, &RecoveryOutcome::default(), true).is_err(),
+            "committed tx0 lost"
+        );
+        set_word(&mut m, a, 1);
+        assert!(o.verify(&m, &RecoveryOutcome::default(), true).is_ok());
+        set_word(&mut m, b, 2);
+        assert!(
+            o.verify(&m, &RecoveryOutcome::default(), true).is_err(),
+            "uncommitted tx1 survived"
+        );
     }
 }

@@ -9,6 +9,7 @@
 //! cycle — which is what `run_for(1)` still does.
 
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 use morlog_cache::fwb::FwbScheduler;
 use morlog_cache::hierarchy::{AccessOutcome, EvictionEvent, Hierarchy};
@@ -143,7 +144,8 @@ pub struct System {
     lc: LogController,
     fwb: FwbScheduler,
     cores: Vec<Core>,
-    trace: WorkloadTrace,
+    /// The replayed trace, shared with the caller and the oracle.
+    threads: Arc<[ThreadTrace]>,
     pending_writebacks: VecDeque<(LineAddr, LineData)>,
     /// A truncation horizon waiting for the scan's writebacks to reach the
     /// persist domain (log entries must outlive their updated data's path
@@ -216,6 +218,10 @@ impl System {
     /// Constructs the system and pre-loads each thread's initial NVMM
     /// image.
     ///
+    /// The system and its oracle keep an O(1) clone of `trace`'s shared
+    /// thread traces and replay them in place: building copies no
+    /// transaction, whatever the trace's length.
+    ///
     /// # Panics
     ///
     /// Panics if the configuration is invalid or the trace needs more
@@ -265,11 +271,8 @@ impl System {
         lc.set_secure_mode(secure);
         lc.set_tracer(tracer.clone());
         lc.set_mutation(cfg.mutation);
-        let (trace, stores) = copy_trace(trace);
-        let mut oracle = Oracle::new();
-        for (i, thread) in trace.threads.iter().enumerate() {
-            oracle.record_initial(&thread.initial);
-            oracle.reserve_writes(ThreadId::new(i as u8), stores[i]);
+        let threads = Arc::clone(&trace.threads);
+        for thread in threads.iter() {
             for &(addr, value) in &thread.initial {
                 let line_addr = addr.line();
                 let mut line = mc.read_line(line_addr);
@@ -279,7 +282,7 @@ impl System {
         }
         let mut hierarchy = Hierarchy::new(&cfg.hierarchy, cfg.cores.cores);
         hierarchy.set_tracer(tracer.clone());
-        let cores = (0..trace.threads.len())
+        let cores = (0..threads.len())
             .map(|i| Core {
                 thread: ThreadId::new(i as u8),
                 tx_idx: 0,
@@ -299,8 +302,9 @@ impl System {
             lc,
             fwb: FwbScheduler::new(cfg.hierarchy.force_write_back_period),
             cores,
-            skip_kinds: vec![StallKind::Idle; trace.threads.len()],
-            trace,
+            skip_kinds: vec![StallKind::Idle; threads.len()],
+            oracle: Oracle::new(Arc::clone(&threads)),
+            threads,
             pending_writebacks: VecDeque::new(),
             pending_truncation: None,
             tx_table: TxTable::new(),
@@ -310,7 +314,6 @@ impl System {
             tx_loads: 0,
             store_stall_cycles: 0,
             finish_cycle: None,
-            oracle,
             tracer,
             attr: CycleAttribution::default(),
             sample_period,
@@ -839,7 +842,7 @@ impl System {
         self.cores[i].retry = None;
         let thread = self.cores[i].thread;
         let tx_idx = self.cores[i].tx_idx;
-        if tx_idx >= self.trace.threads[i].transactions.len() {
+        if tx_idx >= self.threads[i].transactions.len() {
             self.cores[i].phase = Phase::Done;
             return StallKind::Idle;
         }
@@ -852,12 +855,12 @@ impl System {
                 return StallKind::CommitWait;
             }
             let key = self.lc.tx_begin(thread, self.now);
-            self.oracle.begin(key);
+            self.oracle.begin(key, tx_idx);
             self.tracer.emit(self.now, || TraceEvent::CommitPhase {
                 key,
                 phase: CommitPhaseTag::Begin,
             });
-            let ops = &self.trace.threads[i].transactions[tx_idx].ops;
+            let ops = &self.threads[i].transactions[tx_idx].ops;
             self.cores[i].ops.clear();
             self.cores[i].ops.extend_from_slice(ops);
             self.cores[i].key = Some(key);
@@ -951,7 +954,7 @@ impl System {
                 // before the last two scans" a safe truncation horizon.
                 line.dirty = true;
                 self.tx_stores += 1;
-                self.oracle.record_write(key, addr, value);
+                self.oracle.record_write(key);
                 self.cores[i].op_idx += 1;
                 // Stores retire through the store buffer at one per cycle
                 // when the line is resident; misses block (write-allocate).
@@ -1248,38 +1251,6 @@ impl System {
             !self.cfg.design.delay_persistence() && !self.mc.stats().crash_faults_injected();
         self.oracle.verify(&self.mc, report, strict)
     }
-}
-
-/// A copy of `trace` and each thread's store count, counted as each
-/// transaction is copied so that the ops are read once.
-fn copy_trace(trace: &WorkloadTrace) -> (WorkloadTrace, Vec<usize>) {
-    let mut stores = Vec::with_capacity(trace.threads.len());
-    let threads = trace
-        .threads
-        .iter()
-        .map(|thread| {
-            let mut n = 0;
-            let transactions = thread
-                .transactions
-                .iter()
-                .map(|tx| {
-                    let tx = tx.clone();
-                    n += tx.stores();
-                    tx
-                })
-                .collect();
-            stores.push(n);
-            ThreadTrace {
-                transactions,
-                initial: thread.initial.clone(),
-            }
-        })
-        .collect();
-    let copy = WorkloadTrace {
-        name: trace.name.clone(),
-        threads,
-    };
-    (copy, stores)
 }
 
 /// The attribution account of a stalled store.

@@ -1,5 +1,7 @@
 //! The transaction-trace format replayed by the simulator.
 
+use std::sync::Arc;
+
 use morlog_sim_core::Addr;
 
 /// One operation of a transaction (or of non-transactional glue code).
@@ -49,12 +51,16 @@ pub struct ThreadTrace {
 }
 
 /// A complete workload: one trace per thread.
+///
+/// The thread traces are generated once and then only read, so they are
+/// shared: cloning a trace (or its `threads`) is O(1), and the simulator
+/// and its oracle replay the caller's copy instead of their own.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct WorkloadTrace {
     /// Workload name (paper's benchmark label).
     pub name: String,
     /// Per-thread transaction streams.
-    pub threads: Vec<ThreadTrace>,
+    pub threads: Arc<[ThreadTrace]>,
 }
 
 impl WorkloadTrace {
@@ -100,7 +106,8 @@ mod tests {
                     transactions: vec![tx.clone(), tx],
                     initial: Vec::new(),
                 },
-            ],
+            ]
+            .into(),
         };
         assert_eq!(trace.total_transactions(), 3);
         assert_eq!(trace.total_stores(), 6);

@@ -1,8 +1,7 @@
 //! Per-thread trace-generation context: shadow memory, persistent heap and
 //! transaction recording.
 
-use std::collections::HashMap;
-
+use morlog_sim_core::hash::IntHashMap;
 use morlog_sim_core::{Addr, DetRng};
 
 use crate::heap::PHeap;
@@ -35,7 +34,7 @@ pub const ARENA_BYTES: u64 = 64 << 20;
 #[derive(Debug)]
 pub struct Workspace {
     heap: PHeap,
-    shadow: HashMap<u64, u64>,
+    shadow: IntHashMap<u64, u64>,
     ops: Vec<Op>,
     in_tx: bool,
     transactions: Vec<Transaction>,
@@ -50,7 +49,7 @@ impl Workspace {
         let base = Addr::new(data_base.as_u64() + thread as u64 * ARENA_BYTES);
         Workspace {
             heap: PHeap::new(base, ARENA_BYTES),
-            shadow: HashMap::new(),
+            shadow: IntHashMap::default(),
             ops: Vec::new(),
             in_tx: false,
             transactions: Vec::new(),
@@ -85,7 +84,8 @@ impl Workspace {
         self.ops.clear();
     }
 
-    /// Closes the transaction and appends it to the trace.
+    /// Closes the transaction and appends it to the trace, at its exact
+    /// size (the op buffer stays with the workspace for the next one).
     ///
     /// # Panics
     ///
@@ -94,7 +94,7 @@ impl Workspace {
         assert!(self.in_tx, "end_tx without begin_tx");
         self.in_tx = false;
         self.transactions.push(Transaction {
-            ops: std::mem::take(&mut self.ops),
+            ops: self.ops.to_vec(),
         });
     }
 
