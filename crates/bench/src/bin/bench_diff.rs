@@ -15,10 +15,13 @@
 //! Timing fields (wall-clock, per-phase nanoseconds, `sim_rate_cps`,
 //! allocator volumes) are machine-dependent: by default they are
 //! skipped, but in **ratio mode**
-//! (`--ratio <factor>` or `MORLOG_DIFF_RATIO`) they participate and must
-//! agree within the multiplicative factor — the `host_perf` CI gate runs
-//! this way so a profile's deterministic counters are diffed exactly
-//! while its wall-times merely have to be the same order of magnitude.
+//! (`--ratio <factor>` or `MORLOG_DIFF_RATIO`) they participate, and a
+//! move beyond the multiplicative factor fails when it goes the worse
+//! way (slower times, more allocation, a lower `sim_rate_cps`) and is
+//! reported as an improvement when it goes the better way — the
+//! `host_perf` CI gate runs this way so a profile's deterministic
+//! counters are diffed exactly while its wall-times merely have to stay
+//! within the same order of magnitude.
 //!
 //! The threshold defaults to 2% and can be set with `--threshold` or
 //! the `MORLOG_DIFF_THRESHOLD` environment variable (the flag wins);
@@ -31,7 +34,7 @@
 
 use std::path::{Path, PathBuf};
 
-use morlog_bench::diff::{self, DocumentDiff, MetricDelta};
+use morlog_bench::diff::{self, DocumentDiff, MetricDelta, Verdict};
 use morlog_bench::json;
 use morlog_sim_core::knobs;
 
@@ -125,7 +128,7 @@ fn main() {
                     regressions.len()
                 );
                 for delta in &d.deltas {
-                    print_delta(delta, delta.trips(threshold, ratio));
+                    print_delta(delta, d.verdict(delta, threshold, ratio));
                 }
                 if !regressions.is_empty() {
                     failed = true;
@@ -140,8 +143,12 @@ fn main() {
     println!("OK: {total_compared} metrics compared, {total_deltas} small deltas, none beyond {threshold}%");
 }
 
-fn print_delta(d: &MetricDelta, beyond: bool) {
-    let marker = if beyond { "REGRESSION" } else { "delta" };
+fn print_delta(d: &MetricDelta, verdict: Verdict) {
+    let marker = match verdict {
+        Verdict::Within => "delta",
+        Verdict::Regression => "REGRESSION",
+        Verdict::Improvement => "improvement",
+    };
     let fmt = |v: Option<f64>| match v {
         None => "-".to_string(),
         Some(x) => format!("{x}"),

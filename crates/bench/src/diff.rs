@@ -16,18 +16,19 @@
 //! *Timing* fields — host wall-clock, per-phase nanoseconds, allocation
 //! volumes, sim-rates — are machine-dependent, so by default they are
 //! excluded too; in **ratio mode** (`MORLOG_DIFF_RATIO` / `--ratio`)
-//! they instead participate and must agree within a configurable
-//! multiplicative factor, which is how the `host_perf` CI gate compares
-//! profiles across machines while still diffing the deterministic
-//! counters exactly. Everything else, including every histogram bucket
-//! and series sample, participates exactly: two identical runs diff to
-//! zero, and any simulated-behaviour change shows up as a per-metric
-//! percentage delta.
+//! they instead participate, and a move beyond a configurable
+//! multiplicative factor in the worse direction fails (one in the better
+//! direction, declared per field in the schema, is an improvement), which
+//! is how the `host_perf` CI gate compares profiles across machines while
+//! still diffing the deterministic counters exactly. Everything else,
+//! including every histogram bucket and series sample, participates
+//! exactly: two identical runs diff to zero, and any simulated-behaviour
+//! change shows up as a per-metric percentage delta.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use crate::json::Json;
-use crate::results::{self, Class};
+use crate::results::{self, Better, Class, Field};
 
 /// One differing metric between baseline and candidate.
 #[derive(Debug, Clone, PartialEq)]
@@ -95,20 +96,43 @@ impl MetricDelta {
         }
     }
 
-    /// Whether this delta trips the gate: timing fields are judged by
-    /// the ratio tolerance (a timing delta with no ratio configured
-    /// never trips — it would have been skipped from the comparison),
-    /// everything else by the percent threshold.
-    pub fn trips(&self, threshold_pct: f64, ratio: Option<f64>) -> bool {
-        if self.timing {
-            match ratio {
-                Some(factor) => !self.within_ratio(factor),
-                None => false,
-            }
+    /// How the gate judges this delta. Timing fields are judged by the
+    /// ratio tolerance (a timing delta with no ratio configured is always
+    /// within — it would have been skipped from the comparison): beyond
+    /// the factor, a move the way the field is `better` is an
+    /// improvement and any other move a regression. Everything else is
+    /// judged by the percent threshold, in either direction.
+    pub fn verdict(&self, threshold_pct: f64, ratio: Option<f64>, better: Better) -> Verdict {
+        let beyond = if self.timing {
+            ratio.is_some_and(|factor| !self.within_ratio(factor))
         } else {
             self.exceeds(threshold_pct)
+        };
+        let improved = match (self.base, self.cand) {
+            (Some(b), Some(c)) if self.timing => match better {
+                Better::Lower => c < b,
+                Better::Higher => c > b,
+            },
+            _ => false,
+        };
+        match (beyond, improved) {
+            (false, _) => Verdict::Within,
+            (true, true) => Verdict::Improvement,
+            (true, false) => Verdict::Regression,
         }
     }
+}
+
+/// How the gate judges one delta.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Verdict {
+    /// Within the threshold or ratio factor.
+    Within,
+    /// Beyond it: fails the gate.
+    Regression,
+    /// A timing field beyond the ratio factor the way it is better:
+    /// reported, but does not fail the gate.
+    Improvement,
 }
 
 /// The outcome of diffing two documents.
@@ -118,28 +142,43 @@ pub struct DocumentDiff {
     pub compared: usize,
     /// Metrics whose values differ (empty for identical runs).
     pub deltas: Vec<MetricDelta>,
+    /// The paths of the differing timing fields declared better higher
+    /// (rates); every other timing field is better lower.
+    pub higher_is_better: BTreeSet<String>,
 }
 
 impl DocumentDiff {
-    /// The deltas that trip the gate: non-timing fields beyond
-    /// `threshold_pct`, timing fields outside the `ratio` factor.
+    /// How the gate judges `delta`, one of this diff's deltas (see
+    /// [`MetricDelta::verdict`]).
+    pub fn verdict(&self, delta: &MetricDelta, threshold_pct: f64, ratio: Option<f64>) -> Verdict {
+        let better = if self.higher_is_better.contains(&delta.path) {
+            Better::Higher
+        } else {
+            Better::Lower
+        };
+        delta.verdict(threshold_pct, ratio, better)
+    }
+
+    /// The deltas that fail the gate: non-timing fields beyond
+    /// `threshold_pct`, timing fields outside the `ratio` factor in the
+    /// worse direction.
     pub fn regressions(&self, threshold_pct: f64, ratio: Option<f64>) -> Vec<&MetricDelta> {
         self.deltas
             .iter()
-            .filter(|d| d.trips(threshold_pct, ratio))
+            .filter(|d| self.verdict(d, threshold_pct, ratio) == Verdict::Regression)
             .collect()
     }
 }
 
-/// The compared leaves of a validated document: path → (value, whether
-/// it is a timing field). Strings, bools and nulls compare exactly: a
-/// mismatch is structural (an infinite delta), never a percentage.
-fn flatten(doc: &Json, include_timing: bool) -> BTreeMap<String, (Json, bool)> {
+/// The compared leaves of a validated document: path → (value, field).
+/// Strings, bools and nulls compare exactly: a mismatch is structural
+/// (an infinite delta), never a percentage.
+fn flatten(doc: &Json, include_timing: bool) -> BTreeMap<String, (Json, Field)> {
     let mut out = BTreeMap::new();
-    results::walk(doc, &mut |path, value, class| {
-        let timing = class == Class::Timing;
-        if class != Class::Volatile && (include_timing || !timing) {
-            out.insert(path.to_string(), (value.clone(), timing));
+    results::walk_fields(doc, &mut |path, value, field| {
+        let timing = field.class == Class::Timing;
+        if field.class != Class::Volatile && (include_timing || !timing) {
+            out.insert(path.to_string(), (value.clone(), field));
         }
     });
     out
@@ -170,29 +209,33 @@ pub fn diff_documents_with(
     let base_map = flatten(base, include_timing);
     let cand_map = flatten(cand, include_timing);
 
-    let delta = |path: &String, base: Option<&Json>, cand: Option<&Json>, timing: bool| {
-        let (base, cand) = (base.and_then(Json::as_f64), cand.and_then(Json::as_f64));
-        let path = path.clone();
-        MetricDelta {
-            path,
-            base,
-            cand,
-            timing,
-        }
-    };
     let mut diff = DocumentDiff::default();
-    for (path, (b, timing)) in &base_map {
+    let mut compared = 0;
+    let mut push = |path: &String, base: Option<&Json>, cand: Option<&Json>, field: Field| {
+        let timing = field.class == Class::Timing;
+        if timing && field.better == Better::Higher {
+            diff.higher_is_better.insert(path.clone());
+        }
+        diff.deltas.push(MetricDelta {
+            path: path.clone(),
+            base: base.and_then(Json::as_f64),
+            cand: cand.and_then(Json::as_f64),
+            timing,
+        });
+    };
+    for (path, (b, field)) in &base_map {
         let c = cand_map.get(path).map(|(c, _)| c);
-        diff.compared += usize::from(c.is_some());
+        compared += usize::from(c.is_some());
         if c != Some(b) {
-            diff.deltas.push(delta(path, Some(b), c, *timing));
+            push(path, Some(b), c, *field);
         }
     }
-    for (path, (c, timing)) in &cand_map {
+    for (path, (c, field)) in &cand_map {
         if !base_map.contains_key(path) {
-            diff.deltas.push(delta(path, None, Some(c), *timing));
+            push(path, None, Some(c), *field);
         }
     }
+    diff.compared = compared;
     Ok(diff)
 }
 
@@ -335,6 +378,82 @@ mod tests {
             timing: true,
         };
         assert!(!structural.within_ratio(f64::MAX));
+    }
+
+    /// A document with one `host_perf` record: `sim_rate_cps` is better
+    /// higher, `wall_ns` better lower.
+    fn perf_doc(rate: f64, wall_ns: u64) -> Json {
+        use morlog_sim_core::hostprof::{HostCounter, HostPhase, ALLOC_SLOTS};
+        fn zeros<L>(n: usize) -> crate::results::Map<L, u64> {
+            std::iter::repeat_n(0, n).collect()
+        }
+        let record = crate::results::HostPerf {
+            design: "d".into(),
+            workload: "w".into(),
+            threads: 1,
+            transactions: 1,
+            seed: 1,
+            sim_cycles: 1,
+            wall_ns,
+            sim_rate_cps: rate,
+            profile_total_ns: 0,
+            phase_ns: zeros(HostPhase::ALL.len()),
+            counters: zeros(HostCounter::ALL.len()),
+            alloc_count: zeros(ALLOC_SLOTS + 1),
+            alloc_bytes: zeros(ALLOC_SLOTS + 1),
+        };
+        Envelope {
+            bench: "unit".into(),
+            schema_version: SCHEMA_VERSION,
+            git: "deadbeef".into(),
+            jobs: 1,
+            wall_ms: 1.0,
+            records: vec![record.json()],
+        }
+        .json()
+    }
+
+    #[test]
+    fn ratio_mode_fails_a_lower_is_better_field_only_when_it_rises() {
+        // wall_ms: 5 → 40 is 8× slower, 40 → 5 8× faster.
+        let slower = diff_documents_with(&doc(100, 5.0), &doc(100, 40.0), true).unwrap();
+        let faster = diff_documents_with(&doc(100, 40.0), &doc(100, 5.0), true).unwrap();
+        let judge = |d: &DocumentDiff| d.verdict(&d.deltas[0], 2.0, Some(2.0));
+        assert_eq!(judge(&slower), Verdict::Regression);
+        assert_eq!(slower.regressions(2.0, Some(2.0)).len(), 1);
+        assert_eq!(judge(&faster), Verdict::Improvement);
+        assert!(faster.regressions(2.0, Some(2.0)).is_empty());
+        // Within the factor, either way is just a delta.
+        assert_eq!(
+            faster.verdict(&faster.deltas[0], 2.0, Some(10.0)),
+            Verdict::Within
+        );
+    }
+
+    #[test]
+    fn ratio_mode_fails_the_sim_rate_only_when_it_falls() {
+        let base = perf_doc(1e6, 1_000);
+        let faster = diff_documents_with(&base, &perf_doc(3e6, 1_000), true).unwrap();
+        let slower = diff_documents_with(&base, &perf_doc(3e5, 1_000), true).unwrap();
+        for d in [&faster, &slower] {
+            assert_eq!(d.deltas.len(), 1, "{:?}", d.deltas);
+            assert_eq!(d.deltas[0].path, "records[0].sim_rate_cps");
+            assert!(d.higher_is_better.contains("records[0].sim_rate_cps"));
+        }
+        assert_eq!(
+            faster.verdict(&faster.deltas[0], 2.0, Some(2.0)),
+            Verdict::Improvement
+        );
+        assert!(faster.regressions(2.0, Some(2.0)).is_empty());
+        assert_eq!(
+            slower.verdict(&slower.deltas[0], 2.0, Some(2.0)),
+            Verdict::Regression
+        );
+        assert_eq!(slower.regressions(2.0, Some(2.0)).len(), 1);
+        // wall_ns beside it stays better lower.
+        let longer = diff_documents_with(&base, &perf_doc(1e6, 5_000), true).unwrap();
+        assert!(longer.higher_is_better.is_empty());
+        assert_eq!(longer.regressions(2.0, Some(2.0)).len(), 1);
     }
 
     #[test]

@@ -67,8 +67,49 @@ pub enum Class {
     Volatile,
 }
 
-/// Receives each leaf of a [`Value::visit`]: path, value, class.
-type Visitor<'a> = dyn FnMut(&str, &Json, Class) + 'a;
+/// Which way a [`Class::Timing`] field improves; `bench_diff`'s ratio
+/// mode fails only a move the other way.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Better {
+    /// Times and allocator volumes.
+    Lower,
+    /// Rates.
+    Higher,
+}
+
+/// How `bench_diff` treats a field: its class and which way it improves.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Field {
+    /// The field's class.
+    pub class: Class,
+    /// Which way it improves (meaningful for timing fields).
+    pub better: Better,
+}
+
+impl Field {
+    const DETERMINISTIC: Field = Field::lower(Class::Deterministic);
+
+    const fn lower(class: Class) -> Field {
+        Field {
+            class,
+            better: Better::Lower,
+        }
+    }
+
+    /// This field as declared under `parent`: a parent's class covers
+    /// everything under it, so the stronger class wins, with its
+    /// direction.
+    fn under(self, parent: Field) -> Field {
+        if self.class >= parent.class {
+            self
+        } else {
+            parent
+        }
+    }
+}
+
+/// Receives each leaf of a [`Value::visit`]: path, value, treatment.
+type Visitor<'a> = dyn FnMut(&str, &Json, Field) + 'a;
 
 /// A value with a declared JSON form.
 pub trait Value: Sized {
@@ -99,8 +140,8 @@ pub trait Value: Sized {
         Ok(())
     }
     /// Calls `leaf` with the path, value and class of every scalar.
-    fn visit(&self, path: &str, class: Class, leaf: &mut Visitor<'_>) {
-        leaf(path, &self.json(), class);
+    fn visit(&self, path: &str, field: Field, leaf: &mut Visitor<'_>) {
+        leaf(path, &self.json(), field);
     }
 }
 
@@ -135,14 +176,14 @@ scalar! {
 fn visit_items<'a, T: Value + 'a>(
     items: impl ExactSizeIterator<Item = &'a T>,
     path: &str,
-    class: Class,
+    field: Field,
     leaf: &mut Visitor<'_>,
 ) {
     let len = Json::UInt(items.len() as u64);
     for (i, item) in items.enumerate() {
-        item.visit(&format!("{path}[{i}]"), class, leaf);
+        item.visit(&format!("{path}[{i}]"), field, leaf);
     }
-    leaf(&join(path, "len"), &len, Class::Deterministic);
+    leaf(&join(path, "len"), &len, Field::DETERMINISTIC);
 }
 
 impl<T: Value> Value for Vec<T> {
@@ -156,8 +197,8 @@ impl<T: Value> Value for Vec<T> {
         let mut items = self.iter().enumerate();
         items.try_for_each(|(i, item)| item.check(&format!("{path}[{i}]")))
     }
-    fn visit(&self, path: &str, class: Class, leaf: &mut Visitor<'_>) {
-        visit_items(self.iter(), path, class, leaf);
+    fn visit(&self, path: &str, field: Field, leaf: &mut Visitor<'_>) {
+        visit_items(self.iter(), path, field, leaf);
     }
 }
 
@@ -173,8 +214,8 @@ impl<T: Value, const N: usize> Value for [T; N] {
         let mut items = self.iter().enumerate();
         items.try_for_each(|(i, item)| item.check(&format!("{path}[{i}]")))
     }
-    fn visit(&self, path: &str, class: Class, leaf: &mut Visitor<'_>) {
-        visit_items(self.iter(), path, class, leaf);
+    fn visit(&self, path: &str, field: Field, leaf: &mut Visitor<'_>) {
+        visit_items(self.iter(), path, field, leaf);
     }
 }
 
@@ -190,9 +231,9 @@ impl Value for Json {
     fn check(&self, path: &str) -> Result<(), String> {
         (record_kind(self, path)?.check)(self, path)
     }
-    fn visit(&self, path: &str, class: Class, leaf: &mut Visitor<'_>) {
+    fn visit(&self, path: &str, field: Field, leaf: &mut Visitor<'_>) {
         if let Ok(kind) = record_kind(self, path) {
-            (kind.visit)(self, path, class, leaf);
+            (kind.visit)(self, path, field, leaf);
         }
     }
 }
@@ -237,9 +278,9 @@ impl<L: Labels, V: Value> Value for Map<L, V> {
         self.entries()
             .try_for_each(|(key, v)| v.check(&join(path, &key)))
     }
-    fn visit(&self, path: &str, class: Class, leaf: &mut Visitor<'_>) {
+    fn visit(&self, path: &str, field: Field, leaf: &mut Visitor<'_>) {
         for (key, v) in self.entries() {
-            v.visit(&join(path, &key), class, leaf);
+            v.visit(&join(path, &key), field, leaf);
         }
     }
 }
@@ -267,8 +308,8 @@ impl<L: Labels, V: Value> Value for Inline<L, V> {
     fn check(&self, path: &str) -> Result<(), String> {
         self.0.check(path)
     }
-    fn visit(&self, path: &str, class: Class, leaf: &mut Visitor<'_>) {
-        self.0.visit(path, class, leaf);
+    fn visit(&self, path: &str, field: Field, leaf: &mut Visitor<'_>) {
+        self.0.visit(path, field, leaf);
     }
 }
 
@@ -308,14 +349,18 @@ labels! {
 }
 
 /// Declares objects. `Name [= "kind"] [from Source] [where invariant]
-/// { name, ...: Type [Class]; ... }` expands into a struct with those
-/// fields (all of class `Deterministic` unless marked) and its [`Value`]
+/// { name, ...: Type [Class [Better]]; ... }` expands into a struct with
+/// those fields (all of class `Deterministic` unless marked, and better
+/// `Lower` unless marked `Higher`) and its [`Value`]
 /// impl; `= "kind"` makes it a [`Record`], `from Source` adds
 /// `From<&Source>` for a source with the same field names and types, and
 /// `where invariant` names a `fn(&Name) -> Result<(), String>`.
 macro_rules! schema {
-    (@class) => { Class::Deterministic };
-    (@class $class:ident) => { Class::$class };
+    (@field) => { Field::DETERMINISTIC };
+    (@field $class:ident) => { Field::lower(Class::$class) };
+    (@field $class:ident $better:ident) => {
+        Field { class: Class::$class, better: Better::$better }
+    };
     (@record $name:ident) => {};
     (@record $name:ident $kind:literal) => {
         impl Record for $name {
@@ -334,7 +379,7 @@ macro_rules! schema {
     ($(
         $(#[$doc:meta])*
         $name:ident $(= $kind:literal)? $(from $src:ty)? $(where $invariant:ident)? {
-            $($($field:ident),+: $ty:ty $([$class:ident])?;)*
+            $($($field:ident),+: $ty:ty $([$class:ident $($better:ident)?])?;)*
         }
     )*) => {$(
         $(#[$doc])*
@@ -359,11 +404,11 @@ macro_rules! schema {
                 $($invariant(self).map_err(|e| format!("{}: {e}", at(path)))?;)?
                 Ok(())
             }
-            fn visit(&self, path: &str, class: Class, leaf: &mut Visitor<'_>) {
-                $(leaf(&join(path, "kind"), &Json::Str($kind.to_string()), class);)?
+            fn visit(&self, path: &str, field: Field, leaf: &mut Visitor<'_>) {
+                $(leaf(&join(path, "kind"), &Json::Str($kind.to_string()), field);)?
                 $(
-                    let field_class = class.max(schema!(@class $($class)?));
-                    $(self.$field.visit(&<$ty as Value>::at(path, stringify!($field)), field_class, leaf);)+
+                    let declared = schema!(@field $($class $($better)?)?).under(field);
+                    $(self.$field.visit(&<$ty as Value>::at(path, stringify!($field)), declared, leaf);)+
                 )*
             }
         }
@@ -470,7 +515,7 @@ schema! {
         design, workload: String;
         threads, transactions, seed, sim_cycles: u64;
         wall_ns: u64 [Timing];
-        sim_rate_cps: f64 [Timing];
+        sim_rate_cps: f64 [Timing Higher];
         profile_total_ns: u64 [Timing];
         phase_ns: Map<PhaseKeys, u64> [Timing];
         counters: Map<CounterKeys, u64>;
@@ -574,7 +619,8 @@ schema! {
     PerfHistoryEntry where perf_history_invariants {
         design, workload: String;
         sim_cycles: u64;
-        wall_ms, sim_rate_cps: f64 [Timing];
+        wall_ms: f64 [Timing];
+        sim_rate_cps: f64 [Timing Higher];
         alloc_bytes: u64 [Timing];
     }
 }
@@ -584,7 +630,7 @@ pub struct RecordKind {
     /// The `"kind"` it is written with.
     pub kind: &'static str,
     check: fn(&Json, &str) -> Result<(), String>,
-    visit: fn(&Json, &str, Class, &mut Visitor<'_>),
+    visit: fn(&Json, &str, Field, &mut Visitor<'_>),
 }
 
 macro_rules! record_kinds {
@@ -1014,8 +1060,8 @@ fn check_as<T: Value>(v: &Json, path: &str) -> Result<(), String> {
     }
 }
 
-fn visit_as<T: Value>(v: &Json, path: &str, class: Class, leaf: &mut Visitor<'_>) {
-    T::from_json(v).visit(path, class, leaf);
+fn visit_as<T: Value>(v: &Json, path: &str, field: Field, leaf: &mut Visitor<'_>) {
+    T::from_json(v).visit(path, field, leaf);
 }
 
 /// Validates `v` as a `T`: reading it through `T`'s declaration and
@@ -1045,5 +1091,13 @@ pub fn validate_document(doc: &Json) -> Result<(), String> {
 /// every array also yields its length as `<path>.len`, always
 /// deterministic.
 pub fn walk(doc: &Json, leaf: &mut dyn FnMut(&str, &Json, Class)) {
-    Envelope::from_json(doc).visit("", Class::Deterministic, leaf);
+    walk_fields(doc, &mut |path, value, field| {
+        leaf(path, value, field.class)
+    });
+}
+
+/// [`walk`] with each scalar's whole [`Field`]: its class and which way
+/// it improves.
+pub fn walk_fields(doc: &Json, leaf: &mut dyn FnMut(&str, &Json, Field)) {
+    Envelope::from_json(doc).visit("", Field::DETERMINISTIC, leaf);
 }

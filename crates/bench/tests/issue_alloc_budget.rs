@@ -3,9 +3,9 @@
 //! stretch of a MorLog-SLDE SPS run makes no heap allocation in the
 //! `core_issue` and `cache_hierarchy` phases per cache lookup. Eviction
 //! events go through a buffer the engine reuses, cache lines stay in their
-//! way slots, and the oracle records a write with one push into its
-//! thread's write list. What remains is the amortised growth of those
-//! lists and of the caches' per-set slot arenas.
+//! way slots, and the oracle only counts each transaction's executed
+//! stores (it reads their values from the shared trace). What remains is
+//! the amortised growth of the caches' per-set slot arenas.
 //!
 //! The profiler's enable flag is process-global, so this file holds a
 //! single test.

@@ -215,7 +215,7 @@ pub struct EncodedPayloads {
 /// assert!(slde.dldc_enabled());
 /// assert!(!crade.dldc_enabled());
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SldeCodec {
     model: CellModel,
     use_dldc: bool,
@@ -297,16 +297,25 @@ impl SldeCodec {
         let mut segments = ArrayVec::new();
         let mut payload_bits = 0;
         for i in 0..WORDS_PER_LINE {
-            let mut w = BitWriter::new();
-            push_fpc(&mut w, fpc::compress_word(line.word(i)));
-            payload_bits += w.len_bits();
-            segments.push(w.into());
+            let seg = Self::data_word_payload(line.word(i));
+            payload_bits += seg.len;
+            segments.push(seg);
         }
         EncodedPayloads {
             segments,
             payload_bits,
             choices: Choices::new(),
         }
+    }
+
+    /// The FPC segment of one data word, before expansion. Segment `i` of
+    /// [`data_block_payloads`](SldeCodec::data_block_payloads) is the
+    /// segment of word `i` alone, so one changed word can be re-encoded
+    /// without its line.
+    pub fn data_word_payload(word: u64) -> SegmentPayload {
+        let mut w = BitWriter::new();
+        push_fpc(&mut w, fpc::compress_word(word));
+        w.into()
     }
 
     /// Decodes a data block previously produced by [`encode_data_block`]

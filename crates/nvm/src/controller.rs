@@ -577,6 +577,27 @@ impl MemoryController {
         }
     }
 
+    /// Stores an initial image (bypasses queues and timing), word by word
+    /// in order: NVMM words through [`NvmmModule::preload`], to the state
+    /// that [`read_line`], `set_word` and [`write_line_functional`] per
+    /// word would leave.
+    ///
+    /// [`read_line`]: MemoryController::read_line
+    /// [`write_line_functional`]: MemoryController::write_line_functional
+    pub fn preload(&mut self, words: &[(Addr, u64)]) {
+        if words.is_empty() {
+            return; // no profiler scope for an empty image
+        }
+        let map = self.map;
+        let in_dram = |addr: Addr| map.region(addr) == Region::Dram;
+        for &(addr, value) in words.iter().filter(|&&(addr, _)| in_dram(addr)) {
+            let line = self.dram.entry(addr.line()).or_default();
+            line.set_word(addr.word_index(), value);
+        }
+        let nvmm = words.iter().copied().filter(|&(addr, _)| !in_dram(addr));
+        self.module.preload(nvmm);
+    }
+
     /// Functional write used by recovery (bypasses queues and timing).
     pub fn write_line_functional(&mut self, line: LineAddr, data: LineData) {
         match self.map.region(line.base()) {

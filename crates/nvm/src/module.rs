@@ -13,14 +13,14 @@ use morlog_encoding::cell::{CellModel, CellState};
 use morlog_encoding::dcw::{self, WriteCost};
 use morlog_encoding::secure::{transform_log_word, SecureMode};
 use morlog_encoding::slde::{
-    Choices, EncodedPayloads, LogWordRequest, SldeCodec, BLOCK_CELLS, MAX_LOG_DATA_WORDS,
-    WORD_REGION_CELLS,
+    Choices, EncodedPayloads, LogWordRequest, SegmentPayload, SldeCodec, BLOCK_CELLS,
+    MAX_LOG_DATA_WORDS, WORD_REGION_CELLS,
 };
 use morlog_log::record::RecordKind;
 use morlog_sim_core::array_vec::ArrayVec;
 use morlog_sim_core::hash::IntHashMap;
 use morlog_sim_core::hostprof::{self, HostPhase};
-use morlog_sim_core::{LineAddr, LineData};
+use morlog_sim_core::{Addr, LineAddr, LineData};
 
 use crate::log::{array_slot_cells, StoredRecord};
 
@@ -45,6 +45,12 @@ pub struct ServicedWrite {
 
 /// The NVMM module: codec + cell arrays + functional backing store.
 ///
+/// Data lines are written whole ([`write_data_line`]); an initial image is
+/// stored one word segment at a time ([`preload`]), to the same end state.
+///
+/// [`write_data_line`]: NvmmModule::write_data_line
+/// [`preload`]: NvmmModule::preload
+///
 /// # Example
 ///
 /// ```
@@ -59,7 +65,11 @@ pub struct ServicedWrite {
 /// assert!(s.cost.cells_programmed > 0);
 /// assert_eq!(m.read_data_line(LineAddr::from_index(9)).word(0), 42);
 /// ```
-#[derive(Debug, Clone)]
+///
+/// Two modules compare equal when they hold the same codec, bytes, cell
+/// states and program counts, with lines and slots in the same
+/// first-write order.
+#[derive(Debug, Clone, PartialEq)]
 pub struct NvmmModule {
     codec: SldeCodec,
     /// Stored cells and program counts per data line and per log slot.
@@ -73,7 +83,7 @@ pub struct NvmmModule {
 /// write to a line or slot allocates nothing of its own, with the count of
 /// writes that programmed any of them (wear; Table VI's endurance
 /// argument).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 struct Cells<const N: usize> {
     states: [CellState; N],
     programs: u64,
@@ -107,6 +117,12 @@ impl<K, const N: usize> Default for CellTable<K, N> {
     }
 }
 
+impl<K: Hash + Eq, const N: usize> PartialEq for CellTable<K, N> {
+    fn eq(&self, other: &Self) -> bool {
+        self.index == other.index && self.cells == other.cells
+    }
+}
+
 impl<K: Hash + Eq, const N: usize> CellTable<K, N> {
     /// The cells at `key`, erased (`000`) on first use.
     fn cells_mut(&mut self, key: K) -> &mut Cells<N> {
@@ -131,7 +147,7 @@ impl<K: Hash + Eq, const N: usize> CellTable<K, N> {
 /// cells of the slot at that physical offset, or 0 if none was written
 /// there yet. An index grows with the highest offset written, as the
 /// ring does, at 4 bytes per 8 bytes of log.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 struct SlotCells {
     index: Vec<Vec<u32>>,
     cells: Vec<Cells<MAX_SLOT_CELLS>>,
@@ -168,24 +184,26 @@ impl SlotCells {
 
 impl<const N: usize> Cells<N> {
     /// Maps and programs an encoded write (one sub-region per word) under
-    /// DCW, returning the combined cost. Segment `i` occupies cells
-    /// `[i·WORD_REGION_CELLS, …)`; cells beyond a segment's footprint keep
-    /// their previous states (DCW never touches them).
+    /// DCW, returning the combined cost, and counts it as a program unless
+    /// it was silent.
     fn program(&mut self, codec: &SldeCodec, payloads: &EncodedPayloads) -> WriteCost {
         let mut total = WriteCost::silent();
         for (i, seg) in payloads.segments.iter().enumerate() {
-            let cells = &mut self.states[i * WORD_REGION_CELLS..][..WORD_REGION_CELLS];
-            total.combine(&dcw::program_payload(
-                codec.model(),
-                cells,
-                seg,
-                codec.expansion_mode(seg.len),
-            ));
+            total.combine(&self.program_segment(codec, i, seg));
         }
         if !total.is_silent() {
             self.programs += 1;
         }
         total
+    }
+
+    /// Maps and programs segment `i` alone under DCW into cells
+    /// `[i·WORD_REGION_CELLS, …)`; cells beyond the segment's footprint
+    /// keep their previous states (DCW never touches them). Counts no
+    /// program: that is the caller's, once per write.
+    fn program_segment(&mut self, codec: &SldeCodec, i: usize, seg: &SegmentPayload) -> WriteCost {
+        let cells = &mut self.states[i * WORD_REGION_CELLS..][..WORD_REGION_CELLS];
+        dcw::program_payload(codec.model(), cells, seg, codec.expansion_mode(seg.len))
     }
 }
 
@@ -227,6 +245,53 @@ impl NvmmModule {
     /// encoded write.
     pub fn write_data_line(&mut self, line: LineAddr, data: LineData) -> ServicedWrite {
         let _prof = hostprof::scope(HostPhase::Encoding);
+        self.program_data_line(line, data)
+    }
+
+    /// Stores an initial image, one `(addr, value)` word at a time in
+    /// order, and leaves the module exactly as a read-modify-write of each
+    /// word's whole line through [`write_data_line`] would: the same bytes,
+    /// cell states, program counts and first-write order. Each word's
+    /// segment depends on that word alone, and DCW programs nothing for an
+    /// unchanged segment, so:
+    ///
+    /// - a word on a line never written before writes the zero line with
+    ///   that word set, from erased cells;
+    /// - a word equal to the stored one changes nothing (the line rewrite
+    ///   would be silent);
+    /// - any other word programs its own segment only, and counts a
+    ///   program on its line unless that segment was silent.
+    ///
+    /// The write costs are discarded: the image is in place before the
+    /// first simulated cycle.
+    ///
+    /// [`write_data_line`]: NvmmModule::write_data_line
+    pub fn preload(&mut self, words: impl IntoIterator<Item = (Addr, u64)>) {
+        let _prof = hostprof::scope(HostPhase::Encoding);
+        for (addr, value) in words {
+            let (line, i) = (addr.line(), addr.word_index());
+            match self.backing.get_mut(&line) {
+                None => {
+                    let mut data = LineData::zeroed();
+                    data.set_word(i, value);
+                    self.program_data_line(line, data);
+                }
+                Some(data) if data.word(i) == value => {}
+                Some(data) => {
+                    data.set_word(i, value);
+                    let seg = SldeCodec::data_word_payload(value);
+                    let cells = self.data_cells.cells_mut(line);
+                    if !cells.program_segment(&self.codec, i, &seg).is_silent() {
+                        cells.programs += 1;
+                    }
+                }
+            }
+        }
+    }
+
+    /// [`write_data_line`](NvmmModule::write_data_line) outside any
+    /// profiler scope.
+    fn program_data_line(&mut self, line: LineAddr, data: LineData) -> ServicedWrite {
         let payloads = self.codec.data_block_payloads(&data);
         let cost = self
             .data_cells

@@ -242,6 +242,12 @@ impl System {
 
     /// Full-option constructor: expansion coding (Table VI) and the
     /// secure-NVMM model (§IV-D).
+    ///
+    /// Each thread's initial image is stored with one
+    /// [`MemoryController::preload`] call, before the first cycle and
+    /// outside the timing model. It encodes and programs only the changed
+    /// word's segment of a line already written, and ends in the state
+    /// that a read-modify-write of the whole line per word would.
     pub fn with_options(
         cfg: SystemConfig,
         trace: &WorkloadTrace,
@@ -273,12 +279,7 @@ impl System {
         lc.set_mutation(cfg.mutation);
         let threads = Arc::clone(&trace.threads);
         for thread in threads.iter() {
-            for &(addr, value) in &thread.initial {
-                let line_addr = addr.line();
-                let mut line = mc.read_line(line_addr);
-                line.set_word(addr.word_index(), value);
-                mc.write_line_functional(line_addr, line);
-            }
+            mc.preload(&thread.initial);
         }
         let mut hierarchy = Hierarchy::new(&cfg.hierarchy, cfg.cores.cores);
         hierarchy.set_tracer(tracer.clone());
