@@ -117,11 +117,11 @@ pub fn write_cost(
 }
 
 /// Maps `payload` over the leading cells of `stored` under `mode` and
-/// programs them under DCW in the same pass: each cell's target state is
-/// compared with its stored state and written back. Returns the cost
-/// [`write_cost`] reports for the mapped states against the old ones,
-/// bit for bit: the changed cells' energies are summed in cell order.
-/// Cells past the payload keep their states.
+/// programs them under DCW: [`store_payload`], then [`changed_cells_cost`]
+/// on the cells it changed. Returns the cost [`write_cost`] reports for
+/// the mapped states against the old ones, bit for bit: the changed
+/// cells' energies are summed in cell order. Cells past the payload keep
+/// their states.
 ///
 /// # Panics
 ///
@@ -133,8 +133,28 @@ pub fn program_payload(
     payload: &SegmentPayload,
     mode: ExpansionMode,
 ) -> WriteCost {
-    let bpc = mode.bits_per_cell();
-    let cells = payload.len.div_ceil(bpc);
+    let changed = store_payload(stored, payload, mode);
+    changed_cells_cost(model, stored, changed, mode.bits_per_cell())
+}
+
+/// The store step of [`program_payload`]: maps `payload` over the leading
+/// cells of `stored` under `mode`, compares each cell's target state with
+/// its stored state and writes it back, in one pass. Returns the
+/// changed-cell mask (bit `c` set when cell `c` changed; 0 for a silent
+/// write). Cells past the payload keep their states. A caller that keeps
+/// no cost (the initial-image preload) stops here.
+///
+/// # Panics
+///
+/// Panics if the payload needs more cells than `stored` holds or more
+/// than one word region.
+#[inline]
+pub fn store_payload(
+    stored: &mut [CellState],
+    payload: &SegmentPayload,
+    mode: ExpansionMode,
+) -> u32 {
+    let cells = payload.len.div_ceil(mode.bits_per_cell());
     assert!(
         cells <= WORD_REGION_CELLS,
         "mapping needs {cells} cells, more than {WORD_REGION_CELLS}"
@@ -145,6 +165,20 @@ pub fn program_payload(
         changed |= u32::from(stored[c] != state) << c;
         stored[c] = state;
     });
+    changed
+}
+
+/// The cost step of [`program_payload`]: the DCW cost of the cells set in
+/// `changed`, read at their new states in `stored` (as [`store_payload`]
+/// left them), under a mapping of `bits_per_cell` bits per cell. The
+/// latency is the maximum and the energy the sum, in cell order.
+#[inline]
+pub fn changed_cells_cost(
+    model: &CellModel,
+    stored: &[CellState],
+    mut changed: u32,
+    bits_per_cell: usize,
+) -> WriteCost {
     let (latency_ns, energy_pj) = model.write_tables();
     let (mut latency, mut energy) = (0.0f64, 0.0f64);
     let programmed = u64::from(changed.count_ones());
@@ -158,7 +192,7 @@ pub fn program_payload(
         latency: NanoSeconds::new(latency * model.write_latency_scale()),
         energy: PicoJoules::new(energy),
         cells_programmed: programmed,
-        bits_programmed: programmed * bpc as u64,
+        bits_programmed: programmed * bits_per_cell as u64,
     }
 }
 
@@ -308,6 +342,51 @@ mod tests {
                         "cells past the payload keep their states"
                     );
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn store_step_alone_leaves_the_cells_program_payload_leaves() {
+        let mut rng = morlog_sim_core::rng::DetRng::new(0x5707);
+        let model = CellModel::table_iii();
+        let random_payload = |rng: &mut morlog_sim_core::rng::DetRng, mode: ExpansionMode| {
+            let len = rng.gen_range((WORD_REGION_CELLS * mode.bits_per_cell() + 1) as u64) as usize;
+            let bits = (u128::from(rng.next_u64()) | u128::from(rng.next_u64()) << 64)
+                & ((1u128 << len) - 1);
+            SegmentPayload { bits, len }
+        };
+        for mode in [ExpansionMode::Idm1, ExpansionMode::Idm2, ExpansionMode::Tlc] {
+            for _ in 0..2000 {
+                // Random prior states, then (half the time) a longer
+                // payload programmed over them, so a shorter payload
+                // below leaves stale cells past its footprint.
+                let mut prior: Vec<CellState> = (0..WORD_REGION_CELLS + 2)
+                    .map(|_| s(rng.gen_range(8) as u8))
+                    .collect();
+                if rng.gen_bool(0.5) {
+                    let longer = random_payload(&mut rng, mode);
+                    program_payload(&model, &mut prior, &longer, mode);
+                }
+                // Rewriting the prior cells' own payload is silent.
+                let payload = if rng.gen_bool(0.1) {
+                    let mut quiet = prior.clone();
+                    let p = random_payload(&mut rng, mode);
+                    program_payload(&model, &mut quiet, &p, mode);
+                    prior = quiet;
+                    p
+                } else {
+                    random_payload(&mut rng, mode)
+                };
+                let mut stored_alone = prior.clone();
+                let changed = store_payload(&mut stored_alone, &payload, mode);
+                let mut programmed = prior.clone();
+                let cost = program_payload(&model, &mut programmed, &payload, mode);
+                assert_eq!(stored_alone, programmed, "{mode:?} {payload:?}");
+                assert_eq!(changed == 0, cost.is_silent(), "{mode:?} {payload:?}");
+                assert_eq!(u64::from(changed.count_ones()), cost.cells_programmed);
+                let footprint = payload.len.div_ceil(mode.bits_per_cell());
+                assert_eq!(&stored_alone[footprint..], &prior[footprint..]);
             }
         }
     }

@@ -205,6 +205,24 @@ impl<const N: usize> Cells<N> {
         let cells = &mut self.states[i * WORD_REGION_CELLS..][..WORD_REGION_CELLS];
         dcw::program_payload(codec.model(), cells, seg, codec.expansion_mode(seg.len))
     }
+
+    /// [`program`](Cells::program) without the cost: stores the encoded
+    /// write's cells and counts a program when any cell changed.
+    fn store(&mut self, codec: &SldeCodec, payloads: &EncodedPayloads) {
+        let mut changed = false;
+        for (i, seg) in payloads.segments.iter().enumerate() {
+            changed |= self.store_segment(codec, i, seg);
+        }
+        self.programs += u64::from(changed);
+    }
+
+    /// [`program_segment`](Cells::program_segment) without the cost:
+    /// stores segment `i`'s cells and returns whether any changed. Counts
+    /// no program.
+    fn store_segment(&mut self, codec: &SldeCodec, i: usize, seg: &SegmentPayload) -> bool {
+        let cells = &mut self.states[i * WORD_REGION_CELLS..][..WORD_REGION_CELLS];
+        dcw::store_payload(cells, seg, codec.expansion_mode(seg.len)) != 0
+    }
 }
 
 impl NvmmModule {
@@ -262,8 +280,10 @@ impl NvmmModule {
     /// - any other word programs its own segment only, and counts a
     ///   program on its line unless that segment was silent.
     ///
-    /// The write costs are discarded: the image is in place before the
-    /// first simulated cycle.
+    /// The image is in place before the first simulated cycle, so no
+    /// write cost is kept and none is computed: both paths run only DCW's
+    /// store step ([`dcw::store_payload`]), which leaves the same cells
+    /// and reports the same silence as the full program.
     ///
     /// [`write_data_line`]: NvmmModule::write_data_line
     pub fn preload(&mut self, words: impl IntoIterator<Item = (Addr, u64)>) {
@@ -274,16 +294,18 @@ impl NvmmModule {
                 None => {
                     let mut data = LineData::zeroed();
                     data.set_word(i, value);
-                    self.program_data_line(line, data);
+                    let payloads = self.codec.data_block_payloads(&data);
+                    self.data_cells
+                        .cells_mut(line)
+                        .store(&self.codec, &payloads);
+                    self.backing.insert(line, data);
                 }
                 Some(data) if data.word(i) == value => {}
                 Some(data) => {
                     data.set_word(i, value);
                     let seg = SldeCodec::data_word_payload(value);
                     let cells = self.data_cells.cells_mut(line);
-                    if !cells.program_segment(&self.codec, i, &seg).is_silent() {
-                        cells.programs += 1;
-                    }
+                    cells.programs += u64::from(cells.store_segment(&self.codec, i, &seg));
                 }
             }
         }

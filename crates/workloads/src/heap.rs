@@ -7,8 +7,7 @@
 //! workload's shadow memory during generation and in the simulated NVMM at
 //! run time.
 
-use std::collections::HashMap;
-
+use morlog_sim_core::hash::IntHashMap;
 use morlog_sim_core::Addr;
 
 /// A persistent-heap arena.
@@ -30,7 +29,9 @@ pub struct PHeap {
     base: Addr,
     limit: u64,
     brk: u64,
-    free: HashMap<u64, Vec<Addr>>,
+    /// Free blocks per size class, looked up by class only (never
+    /// iterated), so the hasher cannot reorder a trace.
+    free: IntHashMap<u64, Vec<Addr>>,
     live_bytes: u64,
 }
 
@@ -46,7 +47,7 @@ impl PHeap {
             base,
             limit: bytes,
             brk: 0,
-            free: HashMap::new(),
+            free: IntHashMap::default(),
             live_bytes: 0,
         }
     }
@@ -94,6 +95,17 @@ impl PHeap {
         let class = Self::class(size);
         self.live_bytes = self.live_bytes.saturating_sub(class);
         self.free.entry(class).or_default().push(addr);
+    }
+
+    /// The arena's first address.
+    pub fn base(&self) -> Addr {
+        self.base
+    }
+
+    /// The break: bytes of the arena the bump pointer has handed out.
+    /// Every block lies below `base + brk`.
+    pub fn brk(&self) -> u64 {
+        self.brk
     }
 
     /// Bytes currently allocated (for arena-sizing assertions in tests).
