@@ -18,7 +18,7 @@
 use std::collections::HashMap;
 
 use morlog_log::{Log, LogConfig, PersistDomain};
-use morlog_nvm::domain::SimDomain;
+use morlog_nvm::domain::{FaultHook, SimDomain};
 use morlog_sim_core::fault::FaultPlan;
 
 /// One program step: `(thread, txid, word, value)` store or a commit.
@@ -141,14 +141,14 @@ fn torn_slot_fault_plan_holds_the_oracle() {
     for seed in 0..8u64 {
         for budget in (0..=total).step_by(7) {
             let plan = FaultPlan::single_torn(seed);
-            let mut log = Log::format(SimDomain::with_fault_plan(&cfg, plan), cfg.clone());
+            let mut log = Log::format(
+                SimDomain::with_backing(&cfg, FaultHook { plan }),
+                cfg.clone(),
+            );
             let base = log.domain().durable_bytes();
             log.domain_mut().arm_power_cut(base + budget);
             let acked = drive(&mut log);
-            injected_total += log
-                .domain()
-                .fault_plan()
-                .map_or(0, |p| u64::from(p.injected()));
+            injected_total += u64::from(log.domain().backing().plan.injected());
             check_crash_point(
                 &mut log,
                 &acked,
@@ -171,14 +171,14 @@ fn crash_flip_fault_plan_holds_the_oracle() {
     for seed in 0..8u64 {
         for budget in (0..=total).step_by(7) {
             let plan = FaultPlan::single_crash_flip(seed);
-            let mut log = Log::format(SimDomain::with_fault_plan(&cfg, plan), cfg.clone());
+            let mut log = Log::format(
+                SimDomain::with_backing(&cfg, FaultHook { plan }),
+                cfg.clone(),
+            );
             let base = log.domain().durable_bytes();
             log.domain_mut().arm_power_cut(base + budget);
             let acked = drive(&mut log);
-            injected_total += log
-                .domain()
-                .fault_plan()
-                .map_or(0, |p| u64::from(p.injected()));
+            injected_total += u64::from(log.domain().backing().plan.injected());
             check_crash_point(
                 &mut log,
                 &acked,

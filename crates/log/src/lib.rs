@@ -25,12 +25,18 @@
 //!   decide when a committed transaction's records are deletable).
 //! * [`domain`] — the [`PersistDomain`] trait: byte regions with explicit
 //!   `persist()` ordering points and a `drain()` barrier.
-//! * [`image`] — the shared volatile/durable byte-image that backs the
-//!   concrete domains, including the *power-cut* model ("writes dropped
-//!   before fsync") used to simulate crashes without killing the process.
-//! * [`mem`] — [`MemDomain`], a purely in-memory backend for tests.
-//! * [`mmap`] — [`MmapDomain`], an mmap-or-file backend with explicit
-//!   flush + fsync that can actually serve clients.
+//! * [`image`] — [`Image`], the one [`PersistDomain`]: a volatile/durable
+//!   byte image with the *power-cut* model ("writes dropped before
+//!   fsync") used to simulate crashes without killing the process. A
+//!   backend is only a [`Backing`](image::Backing) hook at the drain
+//!   barrier:
+//!   - `Image` itself (backend `()`) is the in-memory domain for tests
+//!     and crash exploration;
+//!   - [`MmapDomain`] (`Image<FileBacking>`, module [`mmap`]) writes
+//!     every drained range through to a file and syncs it, and can
+//!     actually serve clients;
+//!   - `SimDomain` in the `morlog-nvm` crate tears and bit-flips the
+//!     ranges of a dying drain by the simulator's NVMM fault plan.
 //! * [`engine`] — [`Log`], the transactional log engine: write-ahead
 //!   undo+redo append, commit records with cross-slice timestamps, log
 //!   truncation and full crash recovery over any [`PersistDomain`].
@@ -41,17 +47,18 @@
 //! steps one ring per slice over [`BYTE_SLOTS`](record::BYTE_SLOTS), and
 //! the simulator's memory controller one per slice over the Fig. 7 array
 //! slots (`morlog_nvm::log::ARRAY_SLOTS`). The simulator still keeps its
-//! slots as structured records rather than bytes. Its NVMM fault model
-//! implements [`PersistDomain`] in the `morlog-nvm` crate (`SimDomain`);
-//! only tests drive [`Log`] over it.
+//! slots as structured records rather than bytes. Its NVMM fault model is
+//! an [`Image`] backend in the `morlog-nvm` crate (`SimDomain`); only tests
+//! drive [`Log`] over it.
 //!
 //! # Example
 //!
 //! ```
-//! use morlog_log::{engine::{Log, LogConfig}, mem::MemDomain, PersistDomain};
+//! use morlog_log::{Image, Log, LogConfig, PersistDomain};
 //!
 //! let cfg = LogConfig::small();
-//! let mut log = Log::format(MemDomain::new(&cfg), cfg.clone());
+//! // The in-memory domain: an image with no backing storage.
+//! let mut log: Log<Image> = Log::format(Image::new(&cfg), cfg.clone());
 //! log.write(0, 0, 7, 0xAB).unwrap();
 //! log.commit(0, 0).unwrap();
 //! // Simulated power loss: un-drained writes are dropped, then recover.
@@ -67,7 +74,6 @@
 pub mod domain;
 pub mod engine;
 pub mod image;
-pub mod mem;
 pub mod mmap;
 pub mod protocol;
 pub mod record;
@@ -76,7 +82,7 @@ pub mod txtable;
 
 pub use domain::{PersistDomain, RegionId, CONTROL_REGION, DATA_REGION};
 pub use engine::{Log, LogConfig, LogError, RecoveryOutcome};
-pub use mem::MemDomain;
+pub use image::Image;
 pub use mmap::{MmapDomain, SyncMode};
 pub use protocol::{plan_replay, Damage, ReplayPlan, ScanEntry};
 pub use record::{Record, RecordKind, TxTag};

@@ -1,18 +1,21 @@
-//! File-backed persist domain with explicit flush + fsync.
+//! The file-backed persist domain: an [`Image`] whose drains write
+//! through to a file.
 //!
-//! [`MmapDomain`] keeps the working [`Image`] in memory and mirrors every
-//! drained range into a backing file with positioned writes, optionally
-//! followed by `fsync` (see [`SyncMode`]). The file holds a CRC-sealed
-//! superblock (magic + geometry) followed by the raw regions, so a process
-//! that died between drains reopens to exactly the durable state — torn
-//! log slots included, which the record layer's CRC seals then detect.
+//! [`MmapDomain`] is `Image<FileBacking>`: the working image stays in
+//! memory, and the [`FileBacking`] hook mirrors every range a drain kept
+//! into a backing file with one positioned write each, then makes one
+//! `fsync` (`sync_data`) call per drain that flushed anything (see
+//! [`SyncMode`]). The file holds a CRC-sealed superblock (magic +
+//! geometry) followed by the raw regions, so a process that died between
+//! drains reopens to exactly the durable state — torn log slots included,
+//! which the record layer's CRC seals then detect.
 //!
 //! The crate forbids `unsafe`, so no page is actually mapped: "mmap or
-//! file" resolves to the file path, with the same two-level durability
-//! semantics the in-memory backend models. Crashes can be simulated two
-//! ways: drop the domain without draining and [`MmapDomain::open`] the
-//! file again (the process-kill model), or arm the byte-budget power cut
-//! like the in-memory backend (the torn-drain model).
+//! file" resolves to the file path, with the image's two-level durability
+//! semantics. Crashes can be simulated two ways: drop the domain without
+//! draining and [`MmapDomain::open`] the file again (the process-kill
+//! model), or arm the image's byte-budget power cut (the torn-drain
+//! model).
 
 use std::fs::{File, OpenOptions};
 use std::io;
@@ -20,9 +23,9 @@ use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::str::FromStr;
 
-use crate::domain::{PersistDomain, RegionId};
+use crate::domain::RegionId;
 use crate::engine::LogConfig;
-use crate::image::Image;
+use crate::image::{Backing, Image};
 use crate::record::crc32_words;
 
 /// When the backing file is fsync'd.
@@ -58,15 +61,32 @@ const VERSION: u64 = 1;
 /// Bytes reserved for the superblock at the start of the file.
 const SUPERBLOCK: u64 = 512;
 
-/// A persist domain backed by a regular file.
+/// The file behind an [`MmapDomain`]: the [`Image`] hook that writes each
+/// kept range through and syncs.
 #[derive(Debug)]
-pub struct MmapDomain {
+pub struct FileBacking {
     file: File,
     path: PathBuf,
-    image: Image,
     sync: SyncMode,
     /// Byte offset of each region within the file.
     offsets: Vec<u64>,
+}
+
+/// A persist domain backed by a regular file.
+pub type MmapDomain = Image<FileBacking>;
+
+impl Backing for FileBacking {
+    fn drained<'a>(&mut self, kept: impl Iterator<Item = (RegionId, u64, &'a [u8])>) -> bool {
+        let mut flushed = false;
+        for (region, off, bytes) in kept {
+            let at = self.offsets[region as usize] + off;
+            if self.file.write_all_at(bytes, at).is_err() {
+                return false;
+            }
+            flushed = true;
+        }
+        !(flushed && self.sync == SyncMode::Always && self.file.sync_data().is_err())
+    }
 }
 
 fn region_offsets(cfg: &LogConfig) -> Vec<u64> {
@@ -90,6 +110,17 @@ fn superblock_words(cfg: &LogConfig) -> [u64; 6] {
     ]
 }
 
+/// A zeroed image of `cfg`'s geometry whose drains write through to `file`.
+fn file_image(file: File, path: &Path, cfg: &LogConfig, sync: SyncMode) -> MmapDomain {
+    let backing = FileBacking {
+        file,
+        path: path.to_path_buf(),
+        sync,
+        offsets: region_offsets(cfg),
+    };
+    Image::with_backing(cfg, backing)
+}
+
 fn invalid(msg: String) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg)
 }
@@ -111,19 +142,10 @@ impl MmapDomain {
         }
         let crc_off = words.len() * 8;
         block[crc_off..crc_off + 4].copy_from_slice(&crc32_words(&words).to_le_bytes());
-        file.write_at(&block, 0)?;
-        let offsets = region_offsets(cfg);
-        let lens = cfg.region_lens();
-        let total = offsets.last().unwrap() + lens.last().unwrap();
-        file.set_len(total)?;
+        file.write_all_at(&block, 0)?;
+        file.set_len(SUPERBLOCK + cfg.region_lens().iter().sum::<u64>())?;
         file.sync_all()?;
-        Ok(MmapDomain {
-            file,
-            path: path.to_path_buf(),
-            image: Image::new(&lens),
-            sync,
-            offsets,
-        })
+        Ok(file_image(file, path, cfg, sync))
     }
 
     /// Opens an existing backing file, validating its superblock against
@@ -164,84 +186,21 @@ impl MmapDomain {
                 &expect[1..]
             )));
         }
-        let offsets = region_offsets(cfg);
-        let lens = cfg.region_lens();
-        let mut image = Image::new(&lens);
-        for (region, (&off, &len)) in offsets.iter().zip(lens.iter()).enumerate() {
+        let mut image = file_image(file, path, cfg, sync);
+        for (region, len) in cfg.region_lens().into_iter().enumerate() {
             let mut bytes = vec![0u8; len as usize];
-            file.read_exact_at(&mut bytes, off)?;
+            let backing = image.backing();
+            backing
+                .file
+                .read_exact_at(&mut bytes, backing.offsets[region])?;
             image.load_region(region as RegionId, &bytes);
         }
-        Ok(MmapDomain {
-            file,
-            path: path.to_path_buf(),
-            image,
-            sync,
-            offsets,
-        })
+        Ok(image)
     }
 
     /// The backing file's path.
     pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// Arms a simulated power cut (see [`Image::arm_power_cut`]): the next
-    /// drain writes at most `budget` more bytes through to the file before
-    /// the domain dies — leaving a torn slot on disk for recovery to find.
-    pub fn arm_power_cut(&mut self, budget: u64) {
-        self.image.arm_power_cut(budget);
-    }
-
-    /// Whether an armed power cut has fired.
-    pub fn is_dead(&self) -> bool {
-        self.image.is_dead()
-    }
-
-    /// Total bytes drained to the file so far.
-    pub fn durable_bytes(&self) -> u64 {
-        self.image.durable_bytes()
-    }
-}
-
-impl PersistDomain for MmapDomain {
-    fn region_len(&self, region: RegionId) -> u64 {
-        self.image.region_len(region)
-    }
-
-    fn write(&mut self, region: RegionId, off: u64, bytes: &[u8]) {
-        self.image.write(region, off, bytes);
-    }
-
-    fn read(&self, region: RegionId, off: u64, buf: &mut [u8]) {
-        self.image.read(region, off, buf);
-    }
-
-    fn persist(&mut self, region: RegionId, off: u64, len: u64) {
-        self.image.persist(region, off, len);
-    }
-
-    fn drain(&mut self) -> bool {
-        let result = self.image.drain();
-        for &(region, off, len) in &result.flushed {
-            let dur = self.image.durable(region);
-            let bytes = &dur[off as usize..(off + len) as usize];
-            let file_off = self.offsets[region as usize] + off;
-            if self.file.write_at(bytes, file_off).is_err() {
-                return false;
-            }
-        }
-        if self.sync == SyncMode::Always
-            && !result.flushed.is_empty()
-            && self.file.sync_data().is_err()
-        {
-            return false;
-        }
-        result.alive
-    }
-
-    fn restart(&mut self) {
-        self.image.restart();
+        &self.backing().path
     }
 }
 

@@ -3,7 +3,7 @@
 //! the data region untouched — whether the second pass runs in the same
 //! process (in-memory backend) or after a reopen from the backing file.
 
-use morlog_log::{Log, LogConfig, MemDomain, MmapDomain, PersistDomain, RecoveryOutcome, SyncMode};
+use morlog_log::{Image, Log, LogConfig, MmapDomain, PersistDomain, RecoveryOutcome, SyncMode};
 
 fn snapshot<D: PersistDomain>(log: &Log<D>) -> Vec<u64> {
     (0..log.config().data_words)
@@ -34,7 +34,7 @@ fn assert_noop_recovery(outcome: &RecoveryOutcome) {
 #[test]
 fn second_recover_is_a_noop_on_the_memory_backend() {
     let cfg = LogConfig::small();
-    let mut log = Log::format(MemDomain::new(&cfg), cfg.clone());
+    let mut log: Log<Image> = Log::format(Image::new(&cfg), cfg.clone());
     drive(&mut log);
     log.domain_mut().restart();
     let first = log.recover().unwrap();

@@ -28,7 +28,7 @@ use morlog_sim_core::{Addr, Cycle, Frequency, LineAddr, LineData, MemConfig};
 
 use crate::layout::{line_to_channel_bank, MemoryMap, Region};
 use crate::log::{StoredRecord, ARRAY_SLOTS};
-use crate::module::{log_slot_key, NvmmModule};
+use crate::module::{log_slot_key, NvmmModule, ServicedWrite};
 
 /// Identifies an outstanding read.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -704,32 +704,12 @@ impl MemoryController {
                     }
                 }
                 let serviced = self.module.write_data_line(line, data);
-                self.account_write(&serviced.cost, false, &serviced.choices);
-                let service_cycles = self.write_service_cycles(&serviced.cost);
-                let payload = if self.fault_plan.is_active() {
+                let occ = self.accept_write((ch, bank), &serviced, false, now, || {
                     WritePayload::Data { data }
-                } else {
-                    WritePayload::Untracked
-                };
-                let accept_seq = self.bump_accept_seq();
-                self.channels[ch].push_write(
-                    bank,
-                    PendingWrite {
-                        service_cycles,
-                        accept_seq,
-                        payload,
-                    },
-                );
-                hostprof::count(HostCounter::WqOps, 1);
-                let occ = self.channels[ch].write_q.len() as u32;
-                if occ as usize >= self.cfg.write_queue_entries {
+                });
+                if occ >= self.cfg.write_queue_entries {
                     self.state_version += 1; // the queue filled up
                 }
-                self.tracer.emit(now, || TraceEvent::WqAccept {
-                    channel: ch as u32,
-                    occupancy: occ,
-                    is_log: false,
-                });
                 true
             }
         }
@@ -799,11 +779,9 @@ impl MemoryController {
         let physical = self.logs[slice].position(slot.offset);
         let slot_key = log_slot_key(slice, physical);
         let serviced = self.module.write_log_record(&slot.value, slice, physical);
-        self.account_write(&serviced.cost, true, &serviced.choices);
         self.log_metrics.entry_bits[LogWriteMetrics::kind_index(kind)]
             .record(serviced.cost.bits_programmed);
-        let service_cycles = self.write_service_cycles(&serviced.cost);
-        let payload = if self.fault_plan.is_active() {
+        self.accept_write((ch, bank), &serviced, true, now, || {
             let (words, nwords) = record.payload_array();
             WritePayload::Log {
                 slice,
@@ -816,26 +794,8 @@ impl MemoryController {
                 words,
                 nwords: nwords as u8,
             }
-        } else {
-            WritePayload::Untracked
-        };
-        let accept_seq = self.bump_accept_seq();
-        self.channels[ch].push_write(
-            bank,
-            PendingWrite {
-                service_cycles,
-                accept_seq,
-                payload,
-            },
-        );
-        hostprof::count(HostCounter::WqOps, 1);
-        hostprof::count(HostCounter::LogAppends, 1);
-        let occ = self.channels[ch].write_q.len() as u32;
-        self.tracer.emit(now, || TraceEvent::WqAccept {
-            channel: ch as u32,
-            occupancy: occ,
-            is_log: true,
         });
+        hostprof::count(HostCounter::LogAppends, 1);
         self.tracer.emit(now, || TraceEvent::LogAppend {
             slice: slice as u32,
             offset: slot.offset,
@@ -899,6 +859,44 @@ impl MemoryController {
         self.state_version += 1;
         self.tail_place[slice] = self.place_log_tail(slice);
         self.stats.log_overflow_growths += 1;
+    }
+
+    /// Accepts a serviced write into the write queue of `(channel, bank)`:
+    /// accounts its cost, queues it with its recovery payload (built only
+    /// while a fault plan is active) and emits `WqAccept`. Returns the
+    /// queue's occupancy after the push.
+    fn accept_write(
+        &mut self,
+        (ch, bank): (usize, usize),
+        serviced: &ServicedWrite,
+        is_log: bool,
+        now: Cycle,
+        payload: impl FnOnce() -> WritePayload,
+    ) -> usize {
+        self.account_write(&serviced.cost, is_log, &serviced.choices);
+        let service_cycles = self.write_service_cycles(&serviced.cost);
+        let payload = if self.fault_plan.is_active() {
+            payload()
+        } else {
+            WritePayload::Untracked
+        };
+        let accept_seq = self.bump_accept_seq();
+        self.channels[ch].push_write(
+            bank,
+            PendingWrite {
+                service_cycles,
+                accept_seq,
+                payload,
+            },
+        );
+        hostprof::count(HostCounter::WqOps, 1);
+        let occ = self.channels[ch].write_q.len();
+        self.tracer.emit(now, || TraceEvent::WqAccept {
+            channel: ch as u32,
+            occupancy: occ as u32,
+            is_log,
+        });
+        occ
     }
 
     fn bump_accept_seq(&mut self) -> u64 {

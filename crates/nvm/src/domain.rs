@@ -1,12 +1,14 @@
-//! `SimDomain`: the simulator-side [`PersistDomain`] backend.
+//! `SimDomain`: the simulator's NVMM fault model as a persist-domain
+//! backend.
 //!
-//! This adapter lets the fault injector and the crash/fuzz checkers drive
-//! the *extracted* logging protocol (`morlog-log`'s byte engine) with the
-//! exact device-fault model the cycle-level NVMM simulator uses. It wraps
-//! `morlog-log`'s volatile/durable [`Image`] and, when a [`FaultPlan`] is
-//! attached, consults it during **dying** drains only — the simulator's
-//! invariant that write-verify repairs drain-time faults and only
-//! crash-time faults escape into the array:
+//! This lets the fault injector and the crash/fuzz checkers drive the
+//! *extracted* logging protocol (`morlog-log`'s byte engine) with the
+//! exact device-fault model the cycle-level NVMM simulator uses.
+//! `SimDomain` is `morlog-log`'s one persist domain, its [`Image`], with
+//! a [`FaultHook`] at the drain barrier. The hook consults its
+//! [`FaultPlan`] during **dying** drains only — the simulator's invariant
+//! that write-verify repairs drain-time faults and only crash-time faults
+//! escape into the array:
 //!
 //! * log-slice slot ranges can be *torn* ([`FaultPlan::torn_prefix`]): a
 //!   prefix of the slot's data words persists, the rest — including the
@@ -18,129 +20,63 @@
 //!   simulator's gating (its protection is the logging protocol itself,
 //!   which the checkers verify on top of this domain).
 //!
-//! Fault sites are the image's monotonic flushed-range counter, so a
+//! Fault sites are the image's monotonic faultable-range counter, so a
 //! `(seed, power-cut budget)` pair replays the identical crash state every
 //! time — the property the exhaustive and fuzz sweeps rely on.
+//! `SimDomain::new(&cfg)` attaches [`FaultPlan::none`], which behaves as
+//! the plain in-memory image; `SimDomain::with_backing(&cfg, FaultHook {
+//! plan })` attaches a plan, and `backing().plan` reads its counters back.
 
-use morlog_log::domain::{PersistDomain, RegionId, DATA_REGION};
-use morlog_log::engine::LogConfig;
-use morlog_log::image::{Image, RangeFault};
+use morlog_log::domain::DATA_REGION;
+use morlog_log::image::{Backing, Image, PendingRange, RangeFault};
 use morlog_log::record::{SLOT_HEADER, SLOT_TRAILER};
 use morlog_sim_core::fault::FaultPlan;
 
 /// A persist domain with the simulator's NVMM fault model attached.
+pub type SimDomain = Image<FaultHook>;
+
+/// The NVMM fault model as an [`Image`] drain hook.
 #[derive(Debug, Clone)]
-pub struct SimDomain {
-    image: Image,
-    plan: Option<FaultPlan>,
+pub struct FaultHook {
+    /// The plan consulted on dying drains; its injection counters tell
+    /// tests whether a variant actually fired.
+    pub plan: FaultPlan,
 }
 
-impl SimDomain {
-    /// Creates a fault-free domain sized for `cfg`'s geometry.
-    pub fn new(cfg: &LogConfig) -> Self {
-        SimDomain {
-            image: Image::new(&cfg.region_lens()),
-            plan: None,
+impl Default for FaultHook {
+    /// A hook that injects nothing.
+    fn default() -> Self {
+        FaultHook {
+            plan: FaultPlan::none(),
         }
-    }
-
-    /// Creates a domain that consults `plan` during dying drains.
-    pub fn with_fault_plan(cfg: &LogConfig, plan: FaultPlan) -> Self {
-        SimDomain {
-            image: Image::new(&cfg.region_lens()),
-            plan: Some(plan),
-        }
-    }
-
-    /// Attaches (or replaces) the fault plan.
-    pub fn set_fault_plan(&mut self, plan: FaultPlan) {
-        self.plan = Some(plan);
-    }
-
-    /// The attached fault plan, if any (its injection counters tell tests
-    /// whether a variant actually fired).
-    pub fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.plan.as_ref()
-    }
-
-    /// Arms a power cut: the domain dies after `budget` more bytes reach
-    /// durability. The crash-point sweeps enumerate every budget in
-    /// `0..=durable_bytes()` of a clean run.
-    pub fn arm_power_cut(&mut self, budget: u64) {
-        self.image.arm_power_cut(budget);
-    }
-
-    /// Whether an armed power cut has fired.
-    pub fn is_dead(&self) -> bool {
-        self.image.is_dead()
-    }
-
-    /// Total bytes flushed to durability so far — the coordinate space for
-    /// exhaustive power-cut sweeps.
-    pub fn durable_bytes(&self) -> u64 {
-        self.image.durable_bytes()
     }
 }
 
-impl PersistDomain for SimDomain {
-    fn region_len(&self, region: RegionId) -> u64 {
-        self.image.region_len(region)
-    }
-
-    fn write(&mut self, region: RegionId, off: u64, bytes: &[u8]) {
-        self.image.write(region, off, bytes);
-    }
-
-    fn read(&self, region: RegionId, off: u64, buf: &mut [u8]) {
-        self.image.read(region, off, buf);
-    }
-
-    fn persist(&mut self, region: RegionId, off: u64, len: u64) {
-        self.image.persist(region, off, len);
-    }
-
-    fn drain(&mut self) -> bool {
-        let Some(plan) = self.plan.as_mut() else {
-            return self.image.drain().alive;
-        };
-        // Snapshot the in-flight (volatile) regions so the fault hook can
-        // key bit-flip probabilities to the TLC states being programmed.
-        let snapshot: Vec<Vec<u8>> = (0..self.image.region_count())
-            .map(|r| self.image.volatile(r as RegionId).to_vec())
-            .collect();
-        self.image
-            .drain_with(|site, range, _| {
-                let mut fault = RangeFault::default();
-                if range.region == DATA_REGION {
-                    return fault; // in-place data is out of fault scope
-                }
-                // Tear log slots: a prefix of the data words persists.
-                // Slot ranges are 32/40/48 bytes (header + 0/1/2 data
-                // words + trailer); control ranges carry no data words.
-                if range.region > DATA_REGION && range.len >= SLOT_HEADER + SLOT_TRAILER {
-                    let data_words = ((range.len - SLOT_HEADER - SLOT_TRAILER) / 8) as usize;
-                    if let Some(k) = plan.torn_prefix(site, data_words) {
-                        fault.keep = Some(SLOT_HEADER + 8 * k as u64);
-                    }
-                }
-                // Crash-time bit flips on kept in-flight words.
-                let vol = &snapshot[range.region as usize];
-                let words = (range.len / 8) as usize;
-                for w in 0..words {
-                    let at = (range.off as usize) + 8 * w;
-                    let value = u64::from_le_bytes(vol[at..at + 8].try_into().unwrap());
-                    let word_site = site.wrapping_mul(1 << 20).wrapping_add(w as u64);
-                    if let Some(flipped) = plan.crash_flip_word(word_site, value) {
-                        fault.xor.push((w, value ^ flipped));
-                    }
-                }
-                fault
-            })
-            .alive
-    }
-
-    fn restart(&mut self) {
-        self.image.restart();
+impl Backing for FaultHook {
+    fn fault(&mut self, site: u64, range: &PendingRange, inflight: &[u8]) -> RangeFault {
+        let mut fault = RangeFault::default();
+        if range.region == DATA_REGION {
+            return fault; // in-place data is out of fault scope
+        }
+        // Tear log slots: a prefix of the data words persists. Slot ranges
+        // are 32/40/48 bytes (header + 0/1/2 data words + trailer); control
+        // ranges carry no data words.
+        if range.region > DATA_REGION && range.len >= SLOT_HEADER + SLOT_TRAILER {
+            let data_words = ((range.len - SLOT_HEADER - SLOT_TRAILER) / 8) as usize;
+            if let Some(k) = self.plan.torn_prefix(site, data_words) {
+                fault.keep = Some(SLOT_HEADER + 8 * k as u64);
+            }
+        }
+        // Crash-time bit flips on kept in-flight words, keyed to the TLC
+        // states being programmed.
+        for (w, word) in inflight.chunks_exact(8).enumerate() {
+            let value = u64::from_le_bytes(word.try_into().unwrap());
+            let word_site = site.wrapping_mul(1 << 20).wrapping_add(w as u64);
+            if let Some(flipped) = self.plan.crash_flip_word(word_site, value) {
+                fault.xor.push((w, value ^ flipped));
+            }
+        }
+        fault
     }
 }
 
@@ -148,9 +84,10 @@ impl PersistDomain for SimDomain {
 mod tests {
     use super::*;
     use morlog_log::engine::{Log, LogConfig};
+    use morlog_log::PersistDomain;
 
     #[test]
-    fn behaves_like_mem_domain_without_a_plan() {
+    fn behaves_like_the_in_memory_image_without_a_plan() {
         let cfg = LogConfig::small();
         let mut log = Log::format(SimDomain::new(&cfg), cfg.clone());
         log.write(0, 0, 4, 0xDEAD).unwrap();
@@ -197,7 +134,10 @@ mod tests {
         let mut hit = false;
         for seed in 0..50u64 {
             let plan = FaultPlan::single_torn(seed);
-            let mut log = Log::format(SimDomain::with_fault_plan(&cfg, plan), cfg.clone());
+            let mut log = Log::format(
+                SimDomain::with_backing(&cfg, FaultHook { plan }),
+                cfg.clone(),
+            );
             // Commit one transaction cleanly, then cut power partway into
             // the next write's WAL drain — the dying drain then carries an
             // undo+redo slot (the only tearable range kind).
@@ -206,7 +146,7 @@ mod tests {
             log.domain_mut().arm_power_cut(40);
             let _ = log.write(0, 1, 3, 6);
             let _ = log.commit(0, 1);
-            let injected = log.domain().fault_plan().map_or(0, |p| p.injected());
+            let injected = log.domain().backing().plan.injected();
             log.domain_mut().restart();
             let outcome = log.recover().unwrap();
             if injected > 0 {
