@@ -110,8 +110,7 @@ mod tests {
         // Same budget twice: identical durable state after recovery.
         let run = |budget: u64| {
             let mut log = Log::format(SimDomain::new(&cfg), cfg.clone());
-            let already = log.domain().durable_bytes();
-            log.domain_mut().arm_power_cut(budget + already);
+            log.domain_mut().arm_power_cut(budget);
             let _ = log.write(0, 0, 1, 10);
             let _ = log.commit(0, 0);
             log.domain_mut().restart();

@@ -42,8 +42,7 @@ fn data<D: PersistDomain>(log: &Log<D>) -> Vec<u64> {
 
 fn run_sim(cfg: &LogConfig, budget: u64) -> (RecoveryOutcome, Vec<u64>) {
     let mut log = Log::format(SimDomain::new(cfg), cfg.clone());
-    let base = log.domain().durable_bytes();
-    log.domain_mut().arm_power_cut(base + budget);
+    log.domain_mut().arm_power_cut(budget);
     drive(&mut log);
     log.domain_mut().restart();
     let outcome = log.recover().unwrap();
@@ -54,8 +53,7 @@ fn run_sim(cfg: &LogConfig, budget: u64) -> (RecoveryOutcome, Vec<u64>) {
 fn run_mmap(cfg: &LogConfig, budget: u64, path: &PathBuf) -> (RecoveryOutcome, Vec<u64>) {
     let domain = MmapDomain::create(path, cfg, SyncMode::Always).unwrap();
     let mut log = Log::format(domain, cfg.clone());
-    let base = log.domain().durable_bytes();
-    log.domain_mut().arm_power_cut(base + budget);
+    log.domain_mut().arm_power_cut(budget);
     drive(&mut log);
     // Machine death: reopen from the file rather than restarting in place,
     // so the file write-through path is part of what the sweep checks.
@@ -152,8 +150,7 @@ fn fault_plan_crash_images_match_the_pinned_digest() {
         for seed in [0u64, 1, 7, 42] {
             for budget in 0..=total {
                 let mut log = Log::format(sim_with_plan(&cfg, plan(seed)), cfg.clone());
-                let base = log.domain().durable_bytes();
-                log.domain_mut().arm_power_cut(base + budget);
+                log.domain_mut().arm_power_cut(budget);
                 drive(&mut log);
                 log.domain_mut().restart();
                 // After a restart the volatile view is the durable image.
@@ -174,7 +171,7 @@ fn fault_plan_crash_images_match_the_pinned_digest() {
     }
     assert!(injected_total > 0, "no fault was ever injected");
     assert_eq!(
-        digest, 0x2BC4_64B6_7C8B_2F31,
+        digest, 0x86B0_B35A_1A30_38C5,
         "fault-plan crash images moved: digest {digest:#018x}"
     );
 }
