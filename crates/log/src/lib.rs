@@ -16,11 +16,13 @@
 //!   head/tail offsets, slot placement with its wrap skip, pass parity,
 //!   truncation and the live window, over a caller-chosen slot
 //!   [`Geometry`](ring::Geometry).
-//! * [`protocol`] — the pure recovery planner shared by every backend *and*
-//!   by the simulator: classify scanned slots (valid / torn / corrupt),
-//!   compute per-thread damage cutoffs, pick winners (with the optional
-//!   delay-persistence ulog check) and emit the exact forward/backward
-//!   replay schedule.
+//! * [`protocol`] — the pure planners shared by every backend *and* by the
+//!   simulator. The recovery planner classifies scanned slots (valid /
+//!   torn / corrupt), computes per-thread damage cutoffs within each
+//!   slice, picks winners (with the optional delay-persistence ulog check)
+//!   and emits the exact forward/backward replay schedule. The truncation
+//!   planner picks each slice's new head: no transaction split, no
+//!   commit-order hole.
 //! * [`txtable`] — the §III-F transaction table (dirty-line counters that
 //!   decide when a committed transaction's records are deletable).
 //! * [`domain`] — the [`PersistDomain`] trait: byte regions with explicit

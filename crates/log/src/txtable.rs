@@ -8,6 +8,9 @@
 //! store dirtying a line (attribution) and a line's data entering the
 //! persist domain (release).
 //!
+//! It also keeps each commit's place in commit order, which
+//! [`plan_truncation`](crate::protocol::plan_truncation) reads.
+//!
 //! This is the one implementation: the byte-backend engine and the
 //! simulator's `System` both hold a [`TxTable`] directly.
 
@@ -29,7 +32,7 @@ use crate::record::TxTag;
 /// let mut t = TxTable::new();
 /// let tag = TxTag::new(0, 0);
 /// t.on_store(tag, 7);
-/// t.on_commit(tag);
+/// t.on_commit(tag, 1);
 /// assert!(!t.is_persisted(tag), "one line still dirty");
 /// t.on_line_persisted(7);
 /// assert!(t.is_deletable(tag));
@@ -40,9 +43,9 @@ pub struct TxTable {
     attribution: HashMap<u64, HashSet<TxTag>>,
     /// Outstanding dirty-line count per transaction (the table's counter).
     counters: HashMap<TxTag, u32>,
-    /// Transactions that committed (entries become deletable when
-    /// committed and counter == 0).
-    committed: HashSet<TxTag>,
+    /// Transactions that committed, with their commit order (entries
+    /// become deletable when committed and counter == 0).
+    committed: HashMap<TxTag, u64>,
 }
 
 impl TxTable {
@@ -59,9 +62,15 @@ impl TxTable {
         }
     }
 
-    /// The transaction committed (program-visible).
-    pub fn on_commit(&mut self, tag: TxTag) {
-        self.committed.insert(tag);
+    /// The transaction committed (program-visible) at `order` on the
+    /// caller's commit clock.
+    pub fn on_commit(&mut self, tag: TxTag, order: u64) {
+        self.committed.insert(tag, order);
+    }
+
+    /// Where the transaction committed in commit order, if it did.
+    pub fn commit_order(&self, tag: TxTag) -> Option<u64> {
+        self.committed.get(&tag).copied()
     }
 
     /// `line`'s data entered the persist domain. Decrements every
@@ -84,7 +93,7 @@ impl TxTable {
     /// Whether the transaction's log entries are deletable: committed and
     /// counter == 0.
     pub fn is_deletable(&self, tag: TxTag) -> bool {
-        self.committed.contains(&tag) && self.is_persisted(tag)
+        self.committed.contains_key(&tag) && self.is_persisted(tag)
     }
 
     /// Drops the bookkeeping of fully-deleted transactions (called after
@@ -122,7 +131,7 @@ mod tests {
         t.on_store(tag(0), 1);
         t.on_store(tag(0), 1); // same line twice: still one
         t.on_store(tag(0), 2);
-        t.on_commit(tag(0));
+        t.on_commit(tag(0), 0);
         assert!(!t.is_deletable(tag(0)));
         t.on_line_persisted(1);
         assert!(!t.is_deletable(tag(0)));
@@ -135,8 +144,8 @@ mod tests {
         let mut t = TxTable::new();
         t.on_store(tag(0), 9);
         t.on_store(tag(1), 9);
-        t.on_commit(tag(0));
-        t.on_commit(tag(1));
+        t.on_commit(tag(0), 0);
+        t.on_commit(tag(1), 1);
         t.on_line_persisted(9);
         assert!(t.is_deletable(tag(0)));
         assert!(t.is_deletable(tag(1)));
@@ -155,7 +164,7 @@ mod tests {
     fn forget_frees_table_entries() {
         let mut t = TxTable::new();
         t.on_store(tag(0), 1);
-        t.on_commit(tag(0));
+        t.on_commit(tag(0), 0);
         assert_eq!(t.occupancy(), 1);
         t.forget(tag(0));
         assert_eq!(t.occupancy(), 0);

@@ -1070,7 +1070,7 @@ impl System {
             });
         }
         if self.cfg.log.truncation == morlog_sim_core::config::TruncationPolicy::TransactionTable {
-            self.tx_table.on_commit(key);
+            self.tx_table.on_commit(key, self.now);
         }
         self.oracle.mark_committed(key);
         self.committed += 1;
